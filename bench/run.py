@@ -63,10 +63,21 @@ class Fault(Exception):
 
 # -- set-up ----------------------------------------------------------------------
 
-def import_srdepth():
-    """Import srdepth afresh from src/, so every lru_cache starts cold."""
+def drop_srdepth():
     for name in [k for k in sys.modules if k == "srdepth" or k.startswith("srdepth.")]:
         del sys.modules[name]
+
+
+def forget_srdepth():
+    """Drop every imported srdepth module and collect it with its caches;
+    the caller must hold no srdepth object."""
+    drop_srdepth()
+    gc.collect()
+
+
+def import_srdepth():
+    """Import srdepth afresh from src/, so every lru_cache starts cold."""
+    drop_srdepth()
     importlib.invalidate_caches()
     pkg = importlib.import_module("srdepth")
     if os.path.dirname(os.path.abspath(pkg.__file__)) != os.path.join(SRC, "srdepth"):
@@ -125,20 +136,24 @@ VERDICTS = {
 
 @dataclass
 class Round:
-    """One round: verdict outputs (result, exception), per-verdict wall
-    times, the round's wall time, its set-up time, and the host slowness
-    factor measured over both (1.0 when no meter ran)."""
+    """One round in plain data: the verdicts' summaries, which verdicts
+    raised, per-verdict wall times, the round's wall time, its set-up time,
+    and the host slowness factor measured over both (1.0 when no meter ran).
+    It keeps no srdepth object, so a finished round frees the modules it
+    imported and their caches."""
 
-    outputs: list
+    verdicts: list
+    raised: list
     latencies: list
     wall: float
     setup_s: float = 0.0
     factor: float = 1.0
 
 
-def timed_pass(workload, pkg, inputs, tracer=None, meter=None) -> Round:
-    """Ask for every verdict in turn.  Time spent in the host meter's
-    handler is taken out of every timing."""
+def timed_pass(workload, pkg, inputs, tracer=None, meter=None):
+    """Ask for every verdict in turn; returns the outputs (result,
+    exception) and the Round.  Time spent in the host meter's handler is
+    taken out of every timing."""
     verdict = VERDICTS[workload]
     outputs = []
     latencies = []
@@ -162,7 +177,9 @@ def timed_pass(workload, pkg, inputs, tracer=None, meter=None) -> Round:
         except Exception as exc:  # recorded and classified by the checks
             outputs.append((None, exc))
         latencies.append(perf_counter() - t0 - (stolen() - s0))
-    return Round(outputs, latencies, perf_counter() - start - (stolen() - stolen0))
+    wall = perf_counter() - start - (stolen() - stolen0)
+    return outputs, Round([summary(workload, o) for o in outputs],
+                          [exc is not None for _, exc in outputs], latencies, wall)
 
 
 def summary(workload, output):
@@ -376,11 +393,11 @@ def end_to_end(rounds, failed_per_round, peak_rss_mb):
     """Every timing is scaled by its round's host slowness factor.  The
     latency percentiles are over every verdict of the run; the round time and
     the set-up time are medians over the rounds, which repeat the same work."""
-    passed = len(rounds[0].outputs) - failed_per_round
+    passed = len(rounds[0].verdicts) - failed_per_round
     wall = statistics.median(r.wall / r.factor for r in rounds)
     # a failed verdict misses every latency limit
-    lat = sorted(lat / r.factor if exc is None else math.inf
-                 for r in rounds for lat, (_, exc) in zip(r.latencies, r.outputs))
+    lat = sorted(math.inf if raised else lat / r.factor
+                 for r in rounds for lat, raised in zip(r.latencies, r.raised))
     return {
         "verdicts_per_s": metric(passed / wall, "1/s"),
         "latency_p50_ms": metric(statistics.median(lat) * 1e3, "ms"),
@@ -461,19 +478,22 @@ def main(argv=None) -> int:
     meter.start()
     try:
         for _ in range(n_rounds):
+            # free the previous round's modules, caches and verdicts, so that
+            # the peak RSS is that of one round on a fresh import
+            pkg = inputs = outputs = None
+            forget_srdepth()
             stolen0 = meter.stolen
             t0 = perf_counter()
             pkg, inputs, setup_s, _ = setup(pairs)
             setup_s -= meter.stolen - stolen0
-            r = timed_pass(args.workload, pkg, inputs, meter=meter)
+            outputs, r = timed_pass(args.workload, pkg, inputs, meter=meter)
             r.setup_s = setup_s
             r.factor = meter.factor(t0, perf_counter())
             rounds.append(r)
     finally:
         meter.stop()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    outputs = rounds[-1].outputs
-    verdict_sets = [r.outputs for r in rounds]
+    verdict_sets = [r.verdicts for r in rounds]
 
     if args.trace:
         # per-layer figures are raw wall times: the meter is off, so that its
@@ -484,20 +504,21 @@ def main(argv=None) -> int:
         traced_adjusted = []
         hits = lookups = 0
         for _ in range(n_rounds):
+            pkg = inputs = outputs = None
+            forget_srdepth()
             pkg, inputs, _, round_parse_s = setup(pairs)
             parse_s += round_parse_s
             tr.install(pkg)
-            info = tr.originals["homology.depth_stanley_reisner"].cache_info
             before = burst_factor()
-            traced = timed_pass(args.workload, pkg, inputs, tracer=tr)
+            outputs, traced = timed_pass(args.workload, pkg, inputs, tracer=tr)
             factor = (before + burst_factor()) / 2
             tr.uninstall()
             traced_walls.append(traced.wall)
             traced_adjusted.append(traced.wall / factor)
-            verdict_sets.append(traced.outputs)
-            hits += info().hits
-            lookups += info().hits + info().misses
-        outputs = traced.outputs
+            verdict_sets.append(traced.verdicts)
+            info = tr.originals["homology.depth_stanley_reisner"].cache_info()
+            hits += info.hits
+            lookups += info.hits + info.misses
         # traced minus untraced wall, both adjusted for host slowness and
         # taken from their median rounds
         overhead_s = (statistics.median(traced_adjusted)
@@ -517,9 +538,8 @@ def main(argv=None) -> int:
 
     t_checks = perf_counter()
     failed, faults = check_all(args.workload, args.seed, pkg, items, inputs, outputs)
-    reference = [summary(args.workload, o) for o in outputs]
     for k, verdicts in enumerate(verdict_sets):
-        if [summary(args.workload, o) for o in verdicts] != reference:
+        if verdicts != verdict_sets[-1]:
             faults.append(f"round {k} gave other verdicts than the last round")
     walls = sorted(r.wall for r in rounds)
     factors = sorted(r.factor for r in rounds)
