@@ -4,8 +4,8 @@ The toolkit decides when the depth of S/I equals the depth of S/sqrt(I) for
 unmixed monomial ideals, characterizes pure simplicial complexes with rigid
 depth, and emits the rational-cone inequality systems on irreducible
 exponents governing depth equality.  Everything is exact: integer and
-prime-field linear algebra only, with brute-force oracles cross-checking the
-structured routes.
+prime-field linear algebra only.  Each question has one production route;
+the independent routes are kept as oracles for the tests and `srdepth audit`.
 """
 
 from .simplicial import Complex, IRRELEVANT, ORDINARY, VOID
@@ -22,14 +22,12 @@ from .homology import (
 from .ideals import (
     Decomposition,
     MonomialIdeal,
-    build_decomposition,
     intersect_all,
     irreducible_ideal,
     prime_ideal,
     prime_power_ideal,
     radical_complex,
     stanley_reisner_ideal,
-    validate_unmixed,
 )
 from .criteria import (
     DepthEqualsRadicalVerdict,
@@ -82,8 +80,6 @@ __all__ = [
     "depth_stanley_reisner",
     "MonomialIdeal",
     "Decomposition",
-    "build_decomposition",
-    "validate_unmixed",
     "intersect_all",
     "prime_ideal",
     "irreducible_ideal",

@@ -186,10 +186,6 @@ def generate_cone_union(
     return ConeUnion(cx.n, cx.facets, symbols, _prune(dnf))
 
 
-def evaluate(union: ConeUnion, assignment: Mapping[Symbol, int]) -> bool:
-    return union.evaluate(assignment)
-
-
 def grid_equivalence(
     u1: ConeUnion, u2: ConeUnion, bound: int
 ) -> Optional[dict[Symbol, int]]:

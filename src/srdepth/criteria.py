@@ -8,13 +8,13 @@ pieces of local cohomology are reduced homology groups of degree complexes
 computation: only degrees with a_j < max exponent of x_j can contribute, and
 negative coordinates matter only through their sign.
 
-Two independent depth engines are provided: the local-cohomology scan and a
-multigraded Koszul-complex oracle; they are cross-checked in the test suite.
+Depth is computed by the local-cohomology scan.  A multigraded Koszul-complex
+depth is kept as an independent oracle for the tests and `srdepth audit`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Optional, Sequence
 
 from .homology import (
@@ -186,6 +186,29 @@ def _depth_grid(rho: Sequence[int]):
     return product(*[[-1] + list(range(cap)) for cap in rho])
 
 
+def _least_nonvanishing_index(pairs, field: FieldSpec) -> int:
+    """Least i with H^i_m(S/I) != 0, from (|G_a|, degree complex) pairs.
+
+    A degree complex contributes |G_a| + 1 + (least index of its nonzero
+    reduced homology); the pairs are consumed lazily and the scan stops at 0.
+    """
+    best: Optional[int] = None
+    for g, cx in pairs:
+        if cx.kind == VOID:
+            continue
+        low = min_nonzero_betti(cx, field)
+        if low is None:
+            continue
+        cand = g + 1 + low
+        if best is None or cand < best:
+            best = cand
+            if best == 0:
+                break
+    if best is None:
+        raise AssertionError("no nonvanishing local cohomology found")
+    return best
+
+
 def depth_via_local_cohomology(
     ideal: MonomialIdeal, field: FieldSpec = RATIONALS
 ) -> int:
@@ -198,25 +221,14 @@ def depth_via_local_cohomology(
     if not ideal.is_proper_nonzero:
         raise ValueError("depth needs a proper nonzero ideal")
     rc = radical_complex(ideal)
-    best: Optional[int] = None
-    for a in _depth_grid(ideal.max_exponents()):
-        gmask = negative_support(a)
-        if not rc.has_face_mask(gmask):
-            continue
-        cx = degree_complex(ideal, a)
-        if cx.kind == VOID:
-            continue
-        low = min_nonzero_betti(cx, field)
-        if low is None:
-            continue
-        cand = gmask.bit_count() + 1 + low
-        if best is None or cand < best:
-            best = cand
-            if best == 0:
-                break
-    if best is None:
-        raise AssertionError("no nonvanishing local cohomology found")
-    return best
+    return _least_nonvanishing_index(
+        (
+            (gmask.bit_count(), degree_complex(ideal, a))
+            for a in _depth_grid(ideal.max_exponents())
+            if rc.has_face_mask(gmask := negative_support(a))
+        ),
+        field,
+    )
 
 
 def depth_via_local_cohomology_unmixed(
@@ -224,22 +236,13 @@ def depth_via_local_cohomology_unmixed(
 ) -> int:
     """Same scan as depth_via_local_cohomology using the facet-local degree
     complex, which avoids expanding the intersection ideal."""
-    best: Optional[int] = None
-    for a in _depth_grid(dec.max_exponents()):
-        cx = degree_complex_unmixed(dec, a)
-        if cx.kind == VOID:
-            continue
-        low = min_nonzero_betti(cx, field)
-        if low is None:
-            continue
-        cand = negative_support(a).bit_count() + 1 + low
-        if best is None or cand < best:
-            best = cand
-            if best == 0:
-                break
-    if best is None:
-        raise AssertionError("no nonvanishing local cohomology found")
-    return best
+    return _least_nonvanishing_index(
+        (
+            (negative_support(a).bit_count(), degree_complex_unmixed(dec, a))
+            for a in _depth_grid(dec.max_exponents())
+        ),
+        field,
+    )
 
 
 def local_cohomology_table(
@@ -353,50 +356,21 @@ class DepthEqualsRadicalVerdict:
         return self.equal
 
 
-def _proper_nonempty_subsets(r: int):
-    for k in range(1, r):
-        yield from combinations(range(r), k)
-
-
 def depth_equals_radical(
     dec: Decomposition, field: FieldSpec = RATIONALS
 ) -> DepthEqualsRadicalVerdict:
     """Decide depth(S/I) = depth(S/sqrt(I)) for the decomposition's intersection.
 
-    Two equivalent characterizations are evaluated and cross-checked: every
-    nonvoid degree complex over the capped nonnegative grid must have depth
-    >= t, and no facet selection of depth < t may admit a degree witness.  A
-    disagreement would be an internal error.
+    Equality holds iff every nonvoid degree complex over the capped
+    nonnegative grid has depth >= t; the first degree whose complex falls
+    below t is the witness.  The equivalent facet-selection route (no
+    selection of depth < t admits a degree_selecting_witness) is left to the
+    tests as an oracle; `srdepth audit` checks the verdict against the
+    local-cohomology depth of the intersection.
     """
-    delta = dec.delta
-    t = depth_stanley_reisner(delta, field)
-    rho = dec.max_exponents()
-
-    scan_witness = None
-    for a in product(*[range(cap + 1) for cap in rho]):
+    t = depth_stanley_reisner(dec.delta, field)
+    for a in product(*[range(cap + 1) for cap in dec.max_exponents()]):
         cx = degree_complex_facet_form(dec, a)
-        if cx.kind == VOID:
-            continue
-        if depth_stanley_reisner(cx, field) < t:
-            scan_witness = (a, cx)
-            break
-
-    selection_witness = None
-    for subset in _proper_nonempty_subsets(len(dec.components)):
-        gamma = delta.facet_subcomplex(subset)
-        if depth_stanley_reisner(gamma, field) >= t:
-            continue
-        w = degree_selecting_witness(dec, subset)
-        if w is not None:
-            selection_witness = (w, gamma)
-            break
-
-    if (scan_witness is None) != (selection_witness is None):
-        raise AssertionError(
-            "degree-scan and facet-selection routes disagree: "
-            f"{scan_witness!r} vs {selection_witness!r}"
-        )
-    if scan_witness is None:
-        return DepthEqualsRadicalVerdict(True, t)
-    a, cx = scan_witness
-    return DepthEqualsRadicalVerdict(False, t, a, cx)
+        if cx.kind != VOID and depth_stanley_reisner(cx, field) < t:
+            return DepthEqualsRadicalVerdict(False, t, a, cx)
+    return DepthEqualsRadicalVerdict(True, t)

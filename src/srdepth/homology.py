@@ -3,8 +3,8 @@
 Ranks of boundary matrices are computed with fraction-free (Bareiss-style)
 integer elimination over the rationals and plain Gaussian elimination over
 prime fields; no floating point anywhere.  On top of the homology kernel sit
-Reisner's Cohen-Macaulay criterion and the skeleton formula for the depth of
-a Stanley-Reisner ring.
+Reisner's Cohen-Macaulay criterion and Hochster's formula for the depth of a
+Stanley-Reisner ring.
 
 Conventions for degenerate complexes (needed by the local-cohomology code):
 the irrelevant complex {0} has H~_{-1} = K and nothing else; the void complex
@@ -230,9 +230,10 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     """Reisner's criterion: every link has vanishing homology below its dimension.
 
     The empty face is included, so H~_i(cx) itself must vanish for i < dim cx.
+    The irrelevant complex passes vacuously: K[cx] is the field itself.
     """
-    if cx.kind != ORDINARY:
-        raise ValueError("Cohen-Macaulayness is tested on ordinary complexes")
+    if cx.kind == VOID:
+        raise ValueError("Cohen-Macaulayness is undefined for the void complex")
     for fm in cx.all_face_masks():
         lk = cx.link(mask_vertices(fm))
         for i in range(-1, lk.dim):
@@ -243,15 +244,26 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
 
 @lru_cache(maxsize=None)
 def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
-    """depth of K[cx] = 1 + max{i : the i-skeleton is Cohen-Macaulay}.
+    """depth of K[cx] by Hochster's formula, in one pass over the faces:
 
-    The scan runs top-down; skeletons of Cohen-Macaulay complexes are again
-    Cohen-Macaulay, so the first hit is the maximum.  Any complex with a
-    vertex has a Cohen-Macaulay 0-skeleton, hence depth >= 1.
+        depth = min over faces F of |F| + 1 + min{i : H~_i(lk F) != 0}.
+
+    Every facet F has the irrelevant link and contributes |F|, so the scan
+    starts from the smallest facet size.  Any other face contributes at least
+    |F| + 1, and faces come by increasing size (the all_face_masks order), so
+    the scan stops at the first size that cannot lower the minimum.  The
+    irrelevant complex has depth 0: K[cx] is the field itself.
     """
-    if cx.kind != ORDINARY:
-        raise ValueError("depth is defined for ordinary complexes")
-    for i in range(cx.dim, -1, -1):
-        if is_cohen_macaulay(cx.skeleton(i), field):
-            return i + 1
-    raise AssertionError("0-skeleton of an ordinary complex is Cohen-Macaulay")
+    if cx.kind == VOID:
+        raise ValueError("depth is undefined for the void complex")
+    best = min(fm.bit_count() for fm in cx.facet_masks)
+    for size in range(cx.dim + 2):
+        if size + 1 >= best:
+            break
+        for fm in cx.face_masks_of_dim(size - 1):
+            low = min_nonzero_betti(cx.link(mask_vertices(fm)), field)
+            if low is not None and size + 1 + low < best:
+                best = size + 1 + low
+                if low == 0:
+                    break  # no face of this size can go lower
+    return best

@@ -15,7 +15,10 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
-from .simplicial import Complex, ORDINARY, face_mask, mask_vertices
+from .simplicial import (
+    Complex, ORDINARY, as_int, face_mask, json_fields, json_list, json_rows,
+    mask_vertices,
+)
 
 Monomial = tuple  # exponent tuple of length n
 
@@ -55,7 +58,7 @@ class MonomialIdeal:
             raise ValueError("ambient variable count must be >= 1")
         clean: list[Monomial] = []
         for g in generators:
-            t = tuple(int(e) for e in g)
+            t = tuple(as_int(e, "exponent") for e in g)
             if len(t) != n:
                 raise ValueError(f"generator {t} has length {len(t)}, expected {n}")
             if any(e < 0 for e in t):
@@ -164,12 +167,8 @@ class MonomialIdeal:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MonomialIdeal":
-        try:
-            n = int(data["n"])
-            gens = data["generators"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"ideal JSON needs 'n' and 'generators': {exc}") from exc
-        return cls(n, gens)
+        n, gens = json_fields(data, "ideal", "n", "generators")
+        return cls(as_int(n, "n"), json_rows(gens, "generators"))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):
@@ -218,7 +217,7 @@ def irreducible_ideal(n: int, facet: Iterable[int], exps: Sequence[int]) -> Mono
         )
     gens = []
     for j, e in zip(comp, exps):
-        e = int(e)
+        e = as_int(e, "exponent")
         if e < 1:
             raise ValueError(f"irreducible exponents must be >= 1, got {e}")
         vec = [0] * n
@@ -355,24 +354,19 @@ class Decomposition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Decomposition":
-        try:
-            delta = Complex.from_json_dict(data["complex"])
-            raw = data["components"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(
-                f"decomposition JSON needs 'complex' and 'components': {exc}"
-            ) from exc
+        cx_data, raw = json_fields(data, "decomposition", "complex", "components")
+        delta = Complex.from_json_dict(cx_data)
         comp_map = {}
-        for entry in raw:
-            if "facet" not in entry:
-                raise ValueError("each component needs a 'facet' field")
-            facet = tuple(int(v) for v in entry["facet"])
+        for entry in json_list(raw, "components"):
+            (facet,) = json_fields(entry, "component", "facet")
+            facet = tuple(as_int(v, "vertex") for v in json_list(facet, "facet"))
             if "generators" in entry:
-                ideal = MonomialIdeal(delta.n, entry["generators"])
+                ideal = MonomialIdeal(delta.n, json_rows(entry["generators"], "generators"))
             elif "power" in entry:
-                ideal = prime_power_ideal(delta.n, facet, int(entry["power"]))
+                ideal = prime_power_ideal(delta.n, facet, as_int(entry["power"], "power"))
             elif "irreducible" in entry:
-                ideal = irreducible_ideal(delta.n, facet, entry["irreducible"])
+                exps = json_list(entry["irreducible"], "irreducible")
+                ideal = irreducible_ideal(delta.n, facet, exps)
             else:
                 raise ValueError(
                     f"component for facet {facet} needs 'generators', 'power' "
@@ -392,11 +386,3 @@ class Decomposition:
     def __repr__(self) -> str:
         return f"Decomposition(delta={self.delta!r}, components={len(self.components)})"
 
-
-def build_decomposition(delta: Complex, components) -> Decomposition:
-    return Decomposition(delta, components)
-
-
-def validate_unmixed(dec: Decomposition) -> bool:
-    ok, _ = dec.validate()
-    return ok

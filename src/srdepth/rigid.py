@@ -4,9 +4,10 @@ A pure complex has rigid depth when every unmixed monomial ideal with that
 complex as radical has the same depth as the squarefree ideal itself.  The
 decidable route is combinatorial: every k of the facets must intersect in at
 least t - k + 1 vertices, for k up to min(r, t), where t is the depth of the
-Stanley-Reisner ring.  Two homological routes (all proper facet selections
-keep depth >= t; all their (t-1)-skeletons are Cohen-Macaulay) are exposed
-for cross-auditing, along with a randomized stability sampler over concrete
+Stanley-Reisner ring.  It is the one route the verdicts use.  Two
+homological routes (all proper facet selections keep depth >= t; all their
+(t-1)-skeletons are Cohen-Macaulay) are kept as oracles for the tests and
+`srdepth audit`, along with a randomized stability sampler over concrete
 ideal classes.
 """
 from __future__ import annotations

@@ -13,6 +13,7 @@ which fixes boundary-matrix rows/columns and makes all outputs reproducible.
 """
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -25,11 +26,48 @@ ORDINARY = "ordinary"
 Face = tuple  # sorted tuple of vertices at the API boundary
 
 
+def as_int(x, what: str) -> int:
+    """x as an integer; bools, floats and strings are refused, never coerced."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
+def json_fields(data, what: str, *keys: str) -> list:
+    """The values of the given keys of a JSON object, refusing anything else."""
+    need = f"{what} JSON needs {' and '.join(map(repr, keys))}"
+    if not isinstance(data, dict):
+        raise ValueError(f"{need}: got {data!r}")
+    for k in keys:
+        if k not in data:
+            raise ValueError(f"{need}: {k!r}")
+    return [data[k] for k in keys]
+
+
+def json_list(value, what: str) -> list:
+    """A JSON list, refusing anything else."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def json_rows(value, what: str) -> list:
+    """A JSON list of lists (facets, generators), refusing anything else."""
+    for row in json_list(value, what):
+        json_list(row, f"each entry of {what}")
+    return value
+
+
 def face_mask(vertices: Iterable[int], n: int) -> int:
     """Bitmask of a vertex set, validating the 1..n range."""
     m = 0
     for v in vertices:
-        v = int(v)
+        v = as_int(v, "vertex")
         if not 1 <= v <= n:
             raise ValueError(f"vertex {v} out of range 1..{n}")
         m |= 1 << (v - 1)
@@ -227,12 +265,8 @@ class Complex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Complex":
-        try:
-            n = int(data["n"])
-            facets = data["facets"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"complex JSON needs 'n' and 'facets': {exc}") from exc
-        return cls(n, facets)
+        n, facets = json_fields(data, "complex", "n", "facets")
+        return cls(as_int(n, "n"), json_rows(facets, "facets"))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Complex):

@@ -1,9 +1,16 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srdepth.cli import main, parse_field
+from srdepth.criteria import depth_via_koszul
 from srdepth.homology import RATIONALS
+from srdepth.ideals import MonomialIdeal
 from srdepth.simplicial import Complex
 from tests.conftest import FIXTURES
 
@@ -54,9 +61,111 @@ def test_depth_projective_plane_f2(capsys):
 
 
 def test_depth_ideal_with_oracle(capsys):
-    code, out, _ = run(capsys, "depth", fixture("sample_ideal.json"), "--oracle")
+    # the Koszul oracle is run by the tests and `audit`, not by `depth`
+    code, out, _ = run(capsys, "depth", fixture("sample_ideal.json"), "--format", "json")
     assert code == 0
-    assert "Koszul oracle depth = 0" in out
+    data = json.loads(out)
+    ideal = MonomialIdeal.from_json_dict(json.loads(Path(fixture("sample_ideal.json")).read_text()))
+    assert data["depth"] == depth_via_koszul(ideal, RATIONALS) == 0
+    assert "koszul_oracle" not in data
+
+
+def test_depth_has_no_oracle_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["depth", fixture("sample_ideal.json"), "--oracle"])
+    assert exc.value.code == 2
+
+
+def write_json(tmp_path, data) -> str:
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_depth_m_primary_ideal(tmp_path, capsys, fmt):
+    path = write_json(tmp_path, {"n": 2, "generators": [[2, 0], [0, 2]]})
+    code, out, err = run(capsys, "depth", path, "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        data = json.loads(out)
+        assert data["depth"] == 0 and data["radical_depth"] == 0
+        assert data["cohen_macaulay"] is True
+    else:
+        assert "depth = 0 (radical depth 0)" in out
+
+
+def test_depth_irrelevant_complex(tmp_path, capsys):
+    path = write_json(tmp_path, {"n": 2, "facets": [[]]})
+    code, out, _ = run(capsys, "depth", path)
+    assert code == 0
+    assert "depth = 0" in out
+    assert "Cohen-Macaulay: yes" in out
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 4, "facets": 5},
+        None,
+        [1, 2],
+        {"n": 3, "facets": []},
+        {"n": 2, "generators": [[1.5, 0], [0, 2]]},
+        {"n": "2", "generators": [[1, 0], [0, 2]]},
+        {"n": 3, "facets": [[1, 2.5]]},
+    ],
+)
+def test_depth_malformed_input(tmp_path, capsys, data):
+    code, out, err = run(capsys, "depth", write_json(tmp_path, data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+_WRONG_SCALAR = (
+    st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=3)
+)
+_WRONG_ROW = _WRONG_SCALAR | st.integers(0, 6) | st.dictionaries(
+    st.text(max_size=2), st.integers(0, 3), max_size=1
+)
+
+
+@st.composite
+def _wrong_typed_input(draw):
+    """A well-formed complex or ideal on n <= 6 with one value of the wrong type:
+    n itself, the whole row list, one row, or one vertex or exponent."""
+    key = draw(st.sampled_from(["facets", "generators"]))
+    n = draw(st.integers(1, 6))
+    if key == "facets":
+        row = st.lists(st.integers(1, n), min_size=1, max_size=n)
+    else:
+        row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    i = draw(st.integers(0, len(rows) - 1))
+    where = draw(st.sampled_from(["n", "rows", "row", "entry"]))
+    if where == "n":
+        n = draw(_WRONG_SCALAR | st.lists(st.integers(1, 6), max_size=2))
+    elif where == "rows":
+        rows = draw(_WRONG_ROW)
+    elif where == "row":
+        rows[i] = draw(_WRONG_ROW)
+    else:
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_WRONG_SCALAR)
+    return {"n": n, key: rows}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wrong_typed_input())
+def test_depth_wrong_types_fuzz(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["depth", str(path)])
+    assert code == 2, data
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
 
 
 def test_depth_missing_file(capsys):
@@ -79,7 +188,8 @@ def test_rigid_two_facets(capsys):
     code, out, _ = run(capsys, "rigid", fixture("two_facets_12345_12678.json"))
     assert code == 0
     assert "rigid: yes" in out
-    assert "audit: rigid" in out
+    # the homological routes run in `audit` and the tests, not here
+    assert "audit" not in out
 
 
 def test_rigid_projective_plane(capsys):
@@ -90,7 +200,8 @@ def test_rigid_projective_plane(capsys):
     data = json.loads(out)
     assert data["t"] == 3 and data["rigid"] is False
     assert data["intersection_size"] == 1
-    assert data["subcomplex_depth_audit"] is False
+    audit_keys = {"subcomplex_depth_audit", "skeleton_cm_audit", "audit_subcomplex"}
+    assert not audit_keys & set(data)
 
 
 # -- depth-equal-radical -----------------------------------------------------------
@@ -220,3 +331,13 @@ def test_audit_catches_bad_fixture(tmp_path, capsys):
 def test_audit_rejects_empty_dir(tmp_path, capsys):
     code, _, err = run(capsys, "audit", str(tmp_path))
     assert code == 2
+
+
+def test_audit_reports_unreadable_fixture(tmp_path, capsys):
+    # an unreadable file is reported as a failure and the audit goes on
+    (tmp_path / "a.json").write_text('{"n": 3, "facets": [[1, 2],')
+    (tmp_path / "b.json").write_text(json.dumps({"n": 2, "facets": [[1], [2]]}))
+    code, out, _ = run(capsys, "audit", str(tmp_path))
+    assert code == 1
+    assert "a.json: FAIL" in out and "b.json: ok" in out
+    assert "1/2 fixtures passed" in out

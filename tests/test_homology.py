@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from srdepth.homology import (
     reduced_betti,
 )
 from srdepth.simplicial import Complex
+from tests.conftest import random_pure_complex
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -219,3 +221,35 @@ def test_depth_char_zero_dominates(fourcycle, rp2, two_big_facets):
         dq = depth_stanley_reisner(cx, RATIONALS)
         for field in (F2, F3):
             assert dq >= depth_stanley_reisner(cx, field)
+
+
+def test_depth_of_degenerate_complexes():
+    # K[irrelevant] is the field itself, of depth 0; the void complex has no ring
+    for n in (1, 2, 5):
+        assert depth_stanley_reisner(Complex.irrelevant(n), RATIONALS) == 0
+        assert is_cohen_macaulay(Complex.irrelevant(n), F2)
+        with pytest.raises(ValueError):
+            depth_stanley_reisner(Complex.void(n), RATIONALS)
+
+
+def _skeleton_depth(cx: Complex, field: FieldSpec) -> int:
+    """Oracle: 1 + max{i : the i-skeleton is Cohen-Macaulay}."""
+    return 1 + max(i for i in range(cx.dim + 1) if is_cohen_macaulay(cx.skeleton(i), field))
+
+
+def _random_complex(rng: random.Random) -> Complex:
+    """Usually non-pure: up to six faces of random sizes on 2..7 vertices."""
+    n = rng.randint(2, 7)
+    faces = [rng.sample(range(1, n + 1), rng.randint(2, n)) for _ in range(rng.randint(1, 6))]
+    return Complex(n, faces)
+
+
+def test_hochster_depth_matches_skeleton_oracle(rp2, two_big_facets):
+    rng = random.Random(20121)
+    corpus = [rp2, two_big_facets, Complex(4, [(1, 2), (3, 4)])]
+    corpus += [_random_complex(rng) for _ in range(40)]
+    corpus += [random_pure_complex(rng) for _ in range(40)]
+    assert any(not cx.is_pure for cx in corpus)
+    for cx in corpus:
+        for field in (RATIONALS, F2, F3):
+            assert depth_stanley_reisner(cx, field) == _skeleton_depth(cx, field), (cx, field)

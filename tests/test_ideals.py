@@ -12,7 +12,6 @@ from srdepth.ideals import (
     prime_power_ideal,
     radical_complex,
     stanley_reisner_ideal,
-    validate_unmixed,
 )
 from srdepth.simplicial import Complex
 from tests.conftest import (
@@ -248,14 +247,14 @@ def test_irreducible_ideal_validation():
 
 def test_fourcycle_decomposition_valid():
     dec = fourcycle_decomposition(VEC_EQUAL_1)
-    assert validate_unmixed(dec)
+    assert dec.validate()[0]
     assert len(dec.components) == 4
 
 
 def test_prime_power_decomposition_valid(fourcycle):
     comps = {f: prime_power_ideal(4, f, m) for f, m in zip(fourcycle.facets, (1, 2, 1, 2))}
     dec = Decomposition(fourcycle, comps)
-    assert validate_unmixed(dec)
+    assert dec.validate()[0]
 
 
 def test_component_supported_inside_facet_rejected(fourcycle):
@@ -320,3 +319,32 @@ def test_radical_complex_on_random_ideals():
 def test_json_round_trip_ideal():
     ideal = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0)])
     assert MonomialIdeal.from_json_dict(ideal.to_json_dict()) == ideal
+
+
+def test_non_integer_exponents_rejected():
+    # exponents are refused unless they are integers; 1.5 is not truncated to 1
+    for bad in (1.5, 2.0, "1", True, None):
+        with pytest.raises(ValueError):
+            MonomialIdeal(2, [(bad, 0), (0, 2)])
+    with pytest.raises(ValueError):
+        irreducible_ideal(4, (3, 4), (1.5, 2))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [None, {"n": 2}, {"n": 2, "generators": 5}, {"n": 2, "generators": [1, 2]},
+     {"n": 2.5, "generators": [[1, 0]]}, {"n": 2, "generators": [[1.5, 0]]}],
+)
+def test_ideal_json_rejects_wrong_types(data):
+    with pytest.raises(ValueError):
+        MonomialIdeal.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "components",
+    [None, [5], [{"power": 2}], [{"facet": 3, "power": 2}], [{"facet": [1, 2], "power": 1.5}],
+     [{"facet": [1, 2], "irreducible": 3}], [{"facet": [1, 2], "generators": [0, 1]}]],
+)
+def test_decomposition_json_rejects_wrong_types(fourcycle, components):
+    with pytest.raises(ValueError):
+        Decomposition.from_json_dict({"complex": fourcycle.to_json_dict(), "components": components})

@@ -222,3 +222,13 @@ def test_json_normalizes_on_load():
 def test_masks_round_trip():
     m = face_mask((2, 5, 7), 8)
     assert mask_vertices(m) == (2, 5, 7)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [None, [1], {"n": 4}, {"n": 4, "facets": 5}, {"n": 4, "facets": [1, 2]},
+     {"n": 4.0, "facets": [[1]]}, {"n": True, "facets": [[1]]}, {"n": 4, "facets": [[1.5]]}],
+)
+def test_json_rejects_wrong_types(data):
+    with pytest.raises(ValueError):
+        Complex.from_json_dict(data)
