@@ -18,7 +18,7 @@ from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
 from .homology import FieldSpec, RATIONALS, depth_stanley_reisner
-from .simplicial import Complex, ORDINARY
+from .simplicial import Complex, ORDINARY, as_int, json_fields, json_list, json_rows
 
 Symbol = tuple[int, int]  # (facet index, variable index)
 Atom = tuple[int, int]  # (left symbol position, right symbol position): left >= right
@@ -93,20 +93,23 @@ class ConeUnion:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConeUnion":
-        try:
-            n = int(data["n"])
-            facets = tuple(tuple(int(v) for v in f) for f in data["facets"])
-            symbols = tuple(
-                (int(s["facet"]) - 1, int(s["var"])) for s in data["symbols"]
-            )
-            raw = data["disjuncts"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"cone union JSON malformed: {exc}") from exc
+        n, raw_facets, raw_symbols, raw = json_fields(
+            data, "cone union", "n", "facets", "symbols", "disjuncts"
+        )
+        n = as_int(n, "n")
+        facets = tuple(
+            tuple(as_int(v, "vertex") for v in f) for f in json_rows(raw_facets, "facets")
+        )
+        symbols = []
+        for entry in json_list(raw_symbols, "symbols"):
+            i, j = json_fields(entry, "symbol", "facet", "var")
+            symbols.append((as_int(i, "facet") - 1, as_int(j, "var")))
         disjuncts = []
-        for entry in raw:
+        for entry in json_rows(raw, "disjuncts"):
             atoms = set()
             for cmp_ in entry:
-                left, right = int(cmp_["left"]), int(cmp_["right"])
+                left, right = json_fields(cmp_, "comparison", "left", "right")
+                left, right = as_int(left, "left"), as_int(right, "right")
                 rel = cmp_.get("rel", ">=")
                 if rel == ">=":
                     atoms.add((left, right))
@@ -118,7 +121,7 @@ class ConeUnion:
                 else:
                     raise ValueError(f"unknown relation {rel!r}")
             disjuncts.append(frozenset(atoms))
-        return cls(n, facets, symbols, _prune(disjuncts))
+        return cls(n, facets, tuple(symbols), _prune(disjuncts))
 
 
 def _symbols_for(cx: Complex) -> tuple[Symbol, ...]:

@@ -8,6 +8,14 @@ pieces of local cohomology are reduced homology groups of degree complexes
 computation: only degrees with a_j < max exponent of x_j can contribute, and
 negative coordinates matter only through their sign.
 
+Membership of x^a, the excess sets {j : g_j > a_j} and so every degree
+complex change only where some a_j crosses a generator exponent of x_j
+(the fact behind Takayama's formula).  The depth scans and the
+depth-vs-radical decision therefore visit one representative per
+breakpoint class of each coordinate, its smallest point, instead of every
+degree of the box; `local_cohomology_table` reports every degree and so
+stays on the raw box.
+
 Depth is computed by the local-cohomology scan.  A multigraded Koszul-complex
 depth is kept as an independent oracle for the tests and `srdepth audit`.
 """
@@ -186,6 +194,24 @@ def _depth_grid(rho: Sequence[int]):
     return product(*[[-1] + list(range(cap)) for cap in rho])
 
 
+def _class_grid(n: int, gens, local: bool) -> list[list[int]]:
+    """Breakpoint-class representatives of each coordinate, in increasing order.
+
+    With b_0 = 0 < b_1 < ... the distinct exponents of x_j among gens (and
+    rho_j their maximum), g_j <= a_j holds for the same generators on every
+    a_j in [b_k, b_(k+1)), so b_k stands for its class.  local=False covers
+    the nonnegative box {0..rho_j}; local=True the local-cohomology grid
+    {-1} + {0..rho_j - 1}, where -1 stands for every negative value.  A
+    representative is the least point of its class, so the lexicographic
+    order of the representatives is the box order.
+    """
+    grid = []
+    for j in range(n):
+        values = sorted({0, *(g[j] for g in gens)})
+        grid.append([-1] + [v for v in values if v < values[-1]] if local else values)
+    return grid
+
+
 def _least_nonvanishing_index(pairs, field: FieldSpec) -> int:
     """Least i with H^i_m(S/I) != 0, from (|G_a|, degree complex) pairs.
 
@@ -216,7 +242,7 @@ def depth_via_local_cohomology(
 
     The scan is exact on the finite grid {-1} x {0..rho_j - 1} per coordinate:
     degrees with a_j >= rho_j vanish outright and all negative values behave
-    like -1.
+    like -1.  It visits one degree per breakpoint class of that grid.
     """
     if not ideal.is_proper_nonzero:
         raise ValueError("depth needs a proper nonzero ideal")
@@ -224,7 +250,7 @@ def depth_via_local_cohomology(
     return _least_nonvanishing_index(
         (
             (gmask.bit_count(), degree_complex(ideal, a))
-            for a in _depth_grid(ideal.max_exponents())
+            for a in product(*_class_grid(ideal.n, ideal.gens, local=True))
             if rc.has_face_mask(gmask := negative_support(a))
         ),
         field,
@@ -235,11 +261,13 @@ def depth_via_local_cohomology_unmixed(
     dec: Decomposition, field: FieldSpec = RATIONALS
 ) -> int:
     """Same scan as depth_via_local_cohomology using the facet-local degree
-    complex, which avoids expanding the intersection ideal."""
+    complex, which avoids expanding the intersection ideal; the breakpoints
+    come from the generators of every component."""
+    gens = [g for comp in dec.components for g in comp.gens]
     return _least_nonvanishing_index(
         (
             (negative_support(a).bit_count(), degree_complex_unmixed(dec, a))
-            for a in _depth_grid(dec.max_exponents())
+            for a in product(*_class_grid(dec.n, gens, local=True))
         ),
         field,
     )
@@ -362,15 +390,67 @@ def depth_equals_radical(
     """Decide depth(S/I) = depth(S/sqrt(I)) for the decomposition's intersection.
 
     Equality holds iff every nonvoid degree complex over the capped
-    nonnegative grid has depth >= t; the first degree whose complex falls
-    below t is the witness.  The equivalent facet-selection route (no
+    nonnegative grid has depth >= t; the first degree, in the box's
+    lexicographic order, whose complex falls below t is the witness.
+
+    The search runs depth first over the coordinates in order, visiting each
+    coordinate's breakpoint classes in increasing order.  It carries the
+    bitmask of the generators, across all components, that divide the
+    degree prefix; at a leaf the selected facets are those whose component
+    keeps no dividing generator.  Depths are memoised per selection and dead
+    (coordinate, mask) states are memoised too, so the first bad leaf is the
+    box scan's first witness.  The equivalent facet-selection route (no
     selection of depth < t admits a degree_selecting_witness) is left to the
     tests as an oracle; `srdepth audit` checks the verdict against the
     local-cohomology depth of the intersection.
     """
     t = depth_stanley_reisner(dec.delta, field)
-    for a in product(*[range(cap + 1) for cap in dec.max_exponents()]):
-        cx = degree_complex_facet_form(dec, a)
-        if cx.kind != VOID and depth_stanley_reisner(cx, field) < t:
-            return DepthEqualsRadicalVerdict(False, t, a, cx)
-    return DepthEqualsRadicalVerdict(True, t)
+    n = dec.n
+    gens = [g for comp in dec.components for g in comp.gens]
+    # comp_bits[i]: the bits of component i's generators in `gens`
+    k = 0
+    comp_bits = []
+    for comp in dec.components:
+        comp_bits.append(((1 << len(comp.gens)) - 1) << k)
+        k += len(comp.gens)
+    grid = _class_grid(n, gens, local=False)
+    # divides[j][c]: the generators whose x_j exponent is at most the c-th class
+    divides = [
+        [sum(1 << b for b, g in enumerate(gens) if g[j] <= v) for v in reps]
+        for j, reps in enumerate(grid)
+    ]
+    facet_masks = dec.delta.facet_masks
+    low_depth: dict[tuple[int, ...], Optional[Complex]] = {}
+    dead: set[tuple[int, int]] = set()
+    prefix: list[int] = []
+
+    def leaf(mask: int) -> Optional[Complex]:
+        # the facets whose component keeps no generator dividing x^prefix,
+        # as degree_complex_facet_form would select them
+        selection = tuple(
+            fm for fm, bits in zip(facet_masks, comp_bits) if not mask & bits
+        )
+        if selection not in low_depth:
+            cx = Complex._from_masks(n, selection)
+            bad = cx.kind != VOID and depth_stanley_reisner(cx, field) < t
+            low_depth[selection] = cx if bad else None
+        return low_depth[selection]
+
+    def search(j: int, mask: int) -> Optional[Complex]:
+        if j == n:
+            return leaf(mask)
+        if (j, mask) in dead:
+            return None
+        for v, d in zip(grid[j], divides[j]):
+            prefix.append(v)
+            cx = search(j + 1, mask & d)
+            if cx is not None:
+                return cx
+            prefix.pop()
+        dead.add((j, mask))
+        return None
+
+    cx = search(0, (1 << len(gens)) - 1)
+    if cx is None:
+        return DepthEqualsRadicalVerdict(True, t)
+    return DepthEqualsRadicalVerdict(False, t, tuple(prefix), cx)

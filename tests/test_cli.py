@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -168,6 +171,19 @@ def test_depth_wrong_types_fuzz(data):
     assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_depth_huge_exponent(tmp_path, capsys, fmt):
+    # the depth scan visits breakpoint classes, not every exponent up to 10**17
+    path = write_json(tmp_path, {"n": 3, "generators": [[10**17, 0, 1]]})
+    code, out, err = run(capsys, "depth", path, "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        data = json.loads(out)
+        assert data["depth"] == 2 and data["radical_depth"] == 2
+    else:
+        assert "depth = 2 (radical depth 2)" in out
+
+
 def test_depth_missing_file(capsys):
     code, _, err = run(capsys, "depth", "no_such_file.json")
     assert code == 2
@@ -224,6 +240,33 @@ def test_depth_equal_radical(capsys, name, expected):
         assert "witness_degree" in data
         cx = Complex.from_json_dict(data["witness_subcomplex"])
         assert set(cx.facets) in ({(1, 2), (3, 4)}, {(2, 3), (1, 4)})
+
+
+def test_depth_equal_radical_huge_exponent(tmp_path, capsys):
+    # 10**17 and 20 both exceed every other exponent of x_3, so the verdicts
+    # agree and the witnesses differ at most in that one coordinate
+    def decomposition(e):
+        return {
+            "complex": json.loads(Path(fixture("fourcycle.json")).read_text()),
+            "components": [
+                {"facet": [3, 4], "irreducible": [2, 4]},
+                {"facet": [2, 3], "irreducible": [1, 2]},
+                {"facet": [1, 4], "irreducible": [6, e]},
+                {"facet": [1, 2], "irreducible": [9, 5]},
+            ],
+        }
+
+    verdicts = []
+    for e in (10**17, 20):
+        path = write_json(tmp_path, decomposition(e))
+        code, out, err = run(capsys, "depth-equal-radical", path, "--format", "json")
+        assert code == 0 and err == ""
+        verdicts.append(json.loads(out))
+    huge, small = verdicts
+    assert huge["equal"] is small["equal"] is False
+    assert huge["witness_subcomplex"] == small["witness_subcomplex"]
+    stand_in = {10**17: 20}
+    assert [stand_in.get(v, v) for v in huge["witness_degree"]] == small["witness_degree"]
 
 
 # -- cones / delta-a / local-cohomology / polarize -------------------------------------
@@ -341,3 +384,22 @@ def test_audit_reports_unreadable_fixture(tmp_path, capsys):
     assert code == 1
     assert "a.json: FAIL" in out and "b.json: ok" in out
     assert "1/2 fixtures passed" in out
+
+
+# -- python -m srdepth ---------------------------------------------------------------------
+
+def test_python_m_srdepth():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "srdepth", "depth", fixture("fourcycle.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "depth = 2" in proc.stdout
+    bad = subprocess.run(
+        [sys.executable, "-m", "srdepth", "depth", "no_such_file.json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert bad.returncode == 2 and bad.stderr.startswith("error:")

@@ -181,6 +181,18 @@ def test_soundness_against_decision_procedure():
             asg = dict(zip(syms, values))
             dec = _irreducible_decomposition(cx, union, asg)
             assert union.evaluate(asg) == depth_equals_radical(dec, RATIONALS).equal
+    # the 5-cycle's grid {1..3}^15 has 3**15 points: a seeded sample of them
+    cx = Complex(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    union = generate_cone_union(cx, RATIONALS)
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(2000):
+        asg = {s: rng.randint(1, 3) for s in union.symbols}
+        dec = _irreducible_decomposition(cx, union, asg)
+        equal = depth_equals_radical(dec, RATIONALS).equal
+        assert union.evaluate(asg) == equal
+        verdicts.add(equal)
+    assert verdicts == {True, False}
 
 
 def test_pruning_preserves_satisfiability(reference):
@@ -203,6 +215,45 @@ def test_json_round_trip(generated, reference):
     for union in (generated, reference):
         again = ConeUnion.from_json_dict(union.to_json_dict())
         assert again == union
+
+
+def _set_path(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("n",), 4.7),
+        (("n",), "4"),
+        (("symbols", 0, "var"), 1.9),
+        (("symbols", 0, "facet"), True),
+        (("symbols", 0), [1, 1]),
+        (("facets", 0, 0), 1.5),
+        (("facets",), 3),
+        (("disjuncts", 0, 0, "left"), 0.0),
+        (("disjuncts", 0, 0), 7),
+        (("disjuncts", 0), "x"),
+        (("symbols",), None),
+    ],
+)
+def test_json_refuses_wrong_types(reference, path, value):
+    data = reference.to_json_dict()
+    _set_path(data, path, value)
+    with pytest.raises(ValueError):
+        ConeUnion.from_json_dict(data)
+
+
+def test_json_refuses_missing_fields(reference):
+    for key in ("n", "facets", "symbols", "disjuncts"):
+        data = reference.to_json_dict()
+        del data[key]
+        with pytest.raises(ValueError, match=key):
+            ConeUnion.from_json_dict(data)
+    with pytest.raises(ValueError):
+        ConeUnion.from_json_dict([])
 
 
 def test_json_relation_sugar(reference):

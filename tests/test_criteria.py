@@ -3,7 +3,9 @@ from itertools import product
 
 import pytest
 
+from srdepth.cones import fourcycle_assignment, fourcycle_reference_system
 from srdepth.criteria import (
+    _depth_grid,
     degree_complex,
     degree_complex_facet_form,
     degree_complex_unmixed,
@@ -17,8 +19,15 @@ from srdepth.criteria import (
     negative_support,
     positive_support,
 )
-from srdepth.homology import RATIONALS, depth_stanley_reisner, prime_field
-from srdepth.ideals import MonomialIdeal, radical_complex, stanley_reisner_ideal
+from srdepth.homology import RATIONALS, depth_stanley_reisner, min_nonzero_betti, prime_field
+from srdepth.ideals import (
+    Decomposition,
+    MonomialIdeal,
+    irreducible_ideal,
+    prime_power_ideal,
+    radical_complex,
+    stanley_reisner_ideal,
+)
 from srdepth.simplicial import VOID
 from tests.conftest import (
     VEC_EQUAL_1,
@@ -27,6 +36,8 @@ from tests.conftest import (
     fourcycle_decomposition,
     random_decomposition,
     random_ideal,
+    random_primary,
+    random_pure_complex,
 )
 
 F2 = prime_field(2)
@@ -353,3 +364,118 @@ def test_depth_monotone_under_radical():
             continue
         rad_depth = depth_stanley_reisner(radical_complex(ideal), RATIONALS)
         assert depth_via_local_cohomology(ideal, RATIONALS) <= rad_depth
+
+
+# -- the breakpoint-class grid against the raw box ------------------------------------------------
+
+def box_scan_decision(dec, field=RATIONALS):
+    """The decision as a scan of every degree of the capped nonnegative box."""
+    t = depth_stanley_reisner(dec.delta, field)
+    for a in product(*[range(cap + 1) for cap in dec.max_exponents()]):
+        cx = degree_complex_facet_form(dec, a)
+        if cx.kind != VOID and depth_stanley_reisner(cx, field) < t:
+            return False, t, a, cx.facets
+    return True, t, None, None
+
+
+def verdict_summary(verdict):
+    w = verdict.witness_subcomplex
+    return verdict.equal, verdict.t, verdict.witness_degree, w.facets if w else None
+
+
+def box_depth(ideal, field, complex_at):
+    """depth(S/I) from every degree of the raw local-cohomology grid."""
+    rc = radical_complex(ideal)
+    lows = []
+    for a in _depth_grid(ideal.max_exponents()):
+        g = negative_support(a)
+        cx = complex_at(a)
+        if rc.has_face_mask(g) and cx.kind != VOID:
+            low = min_nonzero_betti(cx, field)
+            if low is not None:
+                lows.append(g.bit_count() + 1 + low)
+    return min(lows)
+
+
+#: the paper's four systems for the 4-cycle, by 1-based label e1..e8 in
+#: component reading order: (e_i <= e_j, e_k = e_l, e_p <= e_q)
+FOURCYCLE_SYSTEMS = (
+    ((3, 1), (2, 5), (7, 6)),
+    ((2, 5), (6, 7), (4, 8)),
+    ((5, 2), (1, 3), (8, 4)),
+    ((1, 3), (4, 8), (6, 7)),
+)
+
+
+def fourcycle_vector(rng, top, on_system):
+    reference = fourcycle_reference_system()
+    while True:
+        e = [rng.randint(1, top) for _ in range(8)]
+        if on_system:
+            (s1, b1), (k, l), (s2, b2) = rng.choice(FOURCYCLE_SYSTEMS)
+            e[l - 1] = e[k - 1]
+            e[s1 - 1] = min(e[s1 - 1], e[b1 - 1])
+            e[s2 - 1] = min(e[s2 - 1], e[b2 - 1])
+        if reference.evaluate(fourcycle_assignment(e)) == on_system:
+            return tuple(e)
+
+
+def test_decision_matches_box_scan_on_fourcycle():
+    rng = random.Random(61)
+    for on_system in (True, False) * 8:
+        dec = fourcycle_decomposition(fourcycle_vector(rng, 12, on_system))
+        verdict = depth_equals_radical(dec)
+        assert verdict.equal == on_system
+        assert verdict_summary(verdict) == box_scan_decision(dec)
+
+
+def decomposition_in_form(rng, form, n_max, exp_max):
+    """A random unmixed decomposition whose components all have one JSON form."""
+    cx = random_pure_complex(rng, n_max=n_max, r_max=5)
+    while len(cx.facets) < 2:
+        cx = random_pure_complex(rng, n_max=n_max, r_max=5)
+    comps = []
+    for f in cx.facets:
+        if form == "irreducible":
+            exps = [rng.randint(1, exp_max) for _ in range(cx.n - len(f))]
+            comps.append(irreducible_ideal(cx.n, f, exps))
+        elif form == "power":
+            comps.append(prime_power_ideal(cx.n, f, rng.randint(1, exp_max)))
+        else:
+            comps.append(random_primary(rng, cx.n, f, exp_max))
+    return Decomposition(cx, comps)
+
+
+@pytest.mark.parametrize("form", ["irreducible", "power", "generators"])
+def test_decision_matches_box_scan_random(form):
+    rng = random.Random(62)
+    unequal = 0
+    for k in range(60):
+        dec = decomposition_in_form(rng, form, n_max=6, exp_max=3)
+        field = F2 if k % 4 == 0 else RATIONALS
+        verdict = depth_equals_radical(dec, field)
+        assert verdict_summary(verdict) == box_scan_decision(dec, field)
+        unequal += not verdict.equal
+    assert unequal >= 3
+
+
+def test_depth_scans_match_raw_box_on_random_ideals():
+    rng = random.Random(63)
+    checked = 0
+    while checked < 40:
+        ideal = random_ideal(rng, n_max=5, gens_max=4, exp_max=6)
+        if not ideal.is_proper_nonzero:
+            continue
+        checked += 1
+        expected = box_depth(ideal, RATIONALS, lambda a: degree_complex(ideal, a))
+        assert depth_via_local_cohomology(ideal, RATIONALS) == expected
+
+
+def test_unmixed_depth_scan_matches_raw_box():
+    rng = random.Random(64)
+    for form in ("irreducible", "power", "generators") * 6:
+        dec = decomposition_in_form(rng, form, n_max=5, exp_max=3)
+        expected = box_depth(
+            dec.intersection(), RATIONALS, lambda a: degree_complex_unmixed(dec, a)
+        )
+        assert depth_via_local_cohomology_unmixed(dec, RATIONALS) == expected
