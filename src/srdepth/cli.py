@@ -1,25 +1,32 @@
 """Command-line front end: batch verdicts over JSON inputs.
 
-Commands
---------
+Commands and the options each one reads
+---------------------------------------
 depth                 depth/CM verdict for a complex or a monomial ideal
+                      (--field, --format)
 rigid                 rigidity verdict with certificate for a pure complex
+                      (--field, --format)
 depth-equal-radical   depth(S/I) vs depth(S/sqrt I) for a decomposition
+                      (--field, --format)
 cones                 exponent cone union for a pure complex
+                      (--field, --format, --cap)
 delta-a               facet selection of a decomposition at a degree vector
+                      (--a, --format)
 local-cohomology      nonzero graded local cohomology pieces of an ideal
-polarize              squarefree polarization of an ideal
+                      (--field, --format, --max-index)
+polarize              squarefree polarization of an ideal (--format)
 audit                 invariant suites over a directory of JSON fixtures
+                      (--field, --cap, --seed)
 
-All vertices and variables are 1-based in file formats.  --format json emits
-machine-readable verdicts; text and json report identical content.
+Any other option is refused with exit code 2.  All vertices and variables
+are 1-based in file formats.  --format json emits machine-readable verdicts;
+text and json report identical content.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -47,15 +54,7 @@ from .rigid import (
     is_rigid_by_subcomplex_depths,
     sample_depth_stability,
 )
-from .simplicial import Complex, ORDINARY
-
-
-@dataclass
-class RunConfig:
-    field: FieldSpec = RATIONALS
-    facet_enumeration_cap: int = 20
-    output_format: str = "text"
-    seed: int = 0
+from .simplicial import Complex, DEFAULT_FACET_CAP, ORDINARY
 
 
 class CliError(Exception):
@@ -87,28 +86,23 @@ def load_json(path: str) -> dict:
     return data
 
 
-def load_complex(path: str) -> Complex:
-    data = load_json(path)
-    try:
-        return Complex.from_json_dict(data)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+# the key that marks each input kind in a JSON file
+_KIND_KEYS = {Decomposition: "components", Complex: "facets", MonomialIdeal: "generators"}
 
 
-def load_ideal(path: str) -> MonomialIdeal:
-    data = load_json(path)
-    try:
-        return MonomialIdeal.from_json_dict(data)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def load_decomposition(path: str) -> Decomposition:
-    data = load_json(path)
-    try:
-        return Decomposition.from_json_dict(data)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+def load(path: str, *kinds: type, data: Optional[dict] = None):
+    """The JSON input at path as the first of kinds whose key it has; data is
+    the file's content when the caller has already read it."""
+    if data is None:
+        data = load_json(path)
+    for kind in kinds:
+        if _KIND_KEYS[kind] in data:
+            try:
+                return kind.from_json_dict(data)
+            except ValueError as exc:
+                raise CliError(f"{path}: {exc}") from exc
+    keys = " or ".join(repr(_KIND_KEYS[kind]) for kind in kinds)
+    raise CliError(f"{path}: expected an input with {keys}")
 
 
 def parse_vector(text: str, n: int) -> tuple[int, ...]:
@@ -121,9 +115,9 @@ def parse_vector(text: str, n: int) -> tuple[int, ...]:
     return vec
 
 
-def emit(report: dict, config: RunConfig, lines: list[str]) -> None:
-    if config.output_format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+def emit(args, payload: dict, lines: list[str]) -> None:
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
@@ -132,70 +126,70 @@ def emit(report: dict, config: RunConfig, lines: list[str]) -> None:
 # -- commands ------------------------------------------------------------------
 
 
-def cmd_depth(args, config: RunConfig) -> int:
-    data = load_json(args.input)
-    if "facets" in data:
-        cx = Complex.from_json_dict(data)
-        d = depth_stanley_reisner(cx, config.field)
-        cm = is_cohen_macaulay(cx, config.field)
+def cmd_depth(args) -> int:
+    obj = load(args.input, Complex, MonomialIdeal)
+    if isinstance(obj, Complex):
+        cx = obj
+        d = depth_stanley_reisner(cx, args.field)
+        cm = d == cx.dim + 1
         report = {
             "command": "depth",
             "kind": "complex",
-            "field": str(config.field),
+            "field": str(args.field),
             "depth": d,
             "dim": cx.dim,
-            "cohen_macaulay": bool(cm),
+            "cohen_macaulay": cm,
         }
         lines = [
-            f"complex on {cx.n} vertices, dim {cx.dim}, field {config.field}",
+            f"complex on {cx.n} vertices, dim {cx.dim}, field {args.field}",
             f"depth = {d}",
             f"Cohen-Macaulay: {'yes' if cm else 'no'}",
         ]
         if not cm:
-            report["violating_face"] = list(cm.face)
-            report["violating_index"] = cm.index
+            # Reisner's test runs only to certify the failure by a link
+            link = is_cohen_macaulay(cx, args.field)
+            report["violating_face"] = list(link.face)
+            report["violating_index"] = link.index
             lines.append(
-                f"violating link at face {list(cm.face)} in homology degree {cm.index}"
+                f"violating link at face {list(link.face)} in homology degree {link.index}"
             )
-        emit(report, config, lines)
+        emit(args, report, lines)
         return 0
-    if "generators" in data:
-        ideal = MonomialIdeal.from_json_dict(data)
-        if not ideal.is_proper_nonzero:
-            raise CliError("depth needs a proper nonzero ideal")
-        d = depth_via_local_cohomology(ideal, config.field)
-        rc = radical_complex(ideal)
-        rad_depth = depth_stanley_reisner(rc, config.field)
-        report = {
-            "command": "depth",
-            "kind": "ideal",
-            "field": str(config.field),
-            "depth": d,
-            "radical_depth": rad_depth,
-            "cohen_macaulay": d == rc.dim + 1,
-        }
-        lines = [
-            f"monomial ideal in {ideal.n} variables, field {config.field}",
-            f"depth = {d} (radical depth {rad_depth})",
-        ]
-        emit(report, config, lines)
-        return 0
-    raise CliError(f"{args.input}: neither a complex ('facets') nor an ideal ('generators')")
+    ideal = obj
+    if not ideal.is_proper_nonzero:
+        raise CliError("depth needs a proper nonzero ideal")
+    d = depth_via_local_cohomology(ideal, args.field)
+    rc = radical_complex(ideal)
+    rad_depth = depth_stanley_reisner(rc, args.field)
+    report = {
+        "command": "depth",
+        "kind": "ideal",
+        "field": str(args.field),
+        "depth": d,
+        "radical_depth": rad_depth,
+        "cohen_macaulay": d == rc.dim + 1,
+    }
+    lines = [
+        f"monomial ideal in {ideal.n} variables, field {args.field}",
+        f"depth = {d} (radical depth {rad_depth})",
+    ]
+    emit(args, report, lines)
+    return 0
 
 
-def cmd_rigid(args, config: RunConfig) -> int:
-    cx = load_complex(args.input)
+def cmd_rigid(args) -> int:
+    cx = load(args.input, Complex)
     if cx.kind != ORDINARY or not cx.is_pure:
         raise CliError("rigid needs an ordinary pure complex")
-    t = depth_stanley_reisner(cx, config.field)
+    t = depth_stanley_reisner(cx, args.field)
     verdict = is_rigid_by_intersections(cx, t)
     report = {
         "command": "rigid",
-        "field": str(config.field),
+        "field": str(args.field),
         "t": t,
         "rigid": bool(verdict),
     }
-    lines = [f"depth = {t} over {config.field}", f"rigid: {'yes' if verdict else 'no'}"]
+    lines = [f"depth = {t} over {args.field}", f"rigid: {'yes' if verdict else 'no'}"]
     if not verdict:
         facets = [list(cx.facets[i]) for i in verdict.facet_indices]
         report["violating_facets"] = facets
@@ -204,20 +198,20 @@ def cmd_rigid(args, config: RunConfig) -> int:
             f"facets {facets} intersect in {verdict.intersection_size} "
             f"< {t - len(facets) + 1} vertices"
         )
-    emit(report, config, lines)
+    emit(args, report, lines)
     return 0
 
 
-def cmd_depth_equal_radical(args, config: RunConfig) -> int:
-    dec = load_decomposition(args.input)
-    verdict = depth_equals_radical(dec, config.field)
+def cmd_depth_equal_radical(args) -> int:
+    dec = load(args.input, Decomposition)
+    verdict = depth_equals_radical(dec, args.field)
     report = {
         "command": "depth-equal-radical",
-        "field": str(config.field),
+        "field": str(args.field),
         "t": verdict.t,
         "equal": verdict.equal,
     }
-    lines = [f"radical depth t = {verdict.t} over {config.field}"]
+    lines = [f"radical depth t = {verdict.t} over {args.field}"]
     if verdict.equal:
         lines.append("depth(S/I) = depth(S/sqrt(I)): yes")
     else:
@@ -228,16 +222,15 @@ def cmd_depth_equal_radical(args, config: RunConfig) -> int:
         lines.append(
             "selected subcomplex "
             f"{[list(f) for f in verdict.witness_subcomplex.facets]} has depth "
-            f"{depth_stanley_reisner(verdict.witness_subcomplex, config.field)} < {verdict.t}"
+            f"{depth_stanley_reisner(verdict.witness_subcomplex, args.field)} < {verdict.t}"
         )
-    emit(report, config, lines)
+    emit(args, report, lines)
     return 0
 
 
-def cmd_cones(args, config: RunConfig) -> int:
-    cx = load_complex(args.input)
-    union = cones_mod.generate_cone_union(cx, config.field, config.facet_enumeration_cap)
-    report = {"command": "cones", "field": str(config.field), "union": union.to_json_dict()}
+def cmd_cones(args) -> int:
+    cx = load(args.input, Complex)
+    union = cones_mod.generate_cone_union(cx, args.field, args.cap)
     lines = [
         f"{len(union.symbols)} exponent symbols, {len(union.disjuncts)} cones",
     ]
@@ -255,51 +248,46 @@ def cmd_cones(args, config: RunConfig) -> int:
             f"{sym_name(left)} >= {sym_name(right)}" for left, right in sorted(d)
         )
         lines.append(f"cone {idx}: {comps if comps else '(no constraints)'}")
-    if config.output_format == "text":
-        emit(report, config, lines)
-    else:
-        print(json.dumps(union.to_json_dict(), indent=2, sort_keys=True))
+    emit(args, union.to_json_dict(), lines)
     return 0
 
 
-def cmd_delta_a(args, config: RunConfig) -> int:
-    dec = load_decomposition(args.input)
+def cmd_delta_a(args) -> int:
+    dec = load(args.input, Decomposition)
     a = parse_vector(args.a, dec.n)
     if any(x < 0 for x in a):
         raise CliError("delta-a needs a nonnegative degree vector")
     cx = degree_complex_facet_form(dec, a)
-    report = {"command": "delta-a", "degree": list(a), "complex": cx.to_json_dict()}
-    lines = [f"degree {list(a)} selects {cx!r}"]
-    if config.output_format == "text":
-        emit(report, config, lines)
-    else:
-        print(json.dumps(cx.to_json_dict(), indent=2, sort_keys=True))
+    emit(args, cx.to_json_dict(), [f"degree {list(a)} selects {cx!r}"])
     return 0
 
 
-def cmd_local_cohomology(args, config: RunConfig) -> int:
-    ideal = load_ideal(args.input)
+def cmd_local_cohomology(args) -> int:
+    ideal = load(args.input, MonomialIdeal)
     if not ideal.is_proper_nonzero:
         raise CliError("local-cohomology needs a proper nonzero ideal")
-    cells = local_cohomology_table(ideal, config.field, args.max_index)
-    depth = depth_via_local_cohomology(ideal, config.field)
+    table = local_cohomology_table(ideal, args.field)
+    # the table lists every nonzero piece by increasing index, so its first
+    # index is the depth; --max-index only trims what is printed
+    depth = table[0].index
+    cells = [c for c in table if args.max_index is None or c.index <= args.max_index]
     report = {
         "command": "local-cohomology",
-        "field": str(config.field),
+        "field": str(args.field),
         "depth": depth,
         "cells": [
             {"i": c.index, "degree": list(c.degree), "dim": c.dimension} for c in cells
         ],
     }
-    lines = [f"depth = {depth} over {config.field}; {len(cells)} nonzero graded pieces"]
+    lines = [f"depth = {depth} over {args.field}; {len(cells)} nonzero graded pieces"]
     for c in cells:
         lines.append(f"H^{c.index} at degree {list(c.degree)}: dim {c.dimension}")
-    emit(report, config, lines)
+    emit(args, report, lines)
     return 0
 
 
-def cmd_polarize(args, config: RunConfig) -> int:
-    ideal = load_ideal(args.input)
+def cmd_polarize(args) -> int:
+    ideal = load(args.input, MonomialIdeal)
     pol, origin = ideal.polarize()
     report = {
         "command": "polarize",
@@ -311,17 +299,14 @@ def cmd_polarize(args, config: RunConfig) -> int:
         f"(origin map {list(origin)})",
         f"generators: {[list(g) for g in pol.gens]}",
     ]
-    if config.output_format == "text":
-        emit(report, config, lines)
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+    emit(args, report, lines)
     return 0
 
 
 # -- audit -----------------------------------------------------------------------
 
 
-def _audit_complex(cx: Complex, config: RunConfig, problems: list[str]) -> None:
+def _audit_complex(cx: Complex, args, problems: list[str]) -> None:
     if cx.kind != ORDINARY:
         return
     fields = [RATIONALS, prime_field(2)]
@@ -348,18 +333,18 @@ def _audit_complex(cx: Complex, config: RunConfig, problems: list[str]) -> None:
         d = depth_stanley_reisner(cx, k)
         if (d == cx.dim + 1) != bool(is_cohen_macaulay(cx, k)):
             problems.append(f"depth/CM inconsistency over {k}")
-    if cx.is_pure and len(cx.facet_masks) <= config.facet_enumeration_cap:
+    if cx.is_pure and len(cx.facet_masks) <= args.cap:
         for k in fields:
             t = depth_stanley_reisner(cx, k)
             f = bool(is_rigid_by_intersections(cx, t))
-            dv = bool(is_rigid_by_subcomplex_depths(cx, k, config.facet_enumeration_cap))
-            ev = bool(is_rigid_by_skeleton_cm(cx, k, config.facet_enumeration_cap))
+            dv = bool(is_rigid_by_subcomplex_depths(cx, k, args.cap))
+            ev = bool(is_rigid_by_skeleton_cm(cx, k, args.cap))
             if not f == dv == ev:
                 problems.append(f"rigidity routes disagree over {k}")
         t = depth_stanley_reisner(cx, RATIONALS)
         if is_rigid_by_intersections(cx, t):
             rep = sample_depth_stability(
-                cx, RATIONALS, exponent_bound=2, trials=5, seed=config.seed
+                cx, RATIONALS, exponent_bound=2, trials=5, seed=args.seed
             )
             if not rep.all_equal:
                 problems.append(
@@ -367,7 +352,7 @@ def _audit_complex(cx: Complex, config: RunConfig, problems: list[str]) -> None:
                 )
 
 
-def _audit_ideal(ideal: MonomialIdeal, config: RunConfig, problems: list[str]) -> None:
+def _audit_ideal(ideal: MonomialIdeal, args, problems: list[str]) -> None:
     if not ideal.is_proper_nonzero:
         return
     rad = ideal.radical()
@@ -381,7 +366,7 @@ def _audit_ideal(ideal: MonomialIdeal, config: RunConfig, problems: list[str]) -
                 problems.append(f"depth oracles disagree over {k}: {a} vs {b}")
 
 
-def _audit_decomposition(dec: Decomposition, config: RunConfig, problems: list[str]) -> None:
+def _audit_decomposition(dec: Decomposition, args, problems: list[str]) -> None:
     ok, offending = dec.validate()
     if not ok:
         problems.append(f"invalid component at facet {offending}")
@@ -389,13 +374,20 @@ def _audit_decomposition(dec: Decomposition, config: RunConfig, problems: list[s
     inter = dec.intersection()
     if inter.radical() != stanley_reisner_ideal(dec.delta):
         problems.append("radical of the intersection differs from the facet primes")
-    verdict = depth_equals_radical(dec, config.field)
-    d = depth_via_local_cohomology(inter, config.field)
+    verdict = depth_equals_radical(dec, args.field)
+    d = depth_via_local_cohomology(inter, args.field)
     if verdict.equal != (d == verdict.t):
         problems.append("depth-equality verdict contradicts the computed depth")
 
 
-def cmd_audit(args, config: RunConfig) -> int:
+_AUDITS = {
+    Decomposition: _audit_decomposition,
+    Complex: _audit_complex,
+    MonomialIdeal: _audit_ideal,
+}
+
+
+def cmd_audit(args) -> int:
     root = Path(args.input)
     if not root.is_dir():
         raise CliError(f"{args.input}: not a directory")
@@ -408,14 +400,8 @@ def cmd_audit(args, config: RunConfig) -> int:
         data = None
         try:
             data = load_json(str(path))
-            if "components" in data:
-                _audit_decomposition(Decomposition.from_json_dict(data), config, problems)
-            elif "facets" in data:
-                _audit_complex(Complex.from_json_dict(data), config, problems)
-            elif "generators" in data:
-                _audit_ideal(MonomialIdeal.from_json_dict(data), config, problems)
-            else:
-                problems.append("unrecognized fixture kind")
+            obj = load(str(path), *_AUDITS, data=data)
+            _AUDITS[type(obj)](obj, args, problems)
         except (ValueError, CliError) as exc:
             problems.append(str(exc))
         status = "ok" if not problems else "FAIL"
@@ -431,6 +417,29 @@ def cmd_audit(args, config: RunConfig) -> int:
 
 # -- argument parsing --------------------------------------------------------------
 
+_FIELD = ("--field", dict(default="q", help="coefficient field: q or fp:<prime>"))
+_FORMAT = ("--format", dict(default="text", choices=("text", "json")))
+_CAP = ("--cap", dict(type=int, default=DEFAULT_FACET_CAP, help="facet enumeration cap"))
+_SEED = ("--seed", dict(type=int, default=0, help="seed for sampling"))
+_DEGREE = ("--a", dict(required=True, help="comma-separated degree vector"))
+_MAX_INDEX = (
+    "--max-index", dict(type=int, default=None, help="print only the pieces of index <= this")
+)
+
+_COMMANDS = (
+    ("depth", cmd_depth, "depth of a complex or monomial ideal", (_FIELD, _FORMAT)),
+    ("rigid", cmd_rigid, "rigid-depth verdict for a pure complex", (_FIELD, _FORMAT)),
+    ("depth-equal-radical", cmd_depth_equal_radical,
+     "depth(S/I) vs depth of the radical", (_FIELD, _FORMAT)),
+    ("cones", cmd_cones, "exponent cone union for a pure complex", (_FIELD, _FORMAT, _CAP)),
+    ("delta-a", cmd_delta_a, "facet selection at a degree vector", (_DEGREE, _FORMAT)),
+    ("local-cohomology", cmd_local_cohomology, "graded local cohomology table",
+     (_FIELD, _FORMAT, _MAX_INDEX)),
+    ("polarize", cmd_polarize, "squarefree polarization of an ideal", (_FORMAT,)),
+    ("audit", cmd_audit, "run invariant suites over a fixture directory",
+     (_FIELD, _CAP, _SEED)),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -438,73 +447,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact depth verdicts for monomial ideals and simplicial complexes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--field", default="q", help="coefficient field: q or fp:<prime>")
-        p.add_argument("--format", default="text", choices=("text", "json"))
-        p.add_argument("--cap", type=int, default=20, help="facet enumeration cap")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampling")
-
-    p = sub.add_parser("depth", help="depth of a complex or monomial ideal")
-    p.add_argument("input")
-    common(p)
-
-    p = sub.add_parser("rigid", help="rigid-depth verdict for a pure complex")
-    p.add_argument("input")
-    common(p)
-
-    p = sub.add_parser("depth-equal-radical", help="depth(S/I) vs depth of the radical")
-    p.add_argument("input")
-    common(p)
-
-    p = sub.add_parser("cones", help="exponent cone union for a pure complex")
-    p.add_argument("input")
-    common(p)
-
-    p = sub.add_parser("delta-a", help="facet selection at a degree vector")
-    p.add_argument("input")
-    p.add_argument("--a", required=True, help="comma-separated degree vector")
-    common(p)
-
-    p = sub.add_parser("local-cohomology", help="graded local cohomology table")
-    p.add_argument("input")
-    p.add_argument("--max-index", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("polarize", help="squarefree polarization of an ideal")
-    p.add_argument("input")
-    common(p)
-
-    p = sub.add_parser("audit", help="run invariant suites over a fixture directory")
-    p.add_argument("input")
-    common(p)
-
+    for name, handler, help_text, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
-HANDLERS = {
-    "depth": cmd_depth,
-    "rigid": cmd_rigid,
-    "depth-equal-radical": cmd_depth_equal_radical,
-    "cones": cmd_cones,
-    "delta-a": cmd_delta_a,
-    "local-cohomology": cmd_local_cohomology,
-    "polarize": cmd_polarize,
-    "audit": cmd_audit,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            field=parse_field(args.field),
-            facet_enumeration_cap=args.cap,
-            output_format=args.format,
-            seed=args.seed,
-        )
-        return HANDLERS[args.command](args, config)
+        if "field" in args:
+            args.field = parse_field(args.field)
+        return args.handler(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

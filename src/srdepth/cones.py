@@ -18,12 +18,12 @@ from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
 from .homology import FieldSpec, RATIONALS, depth_stanley_reisner
-from .simplicial import Complex, ORDINARY, as_int, json_fields, json_list, json_rows
+from .simplicial import (
+    Complex, DEFAULT_FACET_CAP, ORDINARY, as_int, json_fields, json_list, json_rows,
+)
 
 Symbol = tuple[int, int]  # (facet index, variable index)
 Atom = tuple[int, int]  # (left symbol position, right symbol position): left >= right
-
-DEFAULT_FACET_CAP = 20
 
 
 def _prune(disjuncts: Sequence[frozenset]) -> tuple[frozenset, ...]:
@@ -53,12 +53,6 @@ class ConeUnion:
     def is_unsatisfiable(self) -> bool:
         return not self.disjuncts
 
-    def symbol_index(self, facet_index: int, var: int) -> int:
-        try:
-            return self.symbols.index((facet_index, var))
-        except ValueError:
-            raise ValueError(f"no symbol for facet {facet_index}, variable {var}")
-
     def evaluate(self, assignment: Mapping[Symbol, int]) -> bool:
         """True iff every comparison of some disjunct holds.
 
@@ -68,7 +62,7 @@ class ConeUnion:
         for sym in self.symbols:
             if sym not in assignment:
                 raise ValueError(f"assignment misses symbol {sym}")
-            v = int(assignment[sym])
+            v = as_int(assignment[sym], f"exponent for {sym}")
             if v < 1:
                 raise ValueError(f"exponent for {sym} must be positive, got {v}")
             values.append(v)
@@ -215,10 +209,6 @@ class ConvexityReport:
     midpoint: dict
     midpoint_satisfies: bool
 
-    @property
-    def convexity_holds(self) -> bool:
-        return self.midpoint_satisfies
-
 
 def convexity_probe(
     union: ConeUnion, p: Mapping[Symbol, int], q: Mapping[Symbol, int]
@@ -266,7 +256,7 @@ def fourcycle_assignment(values: Sequence[int]) -> dict[Symbol, int]:
     order = fourcycle_symbol_order()
     if len(values) != len(order):
         raise ValueError(f"expected {len(order)} exponents, got {len(values)}")
-    return dict(zip(order, [int(v) for v in values]))
+    return dict(zip(order, [as_int(v, "exponent") for v in values]))
 
 
 def fourcycle_reference_system() -> ConeUnion:

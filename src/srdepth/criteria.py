@@ -46,29 +46,18 @@ def negative_support(a: Sequence[int]) -> int:
     return m
 
 
-def positive_support(a: Sequence[int]) -> int:
-    m = 0
-    for j, x in enumerate(a):
-        if x > 0:
-            m |= 1 << j
-    return m
-
-
 # -- degree complexes ---------------------------------------------------------
 
 def degree_complex_facet_form(dec: Decomposition, a: Sequence[int]) -> Complex:
-    """Subcomplex generated by the facets whose component misses x^a (a >= 0)."""
-    if len(a) != dec.n:
-        raise ValueError(f"degree length {len(a)} != ambient {dec.n}")
+    """Subcomplex generated by the facets whose component misses x^a (a >= 0).
+
+    A P_F-primary component has no generator involving a variable of F, so
+    at a >= 0 inverting those variables changes no membership and this is
+    the localization form of degree_complex_unmixed.
+    """
     if any(x < 0 for x in a):
         raise ValueError("facet-selection form needs a nonnegative degree vector")
-    a = tuple(a)
-    masks = [
-        fm
-        for fm, comp in zip(dec.delta.facet_masks, dec.components)
-        if not comp.contains(a)
-    ]
-    return Complex._from_masks(dec.n, masks)
+    return degree_complex_unmixed(dec, a)
 
 
 def degree_complex(ideal: MonomialIdeal, a: Sequence[int]) -> Complex:
@@ -274,13 +263,13 @@ def depth_via_local_cohomology_unmixed(
 
 
 def local_cohomology_table(
-    ideal: MonomialIdeal, field: FieldSpec = RATIONALS, max_index: Optional[int] = None
+    ideal: MonomialIdeal, field: FieldSpec = RATIONALS
 ) -> list[LocalCohomologyCell]:
-    """All nonzero graded local cohomology pieces over the exact degree grid."""
+    """All nonzero graded local cohomology pieces over the exact degree grid,
+    sorted by (index, degree); the first index is the depth."""
     if not ideal.is_proper_nonzero:
         raise ValueError("local cohomology scan needs a proper nonzero ideal")
     rc = radical_complex(ideal)
-    top = ideal.n if max_index is None else max_index
     cells = []
     for a in _depth_grid(ideal.max_exponents()):
         gmask = negative_support(a)
@@ -290,7 +279,7 @@ def local_cohomology_table(
         if cx.kind == VOID:
             continue
         shift = gmask.bit_count() + 1
-        for i in range(shift - 1, top + 1):
+        for i in range(shift - 1, ideal.n + 1):
             d = reduced_betti(cx, i - shift, field)
             if d:
                 cells.append(LocalCohomologyCell(tuple(a), i, d))

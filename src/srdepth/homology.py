@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .simplicial import Complex, Face, IRRELEVANT, ORDINARY, VOID, mask_vertices
+from .simplicial import Complex, Face, IRRELEVANT, ORDINARY, VOID, as_int, mask_vertices
 
 
 def _is_prime(p: int) -> bool:
@@ -41,7 +41,7 @@ class FieldSpec:
     p: Optional[int] = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is not None and not _is_prime(as_int(self.p, "characteristic")):
             raise ValueError(f"{self.p} is not prime")
 
     @property
@@ -56,7 +56,7 @@ RATIONALS = FieldSpec()
 
 
 def prime_field(p: int) -> FieldSpec:
-    return FieldSpec(int(p))
+    return FieldSpec(as_int(p, "characteristic"))
 
 
 # -- exact rank kernels ------------------------------------------------------

@@ -20,9 +20,7 @@ from typing import Optional, Sequence
 from .criteria import depth_via_local_cohomology_unmixed
 from .homology import FieldSpec, RATIONALS, depth_stanley_reisner, is_cohen_macaulay, prime_field
 from .ideals import Decomposition, irreducible_ideal, prime_power_ideal
-from .simplicial import Complex, ORDINARY, face_mask
-
-DEFAULT_FACET_CAP = 20
+from .simplicial import Complex, DEFAULT_FACET_CAP, ORDINARY, face_mask
 
 
 @dataclass(frozen=True)

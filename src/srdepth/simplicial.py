@@ -19,6 +19,10 @@ from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
 
+#: facets beyond which the rigidity oracles and cone generation refuse to
+#: enumerate facet selections (2^r of them)
+DEFAULT_FACET_CAP = 20
+
 VOID = "void"
 IRRELEVANT = "irrelevant"
 ORDINARY = "ordinary"
@@ -172,9 +176,6 @@ class Complex:
     def has_face_mask(self, mask: int) -> bool:
         return any(mask & fm == mask for fm in self._fmasks)
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        return self.has_face_mask(face_mask(face, self.n))
-
     def face_masks_of_dim(self, i: int) -> list[int]:
         """All i-faces as bitmasks, in colexicographic (numeric) order."""
         if self.kind == VOID:
@@ -204,12 +205,6 @@ class Complex:
         for i in range(-1, self.dim + 1):
             out.extend(self.face_masks_of_dim(i))
         return out
-
-    def f_vector(self) -> tuple[int, ...]:
-        """(f_0, ..., f_dim); empty for void/irrelevant complexes."""
-        if self.kind != ORDINARY:
-            return ()
-        return tuple(len(self.face_masks_of_dim(i)) for i in range(self.dim + 1))
 
     # -- derived complexes --------------------------------------------------
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -5,13 +6,14 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srdepth.cli import main, parse_field
-from srdepth.criteria import depth_via_koszul
+from srdepth.cli import build_parser, main, parse_field
+from srdepth.criteria import depth_via_koszul, depth_via_local_cohomology, local_cohomology_dim
 from srdepth.homology import RATIONALS
 from srdepth.ideals import MonomialIdeal
 from srdepth.simplicial import Complex
@@ -335,19 +337,46 @@ def test_polarize(capsys):
 
 
 def test_rigid_cap_skips_audits(capsys):
+    # `rigid` runs no audits, so it has no cap to set
+    with pytest.raises(SystemExit) as exc:
+        main(["rigid", fixture("two_facets_12345_12678.json"), "--cap", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, 2])
+@pytest.mark.parametrize(
+    "data",
+    [
+        json.loads((FIXTURES / "sample_ideal.json").read_text()),
+        {"n": 3, "generators": [[2, 0, 0], [0, 2, 0]]},  # depth 1
+    ],
+)
+def test_local_cohomology_max_index_truncates(tmp_path, capsys, data, k):
+    # --max-index trims the printed table to the cells of index <= k, counted
+    # in the header; the depth is that of the whole table
+    ideal = MonomialIdeal.from_json_dict(data)
+    grid = product(*[range(-1, r) for r in ideal.max_exponents()])
+    expected = sorted(
+        (i, a, d)
+        for a in grid
+        for i in range(k + 1)
+        if (d := local_cohomology_dim(ideal, i, a))
+    )
+    depth = depth_via_local_cohomology(ideal)
+    path = write_json(tmp_path, data)
     code, out, _ = run(
-        capsys,
-        "rigid",
-        fixture("two_facets_12345_12678.json"),
-        "--cap",
-        "1",
-        "--format",
-        "json",
+        capsys, "local-cohomology", path, "--max-index", str(k), "--format", "json"
     )
     assert code == 0
-    data = json.loads(out)
-    assert data["rigid"] is True
-    assert "subcomplex_depth_audit" not in data
+    report = json.loads(out)
+    assert report["depth"] == depth
+    assert [(c["i"], tuple(c["degree"]), c["dim"]) for c in report["cells"]] == expected
+    code, out, _ = run(capsys, "local-cohomology", path, "--max-index", str(k))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"depth = {depth} over Q; {len(expected)} nonzero graded pieces"
+    assert len(lines) == 1 + len(expected)
 
 
 # -- audit -------------------------------------------------------------------------------
@@ -384,6 +413,170 @@ def test_audit_reports_unreadable_fixture(tmp_path, capsys):
     assert code == 1
     assert "a.json: FAIL" in out and "b.json: ok" in out
     assert "1/2 fixtures passed" in out
+
+
+# -- options per command ------------------------------------------------------------
+
+OPTIONS = {
+    "depth": {"--field", "--format"},
+    "rigid": {"--field", "--format"},
+    "depth-equal-radical": {"--field", "--format"},
+    "cones": {"--field", "--format", "--cap"},
+    "delta-a": {"--a", "--format"},
+    "local-cohomology": {"--field", "--format", "--max-index"},
+    "polarize": {"--format"},
+    "audit": {"--field", "--cap", "--seed"},
+}
+
+INPUTS = {
+    "depth": fixture("fourcycle.json"),
+    "rigid": fixture("fourcycle.json"),
+    "depth-equal-radical": fixture("fourcycle_decomposition_a.json"),
+    "cones": fixture("fourcycle.json"),
+    "delta-a": fixture("fourcycle_decomposition_a.json"),
+    "local-cohomology": fixture("sample_ideal.json"),
+    "polarize": fixture("sample_ideal.json"),
+    "audit": str(FIXTURES),
+}
+
+
+def test_parser_options_per_command():
+    parser = build_parser()
+    (commands,) = [
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(commands) == set(OPTIONS)
+    for name, sub in commands.items():
+        flags = {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
+        assert flags == OPTIONS[name], name
+    assert sum(map(len, OPTIONS.values())) == 18
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        (command, flag, value)
+        for command in OPTIONS
+        for flag, value in (
+            ("--field", "fp:2"), ("--format", "json"), ("--cap", "1"), ("--seed", "9")
+        )
+        if flag not in OPTIONS[command]
+    ],
+)
+def test_removed_flag_exits_2(capsys, command, flag, value):
+    argv = [command, INPUTS[command]]
+    if command == "delta-a":
+        argv += ["--a", "0,0,0,0"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+# -- wrong-typed input through every command that reads JSON ------------------------------
+
+@st.composite
+def _wrong_typed_decomposition(draw):
+    """A valid decomposition on n <= 5 with one value of the wrong type: in
+    the complex (itself, n, the facet list, a facet or a vertex) or in the
+    components (the list, one component, its facet or a vertex of it, or its
+    generators, power or irreducible exponents: the whole value, a row or an
+    entry)."""
+    n = draw(st.integers(2, 5))
+    size = draw(st.integers(1, n - 1))
+    facet = st.sets(st.integers(1, n), min_size=size, max_size=size).map(sorted)
+    facets = draw(st.lists(facet, min_size=1, max_size=3, unique_by=tuple))
+    components = []
+    for f in facets:
+        outside = [j for j in range(1, n + 1) if j not in f]
+        form = draw(st.sampled_from(["generators", "power", "irreducible"]))
+        if form == "generators":
+            # one pure power of each variable outside the facet
+            value = [
+                [draw(st.integers(1, 3)) if k == j else 0 for k in range(1, n + 1)]
+                for j in outside
+            ]
+        elif form == "power":
+            value = draw(st.integers(1, 3))
+        else:
+            value = draw(st.lists(st.integers(1, 3), min_size=len(outside), max_size=len(outside)))
+        components.append({"facet": list(f), form: value})
+    cx = {"n": n, "facets": facets}
+    doc = {"complex": cx, "components": components}
+    i = draw(st.integers(0, len(facets) - 1))
+    comp = components[i]
+    form = next(k for k in comp if k != "facet")
+    value = comp[form]
+    where = draw(st.sampled_from([
+        "complex", "n", "facets", "facet", "vertex", "components", "component",
+        "component facet", "component vertex", "form",
+        *{"power": [], "irreducible": ["form row"]}.get(form, ["form row", "form entry"]),
+    ]))
+    if where == "complex":
+        doc["complex"] = draw(_WRONG_ROW)
+    elif where == "n":
+        cx["n"] = draw(_WRONG_SCALAR | st.lists(st.integers(1, 6), max_size=2))
+    elif where == "facets":
+        cx["facets"] = draw(_WRONG_ROW)
+    elif where == "facet":
+        facets[i] = draw(_WRONG_ROW)
+    elif where == "vertex":
+        facets[i][draw(st.integers(0, size - 1))] = draw(_WRONG_SCALAR)
+    elif where == "components":
+        doc["components"] = draw(_WRONG_ROW)
+    elif where == "component":
+        components[i] = draw(_WRONG_ROW)
+    elif where == "component facet":
+        comp["facet"] = draw(_WRONG_ROW)
+    elif where == "component vertex":
+        comp["facet"][draw(st.integers(0, size - 1))] = draw(_WRONG_SCALAR)
+    elif where == "form":
+        comp[form] = draw(_WRONG_SCALAR if form == "power" else _WRONG_ROW)
+    elif where == "form row":
+        row = draw(st.integers(0, len(value) - 1))
+        value[row] = draw(_WRONG_ROW if form == "generators" else _WRONG_SCALAR)
+    else:
+        value[draw(st.integers(0, len(value) - 1))][draw(st.integers(0, n - 1))] = draw(
+            _WRONG_SCALAR
+        )
+    return doc
+
+
+# the input kinds (by their key) that each JSON-reading command accepts
+_COMMAND_INPUTS = {
+    "depth": ("facets", "generators"),
+    "rigid": ("facets",),
+    "depth-equal-radical": ("components",),
+    "cones": ("facets",),
+    "delta-a": ("components",),
+    "local-cohomology": ("generators",),
+    "polarize": ("generators",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_INPUTS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_wrong_types_fuzz_every_command(command, data):
+    key = data.draw(st.sampled_from(_COMMAND_INPUTS[command]))
+    if key == "components":
+        doc = data.draw(_wrong_typed_decomposition())
+    else:
+        doc = data.draw(_wrong_typed_input().filter(lambda d: key in d))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "delta-a":
+            argv += ["--a", "0"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code == 2, (command, doc)
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
 
 
 # -- python -m srdepth ---------------------------------------------------------------------

@@ -65,6 +65,16 @@ def test_evaluate_requires_total_positive_assignment(reference):
         reference.evaluate(bad)
 
 
+@pytest.mark.parametrize("value", [1.9, 2.0, "2", True])
+def test_exponents_are_not_coerced(reference, value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        fourcycle_assignment((value,) + VEC_EQUAL_1[1:])
+    asg = fourcycle_assignment(VEC_EQUAL_1)
+    asg[next(iter(asg))] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        reference.evaluate(asg)
+
+
 # -- generation ----------------------------------------------------------------------
 
 def test_generated_matches_reference_on_grid(generated, reference):

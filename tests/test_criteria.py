@@ -17,7 +17,6 @@ from srdepth.criteria import (
     local_cohomology_dim,
     local_cohomology_table,
     negative_support,
-    positive_support,
 )
 from srdepth.homology import RATIONALS, depth_stanley_reisner, min_nonzero_betti, prime_field
 from srdepth.ideals import (
@@ -47,7 +46,6 @@ F2 = prime_field(2)
 
 def test_support_masks():
     assert negative_support((-1, 0, 3, -2)) == 0b1001
-    assert positive_support((-1, 0, 3, -2)) == 0b0100
     assert negative_support((0, 0)) == 0
 
 
@@ -218,6 +216,15 @@ def test_two_points_table():
     assert all(c.index == 1 for c in cells)
     degrees = {c.degree for c in cells}
     assert degrees == {(0, 0), (0, -1), (-1, 0)}
+
+
+def test_table_least_index_is_depth():
+    # `srdepth local-cohomology` reports the table's least index as the depth
+    rng = random.Random(31)
+    for _ in range(40):
+        ideal = random_ideal(rng, n_max=5, exp_max=4)
+        table = local_cohomology_table(ideal)
+        assert table[0].index == depth_via_local_cohomology(ideal)
 
 
 # -- depth engines ---------------------------------------------------------------------------

@@ -70,6 +70,13 @@ def test_field_spec_validation():
     assert str(F2) == "F_2"
 
 
+@pytest.mark.parametrize("make", [FieldSpec, prime_field])
+@pytest.mark.parametrize("p", [2.9, 2.0, "2", True])
+def test_field_characteristic_is_not_coerced(make, p):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make(p)
+
+
 # -- boundary matrices ----------------------------------------------------------------
 
 def test_boundary_composition_is_zero(fourcycle, rp2):
