@@ -40,7 +40,6 @@ from .criteria import (
     depth_via_koszul,
     depth_via_local_cohomology,
     depth_via_local_cohomology_unmixed,
-    local_cohomology_dim,
     local_cohomology_table,
 )
 from .rigid import (
@@ -91,7 +90,6 @@ __all__ = [
     "degree_complex_unmixed",
     "degree_selecting_witness",
     "LocalCohomologyCell",
-    "local_cohomology_dim",
     "local_cohomology_table",
     "depth_via_local_cohomology",
     "depth_via_local_cohomology_unmixed",

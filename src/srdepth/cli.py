@@ -12,8 +12,9 @@ cones                 exponent cone union for a pure complex
                       (--field, --format, --cap)
 delta-a               facet selection of a decomposition at a degree vector
                       (--a, --format)
-local-cohomology      nonzero graded local cohomology pieces of an ideal
-                      (--field, --format, --max-index)
+local-cohomology      nonzero graded local cohomology pieces of an ideal, one
+                      per breakpoint class and index (--field, --format,
+                      --max-index)
 polarize              squarefree polarization of an ideal (--format)
 audit                 invariant suites over a directory of JSON fixtures
                       (--field, --cap, --seed)
@@ -262,6 +263,11 @@ def cmd_delta_a(args) -> int:
     return 0
 
 
+def _class_range(x: int, upper: int) -> str:
+    """One coordinate of a breakpoint class: <0, one value or [x,upper)."""
+    return "<0" if x < 0 else str(x) if upper == x + 1 else f"[{x},{upper})"
+
+
 def cmd_local_cohomology(args) -> int:
     ideal = load(args.input, MonomialIdeal)
     if not ideal.is_proper_nonzero:
@@ -276,12 +282,15 @@ def cmd_local_cohomology(args) -> int:
         "field": str(args.field),
         "depth": depth,
         "cells": [
-            {"i": c.index, "degree": list(c.degree), "dim": c.dimension} for c in cells
+            {"i": c.index, "degree": list(c.degree), "upper": list(c.upper),
+             "degrees": c.degrees, "dim": c.dimension}
+            for c in cells
         ],
     }
-    lines = [f"depth = {depth} over {args.field}; {len(cells)} nonzero graded pieces"]
+    lines = [f"depth = {depth} over {args.field}; {len(cells)} nonzero class cells"]
     for c in cells:
-        lines.append(f"H^{c.index} at degree {list(c.degree)}: dim {c.dimension}")
+        region = ", ".join(map(_class_range, c.degree, c.upper))
+        lines.append(f"H^{c.index} at ({region}): dim {c.dimension}, degrees {c.degrees}")
     emit(args, report, lines)
     return 0
 

@@ -13,8 +13,8 @@ complex change only where some a_j crosses a generator exponent of x_j
 (the fact behind Takayama's formula).  The depth scans and the
 depth-vs-radical decision therefore visit one representative per
 breakpoint class of each coordinate, its smallest point, instead of every
-degree of the box; `local_cohomology_table` reports every degree and so
-stays on the raw box.
+degree of the box, and `local_cohomology_table` reports one cell per class
+and index, with the number of degrees the class covers.
 
 Depth is computed by the local-cohomology scan.  A multigraded Koszul-complex
 depth is kept as an independent oracle for the tests and `srdepth audit`.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Optional, Sequence
 
 from .homology import (
@@ -148,39 +149,15 @@ def degree_selecting_witness(
 
 @dataclass(frozen=True)
 class LocalCohomologyCell:
-    """Nonzero graded piece of a local cohomology module."""
+    """Nonzero graded pieces of one dimension at each of the `degrees` degrees
+    degree <= a < upper of a breakpoint class; -1 (upper 0) stands for every
+    negative value and counts once."""
 
     degree: tuple[int, ...]
+    upper: tuple[int, ...]
+    degrees: int
     index: int
     dimension: int
-
-
-def local_cohomology_dim(
-    ideal: MonomialIdeal, i: int, a: Sequence[int], field: FieldSpec = RATIONALS
-) -> int:
-    """dim_K of the degree-a piece of the i-th local cohomology of S/I.
-
-    Vanishes unless the negative support of a is a face of the radical's
-    complex and a_j stays below the largest x_j-exponent of the generators;
-    otherwise it is reduced homology of the degree complex in homological
-    degree i - |G_a| - 1.
-    """
-    if not ideal.is_proper_nonzero:
-        raise ValueError("local cohomology scan needs a proper nonzero ideal")
-    if i < 0:
-        return 0
-    gmask = negative_support(a)
-    if not radical_complex(ideal).has_face_mask(gmask):
-        return 0
-    rho = ideal.max_exponents()
-    if any(x >= r for x, r in zip(a, rho)):
-        return 0
-    cx = degree_complex(ideal, a)
-    return reduced_betti(cx, i - gmask.bit_count() - 1, field)
-
-
-def _depth_grid(rho: Sequence[int]):
-    return product(*[[-1] + list(range(cap)) for cap in rho])
 
 
 def _class_grid(n: int, gens, local: bool) -> list[list[int]]:
@@ -224,6 +201,16 @@ def _least_nonvanishing_index(pairs, field: FieldSpec) -> int:
     return best
 
 
+def _class_scan(ideal: MonomialIdeal):
+    """(a, |G_a|, degree complex) at each class representative a of the local
+    grid whose G_a is a face of the radical's complex (elsewhere H_m vanishes)."""
+    rc = radical_complex(ideal)
+    for a in product(*_class_grid(ideal.n, ideal.gens, local=True)):
+        gmask = negative_support(a)
+        if rc.has_face_mask(gmask):
+            yield a, gmask.bit_count(), degree_complex(ideal, a)
+
+
 def depth_via_local_cohomology(
     ideal: MonomialIdeal, field: FieldSpec = RATIONALS
 ) -> int:
@@ -235,14 +222,8 @@ def depth_via_local_cohomology(
     """
     if not ideal.is_proper_nonzero:
         raise ValueError("depth needs a proper nonzero ideal")
-    rc = radical_complex(ideal)
     return _least_nonvanishing_index(
-        (
-            (gmask.bit_count(), degree_complex(ideal, a))
-            for a in product(*_class_grid(ideal.n, ideal.gens, local=True))
-            if rc.has_face_mask(gmask := negative_support(a))
-        ),
-        field,
+        ((g, cx) for _, g, cx in _class_scan(ideal)), field
     )
 
 
@@ -265,24 +246,20 @@ def depth_via_local_cohomology_unmixed(
 def local_cohomology_table(
     ideal: MonomialIdeal, field: FieldSpec = RATIONALS
 ) -> list[LocalCohomologyCell]:
-    """All nonzero graded local cohomology pieces over the exact degree grid,
-    sorted by (index, degree); the first index is the depth."""
+    """All nonzero graded local cohomology pieces, one cell per breakpoint
+    class and index, sorted by (index, degree); the first index is the depth."""
     if not ideal.is_proper_nonzero:
         raise ValueError("local cohomology scan needs a proper nonzero ideal")
-    rc = radical_complex(ideal)
+    # a class ends at the next representative (-1 at 0), the last at rho_j
+    grid = zip(_class_grid(ideal.n, ideal.gens, local=True), ideal.max_exponents())
+    ends = [dict(zip(reps, reps[1:] + [rho])) for reps, rho in grid]
     cells = []
-    for a in _depth_grid(ideal.max_exponents()):
-        gmask = negative_support(a)
-        if not rc.has_face_mask(gmask):
-            continue
-        cx = degree_complex(ideal, a)
-        if cx.kind == VOID:
-            continue
-        shift = gmask.bit_count() + 1
-        for i in range(shift - 1, ideal.n + 1):
-            d = reduced_betti(cx, i - shift, field)
-            if d:
-                cells.append(LocalCohomologyCell(tuple(a), i, d))
+    for a, g, cx in _class_scan(ideal):
+        upper = tuple(end[x] for end, x in zip(ends, a))
+        size = prod(u - x for u, x in zip(upper, a))
+        for i in range(g, ideal.n + 1):
+            if d := reduced_betti(cx, i - g - 1, field):
+                cells.append(LocalCohomologyCell(a, upper, size, i, d))
     cells.sort(key=lambda c: (c.index, c.degree))
     return cells
 

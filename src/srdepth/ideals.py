@@ -12,7 +12,9 @@ complement of F and every complement variable occurs as a pure power.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
+from math import comb
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .simplicial import (
@@ -21,6 +23,9 @@ from .simplicial import (
 )
 
 Monomial = tuple  # exponent tuple of length n
+
+#: generators beyond which prime_power_ideal refuses to list a prime power
+MAX_PRIME_POWER_GENERATORS = 10**5
 
 
 def divides(u: Monomial, v: Monomial) -> bool:
@@ -40,11 +45,11 @@ def support_mask(u: Monomial) -> int:
 
 
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    # scanning by total degree lets a single pass catch every proper divisor
+    # a proper divisor has a smaller total degree, so each generator is
+    # compared only with the kept generators of the earlier degree groups
     out: list[Monomial] = []
-    for g in sorted(set(gens), key=lambda t: (sum(t), t)):
-        if not any(divides(h, g) for h in out):
-            out.append(g)
+    for _, group in groupby(sorted((sum(t), t) for t in set(gens)), key=itemgetter(0)):
+        out += [g for _, g in group if not any(divides(h, g) for h in out)]
     return tuple(sorted(out))
 
 
@@ -227,10 +232,17 @@ def irreducible_ideal(n: int, facet: Iterable[int], exps: Sequence[int]) -> Mono
 
 
 def prime_power_ideal(n: int, facet: Iterable[int], m: int) -> MonomialIdeal:
-    """P_F^m, generated by all degree-m monomials in the complement variables."""
+    """P_F^m, generated by all degree-m monomials in the complement variables;
+    refused when there are more than MAX_PRIME_POWER_GENERATORS of them."""
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
     comp = complement_vars(n, facet)
+    count = comb(m + len(comp) - 1, m)
+    if count > MAX_PRIME_POWER_GENERATORS:
+        raise ValueError(
+            f"prime power P_F^{m} in {len(comp)} variables has {count} generators, "
+            f"more than {MAX_PRIME_POWER_GENERATORS}"
+        )
     gens = []
     for combo in combinations_with_replacement(comp, m):
         vec = [0] * n

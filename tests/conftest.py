@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -12,6 +12,9 @@ from srdepth import (
     prime_power_ideal,
 )
 from srdepth.cones import fourcycle_complex
+from srdepth.criteria import degree_complex, negative_support
+from srdepth.homology import RATIONALS, reduced_betti
+from srdepth.ideals import radical_complex
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -106,3 +109,44 @@ def random_decomposition(rng: random.Random, n_max=5, r_max=4, exp_max=3) -> Dec
         else:
             comps.append(random_primary(rng, cx.n, f, exp_max))
     return Decomposition(cx, comps)
+
+
+# -- raw-box local cohomology oracle -----------------------------------------------
+
+def depth_grid(rho):
+    """Every degree of the exact local-cohomology grid {-1} + {0..rho_j - 1},
+    -1 standing for every negative value."""
+    return product(*[[-1] + list(range(cap)) for cap in rho])
+
+
+def local_cohomology_dim(ideal: MonomialIdeal, i: int, a, field=RATIONALS) -> int:
+    """dim_K of the degree-a piece of the i-th local cohomology of S/I.
+
+    Vanishes unless the negative support of a is a face of the radical's
+    complex and a_j stays below the largest x_j-exponent of the generators;
+    otherwise it is reduced homology of the degree complex in homological
+    degree i - |G_a| - 1.
+    """
+    if not ideal.is_proper_nonzero:
+        raise ValueError("local cohomology scan needs a proper nonzero ideal")
+    if i < 0:
+        return 0
+    gmask = negative_support(a)
+    if not radical_complex(ideal).has_face_mask(gmask):
+        return 0
+    rho = ideal.max_exponents()
+    if any(x >= r for x, r in zip(a, rho)):
+        return 0
+    cx = degree_complex(ideal, a)
+    return reduced_betti(cx, i - gmask.bit_count() - 1, field)
+
+
+def raw_local_cohomology(ideal: MonomialIdeal, field=RATIONALS, max_index=None):
+    """Sorted (i, a, dim) of every nonzero piece over every degree of the grid."""
+    top = ideal.n if max_index is None else max_index
+    return sorted(
+        (i, a, d)
+        for a in depth_grid(ideal.max_exponents())
+        for i in range(top + 1)
+        if (d := local_cohomology_dim(ideal, i, a, field))
+    )

@@ -6,18 +6,21 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from srdepth.cli import build_parser, main, parse_field
-from srdepth.criteria import depth_via_koszul, depth_via_local_cohomology, local_cohomology_dim
+from srdepth.criteria import (
+    depth_via_koszul,
+    depth_via_local_cohomology,
+    local_cohomology_table,
+)
 from srdepth.homology import RATIONALS
 from srdepth.ideals import MonomialIdeal
 from srdepth.simplicial import Complex
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, raw_local_cohomology
 
 
 def run(capsys, *argv):
@@ -325,7 +328,39 @@ def test_local_cohomology(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["depth"] == 0
-    assert all(c["dim"] > 0 for c in data["cells"])
+    assert all(c["dim"] > 0 and c["degrees"] > 0 for c in data["cells"])
+    # each cell is a breakpoint class: degree <= a < upper, -1 up to 0
+    for c in data["cells"]:
+        assert all(lo < hi for lo, hi in zip(c["degree"], c["upper"]))
+        assert all(hi == 0 for lo, hi in zip(c["degree"], c["upper"]) if lo < 0)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_local_cohomology_huge_exponent(tmp_path, capsys, fmt):
+    # one class covers 10**17 degrees; the raw grid ran out of memory
+    path = write_json(tmp_path, {"n": 3, "generators": [[10**17, 0, 1]]})
+    code, out, err = run(capsys, "local-cohomology", path, "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["depth"] == 2
+        assert any(c["degrees"] == 10**17 for c in report["cells"])
+    else:
+        assert out.splitlines()[0].startswith("depth = 2 over Q;")
+        assert f"degrees {10**17}" in out
+
+
+def test_prime_power_too_many_generators(tmp_path, capsys):
+    path = write_json(
+        tmp_path,
+        {
+            "complex": {"n": 5, "facets": [[1, 2]]},
+            "components": [{"facet": [1, 2], "power": 100000}],
+        },
+    )
+    code, out, err = run(capsys, "depth-equal-radical", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "5000150001 generators" in err
 
 
 def test_polarize(capsys):
@@ -356,13 +391,19 @@ def test_local_cohomology_max_index_truncates(tmp_path, capsys, data, k):
     # --max-index trims the printed table to the cells of index <= k, counted
     # in the header; the depth is that of the whole table
     ideal = MonomialIdeal.from_json_dict(data)
-    grid = product(*[range(-1, r) for r in ideal.max_exponents()])
-    expected = sorted(
-        (i, a, d)
-        for a in grid
-        for i in range(k + 1)
-        if (d := local_cohomology_dim(ideal, i, a))
-    )
+    expected = [
+        (c.index, c.degree, c.upper, c.degrees, c.dimension)
+        for c in local_cohomology_table(ideal)
+        if c.index <= k
+    ]
+    # the printed classes cover exactly the raw grid's pieces of index <= k
+    totals = {}
+    for i, _, d in raw_local_cohomology(ideal, max_index=k):
+        totals[i] = totals.get(i, 0) + d
+    class_totals = {}
+    for i, _, _, size, d in expected:
+        class_totals[i] = class_totals.get(i, 0) + size * d
+    assert class_totals == totals
     depth = depth_via_local_cohomology(ideal)
     path = write_json(tmp_path, data)
     code, out, _ = run(
@@ -371,11 +412,14 @@ def test_local_cohomology_max_index_truncates(tmp_path, capsys, data, k):
     assert code == 0
     report = json.loads(out)
     assert report["depth"] == depth
-    assert [(c["i"], tuple(c["degree"]), c["dim"]) for c in report["cells"]] == expected
+    assert [
+        (c["i"], tuple(c["degree"]), tuple(c["upper"]), c["degrees"], c["dim"])
+        for c in report["cells"]
+    ] == expected
     code, out, _ = run(capsys, "local-cohomology", path, "--max-index", str(k))
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == f"depth = {depth} over Q; {len(expected)} nonzero graded pieces"
+    assert lines[0] == f"depth = {depth} over Q; {len(expected)} nonzero class cells"
     assert len(lines) == 1 + len(expected)
 
 

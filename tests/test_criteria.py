@@ -1,11 +1,12 @@
+import json
 import random
 from itertools import product
+from math import prod
 
 import pytest
 
 from srdepth.cones import fourcycle_assignment, fourcycle_reference_system
 from srdepth.criteria import (
-    _depth_grid,
     degree_complex,
     degree_complex_facet_form,
     degree_complex_unmixed,
@@ -14,7 +15,6 @@ from srdepth.criteria import (
     depth_via_koszul,
     depth_via_local_cohomology,
     depth_via_local_cohomology_unmixed,
-    local_cohomology_dim,
     local_cohomology_table,
     negative_support,
 )
@@ -27,16 +27,20 @@ from srdepth.ideals import (
     radical_complex,
     stanley_reisner_ideal,
 )
-from srdepth.simplicial import VOID
+from srdepth.simplicial import VOID, Complex
 from tests.conftest import (
+    FIXTURES,
     VEC_EQUAL_1,
     VEC_EQUAL_2,
     VEC_MIDPOINT,
+    depth_grid,
     fourcycle_decomposition,
+    local_cohomology_dim,
     random_decomposition,
     random_ideal,
     random_primary,
     random_pure_complex,
+    raw_local_cohomology,
 )
 
 F2 = prime_field(2)
@@ -184,30 +188,37 @@ def test_selection_relation_on_grid():
 
 # -- graded local cohomology -----------------------------------------------------------------
 
+def in_class(cell, a) -> bool:
+    """Whether the degree a lies in the breakpoint class of the cell."""
+    return all(
+        x < 0 if lo < 0 else lo <= x < hi for lo, hi, x in zip(cell.degree, cell.upper, a)
+    )
+
+
 def test_local_cohomology_negative_index():
     ideal = MonomialIdeal(2, [(1, 1)])
     assert local_cohomology_dim(ideal, -1, (0, 0)) == 0
+    assert all(c.index >= 0 for c in local_cohomology_table(ideal))
 
 
 def test_local_cohomology_vanishing_beyond_caps():
     dec = fourcycle_decomposition(VEC_EQUAL_1)
     ideal = dec.intersection()
     rho = ideal.max_exponents()
+    table = local_cohomology_table(ideal)
+    assert all(u <= r for c in table for u, r in zip(c.upper, rho))
     rng = random.Random(3)
     for _ in range(30):
         a = tuple(rng.randint(-2, rho[j] + 2) for j in range(4))
-        i = rng.randint(0, 4)
         if any(a[j] >= rho[j] for j in range(4)):
-            assert local_cohomology_dim(ideal, i, a) == 0
+            assert not any(in_class(c, a) for c in table)
 
 
 def test_local_cohomology_vanishes_below_depth_for_cm():
     dec = fourcycle_decomposition(VEC_EQUAL_1)
     ideal = dec.intersection()
-    rho = ideal.max_exponents()
-    for a in product(*[[-1] + list(range(c)) for c in rho]):
-        for i in range(2):
-            assert local_cohomology_dim(ideal, i, a) == 0
+    table = local_cohomology_table(ideal)
+    assert table and all(c.index >= 2 for c in table)
 
 
 def test_two_points_table():
@@ -216,6 +227,86 @@ def test_two_points_table():
     assert all(c.index == 1 for c in cells)
     degrees = {c.degree for c in cells}
     assert degrees == {(0, 0), (0, -1), (-1, 0)}
+    # every class of the grid {-1, 0}^2 is a single degree
+    assert all(c.degrees == 1 for c in cells)
+    assert {c.upper for c in cells} == {(1, 1), (1, 0), (0, 1)}
+
+
+def fixture_ideals():
+    """The fixture ideal, the intersections of the fixture decompositions and
+    the Stanley-Reisner ideals of the fixture complexes."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        data = json.loads(path.read_text())
+        if "generators" in data:
+            out.append(MonomialIdeal.from_json_dict(data))
+        elif "components" in data:
+            out.append(Decomposition.from_json_dict(data).intersection())
+        else:
+            out.append(stanley_reisner_ideal(Complex.from_json_dict(data)))
+    return out
+
+
+def class_key(ideal, a):
+    """The least point of the breakpoint class of the degree a."""
+    return tuple(
+        -1 if x < 0 else max(v for v in (0, *(g[j] for g in ideal.gens)) if v <= x)
+        for j, x in enumerate(a)
+    )
+
+
+def check_class_table(ideal, field):
+    table = local_cohomology_table(ideal, field)
+    raw = raw_local_cohomology(ideal, field)
+    # the same total dimension per index
+    totals, raw_totals = {}, {}
+    for c in table:
+        totals[c.index] = totals.get(c.index, 0) + c.degrees * c.dimension
+    for i, _, d in raw:
+        raw_totals[i] = raw_totals.get(i, 0) + d
+    assert totals == raw_totals
+    # each raw piece has the dimension of its class
+    by_class = {(c.index, c.degree): c for c in table}
+    assert len(by_class) == len(table)
+    for i, a, d in raw:
+        cell = by_class[(i, class_key(ideal, a))]
+        assert in_class(cell, a)
+        assert cell.dimension == d
+    # a class's degrees count its points, a negative coordinate once
+    for c in table:
+        assert c.degrees == prod(1 if lo < 0 else hi - lo for lo, hi in zip(c.degree, c.upper))
+    assert table[0].index == raw[0][0] == depth_via_local_cohomology(ideal, field)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F2], ids=["Q", "F2"])
+def test_class_table_matches_raw_box_on_fixtures(field):
+    ideals = fixture_ideals()
+    assert len(ideals) == 10
+    for ideal in ideals:
+        check_class_table(ideal, field)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F2], ids=["Q", "F2"])
+def test_class_table_matches_raw_box_on_random_ideals(field):
+    rng = random.Random(47)
+    checked = 0
+    while checked < 120:
+        ideal = random_ideal(rng, n_max=4, exp_max=4)
+        if ideal.is_proper_nonzero:
+            check_class_table(ideal, field)
+            checked += 1
+
+
+def test_class_table_at_huge_exponent():
+    # one class covers 10**17 degrees; the raw grid would not fit in memory
+    big = 10**17
+    table = local_cohomology_table(MonomialIdeal(3, [(big, 0, 1)]))
+    assert table[0].index == 2
+    assert {(c.degree, c.upper, c.degrees) for c in table} == {
+        ((-1, -1, 0), (0, 0, 1), 1),
+        ((0, -1, -1), (big, 0, 0), big),
+        ((0, -1, 0), (big, 0, 1), big),
+    }
 
 
 def test_table_least_index_is_depth():
@@ -394,7 +485,7 @@ def box_depth(ideal, field, complex_at):
     """depth(S/I) from every degree of the raw local-cohomology grid."""
     rc = radical_complex(ideal)
     lows = []
-    for a in _depth_grid(ideal.max_exponents()):
+    for a in depth_grid(ideal.max_exponents()):
         g = negative_support(a)
         cx = complex_at(a)
         if rc.has_face_mask(g) and cx.kind != VOID:

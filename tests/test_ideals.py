@@ -1,12 +1,16 @@
 import random
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srdepth import ideals as ideals_mod
 from srdepth.ideals import (
     Decomposition,
     MonomialIdeal,
+    _minimalize,
+    divides,
     irreducible_ideal,
     prime_ideal,
     prime_power_ideal,
@@ -45,6 +49,22 @@ def test_minimalization_and_order():
     ideal = MonomialIdeal(2, [(0, 2), (2, 0), (2, 1), (3, 0)])
     assert ideal.gens == ((0, 2), (2, 0))
     assert MonomialIdeal(2, [(2, 1), (1, 0), (3, 0)]).gens == ((1, 0),)
+
+
+def test_minimalize_matches_all_pairs_reference():
+    # the degree-ordered scan against every pair of distinct generators
+    rng = random.Random(11)
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        gens = [
+            tuple(rng.randint(0, 4) for _ in range(n))
+            for _ in range(rng.randint(0, 12))
+        ]
+        distinct = set(gens)
+        naive = sorted(
+            g for g in distinct if not any(h != g and divides(h, g) for h in distinct)
+        )
+        assert _minimalize(gens) == tuple(naive)
 
 
 def test_generator_validation():
@@ -236,6 +256,26 @@ def test_prime_ideal():
 def test_prime_power_ideal():
     ideal = prime_power_ideal(3, (1,), 2)
     assert ideal.gens == ((0, 0, 2), (0, 1, 1), (0, 2, 0))
+
+
+def test_prime_power_ideal_large():
+    # power 12 on 7 complement variables: one generator per degree-12 monomial
+    ideal = prime_power_ideal(9, (1, 2), 12)
+    assert len(ideal.gens) == comb(18, 12)
+    assert all(g[0] == g[1] == 0 and sum(g) == 12 for g in ideal.gens)
+
+
+def test_prime_power_generator_cap(monkeypatch):
+    # P_F^m on c variables has comb(m + c - 1, m) generators
+    monkeypatch.setattr(ideals_mod, "MAX_PRIME_POWER_GENERATORS", 10)
+    assert len(prime_power_ideal(3, (1,), 9).gens) == 10
+    with pytest.raises(ValueError, match="has 11 generators"):
+        prime_power_ideal(3, (1,), 10)
+
+
+def test_prime_power_cap_refuses_before_listing():
+    with pytest.raises(ValueError, match="5000150001 generators"):
+        prime_power_ideal(5, (1, 2), 100000)
 
 
 def test_irreducible_ideal_validation():
