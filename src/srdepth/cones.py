@@ -2,11 +2,15 @@
 
 For a pure complex, the exponent tuples (a_{ij}) of an irreducible
 decomposition for which depth(S/I) equals the radical depth form a finite
-union of rational cones.  Each facet selection of depth below t contributes a
-conjunction, over tuples of outside-variable choices, of disjunctions of
-comparisons a_{ij} >= a_{kj}; expanding to disjunctive normal form and
-pruning subsumed conjunctions yields an explicit union of cones, evaluable on
-integer points and comparable against the decision procedure on a grid.
+union of rational cones.  Each facet selection Γ of depth below t contributes
+the formula OR_{i not in Γ} AND_{j not in F_i} OR_{k in Γ, j not in F_k}
+a_{ij} >= a_{kj}, the factored form (by distributivity) of a conjunction over
+tuples of outside-variable choices.  Expanding each selection's formula into a
+small disjunctive normal form, multiplying these into one DNF selection by
+selection and pruning subsumed conjunctions yields an explicit union of cones,
+evaluable on integer points and comparable against the decision procedure on
+a grid.  An expansion step that would list more than MAX_CONE_CANDIDATES
+candidate conjunctions is refused, so a union too large to list fails fast.
 
 Symbols are (facet index, variable) pairs with the variable outside the
 facet; facet indices follow the canonical facet order of the complex.
@@ -14,7 +18,8 @@ facet; facet indices follow the canonical facet order of the complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import prod
 from typing import Mapping, Optional, Sequence
 
 from .homology import FieldSpec, RATIONALS, depth_stanley_reisner
@@ -24,6 +29,18 @@ from .simplicial import (
 
 Symbol = tuple[int, int]  # (facet index, variable index)
 Atom = tuple[int, int]  # (left symbol position, right symbol position): left >= right
+
+#: largest number of candidate conjunctions one expansion step may list
+MAX_CONE_CANDIDATES = 10**4
+
+
+def _prune_masks(masks: Sequence[int]) -> list[int]:
+    """_prune for conjunctions held as bitmasks over atom indices."""
+    kept: list[int] = []
+    for d in sorted(set(masks), key=int.bit_count):
+        if not any(k & d == k for k in kept):
+            kept.append(d)
+    return kept
 
 
 def _prune(disjuncts: Sequence[frozenset]) -> tuple[frozenset, ...]:
@@ -97,13 +114,25 @@ class ConeUnion:
         symbols = []
         for entry in json_list(raw_symbols, "symbols"):
             i, j = json_fields(entry, "symbol", "facet", "var")
-            symbols.append((as_int(i, "facet") - 1, as_int(j, "var")))
+            i, j = as_int(i, "facet"), as_int(j, "var")
+            if not 1 <= i <= len(facets):
+                raise ValueError(f"symbol facet {i} is outside 1..{len(facets)}")
+            if not 1 <= j <= n:
+                raise ValueError(f"symbol variable {j} is outside 1..{n}")
+            if j in facets[i - 1]:
+                raise ValueError(f"symbol variable {j} lies in its facet {i}")
+            symbols.append((i - 1, j))
         disjuncts = []
         for entry in json_rows(raw, "disjuncts"):
             atoms = set()
             for cmp_ in entry:
                 left, right = json_fields(cmp_, "comparison", "left", "right")
                 left, right = as_int(left, "left"), as_int(right, "right")
+                for pos in (left, right):
+                    if not 0 <= pos < len(symbols):
+                        raise ValueError(
+                            f"comparison refers to symbol {pos}, outside 0..{len(symbols) - 1}"
+                        )
                 rel = cmp_.get("rel", ">=")
                 if rel == ">=":
                     atoms.add((left, right))
@@ -132,12 +161,20 @@ def generate_cone_union(
 ) -> ConeUnion:
     """Emit the union of cones characterizing depth equality over cx.
 
-    For each facet selection of depth below t, with complement facets
-    F_{i_1}..F_{i_s}: for every choice of variables j_q outside F_{i_q}, some
-    chosen exponent must dominate a matching exponent of a selected facet,
-    a_{i_q j_q} >= a_{k j_q} with j_q outside F_k.  Choices of k for which
-    x_{j_q} is a variable of F_k contribute no comparison (membership in that
-    component could never be forced through x_{j_q}).
+    Each facet selection Γ of depth below t contributes the formula
+
+        OR_{i not in Γ} AND_{j not in F_i} OR_{k in Γ, j not in F_k} a_{ij} >= a_{kj}
+
+    (some outside facet has, at each of its outside variables, an exponent
+    dominating a matching exponent of a selected facet; a selected facet
+    containing x_j contributes no comparison).  It expands to a small local
+    DNF: one conjunction per outside facet and choice of k for each j, and
+    an outside facet with an empty inner OR drops out.  The local DNFs are
+    multiplied into the running DNF selection by selection, pruning after
+    each step; conjunctions are bitmasks over atom indices until the end.
+
+    A step whose product would list more than MAX_CONE_CANDIDATES candidate
+    conjunctions is refused with a ValueError before it is expanded.
     """
     if cx.kind != ORDINARY or not cx.is_pure:
         raise ValueError("cone generation needs an ordinary pure complex")
@@ -151,36 +188,59 @@ def generate_cone_union(
     outside_vars = [
         [j for j in range(1, cx.n + 1) if not fm >> (j - 1) & 1] for fm in masks
     ]
+    atoms = sorted(
+        (sym_pos[(i, j)], sym_pos[(k, j)])
+        for i, k in permutations(range(r), 2)
+        for j in outside_vars[i]
+        if not masks[k] >> (j - 1) & 1
+    )
+    bit = {atom: 1 << b for b, atom in enumerate(atoms)}
 
-    dnf: list[frozenset] = [frozenset()]
-    for k in range(1, r):
-        for selection in combinations(range(r), k):
-            gamma = cx.facet_subcomplex(selection)
-            if depth_stanley_reisner(gamma, field) >= t:
-                continue
-            inside = set(selection)
-            outside = [i for i in range(r) if i not in inside]
-            clauses = []
-            for tup in product(*[outside_vars[i] for i in outside]):
-                atoms = set()
-                for i_q, j_q in zip(outside, tup):
-                    for k2 in selection:
-                        if not masks[k2] >> (j_q - 1) & 1:
-                            atoms.add((sym_pos[(i_q, j_q)], sym_pos[(k2, j_q)]))
-                clauses.append(atoms)
-            # conjunction of clauses, distributed into the running DNF
-            for clause in clauses:
-                if not clause:
-                    dnf = []
-                    break
-                dnf = list(
-                    _prune([d | {atom} for d in dnf for atom in clause])
-                )
-            if not dnf:
-                break
+    low_depth_selections = (
+        selection
+        for k in range(1, r)
+        for selection in combinations(range(r), k)
+        if depth_stanley_reisner(cx.facet_subcomplex(selection), field) < t
+    )
+
+    dnf = [0]
+    for selection in low_depth_selections:
+        # per outside facet, the atoms usable at each of its outside variables
+        choices = [
+            [
+                [
+                    bit[(sym_pos[(i, j)], sym_pos[(k, j)])]
+                    for k in selection
+                    if not masks[k] >> (j - 1) & 1
+                ]
+                for j in outside_vars[i]
+            ]
+            for i in range(r)
+            if i not in selection
+        ]
+        size = sum(prod(len(c) for c in per_var) for per_var in choices)
+        if len(dnf) * size > MAX_CONE_CANDIDATES:
+            raise ValueError(
+                f"cone union expansion needs {len(dnf) * size} candidate "
+                f"conjunctions in one step, more than {MAX_CONE_CANDIDATES}"
+            )
+        # distinct outside facets give disjoint atoms and each term takes one
+        # atom per variable, so the local DNF is already pruned
+        local = []
+        for per_var in choices:
+            terms = [0]
+            for c in per_var:
+                terms = [d | b for d in terms for b in c]
+            local += terms
+        dnf = _prune_masks([d | c for d in dnf for c in local])
         if not dnf:
             break
-    return ConeUnion(cx.n, cx.facets, symbols, _prune(dnf))
+    return ConeUnion(
+        cx.n,
+        cx.facets,
+        symbols,
+        _prune([frozenset(a for b, a in enumerate(atoms) if d >> b & 1) for d in dnf]),
+    )
 
 
 def grid_equivalence(

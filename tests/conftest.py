@@ -11,9 +11,9 @@ from srdepth import (
     irreducible_ideal,
     prime_power_ideal,
 )
-from srdepth.cones import fourcycle_complex
+from srdepth.cones import ConeUnion, _prune, _symbols_for, fourcycle_complex
 from srdepth.criteria import degree_complex, negative_support
-from srdepth.homology import RATIONALS, reduced_betti
+from srdepth.homology import RATIONALS, depth_stanley_reisner, reduced_betti
 from srdepth.ideals import radical_complex
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -150,3 +150,38 @@ def raw_local_cohomology(ideal: MonomialIdeal, field=RATIONALS, max_index=None):
         for i in range(top + 1)
         if (d := local_cohomology_dim(ideal, i, a, field))
     )
+
+
+# -- tuple-clause cone distribution oracle -----------------------------------------
+
+def distributed_cone_union(cx: Complex, field=RATIONALS) -> ConeUnion:
+    """The cone union by unfactored distribution: for each facet selection
+    of depth below t, one clause per tuple of outside-variable choices
+    (j_q outside F_{i_q} for each outside facet), each clause the OR of
+    a_{i_q j_q} >= a_{k j_q} over q and selected k with j_q outside F_k,
+    distributed clause by clause into the running DNF."""
+    r = len(cx.facet_masks)
+    t = depth_stanley_reisner(cx, field)
+    symbols = _symbols_for(cx)
+    sym_pos = {s: k for k, s in enumerate(symbols)}
+    masks = cx.facet_masks
+    outside_vars = [
+        [j for j in range(1, cx.n + 1) if not fm >> (j - 1) & 1] for fm in masks
+    ]
+    dnf = [frozenset()]
+    for k in range(1, r):
+        for selection in combinations(range(r), k):
+            if depth_stanley_reisner(cx.facet_subcomplex(selection), field) >= t:
+                continue
+            outside = [i for i in range(r) if i not in selection]
+            for tup in product(*[outside_vars[i] for i in outside]):
+                clause = {
+                    (sym_pos[(i_q, j_q)], sym_pos[(k2, j_q)])
+                    for i_q, j_q in zip(outside, tup)
+                    for k2 in selection
+                    if not masks[k2] >> (j_q - 1) & 1
+                }
+                dnf = list(_prune([d | {atom} for d in dnf for atom in clause]))
+                if not dnf:
+                    return ConeUnion(cx.n, cx.facets, symbols, ())
+    return ConeUnion(cx.n, cx.facets, symbols, _prune(dnf))

@@ -285,6 +285,17 @@ def test_cones_json_round_trip(capsys):
     assert grid_equivalence(union, fourcycle_reference_system(), 2) is None
 
 
+@pytest.mark.parametrize("name", ["6-cycle", "projective_plane_6"])
+def test_cones_refuses_oversized_union(tmp_path, capsys, name):
+    if name == "6-cycle":
+        path = write_json(tmp_path, {"n": 6, "facets": [[i, i % 6 + 1] for i in range(1, 7)]})
+    else:
+        path = fixture("projective_plane_6.json")
+    code, out, err = run(capsys, "cones", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "candidate conjunctions" in err
+
+
 def test_delta_a(capsys):
     code, out, _ = run(
         capsys,

@@ -1,8 +1,11 @@
+import json
 import random
 from itertools import product
 
 import pytest
 
+from bench.corpus import CONE_CLASSES, random_pure_complex as random_shaped_facets
+from srdepth import cones as cones_mod
 from srdepth.cones import (
     ConeUnion,
     convexity_probe,
@@ -14,10 +17,20 @@ from srdepth.cones import (
     grid_equivalence,
 )
 from srdepth.criteria import depth_equals_radical
-from srdepth.homology import RATIONALS
+from srdepth.homology import RATIONALS, prime_field
 from srdepth.ideals import Decomposition, irreducible_ideal
 from srdepth.simplicial import Complex
-from tests.conftest import VEC_EQUAL_1, VEC_EQUAL_2, VEC_MIDPOINT
+from tests.conftest import (
+    FIXTURES,
+    VEC_EQUAL_1,
+    VEC_EQUAL_2,
+    VEC_MIDPOINT,
+    distributed_cone_union,
+    random_pure_complex,
+)
+
+FIVECYCLE = Complex(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+SIXCYCLE = Complex(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +99,56 @@ def test_single_condition_differs_from_reference(reference):
         reference.n, reference.facets, reference.symbols, (reference.disjuncts[0],)
     )
     assert grid_equivalence(single, reference, 3) is not None
+
+
+def _assert_same_union(union, oracle):
+    assert union.disjuncts == oracle.disjuncts
+    assert union.to_json_dict() == oracle.to_json_dict()
+
+
+@pytest.mark.parametrize("cx", [fourcycle_complex(), FIVECYCLE], ids=["4-cycle", "5-cycle"])
+def test_generated_matches_distribution_oracle_on_cycles(cx):
+    union = generate_cone_union(cx, RATIONALS)
+    _assert_same_union(union, distributed_cone_union(cx, RATIONALS))
+    assert len(union.disjuncts) == {4: 4, 5: 464}[cx.n]
+
+
+def test_generated_matches_distribution_oracle_on_random_complexes():
+    # 25 complexes of every (n, facet size, facet count) shape of the cones
+    # benchmark classes, then 100 of random shape with n <= 5
+    rng = random.Random(11)
+    complexes = [
+        Complex(n, random_shaped_facets(rng, n, k, r))
+        for n, k, r in sorted(set(CONE_CLASSES))
+        for _ in range(25)
+    ]
+    complexes += [random_pure_complex(rng, n_max=5, r_max=6) for _ in range(100)]
+    trivial = set()
+    for cx in complexes:
+        for field in (RATIONALS, prime_field(2)):
+            union = generate_cone_union(cx, field)
+            _assert_same_union(union, distributed_cone_union(cx, field))
+            trivial.add(union.is_trivially_true)
+    assert trivial == {True, False}
+
+
+@pytest.mark.parametrize("name", ["6-cycle", "projective_plane_6"])
+def test_oversized_union_is_refused(name):
+    if name == "6-cycle":
+        cx = SIXCYCLE
+    else:
+        cx = Complex.from_json_dict(json.loads((FIXTURES / f"{name}.json").read_text()))
+    with pytest.raises(ValueError, match="candidate conjunctions in one step, more than 10000"):
+        generate_cone_union(cx, RATIONALS)
+
+
+def test_cone_candidate_cap(monkeypatch):
+    # the 5-cycle's largest expansion step lists 3608 candidate conjunctions
+    monkeypatch.setattr(cones_mod, "MAX_CONE_CANDIDATES", 3608)
+    assert len(generate_cone_union(FIVECYCLE, RATIONALS).disjuncts) == 464
+    monkeypatch.setattr(cones_mod, "MAX_CONE_CANDIDATES", 3607)
+    with pytest.raises(ValueError, match="needs 3608 candidate conjunctions"):
+        generate_cone_union(FIVECYCLE, RATIONALS)
 
 
 def test_rigid_complex_gives_trivially_true_union(two_big_facets):
@@ -253,6 +316,26 @@ def test_json_refuses_wrong_types(reference, path, value):
     data = reference.to_json_dict()
     _set_path(data, path, value)
     with pytest.raises(ValueError):
+        ConeUnion.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("disjuncts", 0, 0, "left"), -1, "symbol -1, outside 0..7"),
+        (("disjuncts", 0, 0, "right"), 8, "symbol 8, outside 0..7"),
+        (("symbols", 0, "facet"), 9, "facet 9 is outside 1..4"),
+        (("symbols", 0, "facet"), 0, "facet 0 is outside 1..4"),
+        (("symbols", 0, "var"), 5, "variable 5 is outside 1..4"),
+        (("symbols", 0, "var"), 0, "variable 0 is outside 1..4"),
+        (("symbols", 0, "var"), 2, "variable 2 lies in its facet 1"),
+    ],
+)
+def test_json_refuses_out_of_range_indices(reference, path, value, message):
+    # the reference's first symbol is facet 1 = {1, 2} with variable 3
+    data = reference.to_json_dict()
+    _set_path(data, path, value)
+    with pytest.raises(ValueError, match=message):
         ConeUnion.from_json_dict(data)
 
 
