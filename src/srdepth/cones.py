@@ -24,7 +24,8 @@ from typing import Mapping, Optional, Sequence
 
 from .homology import FieldSpec, RATIONALS, depth_stanley_reisner
 from .simplicial import (
-    Complex, DEFAULT_FACET_CAP, ORDINARY, as_int, json_fields, json_list, json_rows,
+    Complex, DEFAULT_FACET_CAP, ORDINARY, as_int, face_mask, json_fields, json_list,
+    json_rows,
 )
 
 Symbol = tuple[int, int]  # (facet index, variable index)
@@ -111,6 +112,14 @@ class ConeUnion:
         facets = tuple(
             tuple(as_int(v, "vertex") for v in f) for f in json_rows(raw_facets, "facets")
         )
+        masks = [face_mask(f, n) for f in facets]
+        for f, m in zip(facets, masks):
+            if m.bit_count() != len(f):
+                raise ValueError(f"facet {list(f)} repeats a vertex")
+            if sum(o & m == m for o in masks) > 1:
+                raise ValueError(f"facet {list(f)} is repeated or lies in another facet")
+        if len({m.bit_count() for m in masks}) > 1:
+            raise ValueError("facets of a cone union must all have the same size")
         symbols = []
         for entry in json_list(raw_symbols, "symbols"):
             i, j = json_fields(entry, "symbol", "facet", "var")

@@ -8,6 +8,10 @@ pieces of local cohomology are reduced homology groups of degree complexes
 computation: only degrees with a_j < max exponent of x_j can contribute, and
 negative coordinates matter only through their sign.
 
+This is Takayama's degree complex.  By Alexander duality its facets are the
+complements of the minimal transversals of the excess sets {j : g_j > a_j}
+restricted to the coordinates outside G_a, so no 2^n subsets are swept.
+
 Membership of x^a, the excess sets {j : g_j > a_j} and so every degree
 complex change only where some a_j crosses a generator exponent of x_j
 (the fact behind Takayama's formula).  The depth scans and the
@@ -35,7 +39,7 @@ from .homology import (
     depth_stanley_reisner,
 )
 from .ideals import Decomposition, MonomialIdeal, radical_complex
-from .simplicial import Complex, VOID
+from .simplicial import Complex, VOID, minimal_transversals
 
 
 def negative_support(a: Sequence[int]) -> int:
@@ -64,35 +68,25 @@ def degree_complex_facet_form(dec: Decomposition, a: Sequence[int]) -> Complex:
 def degree_complex(ideal: MonomialIdeal, a: Sequence[int]) -> Complex:
     """Localization form for an arbitrary monomial ideal and a in Z^n.
 
-    Enumerates all F between G_a and {1..n}; x^a lies in the localized ideal
-    iff some generator's excess support {j : e_j > a_j} is contained in F.
+    x^a lies in the ideal localized at F iff some generator's excess support
+    d = {j : e_j > a_j} lies in F.  For F = G_a u S with S free (outside
+    G_a), x^a stays out iff the complement of S meets every d & free: the
+    facets are free & ~T for the minimal transversals T of the d & free.
     """
     n = ideal.n
     if len(a) != n:
         raise ValueError(f"degree length {len(a)} != ambient {n}")
-    gmask = negative_support(a)
+    free = ((1 << n) - 1) & ~negative_support(a)
     excess = []
     for g in ideal.gens:
         d = 0
         for j in range(n):
             if g[j] > a[j]:
                 d |= 1 << j
-        if d == 0:
-            return Complex.void(n)  # x^a already in the ideal for every F
-        excess.append(d)
-    # drop non-minimal excess masks: F avoids d' whenever it avoids d <= d'
-    excess = [d for d in excess if not any(o != d and o & d == o for o in excess)]
-    free = ((1 << n) - 1) & ~gmask
-    qualifying = []
-    sub = free
-    while True:
-        f = gmask | sub
-        if not any(d & f == d for d in excess):
-            qualifying.append(f & ~gmask)
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
-    return Complex._from_masks(n, qualifying)
+        if not d & free:
+            return Complex.void(n)  # d inside G_a: x^a is in every localization
+        excess.append(d & free)
+    return Complex._from_masks(n, [free & ~t for t in minimal_transversals(excess)])
 
 
 def degree_complex_unmixed(dec: Decomposition, a: Sequence[int]) -> Complex:

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .simplicial import Complex, Face, IRRELEVANT, ORDINARY, VOID, as_int, mask_vertices
+from .simplicial import (
+    Complex, Face, IRRELEVANT, ORDINARY, VOID, as_int, mask_bits, mask_vertices,
+)
 
 
 def _is_prime(p: int) -> bool:
@@ -158,10 +160,10 @@ def boundary_matrix(cx: Complex, i: int) -> list[list[int]]:
     row_index = {m: r for r, m in enumerate(rows)}
     mat = [[0] * len(cols) for _ in rows]
     for c, fm in enumerate(cols):
-        verts = mask_vertices(fm)
-        for k, v in enumerate(verts):
-            sub = fm & ~(1 << (v - 1))
-            mat[row_index[sub]][c] = -1 if k % 2 else 1
+        sign = 1
+        for b in mask_bits(fm):
+            mat[row_index[fm ^ b]][c] = sign
+            sign = -sign
     return mat
 
 
@@ -235,7 +237,7 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     if cx.kind == VOID:
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
     for fm in cx.all_face_masks():
-        lk = cx.link(mask_vertices(fm))
+        lk = cx._link_mask(fm)
         for i in range(-1, lk.dim):
             if reduced_betti(lk, i, field):
                 return CMResult(False, mask_vertices(fm), i)
@@ -261,7 +263,7 @@ def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
         if size + 1 >= best:
             break
         for fm in cx.face_masks_of_dim(size - 1):
-            low = min_nonzero_betti(cx.link(mask_vertices(fm)), field)
+            low = min_nonzero_betti(cx._link_mask(fm), field)
             if low is not None and size + 1 + low < best:
                 best = size + 1 + low
                 if low == 0:

@@ -5,6 +5,10 @@ antichain of minimal generators in a canonical sort order.  Intersections go
 through pairwise lcms plus minimalization, which is transparent at desk scale
 and certified by membership property tests.
 
+The complex of the squarefree monomials outside the radical
+(`radical_complex`) has as facets the complements of the minimal vertex
+covers of the generator supports, so no 2^n sweep is needed.
+
 A Decomposition pairs a pure complex with one P_F-primary component per facet
 F.  P_F-primary is checked structurally: every generator is supported in the
 complement of F and every complement variable occurs as a pure power.
@@ -19,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from .simplicial import (
     Complex, ORDINARY, as_int, face_mask, json_fields, json_list, json_rows,
-    mask_vertices,
+    mask_vertices, minimal_transversals,
 )
 
 Monomial = tuple  # exponent tuple of length n
@@ -261,16 +265,11 @@ def stanley_reisner_ideal(cx: Complex) -> MonomialIdeal:
 
 @lru_cache(maxsize=None)
 def radical_complex(ideal: MonomialIdeal) -> Complex:
-    """The complex whose faces are the squarefree monomials outside radical(ideal)."""
-    if ideal.is_unit:
-        return Complex.void(ideal.n)
-    gen_masks = [support_mask(g) for g in ideal.gens]
-    faces = [
-        mask
-        for mask in range(1 << ideal.n)
-        if not any(gm & mask == gm for gm in gen_masks)
-    ]
-    return Complex._from_masks(ideal.n, faces)
+    """The complex whose faces are the squarefree monomials outside radical(ideal):
+    its facets are the complements of the minimal vertex covers of the supports."""
+    full = (1 << ideal.n) - 1
+    covers = minimal_transversals(support_mask(g) for g in ideal.gens)
+    return Complex._from_masks(ideal.n, [full & ~t for t in covers])
 
 
 # -- unmixed decompositions ---------------------------------------------------

@@ -8,12 +8,17 @@ are kept apart because homology conventions differ downstream:
 * irrelevant  -- the single face is the empty set,
 * ordinary    -- everything else.
 
-Face enumeration is colexicographic on bitmasks (numeric order of the mask),
-which fixes boundary-matrix rows/columns and makes all outputs reproducible.
+Vertex tuples are validated only at the boundary (constructor, link, star,
+JSON); internal paths pass masks, and the k-faces of a facet are its k-bit
+submasks.  Face enumeration is colexicographic on bitmasks (numeric order of
+the mask), which fixes boundary-matrix rows/columns and makes all outputs
+reproducible.  `minimal_transversals` (Berge) also builds degree and radical
+complexes.
 """
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -22,6 +27,9 @@ MAX_VERTICES = 64
 #: facets beyond which the rigidity oracles and cone generation refuse to
 #: enumerate facet selections (2^r of them)
 DEFAULT_FACET_CAP = 20
+
+#: complexes whose face lists stay cached at once (see _face_levels)
+FACE_CACHE_SIZE = 16
 
 VOID = "void"
 IRRELEVANT = "irrelevant"
@@ -78,6 +86,14 @@ def face_mask(vertices: Iterable[int], n: int) -> int:
     return m
 
 
+def mask_bits(mask: int) -> Iterator[int]:
+    """The one-bit masks of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def mask_vertices(mask: int) -> Face:
     """Sorted vertex tuple of a bitmask."""
     verts = []
@@ -91,13 +107,46 @@ def mask_vertices(mask: int) -> Face:
 
 
 def _maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    pool = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
     out: list[int] = []
-    for m in pool:
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
         if not any(m & o == m for o in out):
             out.append(m)
     out.sort()
     return tuple(out)
+
+
+def _minimal_masks(masks: Iterable[int]) -> list[int]:
+    out: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(o & m == o for o in out):
+            out.append(m)
+    return out
+
+
+def minimal_transversals(edges: Iterable[int]) -> list[int]:
+    """The minimal masks meeting every edge mask, in numeric order (Berge).
+
+    Edges are added one at a time: a transversal of the earlier edges that
+    meets the new edge stays minimal, one that misses it grows by each bit
+    of the edge, and the grown masks containing another transversal drop
+    out.  No edges give [0]; an empty edge gives no transversal at all.
+    """
+    trans = [0]
+    for e in _minimal_masks(edges):
+        if not e:
+            return []
+        hit = [t for t in trans if t & e]
+        grown = [t | b for t in trans if not t & e for b in mask_bits(e)]
+        trans = hit + [c for c in _minimal_masks(grown) if not any(h & c == h for h in hit)]
+    return sorted(trans)
+
+
+@lru_cache(maxsize=FACE_CACHE_SIZE)
+def _face_levels(cx: "Complex") -> list:
+    """Slot k: the k-vertex faces of cx once listed, shared by f_i and the
+    boundary matrices.  Bounded, unlike the five other lru_caches (homology,
+    ideals; ROADMAP item 6), whose keys keep complexes alive."""
+    return [None] * (cx.dim + 2)
 
 
 class Complex:
@@ -107,7 +156,7 @@ class Complex:
     vertices) and keeps the maximal ones; it is idempotent on facet sets.
     """
 
-    __slots__ = ("n", "_fmasks", "kind", "_hash")
+    __slots__ = ("n", "_fmasks", "kind", "dim", "_hash")
 
     def __init__(self, n: int, faces: Iterable[Iterable[int]]):
         if not 1 <= n <= MAX_VERTICES:
@@ -119,6 +168,8 @@ class Complex:
         fmasks = _maximal_masks(masks)
         self.n = n
         self._fmasks = fmasks
+        # max |F|-1; -1 if irrelevant, -2 if void (a below-everything sentinel)
+        self.dim = max((m.bit_count() for m in fmasks), default=-1) - 1
         if not fmasks:
             self.kind = VOID
         elif fmasks == (0,):
@@ -156,17 +207,6 @@ class Complex:
         return self._fmasks
 
     @property
-    def dim(self) -> int:
-        """max |F|-1 over facets; -1 for the irrelevant complex.
-
-        The void complex has no faces; -2 is returned as a below-everything
-        sentinel.
-        """
-        if self.kind == VOID:
-            return -2
-        return max(m.bit_count() for m in self._fmasks) - 1
-
-    @property
     def is_pure(self) -> bool:
         if self.kind == VOID:
             return True
@@ -182,16 +222,13 @@ class Complex:
             return []
         if i < -1 or i > self.dim:
             raise ValueError(f"dimension {i} out of range -1..{self.dim}")
-        if i == -1:
-            return [0]
-        found: set[int] = set()
-        for fm in self._fmasks:
-            verts = mask_vertices(fm)
-            if len(verts) < i + 1:
-                continue
-            for combo in combinations(verts, i + 1):
-                found.add(face_mask(combo, self.n))
-        return sorted(found)
+        levels = _face_levels(self)
+        if levels[i + 1] is None:
+            found: set[int] = set()
+            for fm in self._fmasks:
+                found.update(map(sum, combinations(mask_bits(fm), i + 1)))
+            levels[i + 1] = sorted(found)
+        return list(levels[i + 1])
 
     def faces(self, i: int) -> list[Face]:
         """All i-faces as sorted vertex tuples, colex order."""
@@ -211,9 +248,13 @@ class Complex:
     def link(self, face: Iterable[int]) -> "Complex":
         """Faces G disjoint from `face` with G u face in the complex."""
         m = face_mask(face, self.n)
-        stars = [fm for fm in self._fmasks if fm & m == m]
-        if not stars:
+        if not self.has_face_mask(m):
             raise ValueError(f"{mask_vertices(m)} is not a face")
+        return self._link_mask(m)
+
+    def _link_mask(self, m: int) -> "Complex":
+        """link() of a face given as a mask, which must be a face."""
+        stars = [fm for fm in self._fmasks if fm & m == m]
         return Complex._from_masks(self.n, [fm & ~m for fm in stars])
 
     def star(self, face: Iterable[int]) -> "Complex":
@@ -232,15 +273,9 @@ class Complex:
             raise ValueError(f"skeleton index {i} out of range -1..{self.dim}")
         if i == self.dim:
             return self
-        masks: list[int] = []
-        for fm in self._fmasks:
-            verts = mask_vertices(fm)
-            if len(verts) - 1 <= i:
-                masks.append(fm)
-            else:
-                for combo in combinations(verts, i + 1):
-                    masks.append(face_mask(combo, self.n))
-        return Complex._from_masks(self.n, masks)
+        # the i-faces and the facets of lower dimension
+        low = [fm for fm in self._fmasks if fm.bit_count() <= i]
+        return Complex._from_masks(self.n, self.face_masks_of_dim(i) + low)
 
     def facet_subcomplex(self, indices: Iterable[int]) -> "Complex":
         """Complex generated by the selected facets (canonical-order indices)."""

@@ -14,7 +14,8 @@ from srdepth import (
 from srdepth.cones import ConeUnion, _prune, _symbols_for, fourcycle_complex
 from srdepth.criteria import degree_complex, negative_support
 from srdepth.homology import RATIONALS, depth_stanley_reisner, reduced_betti
-from srdepth.ideals import radical_complex
+from srdepth.ideals import radical_complex, support_mask
+from srdepth.simplicial import face_mask, mask_vertices
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -67,6 +68,18 @@ def random_pure_complex(rng: random.Random, n_max=7, r_max=5) -> Complex:
     return Complex(n, rng.sample(all_facets, r))
 
 
+def mixed_complex_corpus(count=250, n_max=8, seed=8) -> list:
+    """Seeded complexes with facets of mixed sizes (candidates may nest or be
+    empty) on up to n_max vertices, plus the projective plane."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, n_max)
+        cands = [rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(1, 6))]
+        out.append(Complex(n, cands))
+    return out + [Complex(6, RP2_FACETS)]
+
+
 def random_ideal(rng: random.Random, n_max=4, gens_max=6, exp_max=3) -> MonomialIdeal:
     n = rng.randint(1, n_max)
     while True:
@@ -109,6 +122,61 @@ def random_decomposition(rng: random.Random, n_max=5, r_max=4, exp_max=3) -> Dec
         else:
             comps.append(random_primary(rng, cx.n, f, exp_max))
     return Decomposition(cx, comps)
+
+
+# -- tuple and 2^n oracles of the mask kernel ----------------------------------------
+
+def combination_faces(cx: Complex, i: int) -> list:
+    """The i-faces as masks in colex order, by vertex-tuple combinations of
+    each facet, every vertex validated through face_mask."""
+    found = set()
+    for f in cx.facets:
+        for combo in combinations(f, i + 1):
+            found.add(face_mask(combo, cx.n))
+    return sorted(found)
+
+
+def tuple_boundary_matrix(cx: Complex, i: int) -> list:
+    """boundary_matrix through vertex tuples: removing the vertex at position
+    k of a sorted i-face gives the entry (-1)^k."""
+    cols = combination_faces(cx, i) if i <= cx.dim else []
+    rows = combination_faces(cx, i - 1) if i - 1 <= cx.dim else []
+    row_index = {m: r for r, m in enumerate(rows)}
+    mat = [[0] * len(cols) for _ in rows]
+    for c, fm in enumerate(cols):
+        for k, v in enumerate(mask_vertices(fm)):
+            mat[row_index[fm & ~(1 << (v - 1))]][c] = -1 if k % 2 else 1
+    return mat
+
+
+def swept_degree_complex(ideal: MonomialIdeal, a) -> Complex:
+    """degree_complex by sweeping all F between G_a and {1..n}: x^a lies in
+    the ideal localized at F iff some excess support {j : e_j > a_j} is in F."""
+    n = ideal.n
+    gmask = negative_support(a)
+    excess = [support_mask([e > x for e, x in zip(g, a)]) for g in ideal.gens]
+    free = ((1 << n) - 1) & ~gmask
+    qualifying = []
+    sub = free
+    while True:
+        f = gmask | sub
+        if not any(d & f == d for d in excess):
+            qualifying.append(f & ~gmask)
+        if sub == 0:
+            break
+        sub = (sub - 1) & free
+    return Complex._from_masks(n, qualifying)
+
+
+def swept_radical_complex(ideal: MonomialIdeal) -> Complex:
+    """radical_complex by testing all 2^n vertex sets against the supports."""
+    gen_masks = [support_mask(g) for g in ideal.gens]
+    faces = [
+        mask
+        for mask in range(1 << ideal.n)
+        if not any(gm & mask == gm for gm in gen_masks)
+    ]
+    return Complex._from_masks(ideal.n, faces)
 
 
 # -- raw-box local cohomology oracle -----------------------------------------------

@@ -339,6 +339,23 @@ def test_json_refuses_out_of_range_indices(reference, path, value, message):
         ConeUnion.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("facets", 0), [1, 9], "vertex 9 out of range 1..4"),
+        (("facets", 0), [1, 1], r"facet \[1, 1\] repeats a vertex"),
+        (("facets", 1), [1, 2], r"facet \[1, 2\] is repeated"),
+        (("facets",), [[1, 2], [1]], r"facet \[1\] is repeated or lies in another"),
+        (("facets",), [[1, 2], [3]], "same size"),
+    ],
+)
+def test_json_refuses_malformed_facets(reference, path, value, message):
+    data = reference.to_json_dict()
+    _set_path(data, path, value)
+    with pytest.raises(ValueError, match=message):
+        ConeUnion.from_json_dict(data)
+
+
 def test_json_refuses_missing_fields(reference):
     for key in ("n", "facets", "symbols", "disjuncts"):
         data = reference.to_json_dict()

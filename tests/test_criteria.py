@@ -7,6 +7,7 @@ import pytest
 
 from srdepth.cones import fourcycle_assignment, fourcycle_reference_system
 from srdepth.criteria import (
+    _class_grid,
     degree_complex,
     degree_complex_facet_form,
     degree_complex_unmixed,
@@ -41,6 +42,7 @@ from tests.conftest import (
     random_primary,
     random_pure_complex,
     raw_local_cohomology,
+    swept_degree_complex,
 )
 
 F2 = prime_field(2)
@@ -121,6 +123,25 @@ def test_degree_complex_purity():
             g = negative_support(a).bit_count()
             assert cx.is_pure
             assert cx.dim == dec.delta.dim - g
+
+
+def test_degree_complex_matches_sweep_oracle():
+    # every class-grid degree (negative coordinates included) of 90 ideals
+    rng = random.Random(14)
+    for k in range(90):
+        n = 2 + k % 6
+        gens = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        ideal = MonomialIdeal(n, gens)
+        for a in product(*_class_grid(n, ideal.gens, local=True)):
+            assert degree_complex(ideal, a) == swept_degree_complex(ideal, a), (ideal, a)
+
+
+def test_degree_complex_edge_cases():
+    # the zero ideal gives the simplex on the free coordinates; a generator
+    # whose excess lies in G_a gives the void complex
+    assert degree_complex(MonomialIdeal(3, []), (-1, 0, 5)).facets == ((2, 3),)
+    assert degree_complex(MonomialIdeal(2, [(2, 0)]), (-1, 0)).kind == VOID
+    assert degree_complex(MonomialIdeal(2, [(0, 0)]), (0, 0)).kind == VOID
 
 
 def test_negative_coordinates_only_matter_by_sign():

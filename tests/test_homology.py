@@ -16,8 +16,8 @@ from srdepth.homology import (
     rank_mod_p,
     reduced_betti,
 )
-from srdepth.simplicial import Complex
-from tests.conftest import random_pure_complex
+from srdepth.simplicial import VOID, Complex
+from tests.conftest import mixed_complex_corpus, random_pure_complex, tuple_boundary_matrix
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -90,6 +90,14 @@ def test_boundary_composition_is_zero(fourcycle, rp2):
                     assert (
                         sum(d_prev[r][k] * d_i[k][c] for k in range(len(d_i))) == 0
                     )
+
+
+def test_boundary_matrices_match_tuple_oracle():
+    for cx in mixed_complex_corpus():
+        if cx.kind == VOID:
+            continue
+        for i in range(cx.dim + 2):
+            assert boundary_matrix(cx, i) == tuple_boundary_matrix(cx, i), (cx, i)
 
 
 def test_augmentation_row(fourcycle):

@@ -22,6 +22,7 @@ from tests.conftest import (
     VEC_EQUAL_1,
     fourcycle_decomposition,
     random_ideal,
+    swept_radical_complex,
 )
 
 
@@ -354,6 +355,25 @@ def test_radical_complex_on_random_ideals():
         for mask in range(1 << ideal.n):
             vec = tuple(mask >> j & 1 for j in range(ideal.n))
             assert cx.has_face_mask(mask) == (not rad.contains(vec))
+
+
+def test_radical_complex_matches_sweep_oracle():
+    rng = random.Random(6)
+    for _ in range(250):
+        ideal = random_ideal(rng, n_max=8, gens_max=7, exp_max=2)
+        assert radical_complex(ideal) == swept_radical_complex(ideal), ideal
+    for ideal in (MonomialIdeal(3, []), MonomialIdeal(3, [(0, 0, 0)])):
+        assert radical_complex(ideal) == swept_radical_complex(ideal)
+
+
+def test_radical_complex_in_many_variables():
+    # minimal vertex covers of {1,2} and {3,4}: no 2^40 sweep
+    n = 40
+    gens = [[1, 1] + [0] * 38, [0, 0, 1, 1] + [0] * 36]
+    cx = radical_complex(MonomialIdeal(n, gens))
+    full = set(range(1, n + 1))
+    assert set(cx.facets) == {tuple(sorted(full - {i, j})) for i in (1, 2) for j in (3, 4)}
+    assert all(len(f) == 38 for f in cx.facets)
 
 
 def test_json_round_trip_ideal():

@@ -3,14 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srdepth import simplicial
 from srdepth.simplicial import (
     Complex,
+    FACE_CACHE_SIZE,
     IRRELEVANT,
     ORDINARY,
     VOID,
     face_mask,
     mask_vertices,
+    minimal_transversals,
 )
+from tests.conftest import combination_faces, mixed_complex_corpus
 
 
 def brute_faces(cx: Complex) -> set:
@@ -106,6 +110,56 @@ def test_face_counts_match_brute_force(cx):
     oracle = brute_faces(cx)
     for i in range(-1, cx.dim + 1):
         assert set(cx.faces(i)) == {f for f in oracle if len(f) == i + 1}
+
+
+def test_submask_faces_match_combination_oracle():
+    for cx in mixed_complex_corpus():
+        for i in range(-1, cx.dim + 1):
+            assert cx.face_masks_of_dim(i) == combination_faces(cx, i), (cx, i)
+
+
+def test_face_cache_stays_bounded():
+    info = simplicial._face_levels.cache_info
+    assert info().maxsize == FACE_CACHE_SIZE
+    for m in range(1, 1001):
+        cx = Complex._from_masks(10, [m])
+        assert cx.face_masks_of_dim(0) == [b for b in (1 << j for j in range(10)) if m & b]
+        assert info().currsize <= FACE_CACHE_SIZE
+
+
+def test_cached_face_list_is_not_shared_with_callers(fourcycle):
+    fourcycle.face_masks_of_dim(0).clear()
+    assert fourcycle.face_masks_of_dim(0) == [1, 2, 4, 8]
+
+
+# -- minimal transversals ----------------------------------------------------------------
+
+def brute_minimal_transversals(edges, n):
+    hitting = [m for m in range(1 << n) if all(m & e for e in edges)]
+    return [m for m in hitting if not any(h != m and h & m == h for h in hitting)]
+
+
+def test_transversals_of_no_edges_and_of_an_empty_edge():
+    assert minimal_transversals([]) == [0]
+    assert minimal_transversals([0b11, 0]) == []
+    assert minimal_transversals([0]) == []
+
+
+def test_transversals_ignore_duplicate_and_nested_edges():
+    base = minimal_transversals([0b011, 0b110])
+    assert base == [0b010, 0b101]
+    assert minimal_transversals([0b011, 0b110, 0b011, 0b111, 0b110]) == base
+
+
+def test_transversals_are_the_minimal_antichain():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        edges = [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))]
+        out = minimal_transversals(edges)
+        assert out == sorted(out)
+        assert not any(a != b and a & b == a for a in out for b in out)
+        assert out == brute_minimal_transversals(edges, n), edges
 
 
 # -- link / star / skeleton -----------------------------------------------------------
