@@ -1,10 +1,16 @@
 """Reduced simplicial homology over Q or F_p, exactly.
 
 Ranks of boundary matrices are computed with fraction-free (Bareiss-style)
-integer elimination over the rationals and plain Gaussian elimination over
-prime fields; no floating point anywhere.  On top of the homology kernel sit
-Reisner's Cohen-Macaulay criterion and Hochster's formula for the depth of a
-Stanley-Reisner ring.
+integer elimination over the rationals, Gaussian elimination over odd prime
+fields and XOR elimination of column bitsets over F_2; no floating point
+anywhere.  On top of the homology kernel sit Reisner's Cohen-Macaulay
+criterion and Hochster's formula for the depth of a Stanley-Reisner ring.
+
+Both read the least i with H~_i != 0.  Over Q that scan resumes where the
+F_2 scan stopped: an integer matrix has rank over Q at least its rank over
+F_p, so b_i(Q) <= b_i(F_2).  H~_0 and the top homology are free, and below
+the first F_2 index there is no 2-torsion, so Q agrees with an F_2 answer of
+0 or dim; Bareiss runs only strictly between, where torsion can appear.
 
 Conventions for degenerate complexes (needed by the local-cohomology code):
 the irrelevant complex {0} has H~_{-1} = K and nothing else; the void complex
@@ -55,6 +61,7 @@ class FieldSpec:
 
 
 RATIONALS = FieldSpec()
+_F2 = FieldSpec(2)
 
 
 def prime_field(p: int) -> FieldSpec:
@@ -167,11 +174,39 @@ def boundary_matrix(cx: Complex, i: int) -> list[list[int]]:
     return mat
 
 
-@lru_cache(maxsize=None)
-def _boundary_rank(cx: Complex, i: int, field: FieldSpec) -> int:
+def _rank_f2(cx: Complex, i: int) -> int:
+    """Rank of boundary_matrix(cx, i) over F_2: each column, the bitset of
+    its rows, is XOR-reduced against pivots keyed by their leading bit."""
+    row_bit = {m: 1 << r for r, m in enumerate(cx.face_masks_of_dim(i - 1))}
+    pivots: dict[int, int] = {}
+    for fm in cx.face_masks_of_dim(i):
+        col = 0
+        for b in mask_bits(fm):
+            col |= row_bit[fm ^ b]
+        while col:
+            piv = pivots.get(col.bit_length())
+            if piv is None:
+                pivots[col.bit_length()] = col
+                break
+            col ^= piv
+        if len(pivots) == len(row_bit):
+            break
+    return len(pivots)
+
+
+def _rank(cx: Complex, i: int, field: FieldSpec) -> int:
+    """Rank of the boundary map d_i of cx; 0 outside 0..dim."""
     if cx.kind != ORDINARY or i < 0 or i > cx.dim:
         return 0
+    if field.p == 2:
+        return _rank_f2(cx, i)
     return matrix_rank(boundary_matrix(cx, i), field)
+
+
+#: ranks cached for the per-index reduced_betti loops; min_nonzero_betti ranks directly
+RANK_CACHE_SIZE = 64
+
+_boundary_rank = lru_cache(maxsize=RANK_CACHE_SIZE)(_rank)
 
 
 def _is_cone(cx: Complex) -> bool:
@@ -202,14 +237,30 @@ def reduced_betti(cx: Complex, i: int, field: FieldSpec = RATIONALS) -> int:
 
 @lru_cache(maxsize=None)
 def min_nonzero_betti(cx: Complex, field: FieldSpec) -> Optional[int]:
-    """Least i with H~_i(cx) != 0, or None if all reduced homology vanishes."""
+    """Least i with H~_i(cx) != 0, or None if all reduced homology vanishes.
+
+    While lower Betti numbers vanish, rank d_i follows from the face counts,
+    so index i needs only rank d_{i+1}.  Over Q see the module docstring.
+    """
     if cx.kind == VOID:
         return None
     if cx.kind == IRRELEVANT:
         return -1
-    for i in range(-1, cx.dim + 1):
-        if reduced_betti(cx, i, field):
+    if _is_cone(cx):
+        return None
+    start = 0
+    if field.is_rationals:
+        start = min_nonzero_betti(cx, _F2)
+        if start is None or start == 0 or start == cx.dim:
+            return start
+    r = 1  # the augmentation d_0 has rank 1
+    for j in range(start):
+        r = len(cx.face_masks_of_dim(j)) - r
+    for i in range(start, cx.dim + 1):
+        r_next = _rank(cx, i + 1, field)
+        if len(cx.face_masks_of_dim(i)) - r - r_next:
             return i
+        r = r_next
     return None
 
 
@@ -238,9 +289,9 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
     for fm in cx.all_face_masks():
         lk = cx._link_mask(fm)
-        for i in range(-1, lk.dim):
-            if reduced_betti(lk, i, field):
-                return CMResult(False, mask_vertices(fm), i)
+        low = min_nonzero_betti(lk, field)
+        if low is not None and low < lk.dim:
+            return CMResult(False, mask_vertices(fm), low)
     return CMResult(True)
 
 

@@ -144,7 +144,7 @@ def minimal_transversals(edges: Iterable[int]) -> list[int]:
 @lru_cache(maxsize=FACE_CACHE_SIZE)
 def _face_levels(cx: "Complex") -> list:
     """Slot k: the k-vertex faces of cx once listed, shared by f_i and the
-    boundary matrices.  Bounded, unlike the five other lru_caches (homology,
+    boundary matrices.  Bounded, unlike the four other lru_caches (homology,
     ideals; ROADMAP item 6), whose keys keep complexes alive."""
     return [None] * (cx.dim + 2)
 

@@ -13,9 +13,11 @@ from srdepth import (
 )
 from srdepth.cones import ConeUnion, _prune, _symbols_for, fourcycle_complex
 from srdepth.criteria import degree_complex, negative_support
-from srdepth.homology import RATIONALS, depth_stanley_reisner, reduced_betti
+from srdepth.homology import (
+    RATIONALS, boundary_matrix, depth_stanley_reisner, matrix_rank, reduced_betti,
+)
 from srdepth.ideals import radical_complex, support_mask
-from srdepth.simplicial import face_mask, mask_vertices
+from srdepth.simplicial import IRRELEVANT, VOID, face_mask, mask_vertices
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -177,6 +179,26 @@ def swept_radical_complex(ideal: MonomialIdeal) -> Complex:
         if not any(gm & mask == gm for gm in gen_masks)
     ]
     return Complex._from_masks(ideal.n, faces)
+
+
+# -- index-by-index homology oracle ------------------------------------------------
+
+def generic_min_nonzero_betti(cx: Complex, field=RATIONALS):
+    """min_nonzero_betti with every reduced Betti number from dense boundary
+    matrices ranked over the field itself, index by index from -1."""
+    if cx.kind == VOID:
+        return None
+    if cx.kind == IRRELEVANT:
+        return -1
+
+    def rank(i):
+        return matrix_rank(boundary_matrix(cx, i), field) if 0 <= i <= cx.dim else 0
+
+    for i in range(-1, cx.dim + 1):
+        f_i = 1 if i == -1 else len(cx.face_masks_of_dim(i))
+        if f_i - rank(i) - rank(i + 1):
+            return i
+    return None
 
 
 # -- raw-box local cohomology oracle -----------------------------------------------

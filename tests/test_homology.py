@@ -4,20 +4,31 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srdepth import homology
 from srdepth.homology import (
     FieldSpec,
+    RANK_CACHE_SIZE,
     RATIONALS,
+    _boundary_rank,
+    _rank_f2,
     boundary_matrix,
     depth_stanley_reisner,
     is_cohen_macaulay,
     matrix_rank,
+    min_nonzero_betti,
     prime_field,
     rank_fraction_free,
     rank_mod_p,
     reduced_betti,
 )
-from srdepth.simplicial import VOID, Complex
-from tests.conftest import mixed_complex_corpus, random_pure_complex, tuple_boundary_matrix
+from srdepth.simplicial import VOID, Complex, mask_vertices
+from tests.conftest import (
+    RP2_FACETS,
+    generic_min_nonzero_betti,
+    mixed_complex_corpus,
+    random_pure_complex,
+    tuple_boundary_matrix,
+)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -173,6 +184,83 @@ def test_euler_poincare(fourcycle, rp2, two_big_facets):
     for cx in (fourcycle, rp2, two_big_facets, Complex(5, [(1, 2, 3), (4, 5)])):
         for field in (RATIONALS, F2, F3):
             assert euler_check(cx, field)
+
+
+def test_rank_f2_matches_dense_rank_mod_2():
+    for cx in mixed_complex_corpus():
+        if cx.kind != VOID:
+            for i in range(cx.dim + 1):
+                assert _rank_f2(cx, i) == rank_mod_p(boundary_matrix(cx, i), 2), (cx, i)
+
+
+def test_rank_cache_stays_bounded():
+    info = _boundary_rank.cache_info
+    assert info().maxsize == RANK_CACHE_SIZE
+    for m in range(1, 1001):
+        cx = Complex._from_masks(11, [m, m << 1])
+        for i in range(-1, cx.dim + 1):
+            reduced_betti(cx, i, RATIONALS)
+        assert info().currsize <= RANK_CACHE_SIZE
+
+
+# -- least nonvanishing index ----------------------------------------------------------
+
+def test_min_nonzero_betti_matches_generic_oracle():
+    for cx in mixed_complex_corpus():
+        for field in (RATIONALS, F2, F3):
+            expected = generic_min_nonzero_betti(cx, field)
+            assert min_nonzero_betti(cx, field) == expected, (cx, field)
+
+
+def test_cm_certificate_matches_generic_oracle():
+    for cx in mixed_complex_corpus(count=60, seed=9):
+        if cx.kind == VOID:
+            continue
+        for field in (RATIONALS, F2, F3):
+            expected = (True, None, None)
+            for fm in cx.all_face_masks():
+                lk = cx._link_mask(fm)
+                low = generic_min_nonzero_betti(lk, field)
+                if low is not None and low < lk.dim:
+                    expected = (False, mask_vertices(fm), low)
+                    break
+            res = is_cohen_macaulay(cx, field)
+            assert (res.cm, res.face, res.index) == expected, (cx, field)
+
+
+RP2_CONE = [f + (7,) for f in RP2_FACETS]
+RP2_SUSPENSION = RP2_CONE + [f + (8,) for f in RP2_FACETS]
+
+
+@pytest.mark.parametrize("n, facets, lows, depths", [
+    (6, RP2_FACETS, (None, 1), (3, 2)),
+    (7, RP2_CONE, (None, None), (4, 3)),
+    # the Q scan resumes at the F_2 index 2 and finds nothing up to dim 3
+    (8, RP2_SUSPENSION, (None, 2), (4, 3)),
+])
+def test_two_torsion_routes(n, facets, lows, depths):
+    cx = Complex(n, facets)
+    assert tuple(min_nonzero_betti(cx, f) for f in (RATIONALS, F2)) == lows
+    assert tuple(depth_stanley_reisner(cx, f) for f in (RATIONALS, F2)) == depths
+
+
+@pytest.mark.parametrize("n, facets, most", [
+    # the octahedral 2-sphere: every link's F_2 answer is 0 or its dim
+    (6, [(a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)], 0),
+    (8, RP2_SUSPENSION, 2),
+])
+def test_rational_depth_ranks_over_q_only_where_torsion_can_appear(monkeypatch, n, facets, most):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rank_fraction_free(rows)
+
+    monkeypatch.setattr(homology, "rank_fraction_free", counted)
+    for cache in (min_nonzero_betti, depth_stanley_reisner, _boundary_rank):
+        cache.cache_clear()
+    depth_stanley_reisner(Complex(n, facets), RATIONALS)
+    assert len(calls) <= most
 
 
 # -- Cohen-Macaulayness ------------------------------------------------------------------
