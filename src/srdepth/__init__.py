@@ -39,7 +39,6 @@ from .criteria import (
     depth_equals_radical,
     depth_via_koszul,
     depth_via_local_cohomology,
-    depth_via_local_cohomology_unmixed,
     local_cohomology_table,
 )
 from .rigid import (
@@ -92,7 +91,6 @@ __all__ = [
     "LocalCohomologyCell",
     "local_cohomology_table",
     "depth_via_local_cohomology",
-    "depth_via_local_cohomology_unmixed",
     "depth_via_koszul",
     "DepthEqualsRadicalVerdict",
     "depth_equals_radical",

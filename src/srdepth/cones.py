@@ -18,14 +18,13 @@ facet; facet indices follow the canonical facet order of the complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import prod
 from typing import Mapping, Optional, Sequence
 
 from .homology import FieldSpec, RATIONALS, depth_stanley_reisner
 from .simplicial import (
-    Complex, DEFAULT_FACET_CAP, ORDINARY, as_int, face_mask, json_fields, json_list,
-    json_rows,
+    Complex, ORDINARY, _minimal_masks, as_int, face_mask, json_fields, json_list, json_rows,
 )
 
 Symbol = tuple[int, int]  # (facet index, variable index)
@@ -33,15 +32,6 @@ Atom = tuple[int, int]  # (left symbol position, right symbol position): left >=
 
 #: largest number of candidate conjunctions one expansion step may list
 MAX_CONE_CANDIDATES = 10**4
-
-
-def _prune_masks(masks: Sequence[int]) -> list[int]:
-    """_prune for conjunctions held as bitmasks over atom indices."""
-    kept: list[int] = []
-    for d in sorted(set(masks), key=int.bit_count):
-        if not any(k & d == k for k in kept):
-            kept.append(d)
-    return kept
 
 
 def _prune(disjuncts: Sequence[frozenset]) -> tuple[frozenset, ...]:
@@ -165,9 +155,7 @@ def _symbols_for(cx: Complex) -> tuple[Symbol, ...]:
     return tuple(syms)
 
 
-def generate_cone_union(
-    cx: Complex, field: FieldSpec = RATIONALS, max_facets: int = DEFAULT_FACET_CAP
-) -> ConeUnion:
+def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     """Emit the union of cones characterizing depth equality over cx.
 
     Each facet selection Γ of depth below t contributes the formula
@@ -183,17 +171,17 @@ def generate_cone_union(
     each step; conjunctions are bitmasks over atom indices until the end.
 
     A step whose product would list more than MAX_CONE_CANDIDATES candidate
-    conjunctions is refused with a ValueError before it is expanded.
+    conjunctions is refused with a ValueError before it is expanded, and a
+    complex beyond simplicial.DEFAULT_FACET_CAP facets before any depth.
     """
     if cx.kind != ORDINARY or not cx.is_pure:
         raise ValueError("cone generation needs an ordinary pure complex")
-    r = len(cx.facet_masks)
-    if r > max_facets:
-        raise ValueError(f"{r} facets exceed the enumeration cap {max_facets}")
+    selections = cx.proper_facet_selections()
     t = depth_stanley_reisner(cx, field)
     symbols = _symbols_for(cx)
     sym_pos = {s: k for k, s in enumerate(symbols)}
     masks = cx.facet_masks
+    r = len(masks)
     outside_vars = [
         [j for j in range(1, cx.n + 1) if not fm >> (j - 1) & 1] for fm in masks
     ]
@@ -207,8 +195,7 @@ def generate_cone_union(
 
     low_depth_selections = (
         selection
-        for k in range(1, r)
-        for selection in combinations(range(r), k)
+        for selection in selections
         if depth_stanley_reisner(cx.facet_subcomplex(selection), field) < t
     )
 
@@ -241,7 +228,7 @@ def generate_cone_union(
             for c in per_var:
                 terms = [d | b for d in terms for b in c]
             local += terms
-        dnf = _prune_masks([d | c for d in dnf for c in local])
+        dnf = _minimal_masks([d | c for d in dnf for c in local])
         if not dnf:
             break
     return ConeUnion(

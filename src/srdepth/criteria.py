@@ -20,8 +20,10 @@ breakpoint class of each coordinate, its smallest point, instead of every
 degree of the box, and `local_cohomology_table` reports one cell per class
 and index, with the number of degrees the class covers.
 
-Depth is computed by the local-cohomology scan.  A multigraded Koszul-complex
-depth is kept as an independent oracle for the tests and `srdepth audit`.
+Depth is computed by one local-cohomology scan, depth_via_local_cohomology;
+an unmixed decomposition is scanned through its intersection ideal.  A
+multigraded Koszul-complex depth is kept as an independent oracle for the
+tests and `srdepth audit`.
 """
 from __future__ import annotations
 
@@ -172,29 +174,6 @@ def _class_grid(n: int, gens, local: bool) -> list[list[int]]:
     return grid
 
 
-def _least_nonvanishing_index(pairs, field: FieldSpec) -> int:
-    """Least i with H^i_m(S/I) != 0, from (|G_a|, degree complex) pairs.
-
-    A degree complex contributes |G_a| + 1 + (least index of its nonzero
-    reduced homology); the pairs are consumed lazily and the scan stops at 0.
-    """
-    best: Optional[int] = None
-    for g, cx in pairs:
-        if cx.kind == VOID:
-            continue
-        low = min_nonzero_betti(cx, field)
-        if low is None:
-            continue
-        cand = g + 1 + low
-        if best is None or cand < best:
-            best = cand
-            if best == 0:
-                break
-    if best is None:
-        raise AssertionError("no nonvanishing local cohomology found")
-    return best
-
-
 def _class_scan(ideal: MonomialIdeal):
     """(a, |G_a|, degree complex) at each class representative a of the local
     grid whose G_a is a face of the radical's complex (elsewhere H_m vanishes)."""
@@ -212,29 +191,27 @@ def depth_via_local_cohomology(
 
     The scan is exact on the finite grid {-1} x {0..rho_j - 1} per coordinate:
     degrees with a_j >= rho_j vanish outright and all negative values behave
-    like -1.  It visits one degree per breakpoint class of that grid.
+    like -1.  It visits one degree per breakpoint class of that grid.  A
+    degree complex contributes |G_a| + 1 + (least index of its nonzero
+    reduced homology); the scan is lazy and stops at 0.
     """
     if not ideal.is_proper_nonzero:
         raise ValueError("depth needs a proper nonzero ideal")
-    return _least_nonvanishing_index(
-        ((g, cx) for _, g, cx in _class_scan(ideal)), field
-    )
-
-
-def depth_via_local_cohomology_unmixed(
-    dec: Decomposition, field: FieldSpec = RATIONALS
-) -> int:
-    """Same scan as depth_via_local_cohomology using the facet-local degree
-    complex, which avoids expanding the intersection ideal; the breakpoints
-    come from the generators of every component."""
-    gens = [g for comp in dec.components for g in comp.gens]
-    return _least_nonvanishing_index(
-        (
-            (negative_support(a).bit_count(), degree_complex_unmixed(dec, a))
-            for a in product(*_class_grid(dec.n, gens, local=True))
-        ),
-        field,
-    )
+    best: Optional[int] = None
+    for _, g, cx in _class_scan(ideal):
+        if cx.kind == VOID:
+            continue
+        low = min_nonzero_betti(cx, field)
+        if low is None:
+            continue
+        cand = g + 1 + low
+        if best is None or cand < best:
+            best = cand
+            if best == 0:
+                break
+    if best is None:
+        raise AssertionError("no nonvanishing local cohomology found")
+    return best
 
 
 def local_cohomology_table(

@@ -278,7 +278,6 @@ class CMResult:
         return self.cm
 
 
-@lru_cache(maxsize=None)
 def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     """Reisner's criterion: every link has vanishing homology below its dimension.
 

@@ -347,13 +347,6 @@ class Decomposition:
             max(c.max_exponents()[j] for c in self.components) for j in range(self.n)
         )
 
-    def validate(self) -> tuple[bool, Optional[Face]]:
-        """Re-run the primary checks; returns (ok, offending facet)."""
-        for fm, ideal in zip(self.delta.facet_masks, self.components):
-            if primary_violation(self.n, fm, ideal) is not None:
-                return False, mask_vertices(fm)
-        return True, None
-
     def to_json_dict(self) -> dict:
         return {
             "complex": self.delta.to_json_dict(),

@@ -8,7 +8,8 @@ Stanley-Reisner ring.  It is the one route the verdicts use.  Two
 homological routes (all proper facet selections keep depth >= t; all their
 (t-1)-skeletons are Cohen-Macaulay) are kept as oracles for the tests and
 `srdepth audit`, along with a randomized stability sampler over concrete
-ideal classes.
+ideal classes.  Both routes walk Complex.proper_facet_selections, which
+refuses complexes beyond simplicial.DEFAULT_FACET_CAP facets.
 """
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .criteria import depth_via_local_cohomology_unmixed
+from .criteria import depth_via_local_cohomology
 from .homology import FieldSpec, RATIONALS, depth_stanley_reisner, is_cohen_macaulay, prime_field
 from .ideals import Decomposition, irreducible_ideal, prime_power_ideal
-from .simplicial import Complex, DEFAULT_FACET_CAP, ORDINARY, face_mask
+from .simplicial import Complex, ORDINARY, face_mask
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,6 @@ def _require_pure(cx: Complex) -> None:
         raise ValueError("rigidity is defined for pure complexes")
 
 
-def _check_cap(cx: Complex, max_facets: int) -> None:
-    if len(cx.facet_masks) > max_facets:
-        raise ValueError(
-            f"{len(cx.facet_masks)} facets exceed the enumeration cap {max_facets}"
-        )
-
-
 def is_rigid_by_intersections(cx: Complex, t: int) -> RigidVerdict:
     """Combinatorial test: |F_{i_1} n ... n F_{i_k}| >= t - k + 1 for all
     1 <= k <= min(r, t).  First violating tuple is the certificate."""
@@ -75,42 +69,34 @@ def is_rigid_by_intersections(cx: Complex, t: int) -> RigidVerdict:
     return RigidVerdict(True, t)
 
 
-def is_rigid_by_subcomplex_depths(
-    cx: Complex, field: FieldSpec = RATIONALS, max_facets: int = DEFAULT_FACET_CAP
-) -> RigidVerdict:
+def is_rigid_by_subcomplex_depths(cx: Complex, field: FieldSpec = RATIONALS) -> RigidVerdict:
     """Homological test: every proper nonempty facet selection has depth >= t."""
     _require_pure(cx)
-    _check_cap(cx, max_facets)
+    selections = cx.proper_facet_selections()
     t = depth_stanley_reisner(cx, field)
-    r = len(cx.facet_masks)
-    for k in range(1, r):
-        for idx in combinations(range(r), k):
-            gamma = cx.facet_subcomplex(idx)
-            d = depth_stanley_reisner(gamma, field)
-            if d < t:
-                return RigidVerdict(False, t, subcomplex=gamma, subcomplex_depth=d)
+    for idx in selections:
+        gamma = cx.facet_subcomplex(idx)
+        d = depth_stanley_reisner(gamma, field)
+        if d < t:
+            return RigidVerdict(False, t, subcomplex=gamma, subcomplex_depth=d)
     return RigidVerdict(True, t)
 
 
-def is_rigid_by_skeleton_cm(
-    cx: Complex, field: FieldSpec = RATIONALS, max_facets: int = DEFAULT_FACET_CAP
-) -> RigidVerdict:
+def is_rigid_by_skeleton_cm(cx: Complex, field: FieldSpec = RATIONALS) -> RigidVerdict:
     """Homological test: the (t-1)-skeleton of every proper facet selection is
     Cohen-Macaulay."""
     _require_pure(cx)
-    _check_cap(cx, max_facets)
+    selections = cx.proper_facet_selections()
     t = depth_stanley_reisner(cx, field)
-    r = len(cx.facet_masks)
-    for k in range(1, r):
-        for idx in combinations(range(r), k):
-            gamma = cx.facet_subcomplex(idx)
-            if not is_cohen_macaulay(gamma.skeleton(t - 1), field):
-                return RigidVerdict(
-                    False,
-                    t,
-                    subcomplex=gamma,
-                    subcomplex_depth=depth_stanley_reisner(gamma, field),
-                )
+    for idx in selections:
+        gamma = cx.facet_subcomplex(idx)
+        if not is_cohen_macaulay(gamma.skeleton(t - 1), field):
+            return RigidVerdict(
+                False,
+                t,
+                subcomplex=gamma,
+                subcomplex_depth=depth_stanley_reisner(gamma, field),
+            )
     return RigidVerdict(True, t)
 
 
@@ -179,7 +165,7 @@ def sample_depth_stability(
         dec = Decomposition(
             cx, [irreducible_ideal(n, f, e) for f, e in zip(facets, exps)]
         )
-        d = depth_via_local_cohomology_unmixed(dec, field)
+        d = depth_via_local_cohomology(dec.intersection(), field)
         report.samples += 1
         if d != t:
             report.mismatches.append(StabilitySample("irreducible", exps, d))
@@ -188,7 +174,7 @@ def sample_depth_stability(
         dec = Decomposition(
             cx, [prime_power_ideal(n, f, m) for f, m in zip(facets, powers)]
         )
-        d = depth_via_local_cohomology_unmixed(dec, field)
+        d = depth_via_local_cohomology(dec.intersection(), field)
         report.samples += 1
         if d != t:
             report.mismatches.append(StabilitySample("prime-power", powers, d))
@@ -217,15 +203,13 @@ class CharIndependenceReport:
 
 
 def char_independence_audit(
-    cx: Complex,
-    primes: Sequence[int] = (2, 3),
-    max_facets: int = DEFAULT_FACET_CAP,
+    cx: Complex, primes: Sequence[int] = (2, 3)
 ) -> CharIndependenceReport:
     """Rigidity over the rationals must persist over every prime field, and
     depth can only drop when the characteristic becomes positive."""
     _require_pure(cx)
     t_q = depth_stanley_reisner(cx, RATIONALS)
-    rigid_q = bool(is_rigid_by_subcomplex_depths(cx, RATIONALS, max_facets))
+    rigid_q = bool(is_rigid_by_subcomplex_depths(cx, RATIONALS))
     entries = []
     violations = []
     for p in primes:

@@ -24,8 +24,8 @@ from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
 
-#: facets beyond which the rigidity oracles and cone generation refuse to
-#: enumerate facet selections (2^r of them)
+#: facets beyond which Complex.proper_facet_selections refuses to list the
+#: 2^r facet selections (for cone generation and the rigidity oracles)
 DEFAULT_FACET_CAP = 20
 
 #: complexes whose face lists stay cached at once (see _face_levels)
@@ -144,7 +144,7 @@ def minimal_transversals(edges: Iterable[int]) -> list[int]:
 @lru_cache(maxsize=FACE_CACHE_SIZE)
 def _face_levels(cx: "Complex") -> list:
     """Slot k: the k-vertex faces of cx once listed, shared by f_i and the
-    boundary matrices.  Bounded, unlike the four other lru_caches (homology,
+    boundary matrices.  Bounded, unlike the three other lru_caches (homology,
     ideals; ROADMAP item 6), whose keys keep complexes alive."""
     return [None] * (cx.dim + 2)
 
@@ -216,10 +216,10 @@ class Complex:
     def has_face_mask(self, mask: int) -> bool:
         return any(mask & fm == mask for fm in self._fmasks)
 
-    def face_masks_of_dim(self, i: int) -> list[int]:
+    def face_masks_of_dim(self, i: int) -> tuple[int, ...]:
         """All i-faces as bitmasks, in colexicographic (numeric) order."""
         if self.kind == VOID:
-            return []
+            return ()
         if i < -1 or i > self.dim:
             raise ValueError(f"dimension {i} out of range -1..{self.dim}")
         levels = _face_levels(self)
@@ -227,8 +227,8 @@ class Complex:
             found: set[int] = set()
             for fm in self._fmasks:
                 found.update(map(sum, combinations(mask_bits(fm), i + 1)))
-            levels[i + 1] = sorted(found)
-        return list(levels[i + 1])
+            levels[i + 1] = tuple(sorted(found))
+        return levels[i + 1]
 
     def faces(self, i: int) -> list[Face]:
         """All i-faces as sorted vertex tuples, colex order."""
@@ -275,7 +275,7 @@ class Complex:
             return self
         # the i-faces and the facets of lower dimension
         low = [fm for fm in self._fmasks if fm.bit_count() <= i]
-        return Complex._from_masks(self.n, self.face_masks_of_dim(i) + low)
+        return Complex._from_masks(self.n, [*self.face_masks_of_dim(i), *low])
 
     def facet_subcomplex(self, indices: Iterable[int]) -> "Complex":
         """Complex generated by the selected facets (canonical-order indices)."""
@@ -287,6 +287,15 @@ class Complex:
             if not 0 <= i < r:
                 raise ValueError(f"facet index {i} out of range 0..{r - 1}")
         return Complex._from_masks(self.n, [self._fmasks[i] for i in idx])
+
+    def proper_facet_selections(self) -> Iterator[tuple[int, ...]]:
+        """Lazy index tuples of the proper nonempty facet selections, by size
+        and then in combinations order.  A complex with more than
+        DEFAULT_FACET_CAP facets is refused when this is called."""
+        r = len(self._fmasks)
+        if r > DEFAULT_FACET_CAP:
+            raise ValueError(f"{r} facets exceed the enumeration cap {DEFAULT_FACET_CAP}")
+        return (idx for k in range(1, r) for idx in combinations(range(r), k))
 
     # -- serialization and protocol ----------------------------------------
 

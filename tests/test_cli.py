@@ -476,11 +476,11 @@ OPTIONS = {
     "depth": {"--field", "--format"},
     "rigid": {"--field", "--format"},
     "depth-equal-radical": {"--field", "--format"},
-    "cones": {"--field", "--format", "--cap"},
+    "cones": {"--field", "--format"},
     "delta-a": {"--a", "--format"},
     "local-cohomology": {"--field", "--format", "--max-index"},
     "polarize": {"--format"},
-    "audit": {"--field", "--cap", "--seed"},
+    "audit": {"--field", "--seed"},
 }
 
 INPUTS = {
@@ -504,7 +504,7 @@ def test_parser_options_per_command():
     for name, sub in commands.items():
         flags = {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
         assert flags == OPTIONS[name], name
-    assert sum(map(len, OPTIONS.values())) == 18
+    assert sum(map(len, OPTIONS.values())) == 16
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from srdepth.criteria import (
     depth_equals_radical,
     depth_via_koszul,
     depth_via_local_cohomology,
-    depth_via_local_cohomology_unmixed,
     local_cohomology_table,
     negative_support,
 )
@@ -346,7 +345,6 @@ def test_depth_of_reference_vectors():
         dec = fourcycle_decomposition(vec)
         ideal = dec.intersection()
         assert depth_via_local_cohomology(ideal) == expected
-        assert depth_via_local_cohomology_unmixed(dec) == expected
         assert depth_via_koszul(ideal) == expected
 
 
@@ -404,17 +402,6 @@ def test_oracle_agreement_five_variables():
             assert depth_via_local_cohomology(ideal, field) == depth_via_koszul(
                 ideal, field
             )
-
-
-def test_unmixed_fast_path_agrees():
-    rng = random.Random(32)
-    for _ in range(25):
-        dec = random_decomposition(rng, n_max=4, r_max=3, exp_max=2)
-        ideal = dec.intersection()
-        for field in (RATIONALS, F2):
-            assert depth_via_local_cohomology_unmixed(
-                dec, field
-            ) == depth_via_local_cohomology(ideal, field)
 
 
 def test_polarization_shifts_depth_by_added_variables():
@@ -597,4 +584,4 @@ def test_unmixed_depth_scan_matches_raw_box():
         expected = box_depth(
             dec.intersection(), RATIONALS, lambda a: degree_complex_unmixed(dec, a)
         )
-        assert depth_via_local_cohomology_unmixed(dec, RATIONALS) == expected
+        assert depth_via_local_cohomology(dec.intersection(), RATIONALS) == expected

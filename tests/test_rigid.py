@@ -12,6 +12,7 @@ from srdepth.rigid import (
     skeleton_propagation_audit,
     two_facet_depth,
 )
+from srdepth import simplicial
 from srdepth.simplicial import Complex
 from tests.conftest import random_pure_complex
 
@@ -70,10 +71,11 @@ def test_skeleton_of_two_big_facets_not_rigid(two_big_facets):
     assert not vf
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(simplicial, "DEFAULT_FACET_CAP", 2)
     cx = Complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     with pytest.raises(ValueError):
-        is_rigid_by_subcomplex_depths(cx, RATIONALS, max_facets=2)
+        is_rigid_by_subcomplex_depths(cx, RATIONALS)
 
 
 def test_route_equivalence_random():

@@ -1,9 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from srdepth import simplicial
+from srdepth.cones import generate_cone_union
+from srdepth.homology import RATIONALS, depth_stanley_reisner
+from srdepth.rigid import is_rigid_by_skeleton_cm, is_rigid_by_subcomplex_depths
 from srdepth.simplicial import (
     Complex,
     FACE_CACHE_SIZE,
@@ -22,8 +26,6 @@ def brute_faces(cx: Complex) -> set:
     out = set()
     for f in cx.facets:
         for k in range(len(f) + 1):
-            from itertools import combinations
-
             out.update(combinations(f, k))
     return out
 
@@ -99,7 +101,7 @@ def test_face_enumeration_fourcycle(fourcycle):
 def test_face_enumeration_is_colex():
     cx = Complex(4, [(1, 2, 3), (2, 3, 4)])
     masks = cx.face_masks_of_dim(1)
-    assert masks == sorted(masks)
+    assert masks == tuple(sorted(masks))
 
 
 @given(complexes())
@@ -115,7 +117,7 @@ def test_face_counts_match_brute_force(cx):
 def test_submask_faces_match_combination_oracle():
     for cx in mixed_complex_corpus():
         for i in range(-1, cx.dim + 1):
-            assert cx.face_masks_of_dim(i) == combination_faces(cx, i), (cx, i)
+            assert cx.face_masks_of_dim(i) == tuple(combination_faces(cx, i)), (cx, i)
 
 
 def test_face_cache_stays_bounded():
@@ -123,13 +125,39 @@ def test_face_cache_stays_bounded():
     assert info().maxsize == FACE_CACHE_SIZE
     for m in range(1, 1001):
         cx = Complex._from_masks(10, [m])
-        assert cx.face_masks_of_dim(0) == [b for b in (1 << j for j in range(10)) if m & b]
+        assert cx.face_masks_of_dim(0) == tuple(b for b in (1 << j for j in range(10)) if m & b)
         assert info().currsize <= FACE_CACHE_SIZE
 
 
 def test_cached_face_list_is_not_shared_with_callers(fourcycle):
-    fourcycle.face_masks_of_dim(0).clear()
-    assert fourcycle.face_masks_of_dim(0) == [1, 2, 4, 8]
+    with pytest.raises(AttributeError):
+        fourcycle.face_masks_of_dim(0).clear()
+    assert fourcycle.face_masks_of_dim(0) == (1, 2, 4, 8)
+
+
+# -- facet selections ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_proper_facet_selections_order(r):
+    cx = Complex(r, [(v,) for v in range(1, r + 1)])
+    selections = cx.proper_facet_selections()
+    assert iter(selections) is selections  # lazy, not a list
+    assert list(selections) == [
+        idx for k in range(1, r) for idx in combinations(range(r), k)
+    ]
+
+
+@pytest.mark.parametrize(
+    "route", [generate_cone_union, is_rigid_by_subcomplex_depths, is_rigid_by_skeleton_cm]
+)
+def test_selection_cap_refuses_before_any_depth(monkeypatch, fourcycle, route):
+    monkeypatch.setattr(simplicial, "DEFAULT_FACET_CAP", 3)
+    depth_stanley_reisner.cache_clear()
+    with pytest.raises(ValueError) as exc:
+        route(fourcycle, RATIONALS)
+    assert str(exc.value) == "4 facets exceed the enumeration cap 3"
+    assert depth_stanley_reisner.cache_info().currsize == 0
 
 
 # -- minimal transversals ----------------------------------------------------------------

@@ -1,8 +1,12 @@
-"""The benchmark tracer (`bench/tracer.py`) finds its targets by name, so a
-renamed or removed target would break `bench/run.py --trace 1`."""
+"""Names looked up at run time must resolve.  The benchmark tracer
+(`bench/tracer.py`) finds its targets by name, so a renamed or removed target
+would break `bench/run.py --trace 1`; a deleted function must not linger in
+the package's re-export list."""
 import subprocess
 import sys
 from pathlib import Path
+
+import srdepth
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,3 +43,8 @@ def test_every_tracer_target_resolves_on_a_fresh_import():
         env={"PYTHONPATH": f"{ROOT / 'src'}:{ROOT}"}, timeout=60,
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_every_reexported_name_resolves():
+    missing = [name for name in srdepth.__all__ if not hasattr(srdepth, name)]
+    assert not missing, f"__all__ names gone: {missing}"
