@@ -4,8 +4,9 @@ The toolkit decides when the depth of S/I equals the depth of S/sqrt(I) for
 unmixed monomial ideals, characterizes pure simplicial complexes with rigid
 depth, and emits the rational-cone inequality systems on irreducible
 exponents governing depth equality.  Everything is exact: integer and
-prime-field linear algebra only.  Each question has one production route;
-the independent routes are kept as oracles for the tests and `srdepth audit`.
+prime-field linear algebra only.  The package re-exports the one production
+route per question; the routes `srdepth audit` checks it against stay in
+their modules, and the other cross-checks live in the tests.
 """
 
 from .simplicial import Complex, IRRELEVANT, ORDINARY, VOID
@@ -13,7 +14,6 @@ from .homology import (
     CMResult,
     FieldSpec,
     RATIONALS,
-    boundary_matrix,
     depth_stanley_reisner,
     is_cohen_macaulay,
     prime_field,
@@ -22,7 +22,6 @@ from .homology import (
 from .ideals import (
     Decomposition,
     MonomialIdeal,
-    intersect_all,
     irreducible_ideal,
     prime_ideal,
     prime_power_ideal,
@@ -33,33 +32,12 @@ from .criteria import (
     DepthEqualsRadicalVerdict,
     LocalCohomologyCell,
     degree_complex,
-    degree_complex_facet_form,
-    degree_complex_unmixed,
-    degree_selecting_witness,
     depth_equals_radical,
-    depth_via_koszul,
     depth_via_local_cohomology,
     local_cohomology_table,
 )
-from .rigid import (
-    RigidVerdict,
-    char_independence_audit,
-    is_rigid_by_intersections,
-    is_rigid_by_skeleton_cm,
-    is_rigid_by_subcomplex_depths,
-    sample_depth_stability,
-    skeleton_propagation_audit,
-    two_facet_depth,
-)
-from .cones import (
-    ConeUnion,
-    convexity_probe,
-    fourcycle_assignment,
-    fourcycle_complex,
-    fourcycle_reference_system,
-    generate_cone_union,
-    grid_equivalence,
-)
+from .rigid import RigidVerdict, is_rigid_by_intersections
+from .cones import ConeUnion, generate_cone_union
 
 __version__ = "0.1.0"
 
@@ -72,41 +50,24 @@ __all__ = [
     "RATIONALS",
     "prime_field",
     "CMResult",
-    "boundary_matrix",
     "reduced_betti",
     "is_cohen_macaulay",
     "depth_stanley_reisner",
     "MonomialIdeal",
     "Decomposition",
-    "intersect_all",
     "prime_ideal",
     "irreducible_ideal",
     "prime_power_ideal",
     "stanley_reisner_ideal",
     "radical_complex",
     "degree_complex",
-    "degree_complex_facet_form",
-    "degree_complex_unmixed",
-    "degree_selecting_witness",
     "LocalCohomologyCell",
     "local_cohomology_table",
     "depth_via_local_cohomology",
-    "depth_via_koszul",
     "DepthEqualsRadicalVerdict",
     "depth_equals_radical",
     "RigidVerdict",
     "is_rigid_by_intersections",
-    "is_rigid_by_subcomplex_depths",
-    "is_rigid_by_skeleton_cm",
-    "two_facet_depth",
-    "sample_depth_stability",
-    "char_independence_audit",
-    "skeleton_propagation_audit",
     "ConeUnion",
     "generate_cone_union",
-    "grid_equivalence",
-    "convexity_probe",
-    "fourcycle_complex",
-    "fourcycle_reference_system",
-    "fourcycle_assignment",
 ]

@@ -94,10 +94,13 @@ _KIND_KEYS = {Decomposition: "components", Complex: "facets", MonomialIdeal: "ge
 
 
 def load(path: str, *kinds: type, data: Optional[dict] = None):
-    """The JSON input at path as the first of kinds whose key it has; data is
-    the file's content when the caller has already read it."""
+    """The JSON input at path as the one of kinds whose key it has, refusing the
+    keys of two kinds; data is the file's content when already read."""
     if data is None:
         data = load_json(path)
+    marked = [repr(key) for key in _KIND_KEYS.values() if key in data]
+    if len(marked) > 1:
+        raise CliError(f"{path}: keys {' and '.join(marked)} mark different kinds of input")
     for kind in kinds:
         if _KIND_KEYS[kind] in data:
             try:

@@ -8,9 +8,9 @@ a_{ij} >= a_{kj}, the factored form (by distributivity) of a conjunction over
 tuples of outside-variable choices.  Expanding each selection's formula into a
 small disjunctive normal form, multiplying these into one DNF selection by
 selection and pruning subsumed conjunctions yields an explicit union of cones,
-evaluable on integer points and comparable against the decision procedure on
-a grid.  An expansion step that would list more than MAX_CONE_CANDIDATES
-candidate conjunctions is refused, so a union too large to list fails fast.
+evaluable on integer points and tested against the paper's 4-cycle systems.
+An expansion step that would list more than MAX_CONE_CANDIDATES candidate
+conjunctions is refused, so a union too large to list fails fast.
 
 Symbols are (facet index, variable) pairs with the variable outside the
 facet; facet indices follow the canonical facet order of the complex.
@@ -18,9 +18,9 @@ facet; facet indices follow the canonical facet order of the complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from math import prod
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .homology import FieldSpec, RATIONALS, depth_stanley_reisner
 from .simplicial import (
@@ -51,7 +51,7 @@ class ConeUnion:
     n: int
     facets: tuple[tuple[int, ...], ...]
     symbols: tuple[Symbol, ...]
-    disjuncts: tuple[frozenset, ...]
+    disjuncts: tuple[frozenset[Atom], ...]
 
     @property
     def is_trivially_true(self) -> bool:
@@ -238,109 +238,3 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
         _prune([frozenset(a for b, a in enumerate(atoms) if d >> b & 1) for d in dnf]),
     )
 
-
-def grid_equivalence(
-    u1: ConeUnion, u2: ConeUnion, bound: int
-) -> Optional[dict[Symbol, int]]:
-    """Exhaustively compare two unions on {1..bound}^symbols.
-
-    Symbols are matched by (facet vertex set, variable); returns the first
-    disagreeing assignment keyed by u1's symbols, or None when equivalent.
-    """
-    key1 = {(u1.facets[i], j): (i, j) for i, j in u1.symbols}
-    key2 = {(u2.facets[i], j): (i, j) for i, j in u2.symbols}
-    if set(key1) != set(key2):
-        raise ValueError("cone unions are over different symbol sets")
-    keys = sorted(key1)
-    for values in product(range(1, bound + 1), repeat=len(keys)):
-        a1 = {key1[k]: v for k, v in zip(keys, values)}
-        a2 = {key2[k]: v for k, v in zip(keys, values)}
-        if u1.evaluate(a1) != u2.evaluate(a2):
-            return a1
-    return None
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    midpoint: dict
-    midpoint_satisfies: bool
-
-
-def convexity_probe(
-    union: ConeUnion, p: Mapping[Symbol, int], q: Mapping[Symbol, int]
-) -> ConvexityReport:
-    """Evaluate the union at the midpoint of two satisfying assignments."""
-    if not union.evaluate(p) or not union.evaluate(q):
-        raise ValueError("both endpoints must satisfy the union")
-    mid = {}
-    for sym in union.symbols:
-        s = p[sym] + q[sym]
-        if s % 2:
-            raise ValueError(f"midpoint is not integral at symbol {sym}")
-        mid[sym] = s // 2
-    return ConvexityReport(mid, union.evaluate(mid))
-
-
-# -- the 4-cycle reference system -------------------------------------------------
-
-def fourcycle_complex() -> Complex:
-    return Complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-
-
-#: component reading order for the 4-cycle: facets sorted so that their
-#: complement variable sets are lexicographic, i.e. the intersection
-#: (x1,x2) n (x1,x4) n (x2,x3) n (x3,x4); the eight exponent labels
-#: enumerate each component's outside variables in ascending order.
-_FOURCYCLE_COMPONENT_FACETS = ((3, 4), (2, 3), (1, 4), (1, 2))
-
-
-def fourcycle_symbol_order() -> tuple[Symbol, ...]:
-    """The eight 4-cycle symbols in component reading order."""
-    cx = fourcycle_complex()
-    facet_index = {f: i for i, f in enumerate(cx.facets)}
-    order = []
-    for f in _FOURCYCLE_COMPONENT_FACETS:
-        i = facet_index[f]
-        for j in range(1, 5):
-            if j not in f:
-                order.append((i, j))
-    return tuple(order)
-
-
-def fourcycle_assignment(values: Sequence[int]) -> dict[Symbol, int]:
-    """Assignment for the 4-cycle from eight exponents in component reading order."""
-    order = fourcycle_symbol_order()
-    if len(values) != len(order):
-        raise ValueError(f"expected {len(order)} exponents, got {len(values)}")
-    return dict(zip(order, [as_int(v, "exponent") for v in values]))
-
-
-def fourcycle_reference_system() -> ConeUnion:
-    """Hard-coded union of the four inequality systems for the 4-cycle.
-
-    With exponents e1..e8 in component reading order, depth equality holds
-    iff one of these conjunctions does:
-
-        (1) e3 <= e1, e2 = e5, e7 <= e6
-        (2) e2 <= e5, e6 = e7, e4 <= e8
-        (3) e5 <= e2, e1 = e3, e8 <= e4
-        (4) e1 <= e3, e4 = e8, e6 <= e7
-    """
-    cx = fourcycle_complex()
-    symbols = _symbols_for(cx)
-    sym_pos = {s: k for k, s in enumerate(symbols)}
-    order = fourcycle_symbol_order()
-
-    def ge(a: int, b: int) -> Atom:
-        return (sym_pos[order[a - 1]], sym_pos[order[b - 1]])
-
-    def eq(a: int, b: int) -> tuple[Atom, Atom]:
-        return ge(a, b), ge(b, a)
-
-    systems = [
-        frozenset({ge(1, 3), *eq(2, 5), ge(6, 7)}),
-        frozenset({ge(5, 2), *eq(6, 7), ge(8, 4)}),
-        frozenset({ge(2, 5), *eq(1, 3), ge(4, 8)}),
-        frozenset({ge(3, 1), *eq(4, 8), ge(7, 6)}),
-    ]
-    return ConeUnion(cx.n, cx.facets, symbols, _prune(systems))

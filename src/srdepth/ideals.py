@@ -91,9 +91,6 @@ class MonomialIdeal:
     def is_proper_nonzero(self) -> bool:
         return bool(self.gens) and not self.is_unit
 
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for g in self.gens for e in g)
-
     # -- membership and arithmetic --------------------------------------------
 
     def contains(self, monomial: Iterable[int]) -> bool:
@@ -118,12 +115,6 @@ class MonomialIdeal:
             self.n, [tuple(1 if e else 0 for e in g) for g in self.gens]
         )
 
-    def max_exponent(self, j: int) -> int:
-        """Largest exponent of x_j among minimal generators (0 if absent)."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"variable index {j} out of range 1..{self.n}")
-        return max((g[j - 1] for g in self.gens), default=0)
-
     def max_exponents(self) -> tuple[int, ...]:
         return tuple(
             max((g[j] for g in self.gens), default=0) for j in range(self.n)
@@ -147,9 +138,9 @@ class MonomialIdeal:
     def polarize(self) -> tuple["MonomialIdeal", tuple[int, ...]]:
         """Standard squarefree-ization in an enlarged variable set.
 
-        Variable x_j gets max_exponent(j) slots; x_j^e maps to the product of
-        the first e slots.  Returns the squarefree ideal together with the
-        origin map (new variable position -> original variable index).
+        Variable x_j gets one slot per unit of its largest exponent; x_j^e
+        maps to the product of the first e slots.  Returns the squarefree
+        ideal together with the origin map (new position -> original index).
         """
         if not self.is_proper_nonzero:
             raise ValueError("polarization needs a proper nonzero ideal")
@@ -312,7 +303,14 @@ class Decomposition:
         if not delta.is_pure:
             raise ValueError("decomposition needs a pure complex")
         if isinstance(components, dict):
-            keyed = {face_mask(f, delta.n): ideal for f, ideal in components.items()}
+            keyed = {}
+            for f, ideal in components.items():
+                fm = face_mask(f, delta.n)
+                if fm in keyed:
+                    raise ValueError(
+                        f"facet {list(mask_vertices(fm))} has more than one component"
+                    )
+                keyed[fm] = ideal
             if set(keyed) != set(delta.facet_masks):
                 raise ValueError("components must be keyed by the facets of the complex")
             ordered = tuple(keyed[fm] for fm in delta.facet_masks)
@@ -376,6 +374,8 @@ class Decomposition:
                     f"component for facet {facet} needs 'generators', 'power' "
                     "or 'irreducible'"
                 )
+            if facet in comp_map:
+                raise ValueError(f"facet {sorted(facet)} has more than one component")
             comp_map[facet] = ideal
         return cls(delta, comp_map)
 

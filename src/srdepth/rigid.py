@@ -9,19 +9,20 @@ homological routes (all proper facet selections keep depth >= t; all their
 (t-1)-skeletons are Cohen-Macaulay) are kept as oracles for the tests and
 `srdepth audit`, along with a randomized stability sampler over concrete
 ideal classes.  Both routes walk Complex.proper_facet_selections, which
-refuses complexes beyond simplicial.DEFAULT_FACET_CAP facets.
+refuses complexes beyond simplicial.DEFAULT_FACET_CAP facets.  The tests
+assert that rigidity persists over prime fields and up the skeletons.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .criteria import depth_via_local_cohomology
-from .homology import FieldSpec, RATIONALS, depth_stanley_reisner, is_cohen_macaulay, prime_field
+from .homology import FieldSpec, RATIONALS, depth_stanley_reisner, is_cohen_macaulay
 from .ideals import Decomposition, irreducible_ideal, prime_power_ideal
-from .simplicial import Complex, ORDINARY, face_mask
+from .simplicial import Complex, ORDINARY
 
 
 @dataclass(frozen=True)
@@ -100,16 +101,6 @@ def is_rigid_by_skeleton_cm(cx: Complex, field: FieldSpec = RATIONALS) -> RigidV
     return RigidVerdict(True, t)
 
 
-def two_facet_depth(f: Sequence[int], g: Sequence[int]) -> int:
-    """Depth of the Stanley-Reisner ring of a two-facet complex: |F n G| + 1."""
-    n = max(max(f), max(g))
-    fm = face_mask(f, n)
-    gm = face_mask(g, n)
-    if fm == gm or fm & gm == fm or fm & gm == gm:
-        raise ValueError("facets must be distinct and inclusion-incomparable")
-    return (fm & gm).bit_count() + 1
-
-
 # -- randomized stability sampling ---------------------------------------------
 
 @dataclass(frozen=True)
@@ -180,92 +171,3 @@ def sample_depth_stability(
             report.mismatches.append(StabilitySample("prime-power", powers, d))
     return report
 
-
-# -- field-independence and skeleton audits --------------------------------------
-
-@dataclass(frozen=True)
-class CharIndependenceEntry:
-    p: int
-    depth: int
-    rigid: bool
-
-
-@dataclass
-class CharIndependenceReport:
-    rationals_depth: int
-    rationals_rigid: bool
-    entries: list[CharIndependenceEntry]
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def char_independence_audit(
-    cx: Complex, primes: Sequence[int] = (2, 3)
-) -> CharIndependenceReport:
-    """Rigidity over the rationals must persist over every prime field, and
-    depth can only drop when the characteristic becomes positive."""
-    _require_pure(cx)
-    t_q = depth_stanley_reisner(cx, RATIONALS)
-    rigid_q = bool(is_rigid_by_subcomplex_depths(cx, RATIONALS))
-    entries = []
-    violations = []
-    for p in primes:
-        k = prime_field(p)
-        t_p = depth_stanley_reisner(cx, k)
-        rigid_p = bool(is_rigid_by_intersections(cx, t_p))
-        entries.append(CharIndependenceEntry(p, t_p, rigid_p))
-        if t_p > t_q:
-            violations.append(f"depth over F_{p} is {t_p} > {t_q} over Q")
-        if rigid_q and not rigid_p:
-            violations.append(f"rigid over Q but not over F_{p}")
-    return CharIndependenceReport(t_q, rigid_q, entries, violations)
-
-
-@dataclass(frozen=True)
-class SkeletonLevel:
-    i: int
-    depth: int
-    rigid: bool
-
-
-@dataclass
-class SkeletonPropagationReport:
-    t: int
-    levels: list[SkeletonLevel]
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def skeleton_propagation_audit(
-    cx: Complex, field: FieldSpec = RATIONALS
-) -> SkeletonPropagationReport:
-    """For a rigid complex of depth t: skeletons at levels >= t-1 keep depth t,
-    and once a skeleton is rigid every higher skeleton must be rigid too."""
-    _require_pure(cx)
-    t = depth_stanley_reisner(cx, field)
-    if not is_rigid_by_intersections(cx, t):
-        raise ValueError("skeleton propagation audit needs a rigid complex")
-    levels = []
-    violations = []
-    for i in range(t - 1, cx.dim + 1):
-        skel = cx.skeleton(i)
-        d = depth_stanley_reisner(skel, field)
-        if d != t:
-            violations.append(f"skeleton {i} has depth {d}, expected {t}")
-        rigid_i = bool(is_rigid_by_intersections(skel, d))
-        levels.append(SkeletonLevel(i, d, rigid_i))
-    first_rigid = None
-    for lvl in levels:
-        if lvl.rigid and first_rigid is None:
-            first_rigid = lvl.i
-        if first_rigid is not None and lvl.i >= first_rigid and not lvl.rigid:
-            violations.append(
-                f"skeleton {lvl.i} is not rigid although skeleton {first_rigid} is"
-            )
-    return SkeletonPropagationReport(t, levels, violations)

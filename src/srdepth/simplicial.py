@@ -319,6 +319,3 @@ class Complex:
         if self.kind == VOID:
             return f"Complex(n={self.n}, void)"
         return f"Complex(n={self.n}, facets={list(self.facets)})"
-
-    def __iter__(self) -> Iterator[Face]:
-        return iter(self.facets)

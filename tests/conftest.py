@@ -11,13 +11,13 @@ from srdepth import (
     irreducible_ideal,
     prime_power_ideal,
 )
-from srdepth.cones import ConeUnion, _prune, _symbols_for, fourcycle_complex
+from srdepth.cones import ConeUnion, _prune, _symbols_for
 from srdepth.criteria import degree_complex, negative_support
 from srdepth.homology import (
     RATIONALS, boundary_matrix, depth_stanley_reisner, matrix_rank, reduced_betti,
 )
 from srdepth.ideals import radical_complex, support_mask
-from srdepth.simplicial import IRRELEVANT, VOID, face_mask, mask_vertices
+from srdepth.simplicial import IRRELEVANT, VOID, as_int, face_mask, mask_vertices
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -28,7 +28,22 @@ VEC_EQUAL_1 = (3, 5, 1, 3, 5, 9, 7, 9)
 VEC_EQUAL_2 = (1, 3, 1, 1, 7, 11, 11, 1)
 VEC_MIDPOINT = (2, 4, 1, 2, 6, 10, 9, 5)
 
+FOURCYCLE = Complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+
+#: component reading order for the 4-cycle: facets sorted so that their
+#: complement variable sets are lexicographic, i.e. the intersection
+#: (x1,x2) n (x1,x4) n (x2,x3) n (x3,x4); the eight exponent labels e1..e8
+#: enumerate each component's outside variables in ascending order.
 FOURCYCLE_COMPONENT_FACETS = ((3, 4), (2, 3), (1, 4), (1, 2))
+
+#: the paper's four systems for the 4-cycle, by label in component reading
+#: order: (e_i <= e_j, e_k = e_l, e_p <= e_q)
+FOURCYCLE_SYSTEMS = (
+    ((3, 1), (2, 5), (7, 6)),
+    ((2, 5), (6, 7), (4, 8)),
+    ((5, 2), (1, 3), (8, 4)),
+    ((1, 3), (4, 8), (6, 7)),
+)
 
 RP2_FACETS = [
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -37,17 +52,50 @@ RP2_FACETS = [
 
 
 def fourcycle_decomposition(vec8) -> Decomposition:
-    cx = fourcycle_complex()
     comps = {}
     it = iter(vec8)
     for f in FOURCYCLE_COMPONENT_FACETS:
         comps[f] = irreducible_ideal(4, f, (next(it), next(it)))
-    return Decomposition(cx, comps)
+    return Decomposition(FOURCYCLE, comps)
+
+
+def fourcycle_symbol_order() -> tuple:
+    """The eight 4-cycle symbols (facet index, variable) by label e1..e8."""
+    index = {f: i for i, f in enumerate(FOURCYCLE.facets)}
+    return tuple(
+        (index[f], j) for f in FOURCYCLE_COMPONENT_FACETS for j in range(1, 5) if j not in f
+    )
+
+
+def fourcycle_assignment(values) -> dict:
+    """Assignment for the 4-cycle from the eight exponents e1..e8."""
+    assert len(values) == 8
+    return dict(zip(fourcycle_symbol_order(), [as_int(v, "exponent") for v in values]))
+
+
+def fourcycle_reference_system() -> ConeUnion:
+    """The union of the paper's four systems, hard-coded from FOURCYCLE_SYSTEMS."""
+    symbols = _symbols_for(FOURCYCLE)
+    pos = [symbols.index(s) for s in fourcycle_symbol_order()]
+
+    def le(a, b):  # e_a <= e_b, stored as the atom e_b >= e_a
+        return pos[b - 1], pos[a - 1]
+
+    systems = [
+        frozenset({le(*lo), le(k, l), le(l, k), le(*hi)})
+        for lo, (k, l), hi in FOURCYCLE_SYSTEMS
+    ]
+    return ConeUnion(4, FOURCYCLE.facets, symbols, _prune(systems))
+
+
+def two_facet_depth(f, g) -> int:
+    """Depth of K[Δ] for the complex with the two facets f and g: |F n G| + 1."""
+    return len(set(f) & set(g)) + 1
 
 
 @pytest.fixture(scope="session")
 def fourcycle() -> Complex:
-    return fourcycle_complex()
+    return FOURCYCLE
 
 
 @pytest.fixture(scope="session")
@@ -275,3 +323,33 @@ def distributed_cone_union(cx: Complex, field=RATIONALS) -> ConeUnion:
                 if not dnf:
                     return ConeUnion(cx.n, cx.facets, symbols, ())
     return ConeUnion(cx.n, cx.facets, symbols, _prune(dnf))
+
+
+# -- cone-union comparisons -------------------------------------------------------
+
+def grid_equivalence(u1: ConeUnion, u2: ConeUnion, bound: int):
+    """Exhaustively compare two unions on {1..bound}^symbols.
+
+    Symbols are matched by (facet vertex set, variable); returns the first
+    disagreeing assignment keyed by u1's symbols, or None when equivalent.
+    """
+    key1 = {(u1.facets[i], j): (i, j) for i, j in u1.symbols}
+    key2 = {(u2.facets[i], j): (i, j) for i, j in u2.symbols}
+    if set(key1) != set(key2):
+        raise ValueError("cone unions are over different symbol sets")
+    keys = sorted(key1)
+    for values in product(range(1, bound + 1), repeat=len(keys)):
+        a1 = {key1[k]: v for k, v in zip(keys, values)}
+        a2 = {key2[k]: v for k, v in zip(keys, values)}
+        if u1.evaluate(a1) != u2.evaluate(a2):
+            return a1
+    return None
+
+
+def midpoint(union: ConeUnion, p, q) -> dict:
+    """The integral midpoint of two assignments that satisfy the union."""
+    if not union.evaluate(p) or not union.evaluate(q):
+        raise ValueError("both endpoints must satisfy the union")
+    if any((p[s] + q[s]) % 2 for s in union.symbols):
+        raise ValueError("midpoint is not integral")
+    return {s: (p[s] + q[s]) // 2 for s in union.symbols}

@@ -10,12 +10,7 @@ from itertools import combinations, product
 
 import pytest
 
-from srdepth.cones import (
-    fourcycle_complex,
-    fourcycle_reference_system,
-    generate_cone_union,
-    grid_equivalence,
-)
+from srdepth.cones import generate_cone_union
 from srdepth.criteria import (
     degree_complex_facet_form,
     degree_selecting_witness,
@@ -37,18 +32,21 @@ from srdepth.rigid import (
     is_rigid_by_skeleton_cm,
     is_rigid_by_subcomplex_depths,
     sample_depth_stability,
-    two_facet_depth,
 )
 from srdepth.simplicial import Complex, ORDINARY, VOID
 from tests.conftest import (
+    FOURCYCLE,
     RP2_FACETS,
     VEC_EQUAL_1,
     VEC_EQUAL_2,
     VEC_MIDPOINT,
     fourcycle_decomposition,
+    fourcycle_reference_system,
+    grid_equivalence,
     random_decomposition,
     random_ideal,
     random_pure_complex,
+    two_facet_depth,
 )
 
 F2 = prime_field(2)
@@ -87,7 +85,7 @@ def complex_corpus():
 # -- criteria -----------------------------------------------------------------------
 
 def test_criterion_1_fourcycle_depth():
-    cx = fourcycle_complex()
+    cx = FOURCYCLE
     for field in (RATIONALS, F2, F3):
         assert depth_stanley_reisner(cx, field) == 2, str(field)
         assert is_cohen_macaulay(cx, field), str(field)
@@ -108,7 +106,7 @@ def test_criterion_2_reference_exponent_vectors():
 
 
 def test_criterion_3_cone_union_matches_reference():
-    generated = generate_cone_union(fourcycle_complex(), RATIONALS)
+    generated = generate_cone_union(FOURCYCLE, RATIONALS)
     reference = fourcycle_reference_system()
     counterexample = grid_equivalence(generated, reference, 3)
     assert counterexample is None, counterexample
@@ -264,7 +262,7 @@ def test_criterion_10_homology_kernel_identities(
     decomposition_corpus, complex_corpus
 ):
     corpus = [
-        fourcycle_complex(),
+        FOURCYCLE,
         Complex(6, RP2_FACETS),
         Complex(8, [(1, 2, 3, 4, 5), (1, 2, 6, 7, 8)]),
         Complex(8, [(1, 2, 3, 4, 5), (1, 2, 6, 7, 8)]).skeleton(3),

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srdepth.cli import build_parser, main, parse_field
+from srdepth.cones import ConeUnion
 from srdepth.criteria import (
     depth_via_koszul,
     depth_via_local_cohomology,
@@ -20,7 +22,9 @@ from srdepth.criteria import (
 from srdepth.homology import RATIONALS
 from srdepth.ideals import MonomialIdeal
 from srdepth.simplicial import Complex
-from tests.conftest import FIXTURES, raw_local_cohomology
+from tests.conftest import (
+    FIXTURES, fourcycle_reference_system, grid_equivalence, raw_local_cohomology,
+)
 
 
 def run(capsys, *argv):
@@ -82,6 +86,10 @@ def test_depth_has_no_oracle_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["depth", fixture("sample_ideal.json"), "--oracle"])
     assert exc.value.code == 2
+
+
+#: an input that is both a complex and an ideal
+TWO_KINDS = {"n": 2, "generators": [[1, 1]], "facets": [[1]]}
 
 
 def write_json(tmp_path, data) -> str:
@@ -203,6 +211,13 @@ def test_depth_bad_json(tmp_path, capsys):
     assert "line" in err
 
 
+def test_depth_refuses_input_of_two_kinds(tmp_path, capsys):
+    path = write_json(tmp_path, TWO_KINDS)
+    code, out, err = run(capsys, "depth", path)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: keys 'facets' and 'generators' mark different kinds of input\n"
+
+
 # -- rigid ----------------------------------------------------------------------
 
 def test_rigid_two_facets(capsys):
@@ -274,11 +289,18 @@ def test_depth_equal_radical_huge_exponent(tmp_path, capsys):
     assert [stand_in.get(v, v) for v in huge["witness_degree"]] == small["witness_degree"]
 
 
+def test_depth_equal_radical_refuses_two_components_for_one_facet(tmp_path, capsys):
+    facets = [[1, 2], [2, 3], [3, 4], [1, 4]]
+    components = [{"facet": [1, 2], "power": 2}] + [{"facet": f, "power": 5} for f in facets]
+    path = write_json(tmp_path, {"complex": {"n": 4, "facets": facets}, "components": components})
+    code, out, err = run(capsys, "depth-equal-radical", path)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: facet [1, 2] has more than one component\n"
+
+
 # -- cones / delta-a / local-cohomology / polarize -------------------------------------
 
 def test_cones_json_round_trip(capsys):
-    from srdepth.cones import ConeUnion, fourcycle_reference_system, grid_equivalence
-
     code, out, _ = run(capsys, "cones", fixture("fourcycle.json"), "--format", "json")
     assert code == 0
     union = ConeUnion.from_json_dict(json.loads(out))
@@ -470,6 +492,14 @@ def test_audit_reports_unreadable_fixture(tmp_path, capsys):
     assert "1/2 fixtures passed" in out
 
 
+def test_audit_refuses_input_of_two_kinds(tmp_path, capsys):
+    # like any malformed fixture, it fails on its own and the audit goes on
+    (tmp_path / "two.json").write_text(json.dumps(TWO_KINDS))
+    code, out, _ = run(capsys, "audit", str(tmp_path))
+    assert code == 1
+    assert "two.json: FAIL" in out and "mark different kinds of input" in out
+
+
 # -- options per command ------------------------------------------------------------
 
 OPTIONS = {
@@ -632,6 +662,33 @@ def test_wrong_types_fuzz_every_command(command, data):
     assert code == 2, (command, doc)
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
+
+
+# -- production commands run no oracle -------------------------------------------------
+
+ORACLES = {
+    "criteria": ("depth_via_koszul", "degree_selecting_witness"),
+    "rigid": ("is_rigid_by_subcomplex_depths", "is_rigid_by_skeleton_cm", "sample_depth_stability"),
+}
+
+
+def test_production_commands_run_no_oracle(monkeypatch, capsys):
+    # every srdepth module that binds an oracle gets a stand-in that fails
+    loaded = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "srdepth"]
+    for mod_name, names in ORACLES.items():
+        for name in names:
+            original = getattr(importlib.import_module(f"srdepth.{mod_name}"), name)
+
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} ran")
+
+            for mod in loaded:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, refuse)
+    for path in sorted(FIXTURES.glob("*.json")):
+        for command in ("depth", "rigid", "depth-equal-radical", "cones", "local-cohomology"):
+            assert run(capsys, command, str(path))[0] in (0, 2), (command, path.name)
+        assert run(capsys, "delta-a", str(path), "--a=-1,0,0,0")[0] in (0, 2), path.name
 
 
 # -- python -m srdepth ---------------------------------------------------------------------

@@ -6,26 +6,23 @@ import pytest
 
 from bench.corpus import CONE_CLASSES, random_pure_complex as random_shaped_facets
 from srdepth import cones as cones_mod
-from srdepth.cones import (
-    ConeUnion,
-    convexity_probe,
-    fourcycle_assignment,
-    fourcycle_complex,
-    fourcycle_reference_system,
-    fourcycle_symbol_order,
-    generate_cone_union,
-    grid_equivalence,
-)
+from srdepth.cones import ConeUnion, generate_cone_union
 from srdepth.criteria import depth_equals_radical
 from srdepth.homology import RATIONALS, prime_field
 from srdepth.ideals import Decomposition, irreducible_ideal
 from srdepth.simplicial import Complex
 from tests.conftest import (
     FIXTURES,
+    FOURCYCLE,
     VEC_EQUAL_1,
     VEC_EQUAL_2,
     VEC_MIDPOINT,
     distributed_cone_union,
+    fourcycle_assignment,
+    fourcycle_reference_system,
+    fourcycle_symbol_order,
+    grid_equivalence,
+    midpoint,
     random_pure_complex,
 )
 
@@ -40,7 +37,7 @@ def reference():
 
 @pytest.fixture(scope="module")
 def generated():
-    return generate_cone_union(fourcycle_complex(), RATIONALS)
+    return generate_cone_union(FOURCYCLE, RATIONALS)
 
 
 # -- reference system ---------------------------------------------------------------
@@ -57,7 +54,7 @@ def test_reference_all_equal_exponents(reference):
 
 def test_symbol_order_is_componentwise():
     order = fourcycle_symbol_order()
-    cx = fourcycle_complex()
+    cx = FOURCYCLE
     # eight symbols, each variable outside its facet, components in
     # complement-lex order
     assert len(order) == 8
@@ -106,7 +103,7 @@ def _assert_same_union(union, oracle):
     assert union.to_json_dict() == oracle.to_json_dict()
 
 
-@pytest.mark.parametrize("cx", [fourcycle_complex(), FIVECYCLE], ids=["4-cycle", "5-cycle"])
+@pytest.mark.parametrize("cx", [FOURCYCLE, FIVECYCLE], ids=["4-cycle", "5-cycle"])
 def test_generated_matches_distribution_oracle_on_cycles(cx):
     union = generate_cone_union(cx, RATIONALS)
     _assert_same_union(union, distributed_cone_union(cx, RATIONALS))
@@ -191,38 +188,37 @@ def test_disjuncts_are_closed_under_scaling_and_addition(generated):
 
 
 def test_convexity_probe_midpoint_fails(reference):
-    rep = convexity_probe(
+    mid = midpoint(
         reference,
         fourcycle_assignment(VEC_EQUAL_1),
         fourcycle_assignment(VEC_EQUAL_2),
     )
-    assert dict(rep.midpoint) == fourcycle_assignment(VEC_MIDPOINT)
-    assert not rep.midpoint_satisfies
+    assert mid == fourcycle_assignment(VEC_MIDPOINT)
+    assert not reference.evaluate(mid)
 
 
 def test_convexity_probe_same_point(reference):
     p = fourcycle_assignment(VEC_EQUAL_1)
-    rep = convexity_probe(reference, p, p)
-    assert rep.midpoint_satisfies
+    assert reference.evaluate(midpoint(reference, p, p))
 
 
 def test_convexity_probe_within_one_cone(reference):
     p = fourcycle_assignment((2, 2, 2, 2, 2, 2, 2, 2))
     q = fourcycle_assignment((4, 4, 4, 4, 4, 4, 4, 4))
-    assert convexity_probe(reference, p, q).midpoint_satisfies
+    assert reference.evaluate(midpoint(reference, p, q))
 
 
 def test_convexity_probe_validates(reference):
     p = fourcycle_assignment(VEC_EQUAL_1)
     with pytest.raises(ValueError):
-        convexity_probe(reference, p, fourcycle_assignment(VEC_MIDPOINT))
+        midpoint(reference, p, fourcycle_assignment(VEC_MIDPOINT))
     q = fourcycle_assignment(VEC_EQUAL_2)
     odd = dict(q)
     key = next(iter(odd))
     odd[key] += 1  # break the parity at one symbol
-    if (p[key] + odd[key]) % 2 and convexity_probe is not None:
+    if (p[key] + odd[key]) % 2:
         with pytest.raises(ValueError):
-            convexity_probe(reference, p, odd)
+            midpoint(reference, p, odd)
 
 
 # -- soundness against the decision procedure --------------------------------------------
@@ -245,7 +241,7 @@ def test_soundness_against_decision_procedure():
     cases = [
         (Complex(3, [(1, 2), (2, 3)]), 3),
         (Complex(4, [(1, 2), (3, 4)]), 3),
-        (fourcycle_complex(), 3),
+        (FOURCYCLE, 3),
     ]
     for cx, bound in cases:
         union = generate_cone_union(cx, RATIONALS)

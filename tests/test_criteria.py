@@ -5,7 +5,6 @@ from math import prod
 
 import pytest
 
-from srdepth.cones import fourcycle_assignment, fourcycle_reference_system
 from srdepth.criteria import (
     _class_grid,
     degree_complex,
@@ -30,11 +29,14 @@ from srdepth.ideals import (
 from srdepth.simplicial import VOID, Complex
 from tests.conftest import (
     FIXTURES,
+    FOURCYCLE_SYSTEMS,
     VEC_EQUAL_1,
     VEC_EQUAL_2,
     VEC_MIDPOINT,
     depth_grid,
+    fourcycle_assignment,
     fourcycle_decomposition,
+    fourcycle_reference_system,
     local_cohomology_dim,
     random_decomposition,
     random_ideal,
@@ -501,16 +503,6 @@ def box_depth(ideal, field, complex_at):
             if low is not None:
                 lows.append(g.bit_count() + 1 + low)
     return min(lows)
-
-
-#: the paper's four systems for the 4-cycle, by 1-based label e1..e8 in
-#: component reading order: (e_i <= e_j, e_k = e_l, e_p <= e_q)
-FOURCYCLE_SYSTEMS = (
-    ((3, 1), (2, 5), (7, 6)),
-    ((2, 5), (6, 7), (4, 8)),
-    ((5, 2), (1, 3), (8, 4)),
-    ((1, 3), (4, 8), (6, 7)),
-)
 
 
 def fourcycle_vector(rng, top, on_system):

@@ -4,17 +4,14 @@ import pytest
 
 from srdepth.homology import RATIONALS, depth_stanley_reisner, prime_field
 from srdepth.rigid import (
-    char_independence_audit,
     is_rigid_by_intersections,
     is_rigid_by_skeleton_cm,
     is_rigid_by_subcomplex_depths,
     sample_depth_stability,
-    skeleton_propagation_audit,
-    two_facet_depth,
 )
 from srdepth import simplicial
 from srdepth.simplicial import Complex
-from tests.conftest import random_pure_complex
+from tests.conftest import random_pure_complex, two_facet_depth
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -111,13 +108,6 @@ def test_two_facet_depth_matches_skeleton_formula():
             assert two_facet_depth(f, g) == depth_stanley_reisner(cx, field)
 
 
-def test_two_facet_depth_rejects_containment():
-    with pytest.raises(ValueError):
-        two_facet_depth((1, 2), (1, 2, 3))
-    with pytest.raises(ValueError):
-        two_facet_depth((1, 2), (1, 2))
-
-
 # -- sampling ------------------------------------------------------------------------------
 
 def test_samples_conform_on_rigid_complex(two_big_facets):
@@ -156,52 +146,71 @@ def test_sampler_is_deterministic(fourcycle):
 
 # -- field independence ---------------------------------------------------------------------
 
+def field_independence(cx, primes):
+    """Rigidity over Q and (depth, rigid) over each F_p, after asserting that
+    depth only drops over F_p and rigidity over Q persists over every F_p."""
+    t_q = depth_stanley_reisner(cx, RATIONALS)
+    rigid_q = bool(is_rigid_by_subcomplex_depths(cx, RATIONALS))
+    by_p = {}
+    for p in primes:
+        t_p = depth_stanley_reisner(cx, prime_field(p))
+        by_p[p] = (t_p, bool(is_rigid_by_intersections(cx, t_p)))
+        assert t_p <= t_q, (cx, p)
+        assert by_p[p][1] or not rigid_q, (cx, p)
+    return rigid_q, by_p
+
+
 def test_char_audit_two_facets(two_big_facets):
-    report = char_independence_audit(two_big_facets, primes=(2, 3, 5))
-    assert report.ok
-    assert report.rationals_rigid
-    assert all(e.rigid for e in report.entries)
+    rigid_q, by_p = field_independence(two_big_facets, (2, 3, 5))
+    assert rigid_q
+    assert all(rigid for _, rigid in by_p.values())
 
 
 def test_char_audit_projective_plane(rp2):
-    report = char_independence_audit(rp2, primes=(2, 3))
-    assert report.ok  # not rigid over Q, so nothing to propagate
-    assert not report.rationals_rigid
-    by_p = {e.p: e for e in report.entries}
-    assert by_p[2].depth == 2 and by_p[2].rigid
-    assert by_p[3].depth == 3 and not by_p[3].rigid
+    rigid_q, by_p = field_independence(rp2, (2, 3))
+    assert not rigid_q  # not rigid over Q, so nothing to propagate
+    assert by_p == {2: (2, True), 3: (3, False)}
 
 
 def test_char_audit_random():
     rng = random.Random(10)
     for _ in range(20):
-        cx = random_pure_complex(rng, n_max=7, r_max=4)
-        assert char_independence_audit(cx, primes=(2, 3)).ok
+        field_independence(random_pure_complex(rng, n_max=7, r_max=4), (2, 3))
 
 
 # -- skeleton propagation ----------------------------------------------------------------------
 
+def skeleton_levels(cx, field=RATIONALS):
+    """Depth t of a rigid complex and {i: rigid} for its i-skeletons,
+    t - 1 <= i <= dim, after asserting that each keeps depth t and that
+    rigidity, once reached, persists at every higher level."""
+    t = depth_stanley_reisner(cx, field)
+    if not is_rigid_by_intersections(cx, t):
+        raise ValueError("skeleton propagation needs a rigid complex")
+    levels = {}
+    for i in range(t - 1, cx.dim + 1):
+        assert depth_stanley_reisner(cx.skeleton(i), field) == t, (cx, i)
+        levels[i] = bool(is_rigid_by_intersections(cx.skeleton(i), t))
+    assert sorted(levels.values()) == list(levels.values()), (cx, levels)
+    return t, levels
+
+
 def test_skeleton_propagation_two_big_facets(two_big_facets):
-    report = skeleton_propagation_audit(two_big_facets, RATIONALS)
-    assert report.ok
-    by_level = {l.i: l for l in report.levels}
-    assert set(by_level) == {2, 3, 4}
-    assert all(l.depth == 3 for l in report.levels)
-    assert not by_level[3].rigid  # witnessed by the depth-2 subcomplex
-    assert by_level[4].rigid
+    t, levels = skeleton_levels(two_big_facets)
+    assert t == 3
+    # the 3-skeleton is witnessed non-rigid by a depth-2 subcomplex
+    assert levels == {2: False, 3: False, 4: True}
 
 
 def test_skeleton_propagation_simplex():
-    report = skeleton_propagation_audit(Complex.full_simplex(4), RATIONALS)
-    assert report.ok
-    # 1-skeleton of the tetrahedron contains disjoint edges, so it cannot be
-    # rigid at depth 2... but its own depth is 2 with t=4 levels recorded
-    assert report.t == 4
+    # the tetrahedron is its own 3-skeleton, the only level from t - 1 = 3 up
+    t, levels = skeleton_levels(Complex.full_simplex(4))
+    assert t == 4 and levels == {3: True}
 
 
 def test_skeleton_propagation_requires_rigid(rp2):
     with pytest.raises(ValueError):
-        skeleton_propagation_audit(rp2, RATIONALS)
+        skeleton_levels(rp2)
 
 
 def test_skeleton_propagation_random():
@@ -213,4 +222,4 @@ def test_skeleton_propagation_random():
         if not is_rigid_by_intersections(cx, t):
             continue
         count += 1
-        assert skeleton_propagation_audit(cx, RATIONALS).ok
+        skeleton_levels(cx)
