@@ -14,15 +14,19 @@ restricted to the coordinates outside G_a, so no 2^n subsets are swept.
 
 Membership of x^a, the excess sets {j : g_j > a_j} and so every degree
 complex change only where some a_j crosses a generator exponent of x_j
-(the fact behind Takayama's formula).  The depth scans and the
-depth-vs-radical decision therefore visit one representative per
-breakpoint class of each coordinate, its smallest point, instead of every
-degree of the box, and `local_cohomology_table` reports one cell per class
-and index, with the number of degrees the class covers.
+(the fact behind Takayama's formula).  Every scan therefore visits one
+representative per breakpoint class of each coordinate, its smallest
+point, below the largest exponent rho_j: one grid, `_class_grid`.
 
-Depth is computed by one local-cohomology scan, depth_via_local_cohomology;
-an unmixed decomposition is scanned through its intersection ideal.  A
-multigraded Koszul-complex depth is kept as an independent oracle for the
+Hochster's formula, depth_stanley_reisner, is the one depth engine.  With
+Delta_a(I) = lk_{Delta_a+(I)} G_a, where a+ = max(a, 0) coordinatewise, it
+turns Takayama's formula into
+depth(S/I) = min over a >= 0 of depth K[Delta_a(I)], which is how
+depth_via_local_cohomology computes the depth and how depth_equals_radical
+compares it with the radical's.  `local_cohomology_table` lists the
+graded pieces themselves, one cell per class and index, on the same grid
+with -1 added for the negative values; its least index is an independent
+check on the depth, as is a multigraded Koszul-complex depth kept for the
 tests and `srdepth audit`.
 """
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .homology import (
     FieldSpec,
     RATIONALS,
     matrix_rank,
-    min_nonzero_betti,
     reduced_betti,
     depth_stanley_reisner,
 )
@@ -156,61 +159,44 @@ class LocalCohomologyCell:
     dimension: int
 
 
-def _class_grid(n: int, gens, local: bool) -> list[list[int]]:
-    """Breakpoint-class representatives of each coordinate, in increasing order.
+def _class_grid(n: int, gens) -> list[list[int]]:
+    """Breakpoint-class representatives of each coordinate below rho_j, in
+    increasing order.
 
-    With b_0 = 0 < b_1 < ... the distinct exponents of x_j among gens (and
-    rho_j their maximum), g_j <= a_j holds for the same generators on every
-    a_j in [b_k, b_(k+1)), so b_k stands for its class.  local=False covers
-    the nonnegative box {0..rho_j}; local=True the local-cohomology grid
-    {-1} + {0..rho_j - 1}, where -1 stands for every negative value.  A
-    representative is the least point of its class, so the lexicographic
-    order of the representatives is the box order.
+    With b_0 = 0 < b_1 < ... < rho_j the distinct exponents of x_j among gens,
+    g_j <= a_j holds for the same generators on every a_j in [b_k, b_(k+1)),
+    so b_k stands for its class; the list is empty when x_j is unused.  The
+    top class a_j >= rho_j is left out: there every degree complex is a cone
+    with apex j, which carries no local cohomology and, for depth, never
+    falls below its a_j = 0 counterpart.  A representative is the least
+    point of its class, so the lexicographic order of the representatives
+    is the box order.
     """
-    grid = []
-    for j in range(n):
-        values = sorted({0, *(g[j] for g in gens)})
-        grid.append([-1] + [v for v in values if v < values[-1]] if local else values)
-    return grid
-
-
-def _class_scan(ideal: MonomialIdeal):
-    """(a, |G_a|, degree complex) at each class representative a of the local
-    grid whose G_a is a face of the radical's complex (elsewhere H_m vanishes)."""
-    rc = radical_complex(ideal)
-    for a in product(*_class_grid(ideal.n, ideal.gens, local=True)):
-        gmask = negative_support(a)
-        if rc.has_face_mask(gmask):
-            yield a, gmask.bit_count(), degree_complex(ideal, a)
+    return [sorted({0, *(g[j] for g in gens)})[:-1] for j in range(n)]
 
 
 def depth_via_local_cohomology(
     ideal: MonomialIdeal, field: FieldSpec = RATIONALS
 ) -> int:
-    """depth(S/I) as the least i with a nonvanishing graded local cohomology piece.
+    """depth(S/I) as the least depth K[Delta_a(I)] over nonnegative degrees a.
 
-    The scan is exact on the finite grid {-1} x {0..rho_j - 1} per coordinate:
-    degrees with a_j >= rho_j vanish outright and all negative values behave
-    like -1.  It visits one degree per breakpoint class of that grid.  A
-    degree complex contributes |G_a| + 1 + (least index of its nonzero
-    reduced homology); the scan is lazy and stops at 0.
+    By Takayama's formula and Delta_a(I) = lk_{Delta_a+(I)} G_a, each
+    nonvanishing graded local cohomology piece is a term of Hochster's
+    formula for a degree complex at a >= 0, and none of these complexes has
+    depth below depth(S/I).  Such a piece has a_j < rho_j, so the scan
+    visits one degree per breakpoint class below rho_j (0 where x_j is
+    unused), skips void complexes and stops at 0.  The first degree, a = 0,
+    gives the radical's complex, which is never void for a proper ideal.
     """
     if not ideal.is_proper_nonzero:
         raise ValueError("depth needs a proper nonzero ideal")
-    best: Optional[int] = None
-    for _, g, cx in _class_scan(ideal):
-        if cx.kind == VOID:
-            continue
-        low = min_nonzero_betti(cx, field)
-        if low is None:
-            continue
-        cand = g + 1 + low
-        if best is None or cand < best:
-            best = cand
+    best = ideal.n
+    for a in product(*[reps or [0] for reps in _class_grid(ideal.n, ideal.gens)]):
+        cx = degree_complex(ideal, a)
+        if cx.kind != VOID:
+            best = min(best, depth_stanley_reisner(cx, field))
             if best == 0:
                 break
-    if best is None:
-        raise AssertionError("no nonvanishing local cohomology found")
     return best
 
 
@@ -218,19 +204,28 @@ def local_cohomology_table(
     ideal: MonomialIdeal, field: FieldSpec = RATIONALS
 ) -> list[LocalCohomologyCell]:
     """All nonzero graded local cohomology pieces, one cell per breakpoint
-    class and index, sorted by (index, degree); the first index is the depth."""
+    class and index, sorted by (index, degree); the first index is the depth.
+
+    The grid is {-1} + the classes below rho_j per coordinate, -1 standing
+    for every negative value.  At a degree a whose G_a is a face of the
+    radical's complex, H^i_m(S/I)_a = H~_(i-|G_a|-1)(Delta_a(I)) (Takayama).
+    """
     if not ideal.is_proper_nonzero:
         raise ValueError("local cohomology scan needs a proper nonzero ideal")
+    grid = [[-1] + reps for reps in _class_grid(ideal.n, ideal.gens)]
     # a class ends at the next representative (-1 at 0), the last at rho_j
-    grid = zip(_class_grid(ideal.n, ideal.gens, local=True), ideal.max_exponents())
-    ends = [dict(zip(reps, reps[1:] + [rho])) for reps, rho in grid]
+    ends = [dict(zip(reps, reps[1:] + [rho])) for reps, rho in zip(grid, ideal.max_exponents())]
+    rc = radical_complex(ideal)
     cells = []
-    for a, g, cx in _class_scan(ideal):
-        upper = tuple(end[x] for end, x in zip(ends, a))
-        size = prod(u - x for u, x in zip(upper, a))
-        for i in range(g, ideal.n + 1):
-            if d := reduced_betti(cx, i - g - 1, field):
-                cells.append(LocalCohomologyCell(a, upper, size, i, d))
+    for a in product(*grid):
+        gmask = negative_support(a)
+        if rc.has_face_mask(gmask):  # elsewhere every piece vanishes
+            cx, g = degree_complex(ideal, a), gmask.bit_count()
+            upper = tuple(end[x] for end, x in zip(ends, a))
+            size = prod(u - x for u, x in zip(upper, a))
+            for i in range(g, ideal.n + 1):
+                if d := reduced_betti(cx, i - g - 1, field):
+                    cells.append(LocalCohomologyCell(a, upper, size, i, d))
     cells.sort(key=lambda c: (c.index, c.degree))
     return cells
 
@@ -326,9 +321,12 @@ def depth_equals_radical(
 ) -> DepthEqualsRadicalVerdict:
     """Decide depth(S/I) = depth(S/sqrt(I)) for the decomposition's intersection.
 
-    Equality holds iff every nonvoid degree complex over the capped
-    nonnegative grid has depth >= t; the first degree, in the box's
-    lexicographic order, whose complex falls below t is the witness.
+    Since depth(S/I) is the least depth K[Delta_a(I)] over a >= 0, equality
+    holds iff every nonvoid degree complex on the class grid has depth >= t;
+    the first degree, in the box's lexicographic order, whose complex falls
+    below t is the witness.  The grid drops each top class a_j >= rho_j:
+    there the complex is a cone with apex j, whose depth is at least that at
+    a_j = 0, which comes first, so the first witness never lies there.
 
     The search runs depth first over the coordinates in order, visiting each
     coordinate's breakpoint classes in increasing order.  It carries the
@@ -338,8 +336,9 @@ def depth_equals_radical(
     (coordinate, mask) states are memoised too, so the first bad leaf is the
     box scan's first witness.  The equivalent facet-selection route (no
     selection of depth < t admits a degree_selecting_witness) is left to the
-    tests as an oracle; `srdepth audit` checks the verdict against the
-    local-cohomology depth of the intersection.
+    tests as an oracle; `srdepth audit` checks the verdict against
+    depth_via_local_cohomology of the intersection, a separate code path
+    through the localization-form degree complexes.
     """
     t = depth_stanley_reisner(dec.delta, field)
     n = dec.n
@@ -350,7 +349,7 @@ def depth_equals_radical(
     for comp in dec.components:
         comp_bits.append(((1 << len(comp.gens)) - 1) << k)
         k += len(comp.gens)
-    grid = _class_grid(n, gens, local=False)
+    grid = [reps or [0] for reps in _class_grid(n, gens)]
     # divides[j][c]: the generators whose x_j exponent is at most the c-th class
     divides = [
         [sum(1 << b for b, g in enumerate(gens) if g[j] <= v) for v in reps]

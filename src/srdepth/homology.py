@@ -19,7 +19,8 @@ has no homology at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import Optional
 
 from .simplicial import (
@@ -209,15 +210,9 @@ RANK_CACHE_SIZE = 64
 _boundary_rank = lru_cache(maxsize=RANK_CACHE_SIZE)(_rank)
 
 
-def _is_cone(cx: Complex) -> bool:
-    if cx.kind != ORDINARY:
-        return False
-    common = cx.facet_masks[0]
-    for fm in cx.facet_masks[1:]:
-        common &= fm
-        if not common:
-            return False
-    return bool(common)
+def _apex(cx: Complex) -> int:
+    """The intersection of all facets as a mask; nonzero iff cx is a cone."""
+    return reduce(and_, cx.facet_masks) if cx.kind == ORDINARY else 0
 
 
 def reduced_betti(cx: Complex, i: int, field: FieldSpec = RATIONALS) -> int:
@@ -228,7 +223,7 @@ def reduced_betti(cx: Complex, i: int, field: FieldSpec = RATIONALS) -> int:
         return 1 if i == -1 else 0
     if i < -1 or i > cx.dim:
         return 0
-    if _is_cone(cx):
+    if _apex(cx):
         # a common apex makes the complex contractible
         return 0
     f_i = 1 if i == -1 else len(cx.face_masks_of_dim(i))
@@ -246,7 +241,7 @@ def min_nonzero_betti(cx: Complex, field: FieldSpec) -> Optional[int]:
         return None
     if cx.kind == IRRELEVANT:
         return -1
-    if _is_cone(cx):
+    if _apex(cx):
         return None
     start = 0
     if field.is_rationals:
@@ -300,14 +295,18 @@ def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
 
         depth = min over faces F of |F| + 1 + min{i : H~_i(lk F) != 0}.
 
-    Every facet F has the irrelevant link and contributes |F|, so the scan
-    starts from the smallest facet size.  Any other face contributes at least
+    A cone is peeled first: with apex C, the intersection of all facets,
+    depth K[cx] = |C| + depth K[lk C], so a simplex costs nothing.  Every
+    facet F has the irrelevant link and contributes |F|, so the scan starts
+    from the smallest facet size.  Any other face contributes at least
     |F| + 1, and faces come by increasing size (the all_face_masks order), so
     the scan stops at the first size that cannot lower the minimum.  The
     irrelevant complex has depth 0: K[cx] is the field itself.
     """
     if cx.kind == VOID:
         raise ValueError("depth is undefined for the void complex")
+    if apex := _apex(cx):
+        return apex.bit_count() + depth_stanley_reisner(cx._link_mask(apex), field)
     best = min(fm.bit_count() for fm in cx.facet_masks)
     for size in range(cx.dim + 2):
         if size + 1 >= best:

@@ -362,18 +362,20 @@ class Decomposition:
         for entry in json_list(raw, "components"):
             (facet,) = json_fields(entry, "component", "facet")
             facet = tuple(as_int(v, "vertex") for v in json_list(facet, "facet"))
+            # exactly one form: reading the first one found would drop the others
+            forms = [repr(k) for k in ("generators", "power", "irreducible") if k in entry]
+            if len(forms) != 1:
+                raise ValueError(
+                    f"component for facet {list(facet)} needs exactly one of 'generators', "
+                    f"'power' or 'irreducible', got {' and '.join(forms) or 'none'}"
+                )
             if "generators" in entry:
                 ideal = MonomialIdeal(delta.n, json_rows(entry["generators"], "generators"))
             elif "power" in entry:
                 ideal = prime_power_ideal(delta.n, facet, as_int(entry["power"], "power"))
-            elif "irreducible" in entry:
+            else:
                 exps = json_list(entry["irreducible"], "irreducible")
                 ideal = irreducible_ideal(delta.n, facet, exps)
-            else:
-                raise ValueError(
-                    f"component for facet {facet} needs 'generators', 'power' "
-                    "or 'irreducible'"
-                )
             if facet in comp_map:
                 raise ValueError(f"facet {sorted(facet)} has more than one component")
             comp_map[facet] = ideal

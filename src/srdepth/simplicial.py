@@ -8,8 +8,8 @@ are kept apart because homology conventions differ downstream:
 * irrelevant  -- the single face is the empty set,
 * ordinary    -- everything else.
 
-Vertex tuples are validated only at the boundary (constructor, link, star,
-JSON); internal paths pass masks, and the k-faces of a facet are its k-bit
+Vertex tuples are validated only at the boundary (constructor, link, JSON);
+internal paths pass masks, and the k-faces of a facet are its k-bit
 submasks.  Face enumeration is colexicographic on bitmasks (numeric order of
 the mask), which fixes boundary-matrix rows/columns and makes all outputs
 reproducible.  `minimal_transversals` (Berge) also builds degree and radical
@@ -192,10 +192,6 @@ class Complex:
     def irrelevant(cls, n: int) -> "Complex":
         return cls(n, [()])
 
-    @classmethod
-    def full_simplex(cls, n: int) -> "Complex":
-        return cls._from_masks(n, [(1 << n) - 1])
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -256,14 +252,6 @@ class Complex:
         """link() of a face given as a mask, which must be a face."""
         stars = [fm for fm in self._fmasks if fm & m == m]
         return Complex._from_masks(self.n, [fm & ~m for fm in stars])
-
-    def star(self, face: Iterable[int]) -> "Complex":
-        """Faces G with G u face in the complex."""
-        m = face_mask(face, self.n)
-        stars = [fm for fm in self._fmasks if fm & m == m]
-        if not stars:
-            raise ValueError(f"{mask_vertices(m)} is not a face")
-        return Complex._from_masks(self.n, stars)
 
     def skeleton(self, i: int) -> "Complex":
         """Subcomplex of all faces of dimension <= i."""

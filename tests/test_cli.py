@@ -298,6 +298,19 @@ def test_depth_equal_radical_refuses_two_components_for_one_facet(tmp_path, caps
     assert err == f"error: {path}: facet [1, 2] has more than one component\n"
 
 
+@pytest.mark.parametrize("command", ["depth-equal-radical", "delta-a"])
+def test_decomposition_refuses_component_of_two_forms(tmp_path, capsys, command):
+    components = [{"facet": [1], "power": 1, "irreducible": [2]}, {"facet": [2], "power": 1}]
+    path = write_json(tmp_path, {"complex": {"n": 2, "facets": [[1], [2]]}, "components": components})
+    extra = ["--a", "0,0"] if command == "delta-a" else []
+    code, out, err = run(capsys, command, path, *extra)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: {path}: component for facet [1] needs exactly one of 'generators', "
+        "'power' or 'irreducible', got 'power' and 'irreducible'\n"
+    )
+
+
 # -- cones / delta-a / local-cohomology / polarize -------------------------------------
 
 def test_cones_json_round_trip(capsys):

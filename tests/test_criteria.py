@@ -47,6 +47,7 @@ from tests.conftest import (
 )
 
 F2 = prime_field(2)
+F3 = prime_field(3)
 
 
 # -- degree complexes ----------------------------------------------------------------
@@ -133,7 +134,7 @@ def test_degree_complex_matches_sweep_oracle():
         n = 2 + k % 6
         gens = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(rng.randint(1, 5))]
         ideal = MonomialIdeal(n, gens)
-        for a in product(*_class_grid(n, ideal.gens, local=True)):
+        for a in product(*[[-1] + reps for reps in _class_grid(n, ideal.gens)]):
             assert degree_complex(ideal, a) == swept_degree_complex(ideal, a), (ideal, a)
 
 
@@ -565,8 +566,16 @@ def test_depth_scans_match_raw_box_on_random_ideals():
         if not ideal.is_proper_nonzero:
             continue
         checked += 1
-        expected = box_depth(ideal, RATIONALS, lambda a: degree_complex(ideal, a))
-        assert depth_via_local_cohomology(ideal, RATIONALS) == expected
+        for field in (RATIONALS, F2, F3):
+            expected = box_depth(ideal, field, lambda a: degree_complex(ideal, a))
+            assert depth_via_local_cohomology(ideal, field) == expected, (ideal, field)
+
+
+def test_depth_of_a_cone_ideal_in_many_variables():
+    # (x1) in 20 variables: every degree complex is a simplex on x2..x20
+    ideal = MonomialIdeal(20, [(1,) + (0,) * 19])
+    assert depth_via_local_cohomology(ideal, RATIONALS) == 19
+    assert [c.index for c in local_cohomology_table(ideal, F2)] == [19]
 
 
 def test_unmixed_depth_scan_matches_raw_box():

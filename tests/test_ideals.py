@@ -342,6 +342,22 @@ def test_decomposition_json_refuses_two_components_for_one_facet(fourcycle, seco
         Decomposition.from_json_dict({"complex": fourcycle.to_json_dict(), "components": components})
 
 
+@pytest.mark.parametrize("forms", [
+    {"power": 1, "irreducible": [2]},
+    {"generators": [[0, 1]], "power": 1},
+    {"generators": [[0, 1]], "power": 1, "irreducible": [1]},
+], ids=["power and irreducible", "generators and power", "all three"])
+def test_decomposition_json_refuses_two_forms_for_one_component(forms):
+    # reading the first form found would drop the others silently
+    data = {
+        "complex": {"n": 2, "facets": [[1], [2]]},
+        "components": [{"facet": [1], **forms}, {"facet": [2], "power": 1}],
+    }
+    keys = " and ".join(repr(k) for k in ("generators", "power", "irreducible") if k in forms)
+    with pytest.raises(ValueError, match=rf"facet \[1\] needs exactly one of .*, got {keys}$"):
+        Decomposition.from_json_dict(data)
+
+
 def test_decomposition_refuses_two_keys_for_one_facet(fourcycle):
     comps = {f: prime_ideal(4, f) for f in fourcycle.facets}
     comps[(2, 1)] = prime_power_ideal(4, (1, 2), 5)

@@ -204,7 +204,7 @@ def test_skeleton_propagation_two_big_facets(two_big_facets):
 
 def test_skeleton_propagation_simplex():
     # the tetrahedron is its own 3-skeleton, the only level from t - 1 = 3 up
-    t, levels = skeleton_levels(Complex.full_simplex(4))
+    t, levels = skeleton_levels(Complex(4, [range(1, 5)]))
     assert t == 4 and levels == {3: True}
 
 

@@ -47,12 +47,14 @@ assert not missing, f"tracer targets gone: {missing}"
 tracer = Tracer()
 tracer.install(srdepth)
 try:
-    srdepth.criteria.depth_via_local_cohomology(
-        srdepth.ideals.MonomialIdeal(3, [(2, 1, 0), (0, 1, 1)]))
+    ideal = srdepth.ideals.MonomialIdeal(3, [(2, 1, 0), (0, 1, 1)])
+    srdepth.criteria.depth_via_local_cohomology(ideal)
+    srdepth.criteria.local_cohomology_table(ideal)
 finally:
     tracer.uninstall()
 for name in ("criteria.depth_via_local_cohomology", "criteria.degree_complex",
-             "ideals.radical_complex", "homology.min_nonzero_betti"):
+             "homology.depth_stanley_reisner", "homology.reduced_betti",
+             "ideals.radical_complex"):
     assert tracer.calls.get(name), (name, tracer.calls)
 """
 
