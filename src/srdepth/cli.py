@@ -35,7 +35,7 @@ from typing import Optional
 
 from . import cones as cones_mod
 from .criteria import (
-    degree_complex_facet_form,
+    degree_complex_unmixed,
     depth_equals_radical,
     depth_via_koszul,
     depth_via_local_cohomology,
@@ -263,7 +263,7 @@ def cmd_delta_a(args) -> int:
     a = parse_vector(args.a, dec.n)
     if any(x < 0 for x in a):
         raise CliError("delta-a needs a nonnegative degree vector")
-    cx = degree_complex_facet_form(dec, a)
+    cx = degree_complex_unmixed(dec, a)
     emit(args, cx.to_json_dict(), [f"degree {list(a)} selects {cx!r}"])
     return 0
 

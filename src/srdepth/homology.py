@@ -278,14 +278,20 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
 
     The empty face is included, so H~_i(cx) itself must vanish for i < dim cx.
     The irrelevant complex passes vacuously: K[cx] is the field itself.
+    Faces are walked by (size, colex), but a cone is peeled first: with apex
+    C, a face missing part of C has a cone as its link, which never fails,
+    and lk (C u G) = lk_{lk C} G, so only the faces of lk C are walked.
     """
     if cx.kind == VOID:
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
-    for fm in cx.all_face_masks():
-        lk = cx._link_mask(fm)
-        low = min_nonzero_betti(lk, field)
-        if low is not None and low < lk.dim:
-            return CMResult(False, mask_vertices(fm), low)
+    apex = _apex(cx)
+    core = cx._link_mask(apex) if apex else cx
+    for i in range(-1, core.dim + 1):
+        for fm in core.face_masks_of_dim(i):
+            lk = core._link_mask(fm)
+            low = min_nonzero_betti(lk, field)
+            if low is not None and low < lk.dim:
+                return CMResult(False, mask_vertices(apex | fm), low)
     return CMResult(True)
 
 
@@ -299,9 +305,9 @@ def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
     depth K[cx] = |C| + depth K[lk C], so a simplex costs nothing.  Every
     facet F has the irrelevant link and contributes |F|, so the scan starts
     from the smallest facet size.  Any other face contributes at least
-    |F| + 1, and faces come by increasing size (the all_face_masks order), so
-    the scan stops at the first size that cannot lower the minimum.  The
-    irrelevant complex has depth 0: K[cx] is the field itself.
+    |F| + 1, and faces come by increasing size, so the scan stops at the
+    first size that cannot lower the minimum.  The irrelevant complex has
+    depth 0: K[cx] is the field itself.
     """
     if cx.kind == VOID:
         raise ValueError("depth is undefined for the void complex")

@@ -15,7 +15,6 @@ complement of F and every complement variable occurs as a pure power.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 from math import comb
 from operator import itemgetter
@@ -28,7 +27,8 @@ from .simplicial import (
 
 Monomial = tuple  # exponent tuple of length n
 
-#: generators beyond which prime_power_ideal refuses to list a prime power
+#: generators beyond which prime_power_ideal refuses to list a prime power,
+#: and variables beyond which MonomialIdeal.polarize refuses to list a polarization
 MAX_PRIME_POWER_GENERATORS = 10**5
 
 
@@ -120,31 +120,22 @@ class MonomialIdeal:
             max((g[j] for g in self.gens), default=0) for j in range(self.n)
         )
 
-    def localization_membership(self, a: Sequence[int], face: Iterable[int]) -> bool:
-        """Whether x^a lies in the extension of the ideal after inverting x_i, i in face.
-
-        Coordinates inside the face are unconstrained; outside it a generator
-        must satisfy exponent <= a_j coordinatewise, so a_j < 0 rules out
-        every generator that actually involves x_j.
-        """
-        if len(a) != self.n:
-            raise ValueError(f"degree length {len(a)} != ambient {self.n}")
-        fmask = face if isinstance(face, int) else face_mask(face, self.n)
-        for g in self.gens:
-            if all(fmask >> j & 1 or g[j] <= a[j] for j in range(self.n)):
-                return True
-        return False
-
     def polarize(self) -> tuple["MonomialIdeal", tuple[int, ...]]:
         """Standard squarefree-ization in an enlarged variable set.
 
         Variable x_j gets one slot per unit of its largest exponent; x_j^e
         maps to the product of the first e slots.  Returns the squarefree
         ideal together with the origin map (new position -> original index).
+        More than MAX_PRIME_POWER_GENERATORS variables are refused before any
+        is listed.
         """
         if not self.is_proper_nonzero:
             raise ValueError("polarization needs a proper nonzero ideal")
         rho = self.max_exponents()
+        if (total := sum(rho)) > MAX_PRIME_POWER_GENERATORS:
+            raise ValueError(
+                f"polarization needs {total} variables, more than {MAX_PRIME_POWER_GENERATORS}"
+            )
         origin: list[int] = []
         offset: list[int] = []
         for j in range(self.n):
@@ -254,7 +245,6 @@ def stanley_reisner_ideal(cx: Complex) -> MonomialIdeal:
     return intersect_all([prime_ideal(cx.n, f) for f in cx.facets])
 
 
-@lru_cache(maxsize=None)
 def radical_complex(ideal: MonomialIdeal) -> Complex:
     """The complex whose faces are the squarefree monomials outside radical(ideal):
     its facets are the complements of the minimal vertex covers of the supports."""

@@ -144,8 +144,8 @@ def minimal_transversals(edges: Iterable[int]) -> list[int]:
 @lru_cache(maxsize=FACE_CACHE_SIZE)
 def _face_levels(cx: "Complex") -> list:
     """Slot k: the k-vertex faces of cx once listed, shared by f_i and the
-    boundary matrices.  Bounded, unlike the three other lru_caches (homology,
-    ideals; ROADMAP item 6), whose keys keep complexes alive."""
+    boundary matrices.  Bounded, unlike the two other unbounded lru_caches
+    (homology; ROADMAP item 6), whose keys keep complexes alive."""
     return [None] * (cx.dim + 2)
 
 
@@ -188,10 +188,6 @@ class Complex:
     def void(cls, n: int) -> "Complex":
         return cls(n, [])
 
-    @classmethod
-    def irrelevant(cls, n: int) -> "Complex":
-        return cls(n, [()])
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -225,19 +221,6 @@ class Complex:
                 found.update(map(sum, combinations(mask_bits(fm), i + 1)))
             levels[i + 1] = tuple(sorted(found))
         return levels[i + 1]
-
-    def faces(self, i: int) -> list[Face]:
-        """All i-faces as sorted vertex tuples, colex order."""
-        return [mask_vertices(m) for m in self.face_masks_of_dim(i)]
-
-    def all_face_masks(self) -> list[int]:
-        """Every face, ordered by (dimension, colex)."""
-        out: list[int] = []
-        if self.kind == VOID:
-            return out
-        for i in range(-1, self.dim + 1):
-            out.extend(self.face_masks_of_dim(i))
-        return out
 
     # -- derived complexes --------------------------------------------------
 

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
 
@@ -249,12 +250,31 @@ def generic_min_nonzero_betti(cx: Complex, field=RATIONALS):
     return None
 
 
+# -- full Reisner walk oracle --------------------------------------------------------
+
+def reisner_walk(cx: Complex, field=RATIONALS, betti=generic_min_nonzero_betti):
+    """(cm, face, index) of Reisner's criterion, walking every face of cx by
+    (size, colex) with no apex peeled: the first face whose link has reduced
+    homology below its dimension, and the least such index."""
+    for i in range(-1, cx.dim + 1):
+        for fm in cx.face_masks_of_dim(i):
+            lk = cx._link_mask(fm)
+            low = betti(lk, field)
+            if low is not None and low < lk.dim:
+                return False, mask_vertices(fm), low
+    return True, None, None
+
+
 # -- raw-box local cohomology oracle -----------------------------------------------
 
 def depth_grid(rho):
     """Every degree of the exact local-cohomology grid {-1} + {0..rho_j - 1},
     -1 standing for every negative value."""
     return product(*[[-1] + list(range(cap)) for cap in rho])
+
+
+#: the raw grid asks for the radical's complex of one ideal at every degree
+_radical_complex = lru_cache(maxsize=16)(radical_complex)
 
 
 def local_cohomology_dim(ideal: MonomialIdeal, i: int, a, field=RATIONALS) -> int:
@@ -270,7 +290,7 @@ def local_cohomology_dim(ideal: MonomialIdeal, i: int, a, field=RATIONALS) -> in
     if i < 0:
         return 0
     gmask = negative_support(a)
-    if not radical_complex(ideal).has_face_mask(gmask):
+    if not _radical_complex(ideal).has_face_mask(gmask):
         return 0
     rho = ideal.max_exponents()
     if any(x >= r for x, r in zip(a, rho)):

@@ -119,6 +119,19 @@ def test_depth_irrelevant_complex(tmp_path, capsys):
     assert "Cohen-Macaulay: yes" in out
 
 
+def test_depth_certifies_a_wide_cone(tmp_path, capsys):
+    # two disjoint edges coned by 20 vertices: Reisner's walk peels the apex
+    apex = list(range(5, 25))
+    path = write_json(tmp_path, {"n": 24, "facets": [[1, 2, *apex], [3, 4, *apex]]})
+    code, out, _ = run(capsys, "depth", path)
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "depth = 21",
+        "Cohen-Macaulay: no",
+        f"violating link at face {apex} in homology degree 0",
+    ]
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -417,6 +430,14 @@ def test_polarize(capsys):
     assert all(e in (0, 1) for g in data["ideal"]["generators"] for e in g)
 
 
+def test_polarize_refuses_huge_exponent(tmp_path, capsys):
+    # the origin map would list one entry per unit of the exponent
+    path = write_json(tmp_path, {"n": 2, "generators": [[10**30, 0], [0, 1]]})
+    code, out, err = run(capsys, "polarize", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: polarization needs {10**30 + 1} variables, more than 100000\n"
+
+
 def test_rigid_cap_skips_audits(capsys):
     # `rigid` runs no audits, so it has no cap to set
     with pytest.raises(SystemExit) as exc:
@@ -680,7 +701,7 @@ def test_wrong_types_fuzz_every_command(command, data):
 # -- production commands run no oracle -------------------------------------------------
 
 ORACLES = {
-    "criteria": ("depth_via_koszul", "degree_selecting_witness"),
+    "criteria": ("depth_via_koszul", "degree_selecting_witness", "degree_complex_facet_form"),
     "rigid": ("is_rigid_by_subcomplex_depths", "is_rigid_by_skeleton_cm", "sample_depth_stability"),
 }
 

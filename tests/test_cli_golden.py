@@ -1,5 +1,6 @@
 """Golden CLI sweep: stdout and exit code of every verdict command on every
-fixture, over Q and F_2, in text and JSON, plus `polarize` and `delta-a`.
+fixture, over Q and F_2, in text and JSON, plus `polarize`, `delta-a` and
+`audit` of the fixture directory.
 
 The expected output sits in tests/golden/cli_sweep.json.  A refactor that
 keeps behaviour leaves every byte of it unchanged; a deliberate change of
@@ -26,6 +27,7 @@ FIELDS = ("q", "fp:2")
 FORMATS = ("text", "json")
 #: degree vectors for delta-a; the fixtures' decompositions live in 4 variables
 DEGREES = ("0,0,0,0", "1,0,2,0", "1,2,0,3", "2,4,1,3", "3,5,2,4")
+AUDITS = (["audit", "fixtures/"], ["audit", "fixtures/", "--seed", "3", "--field", "fp:2"])
 
 
 def sweep_calls() -> list[list[str]]:
@@ -41,7 +43,7 @@ def sweep_calls() -> list[list[str]]:
             calls.append(["polarize", name, "--format", fmt])
             for a in DEGREES:
                 calls.append(["delta-a", name, "--a", a, "--format", fmt])
-    return calls
+    return calls + [list(argv) for argv in AUDITS]
 
 
 def run_call(argv: list[str]) -> dict:

@@ -21,12 +21,13 @@ from srdepth.homology import (
     rank_mod_p,
     reduced_betti,
 )
-from srdepth.simplicial import VOID, Complex, mask_vertices
+from srdepth.simplicial import VOID, Complex
 from tests.conftest import (
     RP2_FACETS,
     generic_min_nonzero_betti,
     mixed_complex_corpus,
     random_pure_complex,
+    reisner_walk,
     tuple_boundary_matrix,
 )
 
@@ -142,7 +143,7 @@ def test_simplex_acyclic():
 
 
 def test_degenerate_conventions():
-    irr = Complex.irrelevant(3)
+    irr = Complex(3, [()])
     void = Complex.void(3)
     assert reduced_betti(irr, -1, RATIONALS) == 1
     assert reduced_betti(irr, 0, RATIONALS) == 0
@@ -175,7 +176,7 @@ def test_pivot_order_independence(fourcycle, rp2):
 
 
 def euler_check(cx, field):
-    lhs = sum((-1) ** i * len(cx.faces(i)) for i in range(cx.dim + 1)) - 1
+    lhs = sum((-1) ** i * len(cx.face_masks_of_dim(i)) for i in range(cx.dim + 1)) - 1
     rhs = sum((-1) ** i * reduced_betti(cx, i, field) for i in range(-1, cx.dim + 1))
     return lhs == rhs
 
@@ -217,15 +218,44 @@ def test_cm_certificate_matches_generic_oracle():
         if cx.kind == VOID:
             continue
         for field in (RATIONALS, F2, F3):
-            expected = (True, None, None)
-            for fm in cx.all_face_masks():
-                lk = cx._link_mask(fm)
-                low = generic_min_nonzero_betti(lk, field)
-                if low is not None and low < lk.dim:
-                    expected = (False, mask_vertices(fm), low)
-                    break
             res = is_cohen_macaulay(cx, field)
-            assert (res.cm, res.face, res.index) == expected, (cx, field)
+            assert (res.cm, res.face, res.index) == reisner_walk(cx, field), (cx, field)
+
+
+def test_cm_certificate_of_cones_matches_full_walk():
+    # k apex vertices at random positions among the n + k: the peeled walk
+    # must name the same first violating face as the walk over every face
+    rng = random.Random(2013)
+    corpus = [random_pure_complex(rng) for _ in range(40)]
+    corpus += mixed_complex_corpus(count=40, n_max=6, seed=12)
+    for cx in corpus:
+        if cx.kind == VOID:
+            continue
+        k = rng.randint(0, 3)
+        apex = set(rng.sample(range(1, cx.n + k + 1), k))
+        rest = [v for v in range(1, cx.n + k + 1) if v not in apex]
+        cone = Complex(cx.n + k, [[rest[v - 1] for v in f] + sorted(apex) for f in cx.facets])
+        for field in (RATIONALS, F2, F3):
+            res = is_cohen_macaulay(cone, field)
+            expected = reisner_walk(cone, field, min_nonzero_betti)
+            assert (res.cm, res.face, res.index) == expected, (cone, field)
+
+
+def test_cm_certificate_of_a_wide_cone_walks_only_the_link(monkeypatch):
+    # two disjoint edges coned by the 20 vertices 5..24: the walk over every
+    # face meets the violating face only after millions of others
+    calls = []
+    real = homology.min_nonzero_betti
+
+    def counted(cx, field):
+        calls.append(cx)
+        return real(cx, field)
+
+    monkeypatch.setattr(homology, "min_nonzero_betti", counted)
+    apex = tuple(range(5, 25))
+    res = is_cohen_macaulay(Complex(24, [(1, 2, *apex), (3, 4, *apex)]), RATIONALS)
+    assert (res.cm, res.face, res.index) == (False, apex, 0)
+    assert len(calls) <= 2
 
 
 RP2_CONE = [f + (7,) for f in RP2_FACETS]
@@ -329,8 +359,8 @@ def test_depth_char_zero_dominates(fourcycle, rp2, two_big_facets):
 def test_depth_of_degenerate_complexes():
     # K[irrelevant] is the field itself, of depth 0; the void complex has no ring
     for n in (1, 2, 5):
-        assert depth_stanley_reisner(Complex.irrelevant(n), RATIONALS) == 0
-        assert is_cohen_macaulay(Complex.irrelevant(n), F2)
+        assert depth_stanley_reisner(Complex(n, [()]), RATIONALS) == 0
+        assert is_cohen_macaulay(Complex(n, [()]), F2)
         with pytest.raises(ValueError):
             depth_stanley_reisner(Complex.void(n), RATIONALS)
 

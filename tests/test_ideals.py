@@ -178,29 +178,6 @@ def test_component_exponents_bound_intersection():
         assert all(a <= b for a, b in zip(comp.max_exponents(), rho))
 
 
-# -- localization membership -----------------------------------------------------------
-
-def test_localization_membership_basics():
-    ideal = MonomialIdeal(2, [(1, 1)])
-    assert ideal.localization_membership((-1, 5), (1,))
-    assert not ideal.localization_membership((0, 5), ())
-    assert ideal.localization_membership((1, 1), ())
-
-
-@given(ideals())
-@settings(max_examples=40)
-def test_localization_at_empty_face_is_containment(ideal):
-    for a in grid(ideal):
-        assert ideal.localization_membership(a, ()) == ideal.contains(a)
-
-
-def test_localization_with_negative_coordinates():
-    ideal = MonomialIdeal(2, [(2, 1)])
-    # x2 inverted: only the x1 exponent matters
-    assert ideal.localization_membership((2, -7), (2,))
-    assert not ideal.localization_membership((1, -7), (2,))
-
-
 # -- polarization ------------------------------------------------------------------------
 
 def test_polarize_pure_power():
@@ -241,6 +218,16 @@ def test_polarize_rejects_degenerate():
         MonomialIdeal(2, []).polarize()
     with pytest.raises(ValueError):
         MonomialIdeal(2, [(0, 0)]).polarize()
+
+
+def test_polarize_variable_cap(monkeypatch):
+    # one new variable per unit of each largest exponent, refused before any is listed
+    with pytest.raises(ValueError, match=f"needs {10**30 + 1} variables, more than 100000"):
+        MonomialIdeal(2, [(10**30, 0), (0, 1)]).polarize()
+    monkeypatch.setattr(ideals_mod, "MAX_PRIME_POWER_GENERATORS", 5)
+    assert MonomialIdeal(2, [(4, 0), (0, 1)]).polarize()[0].n == 5
+    with pytest.raises(ValueError, match="needs 6 variables, more than 5"):
+        MonomialIdeal(2, [(5, 0), (0, 1)]).polarize()
 
 
 # -- components and decompositions ----------------------------------------------------------

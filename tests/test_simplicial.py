@@ -93,9 +93,12 @@ def test_dimension_and_purity(fourcycle):
 
 
 def test_face_enumeration_fourcycle(fourcycle):
-    assert fourcycle.faces(0) == [(1,), (2,), (3,), (4,)]
-    assert fourcycle.faces(1) == [(1, 2), (2, 3), (1, 4), (3, 4)]
-    assert fourcycle.faces(-1) == [()]
+    def faces(i):
+        return [mask_vertices(m) for m in fourcycle.face_masks_of_dim(i)]
+
+    assert faces(0) == [(1,), (2,), (3,), (4,)]
+    assert faces(1) == [(1, 2), (2, 3), (1, 4), (3, 4)]
+    assert faces(-1) == [()]
 
 
 def test_face_enumeration_is_colex():
@@ -111,7 +114,8 @@ def test_face_counts_match_brute_force(cx):
         return
     oracle = brute_faces(cx)
     for i in range(-1, cx.dim + 1):
-        assert set(cx.faces(i)) == {f for f in oracle if len(f) == i + 1}
+        faces = {mask_vertices(m) for m in cx.face_masks_of_dim(i)}
+        assert faces == {f for f in oracle if len(f) == i + 1}
 
 
 def test_submask_faces_match_combination_oracle():
