@@ -7,7 +7,7 @@ the formula OR_{i not in Γ} AND_{j not in F_i} OR_{k in Γ, j not in F_k}
 a_{ij} >= a_{kj}, the factored form (by distributivity) of a conjunction over
 tuples of outside-variable choices.  Expanding each selection's formula into a
 small disjunctive normal form, multiplying these into one DNF selection by
-selection and pruning subsumed conjunctions yields an explicit union of cones,
+selection and dropping subsumed products yields an explicit union of cones,
 evaluable on integer points and tested against the paper's 4-cycle systems.
 An expansion step that would list more than MAX_CONE_CANDIDATES candidate
 conjunctions is refused, so a union too large to list fails fast.
@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .homology import FieldSpec, RATIONALS, depth_stanley_reisner
 from .simplicial import (
-    Complex, ORDINARY, _minimal_masks, as_int, face_mask, json_fields, json_list, json_rows,
+    Complex, ORDINARY, _minimal_product, as_int, face_mask, json_fields, json_list, json_rows,
 )
 
 Symbol = tuple[int, int]  # (facet index, variable index)
@@ -34,9 +34,14 @@ Atom = tuple[int, int]  # (left symbol position, right symbol position): left >=
 MAX_CONE_CANDIDATES = 10**4
 
 
+def _disjunct_order(d: frozenset) -> tuple:
+    """The canonical order of disjuncts: by size, then by sorted atoms."""
+    return len(d), sorted(d)
+
+
 def _prune(disjuncts: Sequence[frozenset]) -> tuple[frozenset, ...]:
     """Drop duplicates and any conjunction containing another one."""
-    unique = sorted(set(disjuncts), key=lambda d: (len(d), sorted(d)))
+    unique = sorted(set(disjuncts), key=_disjunct_order)
     kept: list[frozenset] = []
     for d in unique:
         if not any(k <= d for k in kept):
@@ -167,8 +172,11 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     containing x_j contributes no comparison).  It expands to a small local
     DNF: one conjunction per outside facet and choice of k for each j, and
     an outside facet with an empty inner OR drops out.  The local DNFs are
-    multiplied into the running DNF selection by selection, pruning after
-    each step; conjunctions are bitmasks over atom indices until the end.
+    multiplied into the running DNF selection by selection; conjunctions are
+    bitmasks over atom indices until the end.  The running DNF is an
+    antichain: a conjunction that already holds a local term carries over
+    unchanged, only the others grow by every local term, and subsumed growths
+    are pruned.  So the final union needs no prune, only the canonical sort.
 
     A step whose product would list more than MAX_CONE_CANDIDATES candidate
     conjunctions is refused with a ValueError before it is expanded, and a
@@ -228,13 +236,9 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
             for c in per_var:
                 terms = [d | b for d in terms for b in c]
             local += terms
-        dnf = _minimal_masks([d | c for d in dnf for c in local])
+        dnf = _minimal_product(dnf, local)
         if not dnf:
             break
-    return ConeUnion(
-        cx.n,
-        cx.facets,
-        symbols,
-        _prune([frozenset(a for b, a in enumerate(atoms) if d >> b & 1) for d in dnf]),
-    )
+    disjuncts = [frozenset(a for b, a in enumerate(atoms) if d >> b & 1) for d in dnf]
+    return ConeUnion(cx.n, cx.facets, symbols, tuple(sorted(disjuncts, key=_disjunct_order)))
 

@@ -14,6 +14,11 @@ submasks.  Face enumeration is colexicographic on bitmasks (numeric order of
 the mask), which fixes boundary-matrix rows/columns and makes all outputs
 reproducible.  `minimal_transversals` (Berge) also builds degree and radical
 complexes.
+
+The public constructor keeps the maximal faces of whatever it is given.
+`Complex._from_masks` takes an antichain of facet masks and only sorts it:
+every internal builder (links, skeletons, facet selections, degree and
+radical complexes) has one at hand, so no subsumption scan runs twice.
 """
 from __future__ import annotations
 
@@ -109,7 +114,10 @@ def mask_vertices(mask: int) -> Face:
 def _maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        if not any(m & o == m for o in out):
+        for o in out:
+            if m & o == m:
+                break
+        else:
             out.append(m)
     out.sort()
     return tuple(out)
@@ -118,26 +126,52 @@ def _maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
 def _minimal_masks(masks: Iterable[int]) -> list[int]:
     out: list[int] = []
     for m in sorted(set(masks), key=int.bit_count):
-        if not any(o & m == o for o in out):
+        for o in out:
+            if o & m == o:
+                break
+        else:
             out.append(m)
+    return out
+
+
+def _minimal_product(dnf: list[int], terms: list[int]) -> list[int]:
+    """The minimal masks d | c over d in the antichain dnf and c in terms.
+
+    A d holding some term c is its own product d | c, minimal because dnf is
+    an antichain; only the other d grow by every term, and a grown mask
+    drops out when it contains a kept one or another grown one.
+    """
+    kept, grown = [], []
+    for d in dnf:
+        for c in terms:
+            if c & d == c:
+                kept.append(d)
+                break
+        else:
+            grown += [d | c for c in terms]
+    out = kept.copy()
+    for g in _minimal_masks(grown):
+        for k in kept:
+            if k & g == k:
+                break
+        else:
+            out.append(g)
     return out
 
 
 def minimal_transversals(edges: Iterable[int]) -> list[int]:
     """The minimal masks meeting every edge mask, in numeric order (Berge).
 
-    Edges are added one at a time: a transversal of the earlier edges that
-    meets the new edge stays minimal, one that misses it grows by each bit
-    of the edge, and the grown masks containing another transversal drop
-    out.  No edges give [0]; an empty edge gives no transversal at all.
+    Edges are added one at a time, as the product of the transversals so
+    far with the bits of the new edge: a transversal meeting the edge stays,
+    one missing it grows by each bit.  No edges give [0]; an empty edge
+    gives no transversal at all.
     """
     trans = [0]
     for e in _minimal_masks(edges):
         if not e:
             return []
-        hit = [t for t in trans if t & e]
-        grown = [t | b for t in trans if not t & e for b in mask_bits(e)]
-        trans = hit + [c for c in _minimal_masks(grown) if not any(h & c == h for h in hit)]
+        trans = _minimal_product(trans, list(mask_bits(e)))
     return sorted(trans)
 
 
@@ -161,11 +195,9 @@ class Complex:
     def __init__(self, n: int, faces: Iterable[Iterable[int]]):
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
-        masks = [face_mask(f, n) for f in faces]
-        self._init_from_masks(n, masks)
+        self._set_facets(n, _maximal_masks(face_mask(f, n) for f in faces))
 
-    def _init_from_masks(self, n: int, masks: Iterable[int]) -> None:
-        fmasks = _maximal_masks(masks)
+    def _set_facets(self, n: int, fmasks: tuple[int, ...]) -> None:
         self.n = n
         self._fmasks = fmasks
         # max |F|-1; -1 if irrelevant, -2 if void (a below-everything sentinel)
@@ -180,8 +212,11 @@ class Complex:
 
     @classmethod
     def _from_masks(cls, n: int, masks: Iterable[int]) -> "Complex":
+        """The complex with the given facet masks, which must form an
+        antichain (distinct and pairwise incomparable): they are only sorted,
+        never normalised as the constructor's faces are."""
         cx = object.__new__(cls)
-        cx._init_from_masks(n, masks)
+        cx._set_facets(n, tuple(sorted(masks)))
         return cx
 
     @classmethod

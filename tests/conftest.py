@@ -109,6 +109,24 @@ def two_big_facets() -> Complex:
     return Complex(8, [(1, 2, 3, 4, 5), (1, 2, 6, 7, 8)])
 
 
+@pytest.fixture
+def antichain_contract(monkeypatch) -> list:
+    """Complex._from_masks wrapped to assert that its masks are distinct and
+    pairwise incomparable; the list collects the mask lists it was given."""
+    original = Complex._from_masks.__func__
+    seen = []
+
+    def checked(cls, n, masks):
+        masks = list(masks)
+        assert len(set(masks)) == len(masks), masks
+        assert not any(a != b and a & b == a for a in masks for b in masks), masks
+        seen.append(masks)
+        return original(cls, n, masks)
+
+    monkeypatch.setattr(Complex, "_from_masks", classmethod(checked))
+    return seen
+
+
 # -- seeded random corpora -------------------------------------------------------
 
 def random_pure_complex(rng: random.Random, n_max=7, r_max=5) -> Complex:
@@ -216,7 +234,7 @@ def swept_degree_complex(ideal: MonomialIdeal, a) -> Complex:
         if sub == 0:
             break
         sub = (sub - 1) & free
-    return Complex._from_masks(n, qualifying)
+    return Complex(n, map(mask_vertices, qualifying))
 
 
 def swept_radical_complex(ideal: MonomialIdeal) -> Complex:
@@ -227,7 +245,7 @@ def swept_radical_complex(ideal: MonomialIdeal) -> Complex:
         for mask in range(1 << ideal.n)
         if not any(gm & mask == gm for gm in gen_masks)
     ]
-    return Complex._from_masks(ideal.n, faces)
+    return Complex(ideal.n, map(mask_vertices, faces))
 
 
 # -- index-by-index homology oracle ------------------------------------------------

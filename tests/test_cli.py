@@ -719,6 +719,17 @@ def test_production_commands_run_no_oracle(monkeypatch, capsys):
             for mod in loaded:
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, refuse)
+    run_every_production_command(capsys)
+
+
+def test_production_commands_build_complexes_from_antichains(antichain_contract, capsys):
+    run_every_production_command(capsys)
+    assert antichain_contract
+
+
+def run_every_production_command(capsys):
+    """Every fixture through every verdict command and delta-a; each ends in
+    an answer or a clean refusal."""
     for path in sorted(FIXTURES.glob("*.json")):
         for command in ("depth", "rigid", "depth-equal-radical", "cones", "local-cohomology"):
             assert run(capsys, command, str(path))[0] in (0, 2), (command, path.name)

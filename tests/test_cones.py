@@ -6,7 +6,8 @@ import pytest
 
 from bench.corpus import CONE_CLASSES, random_pure_complex as random_shaped_facets
 from srdepth import cones as cones_mod
-from srdepth.cones import ConeUnion, generate_cone_union
+from srdepth.cli import main
+from srdepth.cones import ConeUnion, _prune, generate_cone_union
 from srdepth.criteria import depth_equals_radical
 from srdepth.homology import RATIONALS, prime_field
 from srdepth.ideals import Decomposition, irreducible_ideal
@@ -127,6 +128,26 @@ def test_generated_matches_distribution_oracle_on_random_complexes():
             _assert_same_union(union, distributed_cone_union(cx, field))
             trivial.add(union.is_trivially_true)
     assert trivial == {True, False}
+
+
+def test_union_is_canonical_without_a_final_prune():
+    rng = random.Random(14)
+    complexes = [FOURCYCLE, FIVECYCLE] + [random_pure_complex(rng) for _ in range(60)]
+    for cx in complexes:
+        for field in (RATIONALS, prime_field(2)):
+            union = generate_cone_union(cx, field)
+            assert union.disjuncts == _prune(union.disjuncts), cx
+    assert len(generate_cone_union(FIVECYCLE, RATIONALS).disjuncts) == 464
+
+
+def test_sixcycle_refusal_text(tmp_path, capsys):
+    path = tmp_path / "sixcycle.json"
+    path.write_text(json.dumps(SIXCYCLE.to_json_dict()))
+    assert main(["cones", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cone union expansion needs 23589 candidate conjunctions in one step, "
+        "more than 10000\n"
+    )
 
 
 @pytest.mark.parametrize("name", ["6-cycle", "projective_plane_6"])

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from srdepth import simplicial
 from srdepth.cones import generate_cone_union
+from srdepth.criteria import degree_complex, degree_complex_unmixed
 from srdepth.homology import RATIONALS, depth_stanley_reisner
+from srdepth.ideals import radical_complex
 from srdepth.rigid import is_rigid_by_skeleton_cm, is_rigid_by_subcomplex_depths
 from srdepth.simplicial import (
     Complex,
@@ -18,7 +20,9 @@ from srdepth.simplicial import (
     mask_vertices,
     minimal_transversals,
 )
-from tests.conftest import combination_faces, mixed_complex_corpus
+from tests.conftest import (
+    combination_faces, mixed_complex_corpus, random_decomposition, random_ideal,
+)
 
 
 def brute_faces(cx: Complex) -> set:
@@ -162,6 +166,42 @@ def test_selection_cap_refuses_before_any_depth(monkeypatch, fourcycle, route):
         route(fourcycle, RATIONALS)
     assert str(exc.value) == "4 facets exceed the enumeration cap 3"
     assert depth_stanley_reisner.cache_info().currsize == 0
+
+
+# -- subsumption kernels ---------------------------------------------------------------
+
+# short lists over few bits: duplicates, 0 and nested masks are common
+_mask_lists = st.lists(st.integers(min_value=0, max_value=63), max_size=24)
+
+
+@given(_mask_lists)
+@settings(max_examples=200)
+def test_subsumption_kernels_match_brute_force(masks):
+    minimal = simplicial._minimal_masks(masks)
+    maximal = simplicial._maximal_masks(masks)
+    assert set(minimal) == {m for m in masks if not any(o & m == o != m for o in masks)}
+    assert set(maximal) == {m for m in masks if not any(m & o == m != o for o in masks)}
+    assert len(minimal) == len(set(minimal))
+    assert [m.bit_count() for m in minimal] == sorted(m.bit_count() for m in minimal)
+    assert list(maximal) == sorted(set(maximal))
+
+
+def test_internal_builders_pass_antichains(antichain_contract):
+    rng = random.Random(14)
+    for _ in range(150):
+        ideal = random_ideal(rng, n_max=5)
+        radical_complex(ideal)
+        for _ in range(4):
+            degree_complex(ideal, [rng.randint(-1, 3) for _ in range(ideal.n)])
+    for _ in range(60):
+        dec = random_decomposition(rng)
+        for _ in range(4):
+            degree_complex_unmixed(dec, [rng.randint(-1, 3) for _ in range(dec.n)])
+    for cx in mixed_complex_corpus(count=80):
+        if cx.kind != VOID:
+            for i in range(-1, cx.dim + 1):
+                cx.skeleton(i)
+    assert antichain_contract
 
 
 # -- minimal transversals ----------------------------------------------------------------
