@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -68,7 +69,7 @@ def parse_field(spec: str) -> FieldSpec:
     spec = spec.strip().lower()
     if spec in ("q", "qq", "rationals", "0"):
         return RATIONALS
-    if spec.startswith("fp:"):
+    if spec.startswith("fp:") and re.fullmatch("[0-9]+", spec[3:]):
         try:
             return prime_field(int(spec[3:]))
         except ValueError as exc:
@@ -76,14 +77,26 @@ def parse_field(spec: str) -> FieldSpec:
     raise CliError(f"bad field {spec!r}: expected 'q' or 'fp:<prime>'")
 
 
+def _unique_keys(pairs: list) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # a repeated key, bytes that are not UTF-8, or nesting too deep to parse
+        raise CliError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"{path}: expected a JSON object, got {data!r}")
     return data
@@ -112,10 +125,11 @@ def load(path: str, *kinds: type, data: Optional[dict] = None):
 
 
 def parse_vector(text: str, n: int) -> tuple[int, ...]:
-    try:
-        vec = tuple(int(x) for x in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise CliError(f"bad degree vector {text!r}: {exc}") from exc
+    entries = [x.strip() for x in text.split(",")]
+    for x in entries:
+        if not re.fullmatch("-?[0-9]+", x):
+            raise CliError(f"bad degree vector {text!r}: entry {x!r} is not an integer")
+    vec = tuple(map(int, entries))
     if len(vec) != n:
         raise CliError(f"degree vector has {len(vec)} entries, expected {n}")
     return vec

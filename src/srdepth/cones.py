@@ -20,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import prod
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .homology import FieldSpec, RATIONALS, depth_stanley_reisner
-from .simplicial import (
-    Complex, ORDINARY, _minimal_product, as_int, face_mask, json_fields, json_list, json_rows,
-)
+from .simplicial import Complex, ORDINARY, _minimal_product, as_int
 
 Symbol = tuple[int, int]  # (facet index, variable index)
 Atom = tuple[int, int]  # (left symbol position, right symbol position): left >= right
@@ -37,16 +35,6 @@ MAX_CONE_CANDIDATES = 10**4
 def _disjunct_order(d: frozenset) -> tuple:
     """The canonical order of disjuncts: by size, then by sorted atoms."""
     return len(d), sorted(d)
-
-
-def _prune(disjuncts: Sequence[frozenset]) -> tuple[frozenset, ...]:
-    """Drop duplicates and any conjunction containing another one."""
-    unique = sorted(set(disjuncts), key=_disjunct_order)
-    kept: list[frozenset] = []
-    for d in unique:
-        if not any(k <= d for k in kept):
-            kept.append(d)
-    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -97,58 +85,6 @@ class ConeUnion:
                 for d in self.disjuncts
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConeUnion":
-        n, raw_facets, raw_symbols, raw = json_fields(
-            data, "cone union", "n", "facets", "symbols", "disjuncts"
-        )
-        n = as_int(n, "n")
-        facets = tuple(
-            tuple(as_int(v, "vertex") for v in f) for f in json_rows(raw_facets, "facets")
-        )
-        masks = [face_mask(f, n) for f in facets]
-        for f, m in zip(facets, masks):
-            if m.bit_count() != len(f):
-                raise ValueError(f"facet {list(f)} repeats a vertex")
-            if sum(o & m == m for o in masks) > 1:
-                raise ValueError(f"facet {list(f)} is repeated or lies in another facet")
-        if len({m.bit_count() for m in masks}) > 1:
-            raise ValueError("facets of a cone union must all have the same size")
-        symbols = []
-        for entry in json_list(raw_symbols, "symbols"):
-            i, j = json_fields(entry, "symbol", "facet", "var")
-            i, j = as_int(i, "facet"), as_int(j, "var")
-            if not 1 <= i <= len(facets):
-                raise ValueError(f"symbol facet {i} is outside 1..{len(facets)}")
-            if not 1 <= j <= n:
-                raise ValueError(f"symbol variable {j} is outside 1..{n}")
-            if j in facets[i - 1]:
-                raise ValueError(f"symbol variable {j} lies in its facet {i}")
-            symbols.append((i - 1, j))
-        disjuncts = []
-        for entry in json_rows(raw, "disjuncts"):
-            atoms = set()
-            for cmp_ in entry:
-                left, right = json_fields(cmp_, "comparison", "left", "right")
-                left, right = as_int(left, "left"), as_int(right, "right")
-                for pos in (left, right):
-                    if not 0 <= pos < len(symbols):
-                        raise ValueError(
-                            f"comparison refers to symbol {pos}, outside 0..{len(symbols) - 1}"
-                        )
-                rel = cmp_.get("rel", ">=")
-                if rel == ">=":
-                    atoms.add((left, right))
-                elif rel == "<=":
-                    atoms.add((right, left))
-                elif rel == "=":
-                    atoms.add((left, right))
-                    atoms.add((right, left))
-                else:
-                    raise ValueError(f"unknown relation {rel!r}")
-            disjuncts.append(frozenset(atoms))
-        return cls(n, facets, tuple(symbols), _prune(disjuncts))
 
 
 def _symbols_for(cx: Complex) -> tuple[Symbol, ...]:

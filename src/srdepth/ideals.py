@@ -335,15 +335,6 @@ class Decomposition:
             max(c.max_exponents()[j] for c in self.components) for j in range(self.n)
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "complex": self.delta.to_json_dict(),
-            "components": [
-                {"facet": list(f), "generators": [list(g) for g in c.gens]}
-                for f, c in zip(self.delta.facets, self.components)
-            ],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Decomposition":
         cx_data, raw = json_fields(data, "decomposition", "complex", "components")

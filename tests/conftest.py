@@ -12,7 +12,7 @@ from srdepth import (
     irreducible_ideal,
     prime_power_ideal,
 )
-from srdepth.cones import ConeUnion, _prune, _symbols_for
+from srdepth.cones import ConeUnion, _disjunct_order, _symbols_for
 from srdepth.criteria import degree_complex, negative_support
 from srdepth.homology import (
     RATIONALS, boundary_matrix, depth_stanley_reisner, matrix_rank, reduced_betti,
@@ -72,6 +72,17 @@ def fourcycle_assignment(values) -> dict:
     """Assignment for the 4-cycle from the eight exponents e1..e8."""
     assert len(values) == 8
     return dict(zip(fourcycle_symbol_order(), [as_int(v, "exponent") for v in values]))
+
+
+def _prune(disjuncts) -> tuple[frozenset, ...]:
+    """Oracle: drop duplicates and any conjunction containing another one, in
+    the canonical order of disjuncts."""
+    unique = sorted(set(disjuncts), key=_disjunct_order)
+    kept: list[frozenset] = []
+    for d in unique:
+        if not any(k <= d for k in kept):
+            kept.append(d)
+    return tuple(kept)
 
 
 def fourcycle_reference_system() -> ConeUnion:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srdepth.cli import build_parser, main, parse_field
-from srdepth.cones import ConeUnion
+from srdepth.cones import generate_cone_union
 from srdepth.criteria import (
     depth_via_koszul,
     depth_via_local_cohomology,
@@ -22,9 +22,7 @@ from srdepth.criteria import (
 from srdepth.homology import RATIONALS
 from srdepth.ideals import MonomialIdeal
 from srdepth.simplicial import Complex
-from tests.conftest import (
-    FIXTURES, fourcycle_reference_system, grid_equivalence, raw_local_cohomology,
-)
+from tests.conftest import FIXTURES, raw_local_cohomology
 
 
 def run(capsys, *argv):
@@ -42,6 +40,13 @@ def test_parse_field():
     assert parse_field("fp:5").p == 5
     with pytest.raises(Exception):
         parse_field("fp:4")
+
+
+@pytest.mark.parametrize("spec", ["fp: 1_1", "fp:1_1", "fp: 11", "fp:+3", "fp:\u0663", "fp:"])
+def test_field_suffix_must_be_ascii_digits(capsys, spec):
+    code, out, err = run(capsys, "depth", fixture("fourcycle.json"), "--field", spec)
+    assert code == 2 and out == ""
+    assert err == f"error: bad field {spec!r}: expected 'q' or 'fp:<prime>'\n"
 
 
 # -- depth ---------------------------------------------------------------------
@@ -224,6 +229,49 @@ def test_depth_bad_json(tmp_path, capsys):
     assert "line" in err
 
 
+def test_depth_refuses_a_directory(capsys):
+    code, out, err = run(capsys, "depth", str(FIXTURES))
+    assert code == 2 and out == ""
+    assert err == f"error: {FIXTURES}: Is a directory\n"
+
+
+def test_depth_refuses_nesting_too_deep(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "depth", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+def test_depth_names_the_path_of_bytes_that_are_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 2, "facets": [[1], [2]], "note": "\xe9"}')
+    code, out, err = run(capsys, "depth", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"n": 4, "n": 2, "facets": [[1, 2]]}', "n"),
+        ('{"n": 2, "facets": [[1], [2]], "note": {"a": 1, "a": 1}}', "a"),
+        ('{"complex": {"n": 2, "facets": [[1], [2]], "facets": [[1]]}, "components": []}',
+         "facets"),
+    ],
+    ids=["top level", "nested", "inside a decomposition"],
+)
+def test_loader_refuses_a_duplicate_key(tmp_path, capsys, text, key):
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    for command in ("depth", "depth-equal-radical", "polarize"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: duplicate key {key!r}\n"
+
+
 def test_depth_refuses_input_of_two_kinds(tmp_path, capsys):
     path = write_json(tmp_path, TWO_KINDS)
     code, out, err = run(capsys, "depth", path)
@@ -327,10 +375,11 @@ def test_decomposition_refuses_component_of_two_forms(tmp_path, capsys, command)
 # -- cones / delta-a / local-cohomology / polarize -------------------------------------
 
 def test_cones_json_round_trip(capsys):
+    # cone unions are only written: the JSON is the library union's own
     code, out, _ = run(capsys, "cones", fixture("fourcycle.json"), "--format", "json")
     assert code == 0
-    union = ConeUnion.from_json_dict(json.loads(out))
-    assert grid_equivalence(union, fourcycle_reference_system(), 2) is None
+    cx = Complex.from_json_dict(json.loads(Path(fixture("fourcycle.json")).read_text()))
+    assert json.loads(out) == generate_cone_union(cx).to_json_dict()
 
 
 @pytest.mark.parametrize("name", ["6-cycle", "projective_plane_6"])
@@ -378,6 +427,32 @@ def test_delta_a_rejects_negative(capsys):
         capsys, "delta-a", fixture("fourcycle_decomposition_a.json"), "--a=-1,0,0,0"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text,entry",
+    [
+        ("1_0,0,0,0", "1_0"),
+        ("1,0,,0", ""),
+        ("1,0,0,0,", ""),
+        ("1 2 3 4", "1 2 3 4"),
+        ("1,2,3,\u0663", "\u0663"),
+        ("1,+2,3,4", "+2"),
+        ("1,2.0,3,4", "2.0"),
+    ],
+)
+def test_delta_a_refuses_a_vector_that_is_not_comma_separated_integers(capsys, text, entry):
+    path = fixture("fourcycle_decomposition_a.json")
+    code, out, err = run(capsys, "delta-a", path, "--a", text)
+    assert code == 2 and out == ""
+    assert err == f"error: bad degree vector {text!r}: entry {entry!r} is not an integer\n"
+
+
+def test_delta_a_strips_spaces_around_entries(capsys):
+    path = fixture("fourcycle_decomposition_a.json")
+    assert run(capsys, "delta-a", path, "--a", " 1, 2 ,3,4 ") == run(
+        capsys, "delta-a", path, "--a", "1,2,3,4"
+    )
 
 
 def test_local_cohomology(capsys):
@@ -524,6 +599,16 @@ def test_audit_reports_unreadable_fixture(tmp_path, capsys):
     assert code == 1
     assert "a.json: FAIL" in out and "b.json: ok" in out
     assert "1/2 fixtures passed" in out
+
+
+def test_audit_reports_a_directory_named_like_a_fixture(tmp_path, capsys):
+    # like an unreadable file, it fails on its own and the audit goes on
+    (tmp_path / "a.json").mkdir()
+    (tmp_path / "b.json").write_text(json.dumps({"n": 2, "facets": [[1], [2]]}))
+    code, out, _ = run(capsys, "audit", str(tmp_path))
+    assert code == 1
+    assert f"a.json: FAIL\n  - {tmp_path / 'a.json'}: Is a directory\n" in out
+    assert "b.json: ok" in out and "1/2 fixtures passed" in out
 
 
 def test_audit_refuses_input_of_two_kinds(tmp_path, capsys):

@@ -299,9 +299,17 @@ def test_non_pure_complex_rejected():
 
 
 def test_decomposition_json_round_trip():
-    dec = fourcycle_decomposition(VEC_EQUAL_1)
-    again = Decomposition.from_json_dict(dec.to_json_dict())
-    assert again == dec
+    # decompositions are only read: a literal dict of fourcycle_decomposition(VEC_EQUAL_1)
+    data = {
+        "complex": {"n": 4, "facets": [[1, 2], [1, 4], [2, 3], [3, 4]]},
+        "components": [
+            {"facet": [3, 4], "generators": [[3, 0, 0, 0], [0, 5, 0, 0]]},
+            {"facet": [2, 3], "generators": [[1, 0, 0, 0], [0, 0, 0, 3]]},
+            {"facet": [1, 4], "generators": [[0, 5, 0, 0], [0, 0, 9, 0]]},
+            {"facet": [1, 2], "generators": [[0, 0, 7, 0], [0, 0, 0, 9]]},
+        ],
+    }
+    assert Decomposition.from_json_dict(data) == fourcycle_decomposition(VEC_EQUAL_1)
 
 
 def test_decomposition_json_sugars(fourcycle):
