@@ -23,7 +23,7 @@ from math import prod
 from typing import Mapping
 
 from .homology import FieldSpec, RATIONALS, depth_stanley_reisner
-from .simplicial import Complex, ORDINARY, _minimal_product, as_int
+from .simplicial import Complex, _minimal_product, as_int, require_pure
 
 Symbol = tuple[int, int]  # (facet index, variable index)
 Atom = tuple[int, int]  # (left symbol position, right symbol position): left >= right
@@ -117,9 +117,9 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     A step whose product would list more than MAX_CONE_CANDIDATES candidate
     conjunctions is refused with a ValueError before it is expanded, and a
     complex beyond simplicial.DEFAULT_FACET_CAP facets before any depth.
+    The irrelevant complex has no selection, so its union is trivially true.
     """
-    if cx.kind != ORDINARY or not cx.is_pure:
-        raise ValueError("cone generation needs an ordinary pure complex")
+    require_pure(cx)
     selections = cx.proper_facet_selections()
     t = depth_stanley_reisner(cx, field)
     symbols = _symbols_for(cx)

@@ -329,12 +329,13 @@ def depth_equals_radical(
     coordinate's breakpoint classes in increasing order.  It carries the
     bitmask of the generators, across all components, that divide the
     degree prefix; at a leaf the selected facets are those whose component
-    keeps no dividing generator.  Depths are memoised per selection and dead
-    (coordinate, mask) states are memoised too, so the first bad leaf is the
-    box scan's first witness.  The equivalent facet-selection route (no
-    selection of depth < t admits a degree_selecting_witness) is left to the
-    tests as an oracle; `srdepth audit` checks the verdict against
-    depth_via_local_cohomology of the intersection, a separate code path.
+    keeps no dividing generator.  Each selection's depth comes from the cache
+    of depth_stanley_reisner, and dead (coordinate, mask) states are memoised,
+    so the first bad leaf is the box scan's first witness.  The equivalent
+    facet-selection route (no selection of depth < t admits a
+    degree_selecting_witness) is left to the tests as an oracle; `srdepth
+    audit` checks the verdict against depth_via_local_cohomology of the
+    intersection, a separate code path.
     """
     t = depth_stanley_reisner(dec.delta, field)
     n = dec.n
@@ -352,21 +353,16 @@ def depth_equals_radical(
         for j, reps in enumerate(grid)
     ]
     facet_masks = dec.delta.facet_masks
-    low_depth: dict[tuple[int, ...], Optional[Complex]] = {}
     dead: set[tuple[int, int]] = set()
     prefix: list[int] = []
 
     def leaf(mask: int) -> Optional[Complex]:
         # the facets whose component keeps no generator dividing x^prefix,
         # as degree_complex_unmixed would select them
-        selection = tuple(
-            fm for fm, bits in zip(facet_masks, comp_bits) if not mask & bits
+        cx = Complex._from_masks(
+            n, [fm for fm, bits in zip(facet_masks, comp_bits) if not mask & bits]
         )
-        if selection not in low_depth:
-            cx = Complex._from_masks(n, selection)
-            bad = cx.kind != VOID and depth_stanley_reisner(cx, field) < t
-            low_depth[selection] = cx if bad else None
-        return low_depth[selection]
+        return cx if cx.kind != VOID and depth_stanley_reisner(cx, field) < t else None
 
     def search(j: int, mask: int) -> Optional[Complex]:
         if j == n:

@@ -28,18 +28,23 @@ from .simplicial import (
 )
 
 
+#: Miller-Rabin on the prime bases 2..37 is exact below this bound (psi_12,
+#: Sorenson and Webster); larger characteristics are refused
+MILLER_RABIN_BOUND = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin on the prime bases 2..37."""
+    if p >= MILLER_RABIN_BOUND:
+        raise ValueError(f"characteristic {p} is too large, the bound is {MILLER_RABIN_BOUND}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % q == 0 for q in bases):
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * d with d odd
+    for q in bases:
+        x = pow(q, (p - 1) >> s, p)
+        if x != 1 and p - 1 not in (pow(x, 1 << k, p) for k in range(s)):
             return False
-        d += 2
     return True
 
 

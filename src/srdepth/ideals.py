@@ -21,8 +21,8 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .simplicial import (
-    Complex, ORDINARY, as_int, face_mask, json_fields, json_list, json_rows,
-    mask_vertices, minimal_transversals,
+    Complex, as_int, face_mask, json_fields, json_list, json_rows,
+    mask_vertices, minimal_transversals, require_pure,
 )
 
 Monomial = tuple  # exponent tuple of length n
@@ -288,10 +288,7 @@ class Decomposition:
     __slots__ = ("delta", "components", "_intersection")
 
     def __init__(self, delta: Complex, components):
-        if delta.kind != ORDINARY:
-            raise ValueError("decomposition needs an ordinary complex")
-        if not delta.is_pure:
-            raise ValueError("decomposition needs a pure complex")
+        require_pure(delta)
         if isinstance(components, dict):
             keyed = {}
             for f, ideal in components.items():

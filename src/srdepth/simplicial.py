@@ -13,7 +13,7 @@ internal paths pass masks, and the k-faces of a facet are its k-bit
 submasks.  Face enumeration is colexicographic on bitmasks (numeric order of
 the mask), which fixes boundary-matrix rows/columns and makes all outputs
 reproducible.  `minimal_transversals` (Berge) also builds degree and radical
-complexes.
+complexes.  `require_pure` is the precondition of rigidity, cones and decompositions.
 
 The public constructor keeps the maximal faces of whatever it is given.
 `Complex._from_masks` takes an antichain of facet masks and only sorts it:
@@ -81,12 +81,15 @@ def json_rows(value, what: str) -> list:
 
 
 def face_mask(vertices: Iterable[int], n: int) -> int:
-    """Bitmask of a vertex set, validating the 1..n range."""
+    """Bitmask of a vertex set, validating the 1..n range and refusing a
+    vertex listed twice."""
     m = 0
     for v in vertices:
         v = as_int(v, "vertex")
         if not 1 <= v <= n:
             raise ValueError(f"vertex {v} out of range 1..{n}")
+        if m >> (v - 1) & 1:
+            raise ValueError(f"vertex {v} listed twice")
         m |= 1 << (v - 1)
     return m
 
@@ -325,3 +328,13 @@ class Complex:
         if self.kind == VOID:
             return f"Complex(n={self.n}, void)"
         return f"Complex(n={self.n}, facets={list(self.facets)})"
+
+
+def require_pure(cx: Complex) -> None:
+    """Refuse the void complex and impure complexes; rigid depth, cone unions
+    and unmixed decompositions are defined over all others, {()} included."""
+    if cx.kind == VOID:
+        raise ValueError("expected a pure complex, got the void complex")
+    if not cx.is_pure:
+        sizes = sorted({m.bit_count() for m in cx.facet_masks})
+        raise ValueError(f"expected a pure complex, got facets of sizes {sizes}")

@@ -19,9 +19,9 @@ from srdepth.criteria import (
     depth_via_local_cohomology,
     local_cohomology_table,
 )
-from srdepth.homology import RATIONALS
+from srdepth.homology import RATIONALS, depth_stanley_reisner
 from srdepth.ideals import MonomialIdeal
-from srdepth.simplicial import Complex
+from srdepth.simplicial import Complex, require_pure
 from tests.conftest import FIXTURES, raw_local_cohomology
 
 
@@ -279,6 +279,54 @@ def test_depth_refuses_input_of_two_kinds(tmp_path, capsys):
     assert err == f"error: {path}: keys 'facets' and 'generators' mark different kinds of input\n"
 
 
+@pytest.mark.parametrize("command", ["depth", "rigid", "cones"])
+def test_complex_refuses_a_repeated_vertex(tmp_path, capsys, command):
+    path = write_json(tmp_path, {"n": 4, "facets": [[1, 1, 2], [2, 3]]})
+    assert run(capsys, command, path) == (2, "", f"error: {path}: vertex 1 listed twice\n")
+
+
+@pytest.mark.parametrize("form", [{"power": 2}, {"generators": [[0, 1, 0], [0, 0, 1]]}])
+def test_decomposition_refuses_a_repeated_vertex(tmp_path, capsys, form):
+    components = [{"facet": [1, 1], **form}, {"facet": [2], "power": 2}]
+    path = write_json(
+        tmp_path, {"complex": {"n": 3, "facets": [[1], [2]]}, "components": components}
+    )
+    expected = (2, "", f"error: {path}: vertex 1 listed twice\n")
+    assert run(capsys, "depth-equal-radical", path) == expected
+
+
+def test_refusals_print_the_library_text(tmp_path, capsys):
+    """Void, impure, zero and unit inputs: one error line with the text of the
+    library's ValueError, behind the path where the loader refuses."""
+
+    def refusal(call, *args):
+        with pytest.raises(ValueError) as exc:
+            call(*args)
+        return str(exc.value)
+
+    path = str(tmp_path / "input.json")
+    void, impure = {"n": 3, "facets": []}, {"n": 3, "facets": [[1, 2], [3]]}
+    not_void, not_pure = (refusal(require_pure, Complex.from_json_dict(c)) for c in (void, impure))
+    cases = [
+        # rigid computes the depth first, and the void complex has none
+        ("rigid", void, refusal(depth_stanley_reisner, Complex.from_json_dict(void))),
+        ("rigid", impure, not_pure),
+        ("cones", void, not_void),
+        ("cones", impure, not_pure),
+        ("depth-equal-radical", {"complex": void, "components": []}, f"{path}: {not_void}"),
+        ("depth-equal-radical", {"complex": impure, "components": []}, f"{path}: {not_pure}"),
+    ]
+    for gens in ([], [[0, 0]]):
+        ideal = MonomialIdeal(2, gens)
+        cases += [
+            ("depth", ideal.to_json_dict(), refusal(depth_via_local_cohomology, ideal)),
+            ("local-cohomology", ideal.to_json_dict(), refusal(local_cohomology_table, ideal)),
+        ]
+    for command, data, text in cases:
+        assert write_json(tmp_path, data) == path
+        assert run(capsys, command, path) == (2, "", f"error: {text}\n"), (command, data)
+
+
 # -- rigid ----------------------------------------------------------------------
 
 def test_rigid_two_facets(capsys):
@@ -299,6 +347,54 @@ def test_rigid_projective_plane(capsys):
     assert data["intersection_size"] == 1
     audit_keys = {"subcomplex_depth_audit", "skeleton_cm_audit", "audit_subcomplex"}
     assert not audit_keys & set(data)
+
+
+# -- the irrelevant complex {()} ------------------------------------------------------
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_rigid_and_cones_on_the_irrelevant_complex(tmp_path, capsys, fmt):
+    path = write_json(tmp_path, {"n": 2, "facets": [[]]})
+    rigid = run(capsys, "rigid", path, "--format", fmt)
+    cones = run(capsys, "cones", path, "--format", fmt)
+    if fmt == "json":
+        assert rigid[0] == cones[0] == 0
+        assert json.loads(rigid[1]) == {"command": "rigid", "field": "Q", "t": 0, "rigid": True}
+        assert json.loads(cones[1]) == {
+            "n": 2, "facets": [[]], "disjuncts": [[]],
+            "symbols": [{"facet": 1, "var": 1}, {"facet": 1, "var": 2}],
+        }
+    else:
+        assert rigid == (0, "depth = 0 over Q\nrigid: yes\n", "")
+        assert cones == (0, "2 exponent symbols, 1 cones\n"
+                            "trivially true: every exponent choice gives depth equality\n"
+                            "cone 1: (no constraints)\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "n,form",
+    [(1, {"power": 3}), (1, {"irreducible": [2]}), (2, {"power": 2}), (2, {"irreducible": [2, 3]})],
+)
+def test_decompositions_over_the_irrelevant_complex(tmp_path, capsys, n, form, fmt):
+    # the one component is m-primary, so the depth equals the radical's, 0
+    data = {"complex": {"n": n, "facets": [[]]}, "components": [{"facet": [], **form}]}
+    path = write_json(tmp_path, data)
+    verdict = run(capsys, "depth-equal-radical", path, "--format", fmt)
+    # x^0 lies outside the component and x^(3,...,3) inside it
+    low, high = (run(capsys, "delta-a", path, "--a", ",".join([a] * n), "--format", fmt)
+                 for a in "03")
+    if fmt == "json":
+        assert verdict[0] == low[0] == high[0] == 0
+        assert json.loads(verdict[1]) == {
+            "command": "depth-equal-radical", "field": "Q", "t": 0, "equal": True,
+        }
+        assert json.loads(low[1]) == {"n": n, "facets": [[]]}
+        assert json.loads(high[1]) == {"n": n, "facets": []}
+    else:
+        assert verdict == (0, "radical depth t = 0 over Q\n"
+                              "depth(S/I) = depth(S/sqrt(I)): yes\n", "")
+        assert low == (0, f"degree {[0] * n} selects Complex(n={n}, facets=[()])\n", "")
+        assert high == (0, f"degree {[3] * n} selects Complex(n={n}, void)\n", "")
 
 
 # -- depth-equal-radical -----------------------------------------------------------
@@ -823,18 +919,36 @@ def run_every_production_command(capsys):
 
 # -- python -m srdepth ---------------------------------------------------------------------
 
-def test_python_m_srdepth():
+def python_m_srdepth(*argv, timeout=60):
+    """`python -m srdepth` in a child process, killed after timeout seconds."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "srdepth", "depth", fixture("fourcycle.json")],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "srdepth", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_python_m_srdepth():
+    proc = python_m_srdepth("depth", fixture("fourcycle.json"))
     assert proc.returncode == 0, proc.stderr
     assert "depth = 2" in proc.stdout
-    bad = subprocess.run(
-        [sys.executable, "-m", "srdepth", "depth", "no_such_file.json"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    bad = python_m_srdepth("depth", "no_such_file.json")
     assert bad.returncode == 2 and bad.stderr.startswith("error:")
+
+
+def test_large_characteristic_answers_or_is_refused_at_once(tmp_path):
+    # Miller-Rabin decides a prime near 10**18 at once and refuses one past its bound
+    path = write_json(tmp_path, {"n": 1, "facets": [[1]]})
+    proc = python_m_srdepth("depth", path, "--field", "fp:1000000000000000003", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == [
+        "complex on 1 vertices, dim 0, field F_1000000000000000003", "depth = 1",
+    ]
+    big = 318665857834031151167461
+    proc = python_m_srdepth("depth", path, "--field", f"fp:{big}", timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: bad field 'fp:{big}': characteristic {big} is too large, the bound is {big}\n"
+    )

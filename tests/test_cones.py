@@ -175,6 +175,14 @@ def test_rigid_complex_gives_trivially_true_union(two_big_facets):
     assert union.is_trivially_true
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(2)], ids=str)
+def test_irrelevant_complex_gives_trivially_true_union(n, field):
+    union = generate_cone_union(Complex(n, [()]), field)
+    assert union.is_trivially_true and union.disjuncts == (frozenset(),)
+    assert union.symbols == tuple((0, j) for j in range(1, n + 1))
+
+
 def test_depth_one_complex_gives_trivially_true_union():
     cx = Complex(4, [(1, 2), (3, 4)])
     union = generate_cone_union(cx, RATIONALS)

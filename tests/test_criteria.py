@@ -441,6 +441,20 @@ def test_decision_on_reference_vectors():
     )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_decomposition_over_the_irrelevant_complex_has_equal_depth(n):
+    # its one component is m-primary, so both depths are 0
+    rng = random.Random(n)
+    cx = Complex(n, [()])
+    for _ in range(4):
+        exps = [rng.randint(1, 4) for _ in range(n)]
+        for comp in (irreducible_ideal(n, (), exps), prime_power_ideal(n, (), exps[0])):
+            dec = Decomposition(cx, {(): comp})
+            verdict = depth_equals_radical(dec, RATIONALS)
+            assert (verdict.equal, verdict.t) == (True, 0)
+            assert depth_via_local_cohomology(dec.intersection(), RATIONALS) == 0
+
+
 def test_decision_trivial_for_squarefree():
     rng = random.Random(41)
     from tests.conftest import random_pure_complex

@@ -89,6 +89,23 @@ def test_field_characteristic_is_not_coerced(make, p):
         make(p)
 
 
+def test_primality_is_miller_rabin_below_its_bound():
+    # exact below the bound and refused from it on, so no characteristic hangs
+    with pytest.raises(ValueError, match="is too large"):
+        prime_field(homology.MILLER_RABIN_BOUND)
+    assert prime_field(10**18 + 3).p == 10**18 + 3
+    assert homology._is_prime(2**61 - 1)
+    # Carmichael numbers, then strong pseudoprimes to the first 1, 4 and 11 prime bases
+    for c in (561, 1105, 1729, 2047, 3215031751, 3825123056546413051):
+        assert not homology._is_prime(c), c
+    sieve = [True] * 200_001
+    sieve[0] = sieve[1] = False
+    for p in range(2, 448):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, 200_001, p))
+    assert [homology._is_prime(p) for p in range(200_001)] == sieve
+
+
 # -- boundary matrices ----------------------------------------------------------------
 
 def test_boundary_composition_is_zero(fourcycle, rp2):

@@ -39,6 +39,38 @@ def test_projective_plane_not_rigid_over_rationals(rp2):
     assert len(f & g) == verdict.intersection_size
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("field", [RATIONALS, F2], ids=str)
+def test_irrelevant_complex_has_rigid_depth(n, field):
+    # K[{()}] is the field: depth 0, and every m-primary ideal has depth 0
+    cx = Complex(n, [()])
+    assert depth_stanley_reisner(cx, field) == 0
+    verdicts = (
+        is_rigid_by_intersections(cx, 0),
+        is_rigid_by_subcomplex_depths(cx, field),
+        is_rigid_by_skeleton_cm(cx, field),
+    )
+    assert [(v.rigid, v.t) for v in verdicts] == [(True, 0)] * 3
+    assert sample_depth_stability(cx, field, exponent_bound=3, trials=4, seed=n) == []
+    with pytest.raises(ValueError, match="depth 1 out of range 0..0"):
+        is_rigid_by_intersections(cx, 1)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda cx: is_rigid_by_intersections(cx, 1),
+        is_rigid_by_subcomplex_depths,
+        is_rigid_by_skeleton_cm,
+        sample_depth_stability,
+    ],
+)
+def test_every_rigidity_route_refuses_void_and_impure(route):
+    for cx in (Complex.void(3), Complex(3, [(1, 2), (3,)])):
+        with pytest.raises(ValueError, match="^expected a pure complex, got "):
+            route(cx)
+
+
 def test_rigidity_input_validation(rp2):
     with pytest.raises(ValueError):
         is_rigid_by_intersections(rp2, 0)
@@ -113,11 +145,9 @@ def test_two_facet_depth_matches_skeleton_formula():
 def test_samples_conform_on_rigid_complex(two_big_facets):
     t = depth_stanley_reisner(two_big_facets, RATIONALS)
     assert is_rigid_by_intersections(two_big_facets, t)
-    report = sample_depth_stability(
+    assert sample_depth_stability(
         two_big_facets, RATIONALS, exponent_bound=3, trials=8, seed=5
-    )
-    assert report.all_equal
-    assert report.samples == 16
+    ) == []
 
 
 def test_fourcycle_not_rigid_and_sampler_can_tell(fourcycle):
@@ -125,23 +155,23 @@ def test_fourcycle_not_rigid_and_sampler_can_tell(fourcycle):
     verdict = is_rigid_by_intersections(fourcycle, 2)
     assert not verdict
     assert verdict.intersection_size == 0
-    report = sample_depth_stability(fourcycle, RATIONALS, exponent_bound=3, trials=8, seed=5)
-    assert not report.all_equal
-    assert all(s.depth < 2 for s in report.mismatches)
+    mismatches = sample_depth_stability(fourcycle, RATIONALS, exponent_bound=3, trials=8, seed=5)
+    assert mismatches
+    assert all(depth < 2 for _, _, depth in mismatches)
 
 
 def test_sampler_finds_projective_plane_counterexample(rp2):
     # doubling the exponents across a facet pair meeting in one vertex drops
     # the depth below 3
-    report = sample_depth_stability(rp2, RATIONALS, exponent_bound=2, trials=6, seed=1)
-    assert not report.all_equal
-    assert all(s.depth < 3 for s in report.mismatches)
+    mismatches = sample_depth_stability(rp2, RATIONALS, exponent_bound=2, trials=6, seed=1)
+    assert mismatches
+    assert all(depth < 3 for _, _, depth in mismatches)
 
 
 def test_sampler_is_deterministic(fourcycle):
     r1 = sample_depth_stability(fourcycle, RATIONALS, exponent_bound=3, trials=5, seed=9)
     r2 = sample_depth_stability(fourcycle, RATIONALS, exponent_bound=3, trials=5, seed=9)
-    assert r1.mismatches == r2.mismatches and r1.samples == r2.samples
+    assert r1 == r2
 
 
 # -- field independence ---------------------------------------------------------------------

@@ -19,6 +19,7 @@ from srdepth.simplicial import (
     face_mask,
     mask_vertices,
     minimal_transversals,
+    require_pure,
 )
 from tests.conftest import (
     combination_faces, mixed_complex_corpus, random_decomposition, random_ideal,
@@ -75,6 +76,23 @@ def test_vertex_out_of_range():
         Complex(3, [(1, 4)])
     with pytest.raises(ValueError):
         Complex(0, [()])
+
+
+def test_repeated_vertex_refused():
+    with pytest.raises(ValueError, match="^vertex 1 listed twice$"):
+        Complex(4, [(1, 1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="^vertex 2 listed twice$"):
+        face_mask([2, 1, 2], 3)
+
+
+def test_pure_contract_admits_every_pure_nonvoid_complex(fourcycle):
+    for cx in (Complex(1, [()]), Complex(3, [()]), fourcycle):
+        require_pure(cx)
+    with pytest.raises(ValueError, match="^expected a pure complex, got the void complex$"):
+        require_pure(Complex.void(2))
+    impure = r"^expected a pure complex, got facets of sizes \[1, 2\]$"
+    with pytest.raises(ValueError, match=impure):
+        require_pure(Complex(3, [(1, 2), (3,)]))
 
 
 def test_empty_face_dropped_when_dominated():
