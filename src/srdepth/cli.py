@@ -66,8 +66,7 @@ class CliError(Exception):
 
 
 def parse_field(spec: str) -> FieldSpec:
-    spec = spec.strip().lower()
-    if spec in ("q", "qq", "rationals", "0"):
+    if spec == "q":
         return RATIONALS
     if spec.startswith("fp:") and re.fullmatch("[0-9]+", spec[3:]):
         try:

@@ -18,7 +18,7 @@ facet; facet indices follow the canonical facet order of the complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import product
 from math import prod
 from typing import Mapping
 
@@ -87,15 +87,6 @@ class ConeUnion:
         }
 
 
-def _symbols_for(cx: Complex) -> tuple[Symbol, ...]:
-    syms = []
-    for i, fm in enumerate(cx.facet_masks):
-        for j in range(1, cx.n + 1):
-            if not fm >> (j - 1) & 1:
-                syms.append((i, j))
-    return tuple(syms)
-
-
 def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     """Emit the union of cones characterizing depth equality over cx.
 
@@ -109,10 +100,11 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     DNF: one conjunction per outside facet and choice of k for each j, and
     an outside facet with an empty inner OR drops out.  The local DNFs are
     multiplied into the running DNF selection by selection; conjunctions are
-    bitmasks over atom indices until the end.  The running DNF is an
-    antichain: a conjunction that already holds a local term carries over
-    unchanged, only the others grow by every local term, and subsumed growths
-    are pruned.  So the final union needs no prune, only the canonical sort.
+    bitmasks until the end, an atom getting its bit when a selection first
+    uses it.  The running DNF is an antichain: a conjunction that already
+    holds a local term carries over unchanged, only the others grow by every
+    local term, and subsumed growths are pruned.  So the final union needs no
+    prune, only the canonical sort.
 
     A step whose product would list more than MAX_CONE_CANDIDATES candidate
     conjunctions is refused with a ValueError before it is expanded, and a
@@ -122,20 +114,14 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     require_pure(cx)
     selections = cx.proper_facet_selections()
     t = depth_stanley_reisner(cx, field)
-    symbols = _symbols_for(cx)
-    sym_pos = {s: k for k, s in enumerate(symbols)}
     masks = cx.facet_masks
     r = len(masks)
     outside_vars = [
         [j for j in range(1, cx.n + 1) if not fm >> (j - 1) & 1] for fm in masks
     ]
-    atoms = sorted(
-        (sym_pos[(i, j)], sym_pos[(k, j)])
-        for i, k in permutations(range(r), 2)
-        for j in outside_vars[i]
-        if not masks[k] >> (j - 1) & 1
-    )
-    bit = {atom: 1 << b for b, atom in enumerate(atoms)}
+    symbols = tuple((i, j) for i in range(r) for j in outside_vars[i])
+    sym_pos = {s: k for k, s in enumerate(symbols)}
+    bit: dict[Atom, int] = {}  # each atom's bit, given on first use
 
     low_depth_selections = (
         selection
@@ -149,7 +135,7 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
         choices = [
             [
                 [
-                    bit[(sym_pos[(i, j)], sym_pos[(k, j)])]
+                    bit.setdefault((sym_pos[(i, j)], sym_pos[(k, j)]), 1 << len(bit))
                     for k in selection
                     if not masks[k] >> (j - 1) & 1
                 ]
@@ -164,17 +150,13 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
                 f"cone union expansion needs {len(dnf) * size} candidate "
                 f"conjunctions in one step, more than {MAX_CONE_CANDIDATES}"
             )
-        # distinct outside facets give disjoint atoms and each term takes one
-        # atom per variable, so the local DNF is already pruned
-        local = []
-        for per_var in choices:
-            terms = [0]
-            for c in per_var:
-                terms = [d | b for d in terms for b in c]
-            local += terms
+        # each term takes one atom per variable, so its sum is its union;
+        # distinct outside facets give disjoint atoms, so the local DNF is
+        # already pruned
+        local = [sum(term) for per_var in choices for term in product(*per_var)]
         dnf = _minimal_product(dnf, local)
         if not dnf:
             break
+    atoms = list(bit)
     disjuncts = [frozenset(a for b, a in enumerate(atoms) if d >> b & 1) for d in dnf]
     return ConeUnion(cx.n, cx.facets, symbols, tuple(sorted(disjuncts, key=_disjunct_order)))
-

@@ -202,7 +202,7 @@ def _rank_f2(cx: Complex, i: int) -> int:
 
 def _rank(cx: Complex, i: int, field: FieldSpec) -> int:
     """Rank of the boundary map d_i of cx; 0 outside 0..dim."""
-    if cx.kind != ORDINARY or i < 0 or i > cx.dim:
+    if i < 0 or i > cx.dim:
         return 0
     if field.p == 2:
         return _rank_f2(cx, i)
@@ -222,10 +222,6 @@ def _apex(cx: Complex) -> int:
 
 def reduced_betti(cx: Complex, i: int, field: FieldSpec = RATIONALS) -> int:
     """dim_K of the i-th reduced homology of cx over the given field."""
-    if cx.kind == VOID:
-        return 0
-    if cx.kind == IRRELEVANT:
-        return 1 if i == -1 else 0
     if i < -1 or i > cx.dim:
         return 0
     if _apex(cx):
@@ -242,8 +238,6 @@ def min_nonzero_betti(cx: Complex, field: FieldSpec) -> Optional[int]:
     While lower Betti numbers vanish, rank d_i follows from the face counts,
     so index i needs only rank d_{i+1}.  Over Q see the module docstring.
     """
-    if cx.kind == VOID:
-        return None
     if cx.kind == IRRELEVANT:
         return -1
     if _apex(cx):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, groupby
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .simplicial import (
     Complex, as_int, face_mask, json_fields, json_list, json_rows,
@@ -60,7 +60,7 @@ def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
 class MonomialIdeal:
     """Finite antichain of minimal monomial generators in K[x_1..x_n]."""
 
-    __slots__ = ("n", "gens", "_hash")
+    __slots__ = ("n", "gens")
 
     def __init__(self, n: int, generators: Iterable[Iterable[int]]):
         if n < 1:
@@ -75,7 +75,6 @@ class MonomialIdeal:
             clean.append(t)
         self.n = n
         self.gens = _minimalize(clean)
-        self._hash = hash((n, self.gens))
 
     # -- predicates -----------------------------------------------------------
 
@@ -167,7 +166,7 @@ class MonomialIdeal:
         return self.n == other.n and self.gens == other.gens
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.gens))
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(n={self.n}, gens={list(self.gens)})"
@@ -191,12 +190,7 @@ def complement_vars(n: int, facet: Iterable[int]) -> tuple[int, ...]:
 
 def prime_ideal(n: int, facet: Iterable[int]) -> MonomialIdeal:
     """P_F = (x_j : j not in F)."""
-    gens = []
-    for j in complement_vars(n, facet):
-        vec = [0] * n
-        vec[j - 1] = 1
-        gens.append(vec)
-    return MonomialIdeal(n, gens)
+    return prime_power_ideal(n, facet, 1)
 
 
 def irreducible_ideal(n: int, facet: Iterable[int], exps: Sequence[int]) -> MonomialIdeal:
@@ -279,7 +273,8 @@ def primary_violation(n: int, facet_mask: int, component: MonomialIdeal) -> Opti
 class Decomposition:
     """A pure complex plus one P_F-primary monomial ideal per facet.
 
-    Components are stored in the canonical facet order of the complex.  The
+    Components come as a mapping from each facet (its vertices in any order)
+    to its ideal, and are stored in the canonical facet order.  The
     construction validates purity and the structural P_F-primary conditions;
     the intersection of the components then automatically has radical equal
     to the Stanley-Reisner ideal of the complex.
@@ -287,26 +282,17 @@ class Decomposition:
 
     __slots__ = ("delta", "components", "_intersection")
 
-    def __init__(self, delta: Complex, components):
+    def __init__(self, delta: Complex, components: Mapping[Iterable[int], MonomialIdeal]):
         require_pure(delta)
-        if isinstance(components, dict):
-            keyed = {}
-            for f, ideal in components.items():
-                fm = face_mask(f, delta.n)
-                if fm in keyed:
-                    raise ValueError(
-                        f"facet {list(mask_vertices(fm))} has more than one component"
-                    )
-                keyed[fm] = ideal
-            if set(keyed) != set(delta.facet_masks):
-                raise ValueError("components must be keyed by the facets of the complex")
-            ordered = tuple(keyed[fm] for fm in delta.facet_masks)
-        else:
-            ordered = tuple(components)
-            if len(ordered) != len(delta.facet_masks):
-                raise ValueError(
-                    f"expected {len(delta.facet_masks)} components, got {len(ordered)}"
-                )
+        keyed = {}
+        for f, ideal in components.items():
+            fm = face_mask(f, delta.n)
+            if fm in keyed:
+                raise ValueError(f"facet {list(mask_vertices(fm))} has more than one component")
+            keyed[fm] = ideal
+        if set(keyed) != set(delta.facet_masks):
+            raise ValueError("components must be keyed by the facets of the complex")
+        ordered = tuple(keyed[fm] for fm in delta.facet_masks)
         for fm, ideal in zip(delta.facet_masks, ordered):
             reason = primary_violation(delta.n, fm, ideal)
             if reason is not None:

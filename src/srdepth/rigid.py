@@ -120,7 +120,7 @@ def sample_depth_stability(
         return tuple(rng.randint(1, exponent_bound) for _ in range(k))
 
     def depth(component, exps: tuple) -> int:
-        dec = Decomposition(cx, [component(n, f, e) for f, e in zip(facets, exps)])
+        dec = Decomposition(cx, {f: component(n, f, e) for f, e in zip(facets, exps)})
         return depth_via_local_cohomology(dec.intersection(), field)
 
     draws = [("irreducible", irreducible_ideal, tuple(draw(n - len(f)) for f in facets))

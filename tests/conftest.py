@@ -12,7 +12,7 @@ from srdepth import (
     irreducible_ideal,
     prime_power_ideal,
 )
-from srdepth.cones import ConeUnion, _disjunct_order, _symbols_for
+from srdepth.cones import ConeUnion, _disjunct_order
 from srdepth.criteria import degree_complex, negative_support
 from srdepth.homology import (
     RATIONALS, boundary_matrix, depth_stanley_reisner, matrix_rank, reduced_betti,
@@ -68,6 +68,11 @@ def fourcycle_symbol_order() -> tuple:
     )
 
 
+def cone_symbols(cx: Complex) -> tuple:
+    """The symbols (facet index, variable outside the facet) in facet order."""
+    return tuple((i, j) for i, f in enumerate(cx.facets) for j in range(1, cx.n + 1) if j not in f)
+
+
 def fourcycle_assignment(values) -> dict:
     """Assignment for the 4-cycle from the eight exponents e1..e8."""
     assert len(values) == 8
@@ -87,7 +92,7 @@ def _prune(disjuncts) -> tuple[frozenset, ...]:
 
 def fourcycle_reference_system() -> ConeUnion:
     """The union of the paper's four systems, hard-coded from FOURCYCLE_SYSTEMS."""
-    symbols = _symbols_for(FOURCYCLE)
+    symbols = cone_symbols(FOURCYCLE)
     pos = [symbols.index(s) for s in fourcycle_symbol_order()]
 
     def le(a, b):  # e_a <= e_b, stored as the atom e_b >= e_a
@@ -191,16 +196,16 @@ def random_primary(rng: random.Random, n: int, facet, exp_max=3) -> MonomialIdea
 
 def random_decomposition(rng: random.Random, n_max=5, r_max=4, exp_max=3) -> Decomposition:
     cx = random_pure_complex(rng, n_max=n_max, r_max=r_max)
-    comps = []
+    comps = {}
     for f in cx.facets:
         style = rng.random()
         if style < 0.4:
             exps = [rng.randint(1, exp_max) for _ in range(cx.n - len(f))]
-            comps.append(irreducible_ideal(cx.n, f, exps))
+            comps[f] = irreducible_ideal(cx.n, f, exps)
         elif style < 0.7:
-            comps.append(prime_power_ideal(cx.n, f, rng.randint(1, exp_max)))
+            comps[f] = prime_power_ideal(cx.n, f, rng.randint(1, exp_max))
         else:
-            comps.append(random_primary(rng, cx.n, f, exp_max))
+            comps[f] = random_primary(rng, cx.n, f, exp_max)
     return Decomposition(cx, comps)
 
 
@@ -349,7 +354,7 @@ def distributed_cone_union(cx: Complex, field=RATIONALS) -> ConeUnion:
     distributed clause by clause into the running DNF."""
     r = len(cx.facet_masks)
     t = depth_stanley_reisner(cx, field)
-    symbols = _symbols_for(cx)
+    symbols = cone_symbols(cx)
     sym_pos = {s: k for k, s in enumerate(symbols)}
     masks = cx.facet_masks
     outside_vars = [

@@ -42,7 +42,12 @@ def test_parse_field():
         parse_field("fp:4")
 
 
-@pytest.mark.parametrize("spec", ["fp: 1_1", "fp:1_1", "fp: 11", "fp:+3", "fp:\u0663", "fp:"])
+# the grammar is exactly `q` or `fp:` and ASCII digits: no case folding,
+# stripping or aliases of `q`
+@pytest.mark.parametrize("spec", [
+    "fp: 1_1", "fp:1_1", "fp: 11", "fp:+3", "fp:\u0663", "fp:",
+    "Q", " q", "qq", "rationals", "0", "FP:5",
+])
 def test_field_suffix_must_be_ascii_digits(capsys, spec):
     code, out, err = run(capsys, "depth", fixture("fourcycle.json"), "--field", spec)
     assert code == 2 and out == ""

@@ -257,10 +257,10 @@ def _irreducible_decomposition(cx, union, values):
     per_facet = {i: {} for i in range(len(cx.facets))}
     for (i, j), v in values.items():
         per_facet[i][j] = v
-    comps = []
+    comps = {}
     for i, f in enumerate(cx.facets):
         comp = sorted(per_facet[i])
-        comps.append(irreducible_ideal(cx.n, f, [per_facet[i][j] for j in comp]))
+        comps[f] = irreducible_ideal(cx.n, f, [per_facet[i][j] for j in comp])
     return Decomposition(cx, comps)
 
 

@@ -464,7 +464,7 @@ def test_decision_trivial_for_squarefree():
         cx = random_pure_complex(rng, n_max=5, r_max=4)
         if len(cx.facets[0]) == cx.n:
             continue
-        dec = Decomposition(cx, [prime_ideal(cx.n, f) for f in cx.facets])
+        dec = Decomposition(cx, {f: prime_ideal(cx.n, f) for f in cx.facets})
         assert depth_equals_radical(dec).equal
 
 
@@ -547,15 +547,15 @@ def decomposition_in_form(rng, form, n_max, exp_max):
     cx = random_pure_complex(rng, n_max=n_max, r_max=5)
     while len(cx.facets) < 2:
         cx = random_pure_complex(rng, n_max=n_max, r_max=5)
-    comps = []
+    comps = {}
     for f in cx.facets:
         if form == "irreducible":
             exps = [rng.randint(1, exp_max) for _ in range(cx.n - len(f))]
-            comps.append(irreducible_ideal(cx.n, f, exps))
+            comps[f] = irreducible_ideal(cx.n, f, exps)
         elif form == "power":
-            comps.append(prime_power_ideal(cx.n, f, rng.randint(1, exp_max)))
+            comps[f] = prime_power_ideal(cx.n, f, rng.randint(1, exp_max))
         else:
-            comps.append(random_primary(rng, cx.n, f, exp_max))
+            comps[f] = random_primary(rng, cx.n, f, exp_max)
     return Decomposition(cx, comps)
 
 

@@ -68,6 +68,16 @@ def test_minimalize_matches_all_pairs_reference():
         assert _minimalize(gens) == tuple(naive)
 
 
+def test_equal_ideals_hash_equal():
+    ideal = MonomialIdeal(3, [(2, 0, 0), (0, 1, 1)])
+    reordered = MonomialIdeal(3, [(0, 1, 1), (2, 0, 0)])
+    redundant = MonomialIdeal(3, [(0, 1, 1), (2, 0, 0), (3, 1, 0)])
+    assert ideal == reordered == redundant
+    assert hash(ideal) == hash(reordered) == hash(redundant)
+    assert {ideal, reordered, redundant} == {ideal}
+    assert len({ideal, MonomialIdeal(3, [(2, 0, 0)])}) == 2
+
+
 def test_generator_validation():
     with pytest.raises(ValueError):
         MonomialIdeal(2, [(1, 2, 3)])
@@ -295,7 +305,7 @@ def test_component_missing_pure_power_rejected(fourcycle):
 def test_non_pure_complex_rejected():
     cx = Complex(5, [(1, 2, 3), (4, 5)])
     with pytest.raises(ValueError, match="pure"):
-        Decomposition(cx, [prime_ideal(5, f) for f in cx.facets])
+        Decomposition(cx, {f: prime_ideal(5, f) for f in cx.facets})
 
 
 def test_decomposition_json_round_trip():
