@@ -2,7 +2,8 @@
 
 For a pure complex, the exponent tuples (a_{ij}) of an irreducible
 decomposition for which depth(S/I) equals the radical depth form a finite
-union of rational cones.  Each facet selection Γ of depth below t contributes
+union of rational cones.  Complex.proper_facet_selections hands each facet
+selection over with its subcomplex, and each Γ of depth below t contributes
 the formula OR_{i not in Γ} AND_{j not in F_i} OR_{k in Γ, j not in F_k}
 a_{ij} >= a_{kj}, the factored form (by distributivity) of a conjunction over
 tuples of outside-variable choices.  Expanding each selection's formula into a
@@ -124,9 +125,7 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     bit: dict[Atom, int] = {}  # each atom's bit, given on first use
 
     low_depth_selections = (
-        selection
-        for selection in selections
-        if depth_stanley_reisner(cx.facet_subcomplex(selection), field) < t
+        selection for selection, gamma in selections if depth_stanley_reisner(gamma, field) < t
     )
 
     dnf = [0]

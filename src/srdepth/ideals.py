@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .simplicial import (
-    Complex, as_int, face_mask, json_fields, json_list, json_rows,
+    Complex, VOID, as_int, face_mask, json_fields, json_list, json_rows,
     mask_vertices, minimal_transversals, require_pure,
 )
 
@@ -234,7 +234,7 @@ def prime_power_ideal(n: int, facet: Iterable[int], m: int) -> MonomialIdeal:
 
 def stanley_reisner_ideal(cx: Complex) -> MonomialIdeal:
     """Intersection of the facet primes P_F of the complex."""
-    if cx.kind == "void":
+    if cx.kind == VOID:
         raise ValueError("void complex has no Stanley-Reisner ideal")
     return intersect_all([prime_ideal(cx.n, f) for f in cx.facets])
 
@@ -280,7 +280,7 @@ class Decomposition:
     to the Stanley-Reisner ideal of the complex.
     """
 
-    __slots__ = ("delta", "components", "_intersection")
+    __slots__ = ("delta", "components")
 
     def __init__(self, delta: Complex, components: Mapping[Iterable[int], MonomialIdeal]):
         require_pure(delta)
@@ -301,16 +301,13 @@ class Decomposition:
                 )
         self.delta = delta
         self.components = ordered
-        self._intersection = None
 
     @property
     def n(self) -> int:
         return self.delta.n
 
     def intersection(self) -> MonomialIdeal:
-        if self._intersection is None:
-            self._intersection = intersect_all(list(self.components))
-        return self._intersection
+        return intersect_all(self.components)
 
     def max_exponents(self) -> tuple[int, ...]:
         """Coordinatewise max over components; equals the intersection's maxima."""

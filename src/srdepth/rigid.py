@@ -8,8 +8,9 @@ Stanley-Reisner ring.  It is the one route the verdicts use.  Two
 homological routes (all proper facet selections keep depth >= t; all their
 (t-1)-skeletons are Cohen-Macaulay) are kept as oracles for the tests and
 `srdepth audit`, along with a randomized stability sampler over concrete
-ideal classes.  Both routes share one walk over the facet selections, which
-refuses complexes beyond simplicial.DEFAULT_FACET_CAP facets.  All take what
+ideal classes.  Both routes walk the (indices, subcomplex) pairs of
+Complex.proper_facet_selections, which refuses complexes beyond
+simplicial.DEFAULT_FACET_CAP facets before any depth.  All take what
 simplicial.require_pure admits: the irrelevant complex has depth 0 and is rigid.
 The tests assert that rigidity persists over prime fields and up the skeletons.
 """
@@ -72,8 +73,7 @@ def _walk(cx: Complex, field: FieldSpec, fails: Callable[[Complex, int], bool]) 
     require_pure(cx)
     selections = cx.proper_facet_selections()
     t = depth_stanley_reisner(cx, field)
-    for idx in selections:
-        gamma = cx.facet_subcomplex(idx)
+    for _, gamma in selections:
         if fails(gamma, t):
             d = depth_stanley_reisner(gamma, field)
             return RigidVerdict(False, t, subcomplex=gamma, subcomplex_depth=d)

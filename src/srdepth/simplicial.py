@@ -222,10 +222,6 @@ class Complex:
         cx._set_facets(n, tuple(sorted(masks)))
         return cx
 
-    @classmethod
-    def void(cls, n: int) -> "Complex":
-        return cls(n, [])
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -286,25 +282,18 @@ class Complex:
         low = [fm for fm in self._fmasks if fm.bit_count() <= i]
         return Complex._from_masks(self.n, [*self.face_masks_of_dim(i), *low])
 
-    def facet_subcomplex(self, indices: Iterable[int]) -> "Complex":
-        """Complex generated by the selected facets (canonical-order indices)."""
-        idx = sorted(set(indices))
-        if not idx:
-            raise ValueError("facet selection must be nonempty")
-        r = len(self._fmasks)
-        for i in idx:
-            if not 0 <= i < r:
-                raise ValueError(f"facet index {i} out of range 0..{r - 1}")
-        return Complex._from_masks(self.n, [self._fmasks[i] for i in idx])
-
-    def proper_facet_selections(self) -> Iterator[tuple[int, ...]]:
-        """Lazy index tuples of the proper nonempty facet selections, by size
-        and then in combinations order.  A complex with more than
+    def proper_facet_selections(self) -> Iterator[tuple[tuple[int, ...], "Complex"]]:
+        """Lazy (indices, subcomplex) pairs of the proper nonempty facet
+        selections, by size and then in combinations order; the subcomplex is
+        generated by the selected facets.  A complex with more than
         DEFAULT_FACET_CAP facets is refused when this is called."""
         r = len(self._fmasks)
         if r > DEFAULT_FACET_CAP:
             raise ValueError(f"{r} facets exceed the enumeration cap {DEFAULT_FACET_CAP}")
-        return (idx for k in range(1, r) for idx in combinations(range(r), k))
+        return (
+            (idx, Complex._from_masks(self.n, [self._fmasks[i] for i in idx]))
+            for k in range(1, r) for idx in combinations(range(r), k)
+        )
 
     # -- serialization and protocol ----------------------------------------
 

@@ -361,21 +361,20 @@ def distributed_cone_union(cx: Complex, field=RATIONALS) -> ConeUnion:
         [j for j in range(1, cx.n + 1) if not fm >> (j - 1) & 1] for fm in masks
     ]
     dnf = [frozenset()]
-    for k in range(1, r):
-        for selection in combinations(range(r), k):
-            if depth_stanley_reisner(cx.facet_subcomplex(selection), field) >= t:
-                continue
-            outside = [i for i in range(r) if i not in selection]
-            for tup in product(*[outside_vars[i] for i in outside]):
-                clause = {
-                    (sym_pos[(i_q, j_q)], sym_pos[(k2, j_q)])
-                    for i_q, j_q in zip(outside, tup)
-                    for k2 in selection
-                    if not masks[k2] >> (j_q - 1) & 1
-                }
-                dnf = list(_prune([d | {atom} for d in dnf for atom in clause]))
-                if not dnf:
-                    return ConeUnion(cx.n, cx.facets, symbols, ())
+    for selection, gamma in cx.proper_facet_selections():
+        if depth_stanley_reisner(gamma, field) >= t:
+            continue
+        outside = [i for i in range(r) if i not in selection]
+        for tup in product(*[outside_vars[i] for i in outside]):
+            clause = {
+                (sym_pos[(i_q, j_q)], sym_pos[(k2, j_q)])
+                for i_q, j_q in zip(outside, tup)
+                for k2 in selection
+                if not masks[k2] >> (j_q - 1) & 1
+            }
+            dnf = list(_prune([d | {atom} for d in dnf for atom in clause]))
+            if not dnf:
+                return ConeUnion(cx.n, cx.facets, symbols, ())
     return ConeUnion(cx.n, cx.facets, symbols, _prune(dnf))
 
 

@@ -6,7 +6,7 @@ seeded and shared across criteria so the monotonicity and kernel checks run
 over exactly the instances the oracle checks saw.
 """
 import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -180,14 +180,11 @@ def _all_degree_complexes_deep(dec, field, t):
 
 
 def _no_shallow_selection_realized(dec, field, t):
-    r = len(dec.components)
-    for k in range(1, r):
-        for sel in combinations(range(r), k):
-            gamma = dec.delta.facet_subcomplex(sel)
-            if depth_stanley_reisner(gamma, field) >= t:
-                continue
-            if degree_selecting_witness(dec, sel) is not None:
-                return False
+    for sel, gamma in dec.delta.proper_facet_selections():
+        if depth_stanley_reisner(gamma, field) >= t:
+            continue
+        if degree_selecting_witness(dec, sel) is not None:
+            return False
     return True
 
 

@@ -884,6 +884,77 @@ def test_wrong_types_fuzz_every_command(command, data):
     assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
 
 
+# -- arbitrary JSON through every command that reads JSON ----------------------------------
+
+_KEYS = ["n", "facets", "generators", "complex", "components", "facet", "power", "irreducible"]
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _near_valid_document(draw, key):
+    """A complex ("facets"), ideal ("generators") or decomposition
+    ("components", in all three component forms) on n <= 5 with random
+    facets and values.  Some documents keep every value in range; in the
+    others n, vertices, exponents, powers and lengths may be off, zero or
+    negative, and components may be missing or repeated."""
+    valid = draw(st.integers(0, 2)) == 0
+    low = 1 if valid else draw(st.integers(-1, 0))  # least vertex and exponent
+    n = draw(st.integers(low, 5))
+    width, more = max(n, 1), int(not valid)
+    value = st.integers(low, 3)
+    if valid or draw(st.booleans()):  # one facet size, as a pure complex has
+        size = draw(st.integers(0, width - (key == "components")))
+        face = st.sets(st.integers(1, width), min_size=size, max_size=size).map(sorted)
+        facets = draw(st.lists(face, min_size=int(valid), max_size=4, unique_by=tuple))
+    else:
+        facets = draw(st.lists(st.lists(st.integers(low, width + 1), max_size=width), max_size=4))
+    if key == "facets":
+        return {"n": n, "facets": facets}
+    if key == "generators":
+        row = st.lists(st.integers(low - 1, 3), min_size=width, max_size=width + more)
+        return {"n": n, "generators": draw(st.lists(row, min_size=int(valid), max_size=4))}
+    components = []
+    for f in facets if valid or not facets else draw(st.lists(st.sampled_from(facets))):
+        outside = [j for j in range(1, width + 1) if j not in f]
+        form = draw(st.sampled_from(["generators", "power", "irreducible"]))
+        if form == "generators":  # pure powers of the outside variables
+            exps = [[draw(value) if k == j else 0 for k in range(1, width + 1)] for j in outside]
+        elif form == "power":
+            exps = draw(value)
+        else:
+            exps = draw(st.lists(value, min_size=len(outside), max_size=len(outside) + more))
+        components.append({"facet": f, form: exps})
+    return {"complex": {"n": n, "facets": facets}, "components": components}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_INPUTS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_arbitrary_json_fuzz_every_command(command, data):
+    key = data.draw(st.sampled_from(_COMMAND_INPUTS[command]))
+    doc = data.draw(_near_valid_document(key) | _ANY_JSON)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "delta-a":
+            a = data.draw(st.lists(st.integers(-1, 3), min_size=1, max_size=5))
+            argv.append("--a=" + ",".join(map(str, a)))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), (command, doc)
+    if code == 2:
+        assert out.getvalue() == "", (command, doc)
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 # -- production commands run no oracle -------------------------------------------------
 
 ORACLES = {

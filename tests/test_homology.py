@@ -161,7 +161,7 @@ def test_simplex_acyclic():
 
 def test_degenerate_conventions():
     irr = Complex(3, [()])
-    void = Complex.void(3)
+    void = Complex(3, [])
     assert reduced_betti(irr, -1, RATIONALS) == 1
     assert reduced_betti(irr, 0, RATIONALS) == 0
     for i in (-1, 0, 1):
@@ -379,7 +379,7 @@ def test_depth_of_degenerate_complexes():
         assert depth_stanley_reisner(Complex(n, [()]), RATIONALS) == 0
         assert is_cohen_macaulay(Complex(n, [()]), F2)
         with pytest.raises(ValueError):
-            depth_stanley_reisner(Complex.void(n), RATIONALS)
+            depth_stanley_reisner(Complex(n, []), RATIONALS)
 
 
 def _skeleton_depth(cx: Complex, field: FieldSpec) -> int:

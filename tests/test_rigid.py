@@ -66,7 +66,7 @@ def test_irrelevant_complex_has_rigid_depth(n, field):
     ],
 )
 def test_every_rigidity_route_refuses_void_and_impure(route):
-    for cx in (Complex.void(3), Complex(3, [(1, 2), (3,)])):
+    for cx in (Complex(3, []), Complex(3, [(1, 2), (3,)])):
         with pytest.raises(ValueError, match="^expected a pure complex, got "):
             route(cx)
 

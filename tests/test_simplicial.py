@@ -89,7 +89,7 @@ def test_pure_contract_admits_every_pure_nonvoid_complex(fourcycle):
     for cx in (Complex(1, [()]), Complex(3, [()]), fourcycle):
         require_pure(cx)
     with pytest.raises(ValueError, match="^expected a pure complex, got the void complex$"):
-        require_pure(Complex.void(2))
+        require_pure(Complex(2, []))
     impure = r"^expected a pure complex, got facets of sizes \[1, 2\]$"
     with pytest.raises(ValueError, match=impure):
         require_pure(Complex(3, [(1, 2), (3,)]))
@@ -165,13 +165,20 @@ def test_cached_face_list_is_not_shared_with_callers(fourcycle):
 
 
 @pytest.mark.parametrize("r", range(1, 7))
-def test_proper_facet_selections_order(r):
-    cx = Complex(r, [(v,) for v in range(1, r + 1)])
+def test_proper_facet_selections_order(r, fourcycle):
+    # a path of r edges, so that selected facets share vertices
+    cx = Complex(r + 1, [(v, v + 1) for v in range(1, r + 1)])
     selections = cx.proper_facet_selections()
     assert iter(selections) is selections  # lazy, not a list
-    assert list(selections) == [
+    pairs = list(selections)
+    assert [idx for idx, _ in pairs] == [
         idx for k in range(1, r) for idx in combinations(range(r), k)
     ]
+    for idx, gamma in pairs:
+        assert gamma == Complex(r + 1, [cx.facets[i] for i in idx])
+    by_indices = dict(fourcycle.proper_facet_selections())
+    assert by_indices[(0, 3)].facets == ((1, 2), (3, 4))
+    assert by_indices[(1,)].facets == ((2, 3),)
 
 
 @pytest.mark.parametrize(
@@ -326,23 +333,6 @@ def test_link_subset_star_subset_complex(cx):
     star_faces = {g for g in faces if tuple(sorted(set(g) | set(f))) in faces}
     link_faces = brute_faces(cx.link(f))
     assert link_faces == {g for g in star_faces if not set(g) & set(f)}
-
-
-# -- facet subcomplexes -----------------------------------------------------------------
-
-def test_facet_subcomplex(fourcycle):
-    assert fourcycle.facet_subcomplex(range(4)) == fourcycle
-    pair = fourcycle.facet_subcomplex([0, 3])
-    assert pair.facets == ((1, 2), (3, 4))
-    single = fourcycle.facet_subcomplex([1])
-    assert single.facets == ((2, 3),)
-
-
-def test_facet_subcomplex_errors(fourcycle):
-    with pytest.raises(ValueError):
-        fourcycle.facet_subcomplex([])
-    with pytest.raises(ValueError):
-        fourcycle.facet_subcomplex([7])
 
 
 # -- serialization ------------------------------------------------------------------------
