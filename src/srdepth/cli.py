@@ -45,9 +45,11 @@ from .criteria import (
 from .homology import (
     FieldSpec,
     RATIONALS,
+    _rank,
     boundary_matrix,
     depth_stanley_reisner,
     is_cohen_macaulay,
+    matrix_rank,
     prime_field,
     reduced_betti,
 )
@@ -331,10 +333,10 @@ def _audit_complex(cx: Complex, args, problems: list[str]) -> None:
     if cx.kind != ORDINARY:
         return
     fields = [RATIONALS, prime_field(2)]
+    mats = [boundary_matrix(cx, i) for i in range(cx.dim + 1)]
     # boundary composition and Euler characteristic
     for i in range(1, cx.dim + 1):
-        d_i = boundary_matrix(cx, i)
-        d_prev = boundary_matrix(cx, i - 1)
+        d_i, d_prev = mats[i], mats[i - 1]
         for col in range(len(d_i[0]) if d_i else 0):
             vec = [row[col] for row in d_i]
             for r in range(len(d_prev)):
@@ -343,6 +345,10 @@ def _audit_complex(cx: Complex, args, problems: list[str]) -> None:
                     problems.append(f"boundary composition nonzero at index {i}")
                     return
     for k in fields:
+        # the sparse rank kernels against dense elimination
+        for i, d_i in enumerate(mats):
+            if _rank(cx, i, k) != matrix_rank(d_i, k):
+                problems.append(f"boundary rank mismatch at index {i} over {k}")
         euler_faces = sum(
             (-1) ** i * len(cx.face_masks_of_dim(i)) for i in range(cx.dim + 1)
         ) - 1

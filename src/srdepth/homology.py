@@ -1,16 +1,19 @@
 """Reduced simplicial homology over Q or F_p, exactly.
 
-Ranks of boundary matrices are computed with fraction-free (Bareiss-style)
-integer elimination over the rationals, Gaussian elimination over odd prime
-fields and XOR elimination of column bitsets over F_2; no floating point
-anywhere.  On top of the homology kernel sit Reisner's Cohen-Macaulay
-criterion and Hochster's formula for the depth of a Stanley-Reisner ring.
+Ranks of boundary maps are computed column by column on sparse columns:
+XOR elimination of column bitsets over F_2, and fraction-free integer
+elimination of {row: coefficient} columns over the rationals and odd prime
+fields (reduced mod p there); no floating point anywhere.  The dense
+boundary_matrix and its eliminations (Bareiss-style over Q, Gaussian over
+F_p) stay as oracles for the tests, `srdepth audit` and the Koszul depth.
+On top of the homology kernel sit Reisner's Cohen-Macaulay criterion and
+Hochster's formula for the depth of a Stanley-Reisner ring.
 
 Both read the least i with H~_i != 0.  Over Q that scan resumes where the
 F_2 scan stopped: an integer matrix has rank over Q at least its rank over
 F_p, so b_i(Q) <= b_i(F_2).  H~_0 and the top homology are free, and below
 the first F_2 index there is no 2-torsion, so Q agrees with an F_2 answer of
-0 or dim; Bareiss runs only strictly between, where torsion can appear.
+0 or dim; Q ranks are taken only strictly between, where torsion can appear.
 
 Conventions for degenerate complexes (needed by the local-cohomology code):
 the irrelevant complex {0} has H~_{-1} = K and nothing else; the void complex
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from math import gcd
 from operator import and_
 from typing import Optional
 
@@ -200,13 +204,62 @@ def _rank_f2(cx: Complex, i: int) -> int:
     return len(pivots)
 
 
+def _echelon(cx: Complex, i: int, p: Optional[int]) -> dict[int, dict[int, int]]:
+    """Column echelon form of boundary_matrix(cx, i) over Q (p=None) or F_p.
+
+    Each column is a dict {row: coefficient}, reduced against pivots keyed by
+    their leading (largest) row: with pivot lead a and column lead c, the
+    column becomes (a*col - c*piv) / gcd(a, c), which keeps the rank since
+    a != 0; a scaled column then loses the common factor of its entries.
+    All arithmetic is in integers.  Over F_p entries are reduced mod p and
+    pivots are stored monic, so a = 1.  Returns the pivots by lead row.
+    """
+    row_index = {m: r for r, m in enumerate(cx.face_masks_of_dim(i - 1))}
+    pivots: dict[int, dict[int, int]] = {}
+    for fm in cx.face_masks_of_dim(i):
+        col = {}
+        sign = 1
+        for b in mask_bits(fm):
+            col[row_index[fm ^ b]] = sign
+            sign = -sign
+        while col:
+            lead = max(col)
+            piv = pivots.get(lead)
+            if piv is None:
+                if p and col[lead] != 1:  # over F_p every pivot is monic
+                    inv = pow(col[lead], -1, p)
+                    col = {r: v * inv % p for r, v in col.items()}
+                pivots[lead] = col
+                break
+            a, c = piv[lead], col[lead]
+            g = gcd(a, c) if a > 0 else -gcd(a, c)
+            a, c = a // g, c // g
+            if a != 1:
+                col = {r: a * v for r, v in col.items()}
+            for r, v in piv.items():
+                x = col.get(r, 0) - c * v
+                if p:
+                    x %= p
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+            if a != 1 and col:  # only over Q
+                g = gcd(*col.values())
+                if g != 1:
+                    col = {r: v // g for r, v in col.items()}
+        if len(pivots) == len(row_index):
+            break
+    return pivots
+
+
 def _rank(cx: Complex, i: int, field: FieldSpec) -> int:
     """Rank of the boundary map d_i of cx; 0 outside 0..dim."""
     if i < 0 or i > cx.dim:
         return 0
     if field.p == 2:
         return _rank_f2(cx, i)
-    return matrix_rank(boundary_matrix(cx, i), field)
+    return len(_echelon(cx, i, field.p))
 
 
 #: ranks cached for the per-index reduced_betti loops; min_nonzero_betti ranks directly

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srdepth import cli
 from srdepth.cli import build_parser, main, parse_field
 from srdepth.cones import generate_cone_union
 from srdepth.criteria import (
@@ -106,6 +107,24 @@ def write_json(tmp_path, data) -> str:
     p = tmp_path / "input.json"
     p.write_text(json.dumps(data))
     return str(p)
+
+
+def chorded_cycle_edge_ideal(n: int = 20, chord: int = 5) -> dict:
+    """Edge ideal of the n-cycle plus the chords x_i x_(i+chord), i odd."""
+    edges = [(i, i % n + 1) for i in range(1, n + 1)]
+    edges += [(i, (i + chord - 1) % n + 1) for i in range(1, n + 1, 2)]
+    return {"n": n, "generators": [[int(v in e) for v in range(1, n + 1)] for e in edges]}
+
+
+@pytest.mark.parametrize("field", ["q", "fp:2", "fp:3"])
+def test_depth_of_a_20_variable_edge_ideal(tmp_path, capsys, field):
+    # the radical complex is the independence complex of the graph, whose
+    # whole boundary matrices once stalled the dense elimination over Q
+    ideal = chorded_cycle_edge_ideal()
+    assert len(ideal["generators"]) == 30
+    code, out, err = run(capsys, "depth", write_json(tmp_path, ideal), "--field", field)
+    assert code == 0 and err == ""
+    assert "depth = 5 (radical depth 5)" in out
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -685,6 +704,15 @@ def test_audit_catches_bad_fixture(tmp_path, capsys):
     code, out, _ = run(capsys, "audit", str(tmp_path))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_audit_checks_production_ranks_against_dense_elimination(tmp_path, capsys, monkeypatch):
+    (tmp_path / "cx.json").write_text(json.dumps({"n": 3, "facets": [[1, 2], [2, 3]]}))
+    monkeypatch.setattr(cli, "_rank", lambda cx, i, field: 0)
+    code, out, _ = run(capsys, "audit", str(tmp_path))
+    assert code == 1
+    assert "boundary rank mismatch at index 0 over Q" in out
+    assert "boundary rank mismatch at index 1 over F_2" in out
 
 
 def test_audit_rejects_empty_dir(tmp_path, capsys):

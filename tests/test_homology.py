@@ -10,6 +10,7 @@ from srdepth.homology import (
     RANK_CACHE_SIZE,
     RATIONALS,
     _boundary_rank,
+    _echelon,
     _rank_f2,
     boundary_matrix,
     depth_stanley_reisner,
@@ -33,6 +34,9 @@ from tests.conftest import (
 
 F2 = prime_field(2)
 F3 = prime_field(3)
+
+RP2_CONE = [f + (7,) for f in RP2_FACETS]
+RP2_SUSPENSION = RP2_CONE + [f + (8,) for f in RP2_FACETS]
 
 
 # -- independent rank oracle --------------------------------------------------------
@@ -211,6 +215,26 @@ def test_rank_f2_matches_dense_rank_mod_2():
                 assert _rank_f2(cx, i) == rank_mod_p(boundary_matrix(cx, i), 2), (cx, i)
 
 
+def test_exact_rank_matches_dense_oracles():
+    cases = [cx for cx in mixed_complex_corpus() if cx.kind != VOID] + [
+        Complex(6, RP2_FACETS), Complex(7, RP2_CONE), Complex(8, RP2_SUSPENSION),
+    ]
+    non_unit_leads = 0
+    for cx in cases:
+        for i in range(cx.dim + 1):
+            mat = boundary_matrix(cx, i)
+            rank = rank_fraction_free(mat)
+            assert rank == rank_fractions(mat), (cx, i)
+            pivots = _echelon(cx, i, None)
+            assert len(pivots) == rank, (cx, i)
+            non_unit_leads += any(abs(piv[lead]) != 1 for lead, piv in pivots.items())
+            for p in (3, 5):
+                assert len(_echelon(cx, i, p)) == rank_mod_p(mat, p), (cx, i, p)
+    # the 2-torsion of RP^2 forces a pivot lead of 2, so the scaled
+    # (fraction-free) elimination step runs
+    assert non_unit_leads
+
+
 def test_rank_cache_stays_bounded():
     info = _boundary_rank.cache_info
     assert info().maxsize == RANK_CACHE_SIZE
@@ -275,10 +299,6 @@ def test_cm_certificate_of_a_wide_cone_walks_only_the_link(monkeypatch):
     assert len(calls) <= 2
 
 
-RP2_CONE = [f + (7,) for f in RP2_FACETS]
-RP2_SUSPENSION = RP2_CONE + [f + (8,) for f in RP2_FACETS]
-
-
 @pytest.mark.parametrize("n, facets, lows, depths", [
     (6, RP2_FACETS, (None, 1), (3, 2)),
     (7, RP2_CONE, (None, None), (4, 3)),
@@ -299,11 +319,11 @@ def test_two_torsion_routes(n, facets, lows, depths):
 def test_rational_depth_ranks_over_q_only_where_torsion_can_appear(monkeypatch, n, facets, most):
     calls = []
 
-    def counted(rows):
-        calls.append(len(rows))
-        return rank_fraction_free(rows)
+    def counted(cx, i, p):
+        calls.append(i)
+        return _echelon(cx, i, p)
 
-    monkeypatch.setattr(homology, "rank_fraction_free", counted)
+    monkeypatch.setattr(homology, "_echelon", counted)
     for cache in (min_nonzero_betti, depth_stanley_reisner, _boundary_rank):
         cache.cache_clear()
     depth_stanley_reisner(Complex(n, facets), RATIONALS)
