@@ -15,6 +15,8 @@ F_p, so b_i(Q) <= b_i(F_2).  H~_0 and the top homology are free, and below
 the first F_2 index there is no 2-torsion, so Q agrees with an F_2 answer of
 0 or dim; Q ranks are taken only strictly between, where torsion can appear.
 
+The only caches, by value, are min_nonzero_betti and depth_stanley_reisner.
+
 Conventions for degenerate complexes (needed by the local-cohomology code):
 the irrelevant complex {0} has H~_{-1} = K and nothing else; the void complex
 has no homology at all.
@@ -262,12 +264,6 @@ def _rank(cx: Complex, i: int, field: FieldSpec) -> int:
     return len(_echelon(cx, i, field.p))
 
 
-#: ranks cached for the per-index reduced_betti loops; min_nonzero_betti ranks directly
-RANK_CACHE_SIZE = 64
-
-_boundary_rank = lru_cache(maxsize=RANK_CACHE_SIZE)(_rank)
-
-
 def _apex(cx: Complex) -> int:
     """The intersection of all facets as a mask; nonzero iff cx is a cone."""
     return reduce(and_, cx.facet_masks) if cx.kind == ORDINARY else 0
@@ -281,7 +277,7 @@ def reduced_betti(cx: Complex, i: int, field: FieldSpec = RATIONALS) -> int:
         # a common apex makes the complex contractible
         return 0
     f_i = 1 if i == -1 else len(cx.face_masks_of_dim(i))
-    return f_i - _boundary_rank(cx, i, field) - _boundary_rank(cx, i + 1, field)
+    return f_i - _rank(cx, i, field) - _rank(cx, i + 1, field)
 
 
 @lru_cache(maxsize=None)
@@ -337,7 +333,7 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     if cx.kind == VOID:
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
     apex = _apex(cx)
-    core = cx._link_mask(apex) if apex else cx
+    core = cx._link_mask(apex)
     for i in range(-1, core.dim + 1):
         for fm in core.face_masks_of_dim(i):
             lk = core._link_mask(fm)

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from .criteria import depth_via_local_cohomology
-from .homology import FieldSpec, RATIONALS, depth_stanley_reisner, is_cohen_macaulay
+from .homology import FieldSpec, RATIONALS, _apex, depth_stanley_reisner, is_cohen_macaulay
 from .ideals import Decomposition, irreducible_ideal, prime_power_ideal
 from .simplicial import Complex, require_pure
 
@@ -47,14 +47,15 @@ class RigidVerdict:
 def is_rigid_by_intersections(cx: Complex, t: int) -> RigidVerdict:
     """Combinatorial test: |F_{i_1} n ... n F_{i_k}| >= t - k + 1 for all
     1 <= k <= min(r, t).  First violating tuple is the certificate.  t is
-    1..dim+1, or 0 for the irrelevant complex."""
+    1..dim+1, or 0 for the irrelevant complex.  Every intersection holds the
+    apex C of all facets, so only k <= t - |C| can violate and are listed."""
     require_pure(cx)
     low = min(1, cx.dim + 1)
     if not low <= t <= cx.dim + 1:
         raise ValueError(f"depth {t} out of range {low}..{cx.dim + 1}")
     masks = cx.facet_masks
     r = len(masks)
-    for k in range(1, min(r, t) + 1):
+    for k in range(1, min(r, t - _apex(cx).bit_count()) + 1):
         for idx in combinations(range(r), k):
             inter = masks[idx[0]]
             for i in idx[1:]:

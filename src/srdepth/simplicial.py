@@ -19,11 +19,14 @@ The public constructor keeps the maximal faces of whatever it is given.
 `Complex._from_masks` takes an antichain of facet masks and only sorts it:
 every internal builder (links, skeletons, facet selections, degree and
 radical complexes) has one at hand, so no subsumption scan runs twice.
+
+A complex owns its face lists: `face_masks_of_dim` lists each size once and
+keeps it, unshared with equal complexes.  The empty face's link is the
+complex itself, so Hochster's and Reisner's walks start from its lists.
 """
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -32,9 +35,6 @@ MAX_VERTICES = 64
 #: facets beyond which Complex.proper_facet_selections refuses to list the
 #: 2^r facet selections (for cone generation and the rigidity oracles)
 DEFAULT_FACET_CAP = 20
-
-#: complexes whose face lists stay cached at once (see _face_levels)
-FACE_CACHE_SIZE = 16
 
 VOID = "void"
 IRRELEVANT = "irrelevant"
@@ -178,14 +178,6 @@ def minimal_transversals(edges: Iterable[int]) -> list[int]:
     return sorted(trans)
 
 
-@lru_cache(maxsize=FACE_CACHE_SIZE)
-def _face_levels(cx: "Complex") -> list:
-    """Slot k: the k-vertex faces of cx once listed, shared by f_i and the
-    boundary matrices.  Bounded, unlike the two other unbounded lru_caches
-    (homology; ROADMAP item 6), whose keys keep complexes alive."""
-    return [None] * (cx.dim + 2)
-
-
 class Complex:
     """Immutable simplicial complex, normalized to its inclusion-maximal faces.
 
@@ -193,7 +185,7 @@ class Complex:
     vertices) and keeps the maximal ones; it is idempotent on facet sets.
     """
 
-    __slots__ = ("n", "_fmasks", "kind", "dim", "_hash")
+    __slots__ = ("n", "_fmasks", "kind", "dim", "_hash", "_levels")
 
     def __init__(self, n: int, faces: Iterable[Iterable[int]]):
         if not 1 <= n <= MAX_VERTICES:
@@ -212,6 +204,7 @@ class Complex:
         else:
             self.kind = ORDINARY
         self._hash = hash((n, fmasks))
+        self._levels = None  # slot k: the k-vertex faces, once listed
 
     @classmethod
     def _from_masks(cls, n: int, masks: Iterable[int]) -> "Complex":
@@ -248,7 +241,9 @@ class Complex:
             return ()
         if i < -1 or i > self.dim:
             raise ValueError(f"dimension {i} out of range -1..{self.dim}")
-        levels = _face_levels(self)
+        levels = self._levels
+        if levels is None:
+            levels = self._levels = [None] * (self.dim + 2)
         if levels[i + 1] is None:
             found: set[int] = set()
             for fm in self._fmasks:
@@ -266,7 +261,10 @@ class Complex:
         return self._link_mask(m)
 
     def _link_mask(self, m: int) -> "Complex":
-        """link() of a face given as a mask, which must be a face."""
+        """link() of a face given as a mask, which must be a face; the empty
+        face's link is the complex itself, face lists included."""
+        if not m:
+            return self
         stars = [fm for fm in self._fmasks if fm & m == m]
         return Complex._from_masks(self.n, [fm & ~m for fm in stars])
 

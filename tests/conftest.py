@@ -299,6 +299,20 @@ def reisner_walk(cx: Complex, field=RATIONALS, betti=generic_min_nonzero_betti):
     return True, None, None
 
 
+# -- unpeeled intersection oracle ----------------------------------------------------
+
+def all_intersections_verdict(cx: Complex, t: int):
+    """(rigid, facet indices, intersection size) of the intersection test,
+    listing every k-tuple of facets for k up to min(r, t), apex included."""
+    masks = cx.facet_masks
+    for k in range(1, min(len(masks), t) + 1):
+        for idx in combinations(range(len(masks)), k):
+            size = sum(1 for v in range(cx.n) if all(masks[i] >> v & 1 for i in idx))
+            if size < t - k + 1:
+                return False, idx, size
+    return True, None, None
+
+
 # -- raw-box local cohomology oracle -----------------------------------------------
 
 def depth_grid(rho):

@@ -373,6 +373,14 @@ def test_rigid_projective_plane(capsys):
     assert not audit_keys & set(data)
 
 
+def test_rigid_cone_with_many_facets(tmp_path, capsys):
+    # t = 10 and the facets meet in the apex {1..9}, so only single facets are
+    # listed; every k-tuple up to k = 10 would be about 10^10 of them
+    facets = [list(range(1, 10)) + [9 + i] for i in range(1, 51)]
+    path = write_json(tmp_path, {"n": 59, "facets": facets})
+    assert run(capsys, "rigid", path) == (0, "depth = 10 over Q\nrigid: yes\n", "")
+
+
 # -- the irrelevant complex {()} ------------------------------------------------------
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -1,15 +1,16 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import srdepth
 from srdepth import homology
 from srdepth.homology import (
     FieldSpec,
-    RANK_CACHE_SIZE,
     RATIONALS,
-    _boundary_rank,
     _echelon,
     _rank_f2,
     boundary_matrix,
@@ -235,14 +236,20 @@ def test_exact_rank_matches_dense_oracles():
     assert non_unit_leads
 
 
-def test_rank_cache_stays_bounded():
-    info = _boundary_rank.cache_info
-    assert info().maxsize == RANK_CACHE_SIZE
-    for m in range(1, 1001):
-        cx = Complex._from_masks(11, [m, m << 1])
-        for i in range(-1, cx.dim + 1):
-            reduced_betti(cx, i, RATIONALS)
-        assert info().currsize <= RANK_CACHE_SIZE
+def test_only_the_two_value_caches_remain():
+    # a new cache is a deliberate choice: name it here
+    found = set()
+    for info in pkgutil.iter_modules(srdepth.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"srdepth.{info.name}")
+        for obj in vars(module).values():
+            for o in (obj, *(vars(obj).values() if isinstance(obj, type) else ())):
+                if hasattr(o, "cache_info"):
+                    found.add(f"{o.__module__}.{o.__qualname__}")
+    assert found == {
+        "srdepth.homology.min_nonzero_betti", "srdepth.homology.depth_stanley_reisner",
+    }
 
 
 # -- least nonvanishing index ----------------------------------------------------------
@@ -324,7 +331,7 @@ def test_rational_depth_ranks_over_q_only_where_torsion_can_appear(monkeypatch, 
         return _echelon(cx, i, p)
 
     monkeypatch.setattr(homology, "_echelon", counted)
-    for cache in (min_nonzero_betti, depth_stanley_reisner, _boundary_rank):
+    for cache in (min_nonzero_betti, depth_stanley_reisner):
         cache.cache_clear()
     depth_stanley_reisner(Complex(n, facets), RATIONALS)
     assert len(calls) <= most

@@ -11,7 +11,7 @@ from srdepth.rigid import (
 )
 from srdepth import simplicial
 from srdepth.simplicial import Complex
-from tests.conftest import random_pure_complex, two_facet_depth
+from tests.conftest import all_intersections_verdict, random_pure_complex, two_facet_depth
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -76,6 +76,23 @@ def test_rigidity_input_validation(rp2):
         is_rigid_by_intersections(rp2, 0)
     with pytest.raises(ValueError):
         is_rigid_by_intersections(Complex(5, [(1, 2, 3), (4, 5)]), 1)
+
+
+def test_apex_peel_matches_every_intersection():
+    rng = random.Random(20)
+    cones = 0
+    for _ in range(300):
+        cx = random_pure_complex(rng, n_max=7, r_max=6)
+        if rng.random() < 0.5:  # a cone over it with 1..3 apex vertices
+            c = rng.randint(1, 3)
+            apex = tuple(range(cx.n + 1, cx.n + c + 1))
+            cx = Complex(cx.n + c, [f + apex for f in cx.facets])
+            cones += 1
+        for field in (RATIONALS, F2):
+            t = depth_stanley_reisner(cx, field)
+            v = is_rigid_by_intersections(cx, t)
+            assert (v.rigid, v.facet_indices, v.intersection_size) == all_intersections_verdict(cx, t), (cx, t)
+    assert 100 < cones < 200
 
 
 # -- homological routes ------------------------------------------------------------

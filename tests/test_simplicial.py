@@ -12,7 +12,6 @@ from srdepth.ideals import radical_complex
 from srdepth.rigid import is_rigid_by_skeleton_cm, is_rigid_by_subcomplex_depths
 from srdepth.simplicial import (
     Complex,
-    FACE_CACHE_SIZE,
     IRRELEVANT,
     ORDINARY,
     VOID,
@@ -146,13 +145,18 @@ def test_submask_faces_match_combination_oracle():
             assert cx.face_masks_of_dim(i) == tuple(combination_faces(cx, i)), (cx, i)
 
 
-def test_face_cache_stays_bounded():
-    info = simplicial._face_levels.cache_info
-    assert info().maxsize == FACE_CACHE_SIZE
-    for m in range(1, 1001):
-        cx = Complex._from_masks(10, [m])
-        assert cx.face_masks_of_dim(0) == tuple(b for b in (1 << j for j in range(10)) if m & b)
-        assert info().currsize <= FACE_CACHE_SIZE
+def test_complex_owns_its_face_lists():
+    cx = Complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    for i in range(-1, cx.dim + 1):
+        assert cx.face_masks_of_dim(i) is cx.face_masks_of_dim(i)
+    # an equal complex built anew lists its own faces, shared with no other
+    again = Complex(4, cx.facets)
+    assert again == cx and again._levels is None
+    assert again.face_masks_of_dim(1) == cx.face_masks_of_dim(1)
+    assert again.face_masks_of_dim(1) is not cx.face_masks_of_dim(1)
+    # the empty face's link is the complex itself, face lists included
+    assert cx._link_mask(0) is cx
+    assert cx.link(()) is cx
 
 
 def test_cached_face_list_is_not_shared_with_callers(fourcycle):
