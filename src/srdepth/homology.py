@@ -14,6 +14,8 @@ F_2 scan stopped: an integer matrix has rank over Q at least its rank over
 F_p, so b_i(Q) <= b_i(F_2).  H~_0 and the top homology are free, and below
 the first F_2 index there is no 2-torsion, so Q agrees with an F_2 answer of
 0 or dim; Q ranks are taken only strictly between, where torsion can appear.
+No field needs d_1 eliminated: its rank is f_0 minus the number of connected
+components, which overlapping facets merge.
 
 The only caches, by value, are min_nonzero_betti and depth_stanley_reisner.
 
@@ -255,10 +257,28 @@ def _echelon(cx: Complex, i: int, p: Optional[int]) -> dict[int, dict[int, int]]
     return pivots
 
 
+def _components(cx: Complex) -> int:
+    """Connected components of an ordinary complex: facet masks are merged
+    while they share a vertex."""
+    parts: list[int] = []
+    for fm in cx.facet_masks:
+        for part in [q for q in parts if q & fm]:
+            parts.remove(part)
+            fm |= part
+        parts.append(fm)
+    return len(parts)
+
+
 def _rank(cx: Complex, i: int, field: FieldSpec) -> int:
-    """Rank of the boundary map d_i of cx; 0 outside 0..dim."""
+    """Rank of the boundary map d_i of cx; 0 outside 0..dim.
+
+    Over every field, rank d_1 = f_0 - c with c connected components, since
+    H~_0 has dimension c - 1 and d_0 has rank 1; so d_1 is never eliminated.
+    """
     if i < 0 or i > cx.dim:
         return 0
+    if i == 1:
+        return len(cx.face_masks_of_dim(0)) - _components(cx)
     if field.p == 2:
         return _rank_f2(cx, i)
     return len(_echelon(cx, i, field.p))

@@ -23,6 +23,9 @@ radical complexes) has one at hand, so no subsumption scan runs twice.
 A complex owns its face lists: `face_masks_of_dim` lists each size once and
 keeps it, unshared with equal complexes.  The empty face's link is the
 complex itself, so Hochster's and Reisner's walks start from its lists.
+Any other link filters the lists its parent has already listed (the faces
+holding the linked face, with that face removed) and lists only the other
+sizes from its own facets; it keeps its parent alive while it lives.
 """
 from __future__ import annotations
 
@@ -185,7 +188,7 @@ class Complex:
     vertices) and keeps the maximal ones; it is idempotent on facet sets.
     """
 
-    __slots__ = ("n", "_fmasks", "kind", "dim", "_hash", "_levels")
+    __slots__ = ("n", "_fmasks", "kind", "dim", "_hash", "_levels", "_parent")
 
     def __init__(self, n: int, faces: Iterable[Iterable[int]]):
         if not 1 <= n <= MAX_VERTICES:
@@ -205,6 +208,7 @@ class Complex:
             self.kind = ORDINARY
         self._hash = hash((n, fmasks))
         self._levels = None  # slot k: the k-vertex faces, once listed
+        self._parent = None  # (complex, face mask) of which this is the link
 
     @classmethod
     def _from_masks(cls, n: int, masks: Iterable[int]) -> "Complex":
@@ -245,10 +249,19 @@ class Complex:
         if levels is None:
             levels = self._levels = [None] * (self.dim + 2)
         if levels[i + 1] is None:
-            found: set[int] = set()
-            for fm in self._fmasks:
-                found.update(map(sum, combinations(mask_bits(fm), i + 1)))
-            levels[i + 1] = tuple(sorted(found))
+            up = None
+            if self._parent:
+                parent, m = self._parent
+                if parent._levels:
+                    up = parent._levels[i + m.bit_count() + 1]
+            if up is not None:
+                # h -> h - m is monotone on the supersets of m: colex kept
+                levels[i + 1] = tuple([h ^ m for h in up if h & m == m])
+            else:
+                found: set[int] = set()
+                for fm in self._fmasks:
+                    found.update(map(sum, combinations(mask_bits(fm), i + 1)))
+                levels[i + 1] = tuple(sorted(found))
         return levels[i + 1]
 
     # -- derived complexes --------------------------------------------------
@@ -262,11 +275,16 @@ class Complex:
 
     def _link_mask(self, m: int) -> "Complex":
         """link() of a face given as a mask, which must be a face; the empty
-        face's link is the complex itself, face lists included."""
+        face's link is the complex itself, face lists included.  Any other
+        link takes each face size that this complex has listed by filtering
+        its list, and lists the others itself: a cone's apex link would
+        otherwise make the cone list up to 2^|apex| times the link's faces."""
         if not m:
             return self
         stars = [fm for fm in self._fmasks if fm & m == m]
-        return Complex._from_masks(self.n, [fm & ~m for fm in stars])
+        lk = Complex._from_masks(self.n, [fm & ~m for fm in stars])
+        lk._parent = (self, m)
+        return lk
 
     def skeleton(self, i: int) -> "Complex":
         """Subcomplex of all faces of dimension <= i."""

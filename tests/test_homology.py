@@ -11,7 +11,9 @@ from srdepth import homology
 from srdepth.homology import (
     FieldSpec,
     RATIONALS,
+    _components,
     _echelon,
+    _rank,
     _rank_f2,
     boundary_matrix,
     depth_stanley_reisner,
@@ -236,6 +238,51 @@ def test_exact_rank_matches_dense_oracles():
     assert non_unit_leads
 
 
+def test_d1_rank_is_vertices_minus_components():
+    corpus = [cx for cx in mixed_complex_corpus() if cx.dim >= 0]
+    corpus += [cx._link_mask(v) for cx in corpus[:] for v in cx.face_masks_of_dim(0)]
+    for cx in corpus:
+        mat = tuple_boundary_matrix(cx, 1)
+        for field in (RATIONALS, F2, F3):
+            assert _rank(cx, 1, field) == matrix_rank(mat, field), (cx, field)
+
+
+@pytest.mark.parametrize("facets, components", [
+    ([(1, 2, 3), (4, 5, 6)], 2),  # two disjoint triangles
+    ([(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)], 2),  # two disjoint circles
+    ([(1,), (2,), (3,)], 3),  # three points
+    ([(1, 2, 3), (3, 4, 5)], 1),  # two triangles joined at one vertex
+    ([(1, 2), (3, 4), (2, 5), (4, 5)], 1),  # a path met from both ends
+])
+def test_components(facets, components):
+    cx = Complex(6, facets)
+    assert _components(cx) == components
+    assert reduced_betti(cx, 0, RATIONALS) == components - 1
+    if cx.dim >= 1:
+        assert _rank(cx, 1, F2) == len(cx.face_masks_of_dim(0)) - components
+
+
+def test_d1_is_never_eliminated(monkeypatch):
+    def refusing(kernel):
+        def call(cx, i, *args):
+            assert i != 1, (kernel.__name__, cx)
+            return kernel(cx, i, *args)
+        return call
+
+    monkeypatch.setattr(homology, "_rank_f2", refusing(_rank_f2))
+    monkeypatch.setattr(homology, "_echelon", refusing(_echelon))
+    min_nonzero_betti.cache_clear()
+    depth_stanley_reisner.cache_clear()
+    for cx in mixed_complex_corpus():
+        if cx.kind == VOID:
+            continue
+        for field in (RATIONALS, F2, F3):
+            depth_stanley_reisner(cx, field)
+            is_cohen_macaulay(cx, field)
+            for i in range(-1, cx.dim + 1):
+                reduced_betti(cx, i, field)
+
+
 def test_only_the_two_value_caches_remain():
     # a new cache is a deliberate choice: name it here
     found = set()
@@ -304,6 +351,18 @@ def test_cm_certificate_of_a_wide_cone_walks_only_the_link(monkeypatch):
     res = is_cohen_macaulay(Complex(24, [(1, 2, *apex), (3, 4, *apex)]), RATIONALS)
     assert (res.cm, res.face, res.index) == (False, apex, 0)
     assert len(calls) <= 2
+
+
+def test_a_wide_cone_lists_none_of_its_faces():
+    # RP^2 coned by the 30 vertices 7..36: its apex link, the projective
+    # plane, lists its own 32 faces; filtering them from the cone's lists
+    # would make the cone list its 52,437 faces of 30 to 33 vertices
+    apex = tuple(range(7, 37))
+    cone = Complex(36, [f + apex for f in RP2_FACETS])
+    for field, depth in ((RATIONALS, 33), (F2, 32)):
+        assert depth_stanley_reisner(cone, field) == depth
+        assert bool(is_cohen_macaulay(cone, field)) == (field == RATIONALS)
+    assert cone._levels is None
 
 
 @pytest.mark.parametrize("n, facets, lows, depths", [

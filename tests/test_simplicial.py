@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from srdepth import simplicial
 from srdepth.cones import generate_cone_union
 from srdepth.criteria import degree_complex, degree_complex_unmixed
-from srdepth.homology import RATIONALS, depth_stanley_reisner
+from srdepth.homology import RATIONALS, depth_stanley_reisner, min_nonzero_betti, prime_field
 from srdepth.ideals import radical_complex
 from srdepth.rigid import is_rigid_by_skeleton_cm, is_rigid_by_subcomplex_depths
 from srdepth.simplicial import (
@@ -21,7 +22,7 @@ from srdepth.simplicial import (
     require_pure,
 )
 from tests.conftest import (
-    combination_faces, mixed_complex_corpus, random_decomposition, random_ideal,
+    FIXTURES, combination_faces, mixed_complex_corpus, random_decomposition, random_ideal,
 )
 
 
@@ -157,6 +158,64 @@ def test_complex_owns_its_face_lists():
     # the empty face's link is the complex itself, face lists included
     assert cx._link_mask(0) is cx
     assert cx.link(()) is cx
+
+
+def link_corpus() -> list:
+    rp2 = json.loads((FIXTURES / "projective_plane_6.json").read_text())
+    return [cx for cx in mixed_complex_corpus() if cx.kind != VOID] + [
+        Complex.from_json_dict(rp2)
+    ]
+
+
+def assert_face_lists_match_oracle(cx):
+    for i in range(-1, cx.dim + 1):
+        assert cx.face_masks_of_dim(i) == tuple(combination_faces(cx, i)), (cx, i)
+
+
+def test_links_of_a_listed_complex_filter_its_lists(monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("a link listed faces from its own facets")
+
+    for cx in link_corpus():
+        assert_face_lists_match_oracle(cx)
+        # every size is listed now, so no link of cx, nor any link of such a
+        # link, two levels deep, lists a face of its own
+        monkeypatch.setattr(simplicial, "combinations", no_listing)
+        for i in range(-1, cx.dim + 1):
+            for fm in cx.face_masks_of_dim(i):
+                lk = cx._link_mask(fm)
+                assert_face_lists_match_oracle(lk)
+                for j in range(-1, lk.dim + 1):
+                    for g in lk.face_masks_of_dim(j):
+                        assert_face_lists_match_oracle(lk._link_mask(g))
+        monkeypatch.undo()
+
+
+def test_links_of_an_unlisted_complex_leave_it_unlisted():
+    for cx in link_corpus():
+        for i in range(cx.dim + 1):
+            for fm in combination_faces(cx, i):
+                lk = cx._link_mask(fm)
+                assert_face_lists_match_oracle(lk)
+                vertex = lk.facet_masks[0] & -lk.facet_masks[0]
+                assert_face_lists_match_oracle(lk._link_mask(vertex))
+        assert cx._levels is None, cx
+
+
+def test_a_link_equals_the_complex_built_from_its_facets(rp2):
+    f3 = prime_field(3)
+    faces = [fm for i in range(-1, rp2.dim + 1) for fm in rp2.face_masks_of_dim(i)]
+    for fm in faces[1:]:  # every link but the complex itself, filtered
+        lk = rp2._link_mask(fm)
+        built = Complex(lk.n, lk.facets)
+        assert lk == built and hash(lk) == hash(built)
+        min_nonzero_betti(lk, f3)
+        before = min_nonzero_betti.cache_info()
+        assert min_nonzero_betti(built, f3) == min_nonzero_betti(lk, f3)
+        after = min_nonzero_betti.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits + 2, before.misses, before.currsize,
+        )
 
 
 def test_cached_face_list_is_not_shared_with_callers(fourcycle):
