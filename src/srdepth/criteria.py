@@ -23,7 +23,12 @@ Delta_a(I) = lk_{Delta_a+(I)} G_a, where a+ = max(a, 0) coordinatewise, it
 turns Takayama's formula into
 depth(S/I) = min over a >= 0 of depth K[Delta_a(I)], which is how
 depth_via_local_cohomology computes the depth and how depth_equals_radical
-compares it with the radical's.  `local_cohomology_table` lists the
+compares it with the radical's.  The scan only asks whether a degree
+complex has depth below the running minimum, so once that is 2 or less it
+reads min(depth, 2) straight from the minimal nonfaces, the excess sets:
+depth 0 iff every vertex is a nonface, and depth >= 2 iff the 1-skeleton
+(the vertices that are not nonfaces, joined unless they form a nonface)
+is connected with at least two vertices.  `local_cohomology_table` lists the
 graded pieces themselves, one cell per class and index, on the same grid
 with -1 added for the negative values; its least index is an independent
 check on the depth, as is a multigraded Koszul-complex depth kept for the
@@ -78,6 +83,18 @@ def degree_complex(ideal: MonomialIdeal, a: Sequence[int]) -> Complex:
     if len(a) != n:
         raise ValueError(f"degree length {len(a)} != ambient {n}")
     free = ((1 << n) - 1) & ~negative_support(a)
+    excess = _excess_sets(ideal, a, free)
+    if excess is None:
+        return Complex(n, [])
+    return Complex._from_masks(n, [free & ~t for t in minimal_transversals(excess)])
+
+
+def _excess_sets(ideal: MonomialIdeal, a: Sequence[int], free: int) -> Optional[list[int]]:
+    """The excess sets d & free, d = {j : e_j > a_j}, of the generators e:
+    the nonfaces of degree_complex(ideal, a) are the sets holding one of
+    them.  None when one is empty: d lies inside G_a, so x^a is in every
+    localization and the complex is void."""
+    n = ideal.n
     excess = []
     for g in ideal.gens:
         d = 0
@@ -85,9 +102,9 @@ def degree_complex(ideal: MonomialIdeal, a: Sequence[int]) -> Complex:
             if g[j] > a[j]:
                 d |= 1 << j
         if not d & free:
-            return Complex(n, [])  # d inside G_a: x^a is in every localization
+            return None
         excess.append(d & free)
-    return Complex._from_masks(n, [free & ~t for t in minimal_transversals(excess)])
+    return excess
 
 
 def degree_complex_unmixed(dec: Decomposition, a: Sequence[int]) -> Complex:
@@ -172,6 +189,39 @@ def _class_grid(n: int, gens) -> list[list[int]]:
     return [sorted({0, *(g[j] for g in gens)})[:-1] for j in range(n)]
 
 
+def _depth_to_two(n: int, excess: list[int]) -> int:
+    """min(depth K[Delta], 2) for the complex Delta on n vertices whose
+    nonfaces are the sets holding a mask of `excess`, none of them empty.
+
+    Hochster's formula gives both facts: depth K[Delta] = 0 iff Delta is
+    {()}, that is every vertex is a nonface, and depth >= 2 iff Delta is
+    connected with at least two vertices (a facet F contributes |F|, the
+    empty face 1 + the least i with H~_i(Delta) != 0).  The 1-skeleton
+    decides this: its vertices are the j with {j} not a nonface, its edges
+    the pairs of vertices that are not 2-element nonfaces.
+    """
+    verts = (1 << n) - 1
+    apart = [0] * n  # apart[j]: the vertices that share a 2-element nonface with j
+    for d in excess:
+        size = d.bit_count()
+        if size == 1:
+            verts &= ~d
+        elif size == 2:
+            low = d & -d
+            apart[low.bit_length() - 1] |= d ^ low
+            apart[d.bit_length() - 1] |= low
+    if not verts:
+        return 0
+    seen = frontier = verts & -verts
+    while frontier:
+        b = frontier & -frontier
+        frontier ^= b
+        new = verts & ~seen & ~apart[b.bit_length() - 1]
+        seen |= new
+        frontier |= new
+    return 2 if seen == verts and verts & (verts - 1) else 1
+
+
 def depth_via_local_cohomology(
     ideal: MonomialIdeal, field: FieldSpec = RATIONALS
 ) -> int:
@@ -184,16 +234,29 @@ def depth_via_local_cohomology(
     visits one degree per breakpoint class below rho_j (0 where x_j is
     unused), skips void complexes and stops at 0.  The first degree, a = 0,
     gives the radical's complex, which is never void for a proper ideal.
+
+    Each degree only has to show whether its complex has depth below the
+    running best.  While the best is 3 or more, the complex is built from
+    the transversals of its excess sets and depth_stanley_reisner reads its
+    depth.  From a best of 2 down, only min(depth, 2) matters, and
+    _depth_to_two reads it from the excess sets, the minimal nonfaces:
+    depth 0 iff every vertex is a nonface, depth >= 2 iff the 1-skeleton is
+    connected with at least two vertices.  No transversal, complex or link
+    is made at those degrees.
     """
     if not ideal.is_proper_nonzero:
         raise ValueError("depth needs a proper nonzero ideal")
-    best = ideal.n
-    for a in product(*[reps or [0] for reps in _class_grid(ideal.n, ideal.gens)]):
-        cx = degree_complex(ideal, a)
-        if cx.kind != VOID:
-            best = min(best, depth_stanley_reisner(cx, field))
-            if best == 0:
-                break
+    n = best = ideal.n
+    full = (1 << n) - 1
+    for a in product(*[reps or [0] for reps in _class_grid(n, ideal.gens)]):
+        if best > 2:
+            cx = degree_complex(ideal, a)
+            if cx.kind != VOID:
+                best = min(best, depth_stanley_reisner(cx, field))
+        elif (excess := _excess_sets(ideal, a, full)) is not None:
+            best = min(best, _depth_to_two(n, excess))
+        if best == 0:
+            break
     return best
 
 

@@ -15,7 +15,8 @@ F_p, so b_i(Q) <= b_i(F_2).  H~_0 and the top homology are free, and below
 the first F_2 index there is no 2-torsion, so Q agrees with an F_2 answer of
 0 or dim; Q ranks are taken only strictly between, where torsion can appear.
 No field needs d_1 eliminated: its rank is f_0 minus the number of connected
-components, which overlapping facets merge.
+components, which overlapping facets merge.  Nor is d_(i+1) ranked when its
+f_(i+1) columns are fewer than the i-cycles: H~_i != 0 by counting alone.
 
 The only caches, by value, are min_nonzero_betti and depth_stanley_reisner.
 
@@ -305,7 +306,9 @@ def min_nonzero_betti(cx: Complex, field: FieldSpec) -> Optional[int]:
     """Least i with H~_i(cx) != 0, or None if all reduced homology vanishes.
 
     While lower Betti numbers vanish, rank d_i follows from the face counts,
-    so index i needs only rank d_{i+1}.  Over Q see the module docstring.
+    so index i needs only rank d_{i+1}; and not even that when
+    f_{i+1} < f_i - rank d_i, since rank d_{i+1} is at most its f_{i+1}
+    columns.  Over Q see the module docstring.
     """
     if cx.kind == IRRELEVANT:
         return -1
@@ -320,10 +323,12 @@ def min_nonzero_betti(cx: Complex, field: FieldSpec) -> Optional[int]:
     for j in range(start):
         r = len(cx.face_masks_of_dim(j)) - r
     for i in range(start, cx.dim + 1):
-        r_next = _rank(cx, i + 1, field)
-        if len(cx.face_masks_of_dim(i)) - r - r_next:
+        cycles = len(cx.face_masks_of_dim(i)) - r
+        if 0 < i < cx.dim and len(cx.face_masks_of_dim(i + 1)) < cycles:
+            return i  # rank d_(i+1) <= f_(i+1); at i = 0, d_1 is cheaper than f_1
+        r = _rank(cx, i + 1, field)
+        if cycles - r:
             return i
-        r = r_next
     return None
 
 

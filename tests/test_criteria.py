@@ -1,12 +1,14 @@
 import json
 import random
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
 
+from srdepth import criteria
 from srdepth.criteria import (
     _class_grid,
+    _depth_to_two,
     degree_complex,
     degree_complex_facet_form,
     degree_complex_unmixed,
@@ -26,7 +28,7 @@ from srdepth.ideals import (
     radical_complex,
     stanley_reisner_ideal,
 )
-from srdepth.simplicial import VOID, Complex
+from srdepth.simplicial import VOID, Complex, minimal_transversals
 from tests.conftest import (
     FIXTURES,
     FOURCYCLE_SYSTEMS,
@@ -583,6 +585,116 @@ def test_depth_scans_match_raw_box_on_random_ideals():
         for field in (RATIONALS, F2, F3):
             expected = box_depth(ideal, field, lambda a: degree_complex(ideal, a))
             assert depth_via_local_cohomology(ideal, field) == expected, (ideal, field)
+
+
+def seeded_scan_ideal(rng, n):
+    """Generators on 1 to 3 variables; small exponents keep the raw box small.
+    One in four is cut by (x_1^2, ..., x_n^2), which tends to make depth 0
+    appear at a degree the scan reaches after its minimum has fallen."""
+    top = 3 if n <= 4 else 2
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        g = [0] * n
+        for j in rng.sample(range(n), rng.randint(1, min(n, 3))):
+            g[j] = rng.randint(1, top)
+        gens.append(g)
+    ideal = MonomialIdeal(n, gens)
+    if rng.random() < 0.25:
+        ideal = ideal.intersect(MonomialIdeal(n, [[2 * (i == j) for i in range(n)] for j in range(n)]))
+    return ideal
+
+
+def test_depth_scan_matches_the_box_on_every_final_depth():
+    # the scan reads depths <= 2 from nonfaces once its minimum is 2 or less;
+    # the box asks every degree complex for its least Betti number
+    rng = random.Random(65)
+    seen = set()
+    for k in range(280):
+        ideal = seeded_scan_ideal(rng, 1 + k % 7)
+        if not ideal.is_proper_nonzero:
+            continue
+        for field in (RATIONALS, F2, F3):
+            expected = box_depth(ideal, field, lambda a: degree_complex(ideal, a))
+            assert depth_via_local_cohomology(ideal, field) == expected, (ideal, field)
+            seen.add(min(expected, 3))
+    assert seen == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("gens, depth", [
+    ([(1, 0)], 1),
+    ([(2, 0)], 1),
+    ([(2, 1)], 1),
+    ([(1, 1)], 1),
+    ([(2, 0), (1, 1)], 0),
+    ([(3, 0), (1, 2)], 0),
+    ([(2, 0), (0, 3)], 0),
+])
+def test_two_variables_need_no_complex_depth(monkeypatch, gens, depth):
+    # with n = 2 the running minimum starts at 2, so every degree is read
+    # from its nonfaces
+    def refuse(*args):
+        raise AssertionError("depth_stanley_reisner called")
+
+    monkeypatch.setattr(criteria, "depth_stanley_reisner", refuse)
+    assert depth_via_local_cohomology(MonomialIdeal(2, gens), RATIONALS) == depth
+
+
+def complex_from_nonfaces(n, masks):
+    """The complex whose minimal nonfaces are the minimal masks, via Berge."""
+    full = (1 << n) - 1
+    return Complex._from_masks(n, [full & ~t for t in minimal_transversals(masks)])
+
+
+def nonempty_antichains(n):
+    masks = range(1, 1 << n)
+    for pick in range(1 << len(masks)):
+        chosen = [m for b, m in enumerate(masks) if pick >> b & 1]
+        if all(x & y not in (x, y) for x, y in combinations(chosen, 2)):
+            yield chosen
+
+
+def test_depth_to_two_reads_every_small_antichain():
+    for n in range(1, 5):
+        count = 0
+        for masks in nonempty_antichains(n):
+            cx = complex_from_nonfaces(n, masks)
+            for field in (RATIONALS, F2):
+                assert _depth_to_two(n, masks) == min(depth_stanley_reisner(cx, field), 2), masks
+            count += 1
+        # Dedekind numbers, less the antichain of the empty set
+        assert count == {1: 2, 2: 5, 3: 19, 4: 167}[n]
+
+
+def test_depth_to_two_on_seeded_nonface_families():
+    # drawn as excess sets come: repeated and nested masks, and their antichain
+    rng = random.Random(66)
+    for _ in range(300):
+        n = rng.randint(5, 7)
+        masks = [
+            sum(1 << j for j in rng.sample(range(n), rng.choice((1, 2, 2, 3, 4))))
+            for _ in range(rng.randint(0, 10))
+        ]
+        cx = complex_from_nonfaces(n, masks)
+        expected = min(depth_stanley_reisner(cx, RATIONALS), 2)
+        assert min(depth_stanley_reisner(cx, F2), 2) == expected
+        assert _depth_to_two(n, masks) == expected, masks
+        minimal = [m for m in masks if not any(o & m == o != m for o in masks)]
+        assert _depth_to_two(n, list(set(minimal))) == expected
+
+
+@pytest.mark.parametrize("name, n, nonfaces, facets, depth", [
+    ("irrelevant", 3, [0b001, 0b010, 0b100], [()], 0),
+    ("one point", 3, [0b010, 0b100], [(1,)], 1),
+    ("two points", 2, [0b11], [(1,), (2,)], 1),
+    ("an edge", 3, [0b100], [(1, 2)], 2),
+    ("a path", 3, [0b101], [(1, 2), (2, 3)], 2),
+    ("a hollow triangle", 3, [0b111], [(1, 2), (1, 3), (2, 3)], 2),
+    ("a triangle and an edge", 5,
+     [0b01001, 0b01010, 0b01100, 0b10001, 0b10010, 0b10100], [(1, 2, 3), (4, 5)], 1),
+])
+def test_depth_to_two_named_cases(name, n, nonfaces, facets, depth):
+    assert complex_from_nonfaces(n, nonfaces) == Complex(n, facets), name
+    assert _depth_to_two(n, nonfaces) == depth, name
 
 
 def test_depth_of_a_cone_ideal_in_many_variables():

@@ -283,6 +283,27 @@ def test_d1_is_never_eliminated(monkeypatch):
                 reduced_betti(cx, i, field)
 
 
+def test_counting_settles_a_betti_number_without_the_top_map(monkeypatch):
+    # a triangle on a 4-cycle: f_1 - rank d_1 = 7 - 5 = 2 one-cycles, but one
+    # triangle, so b_1 >= 1 before d_2 is ranked
+    sparse = Complex(6, [(1, 2, 3), (3, 4), (4, 5), (5, 6), (3, 6)])
+    # the hollow tetrahedron has as many triangles as one-cycles: d_2 is needed
+    hollow = Complex(4, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+
+    def refusing(cx, i, field):
+        assert i != 2, cx
+        return _rank(cx, i, field)
+
+    monkeypatch.setattr(homology, "_rank", refusing)
+    min_nonzero_betti.cache_clear()
+    for field in (RATIONALS, F2, F3):
+        assert min_nonzero_betti(sparse, field) == 1
+        with pytest.raises(AssertionError):
+            min_nonzero_betti(hollow, field)
+    monkeypatch.undo()
+    assert [reduced_betti(sparse, i) for i in range(3)] == [0, 1, 0]
+
+
 def test_only_the_two_value_caches_remain():
     # a new cache is a deliberate choice: name it here
     found = set()
