@@ -15,7 +15,6 @@ delta-a               facet selection of a decomposition at a degree vector
 local-cohomology      nonzero graded local cohomology pieces of an ideal, one
                       per breakpoint class and index (--field, --format,
                       --max-index)
-polarize              squarefree polarization of an ideal (--format)
 audit                 invariant suites over a directory of JSON fixtures
                       (--field, --seed)
 
@@ -309,23 +308,6 @@ def cmd_local_cohomology(args) -> int:
     return 0
 
 
-def cmd_polarize(args) -> int:
-    ideal = load(args.input, MonomialIdeal)
-    pol, origin = ideal.polarize()
-    report = {
-        "command": "polarize",
-        "ideal": pol.to_json_dict(),
-        "origin": list(origin),
-    }
-    lines = [
-        f"polarization lives in {pol.n} variables "
-        f"(origin map {list(origin)})",
-        f"generators: {[list(g) for g in pol.gens]}",
-    ]
-    emit(args, report, lines)
-    return 0
-
-
 # -- audit -----------------------------------------------------------------------
 
 
@@ -455,7 +437,6 @@ _COMMANDS = (
     ("delta-a", cmd_delta_a, "facet selection at a degree vector", (_DEGREE, _FORMAT)),
     ("local-cohomology", cmd_local_cohomology, "graded local cohomology table",
      (_FIELD, _FORMAT, _MAX_INDEX)),
-    ("polarize", cmd_polarize, "squarefree polarization of an ideal", (_FORMAT,)),
     ("audit", cmd_audit, "run invariant suites over a fixture directory",
      (_FIELD, _SEED)),
 )

@@ -27,8 +27,7 @@ from .simplicial import (
 
 Monomial = tuple  # exponent tuple of length n
 
-#: generators beyond which prime_power_ideal refuses to list a prime power,
-#: and variables beyond which MonomialIdeal.polarize refuses to list a polarization
+#: generators beyond which prime_power_ideal refuses to list a prime power
 MAX_PRIME_POWER_GENERATORS = 10**5
 
 
@@ -119,41 +118,7 @@ class MonomialIdeal:
             max((g[j] for g in self.gens), default=0) for j in range(self.n)
         )
 
-    def polarize(self) -> tuple["MonomialIdeal", tuple[int, ...]]:
-        """Standard squarefree-ization in an enlarged variable set.
-
-        Variable x_j gets one slot per unit of its largest exponent; x_j^e
-        maps to the product of the first e slots.  Returns the squarefree
-        ideal together with the origin map (new position -> original index).
-        More than MAX_PRIME_POWER_GENERATORS variables are refused before any
-        is listed.
-        """
-        if not self.is_proper_nonzero:
-            raise ValueError("polarization needs a proper nonzero ideal")
-        rho = self.max_exponents()
-        if (total := sum(rho)) > MAX_PRIME_POWER_GENERATORS:
-            raise ValueError(
-                f"polarization needs {total} variables, more than {MAX_PRIME_POWER_GENERATORS}"
-            )
-        origin: list[int] = []
-        offset: list[int] = []
-        for j in range(self.n):
-            offset.append(len(origin))
-            origin.extend([j + 1] * rho[j])
-        big_n = len(origin)
-        new_gens = []
-        for g in self.gens:
-            vec = [0] * big_n
-            for j, e in enumerate(g):
-                for s in range(e):
-                    vec[offset[j] + s] = 1
-            new_gens.append(vec)
-        return MonomialIdeal(big_n, new_gens), tuple(origin)
-
     # -- serialization and protocol --------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "generators": [list(g) for g in self.gens]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MonomialIdeal":
@@ -311,9 +276,7 @@ class Decomposition:
 
     def max_exponents(self) -> tuple[int, ...]:
         """Coordinatewise max over components; equals the intersection's maxima."""
-        return tuple(
-            max(c.max_exponents()[j] for c in self.components) for j in range(self.n)
-        )
+        return tuple(map(max, zip(*(c.max_exponents() for c in self.components))))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Decomposition":

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from .criteria import depth_via_local_cohomology
 from .homology import FieldSpec, RATIONALS, _apex, depth_stanley_reisner, is_cohen_macaulay
 from .ideals import Decomposition, irreducible_ideal, prime_power_ideal
-from .simplicial import Complex, require_pure
+from .simplicial import Complex, as_int, require_pure
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,7 @@ def is_rigid_by_intersections(cx: Complex, t: int) -> RigidVerdict:
     1..dim+1, or 0 for the irrelevant complex.  Every intersection holds the
     apex C of all facets, so only k <= t - |C| can violate and are listed."""
     require_pure(cx)
+    t = as_int(t, "depth")
     low = min(1, cx.dim + 1)
     if not low <= t <= cx.dim + 1:
         raise ValueError(f"depth {t} out of range {low}..{cx.dim + 1}")

@@ -313,6 +313,17 @@ def all_intersections_verdict(cx: Complex, t: int):
     return True, None, None
 
 
+# -- squarefree polarization oracle -------------------------------------------------
+
+def polarization(ideal: MonomialIdeal) -> MonomialIdeal:
+    """The squarefree polarization: x_j gets one new variable per unit of its
+    largest exponent, and x_j^e becomes the product of the first e of them."""
+    rho = ideal.max_exponents()
+    return MonomialIdeal(
+        sum(rho), [[int(s < e) for e, r in zip(g, rho) for s in range(r)] for g in ideal.gens]
+    )
+
+
 # -- raw-box local cohomology oracle -----------------------------------------------
 
 def depth_grid(rho):

@@ -290,7 +290,7 @@ def test_depth_names_the_path_of_bytes_that_are_not_utf8(tmp_path, capsys):
 def test_loader_refuses_a_duplicate_key(tmp_path, capsys, text, key):
     path = tmp_path / "dup.json"
     path.write_text(text)
-    for command in ("depth", "depth-equal-radical", "polarize"):
+    for command in ("depth", "depth-equal-radical", "local-cohomology"):
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == ""
         assert err == f"error: {path}: duplicate key {key!r}\n"
@@ -341,10 +341,10 @@ def test_refusals_print_the_library_text(tmp_path, capsys):
         ("depth-equal-radical", {"complex": impure, "components": []}, f"{path}: {not_pure}"),
     ]
     for gens in ([], [[0, 0]]):
-        ideal = MonomialIdeal(2, gens)
+        data, ideal = {"n": 2, "generators": gens}, MonomialIdeal(2, gens)
         cases += [
-            ("depth", ideal.to_json_dict(), refusal(depth_via_local_cohomology, ideal)),
-            ("local-cohomology", ideal.to_json_dict(), refusal(local_cohomology_table, ideal)),
+            ("depth", data, refusal(depth_via_local_cohomology, ideal)),
+            ("local-cohomology", data, refusal(local_cohomology_table, ideal)),
         ]
     for command, data, text in cases:
         assert write_json(tmp_path, data) == path
@@ -500,7 +500,7 @@ def test_decomposition_refuses_component_of_two_forms(tmp_path, capsys, command)
     )
 
 
-# -- cones / delta-a / local-cohomology / polarize -------------------------------------
+# -- cones / delta-a / local-cohomology ------------------------------------------------
 
 def test_cones_json_round_trip(capsys):
     # cone unions are only written: the JSON is the library union's own
@@ -625,20 +625,12 @@ def test_prime_power_too_many_generators(tmp_path, capsys):
     assert err.startswith("error: ") and "5000150001 generators" in err
 
 
-def test_polarize(capsys):
-    code, out, _ = run(capsys, "polarize", fixture("sample_ideal.json"), "--format", "json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["origin"] == [1, 1, 2, 3]
-    assert all(e in (0, 1) for g in data["ideal"]["generators"] for e in g)
-
-
-def test_polarize_refuses_huge_exponent(tmp_path, capsys):
-    # the origin map would list one entry per unit of the exponent
-    path = write_json(tmp_path, {"n": 2, "generators": [[10**30, 0], [0, 1]]})
-    code, out, err = run(capsys, "polarize", path)
-    assert (code, out) == (2, "")
-    assert err == f"error: polarization needs {10**30 + 1} variables, more than 100000\n"
+def test_polarize_is_not_a_command(capsys):
+    # squarefree polarization answers none of the depth questions
+    with pytest.raises(SystemExit) as exc:
+        main(["polarize", fixture("sample_ideal.json")])
+    assert exc.value.code == 2
+    assert "argument command: invalid choice: 'polarize'" in capsys.readouterr().err
 
 
 def test_rigid_cap_skips_audits(capsys):
@@ -765,7 +757,6 @@ OPTIONS = {
     "cones": {"--field", "--format"},
     "delta-a": {"--a", "--format"},
     "local-cohomology": {"--field", "--format", "--max-index"},
-    "polarize": {"--format"},
     "audit": {"--field", "--seed"},
 }
 
@@ -776,7 +767,6 @@ INPUTS = {
     "cones": fixture("fourcycle.json"),
     "delta-a": fixture("fourcycle_decomposition_a.json"),
     "local-cohomology": fixture("sample_ideal.json"),
-    "polarize": fixture("sample_ideal.json"),
     "audit": str(FIXTURES),
 }
 
@@ -790,7 +780,7 @@ def test_parser_options_per_command():
     for name, sub in commands.items():
         flags = {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
         assert flags == OPTIONS[name], name
-    assert sum(map(len, OPTIONS.values())) == 16
+    assert sum(map(len, OPTIONS.values())) == 15
 
 
 @pytest.mark.parametrize(
@@ -893,7 +883,6 @@ _COMMAND_INPUTS = {
     "cones": ("facets",),
     "delta-a": ("components",),
     "local-cohomology": ("generators",),
-    "polarize": ("generators",),
 }
 
 

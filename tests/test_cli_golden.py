@@ -1,6 +1,6 @@
 """Golden CLI sweep: stdout and exit code of every verdict command on every
-fixture, over Q and F_2, in text and JSON, plus `polarize`, `delta-a` and
-`audit` of the fixture directory.
+fixture, over Q and F_2, in text and JSON, plus `delta-a` and `audit` of the
+fixture directory.
 
 The expected output sits in tests/golden/cli_sweep.json.  A refactor that
 keeps behaviour leaves every byte of it unchanged; a deliberate change of
@@ -40,7 +40,6 @@ def sweep_calls() -> list[list[str]]:
                 for fmt in FORMATS:
                     calls.append([command, name, "--field", field, "--format", fmt])
         for fmt in FORMATS:
-            calls.append(["polarize", name, "--format", fmt])
             for a in DEGREES:
                 calls.append(["delta-a", name, "--a", a, "--format", fmt])
     return calls + [list(argv) for argv in AUDITS]

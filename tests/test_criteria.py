@@ -40,6 +40,7 @@ from tests.conftest import (
     fourcycle_decomposition,
     fourcycle_reference_system,
     local_cohomology_dim,
+    polarization,
     random_decomposition,
     random_ideal,
     random_primary,
@@ -409,19 +410,20 @@ def test_oracle_agreement_five_variables():
             )
 
 
-def test_polarization_shifts_depth_by_added_variables():
+@pytest.mark.parametrize("field", [RATIONALS, F2], ids=str)
+def test_polarization_shifts_depth_by_added_variables(field):
     rng = random.Random(33)
     checked = 0
     while checked < 8:
         ideal = random_ideal(rng, n_max=3, gens_max=3, exp_max=2)
         if not ideal.is_proper_nonzero:
             continue
-        pol, origin = ideal.polarize()
+        pol = polarization(ideal)
         if pol.n > 6:
             continue
         checked += 1
-        d = depth_via_local_cohomology(ideal)
-        dp = depth_via_local_cohomology(pol)
+        d = depth_via_local_cohomology(ideal, field)
+        dp = depth_via_local_cohomology(pol, field)
         assert dp == d + (pol.n - ideal.n)
 
 

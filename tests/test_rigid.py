@@ -78,6 +78,13 @@ def test_rigidity_input_validation(rp2):
         is_rigid_by_intersections(Complex(5, [(1, 2, 3), (4, 5)]), 1)
 
 
+@pytest.mark.parametrize("t", [True, 1.0, "1"], ids=repr)
+def test_intersection_test_refuses_a_depth_that_is_not_an_integer(t):
+    # a bool is not read as 1, and a float is refused before any range
+    with pytest.raises(ValueError, match="^depth must be an integer, got "):
+        is_rigid_by_intersections(Complex(2, [(1,), (2,)]), t)
+
+
 def test_apex_peel_matches_every_intersection():
     rng = random.Random(20)
     cones = 0
