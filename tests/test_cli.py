@@ -612,6 +612,18 @@ def test_local_cohomology_huge_exponent(tmp_path, capsys, fmt):
         assert f"degrees {10**17}" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_depth_reads_an_exponent_past_the_prime_power_cap(tmp_path, capsys, fmt):
+    # MAX_PRIME_POWER_GENERATORS caps only prime powers, not the exponents of an ideal
+    path = write_json(tmp_path, {"n": 2, "generators": [[10**30, 0], [0, 1]]})
+    code, out, err = run(capsys, "depth", path, "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        assert json.loads(out)["depth"] == 0
+    else:
+        assert out.splitlines()[1] == "depth = 0 (radical depth 0)"
+
+
 def test_prime_power_too_many_generators(tmp_path, capsys):
     path = write_json(
         tmp_path,

@@ -72,6 +72,27 @@ def test_golden_covers_exactly_the_sweep():
     assert sorted(_expected()) == sorted(" ".join(a) for a in sweep_calls())
 
 
+#: the sweep's calls of `polarize`, a command that squarefree polarization no
+#: longer has: none of the depth questions is answered by it
+POLARIZE_CALLS = [
+    ["polarize", f"fixtures/{path.name}", "--format", fmt]
+    for path in sorted(FIXTURES.glob("*.json"))
+    for fmt in FORMATS
+]
+
+
+@pytest.mark.parametrize("argv", POLARIZE_CALLS, ids=" ".join)
+def test_polarize_calls_are_refused(argv):
+    from srdepth.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    argv = [str(ROOT / a) if a.startswith("fixtures/") else a for a in argv]
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and out.getvalue() == ""
+    assert "argument command: invalid choice: 'polarize'" in err.getvalue()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_cli_golden.py --record")

@@ -410,7 +410,7 @@ def test_oracle_agreement_five_variables():
             )
 
 
-@pytest.mark.parametrize("field", [RATIONALS, F2], ids=str)
+@pytest.mark.parametrize("field", [RATIONALS, F2, F3], ids=str)
 def test_polarization_shifts_depth_by_added_variables(field):
     rng = random.Random(33)
     checked = 0

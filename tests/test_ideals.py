@@ -21,6 +21,8 @@ from srdepth.simplicial import Complex
 from tests.conftest import (
     VEC_EQUAL_1,
     fourcycle_decomposition,
+    polarization,
+    random_decomposition,
     random_ideal,
     swept_radical_complex,
 )
@@ -186,6 +188,55 @@ def test_component_exponents_bound_intersection():
     assert dec.max_exponents() == rho
     for comp in dec.components:
         assert all(a <= b for a, b in zip(comp.max_exponents(), rho))
+
+
+def test_decomposition_max_exponents_on_random_decompositions():
+    rng = random.Random(23)
+    for _ in range(60):
+        dec = random_decomposition(rng)
+        assert dec.max_exponents() == dec.intersection().max_exponents()
+
+
+def test_decomposition_reads_each_component_maxima_once(monkeypatch):
+    calls = []
+    component_maxima = MonomialIdeal.max_exponents
+
+    def counted(ideal):
+        calls.append(ideal)
+        return component_maxima(ideal)
+
+    dec = fourcycle_decomposition(VEC_EQUAL_1)
+    rho = dec.intersection().max_exponents()
+    monkeypatch.setattr(MonomialIdeal, "max_exponents", counted)
+    assert dec.max_exponents() == rho
+    assert calls == list(dec.components)
+
+
+# -- the polarization oracle of the tests -------------------------------------------------
+
+def test_polarization_of_a_pure_power():
+    pol = polarization(MonomialIdeal(1, [(2,)]))
+    assert (pol.n, pol.gens) == (2, ((1, 1),))
+
+
+def test_polarization_of_a_squarefree_ideal_is_itself():
+    ideal = MonomialIdeal(3, [(1, 1, 0), (0, 1, 1)])
+    assert polarization(ideal) == ideal
+
+
+def test_polarization_of_two_generators():
+    # x_1 gets two variables and x_2 one: x_1^2 -> y_1 y_2, x_1 x_2 -> y_1 y_3
+    pol = polarization(MonomialIdeal(2, [(2, 0), (1, 1)]))
+    assert (pol.n, pol.gens) == (3, ((1, 0, 1), (1, 1, 0)))
+
+
+@given(ideals())
+@settings(max_examples=40)
+def test_polarization_keeps_the_minimal_generators(ideal):
+    pol = polarization(ideal)
+    assert pol.n == sum(ideal.max_exponents())
+    assert len(pol.gens) == len(ideal.gens)
+    assert all(e <= 1 for g in pol.gens for e in g)
 
 
 # -- components and decompositions ----------------------------------------------------------
