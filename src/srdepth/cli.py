@@ -12,11 +12,10 @@ cones                 exponent cone union for a pure complex
                       (--field, --format)
 delta-a               facet selection of a decomposition at a degree vector
                       (--a, --format)
-local-cohomology      nonzero graded local cohomology pieces of an ideal, one
-                      per breakpoint class and index (--field, --format,
-                      --max-index)
-audit                 invariant suites over a directory of JSON fixtures
-                      (--field, --seed)
+local-cohomology      every nonzero graded local cohomology piece of an ideal,
+                      one per breakpoint class and index (--field, --format)
+audit                 invariant suites over a directory of JSON fixtures, each
+                      fixture checked over Q and F_2 (no options)
 
 Any other option is refused with exit code 2.  Facet-selection enumeration
 (cone generation and the rigidity audits) is capped at 20 facets,
@@ -287,9 +286,8 @@ def cmd_local_cohomology(args) -> int:
     ideal = load(args.input, MonomialIdeal)
     table = local_cohomology_table(ideal, args.field)
     # the table lists every nonzero piece by increasing index, so its first
-    # index is the depth; --max-index only trims what is printed
+    # index is the depth
     depth = table[0].index
-    cells = [c for c in table if args.max_index is None or c.index <= args.max_index]
     report = {
         "command": "local-cohomology",
         "field": str(args.field),
@@ -297,11 +295,11 @@ def cmd_local_cohomology(args) -> int:
         "cells": [
             {"i": c.index, "degree": list(c.degree), "upper": list(c.upper),
              "degrees": c.degrees, "dim": c.dimension}
-            for c in cells
+            for c in table
         ],
     }
-    lines = [f"depth = {depth} over {args.field}; {len(cells)} nonzero class cells"]
-    for c in cells:
+    lines = [f"depth = {depth} over {args.field}; {len(table)} nonzero class cells"]
+    for c in table:
         region = ", ".join(map(_class_range, c.degree, c.upper))
         lines.append(f"H^{c.index} at ({region}): dim {c.dimension}, degrees {c.degrees}")
     emit(args, report, lines)
@@ -311,10 +309,10 @@ def cmd_local_cohomology(args) -> int:
 # -- audit -----------------------------------------------------------------------
 
 
-def _audit_complex(cx: Complex, args, problems: list[str]) -> None:
+def _audit_complex(cx: Complex, problems: list[str]) -> None:
     if cx.kind != ORDINARY:
         return
-    fields = [RATIONALS, prime_field(2)]
+    fields = (RATIONALS, prime_field(2))
     mats = [boundary_matrix(cx, i) for i in range(cx.dim + 1)]
     # boundary composition and Euler characteristic
     for i in range(1, cx.dim + 1):
@@ -352,14 +350,12 @@ def _audit_complex(cx: Complex, args, problems: list[str]) -> None:
                 problems.append(f"rigidity routes disagree over {k}")
         t = depth_stanley_reisner(cx, RATIONALS)
         if is_rigid_by_intersections(cx, t):
-            mismatches = sample_depth_stability(
-                cx, RATIONALS, exponent_bound=2, trials=5, seed=args.seed
-            )
+            mismatches = sample_depth_stability(cx, RATIONALS, exponent_bound=2, trials=5)
             if mismatches:
                 problems.append(f"rigid complex has a depth-{mismatches[0][2]} sample")
 
 
-def _audit_ideal(ideal: MonomialIdeal, args, problems: list[str]) -> None:
+def _audit_ideal(ideal: MonomialIdeal, problems: list[str]) -> None:
     if not ideal.is_proper_nonzero:
         return
     rad = ideal.radical()
@@ -373,14 +369,15 @@ def _audit_ideal(ideal: MonomialIdeal, args, problems: list[str]) -> None:
                 problems.append(f"depth oracles disagree over {k}: {a} vs {b}")
 
 
-def _audit_decomposition(dec: Decomposition, args, problems: list[str]) -> None:
+def _audit_decomposition(dec: Decomposition, problems: list[str]) -> None:
     inter = dec.intersection()
     if inter.radical() != stanley_reisner_ideal(dec.delta):
         problems.append("radical of the intersection differs from the facet primes")
-    verdict = depth_equals_radical(dec, args.field)
-    d = depth_via_local_cohomology(inter, args.field)
-    if verdict.equal != (d == verdict.t):
-        problems.append("depth-equality verdict contradicts the computed depth")
+    for k in (RATIONALS, prime_field(2)):
+        verdict = depth_equals_radical(dec, k)
+        d = depth_via_local_cohomology(inter, k)
+        if verdict.equal != (d == verdict.t):
+            problems.append(f"depth-equality verdict contradicts the computed depth over {k}")
 
 
 _AUDITS = {
@@ -404,7 +401,7 @@ def cmd_audit(args) -> int:
         try:
             data = load_json(str(path))
             obj = load(str(path), *_AUDITS, data=data)
-            _AUDITS[type(obj)](obj, args, problems)
+            _AUDITS[type(obj)](obj, problems)
         except (ValueError, CliError) as exc:
             problems.append(str(exc))
         status = "ok" if not problems else "FAIL"
@@ -422,11 +419,7 @@ def cmd_audit(args) -> int:
 
 _FIELD = ("--field", dict(default="q", help="coefficient field: q or fp:<prime>"))
 _FORMAT = ("--format", dict(default="text", choices=("text", "json")))
-_SEED = ("--seed", dict(type=int, default=0, help="seed for sampling"))
 _DEGREE = ("--a", dict(required=True, help="comma-separated degree vector"))
-_MAX_INDEX = (
-    "--max-index", dict(type=int, default=None, help="print only the pieces of index <= this")
-)
 
 _COMMANDS = (
     ("depth", cmd_depth, "depth of a complex or monomial ideal", (_FIELD, _FORMAT)),
@@ -436,9 +429,8 @@ _COMMANDS = (
     ("cones", cmd_cones, "exponent cone union for a pure complex", (_FIELD, _FORMAT)),
     ("delta-a", cmd_delta_a, "facet selection at a degree vector", (_DEGREE, _FORMAT)),
     ("local-cohomology", cmd_local_cohomology, "graded local cohomology table",
-     (_FIELD, _FORMAT, _MAX_INDEX)),
-    ("audit", cmd_audit, "run invariant suites over a fixture directory",
-     (_FIELD, _SEED)),
+     (_FIELD, _FORMAT)),
+    ("audit", cmd_audit, "run invariant suites over a fixture directory", ()),
 )
 
 

@@ -48,7 +48,7 @@ from .homology import (
     reduced_betti,
     depth_stanley_reisner,
 )
-from .ideals import Decomposition, MonomialIdeal, radical_complex
+from .ideals import Decomposition, MonomialIdeal
 from .simplicial import Complex, VOID, minimal_transversals
 
 
@@ -267,25 +267,25 @@ def local_cohomology_table(
     class and index, sorted by (index, degree); the first index is the depth.
 
     The grid is {-1} + the classes below rho_j per coordinate, -1 standing
-    for every negative value.  At a degree a whose G_a is a face of the
-    radical's complex, H^i_m(S/I)_a = H~_(i-|G_a|-1)(Delta_a(I)) (Takayama).
+    for every negative value.  At each degree a,
+    H^i_m(S/I)_a = H~_(i-|G_a|-1)(Delta_a(I)) (Takayama).  Where G_a is not
+    a face of the radical's complex, some generator's support, and so its
+    excess set, lies inside G_a: Delta_a(I) is void and has no reduced
+    homology.
     """
     if not ideal.is_proper_nonzero:
         raise ValueError("local cohomology scan needs a proper nonzero ideal")
     grid = [[-1] + reps for reps in _class_grid(ideal.n, ideal.gens)]
     # a class ends at the next representative (-1 at 0), the last at rho_j
     ends = [dict(zip(reps, reps[1:] + [rho])) for reps, rho in zip(grid, ideal.max_exponents())]
-    rc = radical_complex(ideal)
     cells = []
     for a in product(*grid):
-        gmask = negative_support(a)
-        if rc.has_face_mask(gmask):  # elsewhere every piece vanishes
-            cx, g = degree_complex(ideal, a), gmask.bit_count()
-            upper = tuple(end[x] for end, x in zip(ends, a))
-            size = prod(u - x for u, x in zip(upper, a))
-            for i in range(g, ideal.n + 1):
-                if d := reduced_betti(cx, i - g - 1, field):
-                    cells.append(LocalCohomologyCell(a, upper, size, i, d))
+        cx, g = degree_complex(ideal, a), negative_support(a).bit_count()
+        upper = tuple(end[x] for end, x in zip(ends, a))
+        size = prod(u - x for u, x in zip(upper, a))
+        for i in range(g, ideal.n + 1):
+            if d := reduced_betti(cx, i - g - 1, field):
+                cells.append(LocalCohomologyCell(a, upper, size, i, d))
     cells.sort(key=lambda c: (c.index, c.degree))
     return cells
 

@@ -236,9 +236,6 @@ class Complex:
         sizes = {m.bit_count() for m in self._fmasks}
         return len(sizes) == 1
 
-    def has_face_mask(self, mask: int) -> bool:
-        return any(mask & fm == mask for fm in self._fmasks)
-
     def face_masks_of_dim(self, i: int) -> tuple[int, ...]:
         """All i-faces as bitmasks, in colexicographic (numeric) order."""
         if self.kind == VOID:
@@ -269,7 +266,7 @@ class Complex:
     def link(self, face: Iterable[int]) -> "Complex":
         """Faces G disjoint from `face` with G u face in the complex."""
         m = face_mask(face, self.n)
-        if not self.has_face_mask(m):
+        if not any(m & fm == m for fm in self._fmasks):
             raise ValueError(f"{mask_vertices(m)} is not a face")
         return self._link_mask(m)
 

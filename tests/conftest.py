@@ -211,6 +211,11 @@ def random_decomposition(rng: random.Random, n_max=5, r_max=4, exp_max=3) -> Dec
 
 # -- tuple and 2^n oracles of the mask kernel ----------------------------------------
 
+def is_face(cx: Complex, mask: int) -> bool:
+    """Whether the vertex set given as a mask lies in some facet of cx."""
+    return any(mask & fm == mask for fm in cx.facet_masks)
+
+
 def combination_faces(cx: Complex, i: int) -> list:
     """The i-faces as masks in colex order, by vertex-tuple combinations of
     each facet, every vertex validated through face_mask."""
@@ -349,7 +354,7 @@ def local_cohomology_dim(ideal: MonomialIdeal, i: int, a, field=RATIONALS) -> in
     if i < 0:
         return 0
     gmask = negative_support(a)
-    if not _radical_complex(ideal).has_face_mask(gmask):
+    if not is_face(_radical_complex(ideal), gmask):
         return 0
     rho = ideal.max_exponents()
     if any(x >= r for x, r in zip(a, rho)):
@@ -358,13 +363,12 @@ def local_cohomology_dim(ideal: MonomialIdeal, i: int, a, field=RATIONALS) -> in
     return reduced_betti(cx, i - gmask.bit_count() - 1, field)
 
 
-def raw_local_cohomology(ideal: MonomialIdeal, field=RATIONALS, max_index=None):
+def raw_local_cohomology(ideal: MonomialIdeal, field=RATIONALS):
     """Sorted (i, a, dim) of every nonzero piece over every degree of the grid."""
-    top = ideal.n if max_index is None else max_index
     return sorted(
         (i, a, d)
         for a in depth_grid(ideal.max_exponents())
-        for i in range(top + 1)
+        for i in range(ideal.n + 1)
         if (d := local_cohomology_dim(ideal, i, a, field))
     )
 

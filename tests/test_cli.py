@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib
 import io
 import json
@@ -653,7 +654,6 @@ def test_rigid_cap_skips_audits(capsys):
     assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k", [-1, 0, 1, 2])
 @pytest.mark.parametrize(
     "data",
     [
@@ -661,18 +661,17 @@ def test_rigid_cap_skips_audits(capsys):
         {"n": 3, "generators": [[2, 0, 0], [0, 2, 0]]},  # depth 1
     ],
 )
-def test_local_cohomology_max_index_truncates(tmp_path, capsys, data, k):
-    # --max-index trims the printed table to the cells of index <= k, counted
-    # in the header; the depth is that of the whole table
+def test_local_cohomology_prints_whole_table(tmp_path, capsys, data):
+    # every cell of the table is printed and counted in the header; the
+    # depth is the table's first index
     ideal = MonomialIdeal.from_json_dict(data)
     expected = [
         (c.index, c.degree, c.upper, c.degrees, c.dimension)
         for c in local_cohomology_table(ideal)
-        if c.index <= k
     ]
-    # the printed classes cover exactly the raw grid's pieces of index <= k
+    # the printed classes cover exactly the raw grid's pieces
     totals = {}
-    for i, _, d in raw_local_cohomology(ideal, max_index=k):
+    for i, _, d in raw_local_cohomology(ideal):
         totals[i] = totals.get(i, 0) + d
     class_totals = {}
     for i, _, _, size, d in expected:
@@ -680,17 +679,15 @@ def test_local_cohomology_max_index_truncates(tmp_path, capsys, data, k):
     assert class_totals == totals
     depth = depth_via_local_cohomology(ideal)
     path = write_json(tmp_path, data)
-    code, out, _ = run(
-        capsys, "local-cohomology", path, "--max-index", str(k), "--format", "json"
-    )
+    code, out, _ = run(capsys, "local-cohomology", path, "--format", "json")
     assert code == 0
     report = json.loads(out)
-    assert report["depth"] == depth
+    assert report["depth"] == depth == expected[0][0]
     assert [
         (c["i"], tuple(c["degree"]), tuple(c["upper"]), c["degrees"], c["dim"])
         for c in report["cells"]
     ] == expected
-    code, out, _ = run(capsys, "local-cohomology", path, "--max-index", str(k))
+    code, out, _ = run(capsys, "local-cohomology", path)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == f"depth = {depth} over Q; {len(expected)} nonzero class cells"
@@ -725,6 +722,26 @@ def test_audit_checks_production_ranks_against_dense_elimination(tmp_path, capsy
     assert code == 1
     assert "boundary rank mismatch at index 0 over Q" in out
     assert "boundary rank mismatch at index 1 over F_2" in out
+
+
+def test_audit_checks_decompositions_over_both_fields(tmp_path, capsys, monkeypatch):
+    # a decision that errs only over F_2 is caught with no option set
+    name = "fourcycle_decomposition_a.json"
+    (tmp_path / name).write_text((FIXTURES / name).read_text())
+    decide = cli.depth_equals_radical
+
+    def flipped_over_f2(dec, field):
+        verdict = decide(dec, field)
+        if field.is_rationals:
+            return verdict
+        return dataclasses.replace(verdict, equal=not verdict.equal)
+
+    monkeypatch.setattr(cli, "depth_equals_radical", flipped_over_f2)
+    code, out, _ = run(capsys, "audit", str(tmp_path))
+    assert code == 1
+    assert f"{name}: FAIL\n" in out
+    assert "depth-equality verdict contradicts the computed depth over F_2" in out
+    assert "over Q" not in out
 
 
 def test_audit_rejects_empty_dir(tmp_path, capsys):
@@ -768,8 +785,8 @@ OPTIONS = {
     "depth-equal-radical": {"--field", "--format"},
     "cones": {"--field", "--format"},
     "delta-a": {"--a", "--format"},
-    "local-cohomology": {"--field", "--format", "--max-index"},
-    "audit": {"--field", "--seed"},
+    "local-cohomology": {"--field", "--format"},
+    "audit": set(),
 }
 
 INPUTS = {
@@ -792,7 +809,7 @@ def test_parser_options_per_command():
     for name, sub in commands.items():
         flags = {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
         assert flags == OPTIONS[name], name
-    assert sum(map(len, OPTIONS.values())) == 15
+    assert sum(map(len, OPTIONS.values())) == 12
 
 
 @pytest.mark.parametrize(
@@ -801,7 +818,8 @@ def test_parser_options_per_command():
         (command, flag, value)
         for command in OPTIONS
         for flag, value in (
-            ("--field", "fp:2"), ("--format", "json"), ("--cap", "1"), ("--seed", "9")
+            ("--field", "fp:2"), ("--format", "json"), ("--cap", "1"), ("--seed", "9"),
+            ("--max-index", "1"),
         )
         if flag not in OPTIONS[command]
     ],

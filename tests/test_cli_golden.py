@@ -27,7 +27,7 @@ FIELDS = ("q", "fp:2")
 FORMATS = ("text", "json")
 #: degree vectors for delta-a; the fixtures' decompositions live in 4 variables
 DEGREES = ("0,0,0,0", "1,0,2,0", "1,2,0,3", "2,4,1,3", "3,5,2,4")
-AUDITS = (["audit", "fixtures/"], ["audit", "fixtures/", "--seed", "3", "--field", "fp:2"])
+AUDITS = (["audit", "fixtures/"],)
 
 
 def sweep_calls() -> list[list[str]]:

@@ -39,6 +39,7 @@ from tests.conftest import (
     fourcycle_assignment,
     fourcycle_decomposition,
     fourcycle_reference_system,
+    is_face,
     local_cohomology_dim,
     polarization,
     random_decomposition,
@@ -517,7 +518,7 @@ def box_depth(ideal, field, complex_at):
     for a in depth_grid(ideal.max_exponents()):
         g = negative_support(a)
         cx = complex_at(a)
-        if rc.has_face_mask(g) and cx.kind != VOID:
+        if is_face(rc, g) and cx.kind != VOID:
             low = min_nonzero_betti(cx, field)
             if low is not None:
                 lows.append(g.bit_count() + 1 + low)

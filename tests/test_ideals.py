@@ -21,6 +21,7 @@ from srdepth.simplicial import Complex
 from tests.conftest import (
     VEC_EQUAL_1,
     fourcycle_decomposition,
+    is_face,
     polarization,
     random_decomposition,
     random_ideal,
@@ -382,7 +383,7 @@ def test_radical_complex_on_random_ideals():
         # oracle: a set is a face iff its squarefree monomial avoids the radical
         for mask in range(1 << ideal.n):
             vec = tuple(mask >> j & 1 for j in range(ideal.n))
-            assert cx.has_face_mask(mask) == (not rad.contains(vec))
+            assert is_face(cx, mask) == (not rad.contains(vec))
 
 
 def test_radical_complex_matches_sweep_oracle():

@@ -50,6 +50,7 @@ try:
     ideal = srdepth.ideals.MonomialIdeal(3, [(2, 1, 0), (0, 1, 1)])
     srdepth.criteria.depth_via_local_cohomology(ideal)
     srdepth.criteria.local_cohomology_table(ideal)
+    srdepth.ideals.radical_complex(ideal)
 finally:
     tracer.uninstall()
 for name in ("criteria.depth_via_local_cohomology", "criteria.degree_complex",
