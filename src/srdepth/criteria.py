@@ -83,23 +83,30 @@ def degree_complex(ideal: MonomialIdeal, a: Sequence[int]) -> Complex:
     if len(a) != n:
         raise ValueError(f"degree length {len(a)} != ambient {n}")
     free = ((1 << n) - 1) & ~negative_support(a)
-    excess = _excess_sets(ideal, a, free)
+    excess = _excess_sets(_supports(ideal), a, free)
     if excess is None:
         return Complex(n, [])
     return Complex._from_masks(n, [free & ~t for t in minimal_transversals(excess)])
 
 
-def _excess_sets(ideal: MonomialIdeal, a: Sequence[int], free: int) -> Optional[list[int]]:
-    """The excess sets d & free, d = {j : e_j > a_j}, of the generators e:
-    the nonfaces of degree_complex(ideal, a) are the sets holding one of
-    them.  None when one is empty: d lies inside G_a, so x^a is in every
-    localization and the complex is void."""
-    n = ideal.n
+def _supports(ideal: MonomialIdeal) -> list[list[tuple[int, int]]]:
+    """Each generator's support as (coordinate, exponent) pairs."""
+    return [[(j, e) for j, e in enumerate(g) if e] for g in ideal.gens]
+
+
+def _excess_sets(
+    supports: list[list[tuple[int, int]]], a: Sequence[int], free: int
+) -> Optional[list[int]]:
+    """The excess sets d & free, d = {j : e_j > a_j}, of the generators e,
+    given by their _supports: a zero e_j exceeds only a negative a_j, which
+    free leaves out.  The nonfaces of degree_complex(ideal, a) are the sets
+    holding one of them.  None when one is empty: d lies inside G_a, so x^a
+    is in every localization and the complex is void."""
     excess = []
-    for g in ideal.gens:
+    for support in supports:
         d = 0
-        for j in range(n):
-            if g[j] > a[j]:
+        for j, e in support:
+            if e > a[j]:
                 d |= 1 << j
         if not d & free:
             return None
@@ -248,12 +255,13 @@ def depth_via_local_cohomology(
         raise ValueError("depth needs a proper nonzero ideal")
     n = best = ideal.n
     full = (1 << n) - 1
+    supports = _supports(ideal)
     for a in product(*[reps or [0] for reps in _class_grid(n, ideal.gens)]):
         if best > 2:
             cx = degree_complex(ideal, a)
             if cx.kind != VOID:
                 best = min(best, depth_stanley_reisner(cx, field))
-        elif (excess := _excess_sets(ideal, a, full)) is not None:
+        elif (excess := _excess_sets(supports, a, full)) is not None:
             best = min(best, _depth_to_two(n, excess))
         if best == 0:
             break

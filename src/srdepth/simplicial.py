@@ -21,15 +21,20 @@ every internal builder (links, skeletons, facet selections, degree and
 radical complexes) has one at hand, so no subsumption scan runs twice.
 
 A complex owns its face lists: `face_masks_of_dim` lists each size once and
-keeps it, unshared with equal complexes.  The empty face's link is the
+keeps it, unshared with equal complexes.  Three sizes are read off the
+facets: the empty face, the vertices (the bits of the facets' union) and
+the top size (the facets of dimension dim).  The empty face's link is the
 complex itself, so Hochster's and Reisner's walks start from its lists.
-Any other link filters the lists its parent has already listed (the faces
-holding the linked face, with that face removed) and lists only the other
-sizes from its own facets; it keeps its parent alive while it lives.
+Any other link filters the middle sizes its parent has already listed (the
+faces holding the linked face, with that face removed) and lists only the
+other sizes from its own facets.  A complex also keeps the links it has
+built, and each link keeps its parent: the cycle lives while either is
+reachable, and the garbage collector frees it after.
 """
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -188,7 +193,7 @@ class Complex:
     vertices) and keeps the maximal ones; it is idempotent on facet sets.
     """
 
-    __slots__ = ("n", "_fmasks", "kind", "dim", "_hash", "_levels", "_parent")
+    __slots__ = ("n", "_fmasks", "kind", "dim", "_hash", "_levels", "_parent", "_links")
 
     def __init__(self, n: int, faces: Iterable[Iterable[int]]):
         if not 1 <= n <= MAX_VERTICES:
@@ -209,6 +214,7 @@ class Complex:
         self._hash = hash((n, fmasks))
         self._levels = None  # slot k: the k-vertex faces, once listed
         self._parent = None  # (complex, face mask) of which this is the link
+        self._links = None  # face mask -> link, once built
 
     @classmethod
     def _from_masks(cls, n: int, masks: Iterable[int]) -> "Complex":
@@ -237,7 +243,13 @@ class Complex:
         return len(sizes) == 1
 
     def face_masks_of_dim(self, i: int) -> tuple[int, ...]:
-        """All i-faces as bitmasks, in colexicographic (numeric) order."""
+        """All i-faces as bitmasks, in colexicographic (numeric) order.
+
+        Three levels are read off the facets: the empty face, the vertices
+        of their union, lowest first, and at i = dim the facets of top
+        size, since every face of that size is a facet.  A link filters any
+        other level from its parent's list when the parent has one; else
+        the level is listed from the facets' submasks."""
         if self.kind == VOID:
             return ()
         if i < -1 or i > self.dim:
@@ -245,21 +257,30 @@ class Complex:
         levels = self._levels
         if levels is None:
             levels = self._levels = [None] * (self.dim + 2)
-        if levels[i + 1] is None:
-            up = None
-            if self._parent:
-                parent, m = self._parent
-                if parent._levels:
-                    up = parent._levels[i + m.bit_count() + 1]
-            if up is not None:
-                # h -> h - m is monotone on the supersets of m: colex kept
-                levels[i + 1] = tuple([h ^ m for h in up if h & m == m])
+        level = levels[i + 1]
+        if level is None:
+            if i == -1:
+                level = (0,)
+            elif i == self.dim:
+                level = tuple([fm for fm in self._fmasks if fm.bit_count() == i + 1])
+            elif i == 0:
+                level = tuple(mask_bits(reduce(operator.or_, self._fmasks)))
             else:
-                found: set[int] = set()
-                for fm in self._fmasks:
-                    found.update(map(sum, combinations(mask_bits(fm), i + 1)))
-                levels[i + 1] = tuple(sorted(found))
-        return levels[i + 1]
+                up = None
+                if self._parent:
+                    parent, m = self._parent
+                    if parent._levels:
+                        up = parent._levels[i + m.bit_count() + 1]
+                if up is not None:
+                    # h -> h - m is monotone on the supersets of m: colex kept
+                    level = tuple([h ^ m for h in up if h & m == m])
+                else:
+                    found: set[int] = set()
+                    for fm in self._fmasks:
+                        found.update(map(sum, combinations(mask_bits(fm), i + 1)))
+                    level = tuple(sorted(found))
+            levels[i + 1] = level
+        return level
 
     # -- derived complexes --------------------------------------------------
 
@@ -273,14 +294,22 @@ class Complex:
     def _link_mask(self, m: int) -> "Complex":
         """link() of a face given as a mask, which must be a face; the empty
         face's link is the complex itself, face lists included.  Any other
-        link takes each face size that this complex has listed by filtering
-        its list, and lists the others itself: a cone's apex link would
-        otherwise make the cone list up to 2^|apex| times the link's faces."""
+        link is built once and kept, so a second walk over the faces (the
+        F_2 depth after the Q depth) finds the first walk's links.  A link
+        takes each middle face size that this complex has listed by
+        filtering its list, and lists the others itself: a cone's apex link
+        would otherwise make the cone list up to 2^|apex| times the link's
+        faces."""
         if not m:
             return self
-        stars = [fm for fm in self._fmasks if fm & m == m]
-        lk = Complex._from_masks(self.n, [fm & ~m for fm in stars])
-        lk._parent = (self, m)
+        links = self._links
+        if links is None:
+            links = self._links = {}
+        lk = links.get(m)
+        if lk is None:
+            stars = [fm & ~m for fm in self._fmasks if fm & m == m]
+            lk = links[m] = Complex._from_masks(self.n, stars)
+            lk._parent = (self, m)
         return lk
 
     def skeleton(self, i: int) -> "Complex":

@@ -9,6 +9,8 @@ from srdepth import criteria
 from srdepth.criteria import (
     _class_grid,
     _depth_to_two,
+    _excess_sets,
+    _supports,
     degree_complex,
     degree_complex_facet_form,
     degree_complex_unmixed,
@@ -715,3 +717,18 @@ def test_unmixed_depth_scan_matches_raw_box():
             dec.intersection(), RATIONALS, lambda a: degree_complex_unmixed(dec, a)
         )
         assert depth_via_local_cohomology(dec.intersection(), RATIONALS) == expected
+
+
+def test_excess_sets_read_only_the_supports():
+    # oracle: every coordinate of every generator, masked by free afterwards;
+    # degree_complex passes the coordinates outside G_a, the depth scan all
+    rng = random.Random(25)
+    for _ in range(400):
+        ideal = random_ideal(rng, n_max=6)
+        full = (1 << ideal.n) - 1
+        a = [rng.randint(-1, 3) for _ in range(ideal.n)]
+        for b, free in ((a, full & ~negative_support(a)), ([max(x, 0) for x in a], full)):
+            sets = [sum(1 << j for j, (e, x) in enumerate(zip(g, b)) if e > x) & free
+                    for g in ideal.gens]
+            expected = sets if all(sets) else None
+            assert _excess_sets(_supports(ideal), b, free) == expected, (ideal, b)

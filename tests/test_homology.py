@@ -1,6 +1,8 @@
+import gc
 import importlib
 import pkgutil
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -318,6 +320,53 @@ def test_only_the_two_value_caches_remain():
     assert found == {
         "srdepth.homology.min_nonzero_betti", "srdepth.homology.depth_stanley_reisner",
     }
+
+
+def test_complex_slots_are_named():
+    # a new per-complex memo is a deliberate choice: name it here
+    assert Complex.__slots__ == (
+        "n", "_fmasks", "kind", "dim", "_hash", "_levels", "_parent", "_links",
+    )
+
+
+def test_the_f2_depth_reuses_the_q_depths_links(monkeypatch):
+    built = []
+    original = Complex._from_masks.__func__
+
+    def counting(cls, n, masks):
+        built.append(n)
+        return original(cls, n, masks)
+
+    rng = random.Random(25)
+    corpus = [Complex(6, RP2_FACETS), Complex(7, RP2_CONE), Complex(8, RP2_SUSPENSION)]
+    corpus += [random_pure_complex(rng) for _ in range(100)]
+    corpus += [cx for cx in mixed_complex_corpus(count=100, seed=25) if cx.kind != VOID]
+    for cx in corpus:
+        # cold caches, so the Q depth walks this very object
+        min_nonzero_betti.cache_clear()
+        depth_stanley_reisner.cache_clear()
+        depth_stanley_reisner(cx, RATIONALS)
+        monkeypatch.setattr(Complex, "_from_masks", classmethod(counting))
+        depth_stanley_reisner(cx, F2)
+        monkeypatch.undo()
+        assert not built, cx
+
+
+def test_a_complex_and_its_links_are_freed():
+    class Watched(Complex):  # Complex has no weakref slot; a subclass has one
+        pass
+
+    cx = Watched(8, RP2_SUSPENSION)
+    for field in (RATIONALS, F2):
+        depth_stanley_reisner(cx, field)
+        is_cohen_macaulay(cx, field)
+    assert cx._links
+    ref = weakref.ref(cx)
+    min_nonzero_betti.cache_clear()
+    depth_stanley_reisner.cache_clear()
+    del cx
+    gc.collect()
+    assert ref() is None  # the parent <-> link cycle is collected
 
 
 # -- least nonvanishing index ----------------------------------------------------------

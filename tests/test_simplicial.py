@@ -17,12 +17,14 @@ from srdepth.simplicial import (
     ORDINARY,
     VOID,
     face_mask,
+    mask_bits,
     mask_vertices,
     minimal_transversals,
     require_pure,
 )
 from tests.conftest import (
     FIXTURES, combination_faces, mixed_complex_corpus, random_decomposition, random_ideal,
+    random_pure_complex,
 )
 
 
@@ -216,6 +218,71 @@ def test_a_link_equals_the_complex_built_from_its_facets(rp2):
         assert (after.hits, after.misses, after.currsize) == (
             before.hits + 2, before.misses, before.currsize,
         )
+
+
+def submask_faces(cx, i) -> tuple:
+    """Oracle: the sums of the (i+1)-subsets of each facet's bits, sorted."""
+    found = {sum(c) for fm in cx.facet_masks for c in combinations(mask_bits(fm), i + 1)}
+    return tuple(sorted(found))
+
+
+def level_corpus() -> list:
+    """Fresh seeded pure and impure complexes, 0-dimensional ones and the
+    irrelevant complex, none of them listed yet."""
+    rng = random.Random(25)
+    points = [
+        Complex(n, [(v,) for v in rng.sample(range(1, n + 1), rng.randint(1, n))])
+        for n in range(1, 8)
+    ]
+    return [
+        *(random_pure_complex(rng) for _ in range(80)),
+        *(cx for cx in mixed_complex_corpus(count=120, seed=25) if cx.kind != VOID),
+        *points,
+        Complex(3, [()]),
+    ]
+
+
+@pytest.mark.parametrize("top_first", [False, True])
+def test_face_levels_match_the_submask_oracle(top_first):
+    def dims(cx):
+        order = range(-1, cx.dim + 1)
+        return reversed(order) if top_first else order
+
+    def check(cx):
+        for i in dims(cx):
+            assert cx.face_masks_of_dim(i) == submask_faces(cx, i), (cx, i)
+
+    for cx in level_corpus():
+        check(cx)
+        # links filter the middle levels of a listed parent, and links of
+        # links those of a listed link
+        for i in dims(cx):
+            for fm in cx.face_masks_of_dim(i):
+                lk = cx._link_mask(fm)
+                check(lk)
+                for j in range(lk.dim + 1):
+                    for g in lk.face_masks_of_dim(j):
+                        check(lk._link_mask(g))
+
+
+def test_end_levels_are_read_off_the_facets(monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("an end level was listed from submasks")
+
+    monkeypatch.setattr(simplicial, "combinations", no_listing)
+    for cx in level_corpus():
+        for i in {-1, min(0, cx.dim), cx.dim}:
+            assert cx.face_masks_of_dim(i) == submask_faces(cx, i), (cx, i)
+
+
+def test_a_complex_keeps_its_links(rp2):
+    for i in range(rp2.dim + 1):
+        for fm in rp2.face_masks_of_dim(i):
+            lk = rp2._link_mask(fm)
+            assert rp2._link_mask(fm) is lk
+            assert rp2.link(mask_vertices(fm)) is lk
+            assert lk == Complex(rp2.n, lk.facets)
+    assert len(rp2._links) == sum(len(rp2.face_masks_of_dim(i)) for i in range(rp2.dim + 1))
 
 
 def test_cached_face_list_is_not_shared_with_callers(fourcycle):
