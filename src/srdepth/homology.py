@@ -18,6 +18,12 @@ No field needs d_1 eliminated: its rank is f_0 minus the number of connected
 components, which overlapping facets merge.  Nor is d_(i+1) ranked when its
 f_(i+1) columns are fewer than the i-cycles: H~_i != 0 by counting alone.
 
+Where only H~_0 of a link can matter, neither walk builds the link: the last
+face size that can lower Hochster's minimum, and Reisner's links of
+dimension 1, ask only whether the link is connected.  The link's facets are
+the facets holding the face, with the face removed, and H~_0 is the same
+over every field.  Links of dimension 0 or less never fail Reisner's test.
+
 The only caches, by value, are min_nonzero_betti and depth_stanley_reisner.
 
 Conventions for degenerate complexes (needed by the local-cohomology code):
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
 from operator import and_
-from typing import Optional
+from typing import Iterable, Optional
 
 from .simplicial import (
     Complex, Face, IRRELEVANT, ORDINARY, VOID, as_int, mask_bits, mask_vertices,
@@ -258,11 +264,11 @@ def _echelon(cx: Complex, i: int, p: Optional[int]) -> dict[int, dict[int, int]]
     return pivots
 
 
-def _components(cx: Complex) -> int:
-    """Connected components of an ordinary complex: facet masks are merged
-    while they share a vertex."""
+def _components(masks: Iterable[int]) -> int:
+    """Connected components of the complex generated by the given nonempty
+    facet masks: they are merged while they share a vertex."""
     parts: list[int] = []
-    for fm in cx.facet_masks:
+    for fm in masks:
         for part in [q for q in parts if q & fm]:
             parts.remove(part)
             fm |= part
@@ -279,7 +285,7 @@ def _rank(cx: Complex, i: int, field: FieldSpec) -> int:
     if i < 0 or i > cx.dim:
         return 0
     if i == 1:
-        return len(cx.face_masks_of_dim(0)) - _components(cx)
+        return len(cx.face_masks_of_dim(0)) - _components(cx.facet_masks)
     if field.p == 2:
         return _rank_f2(cx, i)
     return len(_echelon(cx, i, field.p))
@@ -299,6 +305,17 @@ def reduced_betti(cx: Complex, i: int, field: FieldSpec = RATIONALS) -> int:
         return 0
     f_i = 1 if i == -1 else len(cx.face_masks_of_dim(i))
     return f_i - _rank(cx, i, field) - _rank(cx, i + 1, field)
+
+
+def _betti_numbers(cx: Complex, field: FieldSpec) -> list[int]:
+    """[reduced_betti(cx, i, field) for i in -1..dim], each d_j ranked once."""
+    if _apex(cx):
+        return [0] * (cx.dim + 2)
+    ranks = [0] + [_rank(cx, j, field) for j in range(cx.dim + 2)]  # d_(j) at j + 1
+    return [
+        (1 if i == -1 else len(cx.face_masks_of_dim(i))) - ranks[i + 1] - ranks[i + 2]
+        for i in range(-1, cx.dim + 1)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -354,16 +371,27 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     Faces are walked by (size, colex), but a cone is peeled first: with apex
     C, a face missing part of C has a cone as its link, which never fails,
     and lk (C u G) = lk_{lk C} G, so only the faces of lk C are walked.
+    No link is built below dimension 2: one of dimension 0 or less never
+    fails, and one of dimension 1 fails, at index 0, exactly when the
+    facets holding the face, with the face removed, are disconnected.
     """
     if cx.kind == VOID:
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
     apex = _apex(cx)
     core = cx._link_mask(apex)
-    for i in range(-1, core.dim + 1):
+    # an i-face has a link of dimension at most dim - i - 1, and only a
+    # link of dimension 1 or more can fail
+    for i in range(-1, core.dim - 1):
         for fm in core.face_masks_of_dim(i):
-            lk = core._link_mask(fm)
-            low = min_nonzero_betti(lk, field)
-            if low is not None and low < lk.dim:
+            stars = core._link_facets(fm)
+            dim = max(map(int.bit_count, stars)) - 1
+            if dim < 1:
+                continue
+            if dim == 1:  # fails exactly when disconnected, at index 0
+                low = 0 if _components(stars) > 1 else None
+            else:
+                low = min_nonzero_betti(core._link_mask(fm), field)
+            if low is not None and low < dim:
                 return CMResult(False, mask_vertices(apex | fm), low)
     return CMResult(True)
 
@@ -379,8 +407,13 @@ def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
     facet F has the irrelevant link and contributes |F|, so the scan starts
     from the smallest facet size.  Any other face contributes at least
     |F| + 1, and faces come by increasing size, so the scan stops at the
-    first size that cannot lower the minimum.  The irrelevant complex has
-    depth 0: K[cx] is the field itself.
+    first size that cannot lower the minimum.  At the last size s that can,
+    s + 2 >= best, only H~_0 of a link counts: such a face is no facet, so
+    its link is ordinary and it is disconnected exactly when the facets
+    holding the face, with the face removed, are.  The first such face gives
+    depth s + 1, since deeper faces give at least s + 2; no link is built
+    there and no rank is taken.  The irrelevant complex has depth 0: K[cx]
+    is the field itself.
     """
     if cx.kind == VOID:
         raise ValueError("depth is undefined for the void complex")
@@ -389,6 +422,12 @@ def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
     best = min(fm.bit_count() for fm in cx.facet_masks)
     for size in range(cx.dim + 2):
         if size + 1 >= best:
+            break
+        if size + 2 >= best:
+            # only H~_0 of a link can still lower the minimum, to size + 1
+            for fm in cx.face_masks_of_dim(size - 1):
+                if _components(cx._link_facets(fm)) > 1:
+                    return size + 1
             break
         for fm in cx.face_masks_of_dim(size - 1):
             low = min_nonzero_betti(cx._link_mask(fm), field)

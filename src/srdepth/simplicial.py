@@ -307,10 +307,15 @@ class Complex:
             links = self._links = {}
         lk = links.get(m)
         if lk is None:
-            stars = [fm & ~m for fm in self._fmasks if fm & m == m]
-            lk = links[m] = Complex._from_masks(self.n, stars)
+            lk = links[m] = Complex._from_masks(self.n, self._link_facets(m))
             lk._parent = (self, m)
         return lk
+
+    def _link_facets(self, m: int) -> list[int]:
+        """The facet masks of the link of the face m: the facets holding m,
+        with m removed.  Building no complex, they answer what the facets
+        alone tell, such as the link's dimension and connectivity."""
+        return [fm ^ m for fm in self._fmasks if fm & m == m]
 
     def skeleton(self, i: int) -> "Complex":
         """Subcomplex of all faces of dimension <= i."""

@@ -28,6 +28,7 @@ from srdepth.homology import (
     reduced_betti,
 )
 from srdepth.simplicial import VOID, Complex
+from bench import corpus as bench_corpus
 from tests.conftest import (
     RP2_FACETS,
     generic_min_nonzero_betti,
@@ -258,7 +259,7 @@ def test_d1_rank_is_vertices_minus_components():
 ])
 def test_components(facets, components):
     cx = Complex(6, facets)
-    assert _components(cx) == components
+    assert _components(cx.facet_masks) == components
     assert reduced_betti(cx, 0, RATIONALS) == components - 1
     if cx.dim >= 1:
         assert _rank(cx, 1, F2) == len(cx.face_masks_of_dim(0)) - components
@@ -581,3 +582,59 @@ def test_simplex_depth_needs_no_face_scan():
     # irrelevant complex, so the answer comes at once
     assert depth_stanley_reisner(Complex(64, [range(1, 65)]), RATIONALS) == 64
     assert depth_stanley_reisner(Complex(64, [range(1, 64), (1, 64)]), F2) == 2
+
+
+def test_last_level_depth_matches_skeleton_oracle():
+    # the minimum is set by H~_0 at the last level for two k-simplices on a
+    # common (k-2)-face (depth k) and often for random pure complexes
+    rng = random.Random(2026)
+    corpus = [
+        Complex(k + 3, [range(1, k + 2), [*range(1, k), k + 2, k + 3]])
+        for k in range(1, 6)
+    ]
+    assert [depth_stanley_reisner(cx, RATIONALS) for cx in corpus] == [1, 2, 3, 4, 5]
+    corpus += [
+        Complex(n, bench_corpus.random_pure_complex(rng, n, k, r))
+        for n, k, r in bench_corpus.RIGIDITY_CLASSES for _ in range(3)
+    ]
+    for cx in corpus[:]:
+        k = rng.randint(1, 2)
+        corpus.append(Complex(cx.n + k, [(*f, *range(cx.n + 1, cx.n + k + 1)) for f in cx.facets]))
+    for cx in corpus:
+        for field in (RATIONALS, F2, F3):
+            assert depth_stanley_reisner(cx, field) == _skeleton_depth(cx, field), (cx, field)
+
+
+def test_the_last_level_builds_no_link():
+    # RP^2 over Q: the empty face's link is acyclic, then every vertex link
+    # is a connected 5-cycle; over F_2 the empty face already gives depth 2
+    min_nonzero_betti.cache_clear()
+    depth_stanley_reisner.cache_clear()
+    cx = Complex(6, RP2_FACETS)
+    assert depth_stanley_reisner(cx, RATIONALS) == 3
+    assert depth_stanley_reisner(cx, F2) == 2
+    assert cx._links is None
+
+
+def _hochster_walk(cx: Complex, field: FieldSpec) -> int:
+    """Oracle: Hochster's formula over every face, with no apex peeled and
+    every link's least nonvanishing index from dense boundary matrices."""
+    best = cx.dim + 1
+    for i in range(-1, cx.dim + 1):
+        for fm in cx.face_masks_of_dim(i):
+            low = generic_min_nonzero_betti(cx._link_mask(fm), field)
+            if low is not None:
+                best = min(best, i + 2 + low)
+    return best
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload, groups", [("rigidity", 24), ("cones", 1)])
+def test_benchmark_corpora_match_the_generic_oracles(workload, groups):
+    for item in bench_corpus.CORPORA[workload](1, groups):
+        for field in (RATIONALS, F2):
+            cx = Complex.from_json_dict(item.data)
+            depth = depth_stanley_reisner(cx, field)
+            res = is_cohen_macaulay(cx, field)
+            assert depth == _hochster_walk(cx, field), (cx, field)
+            assert (res.cm, res.face, res.index) == reisner_walk(cx, field), (cx, field)
