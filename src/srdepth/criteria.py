@@ -44,8 +44,8 @@ from typing import Optional, Sequence
 from .homology import (
     FieldSpec,
     RATIONALS,
-    _betti_numbers,
     matrix_rank,
+    reduced_betti,
     depth_stanley_reisner,
 )
 from .ideals import Decomposition, MonomialIdeal
@@ -291,9 +291,8 @@ def local_cohomology_table(
         cx, g = degree_complex(ideal, a), negative_support(a).bit_count()
         upper = tuple(end[x] for end, x in zip(ends, a))
         size = prod(u - x for u, x in zip(upper, a))
-        # b_j of Delta_a sits at index j + g + 1 <= n: its faces avoid G_a
-        for i, d in enumerate(_betti_numbers(cx, field), start=g):
-            if d:
+        for i in range(g, ideal.n + 1):
+            if d := reduced_betti(cx, i - g - 1, field):
                 cells.append(LocalCohomologyCell(a, upper, size, i, d))
     cells.sort(key=lambda c: (c.index, c.degree))
     return cells

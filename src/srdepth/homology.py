@@ -18,11 +18,10 @@ No field needs d_1 eliminated: its rank is f_0 minus the number of connected
 components, which overlapping facets merge.  Nor is d_(i+1) ranked when its
 f_(i+1) columns are fewer than the i-cycles: H~_i != 0 by counting alone.
 
-Where only H~_0 of a link can matter, neither walk builds the link: the last
-face size that can lower Hochster's minimum, and Reisner's links of
-dimension 1, ask only whether the link is connected.  The link's facets are
-the facets holding the face, with the face removed, and H~_0 is the same
-over every field.  Links of dimension 0 or less never fail Reisner's test.
+At the last face size that can lower Hochster's minimum only H~_0 of a
+link matters, and it is the same over every field, so that size asks only
+whether the link is connected and builds no link: the link's facets are the
+facets holding the face, with the face removed.
 
 The only caches, by value, are min_nonzero_betti and depth_stanley_reisner.
 
@@ -307,17 +306,6 @@ def reduced_betti(cx: Complex, i: int, field: FieldSpec = RATIONALS) -> int:
     return f_i - _rank(cx, i, field) - _rank(cx, i + 1, field)
 
 
-def _betti_numbers(cx: Complex, field: FieldSpec) -> list[int]:
-    """[reduced_betti(cx, i, field) for i in -1..dim], each d_j ranked once."""
-    if _apex(cx):
-        return [0] * (cx.dim + 2)
-    ranks = [0] + [_rank(cx, j, field) for j in range(cx.dim + 2)]  # d_(j) at j + 1
-    return [
-        (1 if i == -1 else len(cx.face_masks_of_dim(i))) - ranks[i + 1] - ranks[i + 2]
-        for i in range(-1, cx.dim + 1)
-    ]
-
-
 @lru_cache(maxsize=None)
 def min_nonzero_betti(cx: Complex, field: FieldSpec) -> Optional[int]:
     """Least i with H~_i(cx) != 0, or None if all reduced homology vanishes.
@@ -371,27 +359,16 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     Faces are walked by (size, colex), but a cone is peeled first: with apex
     C, a face missing part of C has a cone as its link, which never fails,
     and lk (C u G) = lk_{lk C} G, so only the faces of lk C are walked.
-    No link is built below dimension 2: one of dimension 0 or less never
-    fails, and one of dimension 1 fails, at index 0, exactly when the
-    facets holding the face, with the face removed, are disconnected.
     """
     if cx.kind == VOID:
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
     apex = _apex(cx)
     core = cx._link_mask(apex)
-    # an i-face has a link of dimension at most dim - i - 1, and only a
-    # link of dimension 1 or more can fail
-    for i in range(-1, core.dim - 1):
+    for i in range(-1, core.dim + 1):
         for fm in core.face_masks_of_dim(i):
-            stars = core._link_facets(fm)
-            dim = max(map(int.bit_count, stars)) - 1
-            if dim < 1:
-                continue
-            if dim == 1:  # fails exactly when disconnected, at index 0
-                low = 0 if _components(stars) > 1 else None
-            else:
-                low = min_nonzero_betti(core._link_mask(fm), field)
-            if low is not None and low < dim:
+            lk = core._link_mask(fm)
+            low = min_nonzero_betti(lk, field)
+            if low is not None and low < lk.dim:
                 return CMResult(False, mask_vertices(apex | fm), low)
     return CMResult(True)
 

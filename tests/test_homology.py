@@ -551,11 +551,26 @@ def _random_complex(rng: random.Random) -> Complex:
     return Complex(n, faces)
 
 
+#: Two k-simplices on a common (k-2)-face, k = 1..5: depth k, set by H~_0
+#: at the last face size.
+TWO_SIMPLICES = [Complex(k + 3, [range(1, k + 2), [*range(1, k), k + 2, k + 3]]) for k in range(1, 6)]
+
+
+def _last_level_complexes(rng: random.Random) -> list[Complex]:
+    """Complexes whose depth is often set by H~_0 at the last face size."""
+    return TWO_SIMPLICES + [
+        Complex(n, bench_corpus.random_pure_complex(rng, n, k, r))
+        for n, k, r in bench_corpus.RIGIDITY_CLASSES for _ in range(2)
+    ]
+
+
 def test_hochster_depth_matches_skeleton_oracle(rp2, two_big_facets):
     rng = random.Random(20121)
     corpus = [rp2, two_big_facets, Complex(4, [(1, 2), (3, 4)])]
     corpus += [_random_complex(rng) for _ in range(40)]
     corpus += [random_pure_complex(rng) for _ in range(40)]
+    corpus += _last_level_complexes(rng)
+    assert [depth_stanley_reisner(cx, RATIONALS) for cx in TWO_SIMPLICES] == [1, 2, 3, 4, 5]
     assert any(not cx.is_pure for cx in corpus)
     for cx in corpus:
         for field in (RATIONALS, F2, F3):
@@ -568,6 +583,7 @@ def test_cone_depth_peels_the_apex(rp2, two_big_facets):
     rng = random.Random(20122)
     corpus = [rp2, two_big_facets, Complex(4, [(1, 2), (3, 4)])]
     corpus += [_random_complex(rng) for _ in range(15)]
+    corpus += _last_level_complexes(rng)
     for cx in corpus:
         k = rng.randint(1, 2)
         apex = range(cx.n + 1, cx.n + k + 1)
@@ -582,27 +598,6 @@ def test_simplex_depth_needs_no_face_scan():
     # irrelevant complex, so the answer comes at once
     assert depth_stanley_reisner(Complex(64, [range(1, 65)]), RATIONALS) == 64
     assert depth_stanley_reisner(Complex(64, [range(1, 64), (1, 64)]), F2) == 2
-
-
-def test_last_level_depth_matches_skeleton_oracle():
-    # the minimum is set by H~_0 at the last level for two k-simplices on a
-    # common (k-2)-face (depth k) and often for random pure complexes
-    rng = random.Random(2026)
-    corpus = [
-        Complex(k + 3, [range(1, k + 2), [*range(1, k), k + 2, k + 3]])
-        for k in range(1, 6)
-    ]
-    assert [depth_stanley_reisner(cx, RATIONALS) for cx in corpus] == [1, 2, 3, 4, 5]
-    corpus += [
-        Complex(n, bench_corpus.random_pure_complex(rng, n, k, r))
-        for n, k, r in bench_corpus.RIGIDITY_CLASSES for _ in range(3)
-    ]
-    for cx in corpus[:]:
-        k = rng.randint(1, 2)
-        corpus.append(Complex(cx.n + k, [(*f, *range(cx.n + 1, cx.n + k + 1)) for f in cx.facets]))
-    for cx in corpus:
-        for field in (RATIONALS, F2, F3):
-            assert depth_stanley_reisner(cx, field) == _skeleton_depth(cx, field), (cx, field)
 
 
 def test_the_last_level_builds_no_link():
