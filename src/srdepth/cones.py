@@ -2,8 +2,9 @@
 
 For a pure complex, the exponent tuples (a_{ij}) of an irreducible
 decomposition for which depth(S/I) equals the radical depth form a finite
-union of rational cones.  Complex.proper_facet_selections hands each facet
-selection over with its subcomplex, and each Γ of depth below t contributes
+union of rational cones.  The facet selections are walked by their masks,
+and homology._selection_below asks whether each has depth below t, building
+a subcomplex only where the facets alone do not tell; each such Γ contributes
 the formula OR_{i not in Γ} AND_{j not in F_i} OR_{k in Γ, j not in F_k}
 a_{ij} >= a_{kj}, the factored form (by distributivity) of a conjunction over
 tuples of outside-variable choices.  Expanding each selection's formula into a
@@ -23,8 +24,8 @@ from itertools import product
 from math import prod
 from typing import Mapping
 
-from .homology import FieldSpec, RATIONALS, depth_stanley_reisner
-from .simplicial import Complex, _minimal_product, as_int, require_pure
+from .homology import FieldSpec, RATIONALS, _selection_below, depth_stanley_reisner
+from .simplicial import Complex, _minimal_product, _selection_indices, as_int, require_pure
 
 Symbol = tuple[int, int]  # (facet index, variable index)
 Atom = tuple[int, int]  # (left symbol position, right symbol position): left >= right
@@ -113,10 +114,10 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     The irrelevant complex has no selection, so its union is trivially true.
     """
     require_pure(cx)
-    selections = cx.proper_facet_selections()
-    t = depth_stanley_reisner(cx, field)
     masks = cx.facet_masks
     r = len(masks)
+    selections = _selection_indices(r)
+    t = depth_stanley_reisner(cx, field)
     outside_vars = [
         [j for j in range(1, cx.n + 1) if not fm >> (j - 1) & 1] for fm in masks
     ]
@@ -125,7 +126,8 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     bit: dict[Atom, int] = {}  # each atom's bit, given on first use
 
     low_depth_selections = (
-        selection for selection, gamma in selections if depth_stanley_reisner(gamma, field) < t
+        selection for selection in selections
+        if _selection_below(cx.n, [masks[i] for i in selection], t, field)
     )
 
     dnf = [0]

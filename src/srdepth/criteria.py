@@ -23,16 +23,20 @@ Delta_a(I) = lk_{Delta_a+(I)} G_a, where a+ = max(a, 0) coordinatewise, it
 turns Takayama's formula into
 depth(S/I) = min over a >= 0 of depth K[Delta_a(I)], which is how
 depth_via_local_cohomology computes the depth and how depth_equals_radical
-compares it with the radical's.  The scan only asks whether a degree
+compares it with the radical's.  The depth scan only asks whether a degree
 complex has depth below the running minimum, so once that is 2 or less it
 reads min(depth, 2) straight from the minimal nonfaces, the excess sets:
 depth 0 iff every vertex is a nonface, and depth >= 2 iff the 1-skeleton
 (the vertices that are not nonfaces, joined unless they form a nonface)
-is connected with at least two vertices.  `local_cohomology_table` lists the
-graded pieces themselves, one cell per class and index, on the same grid
-with -1 added for the negative values; its least index is an independent
-check on the depth, as is a multigraded Koszul-complex depth kept for the
-tests and `srdepth audit`.
+is connected with at least two vertices.  The decision's degree complexes
+are facet selections of the radical's complex, and homology._selection_below
+reads whether one has depth below t off its facet masks where they tell
+(one or two facets, or t <= 2), building no complex there.
+
+`local_cohomology_table` lists the graded pieces themselves, one cell per
+class and index, on the same grid with -1 added for the negative values;
+its least index is an independent check on the depth, as is a multigraded
+Koszul-complex depth kept for the tests and `srdepth audit`.
 """
 from __future__ import annotations
 
@@ -44,6 +48,7 @@ from typing import Optional, Sequence
 from .homology import (
     FieldSpec,
     RATIONALS,
+    _selection_below,
     matrix_rank,
     reduced_betti,
     depth_stanley_reisner,
@@ -193,7 +198,7 @@ def _class_grid(n: int, gens) -> list[list[int]]:
     point of its class, so the lexicographic order of the representatives
     is the box order.
     """
-    return [sorted({0, *(g[j] for g in gens)})[:-1] for j in range(n)]
+    return [sorted({0, *column})[:-1] for column in zip(*gens)] or [[] for _ in range(n)]
 
 
 def _depth_to_two(n: int, excess: list[int]) -> int:
@@ -402,9 +407,13 @@ def depth_equals_radical(
     selection), or None, trying each coordinate's breakpoint classes in
     increasing order; at a leaf the selected facets are those whose component
     keeps no dividing generator, as degree_complex_unmixed selects them.  Each
-    selection's depth comes from the cache of depth_stanley_reisner, and dead
-    states are memoised, so the first bad leaf is the box scan's first
-    witness and search(0, all generators) returns it whole.  The equivalent
+    leaf hands their masks to homology._selection_below, which answers one or
+    two facets and t <= 2 from the masks and any other selection from the
+    cache of depth_stanley_reisner.  Dead states are memoised, so the first
+    bad leaf is the box scan's first witness and search(0, all generators)
+    returns it whole; the witness subcomplex is built from its masks alone.
+    The generators dividing a prefix come from one table per coordinate,
+    built by filing the generators under their x_j exponents.  The equivalent
     facet-selection route (no selection of depth < t admits a
     degree_selecting_witness) is left to the tests as an oracle; `srdepth
     audit` checks the verdict against depth_via_local_cohomology of the
@@ -420,20 +429,26 @@ def depth_equals_radical(
         comp_bits.append(((1 << len(comp.gens)) - 1) << k)
         k += len(comp.gens)
     grid = [reps or [0] for reps in _class_grid(n, gens)]
-    # divides[j][c]: the generators whose x_j exponent is at most the c-th class
-    divides = [
-        [sum(1 << b for b, g in enumerate(gens) if g[j] <= v) for v in reps]
-        for j, reps in enumerate(grid)
-    ]
+    # divides[j][c]: the generators whose x_j exponent is at most the c-th
+    # class; every exponent is a class or rho_j, so filing the generators by
+    # exponent and joining the files class by class gives the row
+    divides = []
+    for reps, column in zip(grid, zip(*gens)):
+        filed: dict[int, int] = {}
+        for b, e in enumerate(column):
+            filed[e] = filed.get(e, 0) | 1 << b
+        row, below = [], 0
+        for v in reps:
+            below |= filed.get(v, 0)
+            row.append(below)
+        divides.append(row)
     facet_masks = dec.delta.facet_masks
     dead: set[tuple[int, int]] = set()
 
-    def search(j: int, mask: int) -> Optional[tuple[tuple[int, ...], Complex]]:
+    def search(j: int, mask: int) -> Optional[tuple[tuple[int, ...], list[int]]]:
         if j == n:
-            cx = Complex._from_masks(
-                n, [fm for fm, bits in zip(facet_masks, comp_bits) if not mask & bits]
-            )
-            return ((), cx) if cx.kind != VOID and depth_stanley_reisner(cx, field) < t else None
+            selected = [fm for fm, bits in zip(facet_masks, comp_bits) if not mask & bits]
+            return ((), selected) if _selection_below(n, selected, t, field) else None
         if (j, mask) not in dead:
             for v, d in zip(grid[j], divides[j]):
                 if found := search(j + 1, mask & d):
@@ -444,4 +459,5 @@ def depth_equals_radical(
     found = search(0, (1 << len(gens)) - 1)
     if found is None:
         return DepthEqualsRadicalVerdict(True, t)
-    return DepthEqualsRadicalVerdict(False, t, *found)
+    degree, selected = found
+    return DepthEqualsRadicalVerdict(False, t, degree, Complex._from_masks(n, selected))

@@ -23,6 +23,12 @@ link matters, and it is the same over every field, so that size asks only
 whether the link is connected and builds no link: the link's facets are the
 facets holding the face, with the face removed.
 
+The decision and the cone union ask one question of many facet selections
+of a pure complex of depth t: is the selection's depth below t?
+_selection_below answers it from the facet masks for one or two facets
+(a pair has depth |F n G| + 1) and for t <= 2 (connectivity), over every
+field, and builds the subcomplex only for the rest.
+
 The only caches, by value, are min_nonzero_betti and depth_stanley_reisner.
 
 Conventions for degenerate complexes (needed by the local-cohomology code):
@@ -413,3 +419,24 @@ def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
                 if low == 0:
                     break  # no face of this size can go lower
     return best
+
+
+def _selection_below(n: int, masks: list[int], t: int, field: FieldSpec) -> bool:
+    """Whether the subcomplex generated by `masks`, facets of a pure complex
+    of depth t, has depth below t.
+
+    The facets alone answer three cases, over every field.  No facet or one
+    facet F never does: the void complex is not asked, and a simplex has
+    depth |F| >= t.  Two facets F, G form a cone over F n G on two disjoint
+    simplices, of depth |F n G| + 1.  More nonempty facets have depth 1 if
+    they are disconnected and at least 2 if not, which settles t <= 2.  Any
+    other selection is built and its depth read from the cache of
+    depth_stanley_reisner.
+    """
+    if len(masks) < 2:
+        return False
+    if len(masks) == 2:
+        return (masks[0] & masks[1]).bit_count() + 1 < t
+    if t <= 2:
+        return t == 2 and _components(masks) > 1
+    return depth_stanley_reisner(Complex._from_masks(n, masks), field) < t

@@ -186,6 +186,15 @@ def minimal_transversals(edges: Iterable[int]) -> list[int]:
     return sorted(trans)
 
 
+def _selection_indices(r: int) -> Iterator[tuple[int, ...]]:
+    """Lazy index tuples of the proper nonempty selections of r facets, by
+    size and then in combinations order.  More than DEFAULT_FACET_CAP facets
+    are refused when this is called, before anything is listed."""
+    if r > DEFAULT_FACET_CAP:
+        raise ValueError(f"{r} facets exceed the enumeration cap {DEFAULT_FACET_CAP}")
+    return (idx for k in range(1, r) for idx in combinations(range(r), k))
+
+
 class Complex:
     """Immutable simplicial complex, normalized to its inclusion-maximal faces.
 
@@ -331,15 +340,13 @@ class Complex:
 
     def proper_facet_selections(self) -> Iterator[tuple[tuple[int, ...], "Complex"]]:
         """Lazy (indices, subcomplex) pairs of the proper nonempty facet
-        selections, by size and then in combinations order; the subcomplex is
+        selections, in the order of _selection_indices; the subcomplex is
         generated by the selected facets.  A complex with more than
         DEFAULT_FACET_CAP facets is refused when this is called."""
-        r = len(self._fmasks)
-        if r > DEFAULT_FACET_CAP:
-            raise ValueError(f"{r} facets exceed the enumeration cap {DEFAULT_FACET_CAP}")
+        masks = self._fmasks
         return (
-            (idx, Complex._from_masks(self.n, [self._fmasks[i] for i in idx]))
-            for k in range(1, r) for idx in combinations(range(r), k)
+            (idx, Complex._from_masks(self.n, [masks[i] for i in idx]))
+            for idx in _selection_indices(len(masks))
         )
 
     # -- serialization and protocol ----------------------------------------

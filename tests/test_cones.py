@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from bench.corpus import CONE_CLASSES, random_pure_complex as random_shaped_facets
-from srdepth import cones as cones_mod
+from srdepth import cones as cones_mod, homology, simplicial
 from srdepth.cli import main
 from srdepth.cones import ConeUnion, generate_cone_union
 from srdepth.criteria import depth_equals_radical
@@ -168,6 +168,27 @@ def test_cone_candidate_cap(monkeypatch):
     monkeypatch.setattr(cones_mod, "MAX_CONE_CANDIDATES", 3607)
     with pytest.raises(ValueError, match="needs 3608 candidate conjunctions"):
         generate_cone_union(FIVECYCLE, RATIONALS)
+
+
+def test_facet_cap_refuses_before_any_depth(monkeypatch):
+    def _refuse_depth(*args):
+        raise AssertionError("a depth was asked for")
+
+    monkeypatch.setattr(simplicial, "DEFAULT_FACET_CAP", 3)
+    monkeypatch.setattr(cones_mod, "depth_stanley_reisner", _refuse_depth)
+    monkeypatch.setattr(homology, "depth_stanley_reisner", _refuse_depth)
+    with pytest.raises(ValueError) as exc:
+        generate_cone_union(FOURCYCLE, RATIONALS)
+    assert str(exc.value) == "4 facets exceed the enumeration cap 3"
+
+
+@pytest.mark.parametrize("cx", [FOURCYCLE, FIVECYCLE], ids=["4-cycle", "5-cycle"])
+def test_selections_of_radical_depth_two_build_no_subcomplex(cx):
+    # t = 2: every selection is answered from its facets, so only the
+    # cycle's own depth is taken
+    homology.depth_stanley_reisner.cache_clear()
+    generate_cone_union(cx, RATIONALS)
+    assert homology.depth_stanley_reisner.cache_info().currsize == 1
 
 
 def test_rigid_complex_gives_trivially_true_union(two_big_facets):

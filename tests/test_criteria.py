@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from bench import corpus as bench_corpus
 from srdepth import criteria
 from srdepth.criteria import (
     _class_grid,
@@ -547,6 +548,33 @@ def test_decision_matches_box_scan_on_fourcycle():
         verdict = depth_equals_radical(dec)
         assert verdict.equal == on_system
         assert verdict_summary(verdict) == box_scan_decision(dec)
+
+
+def test_decision_leaves_of_radical_depth_two_build_no_subcomplex():
+    # the 4-cycle has t = 2: every leaf is answered from its facets, by the
+    # pair rule or by connectivity, so only the 4-cycle's own depth is taken
+    rng = random.Random(64)
+    for on_system in (True, False) * 4:
+        dec = fourcycle_decomposition(fourcycle_vector(rng, 12, on_system))
+        depth_stanley_reisner.cache_clear()
+        verdict = depth_equals_radical(dec)
+        assert depth_stanley_reisner.cache_info().currsize == 1
+        assert verdict.equal == on_system
+        assert verdict_summary(verdict) == box_scan_decision(dec)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [RATIONALS, F2], ids=str)
+def test_decision_matches_box_scan_on_the_benchmark_round(field):
+    # the seed-1 round of the decision workload: 12 groups of four 4-cycle
+    # decompositions and one decomposition of each pool complex
+    unequal = 0
+    for item in bench_corpus.decision_corpus(1, 12):
+        dec = Decomposition.from_json_dict(item.data)
+        verdict = depth_equals_radical(dec, field)
+        assert verdict_summary(verdict) == box_scan_decision(dec, field), item.family
+        unequal += not verdict.equal
+    assert 0 < unequal < 12 * (4 + len(bench_corpus.DECISION_POOL))
 
 
 def decomposition_in_form(rng, form, n_max, exp_max):

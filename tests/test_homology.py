@@ -4,6 +4,7 @@ import pkgutil
 import random
 import weakref
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from srdepth.homology import (
     _echelon,
     _rank,
     _rank_f2,
+    _selection_below,
     boundary_matrix,
     depth_stanley_reisner,
     is_cohen_macaulay,
@@ -609,6 +611,40 @@ def test_the_last_level_builds_no_link():
     assert depth_stanley_reisner(cx, RATIONALS) == 3
     assert depth_stanley_reisner(cx, F2) == 2
     assert cx._links is None
+
+
+def _selection_complexes() -> list[Complex]:
+    """Seeded pure complexes of every cone and decision-pool shape, the 4-,
+    5- and 6-cycles and the six-vertex projective plane."""
+    rng = random.Random(20127)
+    shapes = sorted(set(bench_corpus.CONE_CLASSES) | set(bench_corpus.DECISION_POOL))
+    corpus = [
+        Complex(n, bench_corpus.random_pure_complex(rng, n, k, r))
+        for n, k, r in shapes for _ in range(3)
+    ]
+    corpus += [Complex(m, [(i, i % m + 1) for i in range(1, m + 1)]) for m in (4, 5, 6)]
+    return corpus + [Complex(6, bench_corpus.PROJECTIVE_PLANE_6)]
+
+
+def test_selection_below_matches_the_built_depth():
+    # every facet subset, the empty one included, against the depth of the
+    # subcomplex it generates; each branch must answer both ways
+    answers = set()
+    for cx in _selection_complexes():
+        for field in (RATIONALS, F2, F3):
+            t = depth_stanley_reisner(cx, field)
+            for size in range(len(cx.facet_masks) + 1):
+                for masks in combinations(cx.facet_masks, size):
+                    below = bool(masks) and depth_stanley_reisner(
+                        Complex._from_masks(cx.n, masks), field) < t
+                    assert _selection_below(cx.n, list(masks), t, field) == below, (cx, masks, field)
+                    branch = ("none or one" if size < 2 else "pair" if size == 2
+                              else "connectivity" if t <= 2 else "built")
+                    answers.add((branch, below))
+    assert answers == {
+        ("none or one", False), ("pair", False), ("pair", True),
+        ("connectivity", False), ("connectivity", True), ("built", False), ("built", True),
+    }
 
 
 def _hochster_walk(cx: Complex, field: FieldSpec) -> int:
