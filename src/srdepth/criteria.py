@@ -23,15 +23,19 @@ Delta_a(I) = lk_{Delta_a+(I)} G_a, where a+ = max(a, 0) coordinatewise, it
 turns Takayama's formula into
 depth(S/I) = min over a >= 0 of depth K[Delta_a(I)], which is how
 depth_via_local_cohomology computes the depth and how depth_equals_radical
-compares it with the radical's.  The depth scan only asks whether a degree
-complex has depth below the running minimum, so once that is 2 or less it
-reads min(depth, 2) straight from the minimal nonfaces, the excess sets:
-depth 0 iff every vertex is a nonface, and depth >= 2 iff the 1-skeleton
-(the vertices that are not nonfaces, joined unless they form a nonface)
-is connected with at least two vertices.  The decision's degree complexes
-are facet selections of the radical's complex, and homology._selection_below
-reads whether one has depth below t off its facet masks where they tell
-(one or two facets, or t <= 2), building no complex there.
+compares it with the radical's.  The degree complex at a = 0 is the
+radical's complex (its excess sets are the supports), so the scan takes it
+from ideals.radical_complex, which each ideal builds once.  The depth scan
+only asks whether a degree complex has depth below the running minimum, so
+once that is 2 or less it reads the answer straight from the minimal
+nonfaces, the excess sets: depth 0 iff every vertex is a nonface, and
+depth >= 2 iff the 1-skeleton (the vertices that are not nonfaces, joined
+unless they form a nonface) is connected with at least two vertices.  At a
+minimum of 1 only depth 0 can lower it, so only the 1-element excess sets
+are read.  The decision's degree complexes are facet selections of the
+radical's complex, and homology._selection_below reads whether one has
+depth below t off its facet masks where they tell (one or two facets, or
+t <= 2), building no complex there.
 
 `local_cohomology_table` lists the graded pieces themselves, one cell per
 class and index, on the same grid with -1 added for the negative values;
@@ -53,7 +57,7 @@ from .homology import (
     reduced_betti,
     depth_stanley_reisner,
 )
-from .ideals import Decomposition, MonomialIdeal
+from .ideals import Decomposition, MonomialIdeal, radical_complex
 from .simplicial import Complex, VOID, minimal_transversals
 
 
@@ -201,16 +205,18 @@ def _class_grid(n: int, gens) -> list[list[int]]:
     return [sorted({0, *column})[:-1] for column in zip(*gens)] or [[] for _ in range(n)]
 
 
-def _depth_to_two(n: int, excess: list[int]) -> int:
-    """min(depth K[Delta], 2) for the complex Delta on n vertices whose
-    nonfaces are the sets holding a mask of `excess`, none of them empty.
+def _depth_to_two(n: int, excess: list[int], best: int = 2) -> int:
+    """min(depth K[Delta], best) for best <= 2 and the complex Delta on n
+    vertices whose nonfaces are the sets holding a mask of `excess`, none of
+    them empty.
 
     Hochster's formula gives both facts: depth K[Delta] = 0 iff Delta is
     {()}, that is every vertex is a nonface, and depth >= 2 iff Delta is
     connected with at least two vertices (a facet F contributes |F|, the
     empty face 1 + the least i with H~_i(Delta) != 0).  The 1-skeleton
     decides this: its vertices are the j with {j} not a nonface, its edges
-    the pairs of vertices that are not 2-element nonfaces.
+    the pairs of vertices that are not 2-element nonfaces.  At best = 1
+    only depth 0 counts, so only the 1-element nonfaces are read.
     """
     verts = (1 << n) - 1
     apart = [0] * n  # apart[j]: the vertices that share a 2-element nonface with j
@@ -218,12 +224,14 @@ def _depth_to_two(n: int, excess: list[int]) -> int:
         size = d.bit_count()
         if size == 1:
             verts &= ~d
-        elif size == 2:
+        elif size == 2 and best == 2:
             low = d & -d
             apart[low.bit_length() - 1] |= d ^ low
             apart[d.bit_length() - 1] |= low
     if not verts:
         return 0
+    if best == 1:
+        return 1
     seen = frontier = verts & -verts
     while frontier:
         b = frontier & -frontier
@@ -245,16 +253,19 @@ def depth_via_local_cohomology(
     depth below depth(S/I).  Such a piece has a_j < rho_j, so the scan
     visits one degree per breakpoint class below rho_j (0 where x_j is
     unused), skips void complexes and stops at 0.  The first degree, a = 0,
-    gives the radical's complex, which is never void for a proper ideal.
+    gives the radical's complex, which is never void for a proper ideal: its
+    excess sets are the supports, so the scan takes it from radical_complex,
+    which the ideal keeps for a later call.
 
     Each degree only has to show whether its complex has depth below the
     running best.  While the best is 3 or more, the complex is built from
     the transversals of its excess sets and depth_stanley_reisner reads its
-    depth.  From a best of 2 down, only min(depth, 2) matters, and
+    depth.  From a best of 2 down, only min(depth, best) matters, and
     _depth_to_two reads it from the excess sets, the minimal nonfaces:
     depth 0 iff every vertex is a nonface, depth >= 2 iff the 1-skeleton is
-    connected with at least two vertices.  No transversal, complex or link
-    is made at those degrees.
+    connected with at least two vertices.  At a best of 1 only depth 0 can
+    lower it, so only the 1-element excess sets are read.  No transversal,
+    complex or link is made at those degrees.
     """
     if not ideal.is_proper_nonzero:
         raise ValueError("depth needs a proper nonzero ideal")
@@ -263,11 +274,11 @@ def depth_via_local_cohomology(
     supports = _supports(ideal)
     for a in product(*[reps or [0] for reps in _class_grid(n, ideal.gens)]):
         if best > 2:
-            cx = degree_complex(ideal, a)
+            cx = degree_complex(ideal, a) if any(a) else radical_complex(ideal)
             if cx.kind != VOID:
                 best = min(best, depth_stanley_reisner(cx, field))
         elif (excess := _excess_sets(supports, a, full)) is not None:
-            best = min(best, _depth_to_two(n, excess))
+            best = _depth_to_two(n, excess, best)
         if best == 0:
             break
     return best

@@ -7,7 +7,9 @@ and certified by membership property tests.
 
 The complex of the squarefree monomials outside the radical
 (`radical_complex`) has as facets the complements of the minimal vertex
-covers of the generator supports, so no 2^n sweep is needed.
+covers of the generator supports, so no 2^n sweep is needed.  Each ideal
+keeps its radical complex once built; ideals are never changed after
+construction, so the kept complex cannot go stale.
 
 A Decomposition pairs a pure complex with one P_F-primary component per facet
 F.  P_F-primary is checked structurally: every generator is supported in the
@@ -59,7 +61,7 @@ def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
 class MonomialIdeal:
     """Finite antichain of minimal monomial generators in K[x_1..x_n]."""
 
-    __slots__ = ("n", "gens")
+    __slots__ = ("n", "gens", "_radical")
 
     def __init__(self, n: int, generators: Iterable[Iterable[int]]):
         if n < 1:
@@ -74,6 +76,19 @@ class MonomialIdeal:
             clean.append(t)
         self.n = n
         self.gens = _minimalize(clean)
+        self._radical = None  # radical_complex, once built
+
+    @classmethod
+    def _from_antichain(cls, n: int, gens: Iterable[Monomial]) -> "MonomialIdeal":
+        """The ideal of exponent tuples of length n that already form an
+        antichain: only n is checked, and nothing is minimalised again."""
+        if n < 1:
+            raise ValueError("ambient variable count must be >= 1")
+        ideal = cls.__new__(cls)
+        ideal.n = n
+        ideal.gens = tuple(sorted(gens))
+        ideal._radical = None
+        return ideal
 
     # -- predicates -----------------------------------------------------------
 
@@ -172,8 +187,9 @@ def irreducible_ideal(n: int, facet: Iterable[int], exps: Sequence[int]) -> Mono
             raise ValueError(f"irreducible exponents must be >= 1, got {e}")
         vec = [0] * n
         vec[j - 1] = e
-        gens.append(vec)
-    return MonomialIdeal(n, gens)
+        gens.append(tuple(vec))
+    # pure powers of distinct variables divide none of each other
+    return MonomialIdeal._from_antichain(n, gens)
 
 
 def prime_power_ideal(n: int, facet: Iterable[int], m: int) -> MonomialIdeal:
@@ -193,8 +209,9 @@ def prime_power_ideal(n: int, facet: Iterable[int], m: int) -> MonomialIdeal:
         vec = [0] * n
         for j in combo:
             vec[j - 1] += 1
-        gens.append(vec)
-    return MonomialIdeal(n, gens)
+        gens.append(tuple(vec))
+    # distinct monomials of one degree divide none of each other
+    return MonomialIdeal._from_antichain(n, gens)
 
 
 def stanley_reisner_ideal(cx: Complex) -> MonomialIdeal:
@@ -206,10 +223,16 @@ def stanley_reisner_ideal(cx: Complex) -> MonomialIdeal:
 
 def radical_complex(ideal: MonomialIdeal) -> Complex:
     """The complex whose faces are the squarefree monomials outside radical(ideal):
-    its facets are the complements of the minimal vertex covers of the supports."""
-    full = (1 << ideal.n) - 1
-    covers = minimal_transversals(support_mask(g) for g in ideal.gens)
-    return Complex._from_masks(ideal.n, [full & ~t for t in covers])
+    its facets are the complements of the minimal vertex covers of the supports.
+
+    It is also the degree complex at a = 0, whose excess sets are the
+    supports.  The ideal keeps the complex it first builds, so the depth
+    scan, which starts at a = 0, and a later call share one object."""
+    if ideal._radical is None:
+        full = (1 << ideal.n) - 1
+        covers = minimal_transversals(support_mask(g) for g in ideal.gens)
+        ideal._radical = Complex._from_masks(ideal.n, [full & ~t for t in covers])
+    return ideal._radical
 
 
 # -- unmixed decompositions ---------------------------------------------------

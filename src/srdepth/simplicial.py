@@ -65,13 +65,13 @@ def as_int(x, what: str) -> int:
 
 def json_fields(data, what: str, *keys: str) -> list:
     """The values of the given keys of a JSON object, refusing anything else."""
+    if isinstance(data, dict) and all(k in data for k in keys):
+        return [data[k] for k in keys]
     need = f"{what} JSON needs {' and '.join(map(repr, keys))}"
     if not isinstance(data, dict):
         raise ValueError(f"{need}: got {data!r}")
-    for k in keys:
-        if k not in data:
-            raise ValueError(f"{need}: {k!r}")
-    return [data[k] for k in keys]
+    missing = next(k for k in keys if k not in data)
+    raise ValueError(f"{need}: {missing!r}")
 
 
 def json_list(value, what: str) -> list:

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 from bench import corpus as bench_corpus
-from srdepth import criteria
+from srdepth import criteria, ideals
 from srdepth.criteria import (
     _class_grid,
     _depth_to_two,
@@ -51,6 +51,7 @@ from tests.conftest import (
     random_pure_complex,
     raw_local_cohomology,
     swept_degree_complex,
+    swept_radical_complex,
 )
 
 F2 = prime_field(2)
@@ -414,6 +415,84 @@ def test_oracle_agreement_five_variables():
             )
 
 
+def raw_depth(ideal, field):
+    """The least index of raw_local_cohomology, found index by index."""
+    rho = ideal.max_exponents()
+    return next(
+        i for i in range(ideal.n + 1)
+        if any(local_cohomology_dim(ideal, i, a, field) for a in depth_grid(rho))
+    )
+
+
+def test_the_depth_scan_leaves_its_radical_complex_to_the_caller(monkeypatch):
+    # five variables: the scan starts at a minimum of 5 and builds a = 0
+    ideal = MonomialIdeal(5, [(2, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 3, 1), (1, 0, 0, 0, 2)])
+    scanned = []
+
+    def recording(cx, field=RATIONALS):
+        scanned.append(cx)
+        return depth_stanley_reisner(cx, field)
+
+    monkeypatch.setattr(criteria, "depth_stanley_reisner", recording)
+    depth = depth_via_local_cohomology(ideal, RATIONALS)
+    transversals = []
+
+    def counting(masks):
+        transversals.append(masks)
+        return minimal_transversals(masks)
+
+    monkeypatch.setattr(ideals, "minimal_transversals", counting)
+    rc = radical_complex(ideal)
+    assert rc is scanned[0] and transversals == []
+    hits = depth_stanley_reisner.cache_info().hits
+    assert depth_stanley_reisner(rc, RATIONALS) >= depth
+    assert depth_stanley_reisner.cache_info().hits == hits + 1
+    assert rc == swept_radical_complex(ideal)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F2], ids=["Q", "F2"])
+def test_depth_at_a_minimum_of_one_matches_raw_box(field, monkeypatch):
+    # at a minimum of 1 the scan reads only the 1-element excess sets
+    bests = []
+
+    def recording(n, excess, best=2):
+        bests.append(best)
+        return _depth_to_two(n, excess, best)
+
+    monkeypatch.setattr(criteria, "_depth_to_two", recording)
+    rng = random.Random(67)
+    ends = set()
+    for _ in range(300):
+        ideal = random_ideal(rng, n_max=5, exp_max=4)
+        bests.clear()
+        depth = depth_via_local_cohomology(ideal, field)
+        assert depth == raw_depth(ideal, field), ideal
+        if 1 in bests:
+            ends.add(depth)
+    # the branch both finds depth 0 and leaves the minimum at 1
+    assert ends == {0, 1}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F2], ids=["Q", "F2"])
+def test_depth_in_two_variables_builds_no_complex(field, monkeypatch):
+    # n <= 2: the scan starts at a minimum of n and reads every degree off
+    # its excess sets, so it builds neither the radical's complex nor another
+    def refuse(*args):
+        raise AssertionError("the scan built a complex")
+
+    monkeypatch.setattr(criteria, "radical_complex", refuse)
+    monkeypatch.setattr(criteria, "degree_complex", refuse)
+    rng = random.Random(68)
+    depths = set()
+    for _ in range(100):
+        ideal = random_ideal(rng, n_max=2, exp_max=4)
+        depth = depth_via_local_cohomology(ideal, field)
+        assert ideal._radical is None
+        assert depth == raw_depth(ideal, field), ideal
+        depths.add((ideal.n, depth))
+    assert depths == {(1, 0), (2, 0), (2, 1)}
+
+
 @pytest.mark.parametrize("field", [RATIONALS, F2, F3], ids=str)
 def test_polarization_shifts_depth_by_added_variables(field):
     rng = random.Random(33)
@@ -575,6 +654,19 @@ def test_decision_matches_box_scan_on_the_benchmark_round(field):
         assert verdict_summary(verdict) == box_scan_decision(dec, field), item.family
         unequal += not verdict.equal
     assert 0 < unequal < 12 * (4 + len(bench_corpus.DECISION_POOL))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [RATIONALS, F2], ids=str)
+def test_ideal_depth_matches_raw_box_on_the_benchmark_round(field):
+    # the seed-1 round of the ideal-depth workload: 8 groups of 16 random
+    # ideals in 5 and 6 variables and one m-primary ideal
+    for item in bench_corpus.ideal_depth_corpus(1, 8):
+        ideal = MonomialIdeal.from_json_dict(item.data)
+        assert depth_via_local_cohomology(ideal, field) == raw_depth(ideal, field), item.family
+        rc = radical_complex(ideal)
+        assert rc == swept_radical_complex(ideal), item.family
+        assert depth_stanley_reisner(rc, field) == raw_depth(ideal.radical(), field), item.family
 
 
 def decomposition_in_form(rng, form, n_max, exp_max):

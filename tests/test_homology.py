@@ -29,6 +29,7 @@ from srdepth.homology import (
     rank_mod_p,
     reduced_betti,
 )
+from srdepth.ideals import MonomialIdeal
 from srdepth.simplicial import VOID, Complex
 from bench import corpus as bench_corpus
 from tests.conftest import (
@@ -330,6 +331,11 @@ def test_complex_slots_are_named():
     assert Complex.__slots__ == (
         "n", "_fmasks", "kind", "dim", "_hash", "_levels", "_parent", "_links",
     )
+
+
+def test_monomial_ideal_slots_are_named():
+    # a new per-ideal memo is a deliberate choice: name it here
+    assert MonomialIdeal.__slots__ == ("n", "gens", "_radical")
 
 
 def test_the_f2_depth_reuses_the_q_depths_links(monkeypatch):

@@ -271,6 +271,23 @@ def test_prime_power_cap_refuses_before_listing():
         prime_power_ideal(5, (1, 2), 100000)
 
 
+def test_component_constructors_match_the_validated_path():
+    # irreducible and prime-power components skip re-minimalisation: their
+    # generators already form a sorted antichain
+    rng = random.Random(69)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        facet = rng.sample(range(1, n + 1), rng.randint(0, n))
+        exps = [rng.randint(1, 4) for _ in range(n - len(facet))]
+        for ideal in (irreducible_ideal(n, facet, exps),
+                      prime_power_ideal(n, facet, rng.randint(1, 4))):
+            validated = MonomialIdeal(n, ideal.gens)
+            assert ideal.gens == validated.gens and ideal == validated
+            assert radical_complex(ideal) == swept_radical_complex(validated)
+    with pytest.raises(ValueError, match="ambient variable count must be >= 1"):
+        irreducible_ideal(0, (), ())
+
+
 def test_irreducible_ideal_validation():
     with pytest.raises(ValueError):
         irreducible_ideal(4, (3, 4), (3,))

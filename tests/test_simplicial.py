@@ -17,6 +17,7 @@ from srdepth.simplicial import (
     ORDINARY,
     VOID,
     face_mask,
+    json_fields,
     mask_bits,
     mask_vertices,
     minimal_transversals,
@@ -491,3 +492,16 @@ def test_masks_round_trip():
 def test_json_rejects_wrong_types(data):
     with pytest.raises(ValueError):
         Complex.from_json_dict(data)
+
+
+@pytest.mark.parametrize("data, message", [
+    (None, "complex JSON needs 'n' and 'facets': got None"),
+    ([1], "complex JSON needs 'n' and 'facets': got [1]"),
+    ({}, "complex JSON needs 'n' and 'facets': 'n'"),
+    ({"n": 4}, "complex JSON needs 'n' and 'facets': 'facets'"),
+])
+def test_json_fields_names_what_is_missing(data, message):
+    assert json_fields({"n": 4, "facets": [], "x": 0}, "complex", "n", "facets") == [4, []]
+    with pytest.raises(ValueError) as err:
+        json_fields(data, "complex", "n", "facets")
+    assert str(err.value) == message
