@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from pathlib import Path
-from typing import Optional
 
 from . import cones as cones_mod
 from .criteria import (
@@ -105,7 +104,7 @@ def load_json(path: str) -> dict:
 _KIND_KEYS = {Decomposition: "components", Complex: "facets", MonomialIdeal: "generators"}
 
 
-def load(path: str, *kinds: type, data: Optional[dict] = None):
+def load(path: str, *kinds: type, data: dict | None = None):
     """The JSON input at path as the one of kinds whose key it has, refusing the
     keys of two kinds; data is the file's content when already read."""
     if data is None:
@@ -388,30 +387,34 @@ _AUDITS = {
 
 
 def cmd_audit(args) -> int:
-    root = Path(args.input)
-    if not root.is_dir():
-        raise CliError(f"{args.input}: not a directory")
-    files = sorted(root.glob("*.json"))
-    if not files:
-        raise CliError(f"{args.input}: no JSON fixtures found")
+    root = args.input
+    if not os.path.isdir(root):
+        raise CliError(f"{root}: not a directory")
+    try:
+        names = sorted(name for name in os.listdir(root) if name.endswith(".json"))
+    except OSError:
+        names = []  # an unreadable directory lists no fixtures
+    if not names:
+        raise CliError(f"{root}: no JSON fixtures found")
     failures = 0
-    for path in files:
+    for name in names:
+        path = os.path.normpath(os.path.join(root, name))
         problems: list[str] = []
         data = None
         try:
-            data = load_json(str(path))
-            obj = load(str(path), *_AUDITS, data=data)
+            data = load_json(path)
+            obj = load(path, *_AUDITS, data=data)
             _AUDITS[type(obj)](obj, problems)
         except (ValueError, CliError) as exc:
             problems.append(str(exc))
         status = "ok" if not problems else "FAIL"
-        print(f"{path.name}: {status}")
+        print(f"{name}: {status}")
         for p in problems:
             print(f"  - {p}")
         if problems:
             print(f"  instance: {json.dumps(data, sort_keys=True)}")
             failures += 1
-    print(f"{len(files) - failures}/{len(files)} fixtures passed")
+    print(f"{len(names) - failures}/{len(names)} fixtures passed")
     return 1 if failures else 0
 
 
@@ -449,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if "field" in args:

@@ -19,13 +19,14 @@ facet; facet indices follow the canonical facet order of the complex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from itertools import product
 from math import prod
-from typing import Mapping
 
 from .homology import FieldSpec, RATIONALS, _selection_below, depth_stanley_reisner
-from .simplicial import Complex, _minimal_product, _selection_indices, as_int, require_pure
+from .simplicial import (
+    Complex, Record, _minimal_product, _selection_indices, as_int, require_pure,
+)
 
 Symbol = tuple[int, int]  # (facet index, variable index)
 Atom = tuple[int, int]  # (left symbol position, right symbol position): left >= right
@@ -39,14 +40,19 @@ def _disjunct_order(d: frozenset) -> tuple:
     return len(d), sorted(d)
 
 
-@dataclass(frozen=True)
-class ConeUnion:
+class ConeUnion(Record):
     """Disjunction of conjunctions of comparisons between exponent symbols."""
 
-    n: int
-    facets: tuple[tuple[int, ...], ...]
-    symbols: tuple[Symbol, ...]
-    disjuncts: tuple[frozenset[Atom], ...]
+    __slots__ = ("n", "facets", "symbols", "disjuncts")
+
+    def __init__(
+        self, n: int, facets: tuple[tuple[int, ...], ...], symbols: tuple[Symbol, ...],
+        disjuncts: tuple[frozenset[Atom], ...],
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "disjuncts", disjuncts)
 
     @property
     def is_trivially_true(self) -> bool:

@@ -44,10 +44,9 @@ Koszul-complex depth kept for the tests and `srdepth audit`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import product
 from math import prod
-from typing import Optional, Sequence
 
 from .homology import (
     FieldSpec,
@@ -58,7 +57,7 @@ from .homology import (
     depth_stanley_reisner,
 )
 from .ideals import Decomposition, MonomialIdeal, radical_complex
-from .simplicial import Complex, VOID, minimal_transversals
+from .simplicial import Complex, Record, VOID, minimal_transversals
 
 
 def negative_support(a: Sequence[int]) -> int:
@@ -105,7 +104,7 @@ def _supports(ideal: MonomialIdeal) -> list[list[tuple[int, int]]]:
 
 def _excess_sets(
     supports: list[list[tuple[int, int]]], a: Sequence[int], free: int
-) -> Optional[list[int]]:
+) -> list[int] | None:
     """The excess sets d & free, d = {j : e_j > a_j}, of the generators e,
     given by their _supports: a zero e_j exceeds only a negative a_j, which
     free leaves out.  The nonfaces of degree_complex(ideal, a) are the sets
@@ -147,7 +146,7 @@ def degree_complex_unmixed(dec: Decomposition, a: Sequence[int]) -> Complex:
 
 def degree_selecting_witness(
     dec: Decomposition, gamma_indices: Sequence[int]
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """A degree a >= 0 whose monomial lies in every component outside the
     selection and in none inside it, or None.
 
@@ -176,17 +175,22 @@ def degree_selecting_witness(
 
 # -- graded local cohomology ----------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalCohomologyCell:
+class LocalCohomologyCell(Record):
     """Nonzero graded pieces of one dimension at each of the `degrees` degrees
     degree <= a < upper of a breakpoint class; -1 (upper 0) stands for every
     negative value and counts once."""
 
-    degree: tuple[int, ...]
-    upper: tuple[int, ...]
-    degrees: int
-    index: int
-    dimension: int
+    __slots__ = ("degree", "upper", "degrees", "index", "dimension")
+
+    def __init__(
+        self, degree: tuple[int, ...], upper: tuple[int, ...], degrees: int, index: int,
+        dimension: int,
+    ):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "dimension", dimension)
 
 
 def _class_grid(n: int, gens) -> list[list[int]]:
@@ -383,18 +387,23 @@ def depth_via_koszul(ideal: MonomialIdeal, field: FieldSpec = RATIONALS) -> int:
 
 # -- decision procedure: depth(S/I) vs depth of the radical ----------------------
 
-@dataclass(frozen=True)
-class DepthEqualsRadicalVerdict:
+class DepthEqualsRadicalVerdict(Record):
     """Outcome of the depth-vs-radical decision.
 
     On inequality, witness_degree is a degree a whose selected subcomplex
     witness_subcomplex has depth below the radical depth t.
     """
 
-    equal: bool
-    t: int
-    witness_degree: Optional[tuple[int, ...]] = None
-    witness_subcomplex: Optional[Complex] = None
+    __slots__ = ("equal", "t", "witness_degree", "witness_subcomplex")
+
+    def __init__(
+        self, equal: bool, t: int, witness_degree: tuple[int, ...] | None = None,
+        witness_subcomplex: Complex | None = None,
+    ):
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "witness_degree", witness_degree)
+        object.__setattr__(self, "witness_subcomplex", witness_subcomplex)
 
     def __bool__(self) -> bool:
         return self.equal
@@ -456,7 +465,7 @@ def depth_equals_radical(
     facet_masks = dec.delta.facet_masks
     dead: set[tuple[int, int]] = set()
 
-    def search(j: int, mask: int) -> Optional[tuple[tuple[int, ...], list[int]]]:
+    def search(j: int, mask: int) -> tuple[tuple[int, ...], list[int]] | None:
         if j == n:
             selected = [fm for fm, bits in zip(facet_masks, comp_bits) if not mask & bits]
             return ((), selected) if _selection_below(n, selected, t, field) else None

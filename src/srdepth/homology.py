@@ -29,7 +29,10 @@ _selection_below answers it from the facet masks for one or two facets
 (a pair has depth |F n G| + 1) and for t <= 2 (connectivity), over every
 field, and builds the subcomplex only for the rest.
 
-The only caches, by value, are min_nonzero_betti and depth_stanley_reisner.
+The only caches, by value, are min_nonzero_betti and depth_stanley_reisner,
+and the FieldSpec table holds one entry per field that is asked for:
+FieldSpec(p) validates p on every call and returns that field's one
+instance, so the caches' keys hash a field by identity.
 
 Conventions for degenerate complexes (needed by the local-cohomology code):
 the irrelevant complex {0} has H~_{-1} = K and nothing else; the void complex
@@ -37,14 +40,13 @@ has no homology at all.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache, reduce
 from math import gcd
 from operator import and_
-from typing import Iterable, Optional
 
 from .simplicial import (
-    Complex, Face, IRRELEVANT, ORDINARY, VOID, as_int, mask_bits, mask_vertices,
+    Complex, Face, IRRELEVANT, ORDINARY, VOID, Record, as_int, mask_bits, mask_vertices,
 )
 
 
@@ -68,15 +70,31 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Coefficient field: the rationals (p=None) or a prime field F_p."""
+#: the one instance of each field asked for, by characteristic (None for Q)
+_FIELDS: dict[int | None, FieldSpec] = {}
 
-    p: Optional[int] = None
 
-    def __post_init__(self):
-        if self.p is not None and not _is_prime(as_int(self.p, "characteristic")):
-            raise ValueError(f"{self.p} is not prime")
+class FieldSpec(Record):
+    """Coefficient field: the rationals (p=None) or a prime field F_p.
+
+    The constructor validates p on every call and returns the field's one
+    instance, so fields compare and hash by identity in every cache key.
+    """
+
+    __slots__ = ("p",)
+
+    def __new__(cls, p: int | None = None) -> FieldSpec:
+        key = None if p is None else as_int(p, "characteristic")
+        field = _FIELDS.get(key)
+        if field is None:
+            if key is not None and not _is_prime(key):
+                raise ValueError(f"{p} is not prime")
+            field = _FIELDS[key] = object.__new__(cls)
+            object.__setattr__(field, "p", key)
+        return field
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def is_rationals(self) -> bool:
@@ -220,7 +238,7 @@ def _rank_f2(cx: Complex, i: int) -> int:
     return len(pivots)
 
 
-def _echelon(cx: Complex, i: int, p: Optional[int]) -> dict[int, dict[int, int]]:
+def _echelon(cx: Complex, i: int, p: int | None) -> dict[int, dict[int, int]]:
     """Column echelon form of boundary_matrix(cx, i) over Q (p=None) or F_p.
 
     Each column is a dict {row: coefficient}, reduced against pivots keyed by
@@ -313,7 +331,7 @@ def reduced_betti(cx: Complex, i: int, field: FieldSpec = RATIONALS) -> int:
 
 
 @lru_cache(maxsize=None)
-def min_nonzero_betti(cx: Complex, field: FieldSpec) -> Optional[int]:
+def min_nonzero_betti(cx: Complex, field: FieldSpec) -> int | None:
     """Least i with H~_i(cx) != 0, or None if all reduced homology vanishes.
 
     While lower Betti numbers vanish, rank d_i follows from the face counts,
@@ -345,13 +363,15 @@ def min_nonzero_betti(cx: Complex, field: FieldSpec) -> Optional[int]:
 
 # -- Cohen-Macaulayness and depth --------------------------------------------
 
-@dataclass(frozen=True)
-class CMResult:
+class CMResult(Record):
     """Reisner-criterion verdict; on failure carries the violating link."""
 
-    cm: bool
-    face: Optional[Face] = None
-    index: Optional[int] = None
+    __slots__ = ("cm", "face", "index")
+
+    def __init__(self, cm: bool, face: Face | None = None, index: int | None = None):
+        object.__setattr__(self, "cm", cm)
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "index", index)
 
     def __bool__(self) -> bool:
         return self.cm

@@ -17,10 +17,10 @@ complement of F and every complement variable occurs as a pure power.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import combinations_with_replacement, groupby
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
 
 from .simplicial import (
     Complex, VOID, as_int, face_mask, json_fields, json_list, json_rows,
@@ -237,7 +237,7 @@ def radical_complex(ideal: MonomialIdeal) -> Complex:
 
 # -- unmixed decompositions ---------------------------------------------------
 
-def primary_violation(n: int, facet_mask: int, component: MonomialIdeal) -> Optional[str]:
+def primary_violation(n: int, facet_mask: int, component: MonomialIdeal) -> str | None:
     """Reason the component fails to be P_F-primary, or None if it is."""
     if component.n != n:
         return f"component ambient {component.n} != {n}"

@@ -17,28 +17,35 @@ The tests assert that rigidity persists over prime fields and up the skeletons.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
 from itertools import combinations
-from typing import Callable, Optional
 
 from .criteria import depth_via_local_cohomology
 from .homology import FieldSpec, RATIONALS, _apex, depth_stanley_reisner, is_cohen_macaulay
 from .ideals import Decomposition, irreducible_ideal, prime_power_ideal
-from .simplicial import Complex, as_int, require_pure
+from .simplicial import Complex, Record, as_int, require_pure
 
 
-@dataclass(frozen=True)
-class RigidVerdict:
+class RigidVerdict(Record):
     """Verdict plus certificate: a facet tuple whose intersection is too small
     (combinatorial route) or a facet selection of depth below t (homological
     routes)."""
 
-    rigid: bool
-    t: int
-    facet_indices: Optional[tuple[int, ...]] = None
-    intersection_size: Optional[int] = None
-    subcomplex: Optional[Complex] = None
-    subcomplex_depth: Optional[int] = None
+    __slots__ = (
+        "rigid", "t", "facet_indices", "intersection_size", "subcomplex", "subcomplex_depth",
+    )
+
+    def __init__(
+        self, rigid: bool, t: int, facet_indices: tuple[int, ...] | None = None,
+        intersection_size: int | None = None, subcomplex: Complex | None = None,
+        subcomplex_depth: int | None = None,
+    ):
+        object.__setattr__(self, "rigid", rigid)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "facet_indices", facet_indices)
+        object.__setattr__(self, "intersection_size", intersection_size)
+        object.__setattr__(self, "subcomplex", subcomplex)
+        object.__setattr__(self, "subcomplex_depth", subcomplex_depth)
 
     def __bool__(self) -> bool:
         return self.rigid

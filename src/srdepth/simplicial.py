@@ -14,6 +14,7 @@ submasks.  Face enumeration is colexicographic on bitmasks (numeric order of
 the mask), which fixes boundary-matrix rows/columns and makes all outputs
 reproducible.  `minimal_transversals` (Berge) also builds degree and radical
 complexes.  `require_pure` is the precondition of rigidity, cones and decompositions.
+`Record` is the slotted, immutable base of the package's value records.
 
 The public constructor keeps the maximal faces of whatever it is given.
 `Complex._from_masks` takes an antichain of facet masks and only sorts it:
@@ -34,9 +35,9 @@ reachable, and the garbage collector frees it after.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Iterator
 from functools import reduce
 from itertools import combinations
-from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
 
@@ -193,6 +194,40 @@ def _selection_indices(r: int) -> Iterator[tuple[int, ...]]:
     if r > DEFAULT_FACET_CAP:
         raise ValueError(f"{r} facets exceed the enumeration cap {DEFAULT_FACET_CAP}")
     return (idx for k in range(1, r) for idx in combinations(range(r), k))
+
+
+class Record:
+    """Base of the immutable value records (verdicts, cone unions, fields).
+
+    A subclass names its fields in __slots__, in constructor order, and sets
+    them in __init__ through object.__setattr__.  Records compare and hash by
+    the tuple of their fields, print as `Name(field=value, ...)`, refuse
+    assignment and deletion, and pickle and copy through their constructor.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__slots__
+        return tuple(getattr(self, s) for s in fields) == tuple(getattr(other, s) for s in fields)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, s) for s in self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{s}={getattr(self, s)!r}" for s in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, s) for s in self.__slots__)
 
 
 class Complex:

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import importlib
 import io
 import json
@@ -17,6 +16,7 @@ from srdepth import cli
 from srdepth.cli import build_parser, main, parse_field
 from srdepth.cones import generate_cone_union
 from srdepth.criteria import (
+    DepthEqualsRadicalVerdict,
     depth_via_koszul,
     depth_via_local_cohomology,
     local_cohomology_table,
@@ -734,7 +734,9 @@ def test_audit_checks_decompositions_over_both_fields(tmp_path, capsys, monkeypa
         verdict = decide(dec, field)
         if field.is_rationals:
             return verdict
-        return dataclasses.replace(verdict, equal=not verdict.equal)
+        return DepthEqualsRadicalVerdict(
+            not verdict.equal, verdict.t, verdict.witness_degree, verdict.witness_subcomplex
+        )
 
     monkeypatch.setattr(cli, "depth_equals_radical", flipped_over_f2)
     code, out, _ = run(capsys, "audit", str(tmp_path))
@@ -747,6 +749,36 @@ def test_audit_checks_decompositions_over_both_fields(tmp_path, capsys, monkeypa
 def test_audit_rejects_empty_dir(tmp_path, capsys):
     code, _, err = run(capsys, "audit", str(tmp_path))
     assert code == 2
+
+
+def test_audit_lists_json_names_in_order_and_refuses_an_unlisted_dir(
+    tmp_path, capsys, monkeypatch
+):
+    # every name ending in .json, hidden or not, in code-point order
+    cx = json.dumps({"n": 2, "facets": [[1], [2]]})
+    for name in ("b.json", "B.json", ".h.json", "a.JSON", "c.json.txt"):
+        (tmp_path / name).write_text(cx)
+    code, out, _ = run(capsys, "audit", str(tmp_path))
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()[:-1]] == [
+        ".h.json", "B.json", "b.json",
+    ]
+
+    # a failing fixture is named by its normalized path
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "bad.json").write_text("[]")
+    monkeypatch.chdir(tmp_path)
+    for spelled in ("sub", "./sub/", "sub//"):
+        code, out, _ = run(capsys, "audit", spelled)
+        assert code == 1
+        assert out.splitlines()[1] == "  - sub/bad.json: expected a JSON object, got []"
+
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli.os, "listdir", unreadable)
+    code, _, err = run(capsys, "audit", str(tmp_path))
+    assert (code, err) == (2, f"error: {tmp_path}: no JSON fixtures found\n")
 
 
 def test_audit_reports_unreadable_fixture(tmp_path, capsys):
@@ -1083,3 +1115,20 @@ def test_large_characteristic_answers_or_is_refused_at_once(tmp_path):
     assert proc.stderr == (
         f"error: bad field 'fp:{big}': characteristic {big} is too large, the bound is {big}\n"
     )
+
+
+def test_cli_imports_no_heavy_standard_modules():
+    # every CLI call pays for its import, and no command needs these modules;
+    # -S keeps the site module's own imports out of the set
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import srdepth.cli\n"
+        "print(*sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
