@@ -17,7 +17,8 @@ local-cohomology      every nonzero graded local cohomology piece of an ideal,
 audit                 invariant suites over a directory of JSON fixtures, each
                       fixture checked over Q and F_2 (no options)
 
-Any other option is refused with exit code 2.  Facet-selection enumeration
+Any other option is refused with exit code 2.  A command whose reader closes
+standard output stops quietly with exit code 141.  Facet-selection enumeration
 (cone generation and the rigidity audits) is capped at 20 facets,
 simplicial.DEFAULT_FACET_CAP.  All vertices and variables are 1-based in
 file formats.  --format json emits machine-readable verdicts; text and json
@@ -457,10 +458,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "field" in args:
             args.field = parse_field(args.field)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed standard output: stop quietly, with the shell's
+        # code for SIGPIPE, and point the descriptor at devnull so that the
+        # interpreter's last flush finds somewhere to write
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ tuples of outside-variable choices.  Expanding each selection's formula into a
 small disjunctive normal form, multiplying these into one DNF selection by
 selection and dropping subsumed products yields an explicit union of cones,
 evaluable on integer points and tested against the paper's 4-cycle systems.
+Every product holds a local term, so a product is compared for subsumption
+only with the conjunctions filed under the local terms it holds.
 An expansion step that would list more than MAX_CONE_CANDIDATES candidate
 conjunctions is refused, so a union too large to list fails fast.
 
@@ -24,9 +26,7 @@ from itertools import product
 from math import prod
 
 from .homology import FieldSpec, RATIONALS, _selection_below, depth_stanley_reisner
-from .simplicial import (
-    Complex, Record, _minimal_product, _selection_indices, as_int, require_pure,
-)
+from .simplicial import Complex, Record, _selection_indices, as_int, require_pure
 
 Symbol = tuple[int, int]  # (facet index, variable index)
 Atom = tuple[int, int]  # (left symbol position, right symbol position): left >= right
@@ -38,6 +38,46 @@ MAX_CONE_CANDIDATES = 10**4
 def _disjunct_order(d: frozenset) -> tuple:
     """The canonical order of disjuncts: by size, then by sorted atoms."""
     return len(d), sorted(d)
+
+
+def _minimal_product(dnf: list[int], terms: list[int]) -> list[int]:
+    """The minimal masks d | c over d in the antichain dnf and c in terms.
+
+    A d holding some term c is its own product d | c, minimal because dnf is
+    an antichain; only the other d grow by every term.  Every product holds
+    a term, and each kept mask, and each grown one as it is accepted, is
+    filed under the first term it holds.  Grown masks are taken by bit
+    count, so a grown mask inside g (a copy of g too) is settled before g,
+    and g is compared only with the masks filed under the terms inside g: a
+    mask inside g has its filing term inside g, so g drops out exactly when
+    it holds a kept mask or an accepted grown one.
+    """
+    filed: dict[int, list[int]] = {c: [] for c in terms}
+    out, grown = [], []
+    for d in dnf:
+        for c in filed:
+            if c & d == c:
+                out.append(d)
+                filed[c].append(d)
+                break
+        else:
+            grown += [d | c for c in terms]
+    for g in sorted(grown, key=int.bit_count):
+        home = None  # the masks filed under the first term inside g
+        for c, masks in filed.items():
+            if c & g == c:
+                if home is None:
+                    home = masks
+                for o in masks:
+                    if o & g == o:
+                        break
+                else:
+                    continue
+                break  # a filed mask lies inside g
+        else:
+            out.append(g)
+            home.append(g)
+    return out
 
 
 class ConeUnion(Record):
@@ -110,9 +150,11 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     multiplied into the running DNF selection by selection; conjunctions are
     bitmasks until the end, an atom getting its bit when a selection first
     uses it.  The running DNF is an antichain: a conjunction that already
-    holds a local term carries over unchanged, only the others grow by every
-    local term, and subsumed growths are pruned.  So the final union needs no
-    prune, only the canonical sort.
+    holds a local term carries over unchanged and the others grow by every
+    local term.  Each conjunction that stays is filed under the first local
+    term it holds; the growths are taken by size, and a growth is pruned when
+    it holds a conjunction filed under one of the local terms inside it.  So
+    the final union needs no prune, only the canonical sort.
 
     A step whose product would list more than MAX_CONE_CANDIDATES candidate
     conjunctions is refused with a ValueError before it is expanded, and a

@@ -12,8 +12,10 @@ Vertex tuples are validated only at the boundary (constructor, link, JSON);
 internal paths pass masks, and the k-faces of a facet are its k-bit
 submasks.  Face enumeration is colexicographic on bitmasks (numeric order of
 the mask), which fixes boundary-matrix rows/columns and makes all outputs
-reproducible.  `minimal_transversals` (Berge) also builds degree and radical
-complexes.  `require_pure` is the precondition of rigidity, cones and decompositions.
+reproducible.  `minimal_transversals` adds edges by Berge's rule, comparing
+each grown transversal only with the ones that stay, and builds degree and
+radical complexes.  `require_pure` is the precondition of rigidity, cones and
+decompositions.
 `Record` is the slotted, immutable base of the package's value records.
 
 The public constructor keeps the maximal faces of whatever it is given.
@@ -146,44 +148,33 @@ def _minimal_masks(masks: Iterable[int]) -> list[int]:
     return out
 
 
-def _minimal_product(dnf: list[int], terms: list[int]) -> list[int]:
-    """The minimal masks d | c over d in the antichain dnf and c in terms.
-
-    A d holding some term c is its own product d | c, minimal because dnf is
-    an antichain; only the other d grow by every term, and a grown mask
-    drops out when it contains a kept one or another grown one.
-    """
-    kept, grown = [], []
-    for d in dnf:
-        for c in terms:
-            if c & d == c:
-                kept.append(d)
-                break
-        else:
-            grown += [d | c for c in terms]
-    out = kept.copy()
-    for g in _minimal_masks(grown):
-        for k in kept:
-            if k & g == k:
-                break
-        else:
-            out.append(g)
-    return out
-
-
 def minimal_transversals(edges: Iterable[int]) -> list[int]:
-    """The minimal masks meeting every edge mask, in numeric order (Berge).
+    """The minimal masks meeting every edge mask, in numeric order.
 
-    Edges are added one at a time, as the product of the transversals so
-    far with the bits of the new edge: a transversal meeting the edge stays,
-    one missing it grows by each bit.  No edges give [0]; an empty edge
-    gives no transversal at all.
+    Edges are added one at a time by Berge's rule: a transversal meeting
+    the new edge e stays, and one missing it grows into t | b for each bit b
+    of e.  A grown mask meets e only in b, so no grown mask lies inside
+    another, and none lies inside a staying one (which would then hold t,
+    another member of the antichain).  So a grown mask is compared only with
+    the staying transversals, and drops out when one of them lies inside it.
+    No edges give [0]; an empty edge gives no transversal at all.
     """
     trans = [0]
     for e in _minimal_masks(edges):
         if not e:
             return []
-        trans = _minimal_product(trans, list(mask_bits(e)))
+        stay = [t for t in trans if t & e]
+        grown = []
+        for t in trans:
+            if not t & e:
+                for b in mask_bits(e):
+                    g = t | b
+                    for k in stay:
+                        if k & g == k:
+                            break
+                    else:
+                        grown.append(g)
+        trans = stay + grown
     return sorted(trans)
 
 

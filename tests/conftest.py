@@ -18,7 +18,9 @@ from srdepth.homology import (
     RATIONALS, boundary_matrix, depth_stanley_reisner, matrix_rank, reduced_betti,
 )
 from srdepth.ideals import radical_complex, support_mask
-from srdepth.simplicial import IRRELEVANT, VOID, as_int, face_mask, mask_vertices
+from srdepth.simplicial import (
+    IRRELEVANT, VOID, _minimal_masks, as_int, face_mask, mask_vertices,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -405,6 +407,31 @@ def distributed_cone_union(cx: Complex, field=RATIONALS) -> ConeUnion:
             if not dnf:
                 return ConeUnion(cx.n, cx.facets, symbols, ())
     return ConeUnion(cx.n, cx.facets, symbols, _prune(dnf))
+
+
+# -- quadratic cone product oracle ------------------------------------------------
+
+def quadratic_minimal_product(dnf: list[int], terms: list[int]) -> list[int]:
+    """The minimal masks d | c over d in the antichain dnf and c in terms,
+    comparing every grown mask with all the smaller grown masks and with
+    every kept one: a d holding some term is kept as it is, and the other d
+    grow by every term."""
+    kept, grown = [], []
+    for d in dnf:
+        for c in terms:
+            if c & d == c:
+                kept.append(d)
+                break
+        else:
+            grown += [d | c for c in terms]
+    out = kept.copy()
+    for g in _minimal_masks(grown):
+        for k in kept:
+            if k & g == k:
+                break
+        else:
+            out.append(g)
+    return out
 
 
 # -- cone-union comparisons -------------------------------------------------------

@@ -1082,14 +1082,19 @@ def run_every_production_command(capsys):
 
 # -- python -m srdepth ---------------------------------------------------------------------
 
-def python_m_srdepth(*argv, timeout=60):
-    """`python -m srdepth` in a child process, killed after timeout seconds."""
+def child_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def python_m_srdepth(*argv, timeout=60):
+    """`python -m srdepth` in a child process, killed after timeout seconds."""
     return subprocess.run(
         [sys.executable, "-m", "srdepth", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, env=child_env(), timeout=timeout,
     )
 
 
@@ -1099,6 +1104,38 @@ def test_python_m_srdepth():
     assert "depth = 2" in proc.stdout
     bad = python_m_srdepth("depth", "no_such_file.json")
     assert bad.returncode == 2 and bad.stderr.startswith("error:")
+
+
+def test_reader_closing_after_one_line_ends_quietly(tmp_path):
+    # the 5-cycle's text union is about 170 kB, more than a pipe holds, so
+    # the child is still writing when the reader goes
+    path = write_json(tmp_path, {"n": 5, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]})
+    with subprocess.Popen(
+        [sys.executable, "-m", "srdepth", "cones", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (first, code, err) == (b"15 exponent symbols, 464 cones\n", 141, b"")
+
+
+def test_reader_gone_before_the_last_flush_ends_quietly():
+    # block-buffered output meets the closed pipe only when it is flushed
+    # at the end of the command
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "srdepth", "audit", str(FIXTURES)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_large_characteristic_answers_or_is_refused_at_once(tmp_path):

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from bench import corpus as bench_corpus
 from bench.corpus import CONE_CLASSES, random_pure_complex as random_shaped_facets
 from srdepth import cones as cones_mod, homology, simplicial
 from srdepth.cli import main
@@ -11,7 +12,7 @@ from srdepth.cones import ConeUnion, generate_cone_union
 from srdepth.criteria import depth_equals_radical
 from srdepth.homology import RATIONALS, prime_field
 from srdepth.ideals import Decomposition, irreducible_ideal
-from srdepth.simplicial import Complex
+from srdepth.simplicial import Complex, _minimal_masks
 from tests.conftest import (
     FIXTURES,
     FOURCYCLE,
@@ -25,6 +26,7 @@ from tests.conftest import (
     fourcycle_symbol_order,
     grid_equivalence,
     midpoint,
+    quadratic_minimal_product,
     random_pure_complex,
 )
 
@@ -139,6 +141,53 @@ def test_union_is_canonical_without_a_final_prune():
             union = generate_cone_union(cx, field)
             assert union.disjuncts == _prune(union.disjuncts), cx
     assert len(generate_cone_union(FIVECYCLE, RATIONALS).disjuncts) == 464
+
+
+def brute_minimal_product(dnf, terms) -> set:
+    products = {d | c for d in dnf for c in terms}
+    return {p for p in products if not any(q != p and q & p == q for q in products)}
+
+
+def test_cone_product_is_the_minimal_antichain():
+    # seeded antichains times term lists that are empty, hold the zero
+    # term, repeat a term or nest one term inside another
+    rng = random.Random(30)
+    kinds = ("empty", "zero", "repeated", "nested", "random")
+    for _ in range(400):
+        bits = rng.randint(1, 8)
+        dnf = _minimal_masks(rng.randrange(1 << bits) for _ in range(rng.randint(0, 10)))
+        kind = rng.choice(kinds)
+        terms = [rng.randrange(1 << bits) for _ in range(rng.randint(1, 6))]
+        if kind == "empty":
+            terms = []
+        elif kind == "zero":
+            terms.insert(rng.randrange(len(terms) + 1), 0)
+        elif kind == "repeated":
+            terms += rng.choices(terms, k=rng.randint(1, 3))
+            rng.shuffle(terms)
+        elif kind == "nested":
+            c = rng.choice(terms)
+            terms.insert(rng.randrange(len(terms) + 1), c | rng.randrange(1 << bits))
+        out = cones_mod._minimal_product(dnf, terms)
+        assert len(out) == len(set(out)), (dnf, terms)
+        assert not any(a != b and a & b == a for a in out for b in out), (dnf, terms)
+        assert set(out) == brute_minimal_product(dnf, terms), (dnf, terms)
+    assert cones_mod._minimal_product([0b011, 0b100], []) == []
+    assert sorted(cones_mod._minimal_product([0b011, 0b100], [0, 0b1000])) == [0b011, 0b100]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(2)], ids=str)
+def test_cone_product_matches_the_quadratic_product_on_the_benchmark_round(field, monkeypatch):
+    # the seed-1 round of the cones workload (the 4-cycle, a relabelled
+    # 5-cycle and eight complexes of every CONE_CLASSES shape) and the 5-cycle
+    complexes = [Complex.from_json_dict(item.data) for item in bench_corpus.cones_corpus(1, 1)]
+    complexes.append(FIVECYCLE)
+    unions = [generate_cone_union(cx, field) for cx in complexes]
+    monkeypatch.setattr(cones_mod, "_minimal_product", quadratic_minimal_product)
+    for cx, union in zip(complexes, unions):
+        _assert_same_union(union, generate_cone_union(cx, field))
+    assert [len(u.disjuncts) for u in unions[:2]] == [4, 464]
 
 
 def test_sixcycle_refusal_text(tmp_path, capsys):

@@ -363,8 +363,28 @@ def test_internal_builders_pass_antichains(antichain_contract):
 # -- minimal transversals ----------------------------------------------------------------
 
 def brute_minimal_transversals(edges, n):
-    hitting = [m for m in range(1 << n) if all(m & e for e in edges)]
-    return [m for m in hitting if not any(h != m and h & m == h for h in hitting)]
+    # the hitting sets are closed upwards, so one is minimal when dropping
+    # any single vertex leaves a set that misses some edge
+    hitting = {m for m in range(1 << n) if all(m & e for e in edges)}
+    return sorted(
+        m for m in hitting if not any(m >> v & 1 and m ^ 1 << v in hitting for v in range(n))
+    )
+
+
+def grown_inside_staying(edges) -> int:
+    """How many grown transversals Berge's rule drops over the edges, each
+    step read from the public transversals of the edges before it: t | b
+    for t missing the edge e and b a bit of e, holding a t' that meets e."""
+    edges = simplicial._minimal_masks(edges)
+    dropped = 0
+    for i, e in enumerate(edges):
+        trans = minimal_transversals(edges[:i])
+        dropped += sum(
+            any(k & e and k & (t | 1 << v) == k for k in trans)
+            for t in trans if not t & e
+            for v in range(e.bit_length()) if e >> v & 1
+        )
+    return dropped
 
 
 def test_transversals_of_no_edges_and_of_an_empty_edge():
@@ -388,6 +408,17 @@ def test_transversals_are_the_minimal_antichain():
         assert out == sorted(out)
         assert not any(a != b and a & b == a for a in out for b in out)
         assert out == brute_minimal_transversals(edges, n), edges
+    # denser hypergraphs, where a staying transversal often lies inside a
+    # grown one and that grown mask is dropped
+    dropped = 0
+    for _ in range(200):
+        n = rng.randint(4, 10)
+        edges = [rng.randrange(1, 1 << n) for _ in range(rng.randint(6, 12))]
+        out = minimal_transversals(edges)
+        assert not any(a != b and a & b == a for a in out for b in out)
+        assert out == brute_minimal_transversals(edges, n), edges
+        dropped += grown_inside_staying(edges)
+    assert dropped > 0
 
 
 # -- link / star / skeleton -----------------------------------------------------------
