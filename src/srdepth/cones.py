@@ -12,7 +12,9 @@ small disjunctive normal form, multiplying these into one DNF selection by
 selection and dropping subsumed products yields an explicit union of cones,
 evaluable on integer points and tested against the paper's 4-cycle systems.
 Every product holds a local term, so a product is compared for subsumption
-only with the conjunctions filed under the local terms it holds.
+only with the conjunctions filed under the local terms it holds.  The atoms
+are numbered in their sorted order before any product, so each conjunction
+reads back its atoms, sorted, from its set bits.
 An expansion step that would list more than MAX_CONE_CANDIDATES candidate
 conjunctions is refused, so a union too large to list fails fast.
 
@@ -33,11 +35,6 @@ Atom = tuple[int, int]  # (left symbol position, right symbol position): left >=
 
 #: largest number of candidate conjunctions one expansion step may list
 MAX_CONE_CANDIDATES = 10**4
-
-
-def _disjunct_order(d: frozenset) -> tuple:
-    """The canonical order of disjuncts: by size, then by sorted atoms."""
-    return len(d), sorted(d)
 
 
 def _minimal_product(dnf: list[int], terms: list[int]) -> list[int]:
@@ -148,13 +145,15 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     DNF: one conjunction per outside facet and choice of k for each j, and
     an outside facet with an empty inner OR drops out.  The local DNFs are
     multiplied into the running DNF selection by selection; conjunctions are
-    bitmasks until the end, an atom getting its bit when a selection first
-    uses it.  The running DNF is an antichain: a conjunction that already
-    holds a local term carries over unchanged and the others grow by every
-    local term.  Each conjunction that stays is filed under the first local
-    term it holds; the growths are taken by size, and a growth is pruned when
-    it holds a conjunction filed under one of the local terms inside it.  So
-    the final union needs no prune, only the canonical sort.
+    bitmasks until the end.  Every atom is numbered up front in its sorted
+    order, so a final mask decodes by its set bits alone into sorted atoms,
+    and the canonical sort compares those tuples as they come.  The running
+    DNF is an antichain: a conjunction that already holds a local term
+    carries over unchanged and the others grow by every local term.  Each
+    conjunction that stays is filed under the first local term it holds;
+    the growths are taken by size, and a growth is pruned when it holds a
+    conjunction filed under one of the local terms inside it.  So the final
+    union needs no prune, only the canonical sort.
 
     A step whose product would list more than MAX_CONE_CANDIDATES candidate
     conjunctions is refused with a ValueError before it is expanded, and a
@@ -171,7 +170,18 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     ]
     symbols = tuple((i, j) for i in range(r) for j in outside_vars[i])
     sym_pos = {s: k for k, s in enumerate(symbols)}
-    bit: dict[Atom, int] = {}  # each atom's bit, given on first use
+    # every atom numbered up front in sorted order, (i, j) then k;
+    # rows[i][q][k]: the bit of the atom (sym_pos[(i, j)], sym_pos[(k, j)])
+    # for the q-th outside variable j of facet i, 0 where x_j lies in F_k
+    atoms: list[Atom] = []
+    rows: list[list[list[int]]] = [[] for _ in range(r)]
+    for p, (i, j) in enumerate(symbols):
+        row = [0] * r
+        for k in range(r):
+            if k != i and not masks[k] >> (j - 1) & 1:
+                row[k] = 1 << len(atoms)
+                atoms.append((p, sym_pos[(k, j)]))
+        rows[i].append(row)
 
     low_depth_selections = (
         selection for selection in selections
@@ -182,14 +192,7 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     for selection in low_depth_selections:
         # per outside facet, the atoms usable at each of its outside variables
         choices = [
-            [
-                [
-                    bit.setdefault((sym_pos[(i, j)], sym_pos[(k, j)]), 1 << len(bit))
-                    for k in selection
-                    if not masks[k] >> (j - 1) & 1
-                ]
-                for j in outside_vars[i]
-            ]
+            [[row[k] for k in selection if row[k]] for row in rows[i]]
             for i in range(r)
             if i not in selection
         ]
@@ -206,6 +209,13 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
         dnf = _minimal_product(dnf, local)
         if not dnf:
             break
-    atoms = list(bit)
-    disjuncts = [frozenset(a for b, a in enumerate(atoms) if d >> b & 1) for d in dnf]
-    return ConeUnion(cx.n, cx.facets, symbols, tuple(sorted(disjuncts, key=_disjunct_order)))
+    decoded = []
+    for d in dnf:
+        held = []  # the atoms of d's set bits, in increasing order
+        while d:
+            low = d & -d
+            held.append(atoms[low.bit_length() - 1])
+            d ^= low
+        decoded.append((len(held), tuple(held)))
+    decoded.sort()
+    return ConeUnion(cx.n, cx.facets, symbols, tuple(frozenset(held) for _, held in decoded))

@@ -16,7 +16,9 @@ Membership of x^a, the excess sets {j : g_j > a_j} and so every degree
 complex change only where some a_j crosses a generator exponent of x_j
 (the fact behind Takayama's formula).  Every scan therefore visits one
 representative per breakpoint class of each coordinate, its smallest
-point, below the largest exponent rho_j: one grid, `_class_grid`.
+point, below the largest exponent rho_j: one grid, `_class_grid`.  The
+decision derives the same classes from its own filing of the nonzero
+exponents, which also gives it the generators dividing each class.
 
 Hochster's formula, depth_stanley_reisner, is the one depth engine.  With
 Delta_a(I) = lk_{Delta_a+(I)} G_a, where a+ = max(a, 0) coordinatewise, it
@@ -409,6 +411,39 @@ class DepthEqualsRadicalVerdict(Record):
         return self.equal
 
 
+def _divisibility_rows(n: int, gens) -> tuple[list[list[int]], list[list[int]]]:
+    """The decision's search tables: per coordinate j, its class grid and,
+    class by class, the generators (bits in the order of gens) whose x_j
+    exponent is at most the class.
+
+    One pass over the nonzero exponents files bit b under filed[j][e] for
+    each g_j = e > 0.  Row 0 of coordinate j is the generators free of x_j,
+    all of them but those filed at j; each later class joins its own file.
+    The classes are 0 and the filed exponents but the largest, rho_j, so
+    the grid of j is _class_grid(n, gens)[j] or [0], also where no
+    generator or every generator uses x_j.
+    """
+    filed: list[dict[int, int]] = [{} for _ in range(n)]
+    for b, g in enumerate(gens):
+        bit = 1 << b
+        for j, e in enumerate(g):
+            if e:
+                f = filed[j]
+                f[e] = f.get(e, 0) | bit
+    full = (1 << len(gens)) - 1
+    grid, rows = [], []
+    for f in filed:
+        classes = sorted(f)[:-1]
+        below = full - sum(f.values())  # a generator is filed once at j
+        row = [below]
+        for e in classes:
+            below |= f[e]
+            row.append(below)
+        grid.append([0, *classes])
+        rows.append(row)
+    return grid, rows
+
+
 def depth_equals_radical(
     dec: Decomposition, field: FieldSpec = RATIONALS
 ) -> DepthEqualsRadicalVerdict:
@@ -429,17 +464,21 @@ def depth_equals_radical(
     keeps no dividing generator, as degree_complex_unmixed selects them.  Each
     leaf hands their masks to homology._selection_below, which answers one or
     two facets and t <= 2 from the masks and any other selection from the
-    cache of depth_stanley_reisner.  Dead states are memoised, so the first
+    cache of depth_stanley_reisner; it never answers yes for t <= 1, so
+    then the verdict is equality at once, with no table and no search.
+    Dead states are memoised, one set of masks per coordinate, so the first
     bad leaf is the box scan's first witness and search(0, all generators)
     returns it whole; the witness subcomplex is built from its masks alone.
-    The generators dividing a prefix come from one table per coordinate,
-    built by filing the generators under their x_j exponents.  The equivalent
+    The grid and the generators dividing each class come from
+    _divisibility_rows, one pass over the nonzero exponents.  The equivalent
     facet-selection route (no selection of depth < t admits a
     degree_selecting_witness) is left to the tests as an oracle; `srdepth
     audit` checks the verdict against depth_via_local_cohomology of the
     intersection, a separate code path.
     """
     t = depth_stanley_reisner(dec.delta, field)
+    if t <= 1:
+        return DepthEqualsRadicalVerdict(True, t)
     n = dec.n
     gens = [g for comp in dec.components for g in comp.gens]
     # comp_bits[i]: the bits of component i's generators in `gens`
@@ -448,32 +487,19 @@ def depth_equals_radical(
     for comp in dec.components:
         comp_bits.append(((1 << len(comp.gens)) - 1) << k)
         k += len(comp.gens)
-    grid = [reps or [0] for reps in _class_grid(n, gens)]
-    # divides[j][c]: the generators whose x_j exponent is at most the c-th
-    # class; every exponent is a class or rho_j, so filing the generators by
-    # exponent and joining the files class by class gives the row
-    divides = []
-    for reps, column in zip(grid, zip(*gens)):
-        filed: dict[int, int] = {}
-        for b, e in enumerate(column):
-            filed[e] = filed.get(e, 0) | 1 << b
-        row, below = [], 0
-        for v in reps:
-            below |= filed.get(v, 0)
-            row.append(below)
-        divides.append(row)
+    grid, divides = _divisibility_rows(n, gens)
     facet_masks = dec.delta.facet_masks
-    dead: set[tuple[int, int]] = set()
+    dead: list[set[int]] = [set() for _ in range(n)]  # dead[j]: masks with no bad completion
 
     def search(j: int, mask: int) -> tuple[tuple[int, ...], list[int]] | None:
         if j == n:
             selected = [fm for fm, bits in zip(facet_masks, comp_bits) if not mask & bits]
             return ((), selected) if _selection_below(n, selected, t, field) else None
-        if (j, mask) not in dead:
+        if mask not in dead[j]:
             for v, d in zip(grid[j], divides[j]):
                 if found := search(j + 1, mask & d):
                     return (v, *found[0]), found[1]
-            dead.add((j, mask))
+            dead[j].add(mask)
         return None
 
     found = search(0, (1 << len(gens)) - 1)

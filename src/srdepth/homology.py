@@ -224,9 +224,11 @@ def _rank_f2(cx: Complex, i: int) -> int:
     row_bit = {m: 1 << r for r, m in enumerate(cx.face_masks_of_dim(i - 1))}
     pivots: dict[int, int] = {}
     for fm in cx.face_masks_of_dim(i):
-        col = 0
-        for b in mask_bits(fm):
-            col |= row_bit[fm ^ b]
+        col, rest = 0, fm
+        while rest:
+            low = rest & -rest
+            col |= row_bit[fm ^ low]
+            rest ^= low
         while col:
             piv = pivots.get(col.bit_length())
             if piv is None:
@@ -289,14 +291,24 @@ def _echelon(cx: Complex, i: int, p: int | None) -> dict[int, dict[int, int]]:
 
 def _components(masks: Iterable[int]) -> int:
     """Connected components of the complex generated by the given nonempty
-    facet masks: they are merged while they share a vertex."""
-    parts: list[int] = []
-    for fm in masks:
-        for part in [q for q in parts if q & fm]:
-            parts.remove(part)
-            fm |= part
-        parts.append(fm)
-    return len(parts)
+    facet masks: each grows from one facet, its reach taking in every facet
+    that meets it until none does."""
+    rest = list(masks)
+    count = 0
+    while rest:
+        reach = rest.pop()
+        grew = True
+        while grew:
+            grew, left = False, []
+            for fm in rest:
+                if fm & reach:
+                    reach |= fm
+                    grew = True
+                else:
+                    left.append(fm)
+            rest = left
+        count += 1
+    return count
 
 
 def _rank(cx: Complex, i: int, field: FieldSpec) -> int:

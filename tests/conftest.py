@@ -12,7 +12,7 @@ from srdepth import (
     irreducible_ideal,
     prime_power_ideal,
 )
-from srdepth.cones import ConeUnion, _disjunct_order
+from srdepth.cones import ConeUnion
 from srdepth.criteria import degree_complex, negative_support
 from srdepth.homology import (
     RATIONALS, boundary_matrix, depth_stanley_reisner, matrix_rank, reduced_betti,
@@ -84,7 +84,7 @@ def fourcycle_assignment(values) -> dict:
 def _prune(disjuncts) -> tuple[frozenset, ...]:
     """Oracle: drop duplicates and any conjunction containing another one, in
     the canonical order of disjuncts."""
-    unique = sorted(set(disjuncts), key=_disjunct_order)
+    unique = sorted(set(disjuncts), key=lambda d: (len(d), sorted(d)))
     kept: list[frozenset] = []
     for d in unique:
         if not any(k <= d for k in kept):

@@ -10,6 +10,7 @@ from srdepth import criteria, ideals
 from srdepth.criteria import (
     _class_grid,
     _depth_to_two,
+    _divisibility_rows,
     _excess_sets,
     _supports,
     degree_complex,
@@ -22,7 +23,9 @@ from srdepth.criteria import (
     local_cohomology_table,
     negative_support,
 )
-from srdepth.homology import RATIONALS, depth_stanley_reisner, min_nonzero_betti, prime_field
+from srdepth.homology import (
+    RATIONALS, _selection_below, depth_stanley_reisner, min_nonzero_betti, prime_field,
+)
 from srdepth.ideals import (
     Decomposition,
     MonomialIdeal,
@@ -697,6 +700,66 @@ def test_decision_matches_box_scan_random(form):
         assert verdict_summary(verdict) == box_scan_decision(dec, field)
         unequal += not verdict.equal
     assert unequal >= 3
+
+
+def assert_divisibility_rows(n, gens):
+    grid, rows = _divisibility_rows(n, gens)
+    assert grid == [reps or [0] for reps in _class_grid(n, gens)]
+    assert len(rows) == n
+    for j in range(n):
+        assert rows[j] == [
+            sum(1 << b for b, g in enumerate(gens) if g[j] <= v) for v in grid[j]
+        ], (gens, j)
+
+
+def test_divisibility_rows_are_the_dividing_generators():
+    # x_2 is used by no generator and x_1, x_4 by every one
+    gens = [(2, 0, 1, 3), (1, 0, 0, 3), (3, 0, 2, 5), (1, 0, 4, 1)]
+    assert _divisibility_rows(4, gens) == (
+        [[0, 1, 2], [0], [0, 1, 2], [0, 1, 3]],
+        [[0, 0b1010, 0b1011], [0b1111], [0b0010, 0b0011, 0b0111], [0, 0b1000, 0b1011]],
+    )
+    assert_divisibility_rows(4, gens)
+    # one component on a cone: x_1, x_2 unused, x_3 in the one generator
+    dec = Decomposition(Complex(3, [(1, 2)]), {(1, 2): prime_power_ideal(3, (1, 2), 4)})
+    assert _divisibility_rows(3, dec.components[0].gens) == ([[0], [0], [0]], [[1], [1], [0]])
+    rng = random.Random(66)
+    unused = 0
+    for k in range(150):
+        dec = decomposition_in_form(rng, ("irreducible", "power", "generators")[k % 3], 7, 5)
+        gens = [g for comp in dec.components for g in comp.gens]
+        assert_divisibility_rows(dec.n, gens)
+        unused += sum(not any(column) for column in zip(*gens))
+    assert unused > 0
+
+
+@pytest.mark.parametrize("facets", [[(1, 2), (3, 4)], [(1,), (2,), (3,)], [(1,), (2,)]])
+def test_decision_below_radical_depth_two_walks_no_grid(monkeypatch, facets):
+    # a disconnected complex has t = 1, and no selection has depth below 1
+    cx = Complex(max(map(max, facets)), facets)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _selection_below(*args)
+
+    monkeypatch.setattr(criteria, "_selection_below", counting)
+    rng = random.Random(67)
+    for k in range(6):
+        comps = {
+            f: irreducible_ideal(cx.n, f, [rng.randint(1, 3) for _ in range(cx.n - len(f))])
+            if k % 2 else random_primary(rng, cx.n, f, 3)
+            for f in cx.facets
+        }
+        dec = Decomposition(cx, comps)
+        verdict = depth_equals_radical(dec, F2 if k % 3 == 0 else RATIONALS)
+        assert verdict_summary(verdict) == box_scan_decision(dec) == (True, 1, None, None)
+    assert not calls
+    # at exponent 300 the grid has 300 classes on each coordinate; none is walked
+    big = Decomposition(cx, {f: prime_power_ideal(cx.n, f, 300) for f in cx.facets})
+    for field in (RATIONALS, F2):
+        assert verdict_summary(depth_equals_radical(big, field)) == (True, 1, None, None)
+    assert not calls
 
 
 def test_depth_scans_match_raw_box_on_random_ideals():

@@ -268,6 +268,30 @@ def test_components(facets, components):
         assert _rank(cx, 1, F2) == len(cx.face_masks_of_dim(0)) - components
 
 
+def test_components_match_union_find():
+    # the facets come in random order, so a component is often joined only
+    # through a facet met later in the list
+    rng = random.Random(68)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        masks = [rng.randint(1, (1 << n) - 1) & rng.randint(1, (1 << n) - 1) or 1
+                 for _ in range(rng.randint(0, 8))]
+        root = list(range(n))  # union-find on the vertices
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for fm in masks:
+            vs = [v for v in range(n) if fm >> v & 1]
+            for v in vs[1:]:
+                root[find(v)] = find(vs[0])
+        covered = [v for v in range(n) if any(fm >> v & 1 for fm in masks)]
+        count = len({find(v) for v in covered})
+        assert _components(masks) == count, masks
+
+
 def test_d1_is_never_eliminated(monkeypatch):
     def refusing(kernel):
         def call(cx, i, *args):
