@@ -18,7 +18,7 @@ complement of F and every complement variable occurs as a pure power.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import combinations_with_replacement, groupby
+from itertools import groupby
 from math import comb
 from operator import itemgetter
 
@@ -64,6 +64,7 @@ class MonomialIdeal:
     __slots__ = ("n", "gens", "_radical")
 
     def __init__(self, n: int, generators: Iterable[Iterable[int]]):
+        n = as_int(n, "n")
         if n < 1:
             raise ValueError("ambient variable count must be >= 1")
         clean: list[Monomial] = []
@@ -82,6 +83,7 @@ class MonomialIdeal:
     def _from_antichain(cls, n: int, gens: Iterable[Monomial]) -> "MonomialIdeal":
         """The ideal of exponent tuples of length n that already form an
         antichain: only n is checked, and nothing is minimalised again."""
+        n = as_int(n, "n")
         if n < 1:
             raise ValueError("ambient variable count must be >= 1")
         ideal = cls.__new__(cls)
@@ -195,6 +197,7 @@ def irreducible_ideal(n: int, facet: Iterable[int], exps: Sequence[int]) -> Mono
 def prime_power_ideal(n: int, facet: Iterable[int], m: int) -> MonomialIdeal:
     """P_F^m, generated by all degree-m monomials in the complement variables;
     refused when there are more than MAX_PRIME_POWER_GENERATORS of them."""
+    m = as_int(m, "power")
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
     comp = complement_vars(n, facet)
@@ -204,11 +207,23 @@ def prime_power_ideal(n: int, facet: Iterable[int], m: int) -> MonomialIdeal:
             f"prime power P_F^{m} in {len(comp)} variables has {count} generators, "
             f"more than {MAX_PRIME_POWER_GENERATORS}"
         )
-    gens = []
-    for combo in combinations_with_replacement(comp, m):
-        vec = [0] * n
-        for j in combo:
-            vec[j - 1] += 1
+    if not comp:
+        return MonomialIdeal._from_antichain(n, ())
+    # Nijenhuis and Wilf's NEXCOM, O(1) steps per generator: the first
+    # nonzero exponent t, at h, leaves t - 1 at pos[0] and 1 at pos[h + 1]
+    pos = [j - 1 for j in comp]
+    vec = [0] * n
+    vec[pos[0]] = m
+    gens = [tuple(vec)]
+    h = t = 0
+    while vec[pos[-1]] != m:
+        if t > 1:
+            h = 0  # the first variable kept t - 1 > 0
+        t = vec[pos[h]]
+        vec[pos[h]] = 0
+        vec[pos[0]] = t - 1
+        h += 1
+        vec[pos[h]] += 1
         gens.append(tuple(vec))
     # distinct monomials of one degree divide none of each other
     return MonomialIdeal._from_antichain(n, gens)

@@ -8,8 +8,8 @@ Stanley-Reisner ring.  It is the one route the verdicts use.  Two
 homological routes (all proper facet selections keep depth >= t; all their
 (t-1)-skeletons are Cohen-Macaulay) are kept as oracles for the tests and
 `srdepth audit`, along with a randomized stability sampler over concrete
-ideal classes.  Both routes walk the (indices, subcomplex) pairs of
-Complex.proper_facet_selections, which refuses complexes beyond
+ideal classes.  Both routes build each selection from the facet masks at the
+indices of simplicial._selection_indices, which refuses complexes beyond
 simplicial.DEFAULT_FACET_CAP facets before any depth.  All take what
 simplicial.require_pure admits: the irrelevant complex has depth 0 and is rigid.
 The tests assert that rigidity persists over prime fields and up the skeletons.
@@ -23,29 +23,24 @@ from itertools import combinations
 from .criteria import depth_via_local_cohomology
 from .homology import FieldSpec, RATIONALS, _apex, depth_stanley_reisner, is_cohen_macaulay
 from .ideals import Decomposition, irreducible_ideal, prime_power_ideal
-from .simplicial import Complex, Record, as_int, require_pure
+from .simplicial import Complex, Record, _selection_indices, as_int, require_pure
 
 
 class RigidVerdict(Record):
-    """Verdict plus certificate: a facet tuple whose intersection is too small
-    (combinatorial route) or a facet selection of depth below t (homological
-    routes)."""
+    """Verdict plus certificate, the indices of the certifying facets: a
+    facet tuple whose intersection is too small (combinatorial route, with
+    that size) or a facet selection of depth below t (homological routes)."""
 
-    __slots__ = (
-        "rigid", "t", "facet_indices", "intersection_size", "subcomplex", "subcomplex_depth",
-    )
+    __slots__ = ("rigid", "t", "facet_indices", "intersection_size")
 
     def __init__(
         self, rigid: bool, t: int, facet_indices: tuple[int, ...] | None = None,
-        intersection_size: int | None = None, subcomplex: Complex | None = None,
-        subcomplex_depth: int | None = None,
+        intersection_size: int | None = None,
     ):
         object.__setattr__(self, "rigid", rigid)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "facet_indices", facet_indices)
         object.__setattr__(self, "intersection_size", intersection_size)
-        object.__setattr__(self, "subcomplex", subcomplex)
-        object.__setattr__(self, "subcomplex_depth", subcomplex_depth)
 
     def __bool__(self) -> bool:
         return self.rigid
@@ -77,15 +72,15 @@ def is_rigid_by_intersections(cx: Complex, t: int) -> RigidVerdict:
 
 
 def _walk(cx: Complex, field: FieldSpec, fails: Callable[[Complex, int], bool]) -> RigidVerdict:
-    """The first proper facet selection gamma with fails(gamma, t) as the
-    certificate, t = depth K[cx]; the cap is checked before any depth."""
+    """The indices of the first proper facet selection gamma with fails(gamma,
+    t) as the certificate, t = depth K[cx]; the cap is checked before any depth."""
     require_pure(cx)
-    selections = cx.proper_facet_selections()
+    masks = cx.facet_masks
+    selections = _selection_indices(len(masks))
     t = depth_stanley_reisner(cx, field)
-    for _, gamma in selections:
-        if fails(gamma, t):
-            d = depth_stanley_reisner(gamma, field)
-            return RigidVerdict(False, t, subcomplex=gamma, subcomplex_depth=d)
+    for idx in selections:
+        if fails(Complex._from_masks(cx.n, [masks[i] for i in idx]), t):
+            return RigidVerdict(False, t, idx)
     return RigidVerdict(True, t)
 
 

@@ -28,11 +28,11 @@ keeps it, unshared with equal complexes.  Three sizes are read off the
 facets: the empty face, the vertices (the bits of the facets' union) and
 the top size (the facets of dimension dim).  The empty face's link is the
 complex itself, so Hochster's and Reisner's walks start from its lists.
-Any other link filters the middle sizes its parent has already listed (the
-faces holding the linked face, with that face removed) and lists only the
-other sizes from its own facets.  A complex also keeps the links it has
-built, and each link keeps its parent: the cycle lives while either is
-reachable, and the garbage collector frees it after.
+Any other link keeps its parent's level list, never the parent itself, if
+the parent had one when the link was built: it filters the middle sizes
+that list holds (the faces holding the linked face, with that face removed)
+and lists only the other sizes from its own facets.  A complex also keeps
+the links it has built.
 """
 from __future__ import annotations
 
@@ -43,8 +43,8 @@ from itertools import combinations
 
 MAX_VERTICES = 64
 
-#: facets beyond which Complex.proper_facet_selections refuses to list the
-#: 2^r facet selections (for cone generation and the rigidity oracles)
+#: facets beyond which _selection_indices refuses to list the 2^r facet
+#: selections (for cone generation and the rigidity oracles)
 DEFAULT_FACET_CAP = 20
 
 VOID = "void"
@@ -228,9 +228,10 @@ class Complex:
     vertices) and keeps the maximal ones; it is idempotent on facet sets.
     """
 
-    __slots__ = ("n", "_fmasks", "kind", "dim", "_hash", "_levels", "_parent", "_links")
+    __slots__ = ("n", "_fmasks", "kind", "dim", "_hash", "_levels", "_above", "_links")
 
     def __init__(self, n: int, faces: Iterable[Iterable[int]]):
+        n = as_int(n, "n")
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         self._set_facets(n, _maximal_masks(face_mask(f, n) for f in faces))
@@ -248,7 +249,7 @@ class Complex:
             self.kind = ORDINARY
         self._hash = hash((n, fmasks))
         self._levels = None  # slot k: the k-vertex faces, once listed
-        self._parent = None  # (complex, face mask) of which this is the link
+        self._above = None  # (parent's level list, face mask) of a link
         self._links = None  # face mask -> link, once built
 
     @classmethod
@@ -272,10 +273,8 @@ class Complex:
 
     @property
     def is_pure(self) -> bool:
-        if self.kind == VOID:
-            return True
-        sizes = {m.bit_count() for m in self._fmasks}
-        return len(sizes) == 1
+        # the void complex, with no facet, is pure
+        return len({m.bit_count() for m in self._fmasks}) <= 1
 
     def face_masks_of_dim(self, i: int) -> tuple[int, ...]:
         """All i-faces as bitmasks, in colexicographic (numeric) order.
@@ -302,10 +301,9 @@ class Complex:
                 level = tuple(mask_bits(reduce(operator.or_, self._fmasks)))
             else:
                 up = None
-                if self._parent:
-                    parent, m = self._parent
-                    if parent._levels:
-                        up = parent._levels[i + m.bit_count() + 1]
+                if self._above:
+                    above, m = self._above
+                    up = above[i + m.bit_count() + 1]
                 if up is not None:
                     # h -> h - m is monotone on the supersets of m: colex kept
                     level = tuple([h ^ m for h in up if h & m == m])
@@ -330,11 +328,11 @@ class Complex:
         """link() of a face given as a mask, which must be a face; the empty
         face's link is the complex itself, face lists included.  Any other
         link is built once and kept, so a second walk over the faces (the
-        F_2 depth after the Q depth) finds the first walk's links.  A link
-        takes each middle face size that this complex has listed by
-        filtering its list, and lists the others itself: a cone's apex link
-        would otherwise make the cone list up to 2^|apex| times the link's
-        faces."""
+        F_2 depth after the Q depth) finds the first walk's links.  A link built
+        after this complex has listed a size keeps its level list, filled in
+        place, to filter the middle sizes listed there; one built before
+        keeps nothing, as a cone's apex link would make the cone list up to
+        2^|apex| times the link's faces."""
         if not m:
             return self
         links = self._links
@@ -343,7 +341,8 @@ class Complex:
         lk = links.get(m)
         if lk is None:
             lk = links[m] = Complex._from_masks(self.n, self._link_facets(m))
-            lk._parent = (self, m)
+            if self._levels is not None:
+                lk._above = (self._levels, m)
         return lk
 
     def _link_facets(self, m: int) -> list[int]:
@@ -363,17 +362,6 @@ class Complex:
         # the i-faces and the facets of lower dimension
         low = [fm for fm in self._fmasks if fm.bit_count() <= i]
         return Complex._from_masks(self.n, [*self.face_masks_of_dim(i), *low])
-
-    def proper_facet_selections(self) -> Iterator[tuple[tuple[int, ...], "Complex"]]:
-        """Lazy (indices, subcomplex) pairs of the proper nonempty facet
-        selections, in the order of _selection_indices; the subcomplex is
-        generated by the selected facets.  A complex with more than
-        DEFAULT_FACET_CAP facets is refused when this is called."""
-        masks = self._fmasks
-        return (
-            (idx, Complex._from_masks(self.n, [masks[i] for i in idx]))
-            for idx in _selection_indices(len(masks))
-        )
 
     # -- serialization and protocol ----------------------------------------
 

@@ -19,7 +19,7 @@ from srdepth.homology import (
 )
 from srdepth.ideals import radical_complex, support_mask
 from srdepth.simplicial import (
-    IRRELEVANT, VOID, _minimal_masks, as_int, face_mask, mask_vertices,
+    IRRELEVANT, VOID, _minimal_masks, _selection_indices, as_int, face_mask, mask_vertices,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -320,6 +320,20 @@ def all_intersections_verdict(cx: Complex, t: int):
     return True, None, None
 
 
+def selection_depth(cx: Complex, indices, field=RATIONALS) -> int:
+    """Depth of the subcomplex generated by the facets of cx at `indices`,
+    built anew through the public constructor."""
+    return depth_stanley_reisner(Complex(cx.n, [cx.facets[i] for i in indices]), field)
+
+
+def checked_rigidity(route, cx: Complex, field=RATIONALS) -> bool:
+    """A homological rigidity route's verdict as a bool, after asserting
+    that a non-rigid verdict names a facet selection of depth below t."""
+    v = route(cx, field)
+    assert v or selection_depth(cx, v.facet_indices, field) < v.t, (cx, str(field), v)
+    return bool(v)
+
+
 # -- squarefree polarization oracle -------------------------------------------------
 
 def polarization(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -392,7 +406,8 @@ def distributed_cone_union(cx: Complex, field=RATIONALS) -> ConeUnion:
         [j for j in range(1, cx.n + 1) if not fm >> (j - 1) & 1] for fm in masks
     ]
     dnf = [frozenset()]
-    for selection, gamma in cx.proper_facet_selections():
+    for selection in _selection_indices(r):
+        gamma = Complex._from_masks(cx.n, [masks[i] for i in selection])
         if depth_stanley_reisner(gamma, field) >= t:
             continue
         outside = [i for i in range(r) if i not in selection]

@@ -33,19 +33,21 @@ from srdepth.rigid import (
     is_rigid_by_subcomplex_depths,
     sample_depth_stability,
 )
-from srdepth.simplicial import Complex, ORDINARY, VOID
+from srdepth.simplicial import Complex, ORDINARY, VOID, _selection_indices
 from tests.conftest import (
     FOURCYCLE,
     RP2_FACETS,
     VEC_EQUAL_1,
     VEC_EQUAL_2,
     VEC_MIDPOINT,
+    checked_rigidity,
     fourcycle_decomposition,
     fourcycle_reference_system,
     grid_equivalence,
     random_decomposition,
     random_ideal,
     random_pure_complex,
+    selection_depth,
     two_facet_depth,
 )
 
@@ -123,8 +125,7 @@ def test_criterion_4_rigid_fixtures():
     assert not is_rigid_by_intersections(skel, 3)
     vd = is_rigid_by_subcomplex_depths(skel, RATIONALS)
     assert not vd
-    assert vd.subcomplex_depth == 2
-    assert depth_stanley_reisner(vd.subcomplex, RATIONALS) == 2
+    assert selection_depth(skel, vd.facet_indices) == 2
 
     assert two_facet_depth((1, 2, 3), (1, 4, 5)) == 2
     assert two_facet_depth((1, 2, 3), (1, 3, 4)) == 3
@@ -149,8 +150,8 @@ def test_criterion_5_projective_plane():
     t2 = depth_stanley_reisner(rp2, F2)
     assert t2 == 2
     f = bool(is_rigid_by_intersections(rp2, t2))
-    d = bool(is_rigid_by_subcomplex_depths(rp2, F2))
-    e = bool(is_rigid_by_skeleton_cm(rp2, F2))
+    d = checked_rigidity(is_rigid_by_subcomplex_depths, rp2, F2)
+    e = checked_rigidity(is_rigid_by_skeleton_cm, rp2, F2)
     assert f == d == e
     report(5, f"RP2_6: depth 3/CM over Q, not CM over F_2, non-rigid pair meets in "
               f"1 vertex; F_2 depth {t2} with agreeing rigidity routes (rigid={f})")
@@ -180,7 +181,9 @@ def _all_degree_complexes_deep(dec, field, t):
 
 
 def _no_shallow_selection_realized(dec, field, t):
-    for sel, gamma in dec.delta.proper_facet_selections():
+    masks = dec.delta.facet_masks
+    for sel in _selection_indices(len(masks)):
+        gamma = Complex._from_masks(dec.n, [masks[i] for i in sel])
         if depth_stanley_reisner(gamma, field) >= t:
             continue
         if degree_selecting_witness(dec, sel) is not None:
@@ -212,8 +215,8 @@ def test_criterion_8_rigidity_equivalence_and_sampling(complex_corpus):
         for field in (RATIONALS, F2):
             t = depth_stanley_reisner(cx, field)
             f = bool(is_rigid_by_intersections(cx, t))
-            d = bool(is_rigid_by_subcomplex_depths(cx, field))
-            e = bool(is_rigid_by_skeleton_cm(cx, field))
+            d = checked_rigidity(is_rigid_by_subcomplex_depths, cx, field)
+            e = checked_rigidity(is_rigid_by_skeleton_cm, cx, field)
             assert f == d == e, (cx, str(field), f, d, e)
     for cx in complex_corpus:
         t = depth_stanley_reisner(cx, RATIONALS)

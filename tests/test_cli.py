@@ -479,6 +479,22 @@ def test_depth_equal_radical_huge_exponent(tmp_path, capsys):
     assert [stand_in.get(v, v) for v in huge["witness_degree"]] == small["witness_degree"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_depth_equal_radical_huge_power_of_one_variable(tmp_path, capsys, fmt):
+    # P_F^m in one complement variable is the pure power x_j^m, however
+    # large m is, and reads the same as its irreducible form
+    outputs = []
+    for form in ({"power": 10**30}, {"irreducible": [10**30]}):
+        data = {
+            "complex": {"n": 2, "facets": [[1], [2]]},
+            "components": [{"facet": [1], **form}, {"facet": [2], "power": 1}],
+        }
+        path = write_json(tmp_path, data)
+        outputs.append(run(capsys, "depth-equal-radical", path, "--format", fmt))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][2] == ""
+
+
 def test_depth_equal_radical_refuses_two_components_for_one_facet(tmp_path, capsys):
     facets = [[1, 2], [2, 3], [3, 4], [1, 4]]
     components = [{"facet": [1, 2], "power": 2}] + [{"facet": f, "power": 5} for f in facets]

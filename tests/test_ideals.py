@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -10,6 +10,7 @@ from srdepth.ideals import (
     Decomposition,
     MonomialIdeal,
     _minimalize,
+    complement_vars,
     divides,
     irreducible_ideal,
     prime_ideal,
@@ -266,6 +267,43 @@ def test_prime_power_generator_cap(monkeypatch):
         prime_power_ideal(3, (1,), 10)
 
 
+def test_prime_power_of_one_variable_is_its_pure_power():
+    assert prime_power_ideal(2, (1,), 10**30) == irreducible_ideal(2, (1,), (10**30,))
+    # no complement variable: no generator, whatever the power
+    assert prime_power_ideal(2, (1, 2), 10**30).is_zero
+
+
+@pytest.mark.parametrize("m", [2.0, True])
+def test_non_integer_power_refused(m):
+    # True is not read as the power 1, nor 2.0 as 2
+    with pytest.raises(ValueError, match=f"^power must be an integer, got {m!r}$"):
+        prime_power_ideal(3, (1,), m)
+
+
+def test_prime_power_matches_the_multiset_oracle():
+    def oracle(n, facet, m):
+        gens = []
+        for combo in combinations_with_replacement(complement_vars(n, facet), m):
+            vec = [0] * n
+            for j in combo:
+                vec[j - 1] += 1
+            gens.append(vec)
+        return MonomialIdeal(n, gens)
+
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for facet in combinations(range(1, n + 1), k):
+                for m in range(1, 7):
+                    assert prime_power_ideal(n, facet, m) == oracle(n, facet, m), (n, facet, m)
+
+
+def test_prime_power_at_the_cap_in_two_variables():
+    # 100,000 generators of P_F^99999 in two variables, each listed in O(1)
+    ideal = prime_power_ideal(3, (1,), 99_999)
+    assert len(ideal.gens) == ideals_mod.MAX_PRIME_POWER_GENERATORS
+    assert ideal.gens[0] == (0, 0, 99_999) and ideal.gens[-1] == (0, 99_999, 0)
+
+
 def test_prime_power_cap_refuses_before_listing():
     with pytest.raises(ValueError, match="5000150001 generators"):
         prime_power_ideal(5, (1, 2), 100000)
@@ -436,6 +474,15 @@ def test_non_integer_exponents_rejected():
             MonomialIdeal(2, [(bad, 0), (0, 2)])
     with pytest.raises(ValueError):
         irreducible_ideal(4, (3, 4), (1.5, 2))
+
+
+@pytest.mark.parametrize("n", [2.0, True])
+@pytest.mark.parametrize(
+    "build", [MonomialIdeal, MonomialIdeal._from_antichain], ids=["init", "from_antichain"]
+)
+def test_non_integer_variable_count_refused(build, n):
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+        build(n, [(1, 0), (0, 1)])
 
 
 @pytest.mark.parametrize(

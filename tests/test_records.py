@@ -35,13 +35,11 @@ RECORDS = [
     (lambda: CMResult(True), "CMResult(cm=True, face=None, index=None)"),
     (
         lambda: is_rigid_by_intersections(FOURCYCLE, 2),
-        "RigidVerdict(rigid=False, t=2, facet_indices=(0, 3), intersection_size=0, "
-        "subcomplex=None, subcomplex_depth=None)",
+        "RigidVerdict(rigid=False, t=2, facet_indices=(0, 3), intersection_size=0)",
     ),
     (
         lambda: RigidVerdict(True, 2),
-        "RigidVerdict(rigid=True, t=2, facet_indices=None, intersection_size=None, "
-        "subcomplex=None, subcomplex_depth=None)",
+        "RigidVerdict(rigid=True, t=2, facet_indices=None, intersection_size=None)",
     ),
     (
         lambda: local_cohomology_table(MonomialIdeal(2, [(1, 1)]))[1],

@@ -11,7 +11,10 @@ from srdepth.rigid import (
 )
 from srdepth import simplicial
 from srdepth.simplicial import Complex
-from tests.conftest import all_intersections_verdict, random_pure_complex, two_facet_depth
+from tests.conftest import (
+    all_intersections_verdict, checked_rigidity, random_pure_complex, selection_depth,
+    two_facet_depth,
+)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -116,10 +119,10 @@ def test_skeleton_of_two_big_facets_not_rigid(two_big_facets):
     assert depth_stanley_reisner(skel, RATIONALS) == 3
     vd = is_rigid_by_subcomplex_depths(skel, RATIONALS)
     assert not vd
-    assert vd.subcomplex_depth == 2
-    assert depth_stanley_reisner(vd.subcomplex, RATIONALS) == 2
+    assert selection_depth(skel, vd.facet_indices) == 2
     ve = is_rigid_by_skeleton_cm(skel, RATIONALS)
     assert not ve
+    assert selection_depth(skel, ve.facet_indices) < 3
     vf = is_rigid_by_intersections(skel, 3)
     assert not vf
 
@@ -138,8 +141,8 @@ def test_route_equivalence_random():
         for field in (RATIONALS, F2):
             t = depth_stanley_reisner(cx, field)
             f = bool(is_rigid_by_intersections(cx, t))
-            d = bool(is_rigid_by_subcomplex_depths(cx, field))
-            e = bool(is_rigid_by_skeleton_cm(cx, field))
+            d = checked_rigidity(is_rigid_by_subcomplex_depths, cx, field)
+            e = checked_rigidity(is_rigid_by_skeleton_cm, cx, field)
             assert f == d == e, (cx, str(field), f, d, e)
 
 
@@ -204,7 +207,7 @@ def field_independence(cx, primes):
     """Rigidity over Q and (depth, rigid) over each F_p, after asserting that
     depth only drops over F_p and rigidity over Q persists over every F_p."""
     t_q = depth_stanley_reisner(cx, RATIONALS)
-    rigid_q = bool(is_rigid_by_subcomplex_depths(cx, RATIONALS))
+    rigid_q = checked_rigidity(is_rigid_by_subcomplex_depths, cx, RATIONALS)
     by_p = {}
     for p in primes:
         t_p = depth_stanley_reisner(cx, prime_field(p))

@@ -81,6 +81,12 @@ def test_vertex_out_of_range():
         Complex(0, [()])
 
 
+@pytest.mark.parametrize("n", [2.0, True])
+def test_non_integer_vertex_count_refused(n):
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+        Complex(n, [(1,)])
+
+
 def test_repeated_vertex_refused():
     with pytest.raises(ValueError, match="^vertex 1 listed twice$"):
         Complex(4, [(1, 1, 2), (2, 3)])
@@ -296,20 +302,22 @@ def test_cached_face_list_is_not_shared_with_callers(fourcycle):
 
 
 @pytest.mark.parametrize("r", range(1, 7))
-def test_proper_facet_selections_order(r, fourcycle):
-    # a path of r edges, so that selected facets share vertices
-    cx = Complex(r + 1, [(v, v + 1) for v in range(1, r + 1)])
-    selections = cx.proper_facet_selections()
+def test_selection_indices_order(r):
+    selections = simplicial._selection_indices(r)
     assert iter(selections) is selections  # lazy, not a list
-    pairs = list(selections)
-    assert [idx for idx, _ in pairs] == [
+    assert list(selections) == [
         idx for k in range(1, r) for idx in combinations(range(r), k)
     ]
-    for idx, gamma in pairs:
-        assert gamma == Complex(r + 1, [cx.facets[i] for i in idx])
-    by_indices = dict(fourcycle.proper_facet_selections())
-    assert by_indices[(0, 3)].facets == ((1, 2), (3, 4))
-    assert by_indices[(1,)].facets == ((2, 3),)
+
+
+def test_selection_indices_cap_refuses_when_called(monkeypatch):
+    cap = simplicial.DEFAULT_FACET_CAP
+    assert next(simplicial._selection_indices(cap)) == (0,)
+    with pytest.raises(ValueError, match=f"^{cap + 1} facets exceed the enumeration cap {cap}$"):
+        simplicial._selection_indices(cap + 1)
+    monkeypatch.setattr(simplicial, "DEFAULT_FACET_CAP", 3)
+    with pytest.raises(ValueError, match="^4 facets exceed the enumeration cap 3$"):
+        simplicial._selection_indices(4)
 
 
 @pytest.mark.parametrize(
