@@ -23,7 +23,6 @@ from .ideals import (
     Decomposition,
     MonomialIdeal,
     irreducible_ideal,
-    prime_ideal,
     prime_power_ideal,
     radical_complex,
     stanley_reisner_ideal,
@@ -55,7 +54,6 @@ __all__ = [
     "depth_stanley_reisner",
     "MonomialIdeal",
     "Decomposition",
-    "prime_ideal",
     "irreducible_ideal",
     "prime_power_ideal",
     "stanley_reisner_ideal",

@@ -95,7 +95,7 @@ def degree_complex(ideal: MonomialIdeal, a: Sequence[int]) -> Complex:
     free = ((1 << n) - 1) & ~negative_support(a)
     excess = _excess_sets(_supports(ideal), a, free)
     if excess is None:
-        return Complex(n, [])
+        return Complex._from_masks(n, [])
     return Complex._from_masks(n, [free & ~t for t in minimal_transversals(excess)])
 
 

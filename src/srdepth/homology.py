@@ -4,8 +4,9 @@ Ranks of boundary maps are computed column by column on sparse columns:
 XOR elimination of column bitsets over F_2, and fraction-free integer
 elimination of {row: coefficient} columns over the rationals and odd prime
 fields (reduced mod p there); no floating point anywhere.  The dense
-boundary_matrix and its eliminations (Bareiss-style over Q, Gaussian over
-F_p) stay as oracles for the tests, `srdepth audit` and the Koszul depth.
+boundary_matrix and matrix_rank, one fraction-free elimination of dense
+rows for every field, stay as oracles for the tests, `srdepth audit` and
+the Koszul depth.
 On top of the homology kernel sit Reisner's Cohen-Macaulay criterion and
 Hochster's formula for the depth of a Stanley-Reisner ring.
 
@@ -114,82 +115,44 @@ def prime_field(p: int) -> FieldSpec:
 
 # -- exact rank kernels ------------------------------------------------------
 
-def rank_fraction_free(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+def matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
+    """Rank of an integer matrix over the field by fraction-free elimination.
 
-    Bareiss' two-step determinant update keeps every intermediate entry an
-    integer (the division is exact), so the result is exact for arbitrary
-    integer input.
+    Every row below the pivot row becomes pivot*row - factor*pivot_row.
+    Over Q the result is then divided by the previous pivot, Bareiss's
+    step: the division is exact, so every entry stays an integer, provided
+    every row below the pivot is updated, those with factor 0 too.  Over
+    F_p the entries are reduced mod p instead; the pivot is nonzero there,
+    so no inverse is needed.
     """
-    m = len(rows)
-    if m == 0:
-        return 0
-    ncols = len(rows[0])
-    a = [list(r) for r in rows]
+    p = field.p
+    a = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
+    m = len(a)
     rank = 0
     prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, m):
-            if a[r][col] != 0:
-                piv = r
-                break
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, m) if a[r][col]), None)
         if piv is None:
             continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-        pivot = a[rank][col]
-        for r in range(rank + 1, m):
-            factor = a[r][col]
-            row = a[r]
-            prow = a[rank]
-            for c in range(col, ncols):
-                row[c] = (row[c] * pivot - factor * prow[c]) // prev
+        a[rank], a[piv] = a[piv], a[rank]
+        prow = a[rank]
+        pivot = prow[col]
+        for row in a[rank + 1:]:
+            factor = row[col]
+            for c in range(col, len(row)):
+                x = row[c] * pivot - factor * prow[c]
+                row[c] = x % p if p else x // prev
         prev = pivot
         rank += 1
-        if rank == m:
-            break
     return rank
+
+
+def rank_fraction_free(rows: list[list[int]]) -> int:
+    return matrix_rank(rows, RATIONALS)
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p by Gaussian elimination."""
-    m = len(rows)
-    if m == 0:
-        return 0
-    ncols = len(rows[0])
-    a = [[x % p for x in r] for r in rows]
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, m):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        prow = a[rank]
-        if inv != 1:
-            a[rank] = prow = [(x * inv) % p for x in prow]
-        for r in range(rank + 1, m):
-            factor = a[r][col]
-            if factor:
-                row = a[r]
-                for c in range(col, ncols):
-                    row[c] = (row[c] - factor * prow[c]) % p
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def matrix_rank(rows: list[list[int]], field: FieldSpec) -> int:
-    if field.is_rationals:
-        return rank_fraction_free(rows)
-    return rank_mod_p(rows, field.p)
+    return matrix_rank(rows, prime_field(p))
 
 
 # -- boundary matrices -------------------------------------------------------

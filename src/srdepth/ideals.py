@@ -1,15 +1,18 @@
 """Monomial ideals with exact integer exponents, and unmixed decompositions.
 
-A monomial is an exponent tuple of length n; a MonomialIdeal keeps the
-antichain of minimal generators in a canonical sort order.  Intersections go
-through pairwise lcms plus minimalization, which is transparent at desk scale
-and certified by membership property tests.
+A monomial is an exponent tuple of length n, 1 <= n <= 64; a MonomialIdeal
+keeps the antichain of minimal generators in a canonical sort order.
+Intersections go through pairwise lcms plus minimalization, which is
+transparent at desk scale and certified by membership property tests.
 
-The complex of the squarefree monomials outside the radical
-(`radical_complex`) has as facets the complements of the minimal vertex
-covers of the generator supports, so no 2^n sweep is needed.  Each ideal
-keeps its radical complex once built; ideals are never changed after
-construction, so the kept complex cannot go stale.
+Complexes and squarefree ideals pass into each other by minimal
+transversals (Alexander duality), so no 2^n sweep is needed: the complex
+of the squarefree monomials outside the radical (`radical_complex`) has as
+facets the complements of the minimal vertex covers of the generator
+supports, and the Stanley-Reisner ideal of a complex is generated by its
+minimal nonfaces, the minimal transversals of the facet complements.
+Each ideal keeps its radical complex once built; ideals are never changed
+after construction, so the kept complex cannot go stale.
 
 A Decomposition pairs a pure complex with one P_F-primary component per facet
 F.  P_F-primary is checked structurally: every generator is supported in the
@@ -18,12 +21,13 @@ complement of F and every complement variable occurs as a pure power.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from functools import reduce
 from itertools import groupby
 from math import comb
 from operator import itemgetter
 
 from .simplicial import (
-    Complex, VOID, as_int, face_mask, json_fields, json_list, json_rows,
+    MAX_VERTICES, Complex, VOID, as_int, face_mask, json_fields, json_list, json_rows,
     mask_vertices, minimal_transversals, require_pure,
 )
 
@@ -49,6 +53,16 @@ def support_mask(u: Monomial) -> int:
     return m
 
 
+def _ambient(n) -> int:
+    """n as a variable count, refusing anything outside 1..MAX_VERTICES."""
+    n = as_int(n, "n")
+    if n < 1:
+        raise ValueError("ambient variable count must be >= 1")
+    if n > MAX_VERTICES:
+        raise ValueError(f"ambient variable count must be at most {MAX_VERTICES}, got {n}")
+    return n
+
+
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     # a proper divisor has a smaller total degree, so each generator is
     # compared only with the kept generators of the earlier degree groups
@@ -64,9 +78,7 @@ class MonomialIdeal:
     __slots__ = ("n", "gens", "_radical")
 
     def __init__(self, n: int, generators: Iterable[Iterable[int]]):
-        n = as_int(n, "n")
-        if n < 1:
-            raise ValueError("ambient variable count must be >= 1")
+        n = _ambient(n)
         clean: list[Monomial] = []
         for g in generators:
             t = tuple(as_int(e, "exponent") for e in g)
@@ -83,11 +95,8 @@ class MonomialIdeal:
     def _from_antichain(cls, n: int, gens: Iterable[Monomial]) -> "MonomialIdeal":
         """The ideal of exponent tuples of length n that already form an
         antichain: only n is checked, and nothing is minimalised again."""
-        n = as_int(n, "n")
-        if n < 1:
-            raise ValueError("ambient variable count must be >= 1")
         ideal = cls.__new__(cls)
-        ideal.n = n
+        ideal.n = _ambient(n)
         ideal.gens = tuple(sorted(gens))
         ideal._radical = None
         return ideal
@@ -154,25 +163,12 @@ class MonomialIdeal:
         return f"MonomialIdeal(n={self.n}, gens={list(self.gens)})"
 
 
-def intersect_all(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
-    if not ideals:
-        raise ValueError("need at least one ideal")
-    acc = ideals[0]
-    for ideal in ideals[1:]:
-        acc = acc.intersect(ideal)
-    return acc
-
-
 # -- component constructors ---------------------------------------------------
 
 def complement_vars(n: int, facet: Iterable[int]) -> tuple[int, ...]:
+    n = _ambient(n)
     fmask = face_mask(facet, n)
     return tuple(j for j in range(1, n + 1) if not fmask >> (j - 1) & 1)
-
-
-def prime_ideal(n: int, facet: Iterable[int]) -> MonomialIdeal:
-    """P_F = (x_j : j not in F)."""
-    return prime_power_ideal(n, facet, 1)
 
 
 def irreducible_ideal(n: int, facet: Iterable[int], exps: Sequence[int]) -> MonomialIdeal:
@@ -230,10 +226,17 @@ def prime_power_ideal(n: int, facet: Iterable[int], m: int) -> MonomialIdeal:
 
 
 def stanley_reisner_ideal(cx: Complex) -> MonomialIdeal:
-    """Intersection of the facet primes P_F of the complex."""
+    """I_cx, generated by the minimal nonfaces of the complex: the minimal
+    transversals of the facet complements, as squarefree monomials.  It
+    equals the intersection of the facet primes P_F; a simplex gives the
+    zero ideal and {()} the maximal ideal."""
     if cx.kind == VOID:
         raise ValueError("void complex has no Stanley-Reisner ideal")
-    return intersect_all([prime_ideal(cx.n, f) for f in cx.facets])
+    n = cx.n
+    nonfaces = minimal_transversals(((1 << n) - 1) & ~fm for fm in cx.facet_masks)
+    gens = [tuple(t >> j & 1 for j in range(n)) for t in nonfaces]
+    # minimal transversals form an antichain, and so do their 0/1 exponents
+    return MonomialIdeal._from_antichain(n, gens)
 
 
 def radical_complex(ideal: MonomialIdeal) -> Complex:
@@ -310,7 +313,7 @@ class Decomposition:
         return self.delta.n
 
     def intersection(self) -> MonomialIdeal:
-        return intersect_all(self.components)
+        return reduce(MonomialIdeal.intersect, self.components)
 
     def max_exponents(self) -> tuple[int, ...]:
         """Coordinatewise max over components; equals the intersection's maxima."""
@@ -334,7 +337,7 @@ class Decomposition:
             if "generators" in entry:
                 ideal = MonomialIdeal(delta.n, json_rows(entry["generators"], "generators"))
             elif "power" in entry:
-                ideal = prime_power_ideal(delta.n, facet, as_int(entry["power"], "power"))
+                ideal = prime_power_ideal(delta.n, facet, entry["power"])
             else:
                 exps = json_list(entry["irreducible"], "irreducible")
                 ideal = irreducible_ideal(delta.n, facet, exps)

@@ -320,6 +320,19 @@ def test_decomposition_refuses_a_repeated_vertex(tmp_path, capsys, form):
     assert run(capsys, "depth-equal-radical", path) == expected
 
 
+@pytest.mark.parametrize("command", ["depth", "local-cohomology"])
+@pytest.mark.parametrize("gens", [
+    [[2] + [0] * 69, [0] * 69 + [1]],
+    [[1, 1] + [0] * 68, [2] + [0] * 69, [0, 2] + [0] * 68],
+], ids=["x1^2,x70", "x1x2,x1^2,x2^2"])
+def test_ideal_in_more_than_64_variables_is_refused_by_every_command(
+    tmp_path, capsys, command, gens
+):
+    path = write_json(tmp_path, {"n": 70, "generators": gens})
+    expected = f"error: {path}: ambient variable count must be at most 64, got 70\n"
+    assert run(capsys, command, path) == (2, "", expected)
+
+
 def test_refusals_print_the_library_text(tmp_path, capsys):
     """Void, impure, zero and unit inputs: one error line with the text of the
     library's ValueError, behind the path where the loader refuses."""

@@ -548,13 +548,13 @@ def test_every_decomposition_over_the_irrelevant_complex_has_equal_depth(n):
 def test_decision_trivial_for_squarefree():
     rng = random.Random(41)
     from tests.conftest import random_pure_complex
-    from srdepth.ideals import Decomposition, prime_ideal
+    from srdepth.ideals import Decomposition, prime_power_ideal
 
     for _ in range(10):
         cx = random_pure_complex(rng, n_max=5, r_max=4)
         if len(cx.facets[0]) == cx.n:
             continue
-        dec = Decomposition(cx, {f: prime_ideal(cx.n, f) for f in cx.facets})
+        dec = Decomposition(cx, {f: prime_power_ideal(cx.n, f, 1) for f in cx.facets})
         assert depth_equals_radical(dec).equal
 
 

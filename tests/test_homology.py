@@ -70,6 +70,48 @@ def rank_fractions(rows):
     return rank
 
 
+def rank_gauss_mod_p(rows, p):
+    """Gaussian elimination over F_p with a monic pivot row."""
+    a = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        prow = [x * inv % p for x in a[rank]]
+        for r in range(rank + 1, len(a)):
+            a[r] = [(x - a[r][col] * y) % p for x, y in zip(a[r], prow)]
+        rank += 1
+    return rank
+
+
+def test_dense_rank_matches_independent_eliminations():
+    # sparse and low-rank integer matrices, so that rank drops and zero
+    # factors below a pivot (which Bareiss's exact division needs updated) occur
+    rng = random.Random(33)
+    fields = [prime_field(p) for p in (2, 3, 5, 7)]
+    for _ in range(1500):
+        m, ncols = rng.randint(0, 7), rng.randint(1, 7)
+        if rng.random() < 0.5:
+            rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)]
+                    for _ in range(m)]
+        else:
+            k = rng.randint(1, 3)
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+            right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(k)]
+            rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*right)] for r in left]
+        assert matrix_rank(rows, RATIONALS) == rank_fractions(rows), rows
+        for field in fields:
+            assert matrix_rank(rows, field) == rank_gauss_mod_p(rows, field.p), (rows, field)
+
+
+def test_rank_mod_p_refuses_a_composite_characteristic():
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        rank_mod_p([[1, 0], [0, 1]], 4)
+
+
 @given(
     st.lists(
         st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5),

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
@@ -13,7 +14,6 @@ from srdepth.ideals import (
     complement_vars,
     divides,
     irreducible_ideal,
-    prime_ideal,
     prime_power_ideal,
     radical_complex,
     stanley_reisner_ideal,
@@ -141,6 +141,25 @@ def test_fourcycle_prime_intersection(fourcycle):
     assert radical_complex(ideal) == fourcycle
 
 
+def test_stanley_reisner_ideal_is_the_intersection_of_facet_primes():
+    # minimal nonfaces against the fold of the primes P_F = P_F^1
+    rng = random.Random(34)
+    cases = [Complex(n, [()]) for n in (1, 4)] + [Complex(n, [range(1, n + 1)]) for n in (1, 4)]
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        cases.append(Complex(n, [
+            [v for v in range(1, n + 1) if rng.random() < 0.5] for _ in range(rng.randint(1, 5))
+        ]))
+    for cx in cases:
+        primes = [prime_power_ideal(cx.n, f, 1) for f in cx.facets]
+        assert stanley_reisner_ideal(cx) == reduce(MonomialIdeal.intersect, primes), cx
+    # {()} gives the maximal ideal and a simplex the zero ideal
+    assert stanley_reisner_ideal(Complex(2, [()])).gens == ((0, 1), (1, 0))
+    assert stanley_reisner_ideal(Complex(2, [(1, 2)])).is_zero
+    with pytest.raises(ValueError, match="void complex has no Stanley-Reisner ideal"):
+        stanley_reisner_ideal(Complex(2, []))
+
+
 # -- radical ----------------------------------------------------------------------
 
 def test_radical_basics():
@@ -244,7 +263,7 @@ def test_polarization_keeps_the_minimal_generators(ideal):
 # -- components and decompositions ----------------------------------------------------------
 
 def test_prime_ideal():
-    assert prime_ideal(4, (1, 2)).gens == ((0, 0, 0, 1), (0, 0, 1, 0))
+    assert prime_power_ideal(4, (1, 2), 1).gens == ((0, 0, 0, 1), (0, 0, 1, 0))
 
 
 def test_prime_power_ideal():
@@ -344,14 +363,14 @@ def test_prime_power_decomposition_valid(fourcycle):
 
 
 def test_component_supported_inside_facet_rejected(fourcycle):
-    bad = {f: prime_ideal(4, f) for f in fourcycle.facets}
+    bad = {f: prime_power_ideal(4, f, 1) for f in fourcycle.facets}
     bad[(1, 2)] = MonomialIdeal(4, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     with pytest.raises(ValueError, match="facet"):
         Decomposition(fourcycle, bad)
 
 
 def test_component_missing_pure_power_rejected(fourcycle):
-    bad = {f: prime_ideal(4, f) for f in fourcycle.facets}
+    bad = {f: prime_power_ideal(4, f, 1) for f in fourcycle.facets}
     bad[(1, 2)] = MonomialIdeal(4, [(0, 0, 1, 1)])
     with pytest.raises(ValueError, match="pure power"):
         Decomposition(fourcycle, bad)
@@ -360,7 +379,7 @@ def test_component_missing_pure_power_rejected(fourcycle):
 def test_non_pure_complex_rejected():
     cx = Complex(5, [(1, 2, 3), (4, 5)])
     with pytest.raises(ValueError, match="pure"):
-        Decomposition(cx, {f: prime_ideal(5, f) for f in cx.facets})
+        Decomposition(cx, {f: prime_power_ideal(5, f, 1) for f in cx.facets})
 
 
 def test_decomposition_json_round_trip():
@@ -419,7 +438,7 @@ def test_decomposition_json_refuses_two_forms_for_one_component(forms):
 
 
 def test_decomposition_refuses_two_keys_for_one_facet(fourcycle):
-    comps = {f: prime_ideal(4, f) for f in fourcycle.facets}
+    comps = {f: prime_power_ideal(4, f, 1) for f in fourcycle.facets}
     comps[(2, 1)] = prime_power_ideal(4, (1, 2), 5)
     with pytest.raises(ValueError, match=r"facet \[1, 2\] has more than one component"):
         Decomposition(fourcycle, comps)
@@ -483,6 +502,28 @@ def test_non_integer_exponents_rejected():
 def test_non_integer_variable_count_refused(build, n):
     with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
         build(n, [(1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "build", [MonomialIdeal, MonomialIdeal._from_antichain], ids=["init", "from_antichain"]
+)
+def test_more_than_64_variables_refused(build):
+    with pytest.raises(ValueError, match="^ambient variable count must be at most 64, got 70$"):
+        build(70, [])
+    assert build(64, [(1,) + (0,) * 63]).n == 64
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: complement_vars(n, (1,)),
+    lambda n: prime_power_ideal(n, (1,), 2),
+    lambda n: irreducible_ideal(n, (1,), (1,)),
+], ids=["complement_vars", "prime_power_ideal", "irreducible_ideal"])
+def test_component_constructors_check_the_variable_count(build):
+    # the same check and messages as the ideal constructors
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.0$"):
+        build(2.0)
+    with pytest.raises(ValueError, match="^ambient variable count must be at most 64, got 65$"):
+        build(65)
 
 
 @pytest.mark.parametrize(

@@ -80,7 +80,7 @@ def test_library_surface_is_pinned():
         "Complex", "VOID", "IRRELEVANT", "ORDINARY",
         "FieldSpec", "RATIONALS", "prime_field", "CMResult",
         "reduced_betti", "is_cohen_macaulay", "depth_stanley_reisner",
-        "MonomialIdeal", "Decomposition", "prime_ideal", "irreducible_ideal",
+        "MonomialIdeal", "Decomposition", "irreducible_ideal",
         "prime_power_ideal", "stanley_reisner_ideal", "radical_complex",
         "degree_complex", "LocalCohomologyCell", "local_cohomology_table",
         "depth_via_local_cohomology", "DepthEqualsRadicalVerdict", "depth_equals_radical",
