@@ -43,6 +43,7 @@ from .criteria import (
 from .homology import (
     FieldSpec,
     RATIONALS,
+    _low_depth_selections,
     _rank,
     boundary_matrix,
     depth_stanley_reisner,
@@ -58,7 +59,7 @@ from .rigid import (
     is_rigid_by_subcomplex_depths,
     sample_depth_stability,
 )
-from .simplicial import Complex, DEFAULT_FACET_CAP, ORDINARY
+from .simplicial import Complex, DEFAULT_FACET_CAP, ORDINARY, _selection_indices
 
 
 class CliError(Exception):
@@ -341,6 +342,7 @@ def _audit_complex(cx: Complex, problems: list[str]) -> None:
         if (d == cx.dim + 1) != bool(is_cohen_macaulay(cx, k)):
             problems.append(f"depth/CM inconsistency over {k}")
     if cx.is_pure and len(cx.facet_masks) <= DEFAULT_FACET_CAP:
+        masks = cx.facet_masks
         for k in fields:
             t = depth_stanley_reisner(cx, k)
             f = bool(is_rigid_by_intersections(cx, t))
@@ -348,6 +350,14 @@ def _audit_complex(cx: Complex, problems: list[str]) -> None:
             ev = bool(is_rigid_by_skeleton_cm(cx, k))
             if not f == dv == ev:
                 problems.append(f"rigidity routes disagree over {k}")
+            # the cone union's walk against every selection built
+            walked = list(_low_depth_selections(cx.n, masks, t, k, _selection_indices(len(masks))))
+            built = [
+                idx for idx in _selection_indices(len(masks))
+                if depth_stanley_reisner(Complex._from_masks(cx.n, [masks[i] for i in idx]), k) < t
+            ]
+            if walked != built:
+                problems.append(f"low-depth selections disagree over {k}")
         t = depth_stanley_reisner(cx, RATIONALS)
         if is_rigid_by_intersections(cx, t):
             mismatches = sample_depth_stability(cx, RATIONALS, exponent_bound=2, trials=5)

@@ -2,9 +2,15 @@
 
 For a pure complex, the exponent tuples (a_{ij}) of an irreducible
 decomposition for which depth(S/I) equals the radical depth form a finite
-union of rational cones.  The facet selections are walked by their masks,
-and homology._selection_below asks whether each has depth below t, building
-a subcomplex only where the facets alone do not tell; each such Γ contributes
+union of rational cones.  The facet selections are walked once per call by
+homology._low_depth_selections, which asks whether each has depth below t.
+A selection Γ of three or more facets with a facet F whose complement
+Γ' = Γ minus F has depth >= t is answered by Λ = <G n F : G in Γ'>: the
+depth lemma on 0 -> K[Γ] -> K[Γ'] + K[<F>] -> K[Λ] -> 0 gives
+depth K[Γ] >= min(t, depth K[Λ] + 1) and depth K[Λ] >= min(t, depth K[Γ] - 1),
+so depth K[Γ] >= t iff depth K[Λ] >= t - 1.  Only the rest are asked of
+homology._selection_below, which builds a subcomplex only where the facets
+alone do not tell.  Each Γ of depth below t contributes
 the formula OR_{i not in Γ} AND_{j not in F_i} OR_{k in Γ, j not in F_k}
 a_{ij} >= a_{kj}, the factored form (by distributivity) of a conjunction over
 tuples of outside-variable choices.  Expanding each selection's formula into a
@@ -27,7 +33,7 @@ from collections.abc import Mapping
 from itertools import product
 from math import prod
 
-from .homology import FieldSpec, RATIONALS, _selection_below, depth_stanley_reisner
+from .homology import FieldSpec, RATIONALS, _low_depth_selections, depth_stanley_reisner
 from .simplicial import Complex, Record, _selection_indices, as_int, require_pure
 
 Symbol = tuple[int, int]  # (facet index, variable index)
@@ -155,6 +161,17 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     conjunction filed under one of the local terms inside it.  So the final
     union needs no prune, only the canonical sort.
 
+    The selections of depth below t come from homology._low_depth_selections,
+    in the order of simplicial._selection_indices.  It answers a selection Γ
+    of three or more facets from the first F in Γ whose complement
+    Γ' = Γ minus F it found to have depth >= t: K[Γ'] + K[<F>] then has
+    depth >= t, as |F| >= t, and the depth lemma on
+    0 -> K[Γ] -> K[Γ'] + K[<F>] -> K[Λ] -> 0, Λ = <G n F : G in Γ'>, gives
+
+        depth K[Γ] >= min(t, depth K[Λ] + 1),  depth K[Λ] >= min(t, depth K[Γ] - 1),
+
+    so Γ has depth below t exactly when Λ has depth below t - 1.
+
     A step whose product would list more than MAX_CONE_CANDIDATES candidate
     conjunctions is refused with a ValueError before it is expanded, and a
     complex beyond simplicial.DEFAULT_FACET_CAP facets before any depth.
@@ -183,13 +200,8 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
                 atoms.append((p, sym_pos[(k, j)]))
         rows[i].append(row)
 
-    low_depth_selections = (
-        selection for selection in selections
-        if _selection_below(cx.n, [masks[i] for i in selection], t, field)
-    )
-
     dnf = [0]
-    for selection in low_depth_selections:
+    for selection in _low_depth_selections(cx.n, masks, t, field, selections):
         # per outside facet, the atoms usable at each of its outside variables
         choices = [
             [[row[k] for k in selection if row[k]] for row in rows[i]]

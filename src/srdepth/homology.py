@@ -28,7 +28,14 @@ The decision and the cone union ask one question of many facet selections
 of a pure complex of depth t: is the selection's depth below t?
 _selection_below answers it from the facet masks for one or two facets
 (a pair has depth |F n G| + 1) and for t <= 2 (connectivity), over every
-field, and builds the subcomplex only for the rest.
+field, and builds the subcomplex only for the rest.  The cone union asks it
+of every selection in turn, and _low_depth_selections answers most of them
+from a smaller selection already walked, by the depth lemma (Bruns-Herzog,
+Prop. 1.2.9) on the Mayer-Vietoris sequence
+0 -> K[Γ] -> K[Γ minus F] + K[<F>] -> K[Λ] -> 0, Λ = <G n F : G in Γ minus F>:
+when the middle term has depth >= t,
+depth K[Γ] >= min(t, depth K[Λ] + 1) and depth K[Λ] >= min(t, depth K[Γ] - 1),
+so Γ has depth >= t exactly when Λ has depth >= t - 1.
 
 The only caches, by value, are min_nonzero_betti and depth_stanley_reisner,
 and the FieldSpec table holds one entry per field that is asked for:
@@ -41,13 +48,14 @@ has no homology at all.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import lru_cache, reduce
 from math import gcd
-from operator import and_
+from operator import and_, or_
 
 from .simplicial import (
-    Complex, Face, IRRELEVANT, ORDINARY, VOID, Record, as_int, mask_bits, mask_vertices,
+    Complex, Face, IRRELEVANT, ORDINARY, VOID, Record, _maximal_masks, as_int, mask_bits,
+    mask_vertices,
 )
 
 
@@ -435,3 +443,66 @@ def _selection_below(n: int, masks: list[int], t: int, field: FieldSpec) -> bool
     if t <= 2:
         return t == 2 and _components(masks) > 1
     return depth_stanley_reisner(Complex._from_masks(n, masks), field) < t
+
+
+def _generated_below(n: int, parts: list[int], s: int, field: FieldSpec) -> bool:
+    """Whether the complex generated by the faces `parts`, which may be
+    empty, nested or repeated, has depth below s >= 2.
+
+    With every part empty it is the irrelevant complex, of depth 0.  Else
+    it has depth at least 2 exactly when its nonempty parts are connected
+    and cover two or more vertices, which settles s = 2; above that its
+    maximal parts are built and their depth read from the cache.
+    """
+    parts = [m for m in parts if m]
+    if not parts:
+        return True
+    if s <= 2:
+        return _components(parts) > 1 or reduce(or_, parts).bit_count() < 2
+    return depth_stanley_reisner(Complex._from_masks(n, _maximal_masks(parts)), field) < s
+
+
+def _low_depth_selections(
+    n: int, masks: tuple[int, ...], t: int, field: FieldSpec,
+    selections: Iterable[tuple[int, ...]],
+) -> Iterator[tuple[int, ...]]:
+    """The index tuples among `selections` whose facets, from `masks`,
+    generate a subcomplex of depth below t, lazily and in their order.
+
+    The masks are the facets of a pure complex, of size at least t, and the
+    selections come by size, as simplicial._selection_indices lists them.
+    Up to t = 2 and for one or two facets, each selection is asked of
+    _selection_below.  Above that, the selections of depth >= t are kept,
+    at the size walked and the one below.  A selection Γ of three or more
+    facets, with a first facet F whose complement Γ' = Γ minus F was kept,
+    is answered by Λ = <G n F : G in Γ'>, since
+
+        depth K[Γ] >= t  iff  depth K[Λ] >= t - 1.
+
+    For 0 -> K[Γ] -> K[Γ'] + K[<F>] -> K[Λ] -> 0 is exact (Mayer-Vietoris),
+    and the middle has depth >= t as |F| >= t; the depth lemma then gives
+    depth K[Γ] >= min(t, depth K[Λ] + 1) and
+    depth K[Λ] >= min(t, depth K[Γ] - 1).  A selection with no such F is
+    asked of _selection_below.
+    """
+    if t <= 2:
+        for idx in selections:
+            if _selection_below(n, [masks[i] for i in idx], t, field):
+                yield idx
+        return
+    size, deep, deep_below = 0, set(), set()  # index bitmasks of depth >= t
+    for idx in selections:
+        if len(idx) != size:
+            size, deep, deep_below = len(idx), set(), deep
+        bits = sum(1 << i for i in idx)
+        for i in idx if size > 2 else ():
+            if bits ^ 1 << i in deep_below:
+                fm = masks[i]
+                below = _generated_below(n, [masks[k] & fm for k in idx if k != i], t - 1, field)
+                break
+        else:
+            below = _selection_below(n, [masks[i] for i in idx], t, field)
+        if below:
+            yield idx
+        else:
+            deep.add(bits)

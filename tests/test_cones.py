@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -200,14 +200,22 @@ def test_sixcycle_refusal_text(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("name", ["6-cycle", "projective_plane_6"])
-def test_oversized_union_is_refused(name):
+@pytest.mark.parametrize(
+    "name, needed", [("6-cycle", 23589), ("projective_plane_6", 20432)],
+    ids=["6-cycle", "projective_plane_6"],
+)
+def test_oversized_union_is_refused(name, needed):
+    # the plane has t = 3 over Q, so its selections are walked by the depth
+    # lemma; the refusal comes at the same step as when each was built
     if name == "6-cycle":
         cx = SIXCYCLE
     else:
         cx = Complex.from_json_dict(json.loads((FIXTURES / f"{name}.json").read_text()))
-    with pytest.raises(ValueError, match="candidate conjunctions in one step, more than 10000"):
+    with pytest.raises(ValueError) as exc:
         generate_cone_union(cx, RATIONALS)
+    assert str(exc.value) == (
+        f"cone union expansion needs {needed} candidate conjunctions in one step, more than 10000"
+    )
 
 
 def test_cone_candidate_cap(monkeypatch):
@@ -219,16 +227,19 @@ def test_cone_candidate_cap(monkeypatch):
         generate_cone_union(FIVECYCLE, RATIONALS)
 
 
-def test_facet_cap_refuses_before_any_depth(monkeypatch):
+@pytest.mark.parametrize("cap, cx", [
+    (3, FOURCYCLE), (simplicial.DEFAULT_FACET_CAP, Complex(7, combinations(range(1, 8), 2))),
+], ids=["4-cycle", "21 edges"])
+def test_facet_cap_refuses_before_any_depth(monkeypatch, cap, cx):
     def _refuse_depth(*args):
         raise AssertionError("a depth was asked for")
 
-    monkeypatch.setattr(simplicial, "DEFAULT_FACET_CAP", 3)
+    monkeypatch.setattr(simplicial, "DEFAULT_FACET_CAP", cap)
     monkeypatch.setattr(cones_mod, "depth_stanley_reisner", _refuse_depth)
     monkeypatch.setattr(homology, "depth_stanley_reisner", _refuse_depth)
     with pytest.raises(ValueError) as exc:
-        generate_cone_union(FOURCYCLE, RATIONALS)
-    assert str(exc.value) == "4 facets exceed the enumeration cap 3"
+        generate_cone_union(cx, RATIONALS)
+    assert str(exc.value) == f"{len(cx.facet_masks)} facets exceed the enumeration cap {cap}"
 
 
 @pytest.mark.parametrize("cx", [FOURCYCLE, FIVECYCLE], ids=["4-cycle", "5-cycle"])

@@ -315,7 +315,7 @@ def check_class_table(ideal, field):
 @pytest.mark.parametrize("field", [RATIONALS, F2], ids=["Q", "F2"])
 def test_class_table_matches_raw_box_on_fixtures(field):
     ideals = fixture_ideals()
-    assert len(ideals) == 10
+    assert len(ideals) == 11
     for ideal in ideals:
         check_class_table(ideal, field)
 

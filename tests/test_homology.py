@@ -5,6 +5,7 @@ import random
 import weakref
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,8 @@ from srdepth.homology import (
     RATIONALS,
     _components,
     _echelon,
+    _generated_below,
+    _low_depth_selections,
     _rank,
     _rank_f2,
     _selection_below,
@@ -30,7 +33,7 @@ from srdepth.homology import (
     reduced_betti,
 )
 from srdepth.ideals import MonomialIdeal
-from srdepth.simplicial import VOID, Complex
+from srdepth.simplicial import VOID, Complex, _selection_indices
 from bench import corpus as bench_corpus
 from tests.conftest import (
     RP2_FACETS,
@@ -721,6 +724,118 @@ def test_selection_below_matches_the_built_depth():
         ("none or one", False), ("pair", False), ("pair", True),
         ("connectivity", False), ("connectivity", True), ("built", False), ("built", True),
     }
+
+
+def _built_low_depth_selections(cx: Complex, t: int, field: FieldSpec) -> list[tuple[int, ...]]:
+    """Oracle: the proper selections whose built subcomplex has depth below
+    t, the rule of rigid._walk."""
+    masks = cx.facet_masks
+    return [
+        idx for idx in _selection_indices(len(masks))
+        if depth_stanley_reisner(Complex._from_masks(cx.n, [masks[i] for i in idx]), field) < t
+    ]
+
+
+def _walked(cx: Complex, t: int, field: FieldSpec) -> list[tuple[int, ...]]:
+    masks = cx.facet_masks
+    return list(_low_depth_selections(cx.n, masks, t, field, _selection_indices(len(masks))))
+
+
+@pytest.mark.parametrize("count", [300, pytest.param(2500, marks=pytest.mark.slow)])
+def test_low_depth_walk_matches_the_built_selections(count, monkeypatch):
+    # seeded pure complexes, n 4-8, facet sizes 2-5, 3-8 facets, and the
+    # projective plane (t = 3 over Q, 2 over F_2), at every t from 1 to the
+    # facet size (at most 5); every route of the walk must answer both
+    # ways, except a single facet and the fallback
+    answers = set()
+    selection_below, generated_below = homology._selection_below, homology._generated_below
+
+    def asked_selection(n, masks, t, field):
+        below = selection_below(n, masks, t, field)
+        answers.add(("one" if len(masks) < 2 else "pair" if len(masks) == 2
+                     else "connectivity" if t <= 2 else "fallback", below))
+        return below
+
+    def asked_intersections(n, parts, s, field):
+        below = generated_below(n, parts, s, field)
+        answers.add(("lemma by masks" if s <= 2 else "lemma built", below))
+        return below
+
+    monkeypatch.setattr(homology, "_selection_below", asked_selection)
+    monkeypatch.setattr(homology, "_generated_below", asked_intersections)
+    rng = random.Random(34)
+    corpus = []
+    for _ in range(count):
+        n = rng.randint(4, 8)
+        k = rng.randint(2, min(5, n - 1))
+        r = rng.randint(3, min(8, comb(n, k)))
+        corpus.append(Complex(n, bench_corpus.random_pure_complex(rng, n, k, r)))
+    corpus.append(Complex(6, bench_corpus.PROJECTIVE_PLANE_6))
+    for cx in corpus:
+        for field in (RATIONALS, F2, F3):
+            for t in range(1, min(5, cx.dim + 1) + 1):
+                assert _walked(cx, t, field) == _built_low_depth_selections(cx, t, field), (cx, t, field)
+    assert answers == {
+        ("one", False), ("pair", False), ("pair", True),
+        ("connectivity", False), ("connectivity", True),
+        ("lemma by masks", False), ("lemma by masks", True),
+        ("lemma built", False), ("lemma built", True), ("fallback", True),
+    }
+
+
+@pytest.mark.parametrize("parts, depth", [
+    ([0b000, 0b000], 0),  # every G n F empty: the irrelevant complex
+    ([0b001, 0b000, 0b001], 1),  # a single vertex
+    ([0b001, 0b110], 1),  # a maximal isolated vertex beside an edge
+    ([0b011, 0b001, 0b011], 2),  # nested and repeated masks of one edge
+    ([0b0111, 0b0011, 0b1100], 2),  # impure: a triangle and an edge on a vertex
+    ([0b01111, 0b10011], 3),  # impure: a tetrahedron and a triangle on an edge
+    ([0b0111, 0b1110, 0b0110], 3),  # two triangles on an edge, and the edge
+])
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_intersections_below_read_the_built_depth(parts, depth, s):
+    cx = Complex(5, [[j + 1 for j in range(5) if m >> j & 1] for m in parts])
+    assert depth_stanley_reisner(cx, RATIONALS) == depth
+    assert _generated_below(5, parts, s, RATIONALS) == (depth < s)
+
+
+def test_a_selection_without_a_deep_complement_is_built(monkeypatch):
+    # projective plane over Q, t = 3: 123, 145 and 246 meet pairwise in one
+    # vertex, so every pair has depth 2 and the triple is built
+    cx = Complex(6, bench_corpus.PROJECTIVE_PLANE_6)
+    masks = cx.facet_masks
+    triple = tuple(sorted(masks.index(sum(1 << (v - 1) for v in f))
+                          for f in ((1, 2, 3), (1, 4, 5), (2, 4, 6))))
+    built = []
+    selection_below = homology._selection_below
+
+    def asked(n, selected, t, field):
+        if len(selected) > 2:
+            built.append(tuple(masks.index(m) for m in selected))
+        return selection_below(n, selected, t, field)
+
+    monkeypatch.setattr(homology, "_selection_below", asked)
+    walked = _walked(cx, 3, RATIONALS)
+    assert triple in built and triple in walked
+    assert walked == _built_low_depth_selections(cx, 3, RATIONALS)
+
+
+def test_low_depth_walk_is_lazy(monkeypatch):
+    # making the walk asks nothing; each step takes selections only up to
+    # the one it yields
+    asked = []
+
+    def below(n, masks, t, field):
+        asked.append(len(masks))
+        return len(masks) == 2
+
+    monkeypatch.setattr(homology, "_selection_below", below)
+    selections = _selection_indices(4)
+    walk = _low_depth_selections(4, (0b0011, 0b0110, 0b1100, 0b1001), 2, RATIONALS, selections)
+    assert asked == []
+    assert next(walk) == (0, 1)
+    assert asked == [1, 1, 1, 1, 2]
+    assert next(selections) == (0, 2)
 
 
 def _hochster_walk(cx: Complex, field: FieldSpec) -> int:
