@@ -34,10 +34,21 @@ nonfaces, the excess sets: depth 0 iff every vertex is a nonface, and
 depth >= 2 iff the 1-skeleton (the vertices that are not nonfaces, joined
 unless they form a nonface) is connected with at least two vertices.  At a
 minimum of 1 only depth 0 can lower it, so only the 1-element excess sets
-are read.  The decision's degree complexes are facet selections of the
-radical's complex, and homology._selection_below reads whether one has
-depth below t off its facet masks where they tell (one or two facets, or
-t <= 2), building no complex there.
+are read.
+
+The decision's degree complexes are facet selections of the radical's
+complex (Minh-Trung, Adv. Math. 226 (2011)), so whether one has depth
+below t = depth K[Delta] depends on the complex and the field alone.  One
+bounded cache, _selection_memo, keeps it per (complex, field, t).  When
+every k facets of Delta meet in at least t - k + 1 vertices, the paper's
+criterion for rigid depth, no selection falls below t: the memo is None
+and the decision answers equality with no table and no search.
+Otherwise the memo maps each selection the decision's leaves have met, by
+its facet-index bitmask, to its subcomplex of depth below t or to False,
+so a later decomposition over an equal complex asks nothing again; a
+selection met first is asked of homology._selection_below, which reads
+the answer off its facet masks where they tell (one or two facets, or
+t <= 2) and builds no complex there.
 
 `local_cohomology_table` lists the graded pieces themselves, one cell per
 class and index, on the same grid with -1 added for the negative values;
@@ -47,6 +58,7 @@ Koszul-complex depth kept for the tests and `srdepth audit`.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 from itertools import product
 from math import prod
 
@@ -54,6 +66,7 @@ from .homology import (
     FieldSpec,
     RATIONALS,
     _selection_below,
+    _thin_intersection,
     matrix_rank,
     reduced_betti,
     depth_stanley_reisner,
@@ -444,6 +457,17 @@ def _divisibility_rows(n: int, gens) -> tuple[list[list[int]], list[list[int]]]:
     return grid, rows
 
 
+@lru_cache(maxsize=256)
+def _selection_memo(delta: Complex, field: FieldSpec, t: int) -> dict[int, Complex | bool] | None:
+    """The decision's memo for a pure complex delta of depth t over field:
+    None when homology._thin_intersection finds delta rigid at t, so no
+    facet selection has depth below t; else the dict the decision's leaves
+    fill, from a selection's facet-index bitmask to its subcomplex when that
+    has depth below t and to False when not.  Equal complexes share it; the
+    field is part of the key, as t and the answers change with it."""
+    return None if _thin_intersection(delta.facet_masks, t) is None else {}
+
+
 def depth_equals_radical(
     dec: Decomposition, field: FieldSpec = RATIONALS
 ) -> DepthEqualsRadicalVerdict:
@@ -456,28 +480,39 @@ def depth_equals_radical(
     there the complex is a cone with apex j, whose depth is at least that at
     a_j = 0, which comes first, so the first witness never lies there.
 
-    The search is one function of its state (j, mask): the coordinate and
-    the bitmask of the generators, across all components, that divide the
-    degree prefix.  It returns the least bad completion as (degree suffix,
-    selection), or None, trying each coordinate's breakpoint classes in
-    increasing order; at a leaf the selected facets are those whose component
-    keeps no dividing generator, as degree_complex_unmixed selects them.  Each
-    leaf hands their masks to homology._selection_below, which answers one or
-    two facets and t <= 2 from the masks and any other selection from the
-    cache of depth_stanley_reisner; it never answers yes for t <= 1, so
-    then the verdict is equality at once, with no table and no search.
-    Dead states are memoised, one set of masks per coordinate, so the first
-    bad leaf is the box scan's first witness and search(0, all generators)
-    returns it whole; the witness subcomplex is built from its masks alone.
-    The grid and the generators dividing each class come from
-    _divisibility_rows, one pass over the nonzero exponents.  The equivalent
-    facet-selection route (no selection of depth < t admits a
-    degree_selecting_witness) is left to the tests as an oracle; `srdepth
-    audit` checks the verdict against depth_via_local_cohomology of the
-    intersection, a separate code path.
+    Each degree complex of an unmixed ideal is a facet selection of Delta,
+    the facets whose component misses x^a (Minh-Trung, Adv. Math. 226
+    (2011)), so whether it falls below t depends on the complex and the
+    field alone.  _selection_memo keeps that answer once per (complex,
+    field, t).  When Delta passes the paper's intersection criterion it
+    has rigid depth: every selection has depth >= t, the memo is None and
+    the verdict is equality at once, with no table and no search.  Every
+    pure complex passes at t <= 1.
+
+    Otherwise the search is one function of its state (j, mask): the
+    coordinate and the bitmask of the generators, across all components,
+    that divide the degree prefix.  It returns the least bad completion as
+    (degree suffix, witness subcomplex), or None, trying each coordinate's
+    breakpoint classes in increasing order; the classes of the last
+    coordinate are tried in one loop.  At a leaf the selected facets are
+    those whose component keeps no dividing generator, as
+    degree_complex_unmixed selects them; their index bitmask is looked up in
+    the memo, and only a selection not met before, over an equal complex and
+    the same field, is asked of homology._selection_below, which answers
+    one or two facets and t <= 2 from the masks and any other selection
+    from the cache of depth_stanley_reisner.  Dead states are memoised, one
+    set of masks per coordinate, so the first bad leaf is the box scan's
+    first witness and search(0, all generators) returns it whole, with the
+    memo's subcomplex as the witness subcomplex.  The grid and the
+    generators dividing each class come from _divisibility_rows, one pass
+    over the nonzero exponents.  The equivalent facet-selection route (no
+    selection of depth < t admits a degree_selecting_witness) is left to the
+    tests as an oracle; `srdepth audit` checks the verdict against
+    depth_via_local_cohomology of the intersection, a separate code path.
     """
     t = depth_stanley_reisner(dec.delta, field)
-    if t <= 1:
+    memo = _selection_memo(dec.delta, field, t)
+    if memo is None:
         return DepthEqualsRadicalVerdict(True, t)
     n = dec.n
     gens = [g for comp in dec.components for g in comp.gens]
@@ -489,21 +524,38 @@ def depth_equals_radical(
         k += len(comp.gens)
     grid, divides = _divisibility_rows(n, gens)
     facet_masks = dec.delta.facet_masks
+    last = n - 1
     dead: list[set[int]] = [set() for _ in range(n)]  # dead[j]: masks with no bad completion
 
-    def search(j: int, mask: int) -> tuple[tuple[int, ...], list[int]] | None:
-        if j == n:
-            selected = [fm for fm, bits in zip(facet_masks, comp_bits) if not mask & bits]
-            return ((), selected) if _selection_below(n, selected, t, field) else None
-        if mask not in dead[j]:
+    def witness(mask: int) -> Complex | bool:
+        """The memo's answer for the selection that a leaf's mask makes."""
+        selection = 0
+        for i, bits in enumerate(comp_bits):
+            if not mask & bits:
+                selection |= 1 << i
+        found = memo.get(selection)
+        if found is None:
+            selected = [fm for i, fm in enumerate(facet_masks) if selection >> i & 1]
+            found = memo[selection] = (
+                _selection_below(n, selected, t, field) and Complex._from_masks(n, selected)
+            )
+        return found
+
+    def search(j: int, mask: int) -> tuple[tuple[int, ...], Complex] | None:
+        if mask in dead[j]:
+            return None
+        if j == last:
+            for v, d in zip(grid[j], divides[j]):
+                if found := witness(mask & d):
+                    return (v,), found
+        else:
             for v, d in zip(grid[j], divides[j]):
                 if found := search(j + 1, mask & d):
                     return (v, *found[0]), found[1]
-            dead[j].add(mask)
+        dead[j].add(mask)
         return None
 
     found = search(0, (1 << len(gens)) - 1)
     if found is None:
         return DepthEqualsRadicalVerdict(True, t)
-    degree, selected = found
-    return DepthEqualsRadicalVerdict(False, t, degree, Complex._from_masks(n, selected))
+    return DepthEqualsRadicalVerdict(False, t, *found)

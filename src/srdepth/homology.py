@@ -36,11 +36,17 @@ Prop. 1.2.9) on the Mayer-Vietoris sequence
 when the middle term has depth >= t,
 depth K[Γ] >= min(t, depth K[Λ] + 1) and depth K[Λ] >= min(t, depth K[Γ] - 1),
 so Γ has depth >= t exactly when Λ has depth >= t - 1.
+No selection falls below t when every k facets meet in at least
+t - k + 1 vertices, the paper's criterion for rigid depth;
+_thin_intersection looks for the first k facets that do not, for the rigid
+verdict and for the decision's shortcut.
 
-The only caches, by value, are min_nonzero_betti and depth_stanley_reisner,
-and the FieldSpec table holds one entry per field that is asked for:
-FieldSpec(p) validates p on every call and returns that field's one
-instance, so the caches' keys hash a field by identity.
+The only caches, by value, are min_nonzero_betti and depth_stanley_reisner
+here and the decision's per-complex selection memo in criteria
+(_selection_memo, bounded at 256 complexes), and the FieldSpec table holds
+one entry per field that is asked for: FieldSpec(p) validates p on every
+call and returns that field's one instance, so the caches' keys hash a
+field by identity.
 
 Conventions for degenerate complexes (needed by the local-cohomology code):
 the irrelevant complex {0} has H~_{-1} = K and nothing else; the void complex
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import lru_cache, reduce
+from itertools import combinations
 from math import gcd
 from operator import and_, or_
 
@@ -422,6 +429,25 @@ def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
                 if low == 0:
                     break  # no face of this size can go lower
     return best
+
+
+def _thin_intersection(masks: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int] | None:
+    """The first k facet indices, 1 <= k <= min(r, t), in the order of
+    itertools.combinations by increasing k, whose facets meet in fewer than
+    t - k + 1 vertices, with the size of that intersection; None when there
+    is none, the paper's criterion for rigid depth t of the pure complex
+    with these r facets.  Every intersection holds the apex C of all
+    facets, so only k <= t - |C| can fall short and are listed."""
+    r = len(masks)
+    for k in range(1, min(r, t - reduce(and_, masks).bit_count()) + 1):
+        for idx in combinations(range(r), k):
+            inter = masks[idx[0]]
+            for i in idx[1:]:
+                inter &= masks[i]
+            size = inter.bit_count()
+            if size < t - k + 1:
+                return idx, size
+    return None
 
 
 def _selection_below(n: int, masks: list[int], t: int, field: FieldSpec) -> bool:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from itertools import combinations
 
 from .criteria import depth_via_local_cohomology
-from .homology import FieldSpec, RATIONALS, _apex, depth_stanley_reisner, is_cohen_macaulay
+from .homology import (
+    FieldSpec, RATIONALS, _thin_intersection, depth_stanley_reisner, is_cohen_macaulay,
+)
 from .ideals import Decomposition, irreducible_ideal, prime_power_ideal
 from .simplicial import Complex, Record, _selection_indices, as_int, require_pure
 
@@ -48,27 +49,18 @@ class RigidVerdict(Record):
 
 def is_rigid_by_intersections(cx: Complex, t: int) -> RigidVerdict:
     """Combinatorial test: |F_{i_1} n ... n F_{i_k}| >= t - k + 1 for all
-    1 <= k <= min(r, t).  First violating tuple is the certificate.  t is
-    1..dim+1, or 0 for the irrelevant complex.  Every intersection holds the
-    apex C of all facets, so only k <= t - |C| can violate and are listed."""
+    1 <= k <= min(r, t), by homology._thin_intersection.  First violating
+    tuple is the certificate.  t is 1..dim+1, or 0 for the irrelevant
+    complex."""
     require_pure(cx)
     t = as_int(t, "depth")
     low = min(1, cx.dim + 1)
     if not low <= t <= cx.dim + 1:
         raise ValueError(f"depth {t} out of range {low}..{cx.dim + 1}")
-    masks = cx.facet_masks
-    r = len(masks)
-    for k in range(1, min(r, t - _apex(cx).bit_count()) + 1):
-        for idx in combinations(range(r), k):
-            inter = masks[idx[0]]
-            for i in idx[1:]:
-                inter &= masks[i]
-            size = inter.bit_count()
-            if size < t - k + 1:
-                return RigidVerdict(
-                    False, t, facet_indices=idx, intersection_size=size
-                )
-    return RigidVerdict(True, t)
+    thin = _thin_intersection(cx.facet_masks, t)
+    if thin is None:
+        return RigidVerdict(True, t)
+    return RigidVerdict(False, t, facet_indices=thin[0], intersection_size=thin[1])
 
 
 def _walk(cx: Complex, field: FieldSpec, fails: Callable[[Complex, int], bool]) -> RigidVerdict:

@@ -24,7 +24,8 @@ from srdepth.criteria import (
     negative_support,
 )
 from srdepth.homology import (
-    RATIONALS, _selection_below, depth_stanley_reisner, min_nonzero_betti, prime_field,
+    RATIONALS, _selection_below, _thin_intersection, depth_stanley_reisner, min_nonzero_betti,
+    prime_field,
 )
 from srdepth.ideals import (
     Decomposition,
@@ -38,6 +39,7 @@ from srdepth.simplicial import VOID, Complex, minimal_transversals
 from tests.conftest import (
     FIXTURES,
     FOURCYCLE_SYSTEMS,
+    RP2_FACETS,
     VEC_EQUAL_1,
     VEC_EQUAL_2,
     VEC_MIDPOINT,
@@ -315,7 +317,7 @@ def check_class_table(ideal, field):
 @pytest.mark.parametrize("field", [RATIONALS, F2], ids=["Q", "F2"])
 def test_class_table_matches_raw_box_on_fixtures(field):
     ideals = fixture_ideals()
-    assert len(ideals) == 11
+    assert len(ideals) == 12
     for ideal in ideals:
         check_class_table(ideal, field)
 
@@ -677,6 +679,11 @@ def decomposition_in_form(rng, form, n_max, exp_max):
     cx = random_pure_complex(rng, n_max=n_max, r_max=5)
     while len(cx.facets) < 2:
         cx = random_pure_complex(rng, n_max=n_max, r_max=5)
+    return decomposition_over(rng, cx, form, exp_max)
+
+
+def decomposition_over(rng, cx, form, exp_max):
+    """A random unmixed decomposition over cx whose components all have one JSON form."""
     comps = {}
     for f in cx.facets:
         if form == "irreducible":
@@ -760,6 +767,97 @@ def test_decision_below_radical_depth_two_walks_no_grid(monkeypatch, facets):
     for field in (RATIONALS, F2):
         assert verdict_summary(depth_equals_radical(big, field)) == (True, 1, None, None)
     assert not calls
+
+
+TETRAHEDRON_BOUNDARY = Complex(4, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+CONE_OVER_THREE_POINTS = Complex(4, [(1, 2), (1, 3), (1, 4)])
+FORMS = ("irreducible", "power", "generators")
+
+
+def count_decision_calls(monkeypatch, *names):
+    """Replace each named helper of criteria by one that records its
+    arguments under its name and then calls it."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counting(*args, name=name, original=getattr(criteria, name)):
+            calls[name].append(args)
+            return original(*args)
+        monkeypatch.setattr(criteria, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("cx, field, t", [
+    (TETRAHEDRON_BOUNDARY, RATIONALS, 3),
+    (TETRAHEDRON_BOUNDARY, F2, 3),
+    (CONE_OVER_THREE_POINTS, RATIONALS, 2),
+    (CONE_OVER_THREE_POINTS, F2, 2),
+    (Complex(6, RP2_FACETS), F2, 2),
+], ids=["tetrahedron-boundary-Q", "tetrahedron-boundary-F2", "cone-Q", "cone-F2", "rp2-F2"])
+def test_rigid_complexes_decide_with_no_table_and_no_leaf(monkeypatch, cx, field, t):
+    # every k facets meet in at least t - k + 1 vertices: the complex has
+    # rigid depth, so every decomposition over it has depth t
+    assert depth_stanley_reisner(cx, field) == t
+    assert _thin_intersection(cx.facet_masks, t) is None
+    criteria._selection_memo.cache_clear()
+    calls = count_decision_calls(monkeypatch, "_divisibility_rows", "_selection_below")
+    rng = random.Random(68)
+    for k in range(9):
+        dec = decomposition_over(rng, cx, FORMS[k % 3], exp_max=2)
+        verdict = depth_equals_radical(dec, field)
+        assert verdict_summary(verdict) == box_scan_decision(dec, field) == (True, t, None, None)
+    assert calls == {"_divisibility_rows": [], "_selection_below": []}
+
+
+def test_rigid_complex_decides_a_power_300_at_once(monkeypatch):
+    # at exponent 300 the grid has 300 classes on each coordinate; none is walked
+    criteria._selection_memo.cache_clear()
+    calls = count_decision_calls(monkeypatch, "_divisibility_rows", "_selection_below")
+    cx = TETRAHEDRON_BOUNDARY
+    big = Decomposition(cx, {f: prime_power_ideal(cx.n, f, 300) for f in cx.facets})
+    for field in (RATIONALS, F2):
+        assert verdict_summary(depth_equals_radical(big, field)) == (True, 3, None, None)
+    assert calls == {"_divisibility_rows": [], "_selection_below": []}
+
+
+def test_the_selection_memo_is_kept_per_field():
+    # projective_plane_6 has t = 3 over Q, where it is not rigid, and t = 2
+    # over F_2, where it is: a memo shared by the fields answers one of them
+    # from the other's selections
+    cx = Complex(6, RP2_FACETS)
+    assert _thin_intersection(cx.facet_masks, depth_stanley_reisner(cx, RATIONALS)) is not None
+    criteria._selection_memo.cache_clear()
+    rng = random.Random(69)
+    unequal = 0
+    for k in range(12):
+        dec = decomposition_over(rng, cx, FORMS[k % 3], exp_max=2)
+        for field in (F2, RATIONALS) if k % 2 else (RATIONALS, F2):
+            verdict = depth_equals_radical(dec, field)
+            assert verdict_summary(verdict) == box_scan_decision(dec, field), (k, str(field))
+            unequal += not verdict.equal
+    assert unequal > 0
+
+
+def test_the_selection_memo_fills_only_the_leaves_walked(monkeypatch):
+    # 16 facets have 2^16 - 2 proper selections; the search meets a witness
+    # early and asks only the selections of its leaves, each once, and an
+    # equal complex parsed anew finds them all in the memo
+    rng = random.Random(1)
+    facets = [list(f) for f in rng.sample(list(combinations(range(1, 9), 4)), 16)]
+    data = {"complex": {"n": 8, "facets": facets}, "components": [
+        {"facet": f, "irreducible": [rng.randint(1, 3) for _ in range(4)]} for f in facets
+    ]}
+    criteria._selection_memo.cache_clear()
+    calls = count_decision_calls(monkeypatch, "_selection_below")["_selection_below"]
+    dec = Decomposition.from_json_dict(data)
+    verdict = depth_equals_radical(dec)
+    assert verdict_summary(verdict) == box_scan_decision(dec)
+    assert not verdict.equal and verdict.t == 3
+    asked = [tuple(masks) for _, masks, _, _ in calls]
+    assert len(asked) == len(set(asked)) < 100
+    again = Decomposition.from_json_dict(data)
+    assert again.delta is not dec.delta
+    assert verdict_summary(depth_equals_radical(again)) == verdict_summary(verdict)
+    assert len(calls) == len(asked)
 
 
 def test_depth_scans_match_raw_box_on_random_ideals():

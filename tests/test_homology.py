@@ -379,7 +379,7 @@ def test_counting_settles_a_betti_number_without_the_top_map(monkeypatch):
     assert [reduced_betti(sparse, i) for i in range(3)] == [0, 1, 0]
 
 
-def test_only_the_two_value_caches_remain():
+def test_only_the_three_value_caches_remain():
     # a new cache is a deliberate choice: name it here
     found = set()
     for info in pkgutil.iter_modules(srdepth.__path__):
@@ -392,6 +392,7 @@ def test_only_the_two_value_caches_remain():
                     found.add(f"{o.__module__}.{o.__qualname__}")
     assert found == {
         "srdepth.homology.min_nonzero_betti", "srdepth.homology.depth_stanley_reisner",
+        "srdepth.criteria._selection_memo",
     }
 
 
