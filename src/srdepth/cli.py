@@ -43,8 +43,8 @@ from .criteria import (
 from .homology import (
     FieldSpec,
     RATIONALS,
-    _low_depth_selections,
     _rank,
+    _selections,
     boundary_matrix,
     depth_stanley_reisner,
     is_cohen_macaulay,
@@ -344,14 +344,15 @@ def _audit_complex(cx: Complex, problems: list[str]) -> None:
     if cx.is_pure and len(cx.facet_masks) <= DEFAULT_FACET_CAP:
         masks = cx.facet_masks
         for k in fields:
-            t = depth_stanley_reisner(cx, k)
+            sels = _selections(cx, k)
+            t = sels.t
             f = bool(is_rigid_by_intersections(cx, t))
             dv = bool(is_rigid_by_subcomplex_depths(cx, k))
             ev = bool(is_rigid_by_skeleton_cm(cx, k))
             if not f == dv == ev:
                 problems.append(f"rigidity routes disagree over {k}")
             # the cone union's walk against every selection built
-            walked = list(_low_depth_selections(cx.n, masks, t, k, _selection_indices(len(masks))))
+            walked = list(sels.walk(_selection_indices(len(masks))))
             built = [
                 idx for idx in _selection_indices(len(masks))
                 if depth_stanley_reisner(Complex._from_masks(cx.n, [masks[i] for i in idx]), k) < t

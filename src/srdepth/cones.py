@@ -2,21 +2,18 @@
 
 For a pure complex, the exponent tuples (a_{ij}) of an irreducible
 decomposition for which depth(S/I) equals the radical depth form a finite
-union of rational cones.  The facet selections are walked once per call by
-homology._low_depth_selections, which asks whether each has depth below t.
-A selection Γ of three or more facets with a facet F whose complement
-Γ' = Γ minus F has depth >= t is answered by Λ = <G n F : G in Γ'>: the
-depth lemma on 0 -> K[Γ] -> K[Γ'] + K[<F>] -> K[Λ] -> 0 gives
-depth K[Γ] >= min(t, depth K[Λ] + 1) and depth K[Λ] >= min(t, depth K[Γ] - 1),
-so depth K[Γ] >= t iff depth K[Λ] >= t - 1.  Only the rest are asked of
-homology._selection_below, which builds a subcomplex only where the facets
-alone do not tell.  Each Γ of depth below t contributes
-the formula OR_{i not in Γ} AND_{j not in F_i} OR_{k in Γ, j not in F_k}
-a_{ij} >= a_{kj}, the factored form (by distributivity) of a conjunction over
-tuples of outside-variable choices.  Expanding each selection's formula into a
-small disjunctive normal form, multiplying these into one DNF selection by
-selection and dropping subsumed products yields an explicit union of cones,
-evaluable on integer points and tested against the paper's 4-cycle systems.
+union of rational cones.  The facet selections of depth below t come from
+the walk of homology._selections, the one object per (complex, field) that
+the decision also reads (see homology._Selections): none when the complex
+passes the paper's intersection criterion, else those its stored answers,
+the depth lemma or homology._selection_below find.  Each Γ of depth below t
+contributes the formula OR_{i not in Γ} AND_{j not in F_i} OR_{k in Γ,
+j not in F_k} a_{ij} >= a_{kj}, the factored form (by distributivity) of a
+conjunction over tuples of outside-variable choices.  Expanding each
+selection's formula into a small disjunctive normal form, multiplying these
+into one DNF selection by selection and dropping subsumed products yields
+an explicit union of cones, evaluable on integer points and tested against
+the paper's 4-cycle systems.
 Every product holds a local term, so a product is compared for subsumption
 only with the conjunctions filed under the local terms it holds.  The atoms
 are numbered in their sorted order before any product, so each conjunction
@@ -33,7 +30,7 @@ from collections.abc import Mapping
 from itertools import product
 from math import prod
 
-from .homology import FieldSpec, RATIONALS, _low_depth_selections, depth_stanley_reisner
+from .homology import FieldSpec, RATIONALS, _selections
 from .simplicial import Complex, Record, _selection_indices, as_int, require_pure
 
 Symbol = tuple[int, int]  # (facet index, variable index)
@@ -161,27 +158,23 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     conjunction filed under one of the local terms inside it.  So the final
     union needs no prune, only the canonical sort.
 
-    The selections of depth below t come from homology._low_depth_selections,
-    in the order of simplicial._selection_indices.  It answers a selection Γ
-    of three or more facets from the first F in Γ whose complement
-    Γ' = Γ minus F it found to have depth >= t: K[Γ'] + K[<F>] then has
-    depth >= t, as |F| >= t, and the depth lemma on
-    0 -> K[Γ] -> K[Γ'] + K[<F>] -> K[Λ] -> 0, Λ = <G n F : G in Γ'>, gives
-
-        depth K[Γ] >= min(t, depth K[Λ] + 1),  depth K[Λ] >= min(t, depth K[Γ] - 1),
-
-    so Γ has depth below t exactly when Λ has depth below t - 1.
+    The selections of depth below t come from the walk of
+    homology._selections(cx, field), in the order of
+    simplicial._selection_indices: none when cx passes the paper's
+    intersection criterion, so its union is trivially true, and else the
+    selections that its answers, shared with the decision, put below t (see
+    homology._Selections for the depth lemma that answers most of them).
 
     A step whose product would list more than MAX_CONE_CANDIDATES candidate
     conjunctions is refused with a ValueError before it is expanded, and a
-    complex beyond simplicial.DEFAULT_FACET_CAP facets before any depth.
+    complex beyond simplicial.DEFAULT_FACET_CAP facets before any depth or
+    the criterion is read.
     The irrelevant complex has no selection, so its union is trivially true.
     """
     require_pure(cx)
     masks = cx.facet_masks
     r = len(masks)
     selections = _selection_indices(r)
-    t = depth_stanley_reisner(cx, field)
     outside_vars = [
         [j for j in range(1, cx.n + 1) if not fm >> (j - 1) & 1] for fm in masks
     ]
@@ -201,7 +194,7 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
         rows[i].append(row)
 
     dnf = [0]
-    for selection in _low_depth_selections(cx.n, masks, t, field, selections):
+    for selection in _selections(cx, field).walk(selections):
         # per outside facet, the atoms usable at each of its outside variables
         choices = [
             [[row[k] for k in selection if row[k]] for row in rows[i]]

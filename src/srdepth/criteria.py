@@ -38,17 +38,12 @@ are read.
 
 The decision's degree complexes are facet selections of the radical's
 complex (Minh-Trung, Adv. Math. 226 (2011)), so whether one has depth
-below t = depth K[Delta] depends on the complex and the field alone.  One
-bounded cache, _selection_memo, keeps it per (complex, field, t).  When
-every k facets of Delta meet in at least t - k + 1 vertices, the paper's
-criterion for rigid depth, no selection falls below t: the memo is None
-and the decision answers equality with no table and no search.
-Otherwise the memo maps each selection the decision's leaves have met, by
-its facet-index bitmask, to its subcomplex of depth below t or to False,
-so a later decomposition over an equal complex asks nothing again; a
-selection met first is asked of homology._selection_below, which reads
-the answer off its facet masks where they tell (one or two facets, or
-t <= 2) and builds no complex there.
+below t = depth K[Delta] depends on the complex and the field alone.  The
+decision reads t, the paper's criterion for rigid depth and every answer
+from homology._selections, the one object per (complex, field) that the
+cone union also reads (see homology._Selections): a rigid Delta answers
+equality with no table and no search, and a selection answered once, by
+either, is not asked again over an equal complex.
 
 `local_cohomology_table` lists the graded pieces themselves, one cell per
 class and index, on the same grid with -1 added for the negative values;
@@ -58,15 +53,13 @@ Koszul-complex depth kept for the tests and `srdepth audit`.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 from itertools import product
 from math import prod
 
 from .homology import (
     FieldSpec,
     RATIONALS,
-    _selection_below,
-    _thin_intersection,
+    _selections,
     matrix_rank,
     reduced_betti,
     depth_stanley_reisner,
@@ -457,17 +450,6 @@ def _divisibility_rows(n: int, gens) -> tuple[list[list[int]], list[list[int]]]:
     return grid, rows
 
 
-@lru_cache(maxsize=256)
-def _selection_memo(delta: Complex, field: FieldSpec, t: int) -> dict[int, Complex | bool] | None:
-    """The decision's memo for a pure complex delta of depth t over field:
-    None when homology._thin_intersection finds delta rigid at t, so no
-    facet selection has depth below t; else the dict the decision's leaves
-    fill, from a selection's facet-index bitmask to its subcomplex when that
-    has depth below t and to False when not.  Equal complexes share it; the
-    field is part of the key, as t and the answers change with it."""
-    return None if _thin_intersection(delta.facet_masks, t) is None else {}
-
-
 def depth_equals_radical(
     dec: Decomposition, field: FieldSpec = RATIONALS
 ) -> DepthEqualsRadicalVerdict:
@@ -483,11 +465,12 @@ def depth_equals_radical(
     Each degree complex of an unmixed ideal is a facet selection of Delta,
     the facets whose component misses x^a (Minh-Trung, Adv. Math. 226
     (2011)), so whether it falls below t depends on the complex and the
-    field alone.  _selection_memo keeps that answer once per (complex,
-    field, t).  When Delta passes the paper's intersection criterion it
-    has rigid depth: every selection has depth >= t, the memo is None and
-    the verdict is equality at once, with no table and no search.  Every
-    pure complex passes at t <= 1.
+    field alone, and homology._selections keeps t, the criterion and the
+    answers once per (complex, field), shared with the cone union (see
+    homology._Selections).  When Delta passes the paper's intersection
+    criterion it has rigid depth: every selection has depth >= t and the
+    verdict is equality at once, with no table and no search.  Every pure
+    complex passes at t <= 1.
 
     Otherwise the search is one function of its state (j, mask): the
     coordinate and the bitmask of the generators, across all components,
@@ -497,22 +480,21 @@ def depth_equals_radical(
     coordinate are tried in one loop.  At a leaf the selected facets are
     those whose component keeps no dividing generator, as
     degree_complex_unmixed selects them; their index bitmask is looked up in
-    the memo, and only a selection not met before, over an equal complex and
-    the same field, is asked of homology._selection_below, which answers
-    one or two facets and t <= 2 from the masks and any other selection
-    from the cache of depth_stanley_reisner.  Dead states are memoised, one
-    set of masks per coordinate, so the first bad leaf is the box scan's
-    first witness and search(0, all generators) returns it whole, with the
-    memo's subcomplex as the witness subcomplex.  The grid and the
+    the stored answers, and only a selection not met before, over an equal
+    complex and the same field, is asked of the _Selections.  A selection
+    below t is stored as its subcomplex the first time a leaf takes it, and
+    that is the witness subcomplex.  Dead states are memoised, one set of
+    masks per coordinate, so the first bad leaf is the box scan's first
+    witness and search(0, all generators) returns it whole.  The grid and the
     generators dividing each class come from _divisibility_rows, one pass
     over the nonzero exponents.  The equivalent facet-selection route (no
     selection of depth < t admits a degree_selecting_witness) is left to the
     tests as an oracle; `srdepth audit` checks the verdict against
     depth_via_local_cohomology of the intersection, a separate code path.
     """
-    t = depth_stanley_reisner(dec.delta, field)
-    memo = _selection_memo(dec.delta, field, t)
-    if memo is None:
+    sels = _selections(dec.delta, field)
+    t, answers, below = sels.t, sels.answers, sels.below
+    if sels.rigid:
         return DepthEqualsRadicalVerdict(True, t)
     n = dec.n
     gens = [g for comp in dec.components for g in comp.gens]
@@ -528,17 +510,17 @@ def depth_equals_radical(
     dead: list[set[int]] = [set() for _ in range(n)]  # dead[j]: masks with no bad completion
 
     def witness(mask: int) -> Complex | bool:
-        """The memo's answer for the selection that a leaf's mask makes."""
+        """The stored answer for the selection that a leaf's mask makes,
+        a True one taken up as its subcomplex."""
         selection = 0
         for i, bits in enumerate(comp_bits):
             if not mask & bits:
                 selection |= 1 << i
-        found = memo.get(selection)
-        if found is None:
-            selected = [fm for i, fm in enumerate(facet_masks) if selection >> i & 1]
-            found = memo[selection] = (
-                _selection_below(n, selected, t, field) and Complex._from_masks(n, selected)
-            )
+        found = answers.get(selection)
+        if found is None or found is True:
+            idx = [i for i in range(len(comp_bits)) if selection >> i & 1]
+            found = answers[selection] = below(selection, idx) and Complex._from_masks(
+                n, [facet_masks[i] for i in idx])
         return found
 
     def search(j: int, mask: int) -> tuple[tuple[int, ...], Complex] | None:

@@ -25,25 +25,17 @@ whether the link is connected and builds no link: the link's facets are the
 facets holding the face, with the face removed.
 
 The decision and the cone union ask one question of many facet selections
-of a pure complex of depth t: is the selection's depth below t?
-_selection_below answers it from the facet masks for one or two facets
-(a pair has depth |F n G| + 1) and for t <= 2 (connectivity), over every
-field, and builds the subcomplex only for the rest.  The cone union asks it
-of every selection in turn, and _low_depth_selections answers most of them
-from a smaller selection already walked, by the depth lemma (Bruns-Herzog,
-Prop. 1.2.9) on the Mayer-Vietoris sequence
-0 -> K[Γ] -> K[Γ minus F] + K[<F>] -> K[Λ] -> 0, Λ = <G n F : G in Γ minus F>:
-when the middle term has depth >= t,
-depth K[Γ] >= min(t, depth K[Λ] + 1) and depth K[Λ] >= min(t, depth K[Γ] - 1),
-so Γ has depth >= t exactly when Λ has depth >= t - 1.
-No selection falls below t when every k facets meet in at least
-t - k + 1 vertices, the paper's criterion for rigid depth;
-_thin_intersection looks for the first k facets that do not, for the rigid
-verdict and for the decision's shortcut.
+of a pure complex of depth t: is the selection's depth below t?  One
+_Selections per (complex, field), from _selections, answers it for both,
+and for the audit's check of the walk: none falls below t when the facets
+pass the paper's intersection criterion (_thin_intersection); else each
+answer is stored, most are read off smaller selections by the depth lemma
+(see _Selections), and the rest are asked of _selection_below, which
+answers one or two facets and t <= 2 from the facet masks over every field
+and builds the subcomplex only otherwise.
 
-The only caches, by value, are min_nonzero_betti and depth_stanley_reisner
-here and the decision's per-complex selection memo in criteria
-(_selection_memo, bounded at 256 complexes), and the FieldSpec table holds
+The only caches, by value, are min_nonzero_betti and depth_stanley_reisner,
+and _selections, bounded at 256 complexes; the FieldSpec table holds
 one entry per field that is asked for: FieldSpec(p) validates p on every
 call and returns that field's one instance, so the caches' keys hash a
 field by identity.
@@ -54,7 +46,7 @@ has no homology at all.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd
@@ -488,47 +480,73 @@ def _generated_below(n: int, parts: list[int], s: int, field: FieldSpec) -> bool
     return depth_stanley_reisner(Complex._from_masks(n, _maximal_masks(parts)), field) < s
 
 
-def _low_depth_selections(
-    n: int, masks: tuple[int, ...], t: int, field: FieldSpec,
-    selections: Iterable[tuple[int, ...]],
-) -> Iterator[tuple[int, ...]]:
-    """The index tuples among `selections` whose facets, from `masks`,
-    generate a subcomplex of depth below t, lazily and in their order.
+class _Selections:
+    """Which facet selections of a pure complex fall below t, its depth
+    over a field: one object per (complex, field), from _selections, holding
+    t, whether the facets pass the paper's criterion at t, and the answers.
 
-    The masks are the facets of a pure complex, of size at least t, and the
-    selections come by size, as simplicial._selection_indices lists them.
-    Up to t = 2 and for one or two facets, each selection is asked of
-    _selection_below.  Above that, the selections of depth >= t are kept,
-    at the size walked and the one below.  A selection Γ of three or more
-    facets, with a first facet F whose complement Γ' = Γ minus F was kept,
-    is answered by Λ = <G n F : G in Γ'>, since
+    The decision and the cone union ask one question of facet selections:
+    is the selection's depth below t?  None is when every k facets meet in
+    at least t - k + 1 vertices, the paper's criterion for rigid depth
+    (rigid, from _thin_intersection).  Otherwise answers maps each selection
+    asked, by its facet-index bitmask, to False when it has depth >= t and
+    else to True, or to its subcomplex once the decision has taken it as a
+    witness; the void selection and the whole complex start as False.  A
+    selection Γ of three or more facets, at t >= 3, with a facet F whose
+    complement Γ' = Γ minus F is stored as False, is answered by
+    Λ = <G n F : G in Γ'>, since
 
         depth K[Γ] >= t  iff  depth K[Λ] >= t - 1.
 
     For 0 -> K[Γ] -> K[Γ'] + K[<F>] -> K[Λ] -> 0 is exact (Mayer-Vietoris),
-    and the middle has depth >= t as |F| >= t; the depth lemma then gives
+    and the middle has depth >= t as |F| >= t; the depth lemma
+    (Bruns-Herzog, Prop. 1.2.9) then gives
     depth K[Γ] >= min(t, depth K[Λ] + 1) and
-    depth K[Λ] >= min(t, depth K[Γ] - 1).  A selection with no such F is
-    asked of _selection_below.
+    depth K[Λ] >= min(t, depth K[Γ] - 1).  Walking by size, as
+    simplicial._selection_indices lists the selections, answers most of
+    them so; any other is asked of _selection_below.
     """
-    if t <= 2:
-        for idx in selections:
-            if _selection_below(n, [masks[i] for i in idx], t, field):
-                yield idx
-        return
-    size, deep, deep_below = 0, set(), set()  # index bitmasks of depth >= t
-    for idx in selections:
-        if len(idx) != size:
-            size, deep, deep_below = len(idx), set(), deep
-        bits = sum(1 << i for i in idx)
-        for i in idx if size > 2 else ():
-            if bits ^ 1 << i in deep_below:
+
+    __slots__ = ("n", "masks", "field", "t", "rigid", "answers")
+
+    def __init__(self, n: int, masks: tuple[int, ...], t: int, field: FieldSpec):
+        self.n, self.masks, self.field, self.t = n, masks, field, t
+        self.rigid = _thin_intersection(masks, t) is None
+        self.answers: dict[int, Complex | bool] = {0: False, (1 << len(masks)) - 1: False}
+
+    def below(self, bits: int, idx: Sequence[int]) -> Complex | bool:
+        """The answer for the selection idx, of index bitmask bits, stored."""
+        answers = self.answers
+        found = answers.get(bits)
+        if found is not None:
+            return found
+        n, masks, t, field = self.n, self.masks, self.t, self.field
+        for i in idx if t >= 3 and len(idx) > 2 else ():
+            if answers.get(bits ^ 1 << i) is False:
                 fm = masks[i]
-                below = _generated_below(n, [masks[k] & fm for k in idx if k != i], t - 1, field)
+                found = _generated_below(n, [masks[k] & fm for k in idx if k != i], t - 1, field)
                 break
         else:
-            below = _selection_below(n, [masks[i] for i in idx], t, field)
-        if below:
-            yield idx
-        else:
-            deep.add(bits)
+            found = _selection_below(n, [masks[i] for i in idx], t, field)
+        answers[bits] = found
+        return found
+
+    def walk(self, selections: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+        """The index tuples among `selections` of depth below t, lazily and
+        in their order; none when the facets pass the criterion."""
+        if self.rigid:
+            return
+        below = self.below
+        for idx in selections:
+            bits = 0
+            for i in idx:
+                bits |= 1 << i
+            if below(bits, idx):
+                yield idx
+
+
+@lru_cache(maxsize=256)
+def _selections(cx: Complex, field: FieldSpec) -> _Selections:
+    """The one _Selections of a pure complex over field, at t = depth K[cx];
+    equal complexes share it."""
+    return _Selections(cx.n, cx.facet_masks, depth_stanley_reisner(cx, field), field)

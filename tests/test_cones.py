@@ -227,19 +227,48 @@ def test_cone_candidate_cap(monkeypatch):
         generate_cone_union(FIVECYCLE, RATIONALS)
 
 
+def star(r: int) -> Complex:
+    """The r edges at vertex 1: depth 2, rigid."""
+    return Complex(r + 1, [(1, j) for j in range(2, r + 2)])
+
+
 @pytest.mark.parametrize("cap, cx", [
     (3, FOURCYCLE), (simplicial.DEFAULT_FACET_CAP, Complex(7, combinations(range(1, 8), 2))),
-], ids=["4-cycle", "21 edges"])
+    (simplicial.DEFAULT_FACET_CAP, star(21)),
+], ids=["4-cycle", "21 edges", "star of 21 edges"])
 def test_facet_cap_refuses_before_any_depth(monkeypatch, cap, cx):
-    def _refuse_depth(*args):
-        raise AssertionError("a depth was asked for")
+    def _refuse(*args):
+        raise AssertionError("a depth or the criterion was asked for")
 
     monkeypatch.setattr(simplicial, "DEFAULT_FACET_CAP", cap)
-    monkeypatch.setattr(cones_mod, "depth_stanley_reisner", _refuse_depth)
-    monkeypatch.setattr(homology, "depth_stanley_reisner", _refuse_depth)
+    monkeypatch.setattr(homology, "depth_stanley_reisner", _refuse)
+    monkeypatch.setattr(homology, "_thin_intersection", _refuse)
+    homology._selections.cache_clear()
     with pytest.raises(ValueError) as exc:
         generate_cone_union(cx, RATIONALS)
     assert str(exc.value) == f"{len(cx.facet_masks)} facets exceed the enumeration cap {cap}"
+
+
+def count_selection_helpers(monkeypatch) -> list[str]:
+    """Replace homology's two selection helpers by ones that record their
+    names and then answer."""
+    calls = []
+    for name in ("_selection_below", "_generated_below"):
+        def counting(*args, name=name, original=getattr(homology, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(homology, name, counting)
+    return calls
+
+
+def test_rigid_star_of_twenty_edges_walks_no_selection(monkeypatch):
+    # every two edges meet in vertex 1, so no selection falls below t = 2
+    # and none of the 2^20 - 2 is asked
+    cx = star(20)
+    calls = count_selection_helpers(monkeypatch)
+    union = generate_cone_union(cx, RATIONALS)
+    assert union.disjuncts == (frozenset(),)
+    assert calls == []
 
 
 @pytest.mark.parametrize("cx", [FOURCYCLE, FIVECYCLE], ids=["4-cycle", "5-cycle"])
@@ -247,6 +276,7 @@ def test_selections_of_radical_depth_two_build_no_subcomplex(cx):
     # t = 2: every selection is answered from its facets, so only the
     # cycle's own depth is taken
     homology.depth_stanley_reisner.cache_clear()
+    homology._selections.cache_clear()
     generate_cone_union(cx, RATIONALS)
     assert homology.depth_stanley_reisner.cache_info().currsize == 1
 

@@ -6,7 +6,8 @@ from math import prod
 import pytest
 
 from bench import corpus as bench_corpus
-from srdepth import criteria, ideals
+from srdepth import criteria, homology, ideals
+from srdepth.cones import generate_cone_union
 from srdepth.criteria import (
     _class_grid,
     _depth_to_two,
@@ -641,6 +642,7 @@ def test_decision_leaves_of_radical_depth_two_build_no_subcomplex():
     for on_system in (True, False) * 4:
         dec = fourcycle_decomposition(fourcycle_vector(rng, 12, on_system))
         depth_stanley_reisner.cache_clear()
+        homology._selections.cache_clear()
         verdict = depth_equals_radical(dec)
         assert depth_stanley_reisner.cache_info().currsize == 1
         assert verdict.equal == on_system
@@ -750,7 +752,7 @@ def test_decision_below_radical_depth_two_walks_no_grid(monkeypatch, facets):
         calls.append(args)
         return _selection_below(*args)
 
-    monkeypatch.setattr(criteria, "_selection_below", counting)
+    monkeypatch.setattr(homology, "_selection_below", counting)
     rng = random.Random(67)
     for k in range(6):
         comps = {
@@ -775,14 +777,15 @@ FORMS = ("irreducible", "power", "generators")
 
 
 def count_decision_calls(monkeypatch, *names):
-    """Replace each named helper of criteria by one that records its
-    arguments under its name and then calls it."""
+    """Replace each named helper of criteria, or else of homology, by one
+    that records its arguments under its name and then calls it."""
     calls = {name: [] for name in names}
     for name in names:
-        def counting(*args, name=name, original=getattr(criteria, name)):
+        module = criteria if hasattr(criteria, name) else homology
+        def counting(*args, name=name, original=getattr(module, name)):
             calls[name].append(args)
             return original(*args)
-        monkeypatch.setattr(criteria, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -798,7 +801,7 @@ def test_rigid_complexes_decide_with_no_table_and_no_leaf(monkeypatch, cx, field
     # rigid depth, so every decomposition over it has depth t
     assert depth_stanley_reisner(cx, field) == t
     assert _thin_intersection(cx.facet_masks, t) is None
-    criteria._selection_memo.cache_clear()
+    homology._selections.cache_clear()
     calls = count_decision_calls(monkeypatch, "_divisibility_rows", "_selection_below")
     rng = random.Random(68)
     for k in range(9):
@@ -810,7 +813,7 @@ def test_rigid_complexes_decide_with_no_table_and_no_leaf(monkeypatch, cx, field
 
 def test_rigid_complex_decides_a_power_300_at_once(monkeypatch):
     # at exponent 300 the grid has 300 classes on each coordinate; none is walked
-    criteria._selection_memo.cache_clear()
+    homology._selections.cache_clear()
     calls = count_decision_calls(monkeypatch, "_divisibility_rows", "_selection_below")
     cx = TETRAHEDRON_BOUNDARY
     big = Decomposition(cx, {f: prime_power_ideal(cx.n, f, 300) for f in cx.facets})
@@ -825,7 +828,7 @@ def test_the_selection_memo_is_kept_per_field():
     # from the other's selections
     cx = Complex(6, RP2_FACETS)
     assert _thin_intersection(cx.facet_masks, depth_stanley_reisner(cx, RATIONALS)) is not None
-    criteria._selection_memo.cache_clear()
+    homology._selections.cache_clear()
     rng = random.Random(69)
     unequal = 0
     for k in range(12):
@@ -846,7 +849,7 @@ def test_the_selection_memo_fills_only_the_leaves_walked(monkeypatch):
     data = {"complex": {"n": 8, "facets": facets}, "components": [
         {"facet": f, "irreducible": [rng.randint(1, 3) for _ in range(4)]} for f in facets
     ]}
-    criteria._selection_memo.cache_clear()
+    homology._selections.cache_clear()
     calls = count_decision_calls(monkeypatch, "_selection_below")["_selection_below"]
     dec = Decomposition.from_json_dict(data)
     verdict = depth_equals_radical(dec)
@@ -858,6 +861,28 @@ def test_the_selection_memo_fills_only_the_leaves_walked(monkeypatch):
     assert again.delta is not dec.delta
     assert verdict_summary(depth_equals_radical(again)) == verdict_summary(verdict)
     assert len(calls) == len(asked)
+
+
+def test_the_cone_union_and_the_decision_share_their_answers(monkeypatch):
+    # t = 3 and not rigid: 24 of the 62 proper selections fall below 3.
+    # After the cone union's walk, the decision's leaves over an equal
+    # complex parsed anew find every selection answered
+    cx = Complex(5, [(1, 2, 4), (2, 3, 4), (1, 3, 5), (2, 3, 5), (1, 4, 5), (2, 4, 5)])
+    assert depth_stanley_reisner(cx, RATIONALS) == 3
+    assert _thin_intersection(cx.facet_masks, 3) is not None
+    assert len(generate_cone_union(cx, RATIONALS).disjuncts) == 14
+    calls = count_decision_calls(monkeypatch, "_selection_below", "_generated_below")
+    rng = random.Random(36)
+    unequal = 0
+    for k in range(12):
+        again = Complex.from_json_dict(cx.to_json_dict())
+        assert again is not cx
+        dec = decomposition_over(rng, again, FORMS[k % 3], exp_max=3)
+        verdict = depth_equals_radical(dec, RATIONALS)
+        assert verdict_summary(verdict) == box_scan_decision(dec, RATIONALS), k
+        unequal += not verdict.equal
+    assert calls == {"_selection_below": [], "_generated_below": []}
+    assert unequal > 0
 
 
 def test_depth_scans_match_raw_box_on_random_ideals():

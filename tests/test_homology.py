@@ -17,8 +17,8 @@ from srdepth.homology import (
     RATIONALS,
     _components,
     _echelon,
+    _Selections,
     _generated_below,
-    _low_depth_selections,
     _rank,
     _rank_f2,
     _selection_below,
@@ -392,7 +392,7 @@ def test_only_the_three_value_caches_remain():
                     found.add(f"{o.__module__}.{o.__qualname__}")
     assert found == {
         "srdepth.homology.min_nonzero_betti", "srdepth.homology.depth_stanley_reisner",
-        "srdepth.criteria._selection_memo",
+        "srdepth.homology._selections",
     }
 
 
@@ -738,8 +738,10 @@ def _built_low_depth_selections(cx: Complex, t: int, field: FieldSpec) -> list[t
 
 
 def _walked(cx: Complex, t: int, field: FieldSpec) -> list[tuple[int, ...]]:
+    """The walk of a new _Selections of cx at t, the criterion's shortcut
+    included."""
     masks = cx.facet_masks
-    return list(_low_depth_selections(cx.n, masks, t, field, _selection_indices(len(masks))))
+    return list(_Selections(cx.n, masks, t, field).walk(_selection_indices(len(masks))))
 
 
 @pytest.mark.parametrize("count", [300, pytest.param(2500, marks=pytest.mark.slow)])
@@ -832,7 +834,7 @@ def test_low_depth_walk_is_lazy(monkeypatch):
 
     monkeypatch.setattr(homology, "_selection_below", below)
     selections = _selection_indices(4)
-    walk = _low_depth_selections(4, (0b0011, 0b0110, 0b1100, 0b1001), 2, RATIONALS, selections)
+    walk = _Selections(4, (0b0011, 0b0110, 0b1100, 0b1001), 2, RATIONALS).walk(selections)
     assert asked == []
     assert next(walk) == (0, 1)
     assert asked == [1, 1, 1, 1, 2]
