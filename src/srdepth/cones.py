@@ -3,17 +3,17 @@
 For a pure complex, the exponent tuples (a_{ij}) of an irreducible
 decomposition for which depth(S/I) equals the radical depth form a finite
 union of rational cones.  The facet selections of depth below t come from
-the walk of homology._selections, the one object per (complex, field) that
-the decision also reads (see homology._Selections): none when the complex
-passes the paper's intersection criterion, else those its stored answers,
-the depth lemma or homology._selection_below find.  Each Γ of depth below t
-contributes the formula OR_{i not in Γ} AND_{j not in F_i} OR_{k in Γ,
-j not in F_k} a_{ij} >= a_{kj}, the factored form (by distributivity) of a
-conjunction over tuples of outside-variable choices.  Expanding each
-selection's formula into a small disjunctive normal form, multiplying these
-into one DNF selection by selection and dropping subsumed products yields
-an explicit union of cones, evaluable on integer points and tested against
-the paper's 4-cycle systems.
+homology._selections, the one object per (complex, field) that the
+decision also reads (see homology._Selections): none when the complex
+passes the paper's intersection criterion, else those its walk puts below
+t by homology._generated_below, the one depth-below predicate.  Each Γ of
+depth below t contributes the formula OR_{i not in Γ} AND_{j not in F_i}
+OR_{k in Γ, j not in F_k} a_{ij} >= a_{kj}, the factored form (by
+distributivity) of a conjunction over tuples of outside-variable choices.
+Expanding each selection's formula into a small disjunctive normal form,
+multiplying these into one DNF selection by selection and dropping
+subsumed products yields an explicit union of cones, evaluable on integer
+points and tested against the paper's 4-cycle systems.
 Every product holds a local term, so a product is compared for subsumption
 only with the conjunctions filed under the local terms it holds.  The atoms
 are numbered in their sorted order before any product, so each conjunction
@@ -161,9 +161,9 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     The selections of depth below t come from the walk of
     homology._selections(cx, field), in the order of
     simplicial._selection_indices: none when cx passes the paper's
-    intersection criterion, so its union is trivially true, and else the
-    selections that its answers, shared with the decision, put below t (see
-    homology._Selections for the depth lemma that answers most of them).
+    intersection criterion, so its union, trivially true, is returned before
+    any atom is numbered; else the selections its answers, shared with the
+    decision, put below t (see homology._Selections for the depth lemma).
 
     A step whose product would list more than MAX_CONE_CANDIDATES candidate
     conjunctions is refused with a ValueError before it is expanded, and a
@@ -179,6 +179,9 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
         [j for j in range(1, cx.n + 1) if not fm >> (j - 1) & 1] for fm in masks
     ]
     symbols = tuple((i, j) for i in range(r) for j in outside_vars[i])
+    sels = _selections(cx, field)
+    if sels.rigid:
+        return ConeUnion(cx.n, cx.facets, symbols, (frozenset(),))
     sym_pos = {s: k for k, s in enumerate(symbols)}
     # every atom numbered up front in sorted order, (i, j) then k;
     # rows[i][q][k]: the bit of the atom (sym_pos[(i, j)], sym_pos[(k, j)])
@@ -194,7 +197,7 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
         rows[i].append(row)
 
     dnf = [0]
-    for selection in _selections(cx, field).walk(selections):
+    for selection in sels.walk(selections):
         # per outside facet, the atoms usable at each of its outside variables
         choices = [
             [[row[k] for k in selection if row[k]] for row in rows[i]]

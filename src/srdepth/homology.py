@@ -29,10 +29,10 @@ of a pure complex of depth t: is the selection's depth below t?  One
 _Selections per (complex, field), from _selections, answers it for both,
 and for the audit's check of the walk: none falls below t when the facets
 pass the paper's intersection criterion (_thin_intersection); else each
-answer is stored, most are read off smaller selections by the depth lemma
-(see _Selections), and the rest are asked of _selection_below, which
-answers one or two facets and t <= 2 from the facet masks over every field
-and builds the subcomplex only otherwise.
+answer is stored, most read off smaller selections by the depth lemma (see
+_Selections), and each asked of _generated_below, one predicate for any
+faces: it answers one or two faces and s <= 2 from the masks over every
+field and builds the complex only otherwise.
 
 The only caches, by value, are min_nonzero_betti and depth_stanley_reisner,
 and _selections, bounded at 256 complexes; the FieldSpec table holds
@@ -442,41 +442,30 @@ def _thin_intersection(masks: tuple[int, ...], t: int) -> tuple[tuple[int, ...],
     return None
 
 
-def _selection_below(n: int, masks: list[int], t: int, field: FieldSpec) -> bool:
-    """Whether the subcomplex generated by `masks`, facets of a pure complex
-    of depth t, has depth below t.
-
-    The facets alone answer three cases, over every field.  No facet or one
-    facet F never does: the void complex is not asked, and a simplex has
-    depth |F| >= t.  Two facets F, G form a cone over F n G on two disjoint
-    simplices, of depth |F n G| + 1.  More nonempty facets have depth 1 if
-    they are disconnected and at least 2 if not, which settles t <= 2.  Any
-    other selection is built and its depth read from the cache of
-    depth_stanley_reisner.
-    """
-    if len(masks) < 2:
-        return False
-    if len(masks) == 2:
-        return (masks[0] & masks[1]).bit_count() + 1 < t
-    if t <= 2:
-        return t == 2 and _components(masks) > 1
-    return depth_stanley_reisner(Complex._from_masks(n, masks), field) < t
-
-
 def _generated_below(n: int, parts: list[int], s: int, field: FieldSpec) -> bool:
     """Whether the complex generated by the faces `parts`, which may be
-    empty, nested or repeated, has depth below s >= 2.
+    empty, nested or repeated, has depth below s >= 1: one predicate for
+    facet selections at s = t and the depth lemma's intersections at t - 1.
 
-    With every part empty it is the irrelevant complex, of depth 0.  Else
-    it has depth at least 2 exactly when its nonempty parts are connected
-    and cover two or more vertices, which settles s = 2; above that its
-    maximal parts are built and their depth read from the cache.
+    The cases, in order.  One face F is a simplex of depth |F|, 0 for the
+    empty face (the irrelevant complex); no face is the void complex, never
+    below.  Two faces F, G, neither holding the other, form a cone over
+    F n G on two disjoint simplices, of depth |F n G| + 1, else the larger
+    simplex.  More faces have depth 0 if every part is empty, 1 if the
+    nonempty ones are disconnected or cover one vertex, and at least 2
+    otherwise, which settles s <= 2.  Otherwise the maximal faces are built
+    and Hochster's formula read from the cache of depth_stanley_reisner.
     """
-    parts = [m for m in parts if m]
-    if not parts:
-        return True
+    if len(parts) < 2:
+        return bool(parts) and parts[0].bit_count() < s
+    if len(parts) == 2:
+        f, g = parts
+        meet = f & g
+        return (meet.bit_count() + 1 if meet not in parts else (f | g).bit_count()) < s
     if s <= 2:
-        return _components(parts) > 1 or reduce(or_, parts).bit_count() < 2
+        parts = [m for m in parts if m]
+        return not parts or s == 2 and (
+            _components(parts) > 1 or reduce(or_, parts).bit_count() < 2)
     return depth_stanley_reisner(Complex._from_masks(n, _maximal_masks(parts)), field) < s
 
 
@@ -504,7 +493,7 @@ class _Selections:
     depth K[Γ] >= min(t, depth K[Λ] + 1) and
     depth K[Λ] >= min(t, depth K[Γ] - 1).  Walking by size, as
     simplicial._selection_indices lists the selections, answers most of
-    them so; any other is asked of _selection_below.
+    them so; _generated_below is asked of Λ at t - 1, or else of Γ at t.
     """
 
     __slots__ = ("n", "masks", "field", "t", "rigid", "answers")
@@ -527,7 +516,7 @@ class _Selections:
                 found = _generated_below(n, [masks[k] & fm for k in idx if k != i], t - 1, field)
                 break
         else:
-            found = _selection_below(n, [masks[i] for i in idx], t, field)
+            found = _generated_below(n, [masks[i] for i in idx], t, field)
         answers[bits] = found
         return found
 

@@ -249,15 +249,17 @@ def test_facet_cap_refuses_before_any_depth(monkeypatch, cap, cx):
     assert str(exc.value) == f"{len(cx.facet_masks)} facets exceed the enumeration cap {cap}"
 
 
-def count_selection_helpers(monkeypatch) -> list[str]:
-    """Replace homology's two selection helpers by ones that record their
-    names and then answer."""
+def count_depth_below_asks(monkeypatch) -> list[tuple]:
+    """Replace homology's depth-below predicate by one that records its
+    arguments and then answers."""
     calls = []
-    for name in ("_selection_below", "_generated_below"):
-        def counting(*args, name=name, original=getattr(homology, name)):
-            calls.append(name)
-            return original(*args)
-        monkeypatch.setattr(homology, name, counting)
+    original = homology._generated_below
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(homology, "_generated_below", counting)
     return calls
 
 
@@ -265,7 +267,7 @@ def test_rigid_star_of_twenty_edges_walks_no_selection(monkeypatch):
     # every two edges meet in vertex 1, so no selection falls below t = 2
     # and none of the 2^20 - 2 is asked
     cx = star(20)
-    calls = count_selection_helpers(monkeypatch)
+    calls = count_depth_below_asks(monkeypatch)
     union = generate_cone_union(cx, RATIONALS)
     assert union.disjuncts == (frozenset(),)
     assert calls == []

@@ -25,7 +25,7 @@ from srdepth.criteria import (
     negative_support,
 )
 from srdepth.homology import (
-    RATIONALS, _selection_below, _thin_intersection, depth_stanley_reisner, min_nonzero_betti,
+    RATIONALS, _generated_below, _thin_intersection, depth_stanley_reisner, min_nonzero_betti,
     prime_field,
 )
 from srdepth.ideals import (
@@ -750,9 +750,9 @@ def test_decision_below_radical_depth_two_walks_no_grid(monkeypatch, facets):
 
     def counting(*args):
         calls.append(args)
-        return _selection_below(*args)
+        return _generated_below(*args)
 
-    monkeypatch.setattr(homology, "_selection_below", counting)
+    monkeypatch.setattr(homology, "_generated_below", counting)
     rng = random.Random(67)
     for k in range(6):
         comps = {
@@ -802,24 +802,24 @@ def test_rigid_complexes_decide_with_no_table_and_no_leaf(monkeypatch, cx, field
     assert depth_stanley_reisner(cx, field) == t
     assert _thin_intersection(cx.facet_masks, t) is None
     homology._selections.cache_clear()
-    calls = count_decision_calls(monkeypatch, "_divisibility_rows", "_selection_below")
+    calls = count_decision_calls(monkeypatch, "_divisibility_rows", "_generated_below")
     rng = random.Random(68)
     for k in range(9):
         dec = decomposition_over(rng, cx, FORMS[k % 3], exp_max=2)
         verdict = depth_equals_radical(dec, field)
         assert verdict_summary(verdict) == box_scan_decision(dec, field) == (True, t, None, None)
-    assert calls == {"_divisibility_rows": [], "_selection_below": []}
+    assert calls == {"_divisibility_rows": [], "_generated_below": []}
 
 
 def test_rigid_complex_decides_a_power_300_at_once(monkeypatch):
     # at exponent 300 the grid has 300 classes on each coordinate; none is walked
     homology._selections.cache_clear()
-    calls = count_decision_calls(monkeypatch, "_divisibility_rows", "_selection_below")
+    calls = count_decision_calls(monkeypatch, "_divisibility_rows", "_generated_below")
     cx = TETRAHEDRON_BOUNDARY
     big = Decomposition(cx, {f: prime_power_ideal(cx.n, f, 300) for f in cx.facets})
     for field in (RATIONALS, F2):
         assert verdict_summary(depth_equals_radical(big, field)) == (True, 3, None, None)
-    assert calls == {"_divisibility_rows": [], "_selection_below": []}
+    assert calls == {"_divisibility_rows": [], "_generated_below": []}
 
 
 def test_the_selection_memo_is_kept_per_field():
@@ -850,17 +850,19 @@ def test_the_selection_memo_fills_only_the_leaves_walked(monkeypatch):
         {"facet": f, "irreducible": [rng.randint(1, 3) for _ in range(4)]} for f in facets
     ]}
     homology._selections.cache_clear()
-    calls = count_decision_calls(monkeypatch, "_selection_below")["_selection_below"]
+    calls = count_decision_calls(monkeypatch, "_generated_below")["_generated_below"]
     dec = Decomposition.from_json_dict(data)
     verdict = depth_equals_radical(dec)
     assert verdict_summary(verdict) == box_scan_decision(dec)
     assert not verdict.equal and verdict.t == 3
-    asked = [tuple(masks) for _, masks, _, _ in calls]
+    # a selection is asked at s = t, the depth lemma's intersections at t - 1
+    asked = [tuple(masks) for _, masks, s, _ in calls if s == verdict.t]
     assert len(asked) == len(set(asked)) < 100
+    first = len(calls)
     again = Decomposition.from_json_dict(data)
     assert again.delta is not dec.delta
     assert verdict_summary(depth_equals_radical(again)) == verdict_summary(verdict)
-    assert len(calls) == len(asked)
+    assert len(calls) == first
 
 
 def test_the_cone_union_and_the_decision_share_their_answers(monkeypatch):
@@ -871,7 +873,7 @@ def test_the_cone_union_and_the_decision_share_their_answers(monkeypatch):
     assert depth_stanley_reisner(cx, RATIONALS) == 3
     assert _thin_intersection(cx.facet_masks, 3) is not None
     assert len(generate_cone_union(cx, RATIONALS).disjuncts) == 14
-    calls = count_decision_calls(monkeypatch, "_selection_below", "_generated_below")
+    calls = count_decision_calls(monkeypatch, "_generated_below")
     rng = random.Random(36)
     unequal = 0
     for k in range(12):
@@ -881,7 +883,7 @@ def test_the_cone_union_and_the_decision_share_their_answers(monkeypatch):
         verdict = depth_equals_radical(dec, RATIONALS)
         assert verdict_summary(verdict) == box_scan_decision(dec, RATIONALS), k
         unequal += not verdict.equal
-    assert calls == {"_selection_below": [], "_generated_below": []}
+    assert calls == {"_generated_below": []}
     assert unequal > 0
 
 

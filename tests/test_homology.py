@@ -21,7 +21,6 @@ from srdepth.homology import (
     _generated_below,
     _rank,
     _rank_f2,
-    _selection_below,
     boundary_matrix,
     depth_stanley_reisner,
     is_cohen_macaulay,
@@ -717,7 +716,7 @@ def test_selection_below_matches_the_built_depth():
                 for masks in combinations(cx.facet_masks, size):
                     below = bool(masks) and depth_stanley_reisner(
                         Complex._from_masks(cx.n, masks), field) < t
-                    assert _selection_below(cx.n, list(masks), t, field) == below, (cx, masks, field)
+                    assert _generated_below(cx.n, list(masks), t, field) == below, (cx, masks, field)
                     branch = ("none or one" if size < 2 else "pair" if size == 2
                               else "connectivity" if t <= 2 else "built")
                     answers.add((branch, below))
@@ -749,23 +748,23 @@ def test_low_depth_walk_matches_the_built_selections(count, monkeypatch):
     # seeded pure complexes, n 4-8, facet sizes 2-5, 3-8 facets, and the
     # projective plane (t = 3 over Q, 2 over F_2), at every t from 1 to the
     # facet size (at most 5); every route of the walk must answer both
-    # ways, except a single facet and the fallback
+    # ways, except a single facet and the fallback.  A selection is asked
+    # at s = t, the depth lemma's intersections at s = t - 1
     answers = set()
-    selection_below, generated_below = homology._selection_below, homology._generated_below
+    generated_below = homology._generated_below
 
-    def asked_selection(n, masks, t, field):
-        below = selection_below(n, masks, t, field)
-        answers.add(("one" if len(masks) < 2 else "pair" if len(masks) == 2
-                     else "connectivity" if t <= 2 else "fallback", below))
-        return below
-
-    def asked_intersections(n, parts, s, field):
+    def asked(n, parts, s, field):
         below = generated_below(n, parts, s, field)
-        answers.add(("lemma by masks" if s <= 2 else "lemma built", below))
+        if s == t:
+            answers.add(("one" if len(parts) < 2 else "pair" if len(parts) == 2
+                         else "connectivity" if s <= 2 else "fallback", below))
+        else:
+            assert s == t - 1
+            answers.add(("lemma pair" if len(parts) == 2 else "lemma by masks" if s <= 2
+                         else "lemma built", below))
         return below
 
-    monkeypatch.setattr(homology, "_selection_below", asked_selection)
-    monkeypatch.setattr(homology, "_generated_below", asked_intersections)
+    monkeypatch.setattr(homology, "_generated_below", asked)
     rng = random.Random(34)
     corpus = []
     for _ in range(count):
@@ -781,6 +780,7 @@ def test_low_depth_walk_matches_the_built_selections(count, monkeypatch):
     assert answers == {
         ("one", False), ("pair", False), ("pair", True),
         ("connectivity", False), ("connectivity", True),
+        ("lemma pair", False), ("lemma pair", True),
         ("lemma by masks", False), ("lemma by masks", True),
         ("lemma built", False), ("lemma built", True), ("fallback", True),
     }
@@ -802,6 +802,28 @@ def test_intersections_below_read_the_built_depth(parts, depth, s):
     assert _generated_below(5, parts, s, RATIONALS) == (depth < s)
 
 
+@pytest.mark.parametrize("faces", [
+    [()], [(), ()], [(), (), ()],  # no nonempty part: the irrelevant complex, depth 0
+    [(1, 2, 3)],  # one face: a simplex, depth 3
+    [(1, 2, 3), (2, 3, 4)], [(1, 2), (3, 4)],  # two incomparable faces: depth 3 and 1
+    [(1, 2), (1, 2, 3)], [(2,), (1, 2, 3, 4)],  # two nested faces: depth 3 and 4
+    [(1, 2), (1, 2)], [(1, 2, 3)] * 3,  # a repeated face: depth 2 and 3
+    [(), (1, 2)], [(), (1, 2), (2, 3)],  # an empty part beside nonempty ones: depth 2
+    [(1, 2), (2, 3), (3, 4)],  # connected, a path: depth 2
+    [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)],  # connected, a 2-sphere: depth 3
+    RP2_FACETS,  # connected: depth 3 over Q, 2 over F_2
+    [(1, 2), (3,), (4, 5)], [(1, 2, 3), (2, 3, 4), (5, 6)],  # disconnected: depth 1
+    [(1,), (1,), ()],  # on one vertex: depth 1
+    [(1, 2, 3), (1, 2), (2, 3, 4)], [(1, 2, 3), (4, 5), (4,)],  # two maximal faces: 3 and 1
+])
+@pytest.mark.parametrize("field", [RATIONALS, F2], ids=["Q", "F2"])
+def test_generated_below_reads_the_depth_of_any_faces(faces, field):
+    parts = [sum(1 << (v - 1) for v in f) for f in faces]
+    depth = depth_stanley_reisner(Complex(6, faces), field)
+    for s in range(1, 5):
+        assert _generated_below(6, parts, s, field) == (depth < s), (s, depth)
+
+
 def test_a_selection_without_a_deep_complement_is_built(monkeypatch):
     # projective plane over Q, t = 3: 123, 145 and 246 meet pairwise in one
     # vertex, so every pair has depth 2 and the triple is built
@@ -810,14 +832,14 @@ def test_a_selection_without_a_deep_complement_is_built(monkeypatch):
     triple = tuple(sorted(masks.index(sum(1 << (v - 1) for v in f))
                           for f in ((1, 2, 3), (1, 4, 5), (2, 4, 6))))
     built = []
-    selection_below = homology._selection_below
+    generated_below = homology._generated_below
 
-    def asked(n, selected, t, field):
-        if len(selected) > 2:
-            built.append(tuple(masks.index(m) for m in selected))
-        return selection_below(n, selected, t, field)
+    def asked(n, parts, s, field):
+        if s == 3 and len(parts) > 2:  # a selection, not the lemma's s = 2
+            built.append(tuple(masks.index(m) for m in parts))
+        return generated_below(n, parts, s, field)
 
-    monkeypatch.setattr(homology, "_selection_below", asked)
+    monkeypatch.setattr(homology, "_generated_below", asked)
     walked = _walked(cx, 3, RATIONALS)
     assert triple in built and triple in walked
     assert walked == _built_low_depth_selections(cx, 3, RATIONALS)
@@ -828,16 +850,16 @@ def test_low_depth_walk_is_lazy(monkeypatch):
     # the one it yields
     asked = []
 
-    def below(n, masks, t, field):
-        asked.append(len(masks))
-        return len(masks) == 2
+    def below(n, parts, s, field):
+        asked.append((len(parts), s))
+        return len(parts) == 2
 
-    monkeypatch.setattr(homology, "_selection_below", below)
+    monkeypatch.setattr(homology, "_generated_below", below)
     selections = _selection_indices(4)
     walk = _Selections(4, (0b0011, 0b0110, 0b1100, 0b1001), 2, RATIONALS).walk(selections)
     assert asked == []
     assert next(walk) == (0, 1)
-    assert asked == [1, 1, 1, 1, 2]
+    assert asked == [(1, 2)] * 4 + [(2, 2)]  # (size, s): selections at t = 2
     assert next(selections) == (0, 2)
 
 
