@@ -303,7 +303,7 @@ class Decomposition:
             reason = primary_violation(delta.n, fm, ideal)
             if reason is not None:
                 raise ValueError(
-                    f"component for facet {mask_vertices(fm)} is not primary: {reason}"
+                    f"component for facet {list(mask_vertices(fm))} is not primary: {reason}"
                 )
         self.delta = delta
         self.components = ordered

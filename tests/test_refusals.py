@@ -136,18 +136,18 @@ DECOMPOSITION_REFUSALS = [
      "components must be keyed by the facets of the complex"),
     ("generator involves facet variables",
      dec({"facet": [1, 2], "generators": [[0, 0, 1], [1, 0, 0]]}, REST),
-     "component for facet (1, 2) is not primary: "
+     "component for facet [1, 2] is not primary: "
      "generator (1, 0, 0) involves variables of the facet"),
     ("no pure power", dec({"facet": [1, 2], "power": 1}, {"facet": [2, 3], "generators": []}),
-     "component for facet (2, 3) is not primary: no pure power of x_1 among the generators"),
+     "component for facet [2, 3] is not primary: no pure power of x_1 among the generators"),
     ("facet covers every vertex, irreducible",
      dec({"facet": [1, 2], "irreducible": []}, complex=SIMPLEX),
-     "component for facet (1, 2) is not primary: facet covers every vertex, so its prime is zero"),
+     "component for facet [1, 2] is not primary: facet covers every vertex, so its prime is zero"),
     ("facet covers every vertex, power", dec({"facet": [2, 1], "power": 2}, complex=SIMPLEX),
-     "component for facet (1, 2) is not primary: facet covers every vertex, so its prime is zero"),
+     "component for facet [1, 2] is not primary: facet covers every vertex, so its prime is zero"),
     ("facet covers every vertex, generators",
      dec({"facet": [1, 2], "generators": []}, complex=SIMPLEX),
-     "component for facet (1, 2) is not primary: facet covers every vertex, so its prime is zero"),
+     "component for facet [1, 2] is not primary: facet covers every vertex, so its prime is zero"),
     # several faults: which refusal comes first
     ("power zero and facet out of range", dec({"facet": [1, 4], "power": 0}, REST),
      "power must be >= 1, got 0"),
@@ -191,7 +191,7 @@ DECOMPOSITION_REFUSALS = [
     ("non-primary components in facet order",
      dec({"facet": [2, 3], "generators": [[0, 1, 0]]},
          {"facet": [1, 2], "generators": [[1, 0, 0]]}),
-     "component for facet (1, 2) is not primary: "
+     "component for facet [1, 2] is not primary: "
      "generator (1, 0, 0) involves variables of the facet"),
 ]
 
