@@ -2,8 +2,8 @@
 
 A monomial is an exponent tuple of length n, 1 <= n <= 64; a MonomialIdeal
 keeps the antichain of minimal generators in a canonical sort order.
-Intersections go through pairwise lcms plus minimalization, which is
-transparent at desk scale and certified by membership property tests.
+Intersections go through pairwise lcms plus minimalization, which compares
+a generator only with kept ones of lower degree and nested support.
 
 Complexes and squarefree ideals pass into each other by minimal
 transversals (Alexander duality), so no 2^n sweep is needed: the complex
@@ -14,17 +14,17 @@ minimal nonfaces, the minimal transversals of the facet complements.
 Each ideal keeps its radical complex once built; ideals are never changed
 after construction, so the kept complex cannot go stale.
 
-A Decomposition pairs a pure complex with one P_F-primary component per facet
-F.  P_F-primary is checked structurally: every generator is supported in the
-complement of F and every complement variable occurs as a pure power.
+A Decomposition pairs a pure complex with one P_F-primary component per
+facet F: every generator is supported off F and every variable off F occurs
+as a pure power.  Each value is checked once, where it is read.  The 'power'
+and 'irreducible' forms are P_F-primary by construction unless F covers
+every vertex, so only the 'generators' form goes through primary_violation.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
-from itertools import groupby
 from math import comb
-from operator import itemgetter
 
 from .simplicial import (
     MAX_VERTICES, Complex, VOID, as_int, face_mask, json_fields, json_list, json_rows,
@@ -64,12 +64,16 @@ def _ambient(n) -> int:
 
 
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    # a proper divisor has a smaller total degree, so each generator is
-    # compared only with the kept generators of the earlier degree groups
-    out: list[Monomial] = []
-    for _, group in groupby(sorted((sum(t), t) for t in set(gens)), key=itemgetter(0)):
-        out += [g for _, g in group if not any(divides(h, g) for h in out)]
-    return tuple(sorted(out))
+    # a proper divisor has a lower degree and a support inside the multiple's
+    out: list[tuple[int, Monomial]] = []
+    for _, g in sorted((sum(t), t) for t in set(gens)):
+        s = support_mask(g)
+        for hs, h in out:
+            if hs & s == hs and divides(h, g):
+                break
+        else:
+            out.append((s, g))
+    return tuple(sorted(g for _, g in out))
 
 
 class MonomialIdeal:
@@ -81,10 +85,12 @@ class MonomialIdeal:
         n = _ambient(n)
         clean: list[Monomial] = []
         for g in generators:
-            t = tuple(as_int(e, "exponent") for e in g)
+            t = tuple(g)
+            if set(map(type, t)) - {int}:
+                t = tuple(as_int(e, "exponent") for e in t)
             if len(t) != n:
                 raise ValueError(f"generator {t} has length {len(t)}, expected {n}")
-            if any(e < 0 for e in t):
+            if min(t) < 0:
                 raise ValueError(f"negative exponent in generator {t}")
             clean.append(t)
         self.n = n
@@ -164,39 +170,44 @@ class MonomialIdeal:
 
 
 # -- component constructors ---------------------------------------------------
+# the private builders also return the facet's mask, which the JSON reader keys by
 
-def complement_vars(n: int, facet: Iterable[int]) -> tuple[int, ...]:
+def _complement(n: int, facet: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     n = _ambient(n)
     fmask = face_mask(facet, n)
-    return tuple(j for j in range(1, n + 1) if not fmask >> (j - 1) & 1)
+    return fmask, tuple(j for j in range(1, n + 1) if not fmask >> (j - 1) & 1)
 
 
 def irreducible_ideal(n: int, facet: Iterable[int], exps: Sequence[int]) -> MonomialIdeal:
     """(x_j^{e_j} : j not in F), exponents listed by ascending complement variable."""
-    comp = complement_vars(n, facet)
+    return _irreducible(n, facet, exps)[1]
+
+
+def _irreducible(n: int, facet: Iterable[int], exps: Sequence[int]) -> tuple[int, MonomialIdeal]:
+    fmask, comp = _complement(n, facet)
     if len(exps) != len(comp):
-        raise ValueError(
-            f"expected {len(comp)} exponents for complement {comp}, got {len(exps)}"
-        )
+        raise ValueError(f"expected {len(comp)} exponents for complement {comp}, got {len(exps)}")
     gens = []
     for j, e in zip(comp, exps):
         e = as_int(e, "exponent")
         if e < 1:
             raise ValueError(f"irreducible exponents must be >= 1, got {e}")
-        vec = [0] * n
-        vec[j - 1] = e
-        gens.append(tuple(vec))
+        gens.append((0,) * (j - 1) + (e,) + (0,) * (n - j))
     # pure powers of distinct variables divide none of each other
-    return MonomialIdeal._from_antichain(n, gens)
+    return fmask, MonomialIdeal._from_antichain(n, gens)
 
 
 def prime_power_ideal(n: int, facet: Iterable[int], m: int) -> MonomialIdeal:
     """P_F^m, generated by all degree-m monomials in the complement variables;
     refused when there are more than MAX_PRIME_POWER_GENERATORS of them."""
+    return _prime_power(n, facet, m)[1]
+
+
+def _prime_power(n: int, facet: Iterable[int], m: int) -> tuple[int, MonomialIdeal]:
     m = as_int(m, "power")
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
-    comp = complement_vars(n, facet)
+    fmask, comp = _complement(n, facet)
     count = comb(m + len(comp) - 1, m)
     if count > MAX_PRIME_POWER_GENERATORS:
         raise ValueError(
@@ -204,7 +215,7 @@ def prime_power_ideal(n: int, facet: Iterable[int], m: int) -> MonomialIdeal:
             f"more than {MAX_PRIME_POWER_GENERATORS}"
         )
     if not comp:
-        return MonomialIdeal._from_antichain(n, ())
+        return fmask, MonomialIdeal._from_antichain(n, ())
     # Nijenhuis and Wilf's NEXCOM, O(1) steps per generator: the first
     # nonzero exponent t, at h, leaves t - 1 at pos[0] and 1 at pos[h + 1]
     pos = [j - 1 for j in comp]
@@ -222,7 +233,7 @@ def prime_power_ideal(n: int, facet: Iterable[int], m: int) -> MonomialIdeal:
         vec[pos[h]] += 1
         gens.append(tuple(vec))
     # distinct monomials of one degree divide none of each other
-    return MonomialIdeal._from_antichain(n, gens)
+    return fmask, MonomialIdeal._from_antichain(n, gens)
 
 
 def stanley_reisner_ideal(cx: Complex) -> MonomialIdeal:
@@ -259,20 +270,17 @@ def primary_violation(n: int, facet_mask: int, component: MonomialIdeal) -> str 
     """Reason the component fails to be P_F-primary, or None if it is."""
     if component.n != n:
         return f"component ambient {component.n} != {n}"
-    comp_mask = ((1 << n) - 1) & ~facet_mask
-    if comp_mask == 0:
+    missing = ((1 << n) - 1) & ~facet_mask  # complement variables with no pure power yet
+    if missing == 0:
         return "facet covers every vertex, so its prime is zero"
-    pure_powers = set()
     for g in component.gens:
         sm = support_mask(g)
         if sm & facet_mask:
             return f"generator {g} involves variables of the facet"
-        if sm and sm & (sm - 1) == 0:
-            pure_powers.add(sm)
-    for j in range(n):
-        bit = 1 << j
-        if comp_mask & bit and bit not in pure_powers:
-            return f"no pure power of x_{j + 1} among the generators"
+        if sm & (sm - 1) == 0:
+            missing &= ~sm
+    if missing:
+        return f"no pure power of x_{(missing & -missing).bit_length()} among the generators"
     return None
 
 
@@ -280,33 +288,39 @@ class Decomposition:
     """A pure complex plus one P_F-primary monomial ideal per facet.
 
     Components come as a mapping from each facet (its vertices in any order)
-    to its ideal, and are stored in the canonical facet order.  The
-    construction validates purity and the structural P_F-primary conditions;
-    the intersection of the components then automatically has radical equal
-    to the Stanley-Reisner ideal of the complex.
+    to its ideal, and are stored in the canonical facet order.  Once purity
+    and the P_F-primary conditions hold, the intersection of the components
+    has radical equal to the Stanley-Reisner ideal of the complex.
     """
 
     __slots__ = ("delta", "components")
 
     def __init__(self, delta: Complex, components: Mapping[Iterable[int], MonomialIdeal]):
+        self._assemble(delta, [(f, None, ideal) for f, ideal in components.items()])
+
+    def _assemble(self, delta: Complex, read: Iterable[tuple]) -> "Decomposition":
+        """Store the (facet, mask, component) triples of read in the facet order
+        of delta; a mask of None marks a facet and a component still to check."""
         require_pure(delta)
-        keyed = {}
-        for f, ideal in components.items():
-            fm = face_mask(f, delta.n)
+        n, keyed, unchecked = delta.n, {}, {(1 << delta.n) - 1}
+        for f, fm, ideal in read:
+            if fm is None:
+                fm = face_mask(f, n)
+                unchecked.add(fm)
             if fm in keyed:
                 raise ValueError(f"facet {list(mask_vertices(fm))} has more than one component")
             keyed[fm] = ideal
-        if set(keyed) != set(delta.facet_masks):
+        if keyed.keys() != set(delta.facet_masks):
             raise ValueError("components must be keyed by the facets of the complex")
-        ordered = tuple(keyed[fm] for fm in delta.facet_masks)
-        for fm, ideal in zip(delta.facet_masks, ordered):
-            reason = primary_violation(delta.n, fm, ideal)
-            if reason is not None:
+        for fm in delta.facet_masks:
+            reason = fm in unchecked and primary_violation(n, fm, keyed[fm])
+            if reason:
                 raise ValueError(
                     f"component for facet {list(mask_vertices(fm))} is not primary: {reason}"
                 )
         self.delta = delta
-        self.components = ordered
+        self.components = tuple(keyed[fm] for fm in delta.facet_masks)
+        return self
 
     @property
     def n(self) -> int:
@@ -323,7 +337,7 @@ class Decomposition:
     def from_json_dict(cls, data: dict) -> "Decomposition":
         cx_data, raw = json_fields(data, "decomposition", "complex", "components")
         delta = Complex.from_json_dict(cx_data)
-        comp_map = {}
+        read = {}  # facet as listed -> (facet, its mask or None, component)
         for entry in json_list(raw, "components"):
             (facet,) = json_fields(entry, "component", "facet")
             facet = tuple(as_int(v, "vertex") for v in json_list(facet, "facet"))
@@ -335,16 +349,17 @@ class Decomposition:
                     f"'power' or 'irreducible', got {' and '.join(forms) or 'none'}"
                 )
             if "generators" in entry:
+                fm = None
                 ideal = MonomialIdeal(delta.n, json_rows(entry["generators"], "generators"))
             elif "power" in entry:
-                ideal = prime_power_ideal(delta.n, facet, entry["power"])
+                fm, ideal = _prime_power(delta.n, facet, entry["power"])
             else:
                 exps = json_list(entry["irreducible"], "irreducible")
-                ideal = irreducible_ideal(delta.n, facet, exps)
-            if facet in comp_map:
+                fm, ideal = _irreducible(delta.n, facet, exps)
+            if facet in read:
                 raise ValueError(f"facet {sorted(facet)} has more than one component")
-            comp_map[facet] = ideal
-        return cls(delta, comp_map)
+            read[facet] = facet, fm, ideal
+        return cls.__new__(cls)._assemble(delta, read.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Decomposition):

@@ -10,10 +10,11 @@ from srdepth import ideals as ideals_mod
 from srdepth.ideals import (
     Decomposition,
     MonomialIdeal,
+    _complement,
     _minimalize,
-    complement_vars,
     divides,
     irreducible_ideal,
+    lcm,
     prime_power_ideal,
     radical_complex,
     stanley_reisner_ideal,
@@ -56,8 +57,38 @@ def test_minimalization_and_order():
     assert MonomialIdeal(2, [(2, 1), (1, 0), (3, 0)]).gens == ((1, 0),)
 
 
+def all_pairs_minimal(gens) -> tuple:
+    """The minimal rows of gens, each distinct row tested against every other."""
+    distinct = set(gens)
+    return tuple(sorted(
+        g for g in distinct if not any(h != g and divides(h, g) for h in distinct)
+    ))
+
+
+def nesting_rows(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """Rows that the support test must get right: a repeated row, the zero
+    vector, a permutation of a row (equal degree, incomparable unless equal),
+    and multiples of a row on the same, a larger and a disjoint support."""
+    base = tuple(rng.randint(0, 3) for _ in range(n))
+    j = rng.randrange(n)
+    rows = [
+        base,
+        base,
+        tuple(rng.sample(base, n)),
+        tuple(2 * e for e in base),
+        tuple(e + (i == j) for i, e in enumerate(base)),
+        tuple(0 if e else rng.randint(1, 3) for e in base),
+    ]
+    if rng.random() < 0.3:
+        rows.append((0,) * n)
+    rows += [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 6))]
+    rng.shuffle(rows)
+    return rows
+
+
 def test_minimalize_matches_all_pairs_reference():
-    # the degree-ordered scan against every pair of distinct generators
+    # the scan by degree and nested support against every pair of distinct
+    # generators, on random rows and on rows built to nest and repeat
     rng = random.Random(11)
     for _ in range(3000):
         n = rng.randint(1, 5)
@@ -65,11 +96,27 @@ def test_minimalize_matches_all_pairs_reference():
             tuple(rng.randint(0, 4) for _ in range(n))
             for _ in range(rng.randint(0, 12))
         ]
-        distinct = set(gens)
-        naive = sorted(
-            g for g in distinct if not any(h != g and divides(h, g) for h in distinct)
-        )
-        assert _minimalize(gens) == tuple(naive)
+        assert _minimalize(gens) == all_pairs_minimal(gens)
+    rng = random.Random(39)
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        rows = nesting_rows(rng, n)
+        assert _minimalize(rows) == MonomialIdeal(n, rows).gens == all_pairs_minimal(rows), rows
+    # a chain of divisors down to the zero vector, and rows of one degree
+    assert _minimalize([(k, k, 0) for k in range(5)] + [(1, 0, 1)]) == ((0, 0, 0),)
+    assert _minimalize([(1, 0, 2), (2, 0, 1), (0, 3, 0)]) == ((0, 3, 0), (1, 0, 2), (2, 0, 1))
+
+
+def test_intersect_matches_the_all_pairs_reference():
+    rng = random.Random(40)
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        i1, i2 = (MonomialIdeal(n, nesting_rows(rng, n)[: rng.randint(0, 8)]) for _ in "ab")
+        meet = i1.intersect(i2)
+        assert meet.gens == all_pairs_minimal(lcm(u, v) for u in i1.gens for v in i2.gens)
+        assert meet == i2.intersect(i1)
+        for m in grid(meet):
+            assert meet.contains(m) == (i1.contains(m) and i2.contains(m))
 
 
 def test_equal_ideals_hash_equal():
@@ -302,7 +349,8 @@ def test_non_integer_power_refused(m):
 def test_prime_power_matches_the_multiset_oracle():
     def oracle(n, facet, m):
         gens = []
-        for combo in combinations_with_replacement(complement_vars(n, facet), m):
+        outside = [j for j in range(1, n + 1) if j not in facet]
+        for combo in combinations_with_replacement(outside, m):
             vec = [0] * n
             for j in combo:
                 vec[j - 1] += 1
@@ -514,10 +562,10 @@ def test_more_than_64_variables_refused(build):
 
 
 @pytest.mark.parametrize("build", [
-    lambda n: complement_vars(n, (1,)),
+    lambda n: _complement(n, (1,)),
     lambda n: prime_power_ideal(n, (1,), 2),
     lambda n: irreducible_ideal(n, (1,), (1,)),
-], ids=["complement_vars", "prime_power_ideal", "irreducible_ideal"])
+], ids=["_complement", "prime_power_ideal", "irreducible_ideal"])
 def test_component_constructors_check_the_variable_count(build):
     # the same check and messages as the ideal constructors
     with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.0$"):
