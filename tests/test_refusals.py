@@ -16,8 +16,8 @@ PATH = {"n": 3, "facets": [[1, 2], [2, 3]]}
 SIMPLEX = {"n": 2, "facets": [[1, 2]]}
 
 
-def dec(*components, complex=PATH) -> dict:
-    return {"complex": complex, "components": list(components)}
+def dec(*components, cx=PATH) -> dict:
+    return {"complex": cx, "components": list(components)}
 
 
 #: the second facet of PATH with a valid component, to complete a decomposition
@@ -96,7 +96,7 @@ DECOMPOSITION_REFUSALS = [
     ("power facet vertex twice", dec({"facet": [1, 1], "power": 1}, REST),
      "vertex 1 listed twice"),
     ("prime power cap", dec({"facet": [1, 2], "power": 1000},
-                            complex={"n": 5, "facets": [[1, 2]]}),
+                            cx={"n": 5, "facets": [[1, 2]]}),
      "prime power P_F^1000 in 3 variables has 501501 generators, more than 100000"),
     # the irreducible form
     ("irreducible no list", dec({"facet": [1, 2], "irreducible": 3}, REST),
@@ -125,9 +125,9 @@ DECOMPOSITION_REFUSALS = [
      "facet [2, 3] has more than one component"),
     ("two components, swapped order", dec(REST, {"facet": [3, 2], "power": 2}),
      "facet [2, 3] has more than one component"),
-    ("void complex", dec(complex={"n": 3, "facets": []}),
+    ("void complex", dec(cx={"n": 3, "facets": []}),
      "expected a pure complex, got the void complex"),
-    ("impure complex", dec(complex={"n": 3, "facets": [[1, 2], [3]]}),
+    ("impure complex", dec(cx={"n": 3, "facets": [[1, 2], [3]]}),
      "expected a pure complex, got facets of sizes [1, 2]"),
     ("a facet without a component", dec(REST),
      "components must be keyed by the facets of the complex"),
@@ -141,12 +141,12 @@ DECOMPOSITION_REFUSALS = [
     ("no pure power", dec({"facet": [1, 2], "power": 1}, {"facet": [2, 3], "generators": []}),
      "component for facet [2, 3] is not primary: no pure power of x_1 among the generators"),
     ("facet covers every vertex, irreducible",
-     dec({"facet": [1, 2], "irreducible": []}, complex=SIMPLEX),
+     dec({"facet": [1, 2], "irreducible": []}, cx=SIMPLEX),
      "component for facet [1, 2] is not primary: facet covers every vertex, so its prime is zero"),
-    ("facet covers every vertex, power", dec({"facet": [2, 1], "power": 2}, complex=SIMPLEX),
+    ("facet covers every vertex, power", dec({"facet": [2, 1], "power": 2}, cx=SIMPLEX),
      "component for facet [1, 2] is not primary: facet covers every vertex, so its prime is zero"),
     ("facet covers every vertex, generators",
-     dec({"facet": [1, 2], "generators": []}, complex=SIMPLEX),
+     dec({"facet": [1, 2], "generators": []}, cx=SIMPLEX),
      "component for facet [1, 2] is not primary: facet covers every vertex, so its prime is zero"),
     # several faults: which refusal comes first
     ("power zero and facet out of range", dec({"facet": [1, 4], "power": 0}, REST),
@@ -167,11 +167,11 @@ DECOMPOSITION_REFUSALS = [
      dec({"facet": [1, 4], "generators": [[0, 0, 1]]}, {"facet": [2, 3], "power": 0}),
      "power must be >= 1, got 0"),
     ("impure complex and power zero",
-     dec({"facet": [1, 2], "power": 0}, complex={"n": 3, "facets": [[1, 2], [3]]}),
+     dec({"facet": [1, 2], "power": 0}, cx={"n": 3, "facets": [[1, 2], [3]]}),
      "power must be >= 1, got 0"),
     ("impure complex and generators facet out of range",
      dec({"facet": [1, 4], "generators": [[0, 0, 1]]},
-         complex={"n": 3, "facets": [[1, 2], [3]]}),
+         cx={"n": 3, "facets": [[1, 2], [3]]}),
      "expected a pure complex, got facets of sizes [1, 2]"),
     ("swapped duplicate, then power zero",
      dec(REST, {"facet": [3, 2], "power": 2}, {"facet": [1, 2], "power": 0}),
