@@ -43,7 +43,6 @@ from .criteria import (
 from .homology import (
     FieldSpec,
     RATIONALS,
-    _rank,
     _selections,
     boundary_matrix,
     depth_stanley_reisner,
@@ -56,7 +55,6 @@ from .ideals import Decomposition, MonomialIdeal, radical_complex, stanley_reisn
 from .rigid import (
     is_rigid_by_intersections,
     is_rigid_by_skeleton_cm,
-    is_rigid_by_subcomplex_depths,
     sample_depth_stability,
 )
 from .simplicial import Complex, DEFAULT_FACET_CAP, ORDINARY, _selection_indices
@@ -315,7 +313,7 @@ def _audit_complex(cx: Complex, problems: list[str]) -> None:
         return
     fields = (RATIONALS, prime_field(2))
     mats = [boundary_matrix(cx, i) for i in range(cx.dim + 1)]
-    # boundary composition and Euler characteristic
+    # boundary composition
     for i in range(1, cx.dim + 1):
         d_i, d_prev = mats[i], mats[i - 1]
         for col in range(len(d_i[0]) if d_i else 0):
@@ -326,18 +324,14 @@ def _audit_complex(cx: Complex, problems: list[str]) -> None:
                     problems.append(f"boundary composition nonzero at index {i}")
                     return
     for k in fields:
-        # the sparse rank kernels against dense elimination
-        for i, d_i in enumerate(mats):
-            if _rank(cx, i, k) != matrix_rank(d_i, k):
-                problems.append(f"boundary rank mismatch at index {i} over {k}")
-        euler_faces = sum(
-            (-1) ** i * len(cx.face_masks_of_dim(i)) for i in range(cx.dim + 1)
-        ) - 1
-        euler_betti = sum(
-            (-1) ** i * reduced_betti(cx, i, k) for i in range(-1, cx.dim + 1)
-        )
-        if euler_faces != euler_betti:
-            problems.append(f"Euler characteristic mismatch over {k}")
+        # every Betti number, through the sparse kernels and the shortcuts,
+        # against f_i - R_i - R_(i+1) from dense ranks; the last entry,
+        # R_(dim+1) = 0, is read as R_(-1) too, and f_(-1) = 1
+        ranks = [matrix_rank(d_i, k) for d_i in mats] + [0]
+        for i in range(-1, cx.dim + 1):
+            dense = len(cx.face_masks_of_dim(i)) - ranks[i] - ranks[i + 1]
+            if reduced_betti(cx, i, k) != dense:
+                problems.append(f"Betti number mismatch at index {i} over {k}")
         d = depth_stanley_reisner(cx, k)
         if (d == cx.dim + 1) != bool(is_cohen_macaulay(cx, k)):
             problems.append(f"depth/CM inconsistency over {k}")
@@ -346,24 +340,21 @@ def _audit_complex(cx: Complex, problems: list[str]) -> None:
         for k in fields:
             sels = _selections(cx, k)
             t = sels.t
-            f = bool(is_rigid_by_intersections(cx, t))
-            dv = bool(is_rigid_by_subcomplex_depths(cx, k))
-            ev = bool(is_rigid_by_skeleton_cm(cx, k))
-            if not f == dv == ev:
-                problems.append(f"rigidity routes disagree over {k}")
-            # the cone union's walk against every selection built
-            walked = list(sels.walk(_selection_indices(len(masks))))
+            # every proper selection built once: the subcomplex-depth route
+            # is rigid iff none falls below t, and the walk must list them
             built = [
                 idx for idx in _selection_indices(len(masks))
                 if depth_stanley_reisner(Complex._from_masks(cx.n, [masks[i] for i in idx]), k) < t
             ]
-            if walked != built:
+            rigid = bool(is_rigid_by_intersections(cx, t))
+            if not rigid == (not built) == bool(is_rigid_by_skeleton_cm(cx, k)):
+                problems.append(f"rigidity routes disagree over {k}")
+            if list(sels.walk(_selection_indices(len(masks)))) != built:
                 problems.append(f"low-depth selections disagree over {k}")
-        t = depth_stanley_reisner(cx, RATIONALS)
-        if is_rigid_by_intersections(cx, t):
-            mismatches = sample_depth_stability(cx, RATIONALS, exponent_bound=2, trials=5)
-            if mismatches:
-                problems.append(f"rigid complex has a depth-{mismatches[0][2]} sample")
+            if rigid and k is RATIONALS:
+                mismatches = sample_depth_stability(cx, RATIONALS, exponent_bound=2, trials=5)
+                if mismatches:
+                    problems.append(f"rigid complex has a depth-{mismatches[0][2]} sample")
 
 
 def _audit_ideal(ideal: MonomialIdeal, problems: list[str]) -> None:

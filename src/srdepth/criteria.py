@@ -475,17 +475,17 @@ def depth_equals_radical(
     Otherwise the search is one function of its state (j, mask): the
     coordinate and the bitmask of the generators, across all components,
     that divide the degree prefix.  It returns the least bad completion as
-    (degree suffix, witness subcomplex), or None, trying each coordinate's
-    breakpoint classes in increasing order; the classes of the last
-    coordinate are tried in one loop.  At a leaf the selected facets are
-    those whose component keeps no dividing generator, as
+    (degree suffix, the selection's facet-index bitmask), or None, trying
+    each coordinate's breakpoint classes in increasing order; the classes of
+    the last coordinate are tried in one loop.  At a leaf the selected
+    facets are those whose component keeps no dividing generator, as
     degree_complex_unmixed selects them; their index bitmask is looked up in
     the stored answers, and only a selection not met before, over an equal
-    complex and the same field, is asked of the _Selections.  A selection
-    below t is stored as its subcomplex the first time a leaf takes it, and
-    that is the witness subcomplex.  Dead states are memoised, one set of
-    masks per coordinate, so the first bad leaf is the box scan's first
-    witness and search(0, all generators) returns it whole.  The grid and the
+    complex and the same field, is asked of the _Selections.  Dead states
+    are memoised, one set of masks per coordinate, so the first bad leaf is
+    the box scan's first witness and search(0, all generators) returns it
+    whole; the witness subcomplex is built once, after the search, from the
+    winning selection.  The grid and the
     generators dividing each class come from _divisibility_rows, one pass
     over the nonzero exponents.  The equivalent facet-selection route (no
     selection of depth < t admits a degree_selecting_witness) is left to the
@@ -509,21 +509,19 @@ def depth_equals_radical(
     last = n - 1
     dead: list[set[int]] = [set() for _ in range(n)]  # dead[j]: masks with no bad completion
 
-    def witness(mask: int) -> Complex | bool:
-        """The stored answer for the selection that a leaf's mask makes,
-        a True one taken up as its subcomplex."""
+    def witness(mask: int) -> int:
+        """The index bitmask of the selection that a leaf's mask makes when
+        it falls below t, else 0: the void selection never does."""
         selection = 0
         for i, bits in enumerate(comp_bits):
             if not mask & bits:
                 selection |= 1 << i
         found = answers.get(selection)
-        if found is None or found is True:
-            idx = [i for i in range(len(comp_bits)) if selection >> i & 1]
-            found = answers[selection] = below(selection, idx) and Complex._from_masks(
-                n, [facet_masks[i] for i in idx])
-        return found
+        if found is None:
+            found = below(selection, [i for i in range(len(comp_bits)) if selection >> i & 1])
+        return selection if found else 0
 
-    def search(j: int, mask: int) -> tuple[tuple[int, ...], Complex] | None:
+    def search(j: int, mask: int) -> tuple[tuple[int, ...], int] | None:
         if mask in dead[j]:
             return None
         if j == last:
@@ -540,4 +538,6 @@ def depth_equals_radical(
     found = search(0, (1 << len(gens)) - 1)
     if found is None:
         return DepthEqualsRadicalVerdict(True, t)
-    return DepthEqualsRadicalVerdict(False, t, *found)
+    degree, selection = found
+    return DepthEqualsRadicalVerdict(False, t, degree, Complex._from_masks(
+        n, [fm for i, fm in enumerate(facet_masks) if selection >> i & 1]))

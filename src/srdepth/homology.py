@@ -27,12 +27,13 @@ facets holding the face, with the face removed.
 The decision and the cone union ask one question of many facet selections
 of a pure complex of depth t: is the selection's depth below t?  One
 _Selections per (complex, field), from _selections, answers it for both,
-and for the audit's check of the walk: none falls below t when the facets
-pass the paper's intersection criterion (_thin_intersection); else each
-answer is stored, most read off smaller selections by the depth lemma (see
-_Selections), and each asked of _generated_below, one predicate for any
-faces: it answers one or two faces and s <= 2 from the masks over every
-field and builds the complex only otherwise.
+and for the audit's check of the walk.  It holds whether the facets pass
+the paper's intersection criterion (_thin_intersection), under which none
+falls below t and neither caller walks; each answer is a stored bool, most
+read off smaller selections by the depth lemma (see _Selections), and each
+asked of _generated_below, one predicate for any faces: it answers one or
+two faces and s <= 2 from the masks over every field and builds the
+complex only otherwise.
 
 The only caches, by value, are min_nonzero_betti and depth_stanley_reisner,
 and _selections, bounded at 256 complexes; the FieldSpec table holds
@@ -477,10 +478,10 @@ class _Selections:
     The decision and the cone union ask one question of facet selections:
     is the selection's depth below t?  None is when every k facets meet in
     at least t - k + 1 vertices, the paper's criterion for rigid depth
-    (rigid, from _thin_intersection).  Otherwise answers maps each selection
-    asked, by its facet-index bitmask, to False when it has depth >= t and
-    else to True, or to its subcomplex once the decision has taken it as a
-    witness; the void selection and the whole complex start as False.  A
+    (rigid, from _thin_intersection), and both callers answer a rigid
+    complex without asking.  answers maps each selection asked, by its
+    facet-index bitmask, to False when it has depth >= t and else to True;
+    the void selection and the whole complex start as False.  A
     selection Γ of three or more facets, at t >= 3, with a facet F whose
     complement Γ' = Γ minus F is stored as False, is answered by
     Λ = <G n F : G in Γ'>, since
@@ -501,9 +502,9 @@ class _Selections:
     def __init__(self, n: int, masks: tuple[int, ...], t: int, field: FieldSpec):
         self.n, self.masks, self.field, self.t = n, masks, field, t
         self.rigid = _thin_intersection(masks, t) is None
-        self.answers: dict[int, Complex | bool] = {0: False, (1 << len(masks)) - 1: False}
+        self.answers: dict[int, bool] = {0: False, (1 << len(masks)) - 1: False}
 
-    def below(self, bits: int, idx: Sequence[int]) -> Complex | bool:
+    def below(self, bits: int, idx: Sequence[int]) -> bool:
         """The answer for the selection idx, of index bitmask bits, stored."""
         answers = self.answers
         found = answers.get(bits)
@@ -522,9 +523,7 @@ class _Selections:
 
     def walk(self, selections: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
         """The index tuples among `selections` of depth below t, lazily and
-        in their order; none when the facets pass the criterion."""
-        if self.rigid:
-            return
+        in their order, each asked of below."""
         below = self.below
         for idx in selections:
             bits = 0

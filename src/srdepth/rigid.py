@@ -6,9 +6,10 @@ decidable route is combinatorial: every k of the facets must intersect in at
 least t - k + 1 vertices, for k up to min(r, t), where t is the depth of the
 Stanley-Reisner ring.  It is the one route the verdicts use.  Two
 homological routes (all proper facet selections keep depth >= t; all their
-(t-1)-skeletons are Cohen-Macaulay) are kept as oracles for the tests and
-`srdepth audit`, along with a randomized stability sampler over concrete
-ideal classes.  Both routes build each selection from the facet masks at the
+(t-1)-skeletons are Cohen-Macaulay) are kept as oracles, with a randomized
+stability sampler over concrete ideal classes; `srdepth audit` runs the
+second and the sampler and reads the first off the selections it builds.
+Both routes build each selection from the facet masks at the
 indices of simplicial._selection_indices, which refuses complexes beyond
 simplicial.DEFAULT_FACET_CAP facets before any depth.  All take what
 simplicial.require_pure admits: the irrelevant complex has depth 0 and is rigid.

@@ -93,10 +93,11 @@ def json_rows(value, what: str) -> list:
 
 def face_mask(vertices: Iterable[int], n: int) -> int:
     """Bitmask of a vertex set, validating the 1..n range and refusing a
-    vertex listed twice."""
+    vertex listed twice; a vertex already read as an int costs one type test."""
     m = 0
     for v in vertices:
-        v = as_int(v, "vertex")
+        if type(v) is not int:
+            v = as_int(v, "vertex")
         if not 1 <= v <= n:
             raise ValueError(f"vertex {v} out of range 1..{n}")
         if m >> (v - 1) & 1:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srdepth import cli
+from srdepth import cli, homology
 from srdepth.cli import build_parser, main, parse_field
 from srdepth.cones import generate_cone_union
 from srdepth.criteria import (
@@ -23,6 +23,7 @@ from srdepth.criteria import (
 )
 from srdepth.homology import RATIONALS, depth_stanley_reisner
 from srdepth.ideals import MonomialIdeal
+from srdepth.rigid import RigidVerdict
 from srdepth.simplicial import Complex, require_pure
 from tests.conftest import FIXTURES, raw_local_cohomology
 
@@ -744,13 +745,78 @@ def test_audit_catches_bad_fixture(tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_audit_checks_production_ranks_against_dense_elimination(tmp_path, capsys, monkeypatch):
-    (tmp_path / "cx.json").write_text(json.dumps({"n": 3, "facets": [[1, 2], [2, 3]]}))
-    monkeypatch.setattr(cli, "_rank", lambda cx, i, field: 0)
+@pytest.fixture
+def fresh_homology_caches():
+    """Clears homology's value caches before and after the test, so that
+    answers computed from a broken kernel reach no other test."""
+    caches = (homology.min_nonzero_betti, homology.depth_stanley_reisner, homology._selections)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def audit_one(tmp_path, capsys, name: str) -> tuple[int, str]:
+    """The audit of a directory holding only the named fixture."""
+    (tmp_path / name).write_text((FIXTURES / name).read_text())
     code, out, _ = run(capsys, "audit", str(tmp_path))
+    return code, out
+
+
+def test_audit_checks_production_ranks_against_dense_elimination(
+    tmp_path, capsys, monkeypatch, fresh_homology_caches
+):
+    # the 4-cycle is no cone, so reduced_betti reads the production ranks
+    monkeypatch.setattr(homology, "_rank", lambda cx, i, field: 0)
+    code, out = audit_one(tmp_path, capsys, "fourcycle.json")
     assert code == 1
-    assert "boundary rank mismatch at index 0 over Q" in out
-    assert "boundary rank mismatch at index 1 over F_2" in out
+    assert "Betti number mismatch at index -1 over Q" in out
+    assert "Betti number mismatch at index 1 over F_2" in out
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_audit_catches_one_rank_off_by_a_constant(
+    index, tmp_path, capsys, monkeypatch, fresh_homology_caches
+):
+    # ranks off by a constant cancel in the Euler characteristic; the
+    # Betti numbers at the index and below it move
+    rank = homology._rank
+    monkeypatch.setattr(
+        homology, "_rank", lambda cx, i, field: rank(cx, i, field) + (i == index))
+    code, out = audit_one(tmp_path, capsys, "fourcycle.json")
+    assert code == 1
+    for field in ("Q", "F_2"):
+        assert f"Betti number mismatch at index {index - 1} over {field}" in out
+        assert f"Betti number mismatch at index {index} over {field}" in out
+
+
+def test_audit_catches_disagreeing_rigidity_routes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_rigid_by_skeleton_cm", lambda cx, field: RigidVerdict(False, 0))
+    code, out = audit_one(tmp_path, capsys, "two_facets_12345_12678.json")
+    assert code == 1
+    assert "rigidity routes disagree over Q" in out
+    assert "rigidity routes disagree over F_2" in out
+
+
+def test_audit_catches_a_walk_that_differs_from_the_built_selections(
+    tmp_path, capsys, monkeypatch
+):
+    # a rigid complex has no selection below t, and the walk must say so
+    monkeypatch.setattr(homology._Selections, "walk", lambda self, selections: iter([(0,)]))
+    code, out = audit_one(tmp_path, capsys, "two_facets_12345_12678.json")
+    assert code == 1
+    assert "low-depth selections disagree over Q" in out
+    assert "low-depth selections disagree over F_2" in out
+    assert "rigidity routes" not in out
+
+
+def test_audit_catches_a_rigid_complex_with_a_low_depth_sample(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sample_depth_stability",
+                        lambda cx, field, **options: [("irreducible", ((1,), (1,)), 2)])
+    code, out = audit_one(tmp_path, capsys, "two_facets_12345_12678.json")
+    assert code == 1
+    assert "rigid complex has a depth-2 sample" in out
 
 
 def test_audit_checks_decompositions_over_both_fields(tmp_path, capsys, monkeypatch):

@@ -887,6 +887,26 @@ def test_the_cone_union_and_the_decision_share_their_answers(monkeypatch):
     assert unequal > 0
 
 
+def test_the_selection_memo_holds_only_booleans():
+    # a cone union and then decisions over one complex, some of them taking
+    # a witness, some twice: the memo keeps each answer as a bool, and the
+    # witness subcomplex is built from the winning selection each time
+    cx = Complex(5, [(1, 2, 4), (2, 3, 4), (1, 3, 5), (2, 3, 5), (1, 4, 5), (2, 4, 5)])
+    homology._selections.cache_clear()
+    generate_cone_union(cx, RATIONALS)
+    rng = random.Random(40)
+    unequal = 0
+    for k in range(12):
+        dec = decomposition_over(rng, cx, FORMS[k % 3], exp_max=3)
+        verdict = depth_equals_radical(dec, RATIONALS)
+        assert verdict_summary(verdict) == box_scan_decision(dec, RATIONALS), k
+        assert verdict_summary(depth_equals_radical(dec, RATIONALS)) == verdict_summary(verdict)
+        unequal += not verdict.equal
+    assert unequal > 0
+    answers = homology._selections(cx, RATIONALS).answers
+    assert {type(found) for found in answers.values()} == {bool}
+
+
 def test_depth_scans_match_raw_box_on_random_ideals():
     rng = random.Random(63)
     checked = 0

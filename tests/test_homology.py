@@ -737,8 +737,8 @@ def _built_low_depth_selections(cx: Complex, t: int, field: FieldSpec) -> list[t
 
 
 def _walked(cx: Complex, t: int, field: FieldSpec) -> list[tuple[int, ...]]:
-    """The walk of a new _Selections of cx at t, the criterion's shortcut
-    included."""
+    """The walk of a new _Selections of cx at t; it asks every selection,
+    also where the facets pass the criterion."""
     masks = cx.facet_masks
     return list(_Selections(cx.n, masks, t, field).walk(_selection_indices(len(masks))))
 
