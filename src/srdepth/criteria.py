@@ -17,8 +17,9 @@ complex change only where some a_j crosses a generator exponent of x_j
 (the fact behind Takayama's formula).  Every scan therefore visits one
 representative per breakpoint class of each coordinate, its smallest
 point, below the largest exponent rho_j: one grid, `_class_grid`.  The
-decision derives the same classes from its own filing of the nonzero
-exponents, which also gives it the generators dividing each class.
+decision files each coordinate's exponents, read from the same transposed
+generators, which gives it the same classes and the generators dividing
+each class.
 
 Hochster's formula, depth_stanley_reisner, is the one depth engine.  With
 Delta_a(I) = lk_{Delta_a+(I)} G_a, where a+ = max(a, 0) coordinatewise, it
@@ -328,38 +329,28 @@ def local_cohomology_table(
 
 # -- Koszul-complex depth oracle -------------------------------------------------
 
-def _koszul_top_index(ideal: MonomialIdeal, field: FieldSpec) -> int:
-    """Largest homological index with nonvanishing Koszul homology of
-    (x_1..x_n) on S/I.
+def depth_via_koszul(ideal: MonomialIdeal, field: FieldSpec = RATIONALS) -> int:
+    """Independent depth oracle: n minus the top nonvanishing Koszul homology
+    index of the full variable sequence on S/I.
 
     Works degree by degree over the closed box prod_j {0..rho_j}; the Koszul
     differentials lower multidegrees by squarefree vectors and multiplication
     by x_j is bijective beyond rho_j, so homology is supported in the box.
+    In degree b the basis of homological degree k is the k-sets T that miss
+    the zero coordinates of b with x^(b - e_T) outside the ideal, numbered
+    in increasing mask order.
     """
+    if not ideal.is_proper_nonzero:
+        raise ValueError("depth needs a proper nonzero ideal")
     n = ideal.n
-    rho = ideal.max_exponents()
-    subsets_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for t in range(1 << n):
-        subsets_by_size[t.bit_count()].append(t)
     top = -1
-    for b in product(*[range(r + 1) for r in rho]):
-        # basis in homological degree k: subsets T with b - e_T >= 0 and
-        # the monomial x^(b - e_T) outside the ideal
-        bases: list[dict[int, int]] = []
-        for k in range(n + 1):
-            basis: dict[int, int] = {}
-            for t in subsets_by_size[k]:
-                vec = list(b)
-                ok = True
-                for j in range(n):
-                    if t >> j & 1:
-                        vec[j] -= 1
-                        if vec[j] < 0:
-                            ok = False
-                            break
-                if ok and not ideal.contains(vec):
-                    basis[t] = len(basis)
-            bases.append(basis)
+    for b in product(*[range(r + 1) for r in ideal.max_exponents()]):
+        zero = sum(1 << j for j, x in enumerate(b) if not x)
+        bases: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        for t in range(1 << n):
+            if not t & zero and not ideal.contains([x - (t >> j & 1) for j, x in enumerate(b)]):
+                basis = bases[t.bit_count()]
+                basis[t] = len(basis)
         ranks = [0] * (n + 2)
         for k in range(1, n + 1):
             if not bases[k] or not bases[k - 1]:
@@ -369,8 +360,7 @@ def _koszul_top_index(ideal: MonomialIdeal, field: FieldSpec) -> int:
                 sign = 1
                 for j in range(n):
                     if t >> j & 1:
-                        sub = t & ~(1 << j)
-                        r = bases[k - 1].get(sub)
+                        r = bases[k - 1].get(t & ~(1 << j))
                         if r is not None:
                             rows[r][c] = sign
                         sign = -sign
@@ -379,18 +369,9 @@ def _koszul_top_index(ideal: MonomialIdeal, field: FieldSpec) -> int:
             if len(bases[k]) - ranks[k] - ranks[k + 1] > 0:
                 top = k
                 break
-    return top
-
-
-def depth_via_koszul(ideal: MonomialIdeal, field: FieldSpec = RATIONALS) -> int:
-    """Independent depth oracle: n minus the top nonvanishing Koszul homology
-    index of the full variable sequence on S/I."""
-    if not ideal.is_proper_nonzero:
-        raise ValueError("depth needs a proper nonzero ideal")
-    top = _koszul_top_index(ideal, field)
     if top < 0:
         raise AssertionError("Koszul homology of S/I cannot vanish entirely")
-    return ideal.n - top
+    return n - top
 
 
 # -- decision procedure: depth(S/I) vs depth of the radical ----------------------
@@ -422,30 +403,24 @@ def _divisibility_rows(n: int, gens) -> tuple[list[list[int]], list[list[int]]]:
     class by class, the generators (bits in the order of gens) whose x_j
     exponent is at most the class.
 
-    One pass over the nonzero exponents files bit b under filed[j][e] for
-    each g_j = e > 0.  Row 0 of coordinate j is the generators free of x_j,
-    all of them but those filed at j; each later class joins its own file.
-    The classes are 0 and the filed exponents but the largest, rho_j, so
-    the grid of j is _class_grid(n, gens)[j] or [0], also where no
+    The generators are transposed once, as in _class_grid, and one loop over
+    each column files bit b under its exponent g_j, 0 included.  Row 0 of
+    coordinate j is the generators free of x_j; each later class joins its
+    own file.  The classes are the filed exponents but the largest, rho_j,
+    so the grid of j is _class_grid(n, gens)[j] or [0], also where no
     generator or every generator uses x_j.
     """
-    filed: list[dict[int, int]] = [{} for _ in range(n)]
-    for b, g in enumerate(gens):
-        bit = 1 << b
-        for j, e in enumerate(g):
-            if e:
-                f = filed[j]
-                f[e] = f.get(e, 0) | bit
-    full = (1 << len(gens)) - 1
     grid, rows = [], []
-    for f in filed:
-        classes = sorted(f)[:-1]
-        below = full - sum(f.values())  # a generator is filed once at j
-        row = [below]
+    for column in list(zip(*gens)) or [()] * n:
+        filed = {0: 0}
+        for b, e in enumerate(column):
+            filed[e] = filed.get(e, 0) | 1 << b
+        classes = sorted(filed)[:-1] or [0]
+        below, row = 0, []
         for e in classes:
-            below |= f[e]
+            below |= filed[e]
             row.append(below)
-        grid.append([0, *classes])
+        grid.append(classes)
         rows.append(row)
     return grid, rows
 
@@ -485,25 +460,22 @@ def depth_equals_radical(
     are memoised, one set of masks per coordinate, so the first bad leaf is
     the box scan's first witness and search(0, all generators) returns it
     whole; the witness subcomplex is built once, after the search, from the
-    winning selection.  The grid and the
-    generators dividing each class come from _divisibility_rows, one pass
-    over the nonzero exponents.  The equivalent facet-selection route (no
-    selection of depth < t admits a degree_selecting_witness) is left to the
-    tests as an oracle; `srdepth audit` checks the verdict against
-    depth_via_local_cohomology of the intersection, a separate code path.
+    winning selection.  The grid and the generators dividing each class
+    come from _divisibility_rows, one loop over each coordinate's exponents.
+    The equivalent facet-selection route (no selection of depth < t admits
+    a degree_selecting_witness) is left to the tests as an oracle; `srdepth
+    audit` checks the verdict against depth_via_local_cohomology of the
+    intersection, a separate code path.
     """
     sels = _selections(dec.delta, field)
     t, answers, below = sels.t, sels.answers, sels.below
     if sels.rigid:
         return DepthEqualsRadicalVerdict(True, t)
     n = dec.n
-    gens = [g for comp in dec.components for g in comp.gens]
-    # comp_bits[i]: the bits of component i's generators in `gens`
-    k = 0
-    comp_bits = []
+    gens, comp_bits = [], []  # comp_bits[i]: the bits of component i's generators in gens
     for comp in dec.components:
-        comp_bits.append(((1 << len(comp.gens)) - 1) << k)
-        k += len(comp.gens)
+        comp_bits.append(((1 << len(comp.gens)) - 1) << len(gens))
+        gens += comp.gens
     grid, divides = _divisibility_rows(n, gens)
     facet_masks = dec.delta.facet_masks
     last = n - 1

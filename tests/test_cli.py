@@ -21,7 +21,7 @@ from srdepth.criteria import (
     depth_via_local_cohomology,
     local_cohomology_table,
 )
-from srdepth.homology import RATIONALS, depth_stanley_reisner
+from srdepth.homology import RATIONALS, CMResult, depth_stanley_reisner
 from srdepth.ideals import MonomialIdeal
 from srdepth.rigid import RigidVerdict
 from srdepth.simplicial import Complex, require_pure
@@ -839,6 +839,65 @@ def test_audit_checks_decompositions_over_both_fields(tmp_path, capsys, monkeypa
     assert f"{name}: FAIL\n" in out
     assert "depth-equality verdict contradicts the computed depth over F_2" in out
     assert "over Q" not in out
+
+
+def problem_lines(out: str) -> list[str]:
+    """The problem lines an audit printed, without their bullet."""
+    return [line[4:] for line in out.splitlines() if line.startswith("  - ")]
+
+
+def test_audit_catches_a_boundary_composition_that_is_not_zero(tmp_path, capsys, monkeypatch):
+    # one flipped sign in d_1: the edge {1, 2} maps to v_1 + v_2, which d_0 sends to 2
+    boundary = cli.boundary_matrix
+
+    def flipped(cx, i):
+        mat = [row[:] for row in boundary(cx, i)]
+        if i == 1:
+            mat[0][0] = -mat[0][0]
+        return mat
+
+    monkeypatch.setattr(cli, "boundary_matrix", flipped)
+    code, out = audit_one(tmp_path, capsys, "cm_four_triangles.json")
+    assert code == 1
+    # the suite stops at the composition check: no Betti line follows
+    assert problem_lines(out) == ["boundary composition nonzero at index 1"]
+
+
+def test_audit_catches_a_cm_verdict_that_contradicts_the_depth(tmp_path, capsys, monkeypatch):
+    # two triangles on one vertex have depth 1 < 3 over every field
+    monkeypatch.setattr(cli, "is_cohen_macaulay", lambda cx, field: CMResult(True))
+    code, out = audit_one(tmp_path, capsys, "two_triangles_vertex.json")
+    assert code == 1
+    assert problem_lines(out) == [
+        "depth/CM inconsistency over Q", "depth/CM inconsistency over F_2"]
+
+
+def test_audit_catches_disagreeing_depth_oracles(tmp_path, capsys, monkeypatch):
+    # S/(x_1^2, x_1 x_2, x_3) has depth 0: m is an embedded prime
+    koszul = cli.depth_via_koszul
+    monkeypatch.setattr(cli, "depth_via_koszul", lambda ideal, field: koszul(ideal, field) + 1)
+    code, out = audit_one(tmp_path, capsys, "sample_ideal.json")
+    assert code == 1
+    assert problem_lines(out) == [
+        "depth oracles disagree over Q: 0 vs 1", "depth oracles disagree over F_2: 0 vs 1"]
+
+
+def test_audit_catches_a_radical_that_is_not_idempotent(tmp_path, capsys, monkeypatch):
+    # doubling every exponent changes the ideal at each application
+    monkeypatch.setattr(
+        MonomialIdeal, "radical",
+        lambda self: MonomialIdeal(self.n, [tuple(2 * e for e in g) for g in self.gens]))
+    code, out = audit_one(tmp_path, capsys, "sample_ideal.json")
+    assert code == 1
+    assert problem_lines(out) == ["radical is not idempotent"]
+
+
+def test_audit_catches_an_intersection_off_the_facet_primes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "stanley_reisner_ideal", lambda cx: MonomialIdeal(cx.n, [(1,) * cx.n]))
+    code, out = audit_one(tmp_path, capsys, "fourcycle_decomposition_a.json")
+    assert code == 1
+    assert problem_lines(out) == ["radical of the intersection differs from the facet primes"]
 
 
 def test_audit_rejects_empty_dir(tmp_path, capsys):

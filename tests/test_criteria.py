@@ -394,13 +394,22 @@ def test_depth_rejects_degenerate():
         depth_via_koszul(MonomialIdeal(2, [(0, 0)]))
 
 
+@pytest.mark.parametrize("field, depth", [(RATIONALS, 3), (F3, 3), (F2, 2)], ids=["Q", "F3", "F2"])
+def test_koszul_depth_of_the_projective_plane_depends_on_the_field(field, depth):
+    # H~_1(RP^2) is Z/2: over F_2 it survives, so the Koszul homology of the
+    # Stanley-Reisner ring reaches one index higher than over Q or F_3
+    cx = Complex(6, RP2_FACETS)
+    assert depth_via_koszul(stanley_reisner_ideal(cx), field) == depth
+    assert depth_stanley_reisner(cx, field) == depth
+
+
 def test_oracle_agreement_random():
     rng = random.Random(31)
     for _ in range(40):
         ideal = random_ideal(rng, n_max=3, gens_max=5, exp_max=3)
         if not ideal.is_proper_nonzero:
             continue
-        for field in (RATIONALS, F2):
+        for field in (RATIONALS, F2, F3):
             assert depth_via_local_cohomology(ideal, field) == depth_via_koszul(
                 ideal, field
             )
