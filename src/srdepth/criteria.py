@@ -17,9 +17,9 @@ complex change only where some a_j crosses a generator exponent of x_j
 (the fact behind Takayama's formula).  Every scan therefore visits one
 representative per breakpoint class of each coordinate, its smallest
 point, below the largest exponent rho_j: one grid, `_class_grid`.  The
-decision files each coordinate's exponents, read from the same transposed
-generators, which gives it the same classes and the generators dividing
-each class.
+decision files each coordinate's nonzero exponents, read from the same
+transposed generators, which gives it the same classes and the generators
+dividing each class.
 
 Hochster's formula, depth_stanley_reisner, is the one depth engine.  With
 Delta_a(I) = lk_{Delta_a+(I)} G_a, where a+ = max(a, 0) coordinatewise, it
@@ -352,9 +352,7 @@ def depth_via_koszul(ideal: MonomialIdeal, field: FieldSpec = RATIONALS) -> int:
                 basis = bases[t.bit_count()]
                 basis[t] = len(basis)
         ranks = [0] * (n + 2)
-        for k in range(1, n + 1):
-            if not bases[k] or not bases[k - 1]:
-                continue
+        for k in range(1, n + 1):  # an empty basis makes an empty matrix, of rank 0
             rows = [[0] * len(bases[k]) for _ in bases[k - 1]]
             for t, c in bases[k].items():
                 sign = 1
@@ -404,23 +402,26 @@ def _divisibility_rows(n: int, gens) -> tuple[list[list[int]], list[list[int]]]:
     exponent is at most the class.
 
     The generators are transposed once, as in _class_grid, and one loop over
-    each column files bit b under its exponent g_j, 0 included.  Row 0 of
-    coordinate j is the generators free of x_j; each later class joins its
-    own file.  The classes are the filed exponents but the largest, rho_j,
-    so the grid of j is _class_grid(n, gens)[j] or [0], also where no
-    generator or every generator uses x_j.
+    column j files bit b under e for each g_j = e > 0.  Row 0 of coordinate
+    j is the generators free of x_j, all of them but those filed; each later
+    class joins its own file.  The classes are 0 and the filed exponents but
+    the largest, rho_j, so the grid of j is _class_grid(n, gens)[j] or [0],
+    also where no generator or every generator uses x_j.
     """
+    full = (1 << len(gens)) - 1
     grid, rows = [], []
     for column in list(zip(*gens)) or [()] * n:
-        filed = {0: 0}
+        filed: dict[int, int] = {}
         for b, e in enumerate(column):
-            filed[e] = filed.get(e, 0) | 1 << b
-        classes = sorted(filed)[:-1] or [0]
-        below, row = 0, []
+            if e:
+                filed[e] = filed.get(e, 0) | 1 << b
+        classes = sorted(filed)[:-1]
+        below = full - sum(filed.values())  # a generator is filed once in a column
+        row = [below]
         for e in classes:
             below |= filed[e]
             row.append(below)
-        grid.append(classes)
+        grid.append([0, *classes])
         rows.append(row)
     return grid, rows
 
