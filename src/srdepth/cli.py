@@ -380,6 +380,15 @@ def _audit_decomposition(dec: Decomposition, problems: list[str]) -> None:
         d = depth_via_local_cohomology(inter, k)
         if verdict.equal != (d == verdict.t):
             problems.append(f"depth-equality verdict contradicts the computed depth over {k}")
+        if verdict.equal:
+            continue
+        # a missing witness differs too; only one that is its degree
+        # complex has its depth read
+        w, a = verdict.witness_subcomplex, verdict.witness_degree
+        if w is None or a is None or w != degree_complex_unmixed(dec, a):
+            problems.append(f"witness subcomplex differs from its degree complex over {k}")
+        elif depth_stanley_reisner(w, k) >= verdict.t:
+            problems.append(f"witness subcomplex is not below the radical depth over {k}")
 
 
 _AUDITS = {

@@ -17,9 +17,9 @@ complex change only where some a_j crosses a generator exponent of x_j
 (the fact behind Takayama's formula).  Every scan therefore visits one
 representative per breakpoint class of each coordinate, its smallest
 point, below the largest exponent rho_j: one grid, `_class_grid`.  The
-decision files each coordinate's nonzero exponents, read from the same
-transposed generators, which gives it the same classes and the generators
-dividing each class.
+decision files each generator's nonzero exponents by coordinate, in one
+pass over the generator rows, which gives it the same classes and the
+generators dividing each class.
 
 Hochster's formula, depth_stanley_reisner, is the one depth engine.  With
 Delta_a(I) = lk_{Delta_a+(I)} G_a, where a+ = max(a, 0) coordinatewise, it
@@ -43,8 +43,10 @@ below t = depth K[Delta] depends on the complex and the field alone.  The
 decision reads t, the paper's criterion for rigid depth and every answer
 from homology._selections, the one object per (complex, field) that the
 cone union also reads (see homology._Selections): a rigid Delta answers
-equality with no table and no search, and a selection answered once, by
-either, is not asked again over an equal complex.
+equality with no table and no search, a selection answered once, by
+either, is not asked again over an equal complex, and a witness
+subcomplex, once built, is returned again by every verdict that ends at
+its selection.
 
 `local_cohomology_table` lists the graded pieces themselves, one cell per
 class and index, on the same grid with -1 added for the negative values;
@@ -378,7 +380,9 @@ class DepthEqualsRadicalVerdict(Record):
     """Outcome of the depth-vs-radical decision.
 
     On inequality, witness_degree is a degree a whose selected subcomplex
-    witness_subcomplex has depth below the radical depth t.
+    witness_subcomplex has depth below the radical depth t.  Verdicts over
+    equal complexes and one field that select the same facets share one
+    witness_subcomplex object.
     """
 
     __slots__ = ("equal", "t", "witness_degree", "witness_subcomplex")
@@ -401,27 +405,35 @@ def _divisibility_rows(n: int, gens) -> tuple[list[list[int]], list[list[int]]]:
     class by class, the generators (bits in the order of gens) whose x_j
     exponent is at most the class.
 
-    The generators are transposed once, as in _class_grid, and one loop over
-    column j files bit b under e for each g_j = e > 0.  Row 0 of coordinate
-    j is the generators free of x_j, all of them but those filed; each later
-    class joins its own file.  The classes are 0 and the filed exponents but
-    the largest, rho_j, so the grid of j is _class_grid(n, gens)[j] or [0],
-    also where no generator or every generator uses x_j.
+    One pass over the generator rows, with a running bit, files the bit of
+    each generator g under filed[j][e] for each nonzero exponent g_j = e.
+    Row 0 of coordinate j is the generators free of x_j, all of them but
+    those filed at j; each later class joins its own file.  The classes are
+    0 and the filed exponents but the largest, rho_j, so the grid of j is
+    _class_grid(n, gens)[j] or [0], also where no generator or every
+    generator uses x_j; with at most one filed exponent it is [0] and
+    nothing is sorted.
     """
-    full = (1 << len(gens)) - 1
-    grid, rows = [], []
-    for column in list(zip(*gens)) or [()] * n:
-        filed: dict[int, int] = {}
-        for b, e in enumerate(column):
+    filed: list[dict[int, int]] = [{} for _ in range(n)]
+    bit = 1
+    for g in gens:
+        for j, e in enumerate(g):
             if e:
-                filed[e] = filed.get(e, 0) | 1 << b
-        classes = sorted(filed)[:-1]
-        below = full - sum(filed.values())  # a generator is filed once in a column
-        row = [below]
-        for e in classes:
-            below |= filed[e]
-            row.append(below)
-        grid.append([0, *classes])
+                file = filed[j]
+                file[e] = file.get(e, 0) | bit
+        bit <<= 1
+    grid, rows = [], []
+    for file in filed:
+        below = bit - 1 - sum(file.values())  # a generator is filed once per coordinate
+        classes, row = [0], [below]
+        if len(file) > 1:
+            steps = sorted(file)
+            steps.pop()  # rho_j starts the top class, which the grid leaves out
+            for e in steps:
+                below |= file[e]
+                row.append(below)
+            classes += steps
+        grid.append(classes)
         rows.append(row)
     return grid, rows
 
@@ -450,19 +462,24 @@ def depth_equals_radical(
 
     Otherwise the search is one function of its state (j, mask): the
     coordinate and the bitmask of the generators, across all components,
-    that divide the degree prefix.  It returns the least bad completion as
-    (degree suffix, the selection's facet-index bitmask), or None, trying
-    each coordinate's breakpoint classes in increasing order; the classes of
-    the last coordinate are tried in one loop.  At a leaf the selected
-    facets are those whose component keeps no dividing generator, as
-    degree_complex_unmixed selects them; their index bitmask is looked up in
-    the stored answers, and only a selection not met before, over an equal
-    complex and the same field, is asked of the _Selections.  Dead states
-    are memoised, one set of masks per coordinate, so the first bad leaf is
-    the box scan's first witness and search(0, all generators) returns it
-    whole; the witness subcomplex is built once, after the search, from the
-    winning selection.  The grid and the generators dividing each class
-    come from _divisibility_rows, one loop over each coordinate's exponents.
+    that divide the degree prefix.  It returns the facet-index bitmask of
+    the least bad completion's selection, or 0, trying each coordinate's
+    breakpoint classes in increasing order, and files the class it took at
+    each coordinate on the way back up, which gives the witness degree.
+    The classes of the last coordinate are tried in one loop, which reads
+    each leaf in place: the selected facets are those whose component keeps
+    no dividing generator, as degree_complex_unmixed selects them; their
+    index bitmask is looked up in the stored answers, and only a selection
+    not met before, over an equal complex and the same field, is asked of
+    the _Selections, with its index list built then.  The void selection is
+    stored as not below t, so 0 never names a witness.  Dead states are
+    memoised, one set of masks per coordinate, so the first bad leaf is the
+    box scan's first witness.  Its subcomplex is built from the winning
+    selection only when no earlier verdict over an equal complex and the
+    same field ended there: the _Selections keeps each witness by selection
+    and every later verdict returns that object.  The grid and the
+    generators dividing each class come from _divisibility_rows, one pass
+    over the generator rows.
     The equivalent facet-selection route (no selection of depth < t admits
     a degree_selecting_witness) is left to the tests as an oracle; `srdepth
     audit` checks the verdict against depth_via_local_cohomology of the
@@ -473,44 +490,46 @@ def depth_equals_radical(
     if sels.rigid:
         return DepthEqualsRadicalVerdict(True, t)
     n = dec.n
-    gens, comp_bits = [], []  # comp_bits[i]: the bits of component i's generators in gens
-    for comp in dec.components:
-        comp_bits.append(((1 << len(comp.gens)) - 1) << len(gens))
+    gens, comps = [], []  # comps[i]: facet i's bit and the bits of its component's generators
+    for i, comp in enumerate(dec.components):
+        comps.append((1 << i, ((1 << len(comp.gens)) - 1) << len(gens)))
         gens += comp.gens
     grid, divides = _divisibility_rows(n, gens)
-    facet_masks = dec.delta.facet_masks
-    last = n - 1
+    r, last = len(comps), n - 1
     dead: list[set[int]] = [set() for _ in range(n)]  # dead[j]: masks with no bad completion
+    degree = [0] * n  # the winning leaf's degree, filed on the way back up
 
-    def witness(mask: int) -> int:
-        """The index bitmask of the selection that a leaf's mask makes when
-        it falls below t, else 0: the void selection never does."""
-        selection = 0
-        for i, bits in enumerate(comp_bits):
-            if not mask & bits:
-                selection |= 1 << i
-        found = answers.get(selection)
-        if found is None:
-            found = below(selection, [i for i in range(len(comp_bits)) if selection >> i & 1])
-        return selection if found else 0
-
-    def search(j: int, mask: int) -> tuple[tuple[int, ...], int] | None:
+    def search(j: int, mask: int) -> int:
         if mask in dead[j]:
-            return None
+            return 0
         if j == last:
+            # a leaf selects the facets whose component keeps no dividing
+            # generator; the void selection is stored as not below t
             for v, d in zip(grid[j], divides[j]):
-                if found := witness(mask & d):
-                    return (v,), found
+                leaf = mask & d
+                selection = 0
+                for b, bits in comps:
+                    if not leaf & bits:
+                        selection |= b
+                found = answers.get(selection)
+                if found is None:
+                    found = below(selection, [i for i in range(r) if selection >> i & 1])
+                if found:
+                    degree[j] = v
+                    return selection
         else:
             for v, d in zip(grid[j], divides[j]):
-                if found := search(j + 1, mask & d):
-                    return (v, *found[0]), found[1]
+                if selection := search(j + 1, mask & d):
+                    degree[j] = v
+                    return selection
         dead[j].add(mask)
-        return None
+        return 0
 
-    found = search(0, (1 << len(gens)) - 1)
-    if found is None:
+    selection = search(0, (1 << len(gens)) - 1)
+    if not selection:
         return DepthEqualsRadicalVerdict(True, t)
-    degree, selection = found
-    return DepthEqualsRadicalVerdict(False, t, degree, Complex._from_masks(
-        n, [fm for i, fm in enumerate(facet_masks) if selection >> i & 1]))
+    witness = sels.witnesses.get(selection)
+    if witness is None:
+        witness = sels.witnesses[selection] = Complex._from_masks(n, [
+            fm for i, fm in enumerate(dec.delta.facet_masks) if selection >> i & 1])
+    return DepthEqualsRadicalVerdict(False, t, tuple(degree), witness)

@@ -36,10 +36,11 @@ two faces and s <= 2 from the masks over every field and builds the
 complex only otherwise.
 
 The only caches, by value, are min_nonzero_betti and depth_stanley_reisner,
-and _selections, bounded at 256 complexes; the FieldSpec table holds
-one entry per field that is asked for: FieldSpec(p) validates p on every
-call and returns that field's one instance, so the caches' keys hash a
-field by identity.
+each bounded at VALUE_CACHE_SIZE entries, and _selections, bounded at 256
+complexes, each keeping its answers and the decision's witness
+subcomplexes; the FieldSpec table holds one entry per field that is asked
+for: FieldSpec(p) validates p on every call and returns that field's one
+instance, so the caches' keys hash a field by identity.
 
 Conventions for degenerate complexes (needed by the local-cohomology code):
 the irrelevant complex {0} has H~_{-1} = K and nothing else; the void complex
@@ -115,6 +116,13 @@ class FieldSpec(Record):
 
 RATIONALS = FieldSpec()
 _F2 = FieldSpec(2)
+
+
+#: the bound of the value caches of min_nonzero_betti and
+#: depth_stanley_reisner: a benchmark round of distinct complexes fills
+#: about a thousand entries, so no round evicts, and a long batch keeps at
+#: most this many answers of each
+VALUE_CACHE_SIZE = 4096
 
 
 def prime_field(p: int) -> FieldSpec:
@@ -313,7 +321,7 @@ def reduced_betti(cx: Complex, i: int, field: FieldSpec = RATIONALS) -> int:
     return f_i - _rank(cx, i, field) - _rank(cx, i + 1, field)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VALUE_CACHE_SIZE)
 def min_nonzero_betti(cx: Complex, field: FieldSpec) -> int | None:
     """Least i with H~_i(cx) != 0, or None if all reduced homology vanishes.
 
@@ -382,7 +390,7 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     return CMResult(True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VALUE_CACHE_SIZE)
 def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
     """depth of K[cx] by Hochster's formula, in one pass over the faces:
 
@@ -473,7 +481,8 @@ def _generated_below(n: int, parts: list[int], s: int, field: FieldSpec) -> bool
 class _Selections:
     """Which facet selections of a pure complex fall below t, its depth
     over a field: one object per (complex, field), from _selections, holding
-    t, whether the facets pass the paper's criterion at t, and the answers.
+    t, whether the facets pass the paper's criterion at t, the answers and
+    the decision's witness subcomplexes.
 
     The decision and the cone union ask one question of facet selections:
     is the selection's depth below t?  None is when every k facets meet in
@@ -495,14 +504,20 @@ class _Selections:
     depth K[Λ] >= min(t, depth K[Γ] - 1).  Walking by size, as
     simplicial._selection_indices lists the selections, answers most of
     them so; _generated_below is asked of Λ at t - 1, or else of Γ at t.
+
+    witnesses maps a selection's facet-index bitmask to the subcomplex the
+    decision returned as its witness, built on the first verdict that ends
+    there and returned again, the same object, by every later one over an
+    equal complex and the same field.  answers holds only bools.
     """
 
-    __slots__ = ("n", "masks", "field", "t", "rigid", "answers")
+    __slots__ = ("n", "masks", "field", "t", "rigid", "answers", "witnesses")
 
     def __init__(self, n: int, masks: tuple[int, ...], t: int, field: FieldSpec):
         self.n, self.masks, self.field, self.t = n, masks, field, t
         self.rigid = _thin_intersection(masks, t) is None
         self.answers: dict[int, bool] = {0: False, (1 << len(masks)) - 1: False}
+        self.witnesses: dict[int, Complex] = {}
 
     def below(self, bits: int, idx: Sequence[int]) -> bool:
         """The answer for the selection idx, of index bitmask bits, stored."""

@@ -900,6 +900,42 @@ def test_audit_catches_an_intersection_off_the_facet_primes(tmp_path, capsys, mo
     assert problem_lines(out) == ["radical of the intersection differs from the facet primes"]
 
 
+def test_audit_catches_a_witness_off_its_degree_complex(tmp_path, capsys, monkeypatch):
+    # the witness of decomposition b is the opposite edges {2,3}, {1,4} at
+    # (0, 4, 9, 0); the other opposite pair has depth 1 < 2 too, but the
+    # degree complex there is not it
+    decide = cli.depth_equals_radical
+
+    def swapped(dec, field):
+        v = decide(dec, field)
+        return DepthEqualsRadicalVerdict(
+            v.equal, v.t, v.witness_degree, Complex(4, [(1, 2), (3, 4)]))
+
+    monkeypatch.setattr(cli, "depth_equals_radical", swapped)
+    code, out = audit_one(tmp_path, capsys, "fourcycle_decomposition_b.json")
+    assert code == 1
+    assert problem_lines(out) == [
+        "witness subcomplex differs from its degree complex over Q",
+        "witness subcomplex differs from its degree complex over F_2"]
+
+
+def test_audit_catches_a_witness_that_is_not_below_t(tmp_path, capsys, monkeypatch):
+    # the degree 0 selects the whole 4-cycle, of depth t = 2: the verdict
+    # stays unequal and its witness its degree complex, but not below t
+    decide = cli.depth_equals_radical
+
+    def at_zero(dec, field):
+        v = decide(dec, field)
+        return DepthEqualsRadicalVerdict(v.equal, v.t, (0,) * dec.n, dec.delta)
+
+    monkeypatch.setattr(cli, "depth_equals_radical", at_zero)
+    code, out = audit_one(tmp_path, capsys, "fourcycle_decomposition_b.json")
+    assert code == 1
+    assert problem_lines(out) == [
+        "witness subcomplex is not below the radical depth over Q",
+        "witness subcomplex is not below the radical depth over F_2"]
+
+
 def test_audit_rejects_empty_dir(tmp_path, capsys):
     code, _, err = run(capsys, "audit", str(tmp_path))
     assert code == 2

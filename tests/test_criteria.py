@@ -899,7 +899,7 @@ def test_the_cone_union_and_the_decision_share_their_answers(monkeypatch):
 def test_the_selection_memo_holds_only_booleans():
     # a cone union and then decisions over one complex, some of them taking
     # a witness, some twice: the memo keeps each answer as a bool, and the
-    # witness subcomplex is built from the winning selection each time
+    # witness subcomplexes are kept apart from it, by selection
     cx = Complex(5, [(1, 2, 4), (2, 3, 4), (1, 3, 5), (2, 3, 5), (1, 4, 5), (2, 4, 5)])
     homology._selections.cache_clear()
     generate_cone_union(cx, RATIONALS)
@@ -914,6 +914,39 @@ def test_the_selection_memo_holds_only_booleans():
     assert unequal > 0
     answers = homology._selections(cx, RATIONALS).answers
     assert {type(found) for found in answers.values()} == {bool}
+
+
+def test_a_witness_is_built_once_per_complex_field_and_selection():
+    # decompositions over equal complexes, each parsed anew, that end at one
+    # selection return one witness object; F_2 keeps its own, and the
+    # answers stay bools
+    cx = Complex(5, [(1, 2, 4), (2, 3, 4), (1, 3, 5), (2, 3, 5), (1, 4, 5), (2, 4, 5)])
+    homology._selections.cache_clear()
+    rng = random.Random(42)
+    kept, repeats = {}, 0
+    for k in range(24):
+        again = Complex.from_json_dict(cx.to_json_dict())
+        dec = decomposition_over(rng, again, FORMS[k % 3], exp_max=3)
+        for field in (RATIONALS, F2):
+            verdict = depth_equals_radical(dec, field)
+            assert verdict_summary(verdict) == box_scan_decision(dec, field), (k, str(field))
+            if not verdict.equal:
+                w = verdict.witness_subcomplex
+                key = (w.facets, field)
+                repeats += key in kept
+                assert kept.setdefault(key, w) is w, (k, str(field))
+    assert repeats > 0
+    both = {facets for facets, field in kept if field is F2} & {
+        facets for facets, field in kept if field is RATIONALS}
+    assert both
+    for facets in both:
+        assert kept[facets, RATIONALS] == kept[facets, F2]
+        assert kept[facets, RATIONALS] is not kept[facets, F2]
+    for field in (RATIONALS, F2):
+        sels = homology._selections(cx, field)
+        assert sorted(map(id, sels.witnesses.values())) == sorted(
+            id(w) for (_, f), w in kept.items() if f is field)
+        assert {type(found) for found in sels.answers.values()} == {bool}
 
 
 def test_depth_scans_match_raw_box_on_random_ideals():

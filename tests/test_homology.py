@@ -4,7 +4,7 @@ import pkgutil
 import random
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -393,6 +393,27 @@ def test_only_the_three_value_caches_remain():
         "srdepth.homology.min_nonzero_betti", "srdepth.homology.depth_stanley_reisner",
         "srdepth.homology._selections",
     }
+
+
+def test_the_value_caches_stay_within_their_bound():
+    # more distinct complexes than the bound, two triangles each, asked for
+    # their least Betti index and their depth: every entry past the bound
+    # evicts one, and the answers stay right
+    bound = homology.VALUE_CACHE_SIZE
+    caches = (min_nonzero_betti, depth_stanley_reisner)
+    for cache in caches:
+        cache.cache_clear()
+    triangles = list(combinations(range(1, 11), 3))
+    for f, g in islice(combinations(triangles, 2), bound + 100):
+        cx = Complex(10, [f, g])
+        shared = len(set(f) & set(g))
+        assert depth_stanley_reisner(cx, RATIONALS) == shared + 1
+        assert min_nonzero_betti(cx, RATIONALS) == (None if shared else 0)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == bound
+        assert info.misses > bound >= info.currsize
+        cache.cache_clear()
 
 
 def test_complex_slots_are_named():
