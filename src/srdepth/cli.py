@@ -60,10 +60,6 @@ from .rigid import (
 from .simplicial import Complex, DEFAULT_FACET_CAP, ORDINARY, _selection_indices
 
 
-class CliError(Exception):
-    pass
-
-
 def parse_field(spec: str) -> FieldSpec:
     if spec == "q":
         return RATIONALS
@@ -71,8 +67,8 @@ def parse_field(spec: str) -> FieldSpec:
         try:
             return prime_field(int(spec[3:]))
         except ValueError as exc:
-            raise CliError(f"bad field {spec!r}: {exc}") from exc
-    raise CliError(f"bad field {spec!r}: expected 'q' or 'fp:<prime>'")
+            raise ValueError(f"bad field {spec!r}: {exc}") from exc
+    raise ValueError(f"bad field {spec!r}: expected 'q' or 'fp:<prime>'")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -89,14 +85,14 @@ def load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror}") from exc
+        raise ValueError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:
         # a repeated key, bytes that are not UTF-8, or nesting too deep to parse
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise CliError(f"{path}: expected a JSON object, got {data!r}")
+        raise ValueError(f"{path}: expected a JSON object, got {data!r}")
     return data
 
 
@@ -111,25 +107,25 @@ def load(path: str, *kinds: type, data: dict | None = None):
         data = load_json(path)
     marked = [repr(key) for key in _KIND_KEYS.values() if key in data]
     if len(marked) > 1:
-        raise CliError(f"{path}: keys {' and '.join(marked)} mark different kinds of input")
+        raise ValueError(f"{path}: keys {' and '.join(marked)} mark different kinds of input")
     for kind in kinds:
         if _KIND_KEYS[kind] in data:
             try:
                 return kind.from_json_dict(data)
             except ValueError as exc:
-                raise CliError(f"{path}: {exc}") from exc
+                raise ValueError(f"{path}: {exc}") from exc
     keys = " or ".join(repr(_KIND_KEYS[kind]) for kind in kinds)
-    raise CliError(f"{path}: expected an input with {keys}")
+    raise ValueError(f"{path}: expected an input with {keys}")
 
 
 def parse_vector(text: str, n: int) -> tuple[int, ...]:
     entries = [x.strip() for x in text.split(",")]
     for x in entries:
         if not re.fullmatch("-?[0-9]+", x):
-            raise CliError(f"bad degree vector {text!r}: entry {x!r} is not an integer")
+            raise ValueError(f"bad degree vector {text!r}: entry {x!r} is not an integer")
     vec = tuple(map(int, entries))
     if len(vec) != n:
-        raise CliError(f"degree vector has {len(vec)} entries, expected {n}")
+        raise ValueError(f"degree vector has {len(vec)} entries, expected {n}")
     return vec
 
 
@@ -253,9 +249,7 @@ def cmd_cones(args) -> int:
         i, j = union.symbols[k]
         return f"a[{'.'.join(str(v) for v in union.facets[i])};x{j}]"
 
-    if union.is_unsatisfiable:
-        lines.append("unsatisfiable: no exponents give depth equality")
-    elif union.is_trivially_true:
+    if union.is_trivially_true:
         lines.append("trivially true: every exponent choice gives depth equality")
     for idx, d in enumerate(union.disjuncts, start=1):
         comps = " and ".join(
@@ -270,7 +264,7 @@ def cmd_delta_a(args) -> int:
     dec = load(args.input, Decomposition)
     a = parse_vector(args.a, dec.n)
     if any(x < 0 for x in a):
-        raise CliError("delta-a needs a nonnegative degree vector")
+        raise ValueError("delta-a needs a nonnegative degree vector")
     cx = degree_complex_unmixed(dec, a)
     emit(args, cx.to_json_dict(), [f"degree {list(a)} selects {cx!r}"])
     return 0
@@ -401,13 +395,13 @@ _AUDITS = {
 def cmd_audit(args) -> int:
     root = args.input
     if not os.path.isdir(root):
-        raise CliError(f"{root}: not a directory")
+        raise ValueError(f"{root}: not a directory")
     try:
         names = sorted(name for name in os.listdir(root) if name.endswith(".json"))
     except OSError:
         names = []  # an unreadable directory lists no fixtures
     if not names:
-        raise CliError(f"{root}: no JSON fixtures found")
+        raise ValueError(f"{root}: no JSON fixtures found")
     failures = 0
     for name in names:
         path = os.path.normpath(os.path.join(root, name))
@@ -417,7 +411,7 @@ def cmd_audit(args) -> int:
             data = load_json(path)
             obj = load(path, *_AUDITS, data=data)
             _AUDITS[type(obj)](obj, problems)
-        except (ValueError, CliError) as exc:
+        except ValueError as exc:
             problems.append(str(exc))
         status = "ok" if not problems else "FAIL"
         print(f"{name}: {status}")
@@ -472,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -14,6 +14,7 @@ Expanding each selection's formula into a small disjunctive normal form,
 multiplying these into one DNF selection by selection and dropping
 subsumed products yields an explicit union of cones, evaluable on integer
 points and tested against the paper's 4-cycle systems.
+The union is never empty (see generate_cone_union).
 Every product holds a local term, so a product is compared for subsumption
 only with the conjunctions filed under the local terms it holds.  The atoms
 are numbered in their sorted order before any product, so each conjunction
@@ -98,10 +99,6 @@ class ConeUnion(Record):
     def is_trivially_true(self) -> bool:
         return any(not d for d in self.disjuncts)
 
-    @property
-    def is_unsatisfiable(self) -> bool:
-        return not self.disjuncts
-
     def evaluate(self, assignment: Mapping[Symbol, int]) -> bool:
         """True iff every comparison of some disjunct holds.
 
@@ -151,12 +148,8 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     bitmasks until the end.  Every atom is numbered up front in its sorted
     order, so a final mask decodes by its set bits alone into sorted atoms,
     and the canonical sort compares those tuples as they come.  The running
-    DNF is an antichain: a conjunction that already holds a local term
-    carries over unchanged and the others grow by every local term.  Each
-    conjunction that stays is filed under the first local term it holds;
-    the growths are taken by size, and a growth is pruned when it holds a
-    conjunction filed under one of the local terms inside it.  So the final
-    union needs no prune, only the canonical sort.
+    DNF stays an antichain (see _minimal_product), so the final union needs
+    no prune, only the canonical sort.
 
     The selections of depth below t come from the walk of
     homology._selections(cx, field), in the order of
@@ -170,6 +163,13 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     complex beyond simplicial.DEFAULT_FACET_CAP facets before any depth or
     the criterion is read.
     The irrelevant complex has no selection, so its union is trivially true.
+
+    The union is never empty.  A selection Γ below t is not the full star
+    of its common face G, which has depth |G| + depth K[lk G] >= t by
+    Hochster's formula, so an outside facet F_i holds G.  Each x_j outside
+    F_i lies outside G, so some selected facet misses it: F_i's local DNF is
+    nonempty, and so is every product.  Every disjunct holds at the all-ones
+    point, where the ideal is I_Delta.
     """
     require_pure(cx)
     masks = cx.facet_masks
@@ -215,8 +215,6 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
         # already pruned
         local = [sum(term) for per_var in choices for term in product(*per_var)]
         dnf = _minimal_product(dnf, local)
-        if not dnf:
-            break
     decoded = []
     for d in dnf:
         held = []  # the atoms of d's set bits, in increasing order

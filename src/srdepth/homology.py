@@ -433,14 +433,26 @@ def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
 
 
 def _thin_intersection(masks: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int] | None:
-    """The first k facet indices, 1 <= k <= min(r, t), in the order of
+    """The first k facet indices, 2 <= k <= min(r, t), in the order of
     itertools.combinations by increasing k, whose facets meet in fewer than
     t - k + 1 vertices, with the size of that intersection; None when there
-    is none, the paper's criterion for rigid depth t of the pure complex
-    with these r facets.  Every intersection holds the apex C of all
-    facets, so only k <= t - |C| can fall short and are listed."""
+    is none, the paper's criterion for rigid depth t.  Every intersection
+    holds the apex C of all facets, so only k <= t - |C| can fall short.
+    No facet F is short: |F| >= depth K[Δ] by Hochster's formula at F, and
+    rigid.is_rigid_by_intersections asks only t <= dim + 1 of a pure Δ.
+
+    At t = depth K[Δ] the criterion passes iff no proper facet selection
+    falls below t; neither step uses purity.  Sufficiency: if every j <= s
+    of the faces G_1..G_m meet in >= s - j + 1 vertices, depth K[Γ] >= s
+    for Γ = <G_1..G_m>, by induction on m: split off G_m as in _Selections,
+    where Γ' and <G_m> have depth >= s, so depth K[Γ] >= min(s, depth K[Λ]
+    + 1) for Λ = <G_i n G_m : i < m>, whose faces meet the condition at
+    s - 1.  Necessity: for the first short tuple (least k), Γ' and <G_k>
+    pass, and Λ is a first short tuple at t - 1, below t - 1 by induction
+    on k; so depth K[Γ] = depth K[Λ] + 1 < t, and Γ is proper.
+    """
     r = len(masks)
-    for k in range(1, min(r, t - reduce(and_, masks).bit_count()) + 1):
+    for k in range(2, min(r, t - reduce(and_, masks).bit_count()) + 1):
         for idx in combinations(range(r), k):
             inter = masks[idx[0]]
             for i in idx[1:]:

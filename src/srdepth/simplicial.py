@@ -12,10 +12,10 @@ Vertex tuples are validated only at the boundary (constructor, link, JSON);
 internal paths pass masks, and the k-faces of a facet are its k-bit
 submasks.  Face enumeration is colexicographic on bitmasks (numeric order of
 the mask), which fixes boundary-matrix rows/columns and makes all outputs
-reproducible.  `minimal_transversals` adds edges by Berge's rule, comparing
-each grown transversal only with the ones that stay, and builds degree and
-radical complexes.  `require_pure` is the precondition of rigidity, cones and
-decompositions.
+reproducible.  `minimal_transversals` adds edges, minimal or not, by Berge's
+rule, comparing each grown transversal only with the ones that stay, and
+builds degree and radical complexes.  `require_pure` is the precondition of
+rigidity, cones and decompositions.
 `Record` is the slotted, immutable base of the package's value records.
 
 The public constructor keeps the maximal faces of whatever it is given.
@@ -138,17 +138,6 @@ def _maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _minimal_masks(masks: Iterable[int]) -> list[int]:
-    out: list[int] = []
-    for m in sorted(set(masks), key=int.bit_count):
-        for o in out:
-            if o & m == o:
-                break
-        else:
-            out.append(m)
-    return out
-
-
 def minimal_transversals(edges: Iterable[int]) -> list[int]:
     """The minimal masks meeting every edge mask, in numeric order.
 
@@ -158,10 +147,13 @@ def minimal_transversals(edges: Iterable[int]) -> list[int]:
     another, and none lies inside a staying one (which would then hold t,
     another member of the antichain).  So a grown mask is compared only with
     the staying transversals, and drops out when one of them lies inside it.
+    Edges need not be minimal: taken by size, an edge holding another comes
+    after it and keeps every transversal, so each list is as over the
+    minimal edges alone.
     No edges give [0]; an empty edge gives no transversal at all.
     """
     trans = [0]
-    for e in _minimal_masks(edges):
+    for e in sorted(set(edges), key=int.bit_count):
         if not e:
             return []
         stay = [t for t in trans if t & e]

@@ -19,7 +19,7 @@ from srdepth.homology import (
 )
 from srdepth.ideals import radical_complex, support_mask
 from srdepth.simplicial import (
-    IRRELEVANT, VOID, _minimal_masks, _selection_indices, as_int, face_mask, mask_vertices,
+    IRRELEVANT, VOID, _selection_indices, as_int, face_mask, mask_vertices,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -426,6 +426,16 @@ def distributed_cone_union(cx: Complex, field=RATIONALS) -> ConeUnion:
 
 # -- quadratic cone product oracle ------------------------------------------------
 
+def minimal_masks(masks) -> list[int]:
+    """The distinct masks holding no other, by bit count: each is kept
+    unless an earlier kept mask lies inside it."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(o & m == o for o in out):
+            out.append(m)
+    return out
+
+
 def quadratic_minimal_product(dnf: list[int], terms: list[int]) -> list[int]:
     """The minimal masks d | c over d in the antichain dnf and c in terms,
     comparing every grown mask with all the smaller grown masks and with
@@ -440,7 +450,7 @@ def quadratic_minimal_product(dnf: list[int], terms: list[int]) -> list[int]:
         else:
             grown += [d | c for c in terms]
     out = kept.copy()
-    for g in _minimal_masks(grown):
+    for g in minimal_masks(grown):
         for k in kept:
             if k & g == k:
                 break

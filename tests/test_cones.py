@@ -10,9 +10,9 @@ from srdepth import cones as cones_mod, homology, simplicial
 from srdepth.cli import main
 from srdepth.cones import ConeUnion, generate_cone_union
 from srdepth.criteria import depth_equals_radical
-from srdepth.homology import RATIONALS, prime_field
+from srdepth.homology import RATIONALS, _selections, prime_field
 from srdepth.ideals import Decomposition, irreducible_ideal
-from srdepth.simplicial import Complex, _minimal_masks
+from srdepth.simplicial import Complex, _selection_indices
 from tests.conftest import (
     FIXTURES,
     FOURCYCLE,
@@ -26,6 +26,7 @@ from tests.conftest import (
     fourcycle_symbol_order,
     grid_equivalence,
     midpoint,
+    minimal_masks,
     quadratic_minimal_product,
     random_pure_complex,
 )
@@ -155,7 +156,7 @@ def test_cone_product_is_the_minimal_antichain():
     kinds = ("empty", "zero", "repeated", "nested", "random")
     for _ in range(400):
         bits = rng.randint(1, 8)
-        dnf = _minimal_masks(rng.randrange(1 << bits) for _ in range(rng.randint(0, 10)))
+        dnf = minimal_masks(rng.randrange(1 << bits) for _ in range(rng.randint(0, 10)))
         kind = rng.choice(kinds)
         terms = [rng.randrange(1 << bits) for _ in range(rng.randint(1, 6))]
         if kind == "empty":
@@ -281,6 +282,38 @@ def test_selections_of_radical_depth_two_build_no_subcomplex(cx):
     homology._selections.cache_clear()
     generate_cone_union(cx, RATIONALS)
     assert homology.depth_stanley_reisner.cache_info().currsize == 1
+
+
+def test_union_is_never_empty():
+    # a selection below t is never the full star of its common face, whose
+    # depth is at least t, so an outside facet holds that face and every
+    # local DNF, and so every product, is nonempty
+    rng = random.Random(43)
+    fixtures = [json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+    complexes = [Complex.from_json_dict(data) for data in fixtures if "facets" in data]
+    assert len(complexes) == 6
+    complexes += [random_pure_complex(rng, n_max=7, r_max=7) for _ in range(200)]
+    unions = nonrigid = refused = stars = 0
+    for cx in complexes:
+        masks = cx.facet_masks
+        for field in (RATIONALS, prime_field(2)):
+            for idx in _selections(cx, field).walk(_selection_indices(len(masks))):
+                common = masks[idx[0]]
+                for i in idx[1:]:
+                    common &= masks[i]
+                star = tuple(i for i, fm in enumerate(masks) if fm & common == common)
+                assert star != idx, (cx, str(field), idx)
+                stars += 1
+            try:
+                union = generate_cone_union(cx, field)
+            except ValueError:
+                refused += 1
+                continue
+            unions += 1
+            nonrigid += not union.is_trivially_true
+            assert union.disjuncts, (cx, str(field))
+            assert union.evaluate(dict.fromkeys(union.symbols, 1)), (cx, str(field))
+    assert unions > 350 and nonrigid > 40 and refused > 0 and stars > 1000
 
 
 def test_rigid_complex_gives_trivially_true_union(two_big_facets):

@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from srdepth.homology import RATIONALS, depth_stanley_reisner, prime_field
+from srdepth.homology import RATIONALS, _thin_intersection, depth_stanley_reisner, prime_field
 from srdepth.rigid import (
     is_rigid_by_intersections,
     is_rigid_by_skeleton_cm,
@@ -103,6 +104,46 @@ def test_apex_peel_matches_every_intersection():
             v = is_rigid_by_intersections(cx, t)
             assert (v.rigid, v.facet_indices, v.intersection_size) == all_intersections_verdict(cx, t), (cx, t)
     assert 100 < cones < 200
+
+
+def random_impure_complex(rng: random.Random) -> Complex:
+    """Facets of at least two sizes, each of two or more of the 3..7
+    vertices; candidates may nest."""
+    while True:
+        n = rng.randint(3, 7)
+        cands = [rng.sample(range(1, n + 1), rng.randint(2, n)) for _ in range(rng.randint(2, 6))]
+        cx = Complex(n, cands)
+        if not cx.is_pure:
+            return cx
+
+
+def test_intersection_criterion_holds_without_purity():
+    # at t = depth K[cx], the criterion passes iff no proper facet selection
+    # falls below t, and the first short tuple is such a selection; no facet
+    # alone is short, so the search from k = 2 misses no tuple of k = 1
+    rng = random.Random(43)
+    rigid = thin = 0
+    for _ in range(1000):
+        cx = random_impure_complex(rng)
+        r = len(cx.facets)
+        for field in (RATIONALS, F2):
+            t = depth_stanley_reisner(cx, field)
+            short = _thin_intersection(cx.facet_masks, t)
+            low = [
+                idx for k in range(1, r) for idx in combinations(range(r), k)
+                if selection_depth(cx, idx, field) < t
+            ]
+            assert (short is None) == (not low), (cx, str(field))
+            assert min(len(f) for f in cx.facets) >= t
+            if short is None:
+                rigid += 1
+                assert all_intersections_verdict(cx, t) == (True, None, None)
+            else:
+                thin += 1
+                idx, size = short
+                assert len(idx) < r and selection_depth(cx, idx, field) < t, (cx, str(field))
+                assert all_intersections_verdict(cx, t) == (False, idx, size)
+    assert rigid > 1500 and thin > 150
 
 
 # -- homological routes ------------------------------------------------------------
