@@ -1,12 +1,13 @@
 """Exact depth computations for monomial ideals and Stanley-Reisner rings.
 
 The toolkit decides when the depth of S/I equals the depth of S/sqrt(I) for
-unmixed monomial ideals, characterizes pure simplicial complexes with rigid
-depth, and emits the rational-cone inequality systems on irreducible
-exponents governing depth equality.  Everything is exact: integer and
-prime-field linear algebra only.  The package re-exports the one production
-route per question; the routes `srdepth audit` checks it against stay in
-their modules, and the other cross-checks live in the tests.
+monomial ideals with one P_F-primary component per facet of their radical's
+complex (the unmixed ones, for a pure complex), characterizes the complexes
+with rigid depth, and emits the rational-cone inequality systems on
+irreducible exponents governing depth equality.  Everything is exact:
+integer and prime-field linear algebra only.  The package re-exports the one
+production route per question; the routes `srdepth audit` checks it against
+stay in their modules, and the other cross-checks live in the tests.
 """
 
 from .simplicial import Complex, IRRELEVANT, ORDINARY, VOID

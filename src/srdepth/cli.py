@@ -4,11 +4,11 @@ Commands and the options each one reads
 ---------------------------------------
 depth                 depth/CM verdict for a complex or a monomial ideal
                       (--field, --format)
-rigid                 rigidity verdict with certificate for a pure complex
+rigid                 rigidity verdict with certificate for a complex
                       (--field, --format)
 depth-equal-radical   depth(S/I) vs depth(S/sqrt I) for a decomposition
                       (--field, --format)
-cones                 exponent cone union for a pure complex
+cones                 exponent cone union for a complex
                       (--field, --format)
 delta-a               facet selection of a decomposition at a degree vector
                       (--a, --format)
@@ -329,7 +329,7 @@ def _audit_complex(cx: Complex, problems: list[str]) -> None:
         d = depth_stanley_reisner(cx, k)
         if (d == cx.dim + 1) != bool(is_cohen_macaulay(cx, k)):
             problems.append(f"depth/CM inconsistency over {k}")
-    if cx.is_pure and len(cx.facet_masks) <= DEFAULT_FACET_CAP:
+    if len(cx.facet_masks) <= DEFAULT_FACET_CAP:
         masks = cx.facet_masks
         for k in fields:
             sels = _selections(cx, k)
@@ -432,10 +432,10 @@ _DEGREE = ("--a", dict(required=True, help="comma-separated degree vector"))
 
 _COMMANDS = (
     ("depth", cmd_depth, "depth of a complex or monomial ideal", (_FIELD, _FORMAT)),
-    ("rigid", cmd_rigid, "rigid-depth verdict for a pure complex", (_FIELD, _FORMAT)),
+    ("rigid", cmd_rigid, "rigid-depth verdict for a complex", (_FIELD, _FORMAT)),
     ("depth-equal-radical", cmd_depth_equal_radical,
      "depth(S/I) vs depth of the radical", (_FIELD, _FORMAT)),
-    ("cones", cmd_cones, "exponent cone union for a pure complex", (_FIELD, _FORMAT)),
+    ("cones", cmd_cones, "exponent cone union for a complex", (_FIELD, _FORMAT)),
     ("delta-a", cmd_delta_a, "facet selection at a degree vector", (_DEGREE, _FORMAT)),
     ("local-cohomology", cmd_local_cohomology, "graded local cohomology table",
      (_FIELD, _FORMAT)),

@@ -1,6 +1,6 @@
 """Inequality systems on irreducible exponents that govern depth equality.
 
-For a pure complex, the exponent tuples (a_{ij}) of an irreducible
+For a complex, pure or not, the exponent tuples (a_{ij}) of an irreducible
 decomposition for which depth(S/I) equals the radical depth form a finite
 union of rational cones.  The facet selections of depth below t come from
 homology._selections, the one object per (complex, field) that the
@@ -32,7 +32,7 @@ from itertools import product
 from math import prod
 
 from .homology import FieldSpec, RATIONALS, _selections
-from .simplicial import Complex, Record, _selection_indices, as_int, require_pure
+from .simplicial import Complex, Record, _selection_indices, as_int
 
 Symbol = tuple[int, int]  # (facet index, variable index)
 Atom = tuple[int, int]  # (left symbol position, right symbol position): left >= right
@@ -161,7 +161,7 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     A step whose product would list more than MAX_CONE_CANDIDATES candidate
     conjunctions is refused with a ValueError before it is expanded, and a
     complex beyond simplicial.DEFAULT_FACET_CAP facets before any depth or
-    the criterion is read.
+    the criterion is read.  The void complex has no depth and is refused.
     The irrelevant complex has no selection, so its union is trivially true.
 
     The union is never empty.  A selection Γ below t is not the full star
@@ -171,7 +171,6 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     nonempty, and so is every product.  Every disjunct holds at the all-ones
     point, where the ideal is I_Delta.
     """
-    require_pure(cx)
     masks = cx.facet_masks
     r = len(masks)
     selections = _selection_indices(r)

@@ -134,8 +134,10 @@ def _excess_sets(
 
 
 def degree_complex_unmixed(dec: Decomposition, a: Sequence[int]) -> Complex:
-    """degree_complex of an unmixed intersection, by component membership:
-    generated by F \\ G_a over the facets F containing G_a with x^(a+) outside C_F.
+    """degree_complex of a decomposition's intersection, by component
+    membership: generated by F \\ G_a over the facets F containing G_a with
+    x^(a+) outside C_F.  The name recalls the unmixed ideals of a pure
+    complex; no step uses purity.
 
     A P_F-primary component has no generator involving a variable of F, so
     inverting those variables, and negative coordinates inside F, change no
@@ -450,14 +452,14 @@ def depth_equals_radical(
     there the complex is a cone with apex j, whose depth is at least that at
     a_j = 0, which comes first, so the first witness never lies there.
 
-    Each degree complex of an unmixed ideal is a facet selection of Delta,
+    Each degree complex at a >= 0 is a facet selection of Delta, pure or not,
     the facets whose component misses x^a (Minh-Trung, Adv. Math. 226
     (2011)), so whether it falls below t depends on the complex and the
     field alone, and homology._selections keeps t, the criterion and the
     answers once per (complex, field), shared with the cone union (see
     homology._Selections).  When Delta passes the paper's intersection
     criterion it has rigid depth: every selection has depth >= t and the
-    verdict is equality at once, with no table and no search.  Every pure
+    verdict is equality at once, with no table and no search.  Every
     complex passes at t <= 1.
 
     Otherwise the search is one function of its state (j, mask): the

@@ -25,7 +25,7 @@ whether the link is connected and builds no link: the link's facets are the
 facets holding the face, with the face removed.
 
 The decision and the cone union ask one question of many facet selections
-of a pure complex of depth t: is the selection's depth below t?  One
+of a complex of depth t, pure or not: is the selection's depth below t?  One
 _Selections per (complex, field), from _selections, answers it for both,
 and for the audit's check of the walk.  It holds whether the facets pass
 the paper's intersection criterion (_thin_intersection), under which none
@@ -438,8 +438,10 @@ def _thin_intersection(masks: tuple[int, ...], t: int) -> tuple[tuple[int, ...],
     t - k + 1 vertices, with the size of that intersection; None when there
     is none, the paper's criterion for rigid depth t.  Every intersection
     holds the apex C of all facets, so only k <= t - |C| can fall short.
-    No facet F is short: |F| >= depth K[Δ] by Hochster's formula at F, and
-    rigid.is_rigid_by_intersections asks only t <= dim + 1 of a pure Δ.
+    No facet F is short at t = depth K[Δ], as |F| >= t by Hochster's
+    formula at F.  A facet G with |G| < t <= dim + 1, as
+    rigid.is_rigid_by_intersections may ask, fails k = 2: |F n G| >= t - 1
+    would put G inside another facet F, and |C| < |G| keeps k = 2 searched.
 
     At t = depth K[Δ] the criterion passes iff no proper facet selection
     falls below t; neither step uses purity.  Sufficiency: if every j <= s
@@ -491,7 +493,7 @@ def _generated_below(n: int, parts: list[int], s: int, field: FieldSpec) -> bool
 
 
 class _Selections:
-    """Which facet selections of a pure complex fall below t, its depth
+    """Which facet selections of a complex fall below t, its depth
     over a field: one object per (complex, field), from _selections, holding
     t, whether the facets pass the paper's criterion at t, the answers and
     the decision's witness subcomplexes.
@@ -562,6 +564,6 @@ class _Selections:
 
 @lru_cache(maxsize=256)
 def _selections(cx: Complex, field: FieldSpec) -> _Selections:
-    """The one _Selections of a pure complex over field, at t = depth K[cx];
+    """The one _Selections of a complex over field, at t = depth K[cx];
     equal complexes share it."""
     return _Selections(cx.n, cx.facet_masks, depth_stanley_reisner(cx, field), field)

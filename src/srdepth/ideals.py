@@ -1,4 +1,4 @@
-"""Monomial ideals with exact integer exponents, and unmixed decompositions.
+"""Monomial ideals with exact integer exponents, and primary decompositions.
 
 A monomial is an exponent tuple of length n, 1 <= n <= 64; a MonomialIdeal
 keeps the antichain of minimal generators in a canonical sort order.
@@ -14,11 +14,14 @@ minimal nonfaces, the minimal transversals of the facet complements.
 Each ideal keeps its radical complex once built; ideals are never changed
 after construction, so the kept complex cannot go stale.
 
-A Decomposition pairs a pure complex with one P_F-primary component per
-facet F: every generator is supported off F and every variable off F occurs
-as a pure power.  Each value is checked once, where it is read.  The 'power'
-and 'irreducible' forms are P_F-primary by construction unless F covers
-every vertex, so only the 'generators' form goes through primary_violation.
+A Decomposition pairs a complex Δ, pure or not but never void, with one
+P_F-primary component per facet F: every generator is supported off F and
+every variable off F occurs as a pure power.  Their intersection I has
+sqrt I = I_Δ and no embedded prime; for a pure Δ these I are exactly the
+unmixed ideals with radical I_Δ.  Each value is checked once, where it is
+read.  The 'power' and 'irreducible' forms are P_F-primary by construction
+unless F covers every vertex, so only the 'generators' form goes through
+primary_violation.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from math import comb
 
 from .simplicial import (
     MAX_VERTICES, Complex, VOID, as_int, face_mask, json_fields, json_list, json_rows,
-    mask_vertices, minimal_transversals, require_pure,
+    mask_vertices, minimal_transversals,
 )
 
 Monomial = tuple  # exponent tuple of length n
@@ -264,7 +267,7 @@ def radical_complex(ideal: MonomialIdeal) -> Complex:
     return ideal._radical
 
 
-# -- unmixed decompositions ---------------------------------------------------
+# -- primary decompositions ----------------------------------------------------
 
 def primary_violation(n: int, facet_mask: int, component: MonomialIdeal) -> str | None:
     """Reason the component fails to be P_F-primary, or None if it is."""
@@ -285,12 +288,12 @@ def primary_violation(n: int, facet_mask: int, component: MonomialIdeal) -> str 
 
 
 class Decomposition:
-    """A pure complex plus one P_F-primary monomial ideal per facet.
+    """A nonvoid complex plus one P_F-primary monomial ideal per facet.
 
     Components come as a mapping from each facet (its vertices in any order)
-    to its ideal, and are stored in the canonical facet order.  Once purity
-    and the P_F-primary conditions hold, the intersection of the components
-    has radical equal to the Stanley-Reisner ideal of the complex.
+    to its ideal, and are stored in the canonical facet order.  Once the
+    P_F-primary conditions hold, the intersection of the components has
+    radical equal to the Stanley-Reisner ideal of the complex.
     """
 
     __slots__ = ("delta", "components")
@@ -301,7 +304,8 @@ class Decomposition:
     def _assemble(self, delta: Complex, read: Iterable[tuple]) -> "Decomposition":
         """Store the (facet, mask, component) triples of read in the facet order
         of delta; a mask of None marks a facet and a component still to check."""
-        require_pure(delta)
+        if delta.kind == VOID:
+            raise ValueError("a decomposition needs a nonvoid complex")
         n, keyed, unchecked = delta.n, {}, {(1 << delta.n) - 1}
         for f, fm, ideal in read:
             if fm is None:

@@ -1,19 +1,22 @@
-"""Rigid depth of pure simplicial complexes.
+"""Rigid depth of simplicial complexes.
 
-A pure complex has rigid depth when every unmixed monomial ideal with that
-complex as radical has the same depth as the squarefree ideal itself.  The
-decidable route is combinatorial: every k of the facets must intersect in at
-least t - k + 1 vertices, for k up to min(r, t), where t is the depth of the
-Stanley-Reisner ring.  It is the one route the verdicts use.  Two
-homological routes (all proper facet selections keep depth >= t; all their
-(t-1)-skeletons are Cohen-Macaulay) are kept as oracles, with a randomized
-stability sampler over concrete ideal classes; `srdepth audit` runs the
-second and the sampler and reads the first off the selections it builds.
-Both routes build each selection from the facet masks at the
-indices of simplicial._selection_indices, which refuses complexes beyond
-simplicial.DEFAULT_FACET_CAP facets before any depth.  All take what
-simplicial.require_pure admits: the irrelevant complex has depth 0 and is rigid.
-The tests assert that rigidity persists over prime fields and up the skeletons.
+A complex Δ, other than the void one, has rigid depth when every monomial
+ideal I with sqrt I = I_Δ and one P_F-primary component per facet F has the
+depth of I_Δ itself.  For a pure Δ these are the unmixed ideals, the paper's
+definition; no step below uses purity (see homology._thin_intersection and
+homology._Selections).  The decidable route is combinatorial: every k of the
+facets must intersect in at least t - k + 1 vertices, for k up to min(r, t),
+where t is the depth of the Stanley-Reisner ring.  It is the one route the
+verdicts use.  Two homological routes (all proper facet selections keep
+depth >= t; all their (t-1)-skeletons are Cohen-Macaulay) are kept as
+oracles, with a randomized stability sampler over concrete ideal classes;
+`srdepth audit` runs the second and the sampler and reads the first off the
+selections it builds.  Both routes build each selection from the facet masks
+at the indices of simplicial._selection_indices, which refuses complexes
+beyond simplicial.DEFAULT_FACET_CAP facets before any depth.  Every route
+refuses the void complex, whose depth is undefined; the irrelevant complex
+has depth 0 and is rigid.  The tests assert that rigidity persists over
+prime fields and up the skeletons.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .homology import (
     FieldSpec, RATIONALS, _thin_intersection, depth_stanley_reisner, is_cohen_macaulay,
 )
 from .ideals import Decomposition, irreducible_ideal, prime_power_ideal
-from .simplicial import Complex, Record, _selection_indices, as_int, require_pure
+from .simplicial import VOID, Complex, Record, _selection_indices, as_int
 
 
 class RigidVerdict(Record):
@@ -53,7 +56,8 @@ def is_rigid_by_intersections(cx: Complex, t: int) -> RigidVerdict:
     1 <= k <= min(r, t), by homology._thin_intersection.  First violating
     tuple is the certificate.  t is 1..dim+1, or 0 for the irrelevant
     complex."""
-    require_pure(cx)
+    if cx.kind == VOID:
+        raise ValueError("depth is undefined for the void complex")
     t = as_int(t, "depth")
     low = min(1, cx.dim + 1)
     if not low <= t <= cx.dim + 1:
@@ -67,7 +71,6 @@ def is_rigid_by_intersections(cx: Complex, t: int) -> RigidVerdict:
 def _walk(cx: Complex, field: FieldSpec, fails: Callable[[Complex, int], bool]) -> RigidVerdict:
     """The indices of the first proper facet selection gamma with fails(gamma,
     t) as the certificate, t = depth K[cx]; the cap is checked before any depth."""
-    require_pure(cx)
     masks = cx.facet_masks
     selections = _selection_indices(len(masks))
     t = depth_stanley_reisner(cx, field)
@@ -106,7 +109,6 @@ def sample_depth_stability(
     come back empty; for a non-rigid complex this is a search, not a
     decision.
     """
-    require_pure(cx)
     if exponent_bound < 1:
         raise ValueError("exponent bound must be >= 1")
     t = depth_stanley_reisner(cx, field)

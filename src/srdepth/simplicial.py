@@ -14,8 +14,7 @@ submasks.  Face enumeration is colexicographic on bitmasks (numeric order of
 the mask), which fixes boundary-matrix rows/columns and makes all outputs
 reproducible.  `minimal_transversals` adds edges, minimal or not, by Berge's
 rule, comparing each grown transversal only with the ones that stay, and
-builds degree and radical complexes.  `require_pure` is the precondition of
-rigidity, cones and decompositions.
+builds degree and radical complexes.
 `Record` is the slotted, immutable base of the package's value records.
 
 The public constructor keeps the maximal faces of whatever it is given.
@@ -264,11 +263,6 @@ class Complex:
     def facet_masks(self) -> tuple[int, ...]:
         return self._fmasks
 
-    @property
-    def is_pure(self) -> bool:
-        # the void complex, with no facet, is pure
-        return len({m.bit_count() for m in self._fmasks}) <= 1
-
     def face_masks_of_dim(self, i: int) -> tuple[int, ...]:
         """All i-faces as bitmasks, in colexicographic (numeric) order.
 
@@ -379,12 +373,3 @@ class Complex:
             return f"Complex(n={self.n}, void)"
         return f"Complex(n={self.n}, facets={list(self.facets)})"
 
-
-def require_pure(cx: Complex) -> None:
-    """Refuse the void complex and impure complexes; rigid depth, cone unions
-    and unmixed decompositions are defined over all others, {()} included."""
-    if cx.kind == VOID:
-        raise ValueError("expected a pure complex, got the void complex")
-    if not cx.is_pure:
-        sizes = sorted({m.bit_count() for m in cx.facet_masks})
-        raise ValueError(f"expected a pure complex, got facets of sizes {sizes}")

@@ -155,6 +155,12 @@ def random_pure_complex(rng: random.Random, n_max=7, r_max=5) -> Complex:
     return Complex(n, rng.sample(all_facets, r))
 
 
+def is_pure(cx: Complex) -> bool:
+    """Whether every facet has one size, as the paper's complexes do; the
+    void complex is pure."""
+    return len({m.bit_count() for m in cx.facet_masks}) <= 1
+
+
 def mixed_complex_corpus(count=250, n_max=8, seed=8) -> list:
     """Seeded complexes with facets of mixed sizes (candidates may nest or be
     empty) on up to n_max vertices, plus the projective plane."""
@@ -196,8 +202,13 @@ def random_primary(rng: random.Random, n: int, facet, exp_max=3) -> MonomialIdea
     return MonomialIdeal(n, gens)
 
 
-def random_decomposition(rng: random.Random, n_max=5, r_max=4, exp_max=3) -> Decomposition:
-    cx = random_pure_complex(rng, n_max=n_max, r_max=r_max)
+def random_decomposition(
+    rng: random.Random, n_max=5, r_max=4, exp_max=3, cx: Complex | None = None
+) -> Decomposition:
+    """Irreducible, prime-power and general P_F-primary components over cx,
+    or over a random pure complex when cx is None."""
+    if cx is None:
+        cx = random_pure_complex(rng, n_max=n_max, r_max=r_max)
     comps = {}
     for f in cx.facets:
         style = rng.random()

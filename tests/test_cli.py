@@ -22,9 +22,9 @@ from srdepth.criteria import (
     local_cohomology_table,
 )
 from srdepth.homology import RATIONALS, CMResult, depth_stanley_reisner
-from srdepth.ideals import MonomialIdeal
+from srdepth.ideals import Decomposition, MonomialIdeal
 from srdepth.rigid import RigidVerdict
-from srdepth.simplicial import Complex, require_pure
+from srdepth.simplicial import Complex
 from tests.conftest import FIXTURES, raw_local_cohomology
 
 
@@ -335,7 +335,7 @@ def test_ideal_in_more_than_64_variables_is_refused_by_every_command(
 
 
 def test_refusals_print_the_library_text(tmp_path, capsys):
-    """Void, impure, zero and unit inputs: one error line with the text of the
+    """Void, zero and unit inputs: one error line with the text of the
     library's ValueError, behind the path where the loader refuses."""
 
     def refusal(call, *args):
@@ -344,16 +344,15 @@ def test_refusals_print_the_library_text(tmp_path, capsys):
         return str(exc.value)
 
     path = str(tmp_path / "input.json")
-    void, impure = {"n": 3, "facets": []}, {"n": 3, "facets": [[1, 2], [3]]}
-    not_void, not_pure = (refusal(require_pure, Complex.from_json_dict(c)) for c in (void, impure))
+    void = {"n": 3, "facets": []}
+    # rigid and cones compute the depth first, and the void complex has none
+    no_depth = refusal(depth_stanley_reisner, Complex.from_json_dict(void))
+    no_decomposition = refusal(Decomposition, Complex.from_json_dict(void), {})
     cases = [
-        # rigid computes the depth first, and the void complex has none
-        ("rigid", void, refusal(depth_stanley_reisner, Complex.from_json_dict(void))),
-        ("rigid", impure, not_pure),
-        ("cones", void, not_void),
-        ("cones", impure, not_pure),
-        ("depth-equal-radical", {"complex": void, "components": []}, f"{path}: {not_void}"),
-        ("depth-equal-radical", {"complex": impure, "components": []}, f"{path}: {not_pure}"),
+        ("rigid", void, no_depth),
+        ("cones", void, no_depth),
+        ("depth-equal-radical", {"complex": void, "components": []},
+         f"{path}: {no_decomposition}"),
     ]
     for gens in ([], [[0, 0]]):
         data, ideal = {"n": 2, "generators": gens}, MonomialIdeal(2, gens)

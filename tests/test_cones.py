@@ -291,7 +291,7 @@ def test_union_is_never_empty():
     rng = random.Random(43)
     fixtures = [json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
     complexes = [Complex.from_json_dict(data) for data in fixtures if "facets" in data]
-    assert len(complexes) == 6
+    assert len(complexes) == 7
     complexes += [random_pure_complex(rng, n_max=7, r_max=7) for _ in range(200)]
     unions = nonrigid = refused = stars = 0
     for cx in complexes:

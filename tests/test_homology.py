@@ -37,6 +37,7 @@ from bench import corpus as bench_corpus
 from tests.conftest import (
     RP2_FACETS,
     generic_min_nonzero_betti,
+    is_pure,
     mixed_complex_corpus,
     random_pure_complex,
     reisner_walk,
@@ -673,7 +674,7 @@ def test_hochster_depth_matches_skeleton_oracle(rp2, two_big_facets):
     corpus += [random_pure_complex(rng) for _ in range(40)]
     corpus += _last_level_complexes(rng)
     assert [depth_stanley_reisner(cx, RATIONALS) for cx in TWO_SIMPLICES] == [1, 2, 3, 4, 5]
-    assert any(not cx.is_pure for cx in corpus)
+    assert any(not is_pure(cx) for cx in corpus)
     for cx in corpus:
         for field in (RATIONALS, F2, F3):
             assert depth_stanley_reisner(cx, field) == _skeleton_depth(cx, field), (cx, field)

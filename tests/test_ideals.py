@@ -424,10 +424,14 @@ def test_component_missing_pure_power_rejected(fourcycle):
         Decomposition(fourcycle, bad)
 
 
-def test_non_pure_complex_rejected():
-    cx = Complex(5, [(1, 2, 3), (4, 5)])
-    with pytest.raises(ValueError, match="pure"):
-        Decomposition(cx, {f: prime_power_ideal(5, f, 1) for f in cx.facets})
+def test_non_pure_complex_accepted():
+    # one P_F-primary component per facet, of any size; only the void
+    # complex is refused
+    cx = Complex(5, [(1, 2, 3), (3, 4), (4, 5)])
+    dec = Decomposition(cx, {f: prime_power_ideal(5, f, 2) for f in cx.facets})
+    assert dec.intersection().radical() == stanley_reisner_ideal(cx)
+    with pytest.raises(ValueError, match="^a decomposition needs a nonvoid complex$"):
+        Decomposition(Complex(5, []), {})
 
 
 def test_decomposition_json_round_trip():

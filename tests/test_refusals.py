@@ -126,9 +126,9 @@ DECOMPOSITION_REFUSALS = [
     ("two components, swapped order", dec(REST, {"facet": [3, 2], "power": 2}),
      "facet [2, 3] has more than one component"),
     ("void complex", dec(cx={"n": 3, "facets": []}),
-     "expected a pure complex, got the void complex"),
-    ("impure complex", dec(cx={"n": 3, "facets": [[1, 2], [3]]}),
-     "expected a pure complex, got facets of sizes [1, 2]"),
+     "a decomposition needs a nonvoid complex"),
+    ("impure complex without components", dec(cx={"n": 3, "facets": [[1, 2], [3]]}),
+     "components must be keyed by the facets of the complex"),
     ("a facet without a component", dec(REST),
      "components must be keyed by the facets of the complex"),
     ("a component off the facets", dec(REST, {"facet": [1, 2], "power": 1},
@@ -172,7 +172,7 @@ DECOMPOSITION_REFUSALS = [
     ("impure complex and generators facet out of range",
      dec({"facet": [1, 4], "generators": [[0, 0, 1]]},
          cx={"n": 3, "facets": [[1, 2], [3]]}),
-     "expected a pure complex, got facets of sizes [1, 2]"),
+     "vertex 4 out of range 1..3"),
     ("swapped duplicate, then power zero",
      dec(REST, {"facet": [3, 2], "power": 2}, {"facet": [1, 2], "power": 0}),
      "power must be >= 1, got 0"),

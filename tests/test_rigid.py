@@ -3,7 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from srdepth.homology import RATIONALS, _thin_intersection, depth_stanley_reisner, prime_field
+from srdepth.cones import generate_cone_union
+from srdepth.criteria import (
+    degree_complex_unmixed, depth_equals_radical, depth_via_local_cohomology,
+)
+from srdepth.homology import RATIONALS, depth_stanley_reisner, prime_field
+from srdepth.ideals import Decomposition, irreducible_ideal, prime_power_ideal
 from srdepth.rigid import (
     is_rigid_by_intersections,
     is_rigid_by_skeleton_cm,
@@ -13,8 +18,8 @@ from srdepth.rigid import (
 from srdepth import simplicial
 from srdepth.simplicial import Complex
 from tests.conftest import (
-    all_intersections_verdict, checked_rigidity, random_pure_complex, selection_depth,
-    two_facet_depth,
+    all_intersections_verdict, checked_rigidity, is_pure, random_decomposition,
+    random_pure_complex, selection_depth, two_facet_depth,
 )
 
 F2 = prime_field(2)
@@ -69,17 +74,21 @@ def test_irrelevant_complex_has_rigid_depth(n, field):
         sample_depth_stability,
     ],
 )
-def test_every_rigidity_route_refuses_void_and_impure(route):
-    for cx in (Complex(3, []), Complex(3, [(1, 2), (3,)])):
-        with pytest.raises(ValueError, match="^expected a pure complex, got "):
-            route(cx)
+def test_every_rigidity_route_refuses_void(route):
+    # the void complex has no depth; every other complex, pure or not, is taken
+    with pytest.raises(ValueError, match="^depth is undefined for the void complex$"):
+        route(Complex(3, []))
 
 
 def test_rigidity_input_validation(rp2):
     with pytest.raises(ValueError):
         is_rigid_by_intersections(rp2, 0)
-    with pytest.raises(ValueError):
-        is_rigid_by_intersections(Complex(5, [(1, 2, 3), (4, 5)]), 1)
+    impure = Complex(5, [(1, 2, 3), (4, 5)])
+    with pytest.raises(ValueError, match=r"^depth 4 out of range 1\.\.3$"):
+        is_rigid_by_intersections(impure, 4)
+    # the edge, shorter than t = 3, lies in no other facet, so it fails k = 2
+    assert is_rigid_by_intersections(impure, 1)
+    assert not is_rigid_by_intersections(impure, 3)
 
 
 @pytest.mark.parametrize("t", [True, 1.0, "1"], ids=repr)
@@ -113,37 +122,107 @@ def random_impure_complex(rng: random.Random) -> Complex:
         n = rng.randint(3, 7)
         cands = [rng.sample(range(1, n + 1), rng.randint(2, n)) for _ in range(rng.randint(2, 6))]
         cx = Complex(n, cands)
-        if not cx.is_pure:
+        if not is_pure(cx):
             return cx
 
 
 def test_intersection_criterion_holds_without_purity():
-    # at t = depth K[cx], the criterion passes iff no proper facet selection
-    # falls below t, and the first short tuple is such a selection; no facet
-    # alone is short, so the search from k = 2 misses no tuple of k = 1
+    # at t = depth K[cx], the criterion agrees with both homological routes,
+    # and its first short tuple is a selection below t; no facet alone is
+    # short, so the search from k = 2 misses no tuple of k = 1
     rng = random.Random(43)
     rigid = thin = 0
     for _ in range(1000):
         cx = random_impure_complex(rng)
-        r = len(cx.facets)
         for field in (RATIONALS, F2):
             t = depth_stanley_reisner(cx, field)
-            short = _thin_intersection(cx.facet_masks, t)
-            low = [
-                idx for k in range(1, r) for idx in combinations(range(r), k)
-                if selection_depth(cx, idx, field) < t
-            ]
-            assert (short is None) == (not low), (cx, str(field))
+            v = is_rigid_by_intersections(cx, t)
             assert min(len(f) for f in cx.facets) >= t
-            if short is None:
+            verdict = (v.rigid, v.facet_indices, v.intersection_size)
+            assert verdict == all_intersections_verdict(cx, t), (cx, str(field))
+            by_depths = checked_rigidity(is_rigid_by_subcomplex_depths, cx, field)
+            by_skeletons = checked_rigidity(is_rigid_by_skeleton_cm, cx, field)
+            assert v.rigid == by_depths == by_skeletons, (cx, str(field))
+            if v:
                 rigid += 1
-                assert all_intersections_verdict(cx, t) == (True, None, None)
             else:
                 thin += 1
-                idx, size = short
-                assert len(idx) < r and selection_depth(cx, idx, field) < t, (cx, str(field))
-                assert all_intersections_verdict(cx, t) == (False, idx, size)
+                assert selection_depth(cx, v.facet_indices, field) < t, (cx, str(field))
     assert rigid > 1500 and thin > 150
+
+
+def realising_decomposition(cx: Complex, indices) -> Decomposition:
+    """C_F = (x_j^2 : j not in F) for the facets at indices and P_F for the
+    others, so that the degree complex at (1, ..., 1) is their selection."""
+    return Decomposition(cx, {
+        f: irreducible_ideal(cx.n, f, [2] * (cx.n - len(f))) if i in indices
+        else prime_power_ideal(cx.n, f, 1)
+        for i, f in enumerate(cx.facets)
+    })
+
+
+def test_every_short_tuple_is_realised():
+    # rigid depth over every ideal with one P_F-primary component per facet:
+    # the first short tuple of a non-rigid complex, pure or not, is the
+    # degree complex of such an ideal, below t
+    rng = random.Random(44)
+    verdicts = impure = 0
+    for k in range(1200):
+        cx = random_pure_complex(rng, n_max=6) if k % 4 == 0 else random_impure_complex(rng)
+        for field in (RATIONALS, F2):
+            t = depth_stanley_reisner(cx, field)
+            v = is_rigid_by_intersections(cx, t)
+            if v:
+                continue
+            dec = realising_decomposition(cx, v.facet_indices)
+            gamma = Complex(cx.n, [cx.facets[i] for i in v.facet_indices])
+            assert degree_complex_unmixed(dec, (1,) * cx.n) == gamma, (cx, str(field))
+            assert depth_stanley_reisner(gamma, field) < t, (cx, str(field))
+            assert not depth_equals_radical(dec, field).equal, (cx, str(field))
+            verdicts += 1
+            impure += not is_pure(cx)
+    assert verdicts > 200 and impure > 140
+
+
+def test_decision_matches_the_depth_without_purity():
+    # irreducible, prime-power and general P_F-primary components; each
+    # witness is the degree complex at its degree, below t
+    rng = random.Random(45)
+    unequal = 0
+    for _ in range(600):
+        dec = random_decomposition(rng, exp_max=2, cx=random_impure_complex(rng))
+        ideal = dec.intersection()
+        for field in (RATIONALS, F2):
+            v = depth_equals_radical(dec, field)
+            assert v.t == depth_stanley_reisner(dec.delta, field)
+            assert v.equal == (depth_via_local_cohomology(ideal, field) == v.t), (dec, str(field))
+            if not v.equal:
+                unequal += 1
+                assert v.witness_subcomplex == degree_complex_unmixed(dec, v.witness_degree)
+                assert depth_stanley_reisner(v.witness_subcomplex, field) < v.t
+    assert unequal > 40
+
+
+def test_cone_union_matches_the_decision_without_purity():
+    rng = random.Random(46)
+    unequal = 0
+    for _ in range(300):
+        cx = random_impure_complex(rng)
+        outside = [[j for j in range(1, cx.n + 1) if j not in f] for f in cx.facets]
+        for field in (RATIONALS, F2):
+            union = generate_cone_union(cx, field)
+            for _ in range(3):
+                exps = [[rng.randint(1, 3) for _ in out] for out in outside]
+                dec = Decomposition(cx, {
+                    f: irreducible_ideal(cx.n, f, e) for f, e in zip(cx.facets, exps)
+                })
+                assignment = {
+                    (i, j): e for i, out in enumerate(outside) for j, e in zip(out, exps[i])
+                }
+                equal = depth_equals_radical(dec, field).equal
+                assert union.evaluate(assignment) == equal, (cx, str(field), exps)
+                unequal += not equal
+    assert unequal > 80
 
 
 # -- homological routes ------------------------------------------------------------

@@ -21,7 +21,6 @@ from srdepth.simplicial import (
     mask_bits,
     mask_vertices,
     minimal_transversals,
-    require_pure,
 )
 from tests.conftest import (
     FIXTURES, combination_faces, mixed_complex_corpus, random_decomposition, random_ideal,
@@ -71,7 +70,6 @@ def test_irrelevant_and_void():
     void = Complex(3, [])
     assert void.kind == VOID
     assert void.dim == -2
-    assert void.is_pure and irr.is_pure
 
 
 def test_vertex_out_of_range():
@@ -94,16 +92,6 @@ def test_repeated_vertex_refused():
         face_mask([2, 1, 2], 3)
 
 
-def test_pure_contract_admits_every_pure_nonvoid_complex(fourcycle):
-    for cx in (Complex(1, [()]), Complex(3, [()]), fourcycle):
-        require_pure(cx)
-    with pytest.raises(ValueError, match="^expected a pure complex, got the void complex$"):
-        require_pure(Complex(2, []))
-    impure = r"^expected a pure complex, got facets of sizes \[1, 2\]$"
-    with pytest.raises(ValueError, match=impure):
-        require_pure(Complex(3, [(1, 2), (3,)]))
-
-
 def test_empty_face_dropped_when_dominated():
     cx = Complex(3, [(), (1,)])
     assert cx.facets == ((1,),)
@@ -117,10 +105,9 @@ def test_constructor_idempotent(cx):
 
 # -- queries ------------------------------------------------------------------------
 
-def test_dimension_and_purity(fourcycle):
+def test_dimension(fourcycle):
     assert fourcycle.dim == 1
-    assert fourcycle.is_pure
-    assert not Complex(5, [(1, 2, 3), (4, 5)]).is_pure
+    assert Complex(5, [(1, 2, 3), (4, 5)]).dim == 2
 
 
 def test_face_enumeration_fourcycle(fourcycle):
