@@ -329,6 +329,11 @@ def _audit_complex(cx: Complex, problems: list[str]) -> None:
         d = depth_stanley_reisner(cx, k)
         if (d == cx.dim + 1) != bool(is_cohen_macaulay(cx, k)):
             problems.append(f"depth/CM inconsistency over {k}")
+        # a second route below dim + 1: the depth is 1 + the largest i whose
+        # i-skeleton is Cohen-Macaulay; at i = dim this is the check above
+        elif d != 1 + next(i for i in range(cx.dim, -1, -1)
+                           if is_cohen_macaulay(cx.skeleton(i), k)):
+            problems.append(f"depth and skeleton depth disagree over {k}")
     if len(cx.facet_masks) <= DEFAULT_FACET_CAP:
         masks = cx.facet_masks
         for k in fields:

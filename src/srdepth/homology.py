@@ -19,10 +19,14 @@ No field needs d_1 eliminated: its rank is f_0 minus the number of connected
 components, which overlapping facets merge.  Nor is d_(i+1) ranked when its
 f_(i+1) columns are fewer than the i-cycles: H~_i != 0 by counting alone.
 
-At the last face size that can lower Hochster's minimum only H~_0 of a
-link matters, and it is the same over every field, so that size asks only
-whether the link is connected and builds no link: the link's facets are the
-facets holding the face, with the face removed.
+Hochster's walk takes its bound from H~_0 first, which is the same over
+every field and needs no rank.  A face G that is no facet and whose link is
+disconnected is the meet of two facets: the link's facets are F - G for the
+facets F holding G, so F and F' with F - G and F' - G in different
+components share no vertex outside G, and G = F n F'.  Such a face gives
+depth |G| + 1, so pairwise facet meets bound the depth without building a
+link; below that bound every link is connected, and only the indices that
+can still lower the minimum are ranked (min_nonzero_betti's `below`).
 
 The decision and the cone union ask one question of many facet selections
 of a complex of depth t, pure or not: is the selection's depth below t?  One
@@ -322,13 +326,16 @@ def reduced_betti(cx: Complex, i: int, field: FieldSpec = RATIONALS) -> int:
 
 
 @lru_cache(maxsize=VALUE_CACHE_SIZE)
-def min_nonzero_betti(cx: Complex, field: FieldSpec) -> int | None:
-    """Least i with H~_i(cx) != 0, or None if all reduced homology vanishes.
+def min_nonzero_betti(cx: Complex, field: FieldSpec, below: int | None = None) -> int | None:
+    """Least i with H~_i(cx) != 0, or None if all reduced homology vanishes;
+    with an index bound below >= 0, the least such i < below, or None if
+    there is none, and no boundary map past d_below is ranked.
 
     While lower Betti numbers vanish, rank d_i follows from the face counts,
     so index i needs only rank d_{i+1}; and not even that when
     f_{i+1} < f_i - rank d_i, since rank d_{i+1} is at most its f_{i+1}
-    columns.  Over Q see the module docstring.
+    columns.  Over Q see the module docstring; the F_2 scan there takes the
+    same bound, as b_i(Q) <= b_i(F_2) at every index.
     """
     if cx.kind == IRRELEVANT:
         return -1
@@ -336,13 +343,13 @@ def min_nonzero_betti(cx: Complex, field: FieldSpec) -> int | None:
         return None
     start = 0
     if field.is_rationals:
-        start = min_nonzero_betti(cx, _F2)
+        start = min_nonzero_betti(cx, _F2, below)
         if start is None or start == 0 or start == cx.dim:
             return start
     r = 1  # the augmentation d_0 has rank 1
     for j in range(start):
         r = len(cx.face_masks_of_dim(j)) - r
-    for i in range(start, cx.dim + 1):
+    for i in range(start, cx.dim + 1 if below is None else min(below, cx.dim + 1)):
         cycles = len(cx.face_masks_of_dim(i)) - r
         if 0 < i < cx.dim and len(cx.face_masks_of_dim(i + 1)) < cycles:
             return i  # rank d_(i+1) <= f_(i+1); at i = 0, d_1 is cheaper than f_1
@@ -384,7 +391,8 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     for i in range(-1, core.dim + 1):
         for fm in core.face_masks_of_dim(i):
             lk = core._link_mask(fm)
-            low = min_nonzero_betti(lk, field)
+            # None spelt out: the cache key of the F_2 scan under a Q scan
+            low = min_nonzero_betti(lk, field, None)
             if low is not None and low < lk.dim:
                 return CMResult(False, mask_vertices(apex | fm), low)
     return CMResult(True)
@@ -392,43 +400,55 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
 
 @lru_cache(maxsize=VALUE_CACHE_SIZE)
 def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
-    """depth of K[cx] by Hochster's formula, in one pass over the faces:
+    """depth of K[cx] by Hochster's formula, in two passes over the faces:
 
         depth = min over faces F of |F| + 1 + min{i : H~_i(lk F) != 0}.
 
     A cone is peeled first: with apex C, the intersection of all facets,
     depth K[cx] = |C| + depth K[lk C], so a simplex costs nothing.  Every
-    facet F has the irrelevant link and contributes |F|, so the scan starts
-    from the smallest facet size.  Any other face contributes at least
-    |F| + 1, and faces come by increasing size, so the scan stops at the
-    first size that cannot lower the minimum.  At the last size s that can,
-    s + 2 >= best, only H~_0 of a link counts: such a face is no facet, so
-    its link is ordinary and it is disconnected exactly when the facets
-    holding the face, with the face removed, are.  The first such face gives
-    depth s + 1, since deeper faces give at least s + 2; no link is built
-    there and no rank is taken.  The irrelevant complex has depth 0: K[cx]
-    is the field itself.
+    facet F has the irrelevant link and contributes |F|, and any other face
+    at least |F| + 1, exactly that when its link is disconnected.
+
+    The first pass reads the bound u from H~_0 alone, the same over every
+    field: the least of the smallest facet size and |G| + 1 over the faces G
+    with a disconnected link.  Such a G of at least one vertex is the meet
+    of two facets (module docstring), so only the meets of 1 to u - 2
+    vertices are asked, by merging the facets holding each, with no link
+    built; the empty face asks whether cx is connected, and at u = 3 the
+    vertices are asked instead of the meets.  Every face of fewer than
+    u - 1 vertices then has a connected link, so a face of size s can only
+    lower the minimum through H~_i with 1 <= i < u - s - 1.  The second
+    pass walks the sizes s with s + 2 < best, by increasing size, and asks
+    each link only below best - s - 1.  The irrelevant complex has depth 0:
+    K[cx] is the field itself.
     """
     if cx.kind == VOID:
         raise ValueError("depth is undefined for the void complex")
     if apex := _apex(cx):
         return apex.bit_count() + depth_stanley_reisner(cx._link_mask(apex), field)
-    best = min(fm.bit_count() for fm in cx.facet_masks)
-    for size in range(cx.dim + 2):
-        if size + 1 >= best:
+    masks = cx.facet_masks
+    best = min(fm.bit_count() for fm in masks)
+    if _components(masks) > 1:
+        return 1
+    faces = ()
+    if best == 3:
+        faces = cx.face_masks_of_dim(0)
+    elif best > 3:
+        faces = sorted({m for f, g in combinations(masks, 2)
+                        if 0 < (m := f & g).bit_count() < best - 1}, key=int.bit_count)
+    for fm in faces:
+        if _components(cx._link_facets(fm)) > 1:
+            best = fm.bit_count() + 1  # the least such meet
             break
-        if size + 2 >= best:
-            # only H~_0 of a link can still lower the minimum, to size + 1
-            for fm in cx.face_masks_of_dim(size - 1):
-                if _components(cx._link_facets(fm)) > 1:
-                    return size + 1
-            break
+    size = 0
+    while size + 2 < best:
         for fm in cx.face_masks_of_dim(size - 1):
-            low = min_nonzero_betti(cx._link_mask(fm), field)
-            if low is not None and size + 1 + low < best:
+            low = min_nonzero_betti(cx._link_mask(fm), field, best - size - 1)
+            if low is not None:
                 best = size + 1 + low
-                if low == 0:
+                if size + 2 == best:
                     break  # no face of this size can go lower
+        size += 1
     return best
 
 

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from srdepth import cli, homology
 from srdepth.cli import build_parser, main, parse_field
@@ -871,6 +871,20 @@ def test_audit_catches_a_cm_verdict_that_contradicts_the_depth(tmp_path, capsys,
         "depth/CM inconsistency over Q", "depth/CM inconsistency over F_2"]
 
 
+def test_audit_catches_a_depth_off_the_skeleton_route(tmp_path, capsys, monkeypatch):
+    # two 4-simplices on an edge have depth 3 < dim + 1 = 5: one more is
+    # still below dim + 1, which the CM check cannot see, but the 3-skeleton
+    # is not Cohen-Macaulay
+    cx = Complex(8, [(1, 2, 3, 4, 5), (1, 2, 6, 7, 8)])
+    depth = cli.depth_stanley_reisner
+    monkeypatch.setattr(
+        cli, "depth_stanley_reisner", lambda c, field: depth(c, field) + (c == cx))
+    code, out = audit_one(tmp_path, capsys, "two_facets_12345_12678.json")
+    assert code == 1
+    assert problem_lines(out) == [
+        "depth and skeleton depth disagree over Q", "depth and skeleton depth disagree over F_2"]
+
+
 def test_audit_catches_disagreeing_depth_oracles(tmp_path, capsys, monkeypatch):
     # S/(x_1^2, x_1 x_2, x_3) has depth 0: m is an embedded prime
     koszul = cli.depth_via_koszul
@@ -1176,16 +1190,24 @@ _ANY_JSON = st.recursive(
 def _near_valid_document(draw, key):
     """A complex ("facets"), ideal ("generators") or decomposition
     ("components", in all three component forms) on n <= 5 with random
-    facets and values.  Some documents keep every value in range; in the
-    others n, vertices, exponents, powers and lengths may be off, zero or
-    negative, and components may be missing or repeated."""
+    facets and values.  Some documents keep every value in range, with
+    facets of one size or an antichain of mixed sizes, so pure and non-pure
+    complexes and decompositions; in the others n, vertices, exponents,
+    powers and lengths may be off, zero or negative, and components may be
+    missing or repeated."""
     valid = draw(st.integers(0, 2)) == 0
     low = 1 if valid else draw(st.integers(-1, 0))  # least vertex and exponent
     n = draw(st.integers(low, 5))
     width, more = max(n, 1), int(not valid)
     value = st.integers(low, 3)
-    if valid or draw(st.booleans()):  # one facet size, as a pure complex has
-        size = draw(st.integers(0, width - (key == "components")))
+    top = width - (key == "components")  # a component's facet misses a vertex
+    if valid and width > 2 and draw(st.booleans()):  # the maximal faces drawn, of mixed sizes
+        face = st.frozensets(st.integers(1, width), min_size=1, max_size=top)
+        facets = draw(st.lists(face, min_size=2, max_size=4, unique=True).map(
+            lambda drawn: [sorted(f) for f in drawn if not any(f < g for g in drawn)]
+        ).filter(lambda facets: len({len(f) for f in facets}) > 1))
+    elif valid or draw(st.booleans()):  # one facet size, as a pure complex has
+        size = draw(st.integers(0, top))
         face = st.sets(st.integers(1, width), min_size=size, max_size=size).map(sorted)
         facets = draw(st.lists(face, min_size=int(valid), max_size=4, unique_by=tuple))
     else:
@@ -1229,6 +1251,22 @@ def test_arbitrary_json_fuzz_every_command(command, data):
     if code == 2:
         assert out.getvalue() == "", (command, doc)
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["facets", "components"])
+def test_the_fuzz_draws_valid_non_pure_documents(key):
+    # rigid, cones, depth and depth-equal-radical answer non-pure complexes
+    # and decompositions, so the fuzz must send them some
+    def valid_non_pure(doc):
+        try:
+            cx = (Complex.from_json_dict(doc) if key == "facets"
+                  else Decomposition.from_json_dict(doc).delta)
+        except ValueError:
+            return False
+        return len({len(f) for f in cx.facets}) > 1
+
+    find(_near_valid_document(key), valid_non_pure,
+         settings=settings(database=None, derandomize=True))
 
 
 # -- production commands run no oracle -------------------------------------------------

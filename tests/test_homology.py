@@ -452,6 +452,17 @@ def test_the_f2_depth_reuses_the_q_depths_links(monkeypatch):
         assert not built, cx
 
 
+def test_the_q_cm_walk_reads_the_f2_walks_scans(monkeypatch):
+    # the octahedral 2-sphere is Cohen-Macaulay over every field, so both
+    # walks ask every link, and the Q scan's F_2 step must find each answer
+    # under the key the F_2 walk stored it
+    cx = Complex(6, [(a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)])
+    min_nonzero_betti.cache_clear()
+    assert is_cohen_macaulay(cx, F2)
+    monkeypatch.setattr(homology, "_rank_f2", lambda cx, i: pytest.fail(f"d_{i} ranked again"))
+    assert is_cohen_macaulay(cx, RATIONALS)
+
+
 def test_a_complex_and_its_links_are_freed_without_the_cycle_collector():
     class Watched(Complex):  # Complex has no weakref slot; a subclass has one
         pass
@@ -480,6 +491,9 @@ def test_min_nonzero_betti_matches_generic_oracle():
         for field in (RATIONALS, F2, F3):
             expected = generic_min_nonzero_betti(cx, field)
             assert min_nonzero_betti(cx, field) == expected, (cx, field)
+            for below in range(cx.dim + 2):
+                bounded = expected if expected is not None and expected < below else None
+                assert min_nonzero_betti(cx, field, below) == bounded, (cx, field, below)
 
 
 def test_cm_certificate_matches_generic_oracle():
@@ -516,9 +530,9 @@ def test_cm_certificate_of_a_wide_cone_walks_only_the_link(monkeypatch):
     calls = []
     real = homology.min_nonzero_betti
 
-    def counted(cx, field):
+    def counted(cx, field, *below):
         calls.append(cx)
-        return real(cx, field)
+        return real(cx, field, *below)
 
     monkeypatch.setattr(homology, "min_nonzero_betti", counted)
     apex = tuple(range(5, 25))
@@ -655,12 +669,12 @@ def _random_complex(rng: random.Random) -> Complex:
 
 
 #: Two k-simplices on a common (k-2)-face, k = 1..5: depth k, set by H~_0
-#: at the last face size.
+#: at their meet.
 TWO_SIMPLICES = [Complex(k + 3, [range(1, k + 2), [*range(1, k), k + 2, k + 3]]) for k in range(1, 6)]
 
 
 def _last_level_complexes(rng: random.Random) -> list[Complex]:
-    """Complexes whose depth is often set by H~_0 at the last face size."""
+    """Complexes whose depth is often set by H~_0 at a facet meet."""
     return TWO_SIMPLICES + [
         Complex(n, bench_corpus.random_pure_complex(rng, n, k, r))
         for n, k, r in bench_corpus.RIGIDITY_CLASSES for _ in range(2)
@@ -704,13 +718,67 @@ def test_simplex_depth_needs_no_face_scan():
 
 
 def test_the_last_level_builds_no_link():
-    # RP^2 over Q: the empty face's link is acyclic, then every vertex link
-    # is a connected 5-cycle; over F_2 the empty face already gives depth 2
+    # RP^2: every vertex link is a connected 5-cycle, so u = 3 and only the
+    # empty face is ranked, below index 2: acyclic over Q, depth 2 over F_2
     min_nonzero_betti.cache_clear()
     depth_stanley_reisner.cache_clear()
     cx = Complex(6, RP2_FACETS)
     assert depth_stanley_reisner(cx, RATIONALS) == 3
     assert depth_stanley_reisner(cx, F2) == 2
+    assert cx._links is None
+
+
+def test_a_disconnected_link_sits_at_a_facet_meet():
+    # the first pass's fact, over every face: a face that is no facet and
+    # whose link is disconnected (H~_0 != 0 from dense ranks) is the meet of
+    # two facets, and u, the least of the facet sizes and |G| + 1 over such
+    # faces G, is never below the depth
+    rng = random.Random(4501)
+    corpus = _selection_complexes() + [_random_complex(rng) for _ in range(300)]
+    assert sum(not is_pure(cx) for cx in corpus) > 25
+    split = 0
+    for cx in corpus:
+        masks = cx.facet_masks
+        meets = {f & g for f, g in combinations(masks, 2)}
+        faces = [
+            fm for i in range(-1, cx.dim) for fm in cx.face_masks_of_dim(i)
+            if fm not in masks and generic_min_nonzero_betti(cx._link_mask(fm)) == 0
+        ]
+        assert set(faces) <= meets, cx
+        split += bool(faces)
+        u = min([fm.bit_count() for fm in masks] + [fm.bit_count() + 1 for fm in faces])
+        for field in (RATIONALS, F2):
+            assert depth_stanley_reisner(cx, field) <= u, (cx, field)
+    assert split > 80
+
+
+@pytest.mark.parametrize("n, facets, depth, top", [
+    # the seed-1 random-8.5.6 complex of the rigidity round: the facets 13578
+    # and 24567 meet in the edge 57, whose link falls apart, so u = 3 and the
+    # walk asks the complex itself only for H~_0 and H~_1, although its
+    # smallest facet size, 5, would leave d_3 and d_4 in reach
+    (8, [[1, 2, 4, 7, 8], [1, 3, 4, 5, 8], [1, 3, 5, 7, 8],
+         [1, 4, 6, 7, 8], [2, 4, 5, 6, 7], [2, 4, 5, 6, 8]], 3, 2),
+    # tetrahedra 1234 and 1567 meet in the vertex 1, whose link falls apart,
+    # and 5678 joins the second: u = 2 with no rank and no vertex link
+    (8, [[1, 2, 3, 4], [1, 5, 6, 7], [5, 6, 7, 8]], 2, None),
+])
+def test_the_walk_ranks_only_below_the_connectivity_bound(monkeypatch, n, facets, depth, top):
+    cx = Complex(n, facets)
+    ranked = []
+    rank = homology._rank
+
+    def recorded(c, i, field):
+        if c is cx:
+            ranked.append(i)
+        return rank(c, i, field)
+
+    monkeypatch.setattr(homology, "_rank", recorded)
+    min_nonzero_betti.cache_clear()
+    depth_stanley_reisner.cache_clear()
+    for field in (RATIONALS, F2, F3):
+        assert depth_stanley_reisner(cx, field) == depth
+    assert max(ranked, default=None) == top
     assert cx._links is None
 
 
@@ -897,12 +965,30 @@ def _hochster_walk(cx: Complex, field: FieldSpec) -> int:
     return best
 
 
+def _non_pure_complexes(rng: random.Random) -> list[Complex]:
+    """The non-pure _random_complexes among 300, and 40 non-pure complexes
+    on 6..8 vertices whose facets have four or more, so that the walk's
+    first pass forms facet meets."""
+    wide: list[Complex] = []
+    while len(wide) < 40:
+        n = rng.randint(6, 8)
+        cx = Complex(n, [rng.sample(range(1, n + 1), rng.randint(4, n - 1))
+                         for _ in range(rng.randint(2, 6))])
+        if not is_pure(cx):
+            wide.append(cx)
+    return [cx for cx in (_random_complex(rng) for _ in range(300)) if not is_pure(cx)] + wide
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("workload, groups", [("rigidity", 24), ("cones", 1)])
+@pytest.mark.parametrize("workload, groups", [("rigidity", 24), ("cones", 1), ("non-pure", 0)])
 def test_benchmark_corpora_match_the_generic_oracles(workload, groups):
-    for item in bench_corpus.CORPORA[workload](1, groups):
-        for field in (RATIONALS, F2):
-            cx = Complex.from_json_dict(item.data)
+    if workload == "non-pure":
+        corpus = _non_pure_complexes(random.Random(4503))
+    else:
+        corpus = [Complex.from_json_dict(item.data)
+                  for item in bench_corpus.CORPORA[workload](1, groups)]
+    for cx in corpus:
+        for field in (RATIONALS, F2, F3):
             depth = depth_stanley_reisner(cx, field)
             res = is_cohen_macaulay(cx, field)
             assert depth == _hochster_walk(cx, field), (cx, field)
