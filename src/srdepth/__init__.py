@@ -30,11 +30,9 @@ from .ideals import (
 )
 from .criteria import (
     DepthEqualsRadicalVerdict,
-    LocalCohomologyCell,
     degree_complex,
     depth_equals_radical,
     depth_via_local_cohomology,
-    local_cohomology_table,
 )
 from .rigid import RigidVerdict, is_rigid_by_intersections
 from .cones import ConeUnion, generate_cone_union
@@ -60,8 +58,6 @@ __all__ = [
     "stanley_reisner_ideal",
     "radical_complex",
     "degree_complex",
-    "LocalCohomologyCell",
-    "local_cohomology_table",
     "depth_via_local_cohomology",
     "DepthEqualsRadicalVerdict",
     "depth_equals_radical",

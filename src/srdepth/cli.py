@@ -10,10 +10,6 @@ depth-equal-radical   depth(S/I) vs depth(S/sqrt I) for a decomposition
                       (--field, --format)
 cones                 exponent cone union for a complex
                       (--field, --format)
-delta-a               facet selection of a decomposition at a degree vector
-                      (--a, --format)
-local-cohomology      every nonzero graded local cohomology piece of an ideal,
-                      one per breakpoint class and index (--field, --format)
 audit                 invariant suites over a directory of JSON fixtures, each
                       fixture checked over Q and F_2 (no options)
 
@@ -38,7 +34,6 @@ from .criteria import (
     depth_equals_radical,
     depth_via_koszul,
     depth_via_local_cohomology,
-    local_cohomology_table,
 )
 from .homology import (
     FieldSpec,
@@ -118,17 +113,6 @@ def load(path: str, *kinds: type, data: dict | None = None):
     raise ValueError(f"{path}: expected an input with {keys}")
 
 
-def parse_vector(text: str, n: int) -> tuple[int, ...]:
-    entries = [x.strip() for x in text.split(",")]
-    for x in entries:
-        if not re.fullmatch("-?[0-9]+", x):
-            raise ValueError(f"bad degree vector {text!r}: entry {x!r} is not an integer")
-    vec = tuple(map(int, entries))
-    if len(vec) != n:
-        raise ValueError(f"degree vector has {len(vec)} entries, expected {n}")
-    return vec
-
-
 def emit(args, payload: dict, lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -173,17 +157,19 @@ def cmd_depth(args) -> int:
     d = depth_via_local_cohomology(ideal, args.field)
     rc = radical_complex(ideal)
     rad_depth = depth_stanley_reisner(rc, args.field)
+    cm = d == rc.dim + 1
     report = {
         "command": "depth",
         "kind": "ideal",
         "field": str(args.field),
         "depth": d,
         "radical_depth": rad_depth,
-        "cohen_macaulay": d == rc.dim + 1,
+        "cohen_macaulay": cm,
     }
     lines = [
         f"monomial ideal in {ideal.n} variables, field {args.field}",
         f"depth = {d} (radical depth {rad_depth})",
+        f"Cohen-Macaulay: {'yes' if cm else 'no'}",
     ]
     emit(args, report, lines)
     return 0
@@ -226,13 +212,14 @@ def cmd_depth_equal_radical(args) -> int:
         lines.append("depth(S/I) = depth(S/sqrt(I)): yes")
     else:
         lines.append("depth(S/I) = depth(S/sqrt(I)): no")
+        witness = verdict.witness_subcomplex
         report["witness_degree"] = list(verdict.witness_degree)
-        report["witness_subcomplex"] = verdict.witness_subcomplex.to_json_dict()
+        report["witness_subcomplex"] = witness.to_json_dict()
+        report["witness_depth"] = depth_stanley_reisner(witness, args.field)
         lines.append(f"witness degree a = {list(verdict.witness_degree)}")
         lines.append(
-            "selected subcomplex "
-            f"{[list(f) for f in verdict.witness_subcomplex.facets]} has depth "
-            f"{depth_stanley_reisner(verdict.witness_subcomplex, args.field)} < {verdict.t}"
+            f"selected subcomplex {[list(f) for f in witness.facets]} has depth "
+            f"{report['witness_depth']} < {verdict.t}"
         )
     emit(args, report, lines)
     return 0
@@ -257,45 +244,6 @@ def cmd_cones(args) -> int:
         )
         lines.append(f"cone {idx}: {comps if comps else '(no constraints)'}")
     emit(args, union.to_json_dict(), lines)
-    return 0
-
-
-def cmd_delta_a(args) -> int:
-    dec = load(args.input, Decomposition)
-    a = parse_vector(args.a, dec.n)
-    if any(x < 0 for x in a):
-        raise ValueError("delta-a needs a nonnegative degree vector")
-    cx = degree_complex_unmixed(dec, a)
-    emit(args, cx.to_json_dict(), [f"degree {list(a)} selects {cx!r}"])
-    return 0
-
-
-def _class_range(x: int, upper: int) -> str:
-    """One coordinate of a breakpoint class: <0, one value or [x,upper)."""
-    return "<0" if x < 0 else str(x) if upper == x + 1 else f"[{x},{upper})"
-
-
-def cmd_local_cohomology(args) -> int:
-    ideal = load(args.input, MonomialIdeal)
-    table = local_cohomology_table(ideal, args.field)
-    # the table lists every nonzero piece by increasing index, so its first
-    # index is the depth
-    depth = table[0].index
-    report = {
-        "command": "local-cohomology",
-        "field": str(args.field),
-        "depth": depth,
-        "cells": [
-            {"i": c.index, "degree": list(c.degree), "upper": list(c.upper),
-             "degrees": c.degrees, "dim": c.dimension}
-            for c in table
-        ],
-    }
-    lines = [f"depth = {depth} over {args.field}; {len(table)} nonzero class cells"]
-    for c in table:
-        region = ", ".join(map(_class_range, c.degree, c.upper))
-        lines.append(f"H^{c.index} at ({region}): dim {c.dimension}, degrees {c.degrees}")
-    emit(args, report, lines)
     return 0
 
 
@@ -433,7 +381,6 @@ def cmd_audit(args) -> int:
 
 _FIELD = ("--field", dict(default="q", help="coefficient field: q or fp:<prime>"))
 _FORMAT = ("--format", dict(default="text", choices=("text", "json")))
-_DEGREE = ("--a", dict(required=True, help="comma-separated degree vector"))
 
 _COMMANDS = (
     ("depth", cmd_depth, "depth of a complex or monomial ideal", (_FIELD, _FORMAT)),
@@ -441,9 +388,6 @@ _COMMANDS = (
     ("depth-equal-radical", cmd_depth_equal_radical,
      "depth(S/I) vs depth of the radical", (_FIELD, _FORMAT)),
     ("cones", cmd_cones, "exponent cone union for a complex", (_FIELD, _FORMAT)),
-    ("delta-a", cmd_delta_a, "facet selection at a degree vector", (_DEGREE, _FORMAT)),
-    ("local-cohomology", cmd_local_cohomology, "graded local cohomology table",
-     (_FIELD, _FORMAT)),
     ("audit", cmd_audit, "run invariant suites over a fixture directory", ()),
 )
 

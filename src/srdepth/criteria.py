@@ -1,16 +1,16 @@
-"""Degree complexes, graded local cohomology and depth of monomial ideals.
+"""Degree complexes and the depth of monomial ideals.
 
 The central object is the degree complex of an ideal I at a degree vector
-a in Z^n: the faces are F \\ G_a for the sets F containing G_a = {j : a_j < 0}
-such that x^a stays outside I after inverting the variables of F.  The graded
-pieces of local cohomology are reduced homology groups of degree complexes
-(with an index shift by |G_a|), which turns depth into a finite, exact
-computation: only degrees with a_j < max exponent of x_j can contribute, and
-negative coordinates matter only through their sign.
+a >= 0: the faces are the sets F such that x^a stays outside I after
+inverting the variables of F.  The graded pieces of local cohomology are
+reduced homology groups of degree complexes (Takayama), and the degree
+complex at any a in Z^n is a link of the one at its nonnegative part, so
+depth is a finite, exact computation over a >= 0 alone: only degrees with
+a_j < max exponent of x_j can contribute.
 
-This is Takayama's degree complex.  By Alexander duality its facets are the
-complements of the minimal transversals of the excess sets {j : g_j > a_j}
-restricted to the coordinates outside G_a, so no 2^n subsets are swept.
+By Alexander duality the facets of the degree complex are the complements
+of the minimal transversals of the excess sets {j : g_j > a_j}, so no 2^n
+subsets are swept.
 
 Membership of x^a, the excess sets {j : g_j > a_j} and so every degree
 complex change only where some a_j crosses a generator exponent of x_j
@@ -22,8 +22,8 @@ pass over the generator rows, which gives it the same classes and the
 generators dividing each class.
 
 Hochster's formula, depth_stanley_reisner, is the one depth engine.  With
-Delta_a(I) = lk_{Delta_a+(I)} G_a, where a+ = max(a, 0) coordinatewise, it
-turns Takayama's formula into
+Delta_a(I) = lk_{Delta_a+(I)} G_a, where G_a = {j : a_j < 0} and
+a+ = max(a, 0) coordinatewise, it turns Takayama's formula into
 depth(S/I) = min over a >= 0 of depth K[Delta_a(I)], which is how
 depth_via_local_cohomology computes the depth and how depth_equals_radical
 compares it with the radical's.  The degree complex at a = 0 is the
@@ -48,64 +48,57 @@ either, is not asked again over an equal complex, and a witness
 subcomplex, once built, is returned again by every verdict that ends at
 its selection.
 
-`local_cohomology_table` lists the graded pieces themselves, one cell per
-class and index, on the same grid with -1 added for the negative values;
-its least index is an independent check on the depth, as is a multigraded
-Koszul-complex depth kept for the tests and `srdepth audit`.
+A multigraded Koszul-complex depth is kept for the tests and `srdepth
+audit` as an independent check on the depth.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import product
-from math import prod
 
 from .homology import (
     FieldSpec,
     RATIONALS,
     _selections,
     matrix_rank,
-    reduced_betti,
     depth_stanley_reisner,
 )
 from .ideals import Decomposition, MonomialIdeal, radical_complex
 from .simplicial import Complex, Record, VOID, minimal_transversals
 
 
-def negative_support(a: Sequence[int]) -> int:
-    """Bitmask of the coordinates where the degree vector is negative."""
-    m = 0
-    for j, x in enumerate(a):
-        if x < 0:
-            m |= 1 << j
-    return m
-
-
 # -- degree complexes ---------------------------------------------------------
+
+def _check_degree(a: Sequence[int], n: int) -> None:
+    """Refuse a degree vector of the wrong length or with a negative entry."""
+    if len(a) != n:
+        raise ValueError(f"degree length {len(a)} != ambient {n}")
+    if any(x < 0 for x in a):
+        raise ValueError("a degree complex needs a nonnegative degree vector")
+
 
 def degree_complex_facet_form(dec: Decomposition, a: Sequence[int]) -> Complex:
     """Subcomplex generated by the facets whose component misses x^a (a >= 0):
-    degree_complex_unmixed behind a sign check."""
-    if any(x < 0 for x in a):
-        raise ValueError("facet-selection form needs a nonnegative degree vector")
+    degree_complex_unmixed under the name the tests and the benchmark
+    tracer use for the facet-selection form."""
     return degree_complex_unmixed(dec, a)
 
 
 def degree_complex(ideal: MonomialIdeal, a: Sequence[int]) -> Complex:
-    """Localization form for an arbitrary monomial ideal and a in Z^n.
+    """Localization form for an arbitrary monomial ideal and a >= 0.
 
     x^a lies in the ideal localized at F iff some generator's excess support
-    d = {j : e_j > a_j} lies in F.  For F = G_a u S with S free (outside
-    G_a), x^a stays out iff the complement of S meets every d & free: the
-    facets are free & ~T for the minimal transversals T of the d & free.
+    d = {j : e_j > a_j} lies in F, so x^a stays out iff the complement of F
+    meets every d: the facets are the complements ~T of the minimal
+    transversals T of the d.
     """
     n = ideal.n
-    if len(a) != n:
-        raise ValueError(f"degree length {len(a)} != ambient {n}")
-    free = ((1 << n) - 1) & ~negative_support(a)
-    excess = _excess_sets(_supports(ideal), a, free)
+    _check_degree(a, n)
+    excess = _excess_sets(_supports(ideal), a)
     if excess is None:
         return Complex._from_masks(n, [])
-    return Complex._from_masks(n, [free & ~t for t in minimal_transversals(excess)])
+    full = (1 << n) - 1
+    return Complex._from_masks(n, [full & ~t for t in minimal_transversals(excess)])
 
 
 def _supports(ideal: MonomialIdeal) -> list[list[tuple[int, int]]]:
@@ -113,44 +106,36 @@ def _supports(ideal: MonomialIdeal) -> list[list[tuple[int, int]]]:
     return [[(j, e) for j, e in enumerate(g) if e] for g in ideal.gens]
 
 
-def _excess_sets(
-    supports: list[list[tuple[int, int]]], a: Sequence[int], free: int
-) -> list[int] | None:
-    """The excess sets d & free, d = {j : e_j > a_j}, of the generators e,
-    given by their _supports: a zero e_j exceeds only a negative a_j, which
-    free leaves out.  The nonfaces of degree_complex(ideal, a) are the sets
-    holding one of them.  None when one is empty: d lies inside G_a, so x^a
-    is in every localization and the complex is void."""
+def _excess_sets(supports: list[list[tuple[int, int]]], a: Sequence[int]) -> list[int] | None:
+    """The excess sets d = {j : e_j > a_j} of the generators e at a >= 0,
+    given by their _supports: a zero e_j exceeds no a_j.  The nonfaces of
+    degree_complex(ideal, a) are the sets holding one of them.  None when
+    one is empty: x^a is in the ideal and the complex is void."""
     excess = []
     for support in supports:
         d = 0
         for j, e in support:
             if e > a[j]:
                 d |= 1 << j
-        if not d & free:
+        if not d:
             return None
-        excess.append(d & free)
+        excess.append(d)
     return excess
 
 
 def degree_complex_unmixed(dec: Decomposition, a: Sequence[int]) -> Complex:
-    """degree_complex of a decomposition's intersection, by component
-    membership: generated by F \\ G_a over the facets F containing G_a with
-    x^(a+) outside C_F.  The name recalls the unmixed ideals of a pure
-    complex; no step uses purity.
+    """degree_complex of a decomposition's intersection at a >= 0, by
+    component membership: generated by the facets F with x^a outside C_F.
+    The name recalls the unmixed ideals of a pure complex; no step uses
+    purity.
 
     A P_F-primary component has no generator involving a variable of F, so
-    inverting those variables, and negative coordinates inside F, change no
-    membership; at a face outside F it becomes the unit ideal.
+    inverting those variables changes no membership; at a face outside F it
+    becomes the unit ideal.
     """
-    if len(a) != dec.n:
-        raise ValueError(f"degree length {len(a)} != ambient {dec.n}")
-    gmask = negative_support(a)
-    a_plus = tuple(max(x, 0) for x in a)
+    _check_degree(a, dec.n)
     masks = [
-        fm & ~gmask
-        for fm, comp in zip(dec.delta.facet_masks, dec.components)
-        if not gmask & ~fm and not comp.contains(a_plus)
+        fm for fm, comp in zip(dec.delta.facet_masks, dec.components) if not comp.contains(a)
     ]
     return Complex._from_masks(dec.n, masks)
 
@@ -186,25 +171,7 @@ def degree_selecting_witness(
     return None
 
 
-# -- graded local cohomology ----------------------------------------------------
-
-class LocalCohomologyCell(Record):
-    """Nonzero graded pieces of one dimension at each of the `degrees` degrees
-    degree <= a < upper of a breakpoint class; -1 (upper 0) stands for every
-    negative value and counts once."""
-
-    __slots__ = ("degree", "upper", "degrees", "index", "dimension")
-
-    def __init__(
-        self, degree: tuple[int, ...], upper: tuple[int, ...], degrees: int, index: int,
-        dimension: int,
-    ):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "dimension", dimension)
-
+# -- the depth scan ---------------------------------------------------------------
 
 def _class_grid(n: int, gens) -> list[list[int]]:
     """Breakpoint-class representatives of each coordinate below rho_j, in
@@ -287,48 +254,17 @@ def depth_via_local_cohomology(
     if not ideal.is_proper_nonzero:
         raise ValueError("depth needs a proper nonzero ideal")
     n = best = ideal.n
-    full = (1 << n) - 1
     supports = _supports(ideal)
     for a in product(*[reps or [0] for reps in _class_grid(n, ideal.gens)]):
         if best > 2:
             cx = degree_complex(ideal, a) if any(a) else radical_complex(ideal)
             if cx.kind != VOID:
                 best = min(best, depth_stanley_reisner(cx, field))
-        elif (excess := _excess_sets(supports, a, full)) is not None:
+        elif (excess := _excess_sets(supports, a)) is not None:
             best = _depth_to_two(n, excess, best)
         if best == 0:
             break
     return best
-
-
-def local_cohomology_table(
-    ideal: MonomialIdeal, field: FieldSpec = RATIONALS
-) -> list[LocalCohomologyCell]:
-    """All nonzero graded local cohomology pieces, one cell per breakpoint
-    class and index, sorted by (index, degree); the first index is the depth.
-
-    The grid is {-1} + the classes below rho_j per coordinate, -1 standing
-    for every negative value.  At each degree a,
-    H^i_m(S/I)_a = H~_(i-|G_a|-1)(Delta_a(I)) (Takayama).  Where G_a is not
-    a face of the radical's complex, some generator's support, and so its
-    excess set, lies inside G_a: Delta_a(I) is void and has no reduced
-    homology.
-    """
-    if not ideal.is_proper_nonzero:
-        raise ValueError("local cohomology scan needs a proper nonzero ideal")
-    grid = [[-1] + reps for reps in _class_grid(ideal.n, ideal.gens)]
-    # a class ends at the next representative (-1 at 0), the last at rho_j
-    ends = [dict(zip(reps, reps[1:] + [rho])) for reps, rho in zip(grid, ideal.max_exponents())]
-    cells = []
-    for a in product(*grid):
-        cx, g = degree_complex(ideal, a), negative_support(a).bit_count()
-        upper = tuple(end[x] for end, x in zip(ends, a))
-        size = prod(u - x for u, x in zip(upper, a))
-        for i in range(g, ideal.n + 1):
-            if d := reduced_betti(cx, i - g - 1, field):
-                cells.append(LocalCohomologyCell(a, upper, size, i, d))
-    cells.sort(key=lambda c: (c.index, c.degree))
-    return cells
 
 
 # -- Koszul-complex depth oracle -------------------------------------------------

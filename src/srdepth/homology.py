@@ -46,7 +46,7 @@ subcomplexes; the FieldSpec table holds one entry per field that is asked
 for: FieldSpec(p) validates p on every call and returns that field's one
 instance, so the caches' keys hash a field by identity.
 
-Conventions for degenerate complexes (needed by the local-cohomology code):
+Conventions for degenerate complexes, which degree complexes can be:
 the irrelevant complex {0} has H~_{-1} = K and nothing else; the void complex
 has no homology at all.
 """

@@ -13,7 +13,6 @@ from srdepth import (
     prime_power_ideal,
 )
 from srdepth.cones import ConeUnion
-from srdepth.criteria import degree_complex, negative_support
 from srdepth.homology import (
     RATIONALS, boundary_matrix, depth_stanley_reisner, matrix_rank, reduced_betti,
 )
@@ -252,9 +251,16 @@ def tuple_boundary_matrix(cx: Complex, i: int) -> list:
     return mat
 
 
+def negative_support(a) -> int:
+    """Bitmask G_a of the coordinates where the degree vector is negative."""
+    return sum(1 << j for j, x in enumerate(a) if x < 0)
+
+
 def swept_degree_complex(ideal: MonomialIdeal, a) -> Complex:
-    """degree_complex by sweeping all F between G_a and {1..n}: x^a lies in
-    the ideal localized at F iff some excess support {j : e_j > a_j} is in F."""
+    """The degree complex at any a in Z^n by sweeping all F between G_a and
+    {1..n}: x^a lies in the ideal localized at F iff some excess support
+    {j : e_j > a_j} is in F, and the faces are the F \\ G_a.  At a >= 0 it
+    is degree_complex."""
     n = ideal.n
     gmask = negative_support(a)
     excess = [support_mask([e > x for e, x in zip(g, a)]) for g in ideal.gens]
@@ -364,8 +370,10 @@ def depth_grid(rho):
     return product(*[[-1] + list(range(cap)) for cap in rho])
 
 
-#: the raw grid asks for the radical's complex of one ideal at every degree
+#: the raw grid asks for the radical's complex of one ideal at every degree,
+#: and for the complex at one degree once per index
 _radical_complex = lru_cache(maxsize=16)(radical_complex)
+_swept_degree_complex = lru_cache(maxsize=4096)(swept_degree_complex)
 
 
 def local_cohomology_dim(ideal: MonomialIdeal, i: int, a, field=RATIONALS) -> int:
@@ -373,8 +381,8 @@ def local_cohomology_dim(ideal: MonomialIdeal, i: int, a, field=RATIONALS) -> in
 
     Vanishes unless the negative support of a is a face of the radical's
     complex and a_j stays below the largest x_j-exponent of the generators;
-    otherwise it is reduced homology of the degree complex in homological
-    degree i - |G_a| - 1.
+    otherwise it is reduced homology of the degree complex, swept at every
+    degree, negative ones included, in homological degree i - |G_a| - 1.
     """
     if not ideal.is_proper_nonzero:
         raise ValueError("local cohomology scan needs a proper nonzero ideal")
@@ -386,7 +394,7 @@ def local_cohomology_dim(ideal: MonomialIdeal, i: int, a, field=RATIONALS) -> in
     rho = ideal.max_exponents()
     if any(x >= r for x, r in zip(a, rho)):
         return 0
-    cx = degree_complex(ideal, a)
+    cx = _swept_degree_complex(ideal, tuple(a))
     return reduced_betti(cx, i - gmask.bit_count() - 1, field)
 
 

@@ -17,15 +17,15 @@ from srdepth.cli import build_parser, main, parse_field
 from srdepth.cones import generate_cone_union
 from srdepth.criteria import (
     DepthEqualsRadicalVerdict,
+    degree_complex_unmixed,
     depth_via_koszul,
     depth_via_local_cohomology,
-    local_cohomology_table,
 )
 from srdepth.homology import RATIONALS, CMResult, depth_stanley_reisner
 from srdepth.ideals import Decomposition, MonomialIdeal
 from srdepth.rigid import RigidVerdict
-from srdepth.simplicial import Complex
-from tests.conftest import FIXTURES, raw_local_cohomology
+from srdepth.simplicial import VOID, Complex
+from tests.conftest import FIXTURES
 
 
 def run(capsys, *argv):
@@ -93,6 +93,17 @@ def test_depth_ideal_with_oracle(capsys):
     ideal = MonomialIdeal.from_json_dict(json.loads(Path(fixture("sample_ideal.json")).read_text()))
     assert data["depth"] == depth_via_koszul(ideal, RATIONALS) == 0
     assert "koszul_oracle" not in data
+
+
+@pytest.mark.parametrize("gens, cm", [([[2, 0], [1, 1]], "no"), ([[2, 0]], "yes")])
+def test_ideal_depth_reports_cohen_macaulay_in_text_and_json(tmp_path, capsys, gens, cm):
+    # (x1^2, x1 x2) has an embedded m, so depth 0 below dim 1; (x1^2) has depth 1
+    path = write_json(tmp_path, {"n": 2, "generators": gens})
+    code, text, _ = run(capsys, "depth", path)
+    code2, out, _ = run(capsys, "depth", path, "--format", "json")
+    assert code == code2 == 0
+    assert text.splitlines()[2] == f"Cohen-Macaulay: {cm}"
+    assert json.loads(out)["cohen_macaulay"] is (cm == "yes")
 
 
 def test_depth_has_no_oracle_flag(capsys):
@@ -292,7 +303,7 @@ def test_depth_names_the_path_of_bytes_that_are_not_utf8(tmp_path, capsys):
 def test_loader_refuses_a_duplicate_key(tmp_path, capsys, text, key):
     path = tmp_path / "dup.json"
     path.write_text(text)
-    for command in ("depth", "depth-equal-radical", "local-cohomology"):
+    for command in ("depth", "depth-equal-radical"):
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == ""
         assert err == f"error: {path}: duplicate key {key!r}\n"
@@ -321,17 +332,14 @@ def test_decomposition_refuses_a_repeated_vertex(tmp_path, capsys, form):
     assert run(capsys, "depth-equal-radical", path) == expected
 
 
-@pytest.mark.parametrize("command", ["depth", "local-cohomology"])
 @pytest.mark.parametrize("gens", [
     [[2] + [0] * 69, [0] * 69 + [1]],
     [[1, 1] + [0] * 68, [2] + [0] * 69, [0, 2] + [0] * 68],
 ], ids=["x1^2,x70", "x1x2,x1^2,x2^2"])
-def test_ideal_in_more_than_64_variables_is_refused_by_every_command(
-    tmp_path, capsys, command, gens
-):
+def test_ideal_in_more_than_64_variables_is_refused(tmp_path, capsys, gens):
     path = write_json(tmp_path, {"n": 70, "generators": gens})
     expected = f"error: {path}: ambient variable count must be at most 64, got 70\n"
-    assert run(capsys, command, path) == (2, "", expected)
+    assert run(capsys, "depth", path) == (2, "", expected)
 
 
 def test_refusals_print_the_library_text(tmp_path, capsys):
@@ -356,10 +364,7 @@ def test_refusals_print_the_library_text(tmp_path, capsys):
     ]
     for gens in ([], [[0, 0]]):
         data, ideal = {"n": 2, "generators": gens}, MonomialIdeal(2, gens)
-        cases += [
-            ("depth", data, refusal(depth_via_local_cohomology, ideal)),
-            ("local-cohomology", data, refusal(local_cohomology_table, ideal)),
-        ]
+        cases.append(("depth", data, refusal(depth_via_local_cohomology, ideal)))
     for command, data, text in cases:
         assert write_json(tmp_path, data) == path
         assert run(capsys, command, path) == (2, "", f"error: {text}\n"), (command, data)
@@ -426,21 +431,21 @@ def test_decompositions_over_the_irrelevant_complex(tmp_path, capsys, n, form, f
     data = {"complex": {"n": n, "facets": [[]]}, "components": [{"facet": [], **form}]}
     path = write_json(tmp_path, data)
     verdict = run(capsys, "depth-equal-radical", path, "--format", fmt)
-    # x^0 lies outside the component and x^(3,...,3) inside it
-    low, high = (run(capsys, "delta-a", path, "--a", ",".join([a] * n), "--format", fmt)
-                 for a in "03")
     if fmt == "json":
-        assert verdict[0] == low[0] == high[0] == 0
+        assert verdict[0] == 0
         assert json.loads(verdict[1]) == {
             "command": "depth-equal-radical", "field": "Q", "t": 0, "equal": True,
         }
-        assert json.loads(low[1]) == {"n": n, "facets": [[]]}
-        assert json.loads(high[1]) == {"n": n, "facets": []}
     else:
         assert verdict == (0, "radical depth t = 0 over Q\n"
                               "depth(S/I) = depth(S/sqrt(I)): yes\n", "")
-        assert low == (0, f"degree {[0] * n} selects Complex(n={n}, facets=[()])\n", "")
-        assert high == (0, f"degree {[3] * n} selects Complex(n={n}, void)\n", "")
+    # x^0 lies outside the component and x^(3,...,3) inside it; a negative
+    # degree is refused
+    dec = Decomposition.from_json_dict(data)
+    assert degree_complex_unmixed(dec, [0] * n) == Complex(n, [()])
+    assert degree_complex_unmixed(dec, [3] * n).kind == VOID
+    with pytest.raises(ValueError):
+        degree_complex_unmixed(dec, [-1] * n)
 
 
 # -- depth-equal-radical -----------------------------------------------------------
@@ -463,6 +468,19 @@ def test_depth_equal_radical(capsys, name, expected):
         assert "witness_degree" in data
         cx = Complex.from_json_dict(data["witness_subcomplex"])
         assert set(cx.facets) in ({(1, 2), (3, 4)}, {(2, 3), (1, 4)})
+        assert data["witness_depth"] == depth_stanley_reisner(cx, RATIONALS) == 1
+
+
+@pytest.mark.parametrize("field", ["q", "fp:2"])
+def test_unequal_verdict_reports_the_witness_depth_in_text_and_json(capsys, field):
+    path = fixture("fourcycle_decomposition_b.json")
+    _, text, _ = run(capsys, "depth-equal-radical", path, "--field", field)
+    _, out, _ = run(capsys, "depth-equal-radical", path, "--field", field, "--format", "json")
+    data = json.loads(out)
+    facets = data["witness_subcomplex"]["facets"]
+    assert text.splitlines()[-1] == (
+        f"selected subcomplex {facets} has depth {data['witness_depth']} < {data['t']}"
+    )
 
 
 def test_depth_equal_radical_huge_exponent(tmp_path, capsys):
@@ -517,12 +535,10 @@ def test_depth_equal_radical_refuses_two_components_for_one_facet(tmp_path, caps
     assert err == f"error: {path}: facet [1, 2] has more than one component\n"
 
 
-@pytest.mark.parametrize("command", ["depth-equal-radical", "delta-a"])
-def test_decomposition_refuses_component_of_two_forms(tmp_path, capsys, command):
+def test_decomposition_refuses_component_of_two_forms(tmp_path, capsys):
     components = [{"facet": [1], "power": 1, "irreducible": [2]}, {"facet": [2], "power": 1}]
     path = write_json(tmp_path, {"complex": {"n": 2, "facets": [[1], [2]]}, "components": components})
-    extra = ["--a", "0,0"] if command == "delta-a" else []
-    code, out, err = run(capsys, command, path, *extra)
+    code, out, err = run(capsys, "depth-equal-radical", path)
     assert code == 2 and out == ""
     assert err == (
         f"error: {path}: component for facet [1] needs exactly one of 'generators', "
@@ -530,7 +546,7 @@ def test_decomposition_refuses_component_of_two_forms(tmp_path, capsys, command)
     )
 
 
-# -- cones / delta-a / local-cohomology ------------------------------------------------
+# -- cones ---------------------------------------------------------------------------
 
 def test_cones_json_round_trip(capsys):
     # cone unions are only written: the JSON is the library union's own
@@ -549,97 +565,6 @@ def test_cones_refuses_oversized_union(tmp_path, capsys, name):
     code, out, err = run(capsys, "cones", path)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "candidate conjunctions" in err
-
-
-def test_delta_a(capsys):
-    code, out, _ = run(
-        capsys,
-        "delta-a",
-        fixture("fourcycle_decomposition_a.json"),
-        "--a",
-        "0,0,0,0",
-        "--format",
-        "json",
-    )
-    assert code == 0
-    cx = Complex.from_json_dict(json.loads(out))
-    assert cx == Complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-
-
-def test_delta_a_void(capsys):
-    code, out, _ = run(
-        capsys,
-        "delta-a",
-        fixture("fourcycle_decomposition_a.json"),
-        "--a",
-        "12,12,12,12",
-        "--format",
-        "json",
-    )
-    assert code == 0
-    assert json.loads(out)["facets"] == []
-
-
-def test_delta_a_rejects_negative(capsys):
-    code, _, err = run(
-        capsys, "delta-a", fixture("fourcycle_decomposition_a.json"), "--a=-1,0,0,0"
-    )
-    assert code == 2
-
-
-@pytest.mark.parametrize(
-    "text,entry",
-    [
-        ("1_0,0,0,0", "1_0"),
-        ("1,0,,0", ""),
-        ("1,0,0,0,", ""),
-        ("1 2 3 4", "1 2 3 4"),
-        ("1,2,3,\u0663", "\u0663"),
-        ("1,+2,3,4", "+2"),
-        ("1,2.0,3,4", "2.0"),
-    ],
-)
-def test_delta_a_refuses_a_vector_that_is_not_comma_separated_integers(capsys, text, entry):
-    path = fixture("fourcycle_decomposition_a.json")
-    code, out, err = run(capsys, "delta-a", path, "--a", text)
-    assert code == 2 and out == ""
-    assert err == f"error: bad degree vector {text!r}: entry {entry!r} is not an integer\n"
-
-
-def test_delta_a_strips_spaces_around_entries(capsys):
-    path = fixture("fourcycle_decomposition_a.json")
-    assert run(capsys, "delta-a", path, "--a", " 1, 2 ,3,4 ") == run(
-        capsys, "delta-a", path, "--a", "1,2,3,4"
-    )
-
-
-def test_local_cohomology(capsys):
-    code, out, _ = run(
-        capsys, "local-cohomology", fixture("sample_ideal.json"), "--format", "json"
-    )
-    assert code == 0
-    data = json.loads(out)
-    assert data["depth"] == 0
-    assert all(c["dim"] > 0 and c["degrees"] > 0 for c in data["cells"])
-    # each cell is a breakpoint class: degree <= a < upper, -1 up to 0
-    for c in data["cells"]:
-        assert all(lo < hi for lo, hi in zip(c["degree"], c["upper"]))
-        assert all(hi == 0 for lo, hi in zip(c["degree"], c["upper"]) if lo < 0)
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_local_cohomology_huge_exponent(tmp_path, capsys, fmt):
-    # one class covers 10**17 degrees; the raw grid ran out of memory
-    path = write_json(tmp_path, {"n": 3, "generators": [[10**17, 0, 1]]})
-    code, out, err = run(capsys, "local-cohomology", path, "--format", fmt)
-    assert code == 0 and err == ""
-    if fmt == "json":
-        report = json.loads(out)
-        assert report["depth"] == 2
-        assert any(c["degrees"] == 10**17 for c in report["cells"])
-    else:
-        assert out.splitlines()[0].startswith("depth = 2 over Q;")
-        assert f"degrees {10**17}" in out
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -681,46 +606,6 @@ def test_rigid_cap_skips_audits(capsys):
         main(["rigid", fixture("two_facets_12345_12678.json"), "--cap", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --cap" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        json.loads((FIXTURES / "sample_ideal.json").read_text()),
-        {"n": 3, "generators": [[2, 0, 0], [0, 2, 0]]},  # depth 1
-    ],
-)
-def test_local_cohomology_prints_whole_table(tmp_path, capsys, data):
-    # every cell of the table is printed and counted in the header; the
-    # depth is the table's first index
-    ideal = MonomialIdeal.from_json_dict(data)
-    expected = [
-        (c.index, c.degree, c.upper, c.degrees, c.dimension)
-        for c in local_cohomology_table(ideal)
-    ]
-    # the printed classes cover exactly the raw grid's pieces
-    totals = {}
-    for i, _, d in raw_local_cohomology(ideal):
-        totals[i] = totals.get(i, 0) + d
-    class_totals = {}
-    for i, _, _, size, d in expected:
-        class_totals[i] = class_totals.get(i, 0) + size * d
-    assert class_totals == totals
-    depth = depth_via_local_cohomology(ideal)
-    path = write_json(tmp_path, data)
-    code, out, _ = run(capsys, "local-cohomology", path, "--format", "json")
-    assert code == 0
-    report = json.loads(out)
-    assert report["depth"] == depth == expected[0][0]
-    assert [
-        (c["i"], tuple(c["degree"]), tuple(c["upper"]), c["degrees"], c["dim"])
-        for c in report["cells"]
-    ] == expected
-    code, out, _ = run(capsys, "local-cohomology", path)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == f"depth = {depth} over Q; {len(expected)} nonzero class cells"
-    assert len(lines) == 1 + len(expected)
 
 
 # -- audit -------------------------------------------------------------------------------
@@ -1019,8 +904,6 @@ OPTIONS = {
     "rigid": {"--field", "--format"},
     "depth-equal-radical": {"--field", "--format"},
     "cones": {"--field", "--format"},
-    "delta-a": {"--a", "--format"},
-    "local-cohomology": {"--field", "--format"},
     "audit": set(),
 }
 
@@ -1029,8 +912,6 @@ INPUTS = {
     "rigid": fixture("fourcycle.json"),
     "depth-equal-radical": fixture("fourcycle_decomposition_a.json"),
     "cones": fixture("fourcycle.json"),
-    "delta-a": fixture("fourcycle_decomposition_a.json"),
-    "local-cohomology": fixture("sample_ideal.json"),
     "audit": str(FIXTURES),
 }
 
@@ -1044,7 +925,7 @@ def test_parser_options_per_command():
     for name, sub in commands.items():
         flags = {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
         assert flags == OPTIONS[name], name
-    assert sum(map(len, OPTIONS.values())) == 12
+    assert sum(map(len, OPTIONS.values())) == 8
 
 
 @pytest.mark.parametrize(
@@ -1061,8 +942,6 @@ def test_parser_options_per_command():
 )
 def test_removed_flag_exits_2(capsys, command, flag, value):
     argv = [command, INPUTS[command]]
-    if command == "delta-a":
-        argv += ["--a", "0,0,0,0"]
     assert main(argv) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
@@ -1146,8 +1025,6 @@ _COMMAND_INPUTS = {
     "rigid": ("facets",),
     "depth-equal-radical": ("components",),
     "cones": ("facets",),
-    "delta-a": ("components",),
-    "local-cohomology": ("generators",),
 }
 
 
@@ -1164,8 +1041,6 @@ def test_wrong_types_fuzz_every_command(command, data):
         path = Path(tmp) / "input.json"
         path.write_text(json.dumps(doc))
         argv = [command, str(path)]
-        if command == "delta-a":
-            argv += ["--a", "0"]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
@@ -1241,9 +1116,6 @@ def test_arbitrary_json_fuzz_every_command(command, data):
         path = Path(tmp) / "input.json"
         path.write_text(json.dumps(doc))
         argv = [command, str(path)]
-        if command == "delta-a":
-            a = data.draw(st.lists(st.integers(-1, 3), min_size=1, max_size=5))
-            argv.append("--a=" + ",".join(map(str, a)))
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
@@ -1299,12 +1171,11 @@ def test_production_commands_build_complexes_from_antichains(antichain_contract,
 
 
 def run_every_production_command(capsys):
-    """Every fixture through every verdict command and delta-a; each ends in
-    an answer or a clean refusal."""
+    """Every fixture through every verdict command; each ends in an answer
+    or a clean refusal."""
     for path in sorted(FIXTURES.glob("*.json")):
-        for command in ("depth", "rigid", "depth-equal-radical", "cones", "local-cohomology"):
+        for command in ("depth", "rigid", "depth-equal-radical", "cones"):
             assert run(capsys, command, str(path))[0] in (0, 2), (command, path.name)
-        assert run(capsys, "delta-a", str(path), "--a=-1,0,0,0")[0] in (0, 2), path.name
 
 
 # -- python -m srdepth ---------------------------------------------------------------------

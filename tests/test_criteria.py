@@ -1,7 +1,6 @@
 import json
 import random
 from itertools import combinations, product
-from math import prod
 
 import pytest
 
@@ -21,8 +20,6 @@ from srdepth.criteria import (
     depth_equals_radical,
     depth_via_koszul,
     depth_via_local_cohomology,
-    local_cohomology_table,
-    negative_support,
 )
 from srdepth.homology import (
     RATIONALS, _generated_below, _thin_intersection, depth_stanley_reisner, min_nonzero_betti,
@@ -36,7 +33,7 @@ from srdepth.ideals import (
     radical_complex,
     stanley_reisner_ideal,
 )
-from srdepth.simplicial import VOID, Complex, minimal_transversals
+from srdepth.simplicial import VOID, Complex, mask_vertices, minimal_transversals
 from tests.conftest import (
     FIXTURES,
     FOURCYCLE_SYSTEMS,
@@ -51,6 +48,7 @@ from tests.conftest import (
     is_face,
     is_pure,
     local_cohomology_dim,
+    negative_support,
     polarization,
     random_decomposition,
     random_ideal,
@@ -123,7 +121,7 @@ def test_unmixed_form_matches_general_form():
         dec = random_decomposition(rng, n_max=4, r_max=3, exp_max=2)
         ideal = dec.intersection()
         caps = dec.max_exponents()
-        for a in product(*[[-1] + list(range(c)) for c in caps]):
+        for a in product(*[range(c) for c in caps]):
             assert degree_complex_unmixed(dec, a) == degree_complex(ideal, a)
 
 
@@ -133,38 +131,59 @@ def test_degree_complex_purity():
     for _ in range(25):
         dec = random_decomposition(rng, n_max=5, r_max=4, exp_max=2)
         caps = dec.max_exponents()
-        for a in product(*[[-1] + list(range(c)) for c in caps]):
+        for a in product(*[range(c) for c in caps]):
             cx = degree_complex_unmixed(dec, a)
             if cx.kind == VOID:
                 continue
-            g = negative_support(a).bit_count()
             assert is_pure(cx)
-            assert cx.dim == dec.delta.dim - g
+            assert cx.dim == dec.delta.dim
+
+
+def small_ideals(rng, count):
+    """count ideals on 2 to 7 variables with up to 5 generators of exponents <= 3."""
+    for k in range(count):
+        n = 2 + k % 6
+        gens = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        yield MonomialIdeal(n, gens)
 
 
 def test_degree_complex_matches_sweep_oracle():
-    # every class-grid degree (negative coordinates included) of 90 ideals
-    rng = random.Random(14)
-    for k in range(90):
-        n = 2 + k % 6
-        gens = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(rng.randint(1, 5))]
-        ideal = MonomialIdeal(n, gens)
-        for a in product(*[[-1] + reps for reps in _class_grid(n, ideal.gens)]):
+    # every class-grid degree of 90 ideals
+    for ideal in small_ideals(random.Random(14), 90):
+        for a in product(*[reps or [0] for reps in _class_grid(ideal.n, ideal.gens)]):
             assert degree_complex(ideal, a) == swept_degree_complex(ideal, a), (ideal, a)
 
 
+def test_negative_degrees_give_links_of_their_nonnegative_part():
+    # Delta_a = lk_{Delta_a+} G_a, where a+ = max(a, 0), why every depth scan
+    # visits a >= 0 alone: the swept complex at each class-grid degree, -1
+    # added, against the link in degree_complex at a+ (void off its faces)
+    for ideal in small_ideals(random.Random(14), 90):
+        for a in product(*[[-1] + reps for reps in _class_grid(ideal.n, ideal.gens)]):
+            g = negative_support(a)
+            plus = degree_complex(ideal, [max(x, 0) for x in a])
+            link = plus.link(mask_vertices(g)) if is_face(plus, g) else Complex(ideal.n, [])
+            assert swept_degree_complex(ideal, a) == link, (ideal, a)
+
+
 def test_degree_complex_edge_cases():
-    # the zero ideal gives the simplex on the free coordinates; a generator
-    # whose excess lies in G_a gives the void complex
-    assert degree_complex(MonomialIdeal(3, []), (-1, 0, 5)).facets == ((2, 3),)
-    assert degree_complex(MonomialIdeal(2, [(2, 0)]), (-1, 0)).kind == VOID
+    # the zero ideal gives the simplex; a degree whose monomial is in the
+    # ideal gives the void complex
+    assert degree_complex(MonomialIdeal(3, []), (1, 0, 5)).facets == ((1, 2, 3),)
+    assert degree_complex(MonomialIdeal(2, [(2, 0)]), (2, 0)).kind == VOID
     assert degree_complex(MonomialIdeal(2, [(0, 0)]), (0, 0)).kind == VOID
 
 
-def test_negative_coordinates_only_matter_by_sign():
+def test_degree_complexes_refuse_a_negative_degree():
     dec = fourcycle_decomposition(VEC_EQUAL_1)
-    ideal = dec.intersection()
-    assert degree_complex(ideal, (-1, 2, 0, 1)) == degree_complex(ideal, (-9, 2, 0, 1))
+    for build, arg in ((degree_complex, dec.intersection()), (degree_complex_unmixed, dec),
+                       (degree_complex_facet_form, dec)):
+        with pytest.raises(ValueError) as err:
+            build(arg, (-1, 2, 0, 1))
+        assert str(err.value) == "a degree complex needs a nonnegative degree vector"
+        with pytest.raises(ValueError) as err:
+            build(arg, (0, 0, 0))
+        assert str(err.value) == "degree length 3 != ambient 4"
 
 
 # -- selection witnesses ------------------------------------------------------------------
@@ -226,48 +245,35 @@ def test_selection_relation_on_grid():
 
 # -- graded local cohomology -----------------------------------------------------------------
 
-def in_class(cell, a) -> bool:
-    """Whether the degree a lies in the breakpoint class of the cell."""
-    return all(
-        x < 0 if lo < 0 else lo <= x < hi for lo, hi, x in zip(cell.degree, cell.upper, a)
-    )
-
-
 def test_local_cohomology_negative_index():
     ideal = MonomialIdeal(2, [(1, 1)])
     assert local_cohomology_dim(ideal, -1, (0, 0)) == 0
-    assert all(c.index >= 0 for c in local_cohomology_table(ideal))
 
 
-def test_local_cohomology_vanishing_beyond_caps():
+def test_local_cohomology_vanishes_beyond_caps():
+    # from a_j = rho_j on, the degree complex is a cone with apex j (or void)
     dec = fourcycle_decomposition(VEC_EQUAL_1)
     ideal = dec.intersection()
     rho = ideal.max_exponents()
-    table = local_cohomology_table(ideal)
-    assert all(u <= r for c in table for u, r in zip(c.upper, rho))
     rng = random.Random(3)
     for _ in range(30):
         a = tuple(rng.randint(-2, rho[j] + 2) for j in range(4))
         if any(a[j] >= rho[j] for j in range(4)):
-            assert not any(in_class(c, a) for c in table)
+            assert min_nonzero_betti(swept_degree_complex(ideal, a), RATIONALS) is None, a
 
 
 def test_local_cohomology_vanishes_below_depth_for_cm():
     dec = fourcycle_decomposition(VEC_EQUAL_1)
     ideal = dec.intersection()
-    table = local_cohomology_table(ideal)
-    assert table and all(c.index >= 2 for c in table)
+    raw = raw_local_cohomology(ideal)
+    assert raw and all(i >= 2 for i, _, _ in raw)
 
 
-def test_two_points_table():
-    ideal = MonomialIdeal(2, [(1, 1)])
-    cells = local_cohomology_table(ideal)
-    assert all(c.index == 1 for c in cells)
-    degrees = {c.degree for c in cells}
-    assert degrees == {(0, 0), (0, -1), (-1, 0)}
-    # every class of the grid {-1, 0}^2 is a single degree
-    assert all(c.degrees == 1 for c in cells)
-    assert {c.upper for c in cells} == {(1, 1), (1, 0), (0, 1)}
+def test_two_points_pieces():
+    # every degree of {-1, 0}^2 but (-1, -1), whose G_a is no face, has H^1
+    assert raw_local_cohomology(MonomialIdeal(2, [(1, 1)])) == [
+        (1, (-1, 0), 1), (1, (0, -1), 1), (1, (0, 0), 1),
+    ]
 
 
 def fixture_ideals():
@@ -285,75 +291,29 @@ def fixture_ideals():
     return out
 
 
-def class_key(ideal, a):
-    """The least point of the breakpoint class of the degree a."""
-    return tuple(
-        -1 if x < 0 else max(v for v in (0, *(g[j] for g in ideal.gens)) if v <= x)
-        for j, x in enumerate(a)
-    )
-
-
-def check_class_table(ideal, field):
-    table = local_cohomology_table(ideal, field)
-    raw = raw_local_cohomology(ideal, field)
-    # the same total dimension per index
-    totals, raw_totals = {}, {}
-    for c in table:
-        totals[c.index] = totals.get(c.index, 0) + c.degrees * c.dimension
-    for i, _, d in raw:
-        raw_totals[i] = raw_totals.get(i, 0) + d
-    assert totals == raw_totals
-    # each raw piece has the dimension of its class
-    by_class = {(c.index, c.degree): c for c in table}
-    assert len(by_class) == len(table)
-    for i, a, d in raw:
-        cell = by_class[(i, class_key(ideal, a))]
-        assert in_class(cell, a)
-        assert cell.dimension == d
-    # a class's degrees count its points, a negative coordinate once
-    for c in table:
-        assert c.degrees == prod(1 if lo < 0 else hi - lo for lo, hi in zip(c.degree, c.upper))
-    assert table[0].index == raw[0][0] == depth_via_local_cohomology(ideal, field)
-
-
 @pytest.mark.parametrize("field", [RATIONALS, F2], ids=["Q", "F2"])
-def test_class_table_matches_raw_box_on_fixtures(field):
+def test_raw_box_least_index_is_depth_on_fixtures(field):
     ideals = fixture_ideals()
     assert len(ideals) == 15
     for ideal in ideals:
-        check_class_table(ideal, field)
+        assert raw_local_cohomology(ideal, field)[0][0] == depth_via_local_cohomology(ideal, field)
 
 
 @pytest.mark.parametrize("field", [RATIONALS, F2], ids=["Q", "F2"])
-def test_class_table_matches_raw_box_on_random_ideals(field):
+def test_raw_box_least_index_is_depth_on_random_ideals(field):
     rng = random.Random(47)
     checked = 0
     while checked < 120:
         ideal = random_ideal(rng, n_max=4, exp_max=4)
         if ideal.is_proper_nonzero:
-            check_class_table(ideal, field)
+            raw = raw_local_cohomology(ideal, field)
+            assert raw[0][0] == depth_via_local_cohomology(ideal, field), ideal
             checked += 1
 
 
-def test_class_table_at_huge_exponent():
+def test_depth_at_huge_exponent():
     # one class covers 10**17 degrees; the raw grid would not fit in memory
-    big = 10**17
-    table = local_cohomology_table(MonomialIdeal(3, [(big, 0, 1)]))
-    assert table[0].index == 2
-    assert {(c.degree, c.upper, c.degrees) for c in table} == {
-        ((-1, -1, 0), (0, 0, 1), 1),
-        ((0, -1, -1), (big, 0, 0), big),
-        ((0, -1, 0), (big, 0, 1), big),
-    }
-
-
-def test_table_least_index_is_depth():
-    # `srdepth local-cohomology` reports the table's least index as the depth
-    rng = random.Random(31)
-    for _ in range(40):
-        ideal = random_ideal(rng, n_max=5, exp_max=4)
-        table = local_cohomology_table(ideal)
-        assert table[0].index == depth_via_local_cohomology(ideal)
+    assert depth_via_local_cohomology(MonomialIdeal(3, [(10**17, 0, 1)])) == 2
 
 
 # -- depth engines ---------------------------------------------------------------------------
@@ -610,12 +570,13 @@ def verdict_summary(verdict):
 
 
 def box_depth(ideal, field, complex_at):
-    """depth(S/I) from every degree of the raw local-cohomology grid."""
+    """depth(S/I) from every degree of the raw local-cohomology grid: the
+    complexes at a >= 0 from complex_at, those at the others swept."""
     rc = radical_complex(ideal)
     lows = []
     for a in depth_grid(ideal.max_exponents()):
         g = negative_support(a)
-        cx = complex_at(a)
+        cx = swept_degree_complex(ideal, a) if g else complex_at(a)
         if is_face(rc, g) and cx.kind != VOID:
             low = min_nonzero_betti(cx, field)
             if low is not None:
@@ -1077,7 +1038,7 @@ def test_depth_of_a_cone_ideal_in_many_variables():
     # (x1) in 20 variables: every degree complex is a simplex on x2..x20
     ideal = MonomialIdeal(20, [(1,) + (0,) * 19])
     assert depth_via_local_cohomology(ideal, RATIONALS) == 19
-    assert [c.index for c in local_cohomology_table(ideal, F2)] == [19]
+    assert depth_via_local_cohomology(ideal, F2) == 19
 
 
 def test_unmixed_depth_scan_matches_raw_box():
@@ -1091,15 +1052,11 @@ def test_unmixed_depth_scan_matches_raw_box():
 
 
 def test_excess_sets_read_only_the_supports():
-    # oracle: every coordinate of every generator, masked by free afterwards;
-    # degree_complex passes the coordinates outside G_a, the depth scan all
+    # oracle: every coordinate of every generator
     rng = random.Random(25)
     for _ in range(400):
         ideal = random_ideal(rng, n_max=6)
-        full = (1 << ideal.n) - 1
-        a = [rng.randint(-1, 3) for _ in range(ideal.n)]
-        for b, free in ((a, full & ~negative_support(a)), ([max(x, 0) for x in a], full)):
-            sets = [sum(1 << j for j, (e, x) in enumerate(zip(g, b)) if e > x) & free
-                    for g in ideal.gens]
-            expected = sets if all(sets) else None
-            assert _excess_sets(_supports(ideal), b, free) == expected, (ideal, b)
+        a = [rng.randint(0, 3) for _ in range(ideal.n)]
+        sets = [sum(1 << j for j, (e, x) in enumerate(zip(g, a)) if e > x) for g in ideal.gens]
+        expected = sets if all(sets) else None
+        assert _excess_sets(_supports(ideal), a) == expected, (ideal, a)

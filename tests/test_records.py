@@ -1,4 +1,4 @@
-"""The value records (verdicts, cells, cone unions and fields): equal values
+"""The value records (verdicts, cone unions and fields): equal values
 give equal objects with equal hashes, reprs name every field, fields refuse
 assignment, and each field has one FieldSpec."""
 import copy
@@ -9,14 +9,9 @@ import pytest
 
 from srdepth import homology
 from srdepth.cones import ConeUnion, generate_cone_union
-from srdepth.criteria import (
-    DepthEqualsRadicalVerdict,
-    LocalCohomologyCell,
-    depth_equals_radical,
-    local_cohomology_table,
-)
+from srdepth.criteria import DepthEqualsRadicalVerdict, depth_equals_radical
 from srdepth.homology import CMResult, FieldSpec, RATIONALS, is_cohen_macaulay, prime_field
-from srdepth.ideals import Decomposition, MonomialIdeal
+from srdepth.ideals import Decomposition
 from srdepth.rigid import RigidVerdict, is_rigid_by_intersections
 from srdepth.simplicial import Complex
 from tests.conftest import FIXTURES, FOURCYCLE
@@ -40,10 +35,6 @@ RECORDS = [
     (
         lambda: RigidVerdict(True, 2),
         "RigidVerdict(rigid=True, t=2, facet_indices=None, intersection_size=None)",
-    ),
-    (
-        lambda: local_cohomology_table(MonomialIdeal(2, [(1, 1)]))[1],
-        "LocalCohomologyCell(degree=(0, -1), upper=(1, 0), degrees=1, index=1, dimension=1)",
     ),
     (
         lambda: depth_equals_radical(decomposition_b()),
@@ -98,9 +89,6 @@ def test_records_keep_their_field_order():
     verdict = DepthEqualsRadicalVerdict(False, 2, witness_degree=(1,))
     assert verdict == DepthEqualsRadicalVerdict(False, 2, (1,), None)
     assert not verdict and CMResult(True) and not CMResult(False, (1,), 0)
-    cell = LocalCohomologyCell(degree=(0,), upper=(1,), degrees=1, index=0, dimension=1)
-    assert cell == LocalCohomologyCell((0,), (1,), 1, 0, 1)
-    assert cell != LocalCohomologyCell((0,), (1,), 1, 0, 2)
     with pytest.raises(TypeError):
         RigidVerdict(True)
 

@@ -339,11 +339,14 @@ def test_internal_builders_pass_antichains(antichain_contract):
         ideal = random_ideal(rng, n_max=5)
         radical_complex(ideal)
         for _ in range(4):
-            degree_complex(ideal, [rng.randint(-1, 3) for _ in range(ideal.n)])
+            degree_complex(ideal, [rng.randint(0, 3) for _ in range(ideal.n)])
     for _ in range(60):
         dec = random_decomposition(rng)
         for _ in range(4):
-            degree_complex_unmixed(dec, [rng.randint(-1, 3) for _ in range(dec.n)])
+            degree_complex_unmixed(dec, [rng.randint(0, 3) for _ in range(dec.n)])
+        # a refused degree builds nothing
+        with pytest.raises(ValueError):
+            degree_complex_unmixed(dec, [-1] * dec.n)
     for cx in mixed_complex_corpus(count=80):
         if cx.kind != VOID:
             for i in range(-1, cx.dim + 1):

@@ -49,7 +49,7 @@ tracer.install(srdepth)
 try:
     ideal = srdepth.ideals.MonomialIdeal(3, [(2, 1, 0), (0, 1, 1)])
     srdepth.criteria.depth_via_local_cohomology(ideal)
-    srdepth.criteria.local_cohomology_table(ideal)
+    srdepth.homology.reduced_betti(srdepth.criteria.degree_complex(ideal, (1, 0, 0)), 0)
     srdepth.ideals.radical_complex(ideal)
 finally:
     tracer.uninstall()
@@ -82,7 +82,7 @@ def test_library_surface_is_pinned():
         "reduced_betti", "is_cohen_macaulay", "depth_stanley_reisner",
         "MonomialIdeal", "Decomposition", "irreducible_ideal",
         "prime_power_ideal", "stanley_reisner_ideal", "radical_complex",
-        "degree_complex", "LocalCohomologyCell", "local_cohomology_table",
-        "depth_via_local_cohomology", "DepthEqualsRadicalVerdict", "depth_equals_radical",
+        "degree_complex", "depth_via_local_cohomology", "DepthEqualsRadicalVerdict",
+        "depth_equals_radical",
         "RigidVerdict", "is_rigid_by_intersections", "ConeUnion", "generate_cone_union",
     ])
