@@ -1,6 +1,7 @@
 """Golden CLI sweep: stdout and exit code of every verdict command on every
 fixture, over Q and F_2, in text and JSON, plus `audit` of the fixture
-directory.
+directory.  The same calls also check that text and JSON output report
+identical verdicts.
 
 The expected output sits in tests/golden/cli_sweep.json.  A refactor that
 keeps behaviour leaves every byte of it unchanged; a deliberate change of
@@ -12,6 +13,7 @@ and the new file is reviewed as part of the change.
 """
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -72,6 +74,93 @@ def test_the_sweep_runs_every_command():
     from srdepth.cli import _COMMANDS
 
     assert {name for name, *_ in _COMMANDS} == {*VERDICT_COMMANDS, "audit"}
+
+
+#: the text lines of each verdict command but `cones`; a named group holds
+#: the JSON field of its name, printed as a number, a list, yes/no or a word
+TEXT_LINES = {
+    "depth": (
+        r"(?P<kind>complex) on \d+ vertices, dim (?P<dim>\d+), field (?P<field>\S+)",
+        r"monomial (?P<kind>ideal) in \d+ variables, field (?P<field>\S+)",
+        r"depth = (?P<depth>\d+)( \(radical depth (?P<radical_depth>\d+)\))?",
+        r"Cohen-Macaulay: (?P<cohen_macaulay>yes|no)",
+        r"violating link at face (?P<violating_face>\[.*\]) "
+        r"in homology degree (?P<violating_index>-?\d+)",
+    ),
+    "rigid": (
+        r"depth = (?P<t>\d+) over (?P<field>\S+)",
+        r"rigid: (?P<rigid>yes|no)",
+        r"facets (?P<violating_facets>\[.*\]) intersect in (?P<intersection_size>\d+) "
+        r"< \d+ vertices",
+    ),
+    "depth-equal-radical": (
+        r"radical depth t = (?P<t>\d+) over (?P<field>\S+)",
+        r"depth\(S/I\) = depth\(S/sqrt\(I\)\): (?P<equal>yes|no)",
+        r"witness degree a = (?P<witness_degree>\[.*\])",
+        r"selected subcomplex (?P<witness_subcomplex>\[.*\]) "
+        r"has depth (?P<witness_depth>\d+) < \d+",
+    ),
+}
+
+
+def _value(word: str):
+    if word in ("yes", "no"):
+        return word == "yes"
+    if re.fullmatch(r"-?\d+", word):
+        return int(word)
+    return json.loads(word) if word.startswith("[") else word
+
+
+def text_verdict(command: str, lines: list[str]) -> dict:
+    """The JSON fields that the text lines of command state; every line must
+    match exactly one pattern and state each field once."""
+    verdict = {}
+    for line in lines:
+        matches = [m for m in (re.fullmatch(p, line) for p in TEXT_LINES[command]) if m]
+        assert len(matches) == 1, f"{line!r} matches {len(matches)} patterns"
+        for key, word in matches[0].groupdict().items():
+            if word is not None:
+                assert key not in verdict, f"{key} stated twice"
+                verdict[key] = _value(word)
+    return verdict
+
+
+def cones_text(union: dict) -> list[str]:
+    """The text lines of `cones`, rendered from its JSON output alone."""
+    names = [
+        f"a[{'.'.join(map(str, union['facets'][s['facet'] - 1]))};x{s['var']}]"
+        for s in union["symbols"]
+    ]
+    lines = [f"{len(names)} exponent symbols, {len(union['disjuncts'])} cones"]
+    if any(not d for d in union["disjuncts"]):
+        lines.append("trivially true: every exponent choice gives depth equality")
+    for k, d in enumerate(union["disjuncts"], start=1):
+        atoms = " and ".join(f"{names[c['left']]} {c['rel']} {names[c['right']]}" for c in d)
+        lines.append(f"cone {k}: {atoms or '(no constraints)'}")
+    return lines
+
+
+#: the sweep's calls of the verdict commands, each to run in both formats
+PARITY_CALLS = [argv[:4] for argv in sweep_calls() if argv[-1] == "text"]
+
+
+@pytest.mark.parametrize("argv", PARITY_CALLS, ids=" ".join)
+def test_text_and_json_report_identical_verdicts(argv):
+    text = run_call([*argv, "--format", "text"])
+    data = run_call([*argv, "--format", "json"])
+    assert text["exit"] == data["exit"]
+    if data["exit"]:
+        assert text["stdout"] == data["stdout"] == ""
+        return
+    report = json.loads(data["stdout"])
+    lines = text["stdout"].splitlines()
+    if argv[0] == "cones":
+        assert lines == cones_text(report)
+        return
+    del report["command"]
+    if "witness_subcomplex" in report:
+        report["witness_subcomplex"] = report["witness_subcomplex"]["facets"]
+    assert text_verdict(argv[0], lines) == report
 
 
 #: the sweep's calls of the commands the CLI no longer has: `polarize`

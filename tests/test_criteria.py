@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations, product
+from itertools import combinations, cycle, islice, product
 
 import pytest
 
@@ -152,6 +152,30 @@ def test_degree_complex_matches_sweep_oracle():
     for ideal in small_ideals(random.Random(14), 90):
         for a in product(*[reps or [0] for reps in _class_grid(ideal.n, ideal.gens)]):
             assert degree_complex(ideal, a) == swept_degree_complex(ideal, a), (ideal, a)
+
+
+#: degree vectors, each cycled to the fixture's variable count
+FIXTURE_DEGREES = ((0, 0, 0, 0), (1, 0, 2, 0), (1, 2, 0, 3), (2, 4, 1, 3), (3, 5, 2, 4))
+
+
+@pytest.mark.parametrize("degree", FIXTURE_DEGREES, ids=lambda a: ",".join(map(str, a)))
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_degree_complex_matches_sweep_oracle_on_fixtures(path, degree):
+    # each fixture as an ideal: the fixture ideal, a decomposition's
+    # intersection (also by component membership) or a Stanley-Reisner ideal
+    data = json.loads(path.read_text())
+    dec = Decomposition.from_json_dict(data) if "components" in data else None
+    if dec is not None:
+        ideal = dec.intersection()
+    elif "generators" in data:
+        ideal = MonomialIdeal.from_json_dict(data)
+    else:
+        ideal = stanley_reisner_ideal(Complex.from_json_dict(data))
+    a = tuple(islice(cycle(degree), ideal.n))
+    expected = swept_degree_complex(ideal, a)
+    assert degree_complex(ideal, a) == expected
+    if dec is not None:
+        assert degree_complex_unmixed(dec, a) == expected
 
 
 def test_negative_degrees_give_links_of_their_nonnegative_part():
