@@ -2,23 +2,16 @@
 
 For a complex, pure or not, the exponent tuples (a_{ij}) of an irreducible
 decomposition for which depth(S/I) equals the radical depth form a finite
-union of rational cones.  The facet selections of depth below t come from
-homology._selections, the one object per (complex, field) that the
-decision also reads (see homology._Selections): none when the complex
-passes the paper's intersection criterion, else those its walk puts below
-t by homology._generated_below, the one depth-below predicate.  Each Γ of
-depth below t contributes the formula OR_{i not in Γ} AND_{j not in F_i}
-OR_{k in Γ, j not in F_k} a_{ij} >= a_{kj}, the factored form (by
-distributivity) of a conjunction over tuples of outside-variable choices.
-Expanding each selection's formula into a small disjunctive normal form,
-multiplying these into one DNF selection by selection and dropping
-subsumed products yields an explicit union of cones, evaluable on integer
-points and tested against the paper's 4-cycle systems.
-The union is never empty (see generate_cone_union).
-Every product holds a local term, so a product is compared for subsumption
-only with the conjunctions filed under the local terms it holds.  The atoms
-are numbered in their sorted order before any product, so each conjunction
-reads back its atoms, sorted, from its set bits.
+union of rational cones.  Each facet selection Γ of depth below t
+contributes the formula OR_{i not in Γ} AND_{j not in F_i} OR_{k in Γ, j
+not in F_k} a_{ij} >= a_{kj}, the factored form (by distributivity) of a
+conjunction over tuples of outside-variable choices.  Expanding each
+formula into a small disjunctive normal form and multiplying these into one
+antichain of conjunctions yields an explicit union of cones, never empty,
+evaluable on integer points and tested against the paper's 4-cycle systems.
+The selections are asked of homology._selections, which the decision
+shares; none is asked when the complex passes the paper's criterion, and
+none whose terms a smaller selection below t holds (generate_cone_union).
 An expansion step that would list more than MAX_CONE_CANDIDATES candidate
 conjunctions is refused, so a union too large to list fails fast.
 
@@ -151,12 +144,20 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     DNF stays an antichain (see _minimal_product), so the final union needs
     no prune, only the canonical sort.
 
-    The selections of depth below t come from the walk of
-    homology._selections(cx, field), in the order of
-    simplicial._selection_indices: none when cx passes the paper's
-    intersection criterion, so its union, trivially true, is returned before
-    any atom is numbered; else the selections its answers, shared with the
-    decision, put below t (see homology._Selections for the depth lemma).
+    Selections come in the order of simplicial._selection_indices and are
+    asked of homology._selections(cx, field); none is when cx passes the
+    paper's criterion, and its union, trivially true, precedes any atom.
+
+    F_i, i not in Γ, has local terms iff each x_j outside F_i lies outside
+    some selected facet, that is outside G(Γ), the common face of Γ: iff
+    F_i holds G(Γ).  A selection Γ' below t covers every later Γ whose
+    facets holding G(Γ') are those of Γ'.  Each outside facet of Γ' with
+    terms then lies outside Γ, and each of its terms, picking facets of Γ',
+    is a term of Γ; every conjunction of the DNF holds a term of Γ', so
+    multiplying by Γ changes nothing, and Γ is neither asked nor multiplied.
+    A covered Γ is still below t: Γ' is the cone over G = G(Γ') on
+    lk_Γ' G = lk_Γ G, so depth K[Γ] <= |G| + depth K[lk_Γ G] = depth K[Γ']
+    by Hochster's formula, and its step is refused as any step is.
 
     A step whose product would list more than MAX_CONE_CANDIDATES candidate
     conjunctions is refused with a ValueError before it is expanded, and a
@@ -166,8 +167,7 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
 
     The union is never empty.  A selection Γ below t is not the full star
     of its common face G, which has depth |G| + depth K[lk G] >= t by
-    Hochster's formula, so an outside facet F_i holds G.  Each x_j outside
-    F_i lies outside G, so some selected facet misses it: F_i's local DNF is
+    Hochster's formula, so an outside facet holds G: its local DNF is
     nonempty, and so is every product.  Every disjunct holds at the all-ones
     point, where the ideal is I_Delta.
     """
@@ -183,25 +183,41 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
         return ConeUnion(cx.n, cx.facets, symbols, (frozenset(),))
     sym_pos = {s: k for k, s in enumerate(symbols)}
     # every atom numbered up front in sorted order, (i, j) then k;
-    # rows[i][q][k]: the bit of the atom (sym_pos[(i, j)], sym_pos[(k, j)])
-    # for the q-th outside variable j of facet i, 0 where x_j lies in F_k
+    # rows[i][q]: the (k, bit) of each atom (sym_pos[(i, j)], sym_pos[(k, j)])
+    # for the q-th outside variable j of facet i, with x_j outside F_k
     atoms: list[Atom] = []
-    rows: list[list[list[int]]] = [[] for _ in range(r)]
+    rows: list[list[list[tuple[int, int]]]] = [[] for _ in range(r)]
     for p, (i, j) in enumerate(symbols):
-        row = [0] * r
+        row = []
         for k in range(r):
             if k != i and not masks[k] >> (j - 1) & 1:
-                row[k] = 1 << len(atoms)
+                row.append((k, 1 << len(atoms)))
                 atoms.append((p, sym_pos[(k, j)]))
         rows[i].append(row)
 
+    most = sum(prod(map(len, rows[i])) for i in range(r))  # candidates of any one step
     dnf = [0]
-    for selection in sels.walk(selections):
-        # per outside facet, the atoms usable at each of its outside variables
+    covered = []  # (bits, facets holding the common face) per multiplied selection
+    for idx in selections:
+        bits = 0
+        for i in idx:
+            bits |= 1 << i
+        skip = False
+        for b, h in covered:
+            if bits & h == b:
+                skip = True  # covered: not asked, counted only if the count can refuse
+                break
+        if skip and len(dnf) * most <= MAX_CONE_CANDIDATES or not (skip or sels.below(bits, idx)):
+            continue
+        common = -1
+        for i in idx:
+            common &= masks[i]
+        held = sum(1 << i for i, fm in enumerate(masks) if fm & common == common)
+        # the atoms usable at each outside variable of each outside facet with terms
         choices = [
-            [[row[k] for k in selection if row[k]] for row in rows[i]]
+            [[bit for k, bit in row if bits >> k & 1] for row in rows[i]]
             for i in range(r)
-            if i not in selection
+            if held >> i & 1 and not bits >> i & 1
         ]
         size = sum(prod(len(c) for c in per_var) for per_var in choices)
         if len(dnf) * size > MAX_CONE_CANDIDATES:
@@ -209,6 +225,10 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
                 f"cone union expansion needs {len(dnf) * size} candidate "
                 f"conjunctions in one step, more than {MAX_CONE_CANDIDATES}"
             )
+        if skip:
+            continue
+        if len(idx) < r - 1:  # a largest selection covers none
+            covered.append((bits, held))
         # each term takes one atom per variable, so its sum is its union;
         # distinct outside facets give disjoint atoms, so the local DNF is
         # already pruned

@@ -28,16 +28,17 @@ depth |G| + 1, so pairwise facet meets bound the depth without building a
 link; below that bound every link is connected, and only the indices that
 can still lower the minimum are ranked (min_nonzero_betti's `below`).
 
-The decision and the cone union ask one question of many facet selections
-of a complex of depth t, pure or not: is the selection's depth below t?  One
-_Selections per (complex, field), from _selections, answers it for both,
-and for the audit's check of the walk.  It holds whether the facets pass
-the paper's intersection criterion (_thin_intersection), under which none
-falls below t and neither caller walks; each answer is a stored bool, most
-read off smaller selections by the depth lemma (see _Selections), and each
-asked of _generated_below, one predicate for any faces: it answers one or
-two faces and s <= 2 from the masks over every field and builds the
-complex only otherwise.
+The decision and the cone union ask one question of many facet selections of
+a complex of depth t, pure or not: is the selection's depth below t?  One
+_Selections per (complex, field), from _selections, answers it for both, and
+for the audit's check of the walk; the cone union skips, unasked, the
+selections a smaller one below t covers (cones.generate_cone_union).  It
+holds whether the facets pass the paper's intersection criterion
+(_thin_intersection), under which none falls below t and neither caller
+asks; each answer is a stored bool, most read off smaller selections by the
+depth lemma (see _Selections), and each asked of _generated_below, one
+predicate for any faces: it answers one or two faces and s <= 2 from the
+masks over every field and builds the complex only otherwise.
 
 The only caches, by value, are min_nonzero_betti and depth_stanley_reisner,
 each bounded at VALUE_CACHE_SIZE entries, and _selections, bounded at 256
@@ -518,15 +519,15 @@ class _Selections:
     t, whether the facets pass the paper's criterion at t, the answers and
     the decision's witness subcomplexes.
 
-    The decision and the cone union ask one question of facet selections:
-    is the selection's depth below t?  None is when every k facets meet in
-    at least t - k + 1 vertices, the paper's criterion for rigid depth
-    (rigid, from _thin_intersection), and both callers answer a rigid
-    complex without asking.  answers maps each selection asked, by its
-    facet-index bitmask, to False when it has depth >= t and else to True;
-    the void selection and the whole complex start as False.  A
-    selection Γ of three or more facets, at t >= 3, with a facet F whose
-    complement Γ' = Γ minus F is stored as False, is answered by
+    The decision and the cone union ask one question of facet selections
+    (the union skips those it covers): is the selection's depth below t?
+    None is when every k facets meet in at least t - k + 1 vertices, the
+    paper's criterion for rigid depth (rigid, from _thin_intersection), and
+    both callers answer a rigid complex without asking.  answers maps each
+    selection asked, by its facet-index bitmask, to False when it has depth
+    >= t and else to True; the void selection and the whole complex start as
+    False.  A selection Γ of three or more facets, at t >= 3, with a facet F
+    whose complement Γ' = Γ minus F is stored as False, is answered by
     Λ = <G n F : G in Γ'>, since
 
         depth K[Γ] >= t  iff  depth K[Λ] >= t - 1.

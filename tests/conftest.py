@@ -1,6 +1,7 @@
 import random
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,10 @@ from srdepth import (
     irreducible_ideal,
     prime_power_ideal,
 )
+from srdepth import cones
 from srdepth.cones import ConeUnion
 from srdepth.homology import (
-    RATIONALS, boundary_matrix, depth_stanley_reisner, matrix_rank, reduced_betti,
+    RATIONALS, _selections, boundary_matrix, depth_stanley_reisner, matrix_rank, reduced_betti,
 )
 from srdepth.ideals import radical_complex, support_mask
 from srdepth.simplicial import (
@@ -476,6 +478,53 @@ def quadratic_minimal_product(dnf: list[int], terms: list[int]) -> list[int]:
         else:
             out.append(g)
     return out
+
+
+# -- every-selection cone union oracle ----------------------------------------------
+
+def cone_union_by_every_selection(cx: Complex, field=RATIONALS) -> ConeUnion:
+    """The cone union with no selection skipped: the local DNF of every
+    selection that _selections(cx, field) walks below t is multiplied into
+    the running DNF by cones._minimal_product, and a step that would list
+    more than cones.MAX_CONE_CANDIDATES candidates is refused with
+    generate_cone_union's message."""
+    masks = cx.facet_masks
+    r = len(masks)
+    selections = _selection_indices(r)
+    symbols = cone_symbols(cx)
+    sels = _selections(cx, field)
+    if sels.rigid:
+        return ConeUnion(cx.n, cx.facets, symbols, (frozenset(),))
+    pos = {s: p for p, s in enumerate(symbols)}
+    atoms = sorted(
+        (p, pos[(k, j)])
+        for p, (i, j) in enumerate(symbols)
+        for k in range(r)
+        if k != i and not masks[k] >> (j - 1) & 1
+    )
+    bit = {atom: 1 << q for q, atom in enumerate(atoms)}
+    dnf = [0]
+    for selection in sels.walk(selections):
+        choices = [
+            [
+                [bit[pos[(i, j)], pos[(k, j)]] for k in selection if not masks[k] >> (j - 1) & 1]
+                for j in range(1, cx.n + 1)
+                if not masks[i] >> (j - 1) & 1
+            ]
+            for i in range(r)
+            if i not in selection
+        ]
+        size = len(dnf) * sum(prod(len(c) for c in per_var) for per_var in choices)
+        if size > cones.MAX_CONE_CANDIDATES:
+            raise ValueError(
+                f"cone union expansion needs {size} candidate conjunctions in one step, "
+                f"more than {cones.MAX_CONE_CANDIDATES}"
+            )
+        local = [sum(term) for per_var in choices for term in product(*per_var)]
+        dnf = cones._minimal_product(dnf, local)
+    disjuncts = [frozenset(a for q, a in enumerate(atoms) if d >> q & 1) for d in dnf]
+    disjuncts.sort(key=lambda d: (len(d), sorted(d)))
+    return ConeUnion(cx.n, cx.facets, symbols, tuple(disjuncts))
 
 
 # -- cone-union comparisons -------------------------------------------------------

@@ -10,7 +10,7 @@ from srdepth import cones as cones_mod, homology, simplicial
 from srdepth.cli import main
 from srdepth.cones import ConeUnion, generate_cone_union
 from srdepth.criteria import depth_equals_radical
-from srdepth.homology import RATIONALS, _selections, prime_field
+from srdepth.homology import RATIONALS, _selections, depth_stanley_reisner, prime_field
 from srdepth.ideals import Decomposition, irreducible_ideal
 from srdepth.simplicial import Complex, _selection_indices
 from tests.conftest import (
@@ -20,6 +20,7 @@ from tests.conftest import (
     VEC_EQUAL_2,
     VEC_MIDPOINT,
     _prune,
+    cone_union_by_every_selection,
     distributed_cone_union,
     fourcycle_assignment,
     fourcycle_reference_system,
@@ -29,6 +30,7 @@ from tests.conftest import (
     minimal_masks,
     quadratic_minimal_product,
     random_pure_complex,
+    selection_depth,
 )
 
 FIVECYCLE = Complex(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
@@ -189,6 +191,155 @@ def test_cone_product_matches_the_quadratic_product_on_the_benchmark_round(field
     for cx, union in zip(complexes, unions):
         _assert_same_union(union, generate_cone_union(cx, field))
     assert [len(u.disjuncts) for u in unions[:2]] == [4, 464]
+
+
+# -- selections covered by a smaller low one -----------------------------------------
+
+def _union_or_refusal(build, cx, field):
+    """The union's JSON, or the refusal message, from a cold selection cache."""
+    homology._selections.cache_clear()
+    try:
+        return build(cx, field).to_json_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _seeded_complexes(seed: int, count: int) -> list[Complex]:
+    """Pure and non-pure complexes, in turn, on 3 to 7 vertices with at most
+    7 facets; a non-pure draw keeps the maximal faces of its candidates."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(3, 7)
+        if k % 2:
+            faces = [
+                rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+                for _ in range(rng.randint(1, 7))
+            ]
+        else:
+            pool = list(combinations(range(1, n + 1), rng.randint(1, n - 1)))
+            faces = rng.sample(pool, rng.randint(1, min(7, len(pool))))
+        out.append(Complex(n, faces))
+    return out
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(2), prime_field(3)], ids=str)
+def test_generated_matches_the_every_selection_oracle(field):
+    # the union, or the refusal message, equals the product over every
+    # selection below t: on seeded complexes, the 4- and 5-cycles and the
+    # seed-1 to seed-3 rounds of the cones benchmark
+    complexes = [FOURCYCLE, FIVECYCLE] + _seeded_complexes(47, 300)
+    complexes += [
+        Complex.from_json_dict(item.data) for seed in (1, 2, 3)
+        for item in bench_corpus.cones_corpus(seed, 1)
+    ]
+    outcomes = {"refused": 0, "trivial": 0, "cones": 0}
+    for cx in complexes:
+        union = _union_or_refusal(generate_cone_union, cx, field)
+        assert union == _union_or_refusal(cone_union_by_every_selection, cx, field), cx
+        if isinstance(union, str):
+            outcomes["refused"] += 1
+        else:
+            outcomes["trivial" if union["disjuncts"] == [[]] else "cones"] += 1
+    assert min(outcomes.values()) > 0 and outcomes["cones"] > 200, outcomes
+
+
+def count_cone_work(monkeypatch) -> tuple[list, list]:
+    """Record every product step of the cone union and every selection
+    asked of _Selections.below."""
+    steps, asks = [], []
+    product_step, below = cones_mod._minimal_product, homology._Selections.below
+
+    def counting_step(dnf, terms):
+        steps.append(len(terms))
+        return product_step(dnf, terms)
+
+    def counting_below(self, bits, idx):
+        asks.append(bits)
+        return below(self, bits, idx)
+
+    monkeypatch.setattr(cones_mod, "_minimal_product", counting_step)
+    monkeypatch.setattr(homology._Selections, "below", counting_below)
+    return steps, asks
+
+
+def test_the_benchmark_round_skips_the_covered_selections(monkeypatch):
+    # the seed-1 round of the cones workload over Q: multiplying every
+    # selection below t takes 423 product steps and 1,978 asks; skipping the
+    # covered ones, 224 and 1,779
+    complexes = [Complex.from_json_dict(item.data) for item in bench_corpus.cones_corpus(1, 1)]
+    steps, asks = count_cone_work(monkeypatch)
+    for build, counts in (
+        (generate_cone_union, (224, 1779)), (cone_union_by_every_selection, (423, 1978)),
+    ):
+        homology._selections.cache_clear()
+        del steps[:], asks[:]
+        for cx in complexes:
+            build(cx, RATIONALS)
+        assert (len(steps), len(asks)) == counts, build
+
+
+def test_a_skipped_selection_below_t_is_a_factor_the_union_already_holds(monkeypatch):
+    # t = 3.  Facets 0 and 2, 134 and 235, meet in vertex 3: depth 2.  Of
+    # the facets holding vertex 3 (134, 234, 235), the selection of facets
+    # 0, 2 and 3 holds just those two, so it is skipped, although it has
+    # depth 2 as well: the skip drops a real factor, not only selections
+    # of depth t
+    cx = Complex(5, [(1, 3, 4), (2, 3, 4), (2, 3, 5), (2, 4, 5)])
+    assert depth_stanley_reisner(cx, RATIONALS) == 3
+    assert [selection_depth(cx, idx) for idx in ((0, 2), (0, 2, 3))] == [2, 2]
+    steps, asks = count_cone_work(monkeypatch)
+    homology._selections.cache_clear()
+    union = generate_cone_union(cx, RATIONALS)
+    skipping = len(steps)
+    assert 0b1101 not in asks and 0b0101 in asks
+    homology._selections.cache_clear()
+    assert union == cone_union_by_every_selection(cx, RATIONALS)
+    assert 0b1101 in asks and homology._selections(cx, RATIONALS).answers[0b1101] is True
+    assert len(steps) > skipping
+
+
+def test_every_skipped_selection_has_depth_below_t(monkeypatch):
+    # a covered selection is below t by the link bound at the common face
+    # of the selection covering it; the union skips it without asking
+    steps, asks = count_cone_work(monkeypatch)
+    skipped = 0
+    for cx in _seeded_complexes(48, 400):
+        r = len(cx.facet_masks)
+        for field in (RATIONALS, prime_field(2)):
+            homology._selections.cache_clear()
+            del asks[:]
+            try:
+                generate_cone_union(cx, field)
+            except ValueError:
+                continue
+            if not asks:
+                continue  # rigid: nothing is asked or skipped
+            t = depth_stanley_reisner(cx, field)
+            for idx in _selection_indices(r):
+                if sum(1 << i for i in idx) not in asks:
+                    assert selection_depth(cx, idx, field) < t, (cx, str(field), idx)
+                    skipped += 1
+    assert skipped > 100
+
+
+def test_a_skipped_step_the_oracle_refuses_is_still_refused(monkeypatch):
+    # over F_2 the selection that the every-selection product refuses at
+    # 11,277 candidates is covered; a covered selection has depth below t
+    # too and its candidate count is still checked, so the refusal is the
+    # same, not a later step's 15,036
+    cx = Complex(6, [(1, 2, 3), (1, 2, 4), (2, 3, 4), (3, 4, 5), (2, 4, 6), (4, 5, 6)])
+    expected = (
+        "cone union expansion needs 11277 candidate conjunctions in one step, more than 10000"
+    )
+    for build in (generate_cone_union, cone_union_by_every_selection):
+        homology._selections.cache_clear()
+        with pytest.raises(ValueError) as exc:
+            build(cx, prime_field(2))
+        assert str(exc.value) == expected, build
+    monkeypatch.setattr(cones_mod, "MAX_CONE_CANDIDATES", 11277)
+    assert _union_or_refusal(generate_cone_union, cx, prime_field(2)) == (
+        _union_or_refusal(cone_union_by_every_selection, cx, prime_field(2)))
 
 
 def test_sixcycle_refusal_text(tmp_path, capsys):

@@ -860,26 +860,40 @@ def test_the_selection_memo_fills_only_the_leaves_walked(monkeypatch):
     assert len(calls) == first
 
 
-def test_the_cone_union_and_the_decision_share_their_answers(monkeypatch):
+def test_decisions_after_a_cone_union_reask_none_of_its_answers(monkeypatch):
     # t = 3 and not rigid: 24 of the 62 proper selections fall below 3.
-    # After the cone union's walk, the decision's leaves over an equal
-    # complex parsed anew find every selection answered
+    # The cone union skips the selections that a smaller low one covers
+    # and answers the rest; the decision's leaves over an equal complex
+    # parsed anew read those answers, and ask only selections the union
+    # skipped
     cx = Complex(5, [(1, 2, 4), (2, 3, 4), (1, 3, 5), (2, 3, 5), (1, 4, 5), (2, 4, 5)])
+    homology._selections.cache_clear()
     assert depth_stanley_reisner(cx, RATIONALS) == 3
     assert _thin_intersection(cx.facet_masks, 3) is not None
     assert len(generate_cone_union(cx, RATIONALS).disjuncts) == 14
-    calls = count_decision_calls(monkeypatch, "_generated_below")
+    sels = homology._selections(cx, RATIONALS)
+    by_union = dict(sels.answers)
+    asked = []
+    below = homology._Selections.below
+
+    def recording(self, bits, idx):
+        asked.append(bits)
+        return below(self, bits, idx)
+
+    monkeypatch.setattr(homology._Selections, "below", recording)
     rng = random.Random(36)
-    unequal = 0
+    ends = set()  # the selections the unequal verdicts end at
     for k in range(12):
         again = Complex.from_json_dict(cx.to_json_dict())
-        assert again is not cx
+        assert again is not cx and homology._selections(again, RATIONALS) is sels
         dec = decomposition_over(rng, again, FORMS[k % 3], exp_max=3)
         verdict = depth_equals_radical(dec, RATIONALS)
         assert verdict_summary(verdict) == box_scan_decision(dec, RATIONALS), k
-        unequal += not verdict.equal
-    assert calls == {"_generated_below": []}
-    assert unequal > 0
+        if not verdict.equal:
+            ends.add(sum(1 << cx.facets.index(f) for f in verdict.witness_subcomplex.facets))
+    assert asked and not set(asked) & set(by_union)
+    assert {bits: sels.answers[bits] for bits in by_union} == by_union
+    assert ends & {bits for bits, found in by_union.items() if found}
 
 
 def test_the_selection_memo_holds_only_booleans():
