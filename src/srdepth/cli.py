@@ -287,16 +287,19 @@ def _audit_complex(cx: Complex, problems: list[str]) -> None:
         for k in fields:
             sels = _selections(cx, k)
             t = sels.t
-            # every proper selection built once: the subcomplex-depth route
-            # is rigid iff none falls below t, and the walk must list them
-            built = [
-                idx for idx in _selection_indices(len(masks))
+            # every proper selection built once, by index bitmask: the
+            # subcomplex-depth route is rigid iff none falls below t, and
+            # the walk must store exactly these as True
+            built = {
+                sum(1 << i for i in idx) for idx in _selection_indices(len(masks))
                 if depth_stanley_reisner(Complex._from_masks(cx.n, [masks[i] for i in idx]), k) < t
-            ]
+            }
             rigid = bool(is_rigid_by_intersections(cx, t))
             if not rigid == (not built) == bool(is_rigid_by_skeleton_cm(cx, k)):
                 problems.append(f"rigidity routes disagree over {k}")
-            if list(sels.walk(_selection_indices(len(masks)))) != built:
+            for _ in sels.walk(_selection_indices(len(masks))):
+                pass  # every selection is stored, each covered one as True
+            if {b for b, low in sels.answers.items() if low} != built:
                 problems.append(f"low-depth selections disagree over {k}")
             if rigid and k is RATIONALS:
                 mismatches = sample_depth_stability(cx, RATIONALS, exponent_bound=2, trials=5)

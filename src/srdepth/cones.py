@@ -9,9 +9,9 @@ conjunction over tuples of outside-variable choices.  Expanding each
 formula into a small disjunctive normal form and multiplying these into one
 antichain of conjunctions yields an explicit union of cones, never empty,
 evaluable on integer points and tested against the paper's 4-cycle systems.
-The selections are asked of homology._selections, which the decision
-shares; none is asked when the complex passes the paper's criterion, and
-none whose terms a smaller selection below t holds (generate_cone_union).
+The selections below t come from the walk of homology._selections, which
+the decision shares; none is asked when the complex passes the paper's
+criterion, nor multiplied when a smaller one covers it (generate_cone_union).
 An expansion step that would list more than MAX_CONE_CANDIDATES candidate
 conjunctions is refused, so a union too large to list fails fast.
 
@@ -144,20 +144,17 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
     DNF stays an antichain (see _minimal_product), so the final union needs
     no prune, only the canonical sort.
 
-    Selections come in the order of simplicial._selection_indices and are
-    asked of homology._selections(cx, field); none is when cx passes the
-    paper's criterion, and its union, trivially true, precedes any atom.
+    Selections come from homology._selections(cx, field).walk, in the
+    order of simplicial._selection_indices; none is asked when cx passes
+    the paper's criterion, and its union, trivially true, precedes any atom.
 
     F_i, i not in Γ, has local terms iff each x_j outside F_i lies outside
     some selected facet, that is outside G(Γ), the common face of Γ: iff
-    F_i holds G(Γ).  A selection Γ' below t covers every later Γ whose
-    facets holding G(Γ') are those of Γ'.  Each outside facet of Γ' with
-    terms then lies outside Γ, and each of its terms, picking facets of Γ',
-    is a term of Γ; every conjunction of the DNF holds a term of Γ', so
-    multiplying by Γ changes nothing, and Γ is neither asked nor multiplied.
-    A covered Γ is still below t: Γ' is the cone over G = G(Γ') on
-    lk_Γ' G = lk_Γ G, so depth K[Γ] <= |G| + depth K[lk_Γ G] = depth K[Γ']
-    by Hochster's formula, and its step is refused as any step is.
+    F_i holds G(Γ), as the walk's held mask marks.  A Γ the walk skips is
+    covered by an earlier Γ' that it yielded: each outside facet of Γ' with
+    terms lies outside Γ, and each of its terms, picking facets of Γ', is a
+    term of Γ; every conjunction of the DNF holds a term of Γ', so
+    multiplying by Γ would change nothing.
 
     A step whose product would list more than MAX_CONE_CANDIDATES candidate
     conjunctions is refused with a ValueError before it is expanded, and a
@@ -195,24 +192,8 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
                 atoms.append((p, sym_pos[(k, j)]))
         rows[i].append(row)
 
-    most = sum(prod(map(len, rows[i])) for i in range(r))  # candidates of any one step
     dnf = [0]
-    covered = []  # (bits, facets holding the common face) per multiplied selection
-    for idx in selections:
-        bits = 0
-        for i in idx:
-            bits |= 1 << i
-        skip = False
-        for b, h in covered:
-            if bits & h == b:
-                skip = True  # covered: not asked, counted only if the count can refuse
-                break
-        if skip and len(dnf) * most <= MAX_CONE_CANDIDATES or not (skip or sels.below(bits, idx)):
-            continue
-        common = -1
-        for i in idx:
-            common &= masks[i]
-        held = sum(1 << i for i, fm in enumerate(masks) if fm & common == common)
+    for bits, _, held in sels.walk(selections):
         # the atoms usable at each outside variable of each outside facet with terms
         choices = [
             [[bit for k, bit in row if bits >> k & 1] for row in rows[i]]
@@ -225,10 +206,6 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
                 f"cone union expansion needs {len(dnf) * size} candidate "
                 f"conjunctions in one step, more than {MAX_CONE_CANDIDATES}"
             )
-        if skip:
-            continue
-        if len(idx) < r - 1:  # a largest selection covers none
-            covered.append((bits, held))
         # each term takes one atom per variable, so its sum is its union;
         # distinct outside facets give disjoint atoms, so the local DNF is
         # already pruned

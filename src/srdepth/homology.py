@@ -30,10 +30,10 @@ can still lower the minimum are ranked (min_nonzero_betti's `below`).
 
 The decision and the cone union ask one question of many facet selections of
 a complex of depth t, pure or not: is the selection's depth below t?  One
-_Selections per (complex, field), from _selections, answers it for both, and
-for the audit's check of the walk; the cone union skips, unasked, the
-selections a smaller one below t covers (cones.generate_cone_union).  It
-holds whether the facets pass the paper's intersection criterion
+_Selections per (complex, field), from _selections, answers it for both.
+Its walk, which the cone union and the audit run, stores as True, unasked,
+each selection that a smaller one below t covers, and yields the rest below
+t.  It holds whether the facets pass the paper's intersection criterion
 (_thin_intersection), under which none falls below t and neither caller
 asks; each answer is a stored bool, most read off smaller selections by the
 depth lemma (see _Selections), and each asked of _generated_below, one
@@ -519,15 +519,16 @@ class _Selections:
     t, whether the facets pass the paper's criterion at t, the answers and
     the decision's witness subcomplexes.
 
-    The decision and the cone union ask one question of facet selections
-    (the union skips those it covers): is the selection's depth below t?
-    None is when every k facets meet in at least t - k + 1 vertices, the
-    paper's criterion for rigid depth (rigid, from _thin_intersection), and
-    both callers answer a rigid complex without asking.  answers maps each
-    selection asked, by its facet-index bitmask, to False when it has depth
-    >= t and else to True; the void selection and the whole complex start as
-    False.  A selection Γ of three or more facets, at t >= 3, with a facet F
-    whose complement Γ' = Γ minus F is stored as False, is answered by
+    The decision and the cone union ask one question of facet selections,
+    through below and walk: is the selection's depth below t?  None is when
+    every k facets meet in at least t - k + 1 vertices, the paper's
+    criterion for rigid depth (rigid, from _thin_intersection), and both
+    callers answer a rigid complex without asking.  answers maps each
+    selection asked or covered (see walk), by its facet-index bitmask, to
+    False when it has depth >= t and else to True; the void selection and
+    the whole complex start as False.  A selection Γ of three or more
+    facets, at t >= 3, with a facet F whose complement Γ' = Γ minus F is
+    stored as False, is answered by
     Λ = <G n F : G in Γ'>, since
 
         depth K[Γ] >= t  iff  depth K[Λ] >= t - 1.
@@ -571,16 +572,33 @@ class _Selections:
         answers[bits] = found
         return found
 
-    def walk(self, selections: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-        """The index tuples among `selections` of depth below t, lazily and
-        in their order, each asked of below."""
-        below = self.below
+    def walk(self, selections: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple, int]]:
+        """(bits, idx, held) for each selection idx among `selections`, of
+        index bitmask bits, below t and covered by no earlier one yielded,
+        lazily and in their order; held masks the facets holding G(idx),
+        the common face.  A yielded Γ' of fewer than r - 1 facets covers
+        each later Γ whose facets holding G = G(Γ') are those of Γ'
+        (bits & held == bits of Γ'); then Γ' is the cone over G on
+        lk_Γ' G = lk_Γ G, so depth K[Γ] <= |G| + depth K[lk_Γ G] =
+        depth K[Γ'] < t by Hochster's formula, and Γ is stored as True,
+        neither asked of below nor yielded."""
+        answers, below, masks = self.answers, self.below, self.masks
+        covering: list[tuple[int, int]] = []  # (bits, held) of the yielded that can cover
         for idx in selections:
             bits = 0
             for i in idx:
                 bits |= 1 << i
-            if below(bits, idx):
-                yield idx
+            for b, h in covering:
+                if bits & h == b:
+                    answers[bits] = True
+                    break
+            else:
+                if below(bits, idx):
+                    common = reduce(and_, [masks[i] for i in idx])
+                    held = sum(1 << i for i, fm in enumerate(masks) if fm & common == common)
+                    if len(idx) < len(masks) - 1:
+                        covering.append((bits, held))
+                    yield bits, idx, held
 
 
 @lru_cache(maxsize=256)

@@ -483,10 +483,11 @@ def quadratic_minimal_product(dnf: list[int], terms: list[int]) -> list[int]:
 # -- every-selection cone union oracle ----------------------------------------------
 
 def cone_union_by_every_selection(cx: Complex, field=RATIONALS) -> ConeUnion:
-    """The cone union with no selection skipped: the local DNF of every
-    selection that _selections(cx, field) walks below t is multiplied into
-    the running DNF by cones._minimal_product, and a step that would list
-    more than cones.MAX_CONE_CANDIDATES candidates is refused with
+    """The cone union with no selection skipped: every selection is asked
+    of _selections(cx, field).below, never walked, and the local DNF of
+    each below t is multiplied into the running DNF by
+    cones._minimal_product; a step that would list more than
+    cones.MAX_CONE_CANDIDATES candidates is refused with
     generate_cone_union's message."""
     masks = cx.facet_masks
     r = len(masks)
@@ -504,7 +505,9 @@ def cone_union_by_every_selection(cx: Complex, field=RATIONALS) -> ConeUnion:
     )
     bit = {atom: 1 << q for q, atom in enumerate(atoms)}
     dnf = [0]
-    for selection in sels.walk(selections):
+    for selection in selections:
+        if not sels.below(sum(1 << i for i in selection), selection):
+            continue
         choices = [
             [
                 [bit[pos[(i, j)], pos[(k, j)]] for k in selection if not masks[k] >> (j - 1) & 1]
@@ -525,6 +528,18 @@ def cone_union_by_every_selection(cx: Complex, field=RATIONALS) -> ConeUnion:
     disjuncts = [frozenset(a for q, a in enumerate(atoms) if d >> q & 1) for d in dnf]
     disjuncts.sort(key=lambda d: (len(d), sorted(d)))
     return ConeUnion(cx.n, cx.facets, symbols, tuple(disjuncts))
+
+
+# -- low-depth walk -----------------------------------------------------------------
+
+def walked_below(sels) -> list[tuple[int, ...]]:
+    """Run the walk of the _Selections sels over every proper selection to
+    its end, and return the selections then stored True, in the order of
+    _selection_indices: those yielded and those covered."""
+    r = len(sels.masks)
+    for _ in sels.walk(_selection_indices(r)):
+        pass
+    return [idx for idx in _selection_indices(r) if sels.answers[sum(1 << i for i in idx)]]
 
 
 # -- cone-union comparisons -------------------------------------------------------

@@ -25,7 +25,7 @@ from srdepth.homology import RATIONALS, CMResult, depth_stanley_reisner
 from srdepth.ideals import Decomposition, MonomialIdeal
 from srdepth.rigid import RigidVerdict
 from srdepth.simplicial import VOID, Complex
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, walked_below
 
 
 def run(capsys, *argv):
@@ -684,11 +684,27 @@ def test_audit_catches_disagreeing_rigidity_routes(tmp_path, capsys, monkeypatch
 
 
 def test_audit_catches_a_walk_that_differs_from_the_built_selections(
-    tmp_path, capsys, monkeypatch
+    tmp_path, capsys, monkeypatch, fresh_homology_caches
 ):
-    # a rigid complex has no selection below t, and the walk must say so
-    monkeypatch.setattr(homology._Selections, "walk", lambda self, selections: iter([(0,)]))
-    code, out = audit_one(tmp_path, capsys, "two_facets_12345_12678.json")
+    # a rigid complex has no selection below t, and its walk must store
+    # none as True; this one stores the first selection as covered
+    name = "two_facets_12345_12678.json"
+    cx = Complex.from_json_dict(json.loads((FIXTURES / name).read_text()))
+
+    def fresh():
+        return homology._Selections(cx.n, cx.facet_masks, depth_stanley_reisner(cx, RATIONALS),
+                                    RATIONALS)
+
+    assert walked_below(fresh()) == []
+    walk = homology._Selections.walk
+
+    def covering_the_first(self, selections):
+        self.answers[0b1] = True
+        return walk(self, selections)
+
+    monkeypatch.setattr(homology._Selections, "walk", covering_the_first)
+    assert walked_below(fresh()) == [(0,)]
+    code, out = audit_one(tmp_path, capsys, name)
     assert code == 1
     assert "low-depth selections disagree over Q" in out
     assert "low-depth selections disagree over F_2" in out

@@ -31,6 +31,7 @@ from tests.conftest import (
     quadratic_minimal_product,
     random_pure_complex,
     selection_depth,
+    walked_below,
 )
 
 FIVECYCLE = Complex(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
@@ -301,11 +302,11 @@ def test_a_skipped_selection_below_t_is_a_factor_the_union_already_holds(monkeyp
 
 def test_every_skipped_selection_has_depth_below_t(monkeypatch):
     # a covered selection is below t by the link bound at the common face
-    # of the selection covering it; the union skips it without asking
+    # of the selection covering it; the union's walk skips it without
+    # asking and stores it as True, so a second walk stores nothing new
     steps, asks = count_cone_work(monkeypatch)
     skipped = 0
     for cx in _seeded_complexes(48, 400):
-        r = len(cx.facet_masks)
         for field in (RATIONALS, prime_field(2)):
             homology._selections.cache_clear()
             del asks[:]
@@ -316,30 +317,39 @@ def test_every_skipped_selection_has_depth_below_t(monkeypatch):
             if not asks:
                 continue  # rigid: nothing is asked or skipped
             t = depth_stanley_reisner(cx, field)
-            for idx in _selection_indices(r):
+            sels = _selections(cx, field)
+            answered = dict(sels.answers)
+            stored = walked_below(sels)
+            assert sels.answers == answered, (cx, str(field))
+            for idx in _selection_indices(len(cx.facet_masks)):
                 if sum(1 << i for i in idx) not in asks:
+                    assert idx in stored, (cx, str(field), idx)
                     assert selection_depth(cx, idx, field) < t, (cx, str(field), idx)
                     skipped += 1
     assert skipped > 100
 
 
-def test_a_skipped_step_the_oracle_refuses_is_still_refused(monkeypatch):
-    # over F_2 the selection that the every-selection product refuses at
-    # 11,277 candidates is covered; a covered selection has depth below t
-    # too and its candidate count is still checked, so the refusal is the
-    # same, not a later step's 15,036
+def test_a_covered_step_counts_toward_no_refusal(monkeypatch):
+    # over F_2 the every-selection product is refused at a step of 11,277
+    # candidates whose selection is covered; the union never expands that
+    # step and is refused at its first expanded one past the cap, 15,036.
+    # Its largest step lists 16,068 candidates, the product's 36,126, and
+    # from there both return the same union
     cx = Complex(6, [(1, 2, 3), (1, 2, 4), (2, 3, 4), (3, 4, 5), (2, 4, 6), (4, 5, 6)])
-    expected = (
-        "cone union expansion needs 11277 candidate conjunctions in one step, more than 10000"
-    )
-    for build in (generate_cone_union, cone_union_by_every_selection):
-        homology._selections.cache_clear()
-        with pytest.raises(ValueError) as exc:
-            build(cx, prime_field(2))
-        assert str(exc.value) == expected, build
-    monkeypatch.setattr(cones_mod, "MAX_CONE_CANDIDATES", 11277)
-    assert _union_or_refusal(generate_cone_union, cx, prime_field(2)) == (
-        _union_or_refusal(cone_union_by_every_selection, cx, prime_field(2)))
+    f2 = prime_field(2)
+    for build, needed in ((generate_cone_union, 15036), (cone_union_by_every_selection, 11277)):
+        assert _union_or_refusal(build, cx, f2) == (
+            f"cone union expansion needs {needed} candidate conjunctions in one step, "
+            "more than 10000"
+        ), build
+    monkeypatch.setattr(cones_mod, "MAX_CONE_CANDIDATES", 16068)
+    union = _union_or_refusal(generate_cone_union, cx, f2)
+    assert len(union["disjuncts"]) == 1338
+    assert _union_or_refusal(cone_union_by_every_selection, cx, f2) == (
+        "cone union expansion needs 17542 candidate conjunctions in one step, more than 16068")
+    monkeypatch.setattr(cones_mod, "MAX_CONE_CANDIDATES", 36126)
+    assert _union_or_refusal(generate_cone_union, cx, f2) == union
+    assert _union_or_refusal(cone_union_by_every_selection, cx, f2) == union
 
 
 def test_sixcycle_refusal_text(tmp_path, capsys):
@@ -448,7 +458,10 @@ def test_union_is_never_empty():
     for cx in complexes:
         masks = cx.facet_masks
         for field in (RATIONALS, prime_field(2)):
-            for idx in _selections(cx, field).walk(_selection_indices(len(masks))):
+            sels = _selections(cx, field)
+            for idx in _selection_indices(len(masks)):
+                if not sels.below(sum(1 << i for i in idx), idx):
+                    continue
                 common = masks[idx[0]]
                 for i in idx[1:]:
                     common &= masks[i]

@@ -862,10 +862,9 @@ def test_the_selection_memo_fills_only_the_leaves_walked(monkeypatch):
 
 def test_decisions_after_a_cone_union_reask_none_of_its_answers(monkeypatch):
     # t = 3 and not rigid: 24 of the 62 proper selections fall below 3.
-    # The cone union skips the selections that a smaller low one covers
-    # and answers the rest; the decision's leaves over an equal complex
-    # parsed anew read those answers, and ask only selections the union
-    # skipped
+    # The cone union's walk asks each selection or stores it True as
+    # covered by a smaller low one, so the decision's leaves over an equal
+    # complex parsed anew read every answer and ask nothing
     cx = Complex(5, [(1, 2, 4), (2, 3, 4), (1, 3, 5), (2, 3, 5), (1, 4, 5), (2, 4, 5)])
     homology._selections.cache_clear()
     assert depth_stanley_reisner(cx, RATIONALS) == 3
@@ -891,8 +890,8 @@ def test_decisions_after_a_cone_union_reask_none_of_its_answers(monkeypatch):
         assert verdict_summary(verdict) == box_scan_decision(dec, RATIONALS), k
         if not verdict.equal:
             ends.add(sum(1 << cx.facets.index(f) for f in verdict.witness_subcomplex.facets))
-    assert asked and not set(asked) & set(by_union)
-    assert {bits: sels.answers[bits] for bits in by_union} == by_union
+    assert len(by_union) == 64 and asked == []
+    assert sels.answers == by_union
     assert ends & {bits for bits, found in by_union.items() if found}
 
 

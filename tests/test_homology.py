@@ -42,6 +42,7 @@ from tests.conftest import (
     random_pure_complex,
     reisner_walk,
     tuple_boundary_matrix,
+    walked_below,
 )
 
 F2 = prime_field(2)
@@ -827,10 +828,10 @@ def _built_low_depth_selections(cx: Complex, t: int, field: FieldSpec) -> list[t
 
 
 def _walked(cx: Complex, t: int, field: FieldSpec) -> list[tuple[int, ...]]:
-    """The walk of a new _Selections of cx at t; it asks every selection,
-    also where the facets pass the criterion."""
-    masks = cx.facet_masks
-    return list(_Selections(cx.n, masks, t, field).walk(_selection_indices(len(masks))))
+    """The selections stored True by the full walk of a new _Selections of
+    cx at t, yielded or covered; it walks also where the facets pass the
+    criterion."""
+    return walked_below(_Selections(cx.n, cx.facet_masks, t, field))
 
 
 @pytest.mark.parametrize("count", [300, pytest.param(2500, marks=pytest.mark.slow)])
@@ -930,9 +931,11 @@ def test_a_selection_without_a_deep_complement_is_built(monkeypatch):
         return generated_below(n, parts, s, field)
 
     monkeypatch.setattr(homology, "_generated_below", asked)
-    walked = _walked(cx, 3, RATIONALS)
-    assert triple in built and triple in walked
-    assert walked == _built_low_depth_selections(cx, 3, RATIONALS)
+    # asked directly: the walk covers the triple by the pair of its first two
+    sels = _Selections(cx.n, masks, 3, RATIONALS)
+    for pair in combinations(triple, 2):
+        assert sels.below(sum(1 << i for i in pair), pair)
+    assert sels.below(sum(1 << i for i in triple), triple) and built == [triple]
 
 
 def test_low_depth_walk_is_lazy(monkeypatch):
@@ -948,7 +951,7 @@ def test_low_depth_walk_is_lazy(monkeypatch):
     selections = _selection_indices(4)
     walk = _Selections(4, (0b0011, 0b0110, 0b1100, 0b1001), 2, RATIONALS).walk(selections)
     assert asked == []
-    assert next(walk) == (0, 1)
+    assert next(walk) == (0b0011, (0, 1), 0b0011)
     assert asked == [(1, 2)] * 4 + [(2, 2)]  # (size, s): selections at t = 2
     assert next(selections) == (0, 2)
 
