@@ -193,7 +193,7 @@ def generate_cone_union(cx: Complex, field: FieldSpec = RATIONALS) -> ConeUnion:
         rows[i].append(row)
 
     dnf = [0]
-    for bits, _, held in sels.walk(selections):
+    for bits, held in sels.walk(selections):
         # the atoms usable at each outside variable of each outside facet with terms
         choices = [
             [[bit for k, bit in row if bits >> k & 1] for row in rows[i]]

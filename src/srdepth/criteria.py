@@ -9,17 +9,17 @@ depth is a finite, exact computation over a >= 0 alone: only degrees with
 a_j < max exponent of x_j can contribute.
 
 By Alexander duality the facets of the degree complex are the complements
-of the minimal transversals of the excess sets {j : g_j > a_j}, so no 2^n
-subsets are swept.
+of the minimal transversals of the excess sets {j : g_j > a_j}
+(Complex._from_nonfaces), so no 2^n subsets are swept.
 
 Membership of x^a, the excess sets {j : g_j > a_j} and so every degree
 complex change only where some a_j crosses a generator exponent of x_j
 (the fact behind Takayama's formula).  Every scan therefore visits one
 representative per breakpoint class of each coordinate, its smallest
-point, below the largest exponent rho_j: one grid, `_class_grid`.  The
-decision files each generator's nonzero exponents by coordinate, in one
-pass over the generator rows, which gives it the same classes and the
-generators dividing each class.
+point, below the largest exponent rho_j, or 0 when x_j is unused: one
+grid, `_class_grid`.  The decision files each generator's nonzero
+exponents by coordinate, in one pass over the generator rows, which gives
+it the same grid and the generators dividing each class.
 
 Hochster's formula, depth_stanley_reisner, is the one depth engine.  With
 Delta_a(I) = lk_{Delta_a+(I)} G_a, where G_a = {j : a_j < 0} and
@@ -29,13 +29,13 @@ depth_via_local_cohomology computes the depth and how depth_equals_radical
 compares it with the radical's.  The degree complex at a = 0 is the
 radical's complex (its excess sets are the supports), so the scan takes it
 from ideals.radical_complex, which each ideal builds once.  The depth scan
-only asks whether a degree complex has depth below the running minimum, so
-once that is 2 or less it reads the answer straight from the minimal
-nonfaces, the excess sets: depth 0 iff every vertex is a nonface, and
-depth >= 2 iff the 1-skeleton (the vertices that are not nonfaces, joined
-unless they form a nonface) is connected with at least two vertices.  At a
-minimum of 1 only depth 0 can lower it, so only the 1-element excess sets
-are read.
+reads each degree's excess sets once and asks only whether its complex
+falls below the running minimum, so once that is 2 or less it reads the
+answer straight from those minimal nonfaces: depth 0 iff every vertex is
+a nonface, and depth >= 2 iff the 1-skeleton (the vertices that are not
+nonfaces, joined unless they form a nonface) is connected with at least
+two vertices.  At a minimum of 1 only depth 0 can lower it, so only the
+1-element excess sets are read.
 
 The decision's degree complexes are facet selections of the radical's
 complex (Minh-Trung, Adv. Math. 226 (2011)), so whether one has depth
@@ -64,7 +64,7 @@ from .homology import (
     depth_stanley_reisner,
 )
 from .ideals import Decomposition, MonomialIdeal, radical_complex
-from .simplicial import Complex, Record, VOID, minimal_transversals
+from .simplicial import Complex, Record
 
 
 # -- degree complexes ---------------------------------------------------------
@@ -89,16 +89,12 @@ def degree_complex(ideal: MonomialIdeal, a: Sequence[int]) -> Complex:
 
     x^a lies in the ideal localized at F iff some generator's excess support
     d = {j : e_j > a_j} lies in F, so x^a stays out iff the complement of F
-    meets every d: the facets are the complements ~T of the minimal
-    transversals T of the d.
+    meets every d, and Complex._from_nonfaces builds the complex from the d,
+    or from the empty set, giving the void complex, when x^a is in the ideal.
     """
-    n = ideal.n
-    _check_degree(a, n)
+    _check_degree(a, ideal.n)
     excess = _excess_sets(_supports(ideal), a)
-    if excess is None:
-        return Complex._from_masks(n, [])
-    full = (1 << n) - 1
-    return Complex._from_masks(n, [full & ~t for t in minimal_transversals(excess)])
+    return Complex._from_nonfaces(ideal.n, [0] if excess is None else excess)
 
 
 def _supports(ideal: MonomialIdeal) -> list[list[tuple[int, int]]]:
@@ -179,14 +175,14 @@ def _class_grid(n: int, gens) -> list[list[int]]:
 
     With b_0 = 0 < b_1 < ... < rho_j the distinct exponents of x_j among gens,
     g_j <= a_j holds for the same generators on every a_j in [b_k, b_(k+1)),
-    so b_k stands for its class; the list is empty when x_j is unused.  The
-    top class a_j >= rho_j is left out: there every degree complex is a cone
-    with apex j, which carries no local cohomology and, for depth, never
-    falls below its a_j = 0 counterpart.  A representative is the least
-    point of its class, so the lexicographic order of the representatives
-    is the box order.
+    so b_k stands for its class.  The top class a_j >= rho_j is left out
+    when rho_j > 0: there every degree complex is a cone with apex j, which
+    carries no local cohomology and, for depth, never falls below its
+    a_j = 0 counterpart.  When x_j is unused, rho_j = 0 and the list is [0],
+    the one class.  A representative is the least point of its class, so
+    the lexicographic order of the representatives is the box order.
     """
-    return [sorted({0, *column})[:-1] for column in zip(*gens)] or [[] for _ in range(n)]
+    return [[0, *sorted({g[j] for g in gens} - {0})[:-1]] for j in range(n)]
 
 
 def _depth_to_two(n: int, excess: list[int], best: int = 2) -> int:
@@ -235,32 +231,33 @@ def depth_via_local_cohomology(
     nonvanishing graded local cohomology piece is a term of Hochster's
     formula for a degree complex at a >= 0, and none of these complexes has
     depth below depth(S/I).  Such a piece has a_j < rho_j, so the scan
-    visits one degree per breakpoint class below rho_j (0 where x_j is
-    unused), skips void complexes and stops at 0.  The first degree, a = 0,
-    gives the radical's complex, which is never void for a proper ideal: its
-    excess sets are the supports, so the scan takes it from radical_complex,
-    which the ideal keeps for a later call.
+    visits one degree per breakpoint class, the grid of _class_grid, and
+    stops at 0.  It reads each degree's excess sets once; None, x^a in I,
+    is a void complex, and the degree is skipped before anything is built.
 
     Each degree only has to show whether its complex has depth below the
-    running best.  While the best is 3 or more, the complex is built from
-    the transversals of its excess sets and depth_stanley_reisner reads its
-    depth.  From a best of 2 down, only min(depth, best) matters, and
-    _depth_to_two reads it from the excess sets, the minimal nonfaces:
-    depth 0 iff every vertex is a nonface, depth >= 2 iff the 1-skeleton is
-    connected with at least two vertices.  At a best of 1 only depth 0 can
-    lower it, so only the 1-element excess sets are read.  No transversal,
-    complex or link is made at those degrees.
+    running best.  While the best is 3 or more, depth_stanley_reisner reads
+    the depth of the complex that Complex._from_nonfaces builds from the
+    excess sets; at a = 0 they are the supports, and the scan takes the
+    radical's complex, which the ideal keeps, from radical_complex.  From a
+    best of 2 down, only min(depth, best) matters, and _depth_to_two reads
+    it from the same excess sets, the minimal nonfaces: depth 0 iff every
+    vertex is a nonface, depth >= 2 iff the 1-skeleton is connected with at
+    least two vertices.  At a best of 1 only depth 0 can lower it, so only
+    the 1-element excess sets are read.  No complex is made at those degrees.
     """
     if not ideal.is_proper_nonzero:
         raise ValueError("depth needs a proper nonzero ideal")
     n = best = ideal.n
     supports = _supports(ideal)
-    for a in product(*[reps or [0] for reps in _class_grid(n, ideal.gens)]):
+    for a in product(*_class_grid(n, ideal.gens)):
+        excess = _excess_sets(supports, a)
+        if excess is None:
+            continue
         if best > 2:
-            cx = degree_complex(ideal, a) if any(a) else radical_complex(ideal)
-            if cx.kind != VOID:
-                best = min(best, depth_stanley_reisner(cx, field))
-        elif (excess := _excess_sets(supports, a)) is not None:
+            cx = Complex._from_nonfaces(n, excess) if any(a) else radical_complex(ideal)
+            best = min(best, depth_stanley_reisner(cx, field))
+        else:
             best = _depth_to_two(n, excess, best)
         if best == 0:
             break
@@ -347,10 +344,9 @@ def _divisibility_rows(n: int, gens) -> tuple[list[list[int]], list[list[int]]]:
     each generator g under filed[j][e] for each nonzero exponent g_j = e.
     Row 0 of coordinate j is the generators free of x_j, all of them but
     those filed at j; each later class joins its own file.  The classes are
-    0 and the filed exponents but the largest, rho_j, so the grid of j is
-    _class_grid(n, gens)[j] or [0], also where no generator or every
-    generator uses x_j; with at most one filed exponent it is [0] and
-    nothing is sorted.
+    0 and the filed exponents but the largest, rho_j, so the grid is
+    exactly _class_grid(n, gens); with at most one filed exponent the
+    classes of j are [0] and nothing is sorted.
     """
     filed: list[dict[int, int]] = [{} for _ in range(n)]
     bit = 1

@@ -327,7 +327,7 @@ def reduced_betti(cx: Complex, i: int, field: FieldSpec = RATIONALS) -> int:
 
 
 @lru_cache(maxsize=VALUE_CACHE_SIZE)
-def min_nonzero_betti(cx: Complex, field: FieldSpec, below: int | None = None) -> int | None:
+def min_nonzero_betti(cx: Complex, field: FieldSpec, below: int | None) -> int | None:
     """Least i with H~_i(cx) != 0, or None if all reduced homology vanishes;
     with an index bound below >= 0, the least such i < below, or None if
     there is none, and no boundary map past d_below is ranked.
@@ -392,7 +392,6 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     for i in range(-1, core.dim + 1):
         for fm in core.face_masks_of_dim(i):
             lk = core._link_mask(fm)
-            # None spelt out: the cache key of the F_2 scan under a Q scan
             low = min_nonzero_betti(lk, field, None)
             if low is not None and low < lk.dim:
                 return CMResult(False, mask_vertices(apex | fm), low)
@@ -572,8 +571,8 @@ class _Selections:
         answers[bits] = found
         return found
 
-    def walk(self, selections: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple, int]]:
-        """(bits, idx, held) for each selection idx among `selections`, of
+    def walk(self, selections: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+        """(bits, held) for each selection idx among `selections`, of
         index bitmask bits, below t and covered by no earlier one yielded,
         lazily and in their order; held masks the facets holding G(idx),
         the common face.  A yielded Γ' of fewer than r - 1 facets covers
@@ -598,7 +597,7 @@ class _Selections:
                     held = sum(1 << i for i, fm in enumerate(masks) if fm & common == common)
                     if len(idx) < len(masks) - 1:
                         covering.append((bits, held))
-                    yield bits, idx, held
+                    yield bits, held
 
 
 @lru_cache(maxsize=256)

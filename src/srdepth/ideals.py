@@ -261,9 +261,7 @@ def radical_complex(ideal: MonomialIdeal) -> Complex:
     supports.  The ideal keeps the complex it first builds, so the depth
     scan, which starts at a = 0, and a later call share one object."""
     if ideal._radical is None:
-        full = (1 << ideal.n) - 1
-        covers = minimal_transversals(support_mask(g) for g in ideal.gens)
-        ideal._radical = Complex._from_masks(ideal.n, [full & ~t for t in covers])
+        ideal._radical = Complex._from_nonfaces(ideal.n, map(support_mask, ideal.gens))
     return ideal._radical
 
 
@@ -341,7 +339,7 @@ class Decomposition:
     def from_json_dict(cls, data: dict) -> "Decomposition":
         cx_data, raw = json_fields(data, "decomposition", "complex", "components")
         delta = Complex.from_json_dict(cx_data)
-        read = {}  # facet as listed -> (facet, its mask or None, component)
+        read = []  # (facet, its mask or None, component)
         for entry in json_list(raw, "components"):
             (facet,) = json_fields(entry, "component", "facet")
             facet = tuple(as_int(v, "vertex") for v in json_list(facet, "facet"))
@@ -360,10 +358,8 @@ class Decomposition:
             else:
                 exps = json_list(entry["irreducible"], "irreducible")
                 fm, ideal = _irreducible(delta.n, facet, exps)
-            if facet in read:
-                raise ValueError(f"facet {sorted(facet)} has more than one component")
-            read[facet] = facet, fm, ideal
-        return cls.__new__(cls)._assemble(delta, read.values())
+            read.append((facet, fm, ideal))
+        return cls.__new__(cls)._assemble(delta, read)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Decomposition):

@@ -13,14 +13,13 @@ internal paths pass masks, and the k-faces of a facet are its k-bit
 submasks.  Face enumeration is colexicographic on bitmasks (numeric order of
 the mask), which fixes boundary-matrix rows/columns and makes all outputs
 reproducible.  `minimal_transversals` adds edges, minimal or not, by Berge's
-rule, comparing each grown transversal only with the ones that stay, and
-builds degree and radical complexes.
+rule, comparing each grown transversal only with the ones that stay.
 `Record` is the slotted, immutable base of the package's value records.
 
 The public constructor keeps the maximal faces of whatever it is given.
-`Complex._from_masks` takes an antichain of facet masks and only sorts it:
-every internal builder (links, skeletons, facet selections, degree and
-radical complexes) has one at hand, so no subsumption scan runs twice.
+`Complex._from_masks` takes an antichain of facet masks and only sorts it,
+as every internal builder has one at hand, so no subsumption scan runs
+twice; degree and radical complexes come from `Complex._from_nonfaces`.
 
 A complex owns its face lists: `face_masks_of_dim` lists each size once and
 keeps it, unshared with equal complexes.  Three sizes are read off the
@@ -252,6 +251,13 @@ class Complex:
         cx = object.__new__(cls)
         cx._set_facets(n, tuple(sorted(masks)))
         return cx
+
+    @classmethod
+    def _from_nonfaces(cls, n: int, edges: Iterable[int]) -> "Complex":
+        """The complex whose nonfaces are the sets holding an edge mask: its facets
+        are the complements of the minimal transversals, void for an empty edge."""
+        full = (1 << n) - 1
+        return cls._from_masks(n, [full & ~t for t in minimal_transversals(edges)])
 
     # -- basic queries ------------------------------------------------------
 

@@ -150,7 +150,7 @@ def small_ideals(rng, count):
 def test_degree_complex_matches_sweep_oracle():
     # every class-grid degree of 90 ideals
     for ideal in small_ideals(random.Random(14), 90):
-        for a in product(*[reps or [0] for reps in _class_grid(ideal.n, ideal.gens)]):
+        for a in product(*_class_grid(ideal.n, ideal.gens)):
             assert degree_complex(ideal, a) == swept_degree_complex(ideal, a), (ideal, a)
 
 
@@ -283,7 +283,7 @@ def test_local_cohomology_vanishes_beyond_caps():
     for _ in range(30):
         a = tuple(rng.randint(-2, rho[j] + 2) for j in range(4))
         if any(a[j] >= rho[j] for j in range(4)):
-            assert min_nonzero_betti(swept_degree_complex(ideal, a), RATIONALS) is None, a
+            assert min_nonzero_betti(swept_degree_complex(ideal, a), RATIONALS, None) is None, a
 
 
 def test_local_cohomology_vanishes_below_depth_for_cm():
@@ -602,7 +602,7 @@ def box_depth(ideal, field, complex_at):
         g = negative_support(a)
         cx = swept_degree_complex(ideal, a) if g else complex_at(a)
         if is_face(rc, g) and cx.kind != VOID:
-            low = min_nonzero_betti(cx, field)
+            low = min_nonzero_betti(cx, field, None)
             if low is not None:
                 lows.append(g.bit_count() + 1 + low)
     return min(lows)
@@ -671,6 +671,46 @@ def test_ideal_depth_matches_raw_box_on_the_benchmark_round(field):
         assert depth_stanley_reisner(rc, field) == raw_depth(ideal.radical(), field), item.family
 
 
+@pytest.mark.slow
+def test_the_depth_scan_reads_each_degree_once_on_the_benchmark_round(monkeypatch):
+    # the seed-1 round of the ideal-depth workload over Q: the scan reads
+    # each degree's excess sets once, in the grid's order, builds nothing at
+    # a degree with x^a in I, and never goes through degree_complex
+    read, voids = [], []
+
+    def reading(supports, a):
+        read.append(a)
+        return _excess_sets(supports, a)
+
+    def refuse(*args):
+        raise AssertionError("the scan checked or built a degree complex by its degree")
+
+    set_facets = Complex._set_facets
+
+    def building(cx, n, fmasks):
+        if not fmasks:
+            voids.append(n)
+        set_facets(cx, n, fmasks)
+
+    visited = 0
+    for item in bench_corpus.ideal_depth_corpus(1, 8):
+        ideal = MonomialIdeal.from_json_dict(item.data)
+        read.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(criteria, "_excess_sets", reading)
+            patch.setattr(criteria, "_check_degree", refuse)
+            patch.setattr(criteria, "degree_complex", refuse)
+            patch.setattr(Complex, "_set_facets", building)
+            depth = depth_via_local_cohomology(ideal, RATIONALS)
+        grid = list(product(*_class_grid(ideal.n, ideal.gens)))
+        assert read == grid[:len(read)], item.family
+        assert len(read) == len(grid) or depth == 0, item.family
+        assert depth == raw_depth(ideal, RATIONALS), item.family
+        visited += len(read)
+    assert visited == 1665
+    assert voids == []
+
+
 def decomposition_in_form(rng, form, n_max, exp_max):
     """A random unmixed decomposition whose components all have one JSON form."""
     cx = random_pure_complex(rng, n_max=n_max, r_max=5)
@@ -708,7 +748,7 @@ def test_decision_matches_box_scan_random(form):
 
 def assert_divisibility_rows(n, gens):
     grid, rows = _divisibility_rows(n, gens)
-    assert grid == [reps or [0] for reps in _class_grid(n, gens)]
+    assert grid == _class_grid(n, gens)
     assert len(rows) == n
     for j in range(n):
         assert rows[j] == [

@@ -173,9 +173,17 @@ DECOMPOSITION_REFUSALS = [
      dec({"facet": [1, 4], "generators": [[0, 0, 1]]},
          cx={"n": 3, "facets": [[1, 2], [3]]}),
      "vertex 4 out of range 1..3"),
+    # a duplicate facet, in any vertex order, is refused after every component is read
+    ("duplicate, then power zero",
+     dec(REST, {"facet": [2, 3], "power": 2}, {"facet": [1, 2], "power": 0}),
+     "power must be >= 1, got 0"),
     ("swapped duplicate, then power zero",
      dec(REST, {"facet": [3, 2], "power": 2}, {"facet": [1, 2], "power": 0}),
      "power must be >= 1, got 0"),
+    ("generators facet out of range, listed twice",
+     dec({"facet": [1, 4], "generators": [[0, 0, 1]]},
+         {"facet": [1, 4], "generators": [[0, 0, 1]]}),
+     "vertex 4 out of range 1..3"),
     ("generators facet out of range before a swapped duplicate",
      dec({"facet": [1, 4], "generators": [[0, 0, 1]]}, REST, {"facet": [3, 2], "power": 2}),
      "vertex 4 out of range 1..3"),
