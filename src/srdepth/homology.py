@@ -14,7 +14,9 @@ Both read the least i with H~_i != 0.  Over Q that scan resumes where the
 F_2 scan stopped: an integer matrix has rank over Q at least its rank over
 F_p, so b_i(Q) <= b_i(F_2).  H~_0 and the top homology are free, and below
 the first F_2 index there is no 2-torsion, so Q agrees with an F_2 answer of
-0 or dim; Q ranks are taken only strictly between, where torsion can appear.
+0 or dim, which the Q scan confirms with no rank: d_1 is read from the
+components and d_(dim+1) is zero.  Q ranks are taken only strictly between,
+where torsion can appear.
 No field needs d_1 eliminated: its rank is f_0 minus the number of connected
 components, which overlapping facets merge.  Nor is d_(i+1) ranked when its
 f_(i+1) columns are fewer than the i-cycles: H~_i != 0 by counting alone.
@@ -43,9 +45,10 @@ masks over every field and builds the complex only otherwise.
 The only caches, by value, are min_nonzero_betti and depth_stanley_reisner,
 each bounded at VALUE_CACHE_SIZE entries, and _selections, bounded at 256
 complexes, each keeping its answers and the decision's witness
-subcomplexes; the FieldSpec table holds one entry per field that is asked
-for: FieldSpec(p) validates p on every call and returns that field's one
-instance, so the caches' keys hash a field by identity.
+subcomplexes; all three take their arguments by position only, so one
+question has one key.  The FieldSpec table holds one entry per field that
+is asked for: FieldSpec(p) validates p on every call and returns that
+field's one instance, so the caches' keys hash a field by identity.
 
 Conventions for degenerate complexes, which degree complexes can be:
 the irrelevant complex {0} has H~_{-1} = K and nothing else; the void complex
@@ -204,7 +207,8 @@ def boundary_matrix(cx: Complex, i: int) -> list[list[int]]:
 
 def _rank_f2(cx: Complex, i: int) -> int:
     """Rank of boundary_matrix(cx, i) over F_2: each column, the bitset of
-    its rows, is XOR-reduced against pivots keyed by their leading bit."""
+    its rows, is XOR-reduced against pivots keyed by their leading bit.  A
+    face's bits are read inline, which is faster here than mask_bits."""
     row_bit = {m: 1 << r for r, m in enumerate(cx.face_masks_of_dim(i - 1))}
     pivots: dict[int, int] = {}
     for fm in cx.face_masks_of_dim(i):
@@ -219,8 +223,6 @@ def _rank_f2(cx: Complex, i: int) -> int:
                 pivots[col.bit_length()] = col
                 break
             col ^= piv
-        if len(pivots) == len(row_bit):
-            break
     return len(pivots)
 
 
@@ -232,7 +234,8 @@ def _echelon(cx: Complex, i: int, p: int | None) -> dict[int, dict[int, int]]:
     column becomes (a*col - c*piv) / gcd(a, c), which keeps the rank since
     a != 0; a scaled column then loses the common factor of its entries.
     All arithmetic is in integers.  Over F_p entries are reduced mod p and
-    pivots are stored monic, so a = 1.  Returns the pivots by lead row.
+    pivots are stored monic, so a = 1 and no column is scaled or copied.
+    Returns the pivots by lead row.
     """
     row_index = {m: r for r, m in enumerate(cx.face_masks_of_dim(i - 1))}
     pivots: dict[int, dict[int, int]] = {}
@@ -266,10 +269,7 @@ def _echelon(cx: Complex, i: int, p: int | None) -> dict[int, dict[int, int]]:
                     del col[r]
             if a != 1 and col:  # only over Q
                 g = gcd(*col.values())
-                if g != 1:
-                    col = {r: v // g for r, v in col.items()}
-        if len(pivots) == len(row_index):
-            break
+                col = {r: v // g for r, v in col.items()}
     return pivots
 
 
@@ -327,10 +327,11 @@ def reduced_betti(cx: Complex, i: int, field: FieldSpec = RATIONALS) -> int:
 
 
 @lru_cache(maxsize=VALUE_CACHE_SIZE)
-def min_nonzero_betti(cx: Complex, field: FieldSpec, below: int | None) -> int | None:
-    """Least i with H~_i(cx) != 0, or None if all reduced homology vanishes;
-    with an index bound below >= 0, the least such i < below, or None if
-    there is none, and no boundary map past d_below is ranked.
+def min_nonzero_betti(cx: Complex, field: FieldSpec, below: int, /) -> int | None:
+    """The least i < below with H~_i(cx) != 0, or None if there is none; no
+    boundary map past d_below is ranked.  The arguments are positional and
+    the bound an int, so one question has one cache key.  The irrelevant
+    complex answers -1 whatever the bound, and a cone None.
 
     While lower Betti numbers vanish, rank d_i follows from the face counts,
     so index i needs only rank d_{i+1}; and not even that when
@@ -345,12 +346,12 @@ def min_nonzero_betti(cx: Complex, field: FieldSpec, below: int | None) -> int |
     start = 0
     if field.is_rationals:
         start = min_nonzero_betti(cx, _F2, below)
-        if start is None or start == 0 or start == cx.dim:
-            return start
+        if start is None:
+            return None
     r = 1  # the augmentation d_0 has rank 1
     for j in range(start):
         r = len(cx.face_masks_of_dim(j)) - r
-    for i in range(start, cx.dim + 1 if below is None else min(below, cx.dim + 1)):
+    for i in range(start, min(below, cx.dim + 1)):
         cycles = len(cx.face_masks_of_dim(i)) - r
         if 0 < i < cx.dim and len(cx.face_masks_of_dim(i + 1)) < cycles:
             return i  # rank d_(i+1) <= f_(i+1); at i = 0, d_1 is cheaper than f_1
@@ -384,6 +385,7 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     Faces are walked by (size, colex), but a cone is peeled first: with apex
     C, a face missing part of C has a cone as its link, which never fails,
     and lk (C u G) = lk_{lk C} G, so only the faces of lk C are walked.
+    Each link is asked below its dimension; the irrelevant one answers -1.
     """
     if cx.kind == VOID:
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
@@ -392,14 +394,14 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     for i in range(-1, core.dim + 1):
         for fm in core.face_masks_of_dim(i):
             lk = core._link_mask(fm)
-            low = min_nonzero_betti(lk, field, None)
+            low = min_nonzero_betti(lk, field, lk.dim)
             if low is not None and low < lk.dim:
                 return CMResult(False, mask_vertices(apex | fm), low)
     return CMResult(True)
 
 
 @lru_cache(maxsize=VALUE_CACHE_SIZE)
-def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
+def depth_stanley_reisner(cx: Complex, field: FieldSpec, /) -> int:
     """depth of K[cx] by Hochster's formula, in two passes over the faces:
 
         depth = min over faces F of |F| + 1 + min{i : H~_i(lk F) != 0}.
@@ -407,20 +409,23 @@ def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
     A cone is peeled first: with apex C, the intersection of all facets,
     depth K[cx] = |C| + depth K[lk C], so a simplex costs nothing.  Every
     facet F has the irrelevant link and contributes |F|, and any other face
-    at least |F| + 1, exactly that when its link is disconnected.
+    at least |F| + 1, exactly that when its link is disconnected.  The
+    arguments are positional, so one question has one cache key.
 
     The first pass reads the bound u from H~_0 alone, the same over every
     field: the least of the smallest facet size and |G| + 1 over the faces G
-    with a disconnected link.  Such a G of at least one vertex is the meet
-    of two facets (module docstring), so only the meets of 1 to u - 2
-    vertices are asked, by merging the facets holding each, with no link
-    built; the empty face asks whether cx is connected, and at u = 3 the
-    vertices are asked instead of the meets.  Every face of fewer than
-    u - 1 vertices then has a connected link, so a face of size s can only
-    lower the minimum through H~_i with 1 <= i < u - s - 1.  The second
-    pass walks the sizes s with s + 2 < best, by increasing size, and asks
-    each link only below best - s - 1.  The irrelevant complex has depth 0:
-    K[cx] is the field itself.
+    with a disconnected link.  A disconnected cx must return 1 at once:
+    the second pass asks the empty face only while the bound is 3 or more,
+    so one whose smallest facet is an edge would read 2.  A G of at least
+    one vertex is the meet of two facets (module docstring), so only the
+    meets of 1 to u - 2 vertices are asked, by merging the facets holding
+    each, with no link built; at u = 3 the vertices are asked instead.
+    Every face of fewer than u - 1 vertices then has a connected link, so a
+    face of size s can only lower the minimum through H~_i with
+    1 <= i < u - s - 1.  The second pass walks the sizes s with
+    s + 2 < best, by increasing size, and asks each link only below
+    best - s - 1.  The irrelevant complex has depth 0: K[cx] is the field
+    itself.
     """
     if cx.kind == VOID:
         raise ValueError("depth is undefined for the void complex")
@@ -446,8 +451,6 @@ def depth_stanley_reisner(cx: Complex, field: FieldSpec = RATIONALS) -> int:
             low = min_nonzero_betti(cx._link_mask(fm), field, best - size - 1)
             if low is not None:
                 best = size + 1 + low
-                if size + 2 == best:
-                    break  # no face of this size can go lower
         size += 1
     return best
 
@@ -575,14 +578,13 @@ class _Selections:
         """(bits, held) for each selection idx among `selections`, of
         index bitmask bits, below t and covered by no earlier one yielded,
         lazily and in their order; held masks the facets holding G(idx),
-        the common face.  A yielded Γ' of fewer than r - 1 facets covers
-        each later Γ whose facets holding G = G(Γ') are those of Γ'
-        (bits & held == bits of Γ'); then Γ' is the cone over G on
-        lk_Γ' G = lk_Γ G, so depth K[Γ] <= |G| + depth K[lk_Γ G] =
-        depth K[Γ'] < t by Hochster's formula, and Γ is stored as True,
-        neither asked of below nor yielded."""
+        the common face.  A yielded Γ' covers each later Γ whose facets
+        holding G = G(Γ') are those of Γ' (bits & held == bits of Γ'); then
+        Γ' is the cone over G on lk_Γ' G = lk_Γ G, so depth K[Γ] <= |G| +
+        depth K[lk_Γ G] = depth K[Γ'] < t by Hochster's formula, and Γ is
+        stored as True, neither asked of below nor yielded."""
         answers, below, masks = self.answers, self.below, self.masks
-        covering: list[tuple[int, int]] = []  # (bits, held) of the yielded that can cover
+        covering: list[tuple[int, int]] = []  # (bits, held) of each yielded selection
         for idx in selections:
             bits = 0
             for i in idx:
@@ -595,13 +597,12 @@ class _Selections:
                 if below(bits, idx):
                     common = reduce(and_, [masks[i] for i in idx])
                     held = sum(1 << i for i, fm in enumerate(masks) if fm & common == common)
-                    if len(idx) < len(masks) - 1:
-                        covering.append((bits, held))
+                    covering.append((bits, held))
                     yield bits, held
 
 
 @lru_cache(maxsize=256)
-def _selections(cx: Complex, field: FieldSpec) -> _Selections:
+def _selections(cx: Complex, field: FieldSpec, /) -> _Selections:
     """The one _Selections of a complex over field, at t = depth K[cx];
     equal complexes share it."""
     return _Selections(cx.n, cx.facet_masks, depth_stanley_reisner(cx, field), field)

@@ -113,7 +113,7 @@ def mask_bits(mask: int) -> Iterator[int]:
 
 
 def mask_vertices(mask: int) -> Face:
-    """Sorted vertex tuple of a bitmask."""
+    """Sorted vertex tuple of a bitmask; its loop beats mask_bits here."""
     verts = []
     v = 1
     while mask:
@@ -148,12 +148,11 @@ def minimal_transversals(edges: Iterable[int]) -> list[int]:
     Edges need not be minimal: taken by size, an edge holding another comes
     after it and keeps every transversal, so each list is as over the
     minimal edges alone.
-    No edges give [0]; an empty edge gives no transversal at all.
+    No edges give [0], and an empty edge none, as nothing meets it and it
+    has no bit to grow one.
     """
     trans = [0]
     for e in sorted(set(edges), key=int.bit_count):
-        if not e:
-            return []
         stay = [t for t in trans if t & e]
         grown = []
         for t in trans:

@@ -354,7 +354,7 @@ def test_refusals_print_the_library_text(tmp_path, capsys):
     path = str(tmp_path / "input.json")
     void = {"n": 3, "facets": []}
     # rigid and cones compute the depth first, and the void complex has none
-    no_depth = refusal(depth_stanley_reisner, Complex.from_json_dict(void))
+    no_depth = refusal(depth_stanley_reisner, Complex.from_json_dict(void), RATIONALS)
     no_decomposition = refusal(Decomposition, Complex.from_json_dict(void), {})
     cases = [
         ("rigid", void, no_depth),

@@ -283,7 +283,8 @@ def test_local_cohomology_vanishes_beyond_caps():
     for _ in range(30):
         a = tuple(rng.randint(-2, rho[j] + 2) for j in range(4))
         if any(a[j] >= rho[j] for j in range(4)):
-            assert min_nonzero_betti(swept_degree_complex(ideal, a), RATIONALS, None) is None, a
+            cx = swept_degree_complex(ideal, a)
+            assert min_nonzero_betti(cx, RATIONALS, cx.dim + 1) is None, a
 
 
 def test_local_cohomology_vanishes_below_depth_for_cm():
@@ -602,7 +603,7 @@ def box_depth(ideal, field, complex_at):
         g = negative_support(a)
         cx = swept_degree_complex(ideal, a) if g else complex_at(a)
         if is_face(rc, g) and cx.kind != VOID:
-            low = min_nonzero_betti(cx, field, None)
+            low = min_nonzero_betti(cx, field, cx.dim + 1)
             if low is not None:
                 lows.append(g.bit_count() + 1 + low)
     return min(lows)

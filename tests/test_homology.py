@@ -373,9 +373,9 @@ def test_counting_settles_a_betti_number_without_the_top_map(monkeypatch):
     monkeypatch.setattr(homology, "_rank", refusing)
     min_nonzero_betti.cache_clear()
     for field in (RATIONALS, F2, F3):
-        assert min_nonzero_betti(sparse, field, None) == 1
+        assert min_nonzero_betti(sparse, field, sparse.dim + 1) == 1
         with pytest.raises(AssertionError):
-            min_nonzero_betti(hollow, field, None)
+            min_nonzero_betti(hollow, field, hollow.dim + 1)
     monkeypatch.undo()
     assert [reduced_betti(sparse, i) for i in range(3)] == [0, 1, 0]
 
@@ -410,11 +410,41 @@ def test_the_value_caches_stay_within_their_bound():
         cx = Complex(10, [f, g])
         shared = len(set(f) & set(g))
         assert depth_stanley_reisner(cx, RATIONALS) == shared + 1
-        assert min_nonzero_betti(cx, RATIONALS, None) == (None if shared else 0)
+        assert min_nonzero_betti(cx, RATIONALS, cx.dim + 1) == (None if shared else 0)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize == bound
         assert info.misses > bound >= info.currsize
+        cache.cache_clear()
+
+
+def test_each_question_has_one_cache_key():
+    # every argument of the cached functions is positional, the field has no
+    # default and the bound is an int, so no second spelling of a question
+    # can add a second entry, and asking twice leaves one
+    cx = Complex(5, [(1, 2, 3), (3, 4), (4, 5), (2, 5)])  # no cone, depth 2
+    caches = (min_nonzero_betti, depth_stanley_reisner, homology._selections)
+    for cache in caches:
+        cache.cache_clear()
+    refused = [
+        lambda: depth_stanley_reisner(cx),
+        lambda: depth_stanley_reisner(cx, field=RATIONALS),
+        lambda: min_nonzero_betti(cx, F2, None),
+        lambda: min_nonzero_betti(cx, F2, below=cx.dim + 1),
+        lambda: homology._selections(cx),
+        lambda: homology._selections(cx, field=RATIONALS),
+    ]
+    for call in refused:
+        with pytest.raises(TypeError):
+            call()
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+    for _ in range(2):
+        assert depth_stanley_reisner(cx, RATIONALS) == 2
+        assert min_nonzero_betti(cx, F2, cx.dim + 1) == 1
+        assert homology._selections(cx, RATIONALS).t == 2
+    assert [cache.cache_info().currsize for cache in caches] == [1, 1, 1]
+    assert [cache.cache_info().hits for cache in caches] == [1, 2, 1]
+    for cache in caches:
         cache.cache_clear()
 
 
@@ -491,7 +521,7 @@ def test_min_nonzero_betti_matches_generic_oracle():
     for cx in mixed_complex_corpus():
         for field in (RATIONALS, F2, F3):
             expected = generic_min_nonzero_betti(cx, field)
-            assert min_nonzero_betti(cx, field, None) == expected, (cx, field)
+            assert min_nonzero_betti(cx, field, cx.dim + 1) == expected, (cx, field)
             for below in range(cx.dim + 2):
                 bounded = expected if expected is not None and expected < below else None
                 assert min_nonzero_betti(cx, field, below) == bounded, (cx, field, below)
@@ -521,7 +551,7 @@ def test_cm_certificate_of_cones_matches_full_walk():
         cone = Complex(cx.n + k, [[rest[v - 1] for v in f] + sorted(apex) for f in cx.facets])
         for field in (RATIONALS, F2, F3):
             res = is_cohen_macaulay(cone, field)
-            expected = reisner_walk(cone, field, lambda lk, k: min_nonzero_betti(lk, k, None))
+            expected = reisner_walk(cone, field, lambda lk, k: min_nonzero_betti(lk, k, lk.dim + 1))
             assert (res.cm, res.face, res.index) == expected, (cone, field)
 
 
@@ -562,7 +592,7 @@ def test_a_wide_cone_lists_none_of_its_faces():
 ])
 def test_two_torsion_routes(n, facets, lows, depths):
     cx = Complex(n, facets)
-    assert tuple(min_nonzero_betti(cx, f, None) for f in (RATIONALS, F2)) == lows
+    assert tuple(min_nonzero_betti(cx, f, cx.dim + 1) for f in (RATIONALS, F2)) == lows
     assert tuple(depth_stanley_reisner(cx, f) for f in (RATIONALS, F2)) == depths
 
 
