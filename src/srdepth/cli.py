@@ -313,12 +313,14 @@ def _audit_ideal(ideal: MonomialIdeal, problems: list[str]) -> None:
     rad = ideal.radical()
     if rad.radical() != rad:
         problems.append("radical is not idempotent")
-    if all(r <= 3 for r in ideal.max_exponents()) and ideal.n <= 5:
-        for k in (RATIONALS, prime_field(2)):
-            a = depth_via_local_cohomology(ideal, k)
-            b = depth_via_koszul(ideal, k)
-            if a != b:
-                problems.append(f"depth oracles disagree over {k}: {a} vs {b}")
+    small = all(r <= 3 for r in ideal.max_exponents()) and ideal.n <= 5
+    for k in (RATIONALS, prime_field(2)):
+        a = depth_via_local_cohomology(ideal, k)
+        # Herzog-Takayama-Terai: depth S/I <= depth S/sqrt(I)
+        if a > depth_stanley_reisner(radical_complex(ideal), k):
+            problems.append(f"depth exceeds the radical's depth over {k}")
+        if small and a != (b := depth_via_koszul(ideal, k)):
+            problems.append(f"depth oracles disagree over {k}: {a} vs {b}")
 
 
 def _audit_decomposition(dec: Decomposition, problems: list[str]) -> None:

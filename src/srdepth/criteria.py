@@ -16,10 +16,12 @@ Membership of x^a, the excess sets {j : g_j > a_j} and so every degree
 complex change only where some a_j crosses a generator exponent of x_j
 (the fact behind Takayama's formula).  Every scan therefore visits one
 representative per breakpoint class of each coordinate, its smallest
-point, below the largest exponent rho_j, or 0 when x_j is unused: one
-grid, `_class_grid`.  The decision files each generator's nonzero
-exponents by coordinate, in one pass over the generator rows, which gives
-it the same grid and the generators dividing each class.
+point, below the largest exponent rho_j, or 0 when x_j is unused.  One
+table, `_exceed_rows`, built in one pass over the generator rows, gives
+both scans this grid and, per coordinate and class, the bitmask of the
+generators whose exponent exceeds the class, so a degree is the tuple of
+its coordinates' masks: the OR of the masks is the generators exceeding
+somewhere, and x^a lies in I iff it misses one.
 
 Hochster's formula, depth_stanley_reisner, is the one depth engine.  With
 Delta_a(I) = lk_{Delta_a+(I)} G_a, where G_a = {j : a_j < 0} and
@@ -29,13 +31,15 @@ depth_via_local_cohomology computes the depth and how depth_equals_radical
 compares it with the radical's.  The degree complex at a = 0 is the
 radical's complex (its excess sets are the supports), so the scan takes it
 from ideals.radical_complex, which each ideal builds once.  The depth scan
-reads each degree's excess sets once and asks only whether its complex
-falls below the running minimum, so once that is 2 or less it reads the
-answer straight from those minimal nonfaces: depth 0 iff every vertex is
-a nonface, and depth >= 2 iff the 1-skeleton (the vertices that are not
+reads each degree off its masks once and asks only whether its complex
+falls below the running minimum.  While that is 3 or more it reads the
+excess sets back off the masks and builds the complex; from 2 down,
+bit-sliced counts over the masks give the generators exceeding at exactly
+one coordinate and at exactly two, whose excess sets give every nonface of
+at most two elements, and these decide it with no complex: depth 0 iff every vertex
+is a nonface, and depth >= 2 iff the 1-skeleton (the vertices that are not
 nonfaces, joined unless they form a nonface) is connected with at least
-two vertices.  At a minimum of 1 only depth 0 can lower it, so only the
-1-element excess sets are read.
+two vertices.  At a minimum of 1 only depth 0 can lower it.
 
 The decision's degree complexes are facet selections of the radical's
 complex (Minh-Trung, Adv. Math. 226 (2011)), so whether one has depth
@@ -54,7 +58,9 @@ audit` as an independent check on the depth.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import reduce
 from itertools import product
+from operator import or_
 
 from .homology import (
     FieldSpec,
@@ -89,34 +95,12 @@ def degree_complex(ideal: MonomialIdeal, a: Sequence[int]) -> Complex:
 
     x^a lies in the ideal localized at F iff some generator's excess support
     d = {j : e_j > a_j} lies in F, so x^a stays out iff the complement of F
-    meets every d, and Complex._from_nonfaces builds the complex from the d,
-    or from the empty set, giving the void complex, when x^a is in the ideal.
+    meets every d, and Complex._from_nonfaces builds the complex from the d.
+    An empty d, x^a in the ideal, makes every set a nonface: the void complex.
     """
     _check_degree(a, ideal.n)
-    excess = _excess_sets(_supports(ideal), a)
-    return Complex._from_nonfaces(ideal.n, [0] if excess is None else excess)
-
-
-def _supports(ideal: MonomialIdeal) -> list[list[tuple[int, int]]]:
-    """Each generator's support as (coordinate, exponent) pairs."""
-    return [[(j, e) for j, e in enumerate(g) if e] for g in ideal.gens]
-
-
-def _excess_sets(supports: list[list[tuple[int, int]]], a: Sequence[int]) -> list[int] | None:
-    """The excess sets d = {j : e_j > a_j} of the generators e at a >= 0,
-    given by their _supports: a zero e_j exceeds no a_j.  The nonfaces of
-    degree_complex(ideal, a) are the sets holding one of them.  None when
-    one is empty: x^a is in the ideal and the complex is void."""
-    excess = []
-    for support in supports:
-        d = 0
-        for j, e in support:
-            if e > a[j]:
-                d |= 1 << j
-        if not d:
-            return None
-        excess.append(d)
-    return excess
+    return Complex._from_nonfaces(ideal.n, [
+        sum(1 << j for j, (e, x) in enumerate(zip(g, a)) if e > x) for g in ideal.gens])
 
 
 def degree_complex_unmixed(dec: Decomposition, a: Sequence[int]) -> Complex:
@@ -169,57 +153,48 @@ def degree_selecting_witness(
 
 # -- the depth scan ---------------------------------------------------------------
 
-def _class_grid(n: int, gens) -> list[list[int]]:
-    """Breakpoint-class representatives of each coordinate below rho_j, in
-    increasing order.
+def _exceed_rows(n: int, gens) -> tuple[list[list[int]], list[list[int]]]:
+    """The class grid and, per coordinate j and class by class, the
+    generators (bits in the order of gens) whose x_j exponent exceeds the
+    class: both scans read every degree off these rows.
 
     With b_0 = 0 < b_1 < ... < rho_j the distinct exponents of x_j among gens,
-    g_j <= a_j holds for the same generators on every a_j in [b_k, b_(k+1)),
+    g_j > a_j holds for the same generators on every a_j in [b_k, b_(k+1)),
     so b_k stands for its class.  The top class a_j >= rho_j is left out
     when rho_j > 0: there every degree complex is a cone with apex j, which
     carries no local cohomology and, for depth, never falls below its
-    a_j = 0 counterpart.  When x_j is unused, rho_j = 0 and the list is [0],
-    the one class.  A representative is the least point of its class, so
-    the lexicographic order of the representatives is the box order.
+    a_j = 0 counterpart.  When x_j is unused, rho_j = 0 and the classes are
+    [0], the one class.  A representative is the least point of its class,
+    so the lexicographic order of the representatives is the box order.
+
+    One pass over the generator rows, with a running bit, files the bit of
+    each generator g under filed[j][e] for each nonzero exponent g_j = e.
+    Row 0 of coordinate j is every generator filed at j; each later class
+    e drops the file of e, whose generators no longer exceed it.  With at
+    most one filed exponent the classes of j are [0] and nothing is sorted.
     """
-    return [[0, *sorted({g[j] for g in gens} - {0})[:-1]] for j in range(n)]
-
-
-def _depth_to_two(n: int, excess: list[int], best: int = 2) -> int:
-    """min(depth K[Delta], best) for best <= 2 and the complex Delta on n
-    vertices whose nonfaces are the sets holding a mask of `excess`, none of
-    them empty.
-
-    Hochster's formula gives both facts: depth K[Delta] = 0 iff Delta is
-    {()}, that is every vertex is a nonface, and depth >= 2 iff Delta is
-    connected with at least two vertices (a facet F contributes |F|, the
-    empty face 1 + the least i with H~_i(Delta) != 0).  The 1-skeleton
-    decides this: its vertices are the j with {j} not a nonface, its edges
-    the pairs of vertices that are not 2-element nonfaces.  At best = 1
-    only depth 0 counts, so only the 1-element nonfaces are read.
-    """
-    verts = (1 << n) - 1
-    apart = [0] * n  # apart[j]: the vertices that share a 2-element nonface with j
-    for d in excess:
-        size = d.bit_count()
-        if size == 1:
-            verts &= ~d
-        elif size == 2 and best == 2:
-            low = d & -d
-            apart[low.bit_length() - 1] |= d ^ low
-            apart[d.bit_length() - 1] |= low
-    if not verts:
-        return 0
-    if best == 1:
-        return 1
-    seen = frontier = verts & -verts
-    while frontier:
-        b = frontier & -frontier
-        frontier ^= b
-        new = verts & ~seen & ~apart[b.bit_length() - 1]
-        seen |= new
-        frontier |= new
-    return 2 if seen == verts and verts & (verts - 1) else 1
+    filed: list[dict[int, int]] = [{} for _ in range(n)]
+    bit = 1
+    for g in gens:
+        for j, e in enumerate(g):
+            if e:
+                file = filed[j]
+                file[e] = file.get(e, 0) | bit
+        bit <<= 1
+    grid, rows = [], []
+    for file in filed:
+        above = sum(file.values())  # a generator is filed once per coordinate
+        classes, row = [0], [above]
+        if len(file) > 1:
+            steps = sorted(file)
+            steps.pop()  # rho_j starts the top class, which the grid leaves out
+            for e in steps:
+                above ^= file[e]
+                row.append(above)
+            classes += steps
+        grid.append(classes)
+        rows.append(row)
+    return grid, rows
 
 
 def depth_via_local_cohomology(
@@ -231,36 +206,84 @@ def depth_via_local_cohomology(
     nonvanishing graded local cohomology piece is a term of Hochster's
     formula for a degree complex at a >= 0, and none of these complexes has
     depth below depth(S/I).  Such a piece has a_j < rho_j, so the scan
-    visits one degree per breakpoint class, the grid of _class_grid, and
-    stops at 0.  It reads each degree's excess sets once; None, x^a in I,
-    is a void complex, and the degree is skipped before anything is built.
+    visits one degree per breakpoint class, as the tuple of its row masks
+    in _exceed_rows, and stops at 0.  Generator i exceeds x^a at j iff bit
+    i is set in the mask of j, and x^a lies in I iff the OR of the masks
+    misses a generator; such a degree is skipped first, with nothing built.
 
     Each degree only has to show whether its complex has depth below the
     running best.  While the best is 3 or more, depth_stanley_reisner reads
-    the depth of the complex that Complex._from_nonfaces builds from the
-    excess sets; at a = 0 they are the supports, and the scan takes the
-    radical's complex, which the ideal keeps, from radical_complex.  From a
-    best of 2 down, only min(depth, best) matters, and _depth_to_two reads
-    it from the same excess sets, the minimal nonfaces: depth 0 iff every
-    vertex is a nonface, depth >= 2 iff the 1-skeleton is connected with at
-    least two vertices.  At a best of 1 only depth 0 can lower it, so only
-    the 1-element excess sets are read.  No complex is made at those degrees.
+    the complex that Complex._from_nonfaces builds from the excess sets,
+    read back off the masks; at a = 0 they are the supports, and the scan
+    takes the radical's complex, which the ideal keeps, from
+    radical_complex.  From a best of 2 down, one bit-sliced pass over the
+    masks gives the generators exceeding at >= 1 (the OR), >= 2 and >= 3
+    coordinates, so those exceeding at exactly one and at exactly two, and
+    no complex is built: depth 0 iff every coordinate has a generator
+    exceeding there alone (every vertex is a nonface), and depth >= 2 iff
+    the 1-skeleton (the other coordinates, joined unless one generator
+    exceeds at both and nowhere else) is connected with at least two
+    vertices.  At a best of 1 only depth 0 can lower it.
     """
     if not ideal.is_proper_nonzero:
         raise ValueError("depth needs a proper nonzero ideal")
     n = best = ideal.n
-    supports = _supports(ideal)
-    for a in product(*_class_grid(n, ideal.gens)):
-        excess = _excess_sets(supports, a)
-        if excess is None:
-            continue
+    full = (1 << len(ideal.gens)) - 1
+    rows = _exceed_rows(n, ideal.gens)[1]
+    zero = tuple(row[0] for row in rows)  # a = 0, whose excess sets are the supports
+    for masks in product(*rows):
         if best > 2:
-            cx = Complex._from_nonfaces(n, excess) if any(a) else radical_complex(ideal)
+            if reduce(or_, masks) != full:
+                continue
+            if masks == zero:
+                cx = radical_complex(ideal)
+            else:
+                cx = Complex._from_nonfaces(n, [
+                    sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
+                    for i in range(len(ideal.gens))])
             best = min(best, depth_stanley_reisner(cx, field))
-        else:
-            best = _depth_to_two(n, excess, best)
-        if best == 0:
-            break
+            if best == 0:
+                break
+            continue
+        ones = twos = threes = 0  # the generators exceeding at >= 1, >= 2, >= 3 coordinates
+        for m in masks:
+            threes |= twos & m
+            twos |= ones & m
+            ones |= m
+        if ones != full:
+            continue
+        sole = ones & ~twos
+        if best == 1:
+            for m in masks:
+                if not m & sole:
+                    break
+            else:
+                return 0
+            continue
+        verts, bit = 0, 1
+        for m in masks:
+            if not m & sole:
+                verts |= bit
+            bit <<= 1
+        if not verts:
+            return 0
+        pairs = twos & ~threes
+        seen = frontier = verts & -verts
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            new = verts & ~seen
+            apart = masks[b.bit_length() - 1] & pairs  # exceeding at b and one other
+            if apart:
+                bit = 1
+                for m in masks:
+                    if m & apart:
+                        new &= ~bit
+                    bit <<= 1
+            seen |= new
+            frontier |= new
+        if seen != verts or not verts & (verts - 1):
+            best = 1
     return best
 
 
@@ -335,43 +358,6 @@ class DepthEqualsRadicalVerdict(Record):
         return self.equal
 
 
-def _divisibility_rows(n: int, gens) -> tuple[list[list[int]], list[list[int]]]:
-    """The decision's search tables: per coordinate j, its class grid and,
-    class by class, the generators (bits in the order of gens) whose x_j
-    exponent is at most the class.
-
-    One pass over the generator rows, with a running bit, files the bit of
-    each generator g under filed[j][e] for each nonzero exponent g_j = e.
-    Row 0 of coordinate j is the generators free of x_j, all of them but
-    those filed at j; each later class joins its own file.  The classes are
-    0 and the filed exponents but the largest, rho_j, so the grid is
-    exactly _class_grid(n, gens); with at most one filed exponent the
-    classes of j are [0] and nothing is sorted.
-    """
-    filed: list[dict[int, int]] = [{} for _ in range(n)]
-    bit = 1
-    for g in gens:
-        for j, e in enumerate(g):
-            if e:
-                file = filed[j]
-                file[e] = file.get(e, 0) | bit
-        bit <<= 1
-    grid, rows = [], []
-    for file in filed:
-        below = bit - 1 - sum(file.values())  # a generator is filed once per coordinate
-        classes, row = [0], [below]
-        if len(file) > 1:
-            steps = sorted(file)
-            steps.pop()  # rho_j starts the top class, which the grid leaves out
-            for e in steps:
-                below |= file[e]
-                row.append(below)
-            classes += steps
-        grid.append(classes)
-        rows.append(row)
-    return grid, rows
-
-
 def depth_equals_radical(
     dec: Decomposition, field: FieldSpec = RATIONALS
 ) -> DepthEqualsRadicalVerdict:
@@ -396,24 +382,23 @@ def depth_equals_radical(
 
     Otherwise the search is one function of its state (j, mask): the
     coordinate and the bitmask of the generators, across all components,
-    that divide the degree prefix.  It returns the facet-index bitmask of
-    the least bad completion's selection, or 0, trying each coordinate's
-    breakpoint classes in increasing order, and files the class it took at
-    each coordinate on the way back up, which gives the witness degree.
-    The classes of the last coordinate are tried in one loop, which reads
-    each leaf in place: the selected facets are those whose component keeps
-    no dividing generator, as degree_complex_unmixed selects them; their
-    index bitmask is looked up in the stored answers, and only a selection
-    not met before, over an equal complex and the same field, is asked of
-    the _Selections, with its index list built then.  The void selection is
+    that fail to divide the degree prefix, the OR of the prefix's rows of
+    _exceed_rows.  It returns the facet-index bitmask of the least bad
+    completion's selection, or 0, trying each coordinate's breakpoint
+    classes in increasing order, and files the class it took at each
+    coordinate on the way back up, which gives the witness degree.  The
+    classes of the last coordinate are tried in one loop, which reads each
+    leaf in place: the selected facets are those whose component has every
+    generator failing, as degree_complex_unmixed selects them; their index
+    bitmask is looked up in the stored answers, and only a selection not
+    met before, over an equal complex and the same field, is asked of the
+    _Selections, with its index list built then.  The void selection is
     stored as not below t, so 0 never names a witness.  Dead states are
     memoised, one set of masks per coordinate, so the first bad leaf is the
     box scan's first witness.  Its subcomplex is built from the winning
     selection only when no earlier verdict over an equal complex and the
     same field ended there: the _Selections keeps each witness by selection
-    and every later verdict returns that object.  The grid and the
-    generators dividing each class come from _divisibility_rows, one pass
-    over the generator rows.
+    and every later verdict returns that object.
     The equivalent facet-selection route (no selection of depth < t admits
     a degree_selecting_witness) is left to the tests as an oracle; `srdepth
     audit` checks the verdict against depth_via_local_cohomology of the
@@ -428,7 +413,7 @@ def depth_equals_radical(
     for i, comp in enumerate(dec.components):
         comps.append((1 << i, ((1 << len(comp.gens)) - 1) << len(gens)))
         gens += comp.gens
-    grid, divides = _divisibility_rows(n, gens)
+    grid, exceeds = _exceed_rows(n, gens)
     r, last = len(comps), n - 1
     dead: list[set[int]] = [set() for _ in range(n)]  # dead[j]: masks with no bad completion
     degree = [0] * n  # the winning leaf's degree, filed on the way back up
@@ -437,13 +422,13 @@ def depth_equals_radical(
         if mask in dead[j]:
             return 0
         if j == last:
-            # a leaf selects the facets whose component keeps no dividing
-            # generator; the void selection is stored as not below t
-            for v, d in zip(grid[j], divides[j]):
-                leaf = mask & d
+            # a leaf selects the facets whose component has every generator
+            # failing; the void selection is stored as not below t
+            for v, e in zip(grid[j], exceeds[j]):
+                leaf = mask | e
                 selection = 0
                 for b, bits in comps:
-                    if not leaf & bits:
+                    if leaf & bits == bits:
                         selection |= b
                 found = answers.get(selection)
                 if found is None:
@@ -452,14 +437,14 @@ def depth_equals_radical(
                     degree[j] = v
                     return selection
         else:
-            for v, d in zip(grid[j], divides[j]):
-                if selection := search(j + 1, mask & d):
+            for v, e in zip(grid[j], exceeds[j]):
+                if selection := search(j + 1, mask | e):
                     degree[j] = v
                     return selection
         dead[j].add(mask)
         return 0
 
-    selection = search(0, (1 << len(gens)) - 1)
+    selection = search(0, 0)
     if not selection:
         return DepthEqualsRadicalVerdict(True, t)
     witness = sels.witnesses.get(selection)

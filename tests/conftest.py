@@ -290,6 +290,85 @@ def swept_radical_complex(ideal: MonomialIdeal) -> Complex:
     return Complex(ideal.n, map(mask_vertices, faces))
 
 
+# -- excess-set depth scan oracle -----------------------------------------------------
+
+def _class_grid(n: int, gens) -> list[list[int]]:
+    """Breakpoint-class representatives of each coordinate below rho_j, in
+    increasing order: 0 and the distinct nonzero exponents of x_j among
+    gens but the largest, or [0] when x_j is unused."""
+    return [[0, *sorted({g[j] for g in gens} - {0})[:-1]] for j in range(n)]
+
+
+def _supports(ideal: MonomialIdeal) -> list[list[tuple[int, int]]]:
+    """Each generator's support as (coordinate, exponent) pairs."""
+    return [[(j, e) for j, e in enumerate(g) if e] for g in ideal.gens]
+
+
+def _excess_sets(supports: list[list[tuple[int, int]]], a) -> list[int] | None:
+    """The excess sets d = {j : e_j > a_j} of the generators e at a >= 0,
+    given by their _supports, or None when one is empty: x^a is in the
+    ideal and the degree complex is void."""
+    excess = []
+    for support in supports:
+        d = 0
+        for j, e in support:
+            if e > a[j]:
+                d |= 1 << j
+        if not d:
+            return None
+        excess.append(d)
+    return excess
+
+
+def _depth_to_two(n: int, excess: list[int], best: int = 2) -> int:
+    """min(depth K[Delta], best) for best <= 2 and the complex Delta on n
+    vertices whose nonfaces are the sets holding a mask of `excess`, none of
+    them empty: depth 0 iff every vertex is a nonface, depth >= 2 iff the
+    1-skeleton is connected with at least two vertices."""
+    verts = (1 << n) - 1
+    apart = [0] * n  # apart[j]: the vertices that share a 2-element nonface with j
+    for d in excess:
+        size = d.bit_count()
+        if size == 1:
+            verts &= ~d
+        elif size == 2 and best == 2:
+            low = d & -d
+            apart[low.bit_length() - 1] |= d ^ low
+            apart[d.bit_length() - 1] |= low
+    if not verts:
+        return 0
+    if best == 1:
+        return 1
+    seen = frontier = verts & -verts
+    while frontier:
+        b = frontier & -frontier
+        frontier ^= b
+        new = verts & ~seen & ~apart[b.bit_length() - 1]
+        seen |= new
+        frontier |= new
+    return 2 if seen == verts and verts & (verts - 1) else 1
+
+
+def excess_set_depth(ideal: MonomialIdeal, field=RATIONALS) -> int:
+    """depth_via_local_cohomology read off each generator's support: the
+    excess sets of every degree of _class_grid, a complex built from them
+    while the running least depth is 3 or more, and _depth_to_two below."""
+    n = best = ideal.n
+    supports = _supports(ideal)
+    for a in product(*_class_grid(n, ideal.gens)):
+        excess = _excess_sets(supports, a)
+        if excess is None:
+            continue
+        if best > 2:
+            cx = Complex._from_nonfaces(n, excess) if any(a) else radical_complex(ideal)
+            best = min(best, depth_stanley_reisner(cx, field))
+        else:
+            best = _depth_to_two(n, excess, best)
+        if best == 0:
+            break
+    return best
+
+
 # -- index-by-index homology oracle ------------------------------------------------
 
 def generic_min_nonzero_betti(cx: Complex, field=RATIONALS):

@@ -796,6 +796,16 @@ def test_audit_catches_disagreeing_depth_oracles(tmp_path, capsys, monkeypatch):
         "depth oracles disagree over Q: 0 vs 1", "depth oracles disagree over F_2: 0 vs 1"]
 
 
+def test_audit_catches_a_depth_above_the_radical_depth(tmp_path, capsys, monkeypatch):
+    # S/(x_1^2, x_1 x_2, x_3) has depth 0 and its radical depth 1; a radical
+    # depth read as -1 is below it
+    monkeypatch.setattr(cli, "depth_stanley_reisner", lambda cx, field: -1)
+    code, out = audit_one(tmp_path, capsys, "sample_ideal.json")
+    assert code == 1
+    assert problem_lines(out) == [
+        "depth exceeds the radical's depth over Q", "depth exceeds the radical's depth over F_2"]
+
+
 def test_audit_catches_a_radical_that_is_not_idempotent(tmp_path, capsys, monkeypatch):
     # doubling every exponent changes the ideal at each application
     monkeypatch.setattr(

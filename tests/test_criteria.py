@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from itertools import combinations, cycle, islice, product
 
 import pytest
@@ -8,11 +9,7 @@ from bench import corpus as bench_corpus
 from srdepth import criteria, homology, ideals
 from srdepth.cones import generate_cone_union
 from srdepth.criteria import (
-    _class_grid,
-    _depth_to_two,
-    _divisibility_rows,
-    _excess_sets,
-    _supports,
+    _exceed_rows,
     degree_complex,
     degree_complex_facet_form,
     degree_complex_unmixed,
@@ -41,7 +38,12 @@ from tests.conftest import (
     VEC_EQUAL_1,
     VEC_EQUAL_2,
     VEC_MIDPOINT,
+    _class_grid,
+    _depth_to_two,
+    _excess_sets,
+    _supports,
     depth_grid,
+    excess_set_depth,
     fourcycle_assignment,
     fourcycle_decomposition,
     fourcycle_reference_system,
@@ -451,24 +453,31 @@ def test_the_depth_scan_leaves_its_radical_complex_to_the_caller(monkeypatch):
     assert rc == swept_radical_complex(ideal)
 
 
+def record_scan(monkeypatch, read):
+    """Make depth_via_local_cohomology append to `read`, for each degree it
+    reads, the tuple of its row masks and the scan's running least depth."""
+    def reading(*rows):
+        for masks in product(*rows):
+            read.append((masks, sys._getframe(1).f_locals["best"]))  # the scan's frame
+            yield masks
+
+    monkeypatch.setattr(criteria, "product", reading)
+
+
 @pytest.mark.parametrize("field", [RATIONALS, F2], ids=["Q", "F2"])
 def test_depth_at_a_minimum_of_one_matches_raw_box(field, monkeypatch):
-    # at a minimum of 1 the scan reads only the 1-element excess sets
-    bests = []
-
-    def recording(n, excess, best=2):
-        bests.append(best)
-        return _depth_to_two(n, excess, best)
-
-    monkeypatch.setattr(criteria, "_depth_to_two", recording)
+    # at a minimum of 1 only depth 0, a sole exceeder at every coordinate,
+    # can lower it
+    read = []
+    record_scan(monkeypatch, read)
     rng = random.Random(67)
     ends = set()
     for _ in range(300):
         ideal = random_ideal(rng, n_max=5, exp_max=4)
-        bests.clear()
+        read.clear()
         depth = depth_via_local_cohomology(ideal, field)
         assert depth == raw_depth(ideal, field), ideal
-        if 1 in bests:
+        if any(best == 1 for _, best in read):
             ends.add(depth)
     # the branch both finds depth 0 and leaves the minimum at 1
     assert ends == {0, 1}
@@ -477,17 +486,20 @@ def test_depth_at_a_minimum_of_one_matches_raw_box(field, monkeypatch):
 @pytest.mark.parametrize("field", [RATIONALS, F2], ids=["Q", "F2"])
 def test_depth_in_two_variables_builds_no_complex(field, monkeypatch):
     # n <= 2: the scan starts at a minimum of n and reads every degree off
-    # its excess sets, so it builds neither the radical's complex nor another
+    # its row masks, so it builds neither the radical's complex nor another
     def refuse(*args):
         raise AssertionError("the scan built a complex")
 
-    monkeypatch.setattr(criteria, "radical_complex", refuse)
-    monkeypatch.setattr(criteria, "degree_complex", refuse)
     rng = random.Random(68)
     depths = set()
     for _ in range(100):
         ideal = random_ideal(rng, n_max=2, exp_max=4)
-        depth = depth_via_local_cohomology(ideal, field)
+        with monkeypatch.context() as patch:
+            for name in ("radical_complex", "degree_complex", "depth_stanley_reisner"):
+                patch.setattr(criteria, name, refuse)
+            patch.setattr(Complex, "_from_nonfaces", refuse)
+            patch.setattr(Complex, "_set_facets", refuse)
+            depth = depth_via_local_cohomology(ideal, field)
         assert ideal._radical is None
         assert depth == raw_depth(ideal, field), ideal
         depths.add((ideal.n, depth))
@@ -675,13 +687,9 @@ def test_ideal_depth_matches_raw_box_on_the_benchmark_round(field):
 @pytest.mark.slow
 def test_the_depth_scan_reads_each_degree_once_on_the_benchmark_round(monkeypatch):
     # the seed-1 round of the ideal-depth workload over Q: the scan reads
-    # each degree's excess sets once, in the grid's order, builds nothing at
+    # each degree's row masks once, in the grid's order, builds nothing at
     # a degree with x^a in I, and never goes through degree_complex
     read, voids = [], []
-
-    def reading(supports, a):
-        read.append(a)
-        return _excess_sets(supports, a)
 
     def refuse(*args):
         raise AssertionError("the scan checked or built a degree complex by its degree")
@@ -698,13 +706,14 @@ def test_the_depth_scan_reads_each_degree_once_on_the_benchmark_round(monkeypatc
         ideal = MonomialIdeal.from_json_dict(item.data)
         read.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(criteria, "_excess_sets", reading)
+            record_scan(patch, read)
             patch.setattr(criteria, "_check_degree", refuse)
             patch.setattr(criteria, "degree_complex", refuse)
             patch.setattr(Complex, "_set_facets", building)
             depth = depth_via_local_cohomology(ideal, RATIONALS)
         grid = list(product(*_class_grid(ideal.n, ideal.gens)))
-        assert read == grid[:len(read)], item.family
+        assert [masks for masks, _ in read] == [
+            exceeding(ideal, a) for a in grid[:len(read)]], item.family
         assert len(read) == len(grid) or depth == 0, item.family
         assert depth == raw_depth(ideal, RATIONALS), item.family
         visited += len(read)
@@ -747,33 +756,40 @@ def test_decision_matches_box_scan_random(form):
     assert unequal >= 3
 
 
-def assert_divisibility_rows(n, gens):
-    grid, rows = _divisibility_rows(n, gens)
+def exceeding(ideal, a):
+    """Per coordinate j, the generators (bits in the order of ideal.gens)
+    whose x_j exponent exceeds a_j."""
+    return tuple(
+        sum(1 << b for b, g in enumerate(ideal.gens) if g[j] > x) for j, x in enumerate(a))
+
+
+def assert_exceed_rows(n, gens):
+    grid, rows = _exceed_rows(n, gens)
     assert grid == _class_grid(n, gens)
     assert len(rows) == n
     for j in range(n):
         assert rows[j] == [
-            sum(1 << b for b, g in enumerate(gens) if g[j] <= v) for v in grid[j]
+            sum(1 << b for b, g in enumerate(gens) if g[j] > v) for v in grid[j]
         ], (gens, j)
 
 
-def test_divisibility_rows_are_the_dividing_generators():
+def test_exceed_rows_are_the_exceeding_generators():
     # x_2 is used by no generator and x_1, x_4 by every one
     gens = [(2, 0, 1, 3), (1, 0, 0, 3), (3, 0, 2, 5), (1, 0, 4, 1)]
-    assert _divisibility_rows(4, gens) == (
+    assert _exceed_rows(4, gens) == (
         [[0, 1, 2], [0], [0, 1, 2], [0, 1, 3]],
-        [[0, 0b1010, 0b1011], [0b1111], [0b0010, 0b0011, 0b0111], [0, 0b1000, 0b1011]],
+        [[0b1111, 0b0101, 0b0100], [0], [0b1101, 0b1100, 0b1000], [0b1111, 0b0111, 0b0100]],
     )
-    assert_divisibility_rows(4, gens)
+    assert_exceed_rows(4, gens)
     # one component on a cone: x_1, x_2 unused, x_3 in the one generator
     dec = Decomposition(Complex(3, [(1, 2)]), {(1, 2): prime_power_ideal(3, (1, 2), 4)})
-    assert _divisibility_rows(3, dec.components[0].gens) == ([[0], [0], [0]], [[1], [1], [0]])
+    assert _exceed_rows(3, dec.components[0].gens) == ([[0], [0], [0]], [[0], [0], [1]])
     rng = random.Random(66)
     unused = 0
     for k in range(150):
         dec = decomposition_in_form(rng, ("irreducible", "power", "generators")[k % 3], 7, 5)
         gens = [g for comp in dec.components for g in comp.gens]
-        assert_divisibility_rows(dec.n, gens)
+        assert_exceed_rows(dec.n, gens)
         unused += sum(not any(column) for column in zip(*gens))
     assert unused > 0
 
@@ -838,24 +854,24 @@ def test_rigid_complexes_decide_with_no_table_and_no_leaf(monkeypatch, cx, field
     assert depth_stanley_reisner(cx, field) == t
     assert _thin_intersection(cx.facet_masks, t) is None
     homology._selections.cache_clear()
-    calls = count_decision_calls(monkeypatch, "_divisibility_rows", "_generated_below")
+    calls = count_decision_calls(monkeypatch, "_exceed_rows", "_generated_below")
     rng = random.Random(68)
     for k in range(9):
         dec = decomposition_over(rng, cx, FORMS[k % 3], exp_max=2)
         verdict = depth_equals_radical(dec, field)
         assert verdict_summary(verdict) == box_scan_decision(dec, field) == (True, t, None, None)
-    assert calls == {"_divisibility_rows": [], "_generated_below": []}
+    assert calls == {"_exceed_rows": [], "_generated_below": []}
 
 
 def test_rigid_complex_decides_a_power_300_at_once(monkeypatch):
     # at exponent 300 the grid has 300 classes on each coordinate; none is walked
     homology._selections.cache_clear()
-    calls = count_decision_calls(monkeypatch, "_divisibility_rows", "_generated_below")
+    calls = count_decision_calls(monkeypatch, "_exceed_rows", "_generated_below")
     cx = TETRAHEDRON_BOUNDARY
     big = Decomposition(cx, {f: prime_power_ideal(cx.n, f, 300) for f in cx.facets})
     for field in (RATIONALS, F2):
         assert verdict_summary(depth_equals_radical(big, field)) == (True, 3, None, None)
-    assert calls == {"_divisibility_rows": [], "_generated_below": []}
+    assert calls == {"_exceed_rows": [], "_generated_below": []}
 
 
 def test_the_selection_memo_is_kept_per_field():
@@ -1033,6 +1049,59 @@ def test_depth_scan_matches_the_box_on_every_final_depth():
             assert depth_via_local_cohomology(ideal, field) == expected, (ideal, field)
             seen.add(min(expected, 3))
     assert seen == {0, 1, 2, 3}
+
+
+def seeded_row_ideal(rng, n):
+    """Generators on 1 to 4 variables with exponents up to 12, leaving some
+    variables unused; one in four is made m-primary by a pure power of
+    every variable."""
+    used = rng.sample(range(n), rng.randint(1, n))
+    gens = []
+    for _ in range(rng.randint(1, 5 if n <= 4 else 3)):
+        g = [0] * n
+        for j in rng.sample(used, rng.randint(1, min(len(used), 4))):
+            g[j] = rng.randint(1, 12)
+        gens.append(g)
+    if rng.random() < 0.25:
+        gens += [[rng.randint(1, 12) * (i == j) for i in range(n)] for j in range(n)]
+    return MonomialIdeal(n, gens)
+
+
+def test_row_scan_matches_the_excess_set_scan():
+    # the scan reads each degree off its row masks; the oracle reads the
+    # excess sets off every generator's support at the grid's degrees
+    rng = random.Random(69)
+    ideals = [seeded_row_ideal(rng, 1 + k % 7) for k in range(700)]
+    ideals.append(MonomialIdeal(4, [(10**17, 1, 0, 0), (0, 2, 3, 0), (5, 0, 0, 1)]))
+    kinds = {"unused": 0, "m-primary": 0, "n=1": 0}
+    seen = set()
+    for ideal in ideals:
+        if not ideal.is_proper_nonzero:
+            continue
+        grid, rows = _exceed_rows(ideal.n, ideal.gens)
+        assert grid == _class_grid(ideal.n, ideal.gens), ideal
+        kinds["unused"] += any(row == [0] for row in rows)
+        kinds["m-primary"] += ideal.n > 1 and all(
+            any(g[j] and not any(g[:j] + g[j + 1:]) for g in ideal.gens) for j in range(ideal.n))
+        kinds["n=1"] += ideal.n == 1
+        for field in (RATIONALS, F2, F3):
+            depth = depth_via_local_cohomology(ideal, field)
+            assert depth == excess_set_depth(ideal, field), (ideal, str(field))
+            seen.add(min(depth, 3))
+    assert min(kinds.values()) > 0, kinds
+    assert seen == {0, 1, 2, 3}
+
+
+def test_depth_is_at_most_the_radical_depth():
+    # Herzog-Takayama-Terai: depth S/I <= depth S/sqrt(I) = depth K[radical_complex(I)]
+    rng = random.Random(70)
+    for k in range(700):
+        ideal = seeded_row_ideal(rng, 1 + k % 7)
+        if not ideal.is_proper_nonzero:
+            continue
+        for field in (RATIONALS, F2, F3):
+            radical_depth = depth_stanley_reisner(radical_complex(ideal), field)
+            assert depth_via_local_cohomology(ideal, field) <= radical_depth, (ideal, str(field))
 
 
 @pytest.mark.parametrize("gens, depth", [
