@@ -6,20 +6,15 @@ complex (the unmixed ones, for a pure complex), characterizes the complexes
 with rigid depth, and emits the rational-cone inequality systems on
 irreducible exponents governing depth equality.  Everything is exact:
 integer and prime-field linear algebra only.  The package re-exports the one
-production route per question; the routes `srdepth audit` checks it against
-stay in their modules, and the other cross-checks live in the tests.
+production route per question; Cohen-Macaulayness is read off the depth.
+The routes `srdepth audit` checks it against stay in their modules, Reisner's
+homology.is_cohen_macaulay with its CMResult and homology.reduced_betti among
+them, as does criteria.degree_complex for the tests and the benchmark
+tracer; the other cross-checks live in the tests.
 """
 
 from .simplicial import Complex, IRRELEVANT, ORDINARY, VOID
-from .homology import (
-    CMResult,
-    FieldSpec,
-    RATIONALS,
-    depth_stanley_reisner,
-    is_cohen_macaulay,
-    prime_field,
-    reduced_betti,
-)
+from .homology import FieldSpec, RATIONALS, depth_stanley_reisner, prime_field
 from .ideals import (
     Decomposition,
     MonomialIdeal,
@@ -28,12 +23,7 @@ from .ideals import (
     radical_complex,
     stanley_reisner_ideal,
 )
-from .criteria import (
-    DepthEqualsRadicalVerdict,
-    degree_complex,
-    depth_equals_radical,
-    depth_via_local_cohomology,
-)
+from .criteria import DepthEqualsRadicalVerdict, depth_equals_radical, depth_via_local_cohomology
 from .rigid import RigidVerdict, is_rigid_by_intersections
 from .cones import ConeUnion, generate_cone_union
 
@@ -47,9 +37,6 @@ __all__ = [
     "FieldSpec",
     "RATIONALS",
     "prime_field",
-    "CMResult",
-    "reduced_betti",
-    "is_cohen_macaulay",
     "depth_stanley_reisner",
     "MonomialIdeal",
     "Decomposition",
@@ -57,7 +44,6 @@ __all__ = [
     "prime_power_ideal",
     "stanley_reisner_ideal",
     "radical_complex",
-    "degree_complex",
     "depth_via_local_cohomology",
     "DepthEqualsRadicalVerdict",
     "depth_equals_radical",

@@ -38,6 +38,7 @@ from .criteria import (
 from .homology import (
     FieldSpec,
     RATIONALS,
+    _hochster,
     _selections,
     boundary_matrix,
     depth_stanley_reisner,
@@ -52,7 +53,7 @@ from .rigid import (
     is_rigid_by_skeleton_cm,
     sample_depth_stability,
 )
-from .simplicial import Complex, DEFAULT_FACET_CAP, ORDINARY, _selection_indices
+from .simplicial import Complex, DEFAULT_FACET_CAP, ORDINARY, _selection_indices, mask_vertices
 
 
 def parse_field(spec: str) -> FieldSpec:
@@ -128,7 +129,7 @@ def cmd_depth(args) -> int:
     obj = load(args.input, Complex, MonomialIdeal)
     if isinstance(obj, Complex):
         cx = obj
-        d = depth_stanley_reisner(cx, args.field)
+        d, face_mask, index = _hochster(cx, args.field)
         cm = d == cx.dim + 1
         report = {
             "command": "depth",
@@ -144,13 +145,13 @@ def cmd_depth(args) -> int:
             f"Cohen-Macaulay: {'yes' if cm else 'no'}",
         ]
         if not cm:
-            # Reisner's test runs only to certify the failure by a link
-            link = is_cohen_macaulay(cx, args.field)
-            report["violating_face"] = list(link.face)
-            report["violating_index"] = link.index
-            lines.append(
-                f"violating link at face {list(link.face)} in homology degree {link.index}"
-            )
+            # Hochster's formula certifies the depth, |face| + 1 + index, by
+            # H~_index(lk face) != 0: for a pure complex a Reisner violation,
+            # for one that is not pure maybe a small facet at index -1
+            face = list(mask_vertices(face_mask))
+            report["violating_face"] = face
+            report["violating_index"] = index
+            lines.append(f"violating link at face {face} in homology degree {index}")
         emit(args, report, lines)
         return 0
     ideal = obj
@@ -187,7 +188,7 @@ def cmd_rigid(args) -> int:
     }
     lines = [f"depth = {t} over {args.field}", f"rigid: {'yes' if verdict else 'no'}"]
     if not verdict:
-        facets = [list(cx.facets[i]) for i in verdict.facet_indices]
+        facets = [list(mask_vertices(cx.facet_masks[i])) for i in verdict.facet_indices]
         report["violating_facets"] = facets
         report["intersection_size"] = verdict.intersection_size
         lines.append(
@@ -218,7 +219,7 @@ def cmd_depth_equal_radical(args) -> int:
         report["witness_depth"] = depth_stanley_reisner(witness, args.field)
         lines.append(f"witness degree a = {list(verdict.witness_degree)}")
         lines.append(
-            f"selected subcomplex {[list(f) for f in witness.facets]} has depth "
+            f"selected subcomplex {report['witness_subcomplex']['facets']} has depth "
             f"{report['witness_depth']} < {verdict.t}"
         )
     emit(args, report, lines)

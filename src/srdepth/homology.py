@@ -7,8 +7,10 @@ fields (reduced mod p there); no floating point anywhere.  The dense
 boundary_matrix and matrix_rank, one fraction-free elimination of dense
 rows for every field, stay as oracles for the tests, `srdepth audit` and
 the Koszul depth.
-On top of the homology kernel sit Reisner's Cohen-Macaulay criterion and
-Hochster's formula for the depth of a Stanley-Reisner ring.
+On top of the homology kernel sits Hochster's formula for the depth of a
+Stanley-Reisner ring, one walk that also keeps a face attaining the depth
+(_hochster); Reisner's Cohen-Macaulay criterion stays as its oracle, for
+`srdepth audit`, the skeleton route of rigidity and the tests.
 
 Both read the least i with H~_i != 0.  Over Q that scan resumes where the
 F_2 scan stopped: an integer matrix has rank over Q at least its rank over
@@ -400,41 +402,43 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     return CMResult(True)
 
 
-@lru_cache(maxsize=VALUE_CACHE_SIZE)
-def depth_stanley_reisner(cx: Complex, field: FieldSpec, /) -> int:
-    """depth of K[cx] by Hochster's formula, in two passes over the faces:
+def _hochster(cx: Complex, field: FieldSpec, /) -> tuple[int, int, int]:
+    """(depth, G, i): depth K[cx] by Hochster's formula, in two passes over
+    the faces, with a face mask G and an index i attaining it, H~_i(lk G) != 0:
 
         depth = min over faces F of |F| + 1 + min{i : H~_i(lk F) != 0}.
 
     A cone is peeled first: with apex C, the intersection of all facets,
-    depth K[cx] = |C| + depth K[lk C], so a simplex costs nothing.  Every
-    facet F has the irrelevant link and contributes |F|, and any other face
-    at least |F| + 1, exactly that when its link is disconnected.  The
-    arguments are positional, so one question has one cache key.
+    depth K[cx] = |C| + depth K[lk C], and C joins the face of lk C, as
+    lk (C u G) = lk_{lk C} G; so a simplex costs nothing.  Every facet F has
+    the irrelevant link (i = -1) and contributes |F|, and any other face at
+    least |F| + 1, exactly that when its link is disconnected (i = 0).
 
     The first pass reads the bound u from H~_0 alone, the same over every
     field: the least of the smallest facet size and |G| + 1 over the faces G
-    with a disconnected link.  A disconnected cx must return 1 at once:
-    the second pass asks the empty face only while the bound is 3 or more,
-    so one whose smallest facet is an edge would read 2.  A G of at least
-    one vertex is the meet of two facets (module docstring), so only the
-    meets of 1 to u - 2 vertices are asked, by merging the facets holding
-    each, with no link built; at u = 3 the vertices are asked instead.
-    Every face of fewer than u - 1 vertices then has a connected link, so a
-    face of size s can only lower the minimum through H~_i with
+    with a disconnected link.  A disconnected cx must return 1 at once, at
+    the empty face: the second pass asks the empty face only while the bound
+    is 3 or more, so one whose smallest facet is an edge would read 2.  A G
+    of at least one vertex is the meet of two facets (module docstring), so
+    only the meets of 1 to u - 2 vertices are asked, by merging the facets
+    holding each, with no link built; at u = 3 the vertices are asked
+    instead.  Every face of fewer than u - 1 vertices then has a connected
+    link, so a face of size s can only lower the minimum through H~_i with
     1 <= i < u - s - 1.  The second pass walks the sizes s with
     s + 2 < best, by increasing size, and asks each link only below
-    best - s - 1.  The irrelevant complex has depth 0: K[cx] is the field
-    itself.
+    best - s - 1; each pass keeps the face that lowers the bound.  The
+    irrelevant complex has depth 0 at the empty face: K[cx] is the field.
     """
     if cx.kind == VOID:
         raise ValueError("depth is undefined for the void complex")
     if apex := _apex(cx):
-        return apex.bit_count() + depth_stanley_reisner(cx._link_mask(apex), field)
+        depth, face, index = _hochster(cx._link_mask(apex), field)
+        return apex.bit_count() + depth, apex | face, index
     masks = cx.facet_masks
-    best = min(fm.bit_count() for fm in masks)
     if _components(masks) > 1:
-        return 1
+        return 1, 0, 0
+    face = min(masks, key=int.bit_count)
+    best, index = face.bit_count(), -1
     faces = ()
     if best == 3:
         faces = cx.face_masks_of_dim(0)
@@ -443,16 +447,23 @@ def depth_stanley_reisner(cx: Complex, field: FieldSpec, /) -> int:
                         if 0 < (m := f & g).bit_count() < best - 1}, key=int.bit_count)
     for fm in faces:
         if _components(cx._link_facets(fm)) > 1:
-            best = fm.bit_count() + 1  # the least such meet
+            best, face, index = fm.bit_count() + 1, fm, 0  # the least such meet
             break
     size = 0
     while size + 2 < best:
         for fm in cx.face_masks_of_dim(size - 1):
             low = min_nonzero_betti(cx._link_mask(fm), field, best - size - 1)
             if low is not None:
-                best = size + 1 + low
+                best, face, index = size + 1 + low, fm, low
         size += 1
-    return best
+    return best, face, index
+
+
+@lru_cache(maxsize=VALUE_CACHE_SIZE)
+def depth_stanley_reisner(cx: Complex, field: FieldSpec, /) -> int:
+    """depth of K[cx] by Hochster's formula, _hochster's walk.  The arguments
+    are positional, so one question has one cache key."""
+    return _hochster(cx, field)[0]
 
 
 def _thin_intersection(masks: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int] | None:

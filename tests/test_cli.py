@@ -1170,6 +1170,9 @@ def test_the_fuzz_draws_valid_non_pure_documents(key):
 # -- production commands run no oracle -------------------------------------------------
 
 ORACLES = {
+    # Hochster's walk certifies a depth below dim + 1 itself, so `depth`
+    # runs no second walk, Reisner's, over the links
+    "homology": ("is_cohen_macaulay",),
     "criteria": ("depth_via_koszul", "degree_selecting_witness", "degree_complex_facet_form"),
     "rigid": ("is_rigid_by_subcomplex_depths", "is_rigid_by_skeleton_cm", "sample_depth_stability"),
 }
@@ -1197,11 +1200,14 @@ def test_production_commands_build_complexes_from_antichains(antichain_contract,
 
 
 def run_every_production_command(capsys):
-    """Every fixture through every verdict command; each ends in an answer
-    or a clean refusal."""
+    """Every fixture through every verdict command, over Q and F_2 and in
+    both formats; each ends in an answer or a clean refusal."""
     for path in sorted(FIXTURES.glob("*.json")):
         for command in ("depth", "rigid", "depth-equal-radical", "cones"):
-            assert run(capsys, command, str(path))[0] in (0, 2), (command, path.name)
+            for field in ("q", "fp:2"):
+                for fmt in ("text", "json"):
+                    code = run(capsys, command, str(path), "--field", field, "--format", fmt)[0]
+                    assert code in (0, 2), (command, path.name, field, fmt)
 
 
 # -- python -m srdepth ---------------------------------------------------------------------

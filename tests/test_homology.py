@@ -1,5 +1,6 @@
 import gc
 import importlib
+import json
 import pkgutil
 import random
 import weakref
@@ -19,6 +20,7 @@ from srdepth.homology import (
     _echelon,
     _Selections,
     _generated_below,
+    _hochster,
     _rank,
     _rank_f2,
     boundary_matrix,
@@ -35,8 +37,10 @@ from srdepth.ideals import MonomialIdeal
 from srdepth.simplicial import VOID, Complex, _selection_indices
 from bench import corpus as bench_corpus
 from tests.conftest import (
+    FIXTURES,
     RP2_FACETS,
     generic_min_nonzero_betti,
+    is_face,
     is_pure,
     mixed_complex_corpus,
     random_pure_complex,
@@ -739,6 +743,49 @@ def test_cone_depth_peels_the_apex(rp2, two_big_facets):
         for field in (RATIONALS, F2):
             d = depth_stanley_reisner(cx, field) + k
             assert depth_stanley_reisner(cone, field) == d == _skeleton_depth(cone, field)
+
+
+def _certificate_corpus() -> list[Complex]:
+    """Seeded complexes on 3 to 8 vertices, pure, not pure and cones over
+    both, plus every complex fixture."""
+    rng = random.Random(5201)
+    pure = []
+    while len(pure) < 120:
+        cx = random_pure_complex(rng, n_max=8)
+        if cx.n >= 3:
+            pure.append(cx)
+    mixed = []
+    while len(mixed) < 60:
+        n = rng.randint(3, 8)
+        cx = Complex(n, [rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+                         for _ in range(rng.randint(2, 6))])
+        if not is_pure(cx):
+            mixed.append(cx)
+    cones = []
+    for cx in rng.sample([cx for cx in pure + mixed if cx.n <= 6], 40):
+        apex = range(cx.n + 1, cx.n + rng.randint(1, 8 - cx.n) + 1)
+        cones.append(Complex(apex[-1], [(*f, *apex) for f in cx.facets]))
+    fixtures = [json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+    return pure + mixed + cones + [Complex.from_json_dict(d) for d in fixtures if "facets" in d]
+
+
+def test_hochsters_walk_keeps_a_face_that_attains_the_depth():
+    # the walk's face G and index i: H~_i(lk G) != 0, by dense ranks, and
+    # |G| + 1 + i is the depth; for a pure complex below dim + 1 the face
+    # breaks Reisner's criterion too, i < dim lk G
+    reisner = facet_faces = 0
+    for cx in _certificate_corpus():
+        for field in (RATIONALS, F2, F3):
+            depth, face, index = _hochster(cx, field)
+            assert is_face(cx, face), (cx, field)
+            lk = cx._link_mask(face)
+            assert generic_min_nonzero_betti(lk, field) == index, (cx, field)
+            assert face.bit_count() + 1 + index == depth == depth_stanley_reisner(cx, field)
+            if is_pure(cx) and depth <= cx.dim:
+                assert index < lk.dim, (cx, field)
+                reisner += 1
+            facet_faces += index == -1 and depth <= cx.dim
+    assert reisner > 50 and facet_faces > 50, (reisner, facet_faces)
 
 
 def test_simplex_depth_needs_no_face_scan():

@@ -78,11 +78,10 @@ def test_every_reexported_name_resolves():
 def test_library_surface_is_pinned():
     assert sorted(srdepth.__all__) == sorted([
         "Complex", "VOID", "IRRELEVANT", "ORDINARY",
-        "FieldSpec", "RATIONALS", "prime_field", "CMResult",
-        "reduced_betti", "is_cohen_macaulay", "depth_stanley_reisner",
+        "FieldSpec", "RATIONALS", "prime_field", "depth_stanley_reisner",
         "MonomialIdeal", "Decomposition", "irreducible_ideal",
         "prime_power_ideal", "stanley_reisner_ideal", "radical_complex",
-        "degree_complex", "depth_via_local_cohomology", "DepthEqualsRadicalVerdict",
+        "depth_via_local_cohomology", "DepthEqualsRadicalVerdict",
         "depth_equals_radical",
         "RigidVerdict", "is_rigid_by_intersections", "ConeUnion", "generate_cone_union",
     ])
