@@ -380,25 +380,30 @@ def depth_equals_radical(
     verdict is equality at once, with no table and no search.  Every
     complex passes at t <= 1.
 
-    Otherwise the search is one function of its state (j, mask): the
-    coordinate and the bitmask of the generators, across all components,
-    that fail to divide the degree prefix, the OR of the prefix's rows of
-    _exceed_rows.  It returns the facet-index bitmask of the least bad
-    completion's selection, or 0, trying each coordinate's breakpoint
-    classes in increasing order, and files the class it took at each
-    coordinate on the way back up, which gives the witness degree.  The
-    classes of the last coordinate are tried in one loop, which reads each
-    leaf in place: the selected facets are those whose component has every
-    generator failing, as degree_complex_unmixed selects them; their index
-    bitmask is looked up in the stored answers, and only a selection not
-    met before, over an equal complex and the same field, is asked of the
-    _Selections, with its index list built then.  The void selection is
-    stored as not below t, so 0 never names a witness.  Dead states are
-    memoised, one set of masks per coordinate, so the first bad leaf is the
-    box scan's first witness.  Its subcomplex is built from the winning
-    selection only when no earlier verdict over an equal complex and the
-    same field ended there: the _Selections keeps each witness by selection
-    and every later verdict returns that object.
+    Otherwise the search is one loop over explicit state: masks[j], the
+    bitmask of the generators, across all components, that fail to divide
+    the degree prefix entering coordinate j (the OR of the prefix's rows of
+    _exceed_rows), and ks[j], the index of the breakpoint class being tried
+    at j.  Each coordinate tries its classes in increasing order; a child
+    state met before with no bad completion is passed over, and a
+    coordinate whose classes are used up adds its mask to dead[j], one set
+    of masks per coordinate, and backs up to the class after the one its
+    parent was trying.  The classes of the last coordinate are tried in
+    one inner loop, which reads each leaf in place: the selected facets are
+    those whose component has every generator failing, as
+    degree_complex_unmixed selects them; their index bitmask is looked up
+    in the stored answers, and only a selection not met before, over an
+    equal complex and the same field, is asked of the _Selections, with
+    its index list built then.  The void selection is stored as not below
+    t, so it never names a witness.  Dead states are skipped only because
+    they have no bad leaf, so the first bad leaf is the box scan's first
+    witness, and its degree is grid[j][ks[j]] at every coordinate j.
+    Its subcomplex is built from the winning selection only when no
+    earlier verdict over an equal complex and the same field ended there:
+    the _Selections keeps each witness by selection and every later verdict
+    returns that object.  The search is no nested function, so it makes
+    no reference cycle: its state is freed by reference counting as the
+    verdict returns, and no verdict leaves work for the cycle collector.
     The equivalent facet-selection route (no selection of depth < t admits
     a degree_selecting_witness) is left to the tests as an oracle; `srdepth
     audit` checks the verdict against depth_via_local_cohomology of the
@@ -416,15 +421,25 @@ def depth_equals_radical(
     grid, exceeds = _exceed_rows(n, gens)
     r, last = len(comps), n - 1
     dead: list[set[int]] = [set() for _ in range(n)]  # dead[j]: masks with no bad completion
-    degree = [0] * n  # the winning leaf's degree, filed on the way back up
-
-    def search(j: int, mask: int) -> int:
-        if mask in dead[j]:
-            return 0
-        if j == last:
+    masks = [0] * n  # masks[j]: the prefix mask entering coordinate j
+    ks = [0] * n  # ks[j]: the index of the class tried at coordinate j
+    j = 0
+    while True:
+        mask = masks[j]
+        if j < last:
+            k = ks[j]
+            if k < len(grid[j]):
+                child = mask | exceeds[j][k]
+                if child in dead[j + 1]:
+                    ks[j] = k + 1
+                else:
+                    j += 1
+                    masks[j], ks[j] = child, 0
+                continue
+        else:
             # a leaf selects the facets whose component has every generator
             # failing; the void selection is stored as not below t
-            for v, e in zip(grid[j], exceeds[j]):
+            for k, e in enumerate(exceeds[j]):
                 leaf = mask | e
                 selection = 0
                 for b, bits in comps:
@@ -434,21 +449,18 @@ def depth_equals_radical(
                 if found is None:
                     found = below(selection, [i for i in range(r) if selection >> i & 1])
                 if found:
-                    degree[j] = v
-                    return selection
-        else:
-            for v, e in zip(grid[j], exceeds[j]):
-                if selection := search(j + 1, mask | e):
-                    degree[j] = v
-                    return selection
-        dead[j].add(mask)
-        return 0
-
-    selection = search(0, 0)
-    if not selection:
-        return DepthEqualsRadicalVerdict(True, t)
+                    break
+            if found:
+                ks[j] = k
+                break
+        dead[j].add(mask)  # the classes of j are used up: back up
+        if not j:
+            return DepthEqualsRadicalVerdict(True, t)
+        j -= 1
+        ks[j] += 1
     witness = sels.witnesses.get(selection)
     if witness is None:
         witness = sels.witnesses[selection] = Complex._from_masks(n, [
             fm for i, fm in enumerate(dec.delta.facet_masks) if selection >> i & 1])
-    return DepthEqualsRadicalVerdict(False, t, tuple(degree), witness)
+    return DepthEqualsRadicalVerdict(
+        False, t, tuple(classes[k] for classes, k in zip(grid, ks)), witness)

@@ -643,6 +643,32 @@ def test_decision_matches_box_scan_on_fourcycle():
         assert verdict_summary(verdict) == box_scan_decision(dec)
 
 
+@pytest.mark.parametrize("apex", [1, 3, 5], ids=["first", "middle", "last"])
+def test_decision_backs_up_past_a_coordinate_of_one_class(apex):
+    # the cone over the 4-cycle: the apex lies in every facet, so no
+    # component involves x_apex and its coordinate has the one class 0,
+    # which the search enters, tries and backs up past like any other
+    rim = [v for v in range(1, 6) if v != apex]
+    cx = Complex(5, [(rim[i], rim[(i + 1) % 4], apex) for i in range(4)])
+    rng = random.Random(53 + apex)
+    verdicts = set()
+    for _ in range(20):
+        comps = {}
+        for f in cx.facets:
+            if rng.random() < 0.5:
+                comps[f] = irreducible_ideal(5, f, [rng.randint(1, 4) for _ in range(2)])
+            else:
+                comps[f] = prime_power_ideal(5, f, rng.randint(1, 3))
+        dec = Decomposition(cx, comps)
+        assert dec.max_exponents()[apex - 1] == 0
+        for field in (RATIONALS, F2, F3):
+            verdict = depth_equals_radical(dec, field)
+            assert verdict.t == 3 and not homology._selections(cx, field).rigid
+            assert verdict_summary(verdict) == box_scan_decision(dec, field), (dec, field)
+            verdicts.add(verdict.equal)
+    assert verdicts == {True, False}
+
+
 def test_decision_leaves_of_radical_depth_two_build_no_subcomplex():
     # the 4-cycle has t = 2: every leaf is answered from its facets, by the
     # pair rule or by connectivity, so only the 4-cycle's own depth is taken

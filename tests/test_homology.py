@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import srdepth
 from srdepth import homology
+from srdepth.cones import generate_cone_union
+from srdepth.criteria import depth_equals_radical, depth_via_local_cohomology
 from srdepth.homology import (
     FieldSpec,
     RATIONALS,
@@ -33,7 +35,8 @@ from srdepth.homology import (
     rank_mod_p,
     reduced_betti,
 )
-from srdepth.ideals import MonomialIdeal
+from srdepth.ideals import Decomposition, MonomialIdeal, radical_complex
+from srdepth.rigid import is_rigid_by_intersections
 from srdepth.simplicial import VOID, Complex, _selection_indices
 from bench import corpus as bench_corpus
 from tests.conftest import (
@@ -43,6 +46,7 @@ from tests.conftest import (
     is_face,
     is_pure,
     mixed_complex_corpus,
+    random_decomposition,
     random_pure_complex,
     reisner_walk,
     tuple_boundary_matrix,
@@ -515,6 +519,88 @@ def test_a_complex_and_its_links_are_freed_without_the_cycle_collector():
         del cx
         # no link refers to its parent, so reference counting frees them
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+def seeded_decomposition(seed: int, pure: bool) -> Decomposition:
+    """A random decomposition over a random pure complex, or over the
+    complex that four random faces of mixed sizes generate."""
+    rng = random.Random(seed)
+    if pure:
+        return random_decomposition(rng, n_max=6, r_max=5)
+    n = rng.randint(3, 6)
+    cx = Complex(n, [rng.sample(range(1, n + 1), rng.randint(1, n - 1)) for _ in range(4)])
+    return random_decomposition(rng, cx=cx)
+
+
+#: (seed, pure, equal over Q) of seeded decompositions over non-rigid complexes
+SEEDED_DECOMPOSITIONS = {
+    "pure-equal": (27, True, True),
+    "pure-unequal": (12, True, False),
+    "nonpure-equal": (131, False, True),
+    "nonpure-unequal": (50, False, False),
+}
+
+
+@pytest.mark.parametrize("seed, pure, equal", SEEDED_DECOMPOSITIONS.values(),
+                         ids=SEEDED_DECOMPOSITIONS)
+def test_the_seeded_decompositions_search_to_their_verdicts(seed, pure, equal):
+    dec = seeded_decomposition(seed, pure)
+    assert is_pure(dec.delta) == pure
+    assert not homology._selections(dec.delta, RATIONALS).rigid
+    assert depth_equals_radical(dec).equal == equal
+
+
+GARBAGE_ROUTES = {
+    "decision": depth_equals_radical,
+    "ideal-depth": depth_via_local_cohomology,
+    "radical": lambda ideal, field: radical_complex(ideal),
+    "depth": depth_stanley_reisner,
+    "rigid": lambda cx, field: is_rigid_by_intersections(cx, depth_stanley_reisner(cx, field)),
+    "cones": generate_cone_union,
+}
+
+
+def garbage_cases() -> list:
+    """(parse, route, field) for each verdict the cycle pin asks: parse
+    builds the input anew, from its JSON or its seed."""
+    inputs = []  # (route names, input name, parse)
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "components" in doc:
+            inputs.append((["decision"], path.stem, lambda doc=doc: Decomposition.from_json_dict(doc)))
+        elif "facets" in doc:
+            inputs.append((["depth", "rigid", "cones"], path.stem,
+                           lambda doc=doc: Complex.from_json_dict(doc)))
+        else:
+            inputs.append((["ideal-depth", "radical"], path.stem,
+                           lambda doc=doc: MonomialIdeal.from_json_dict(doc)))
+    for name, (seed, pure, _) in SEEDED_DECOMPOSITIONS.items():
+        inputs.append((["decision"], name, lambda seed=seed, pure=pure: seeded_decomposition(seed, pure)))
+    cases = []
+    for routes, name, parse in inputs:
+        for route in routes:
+            for field in (RATIONALS, F2, F3):
+                # the candidate cap refuses this union, and a traceback is a cycle
+                if route == "cones" and name == "projective_plane_6" and field is not F2:
+                    continue
+                cases.append(pytest.param(parse, GARBAGE_ROUTES[route], field,
+                                          id=f"{route}-{name}-{field}"))
+    return cases
+
+
+@pytest.mark.parametrize("parse, route, field", garbage_cases())
+def test_no_verdict_leaves_cyclic_garbage(parse, route, field):
+    # each verdict's state is freed by reference counting as it returns;
+    # the first call fills the caches, so the second asks the same question
+    # of a fresh input with the caches warm
+    route(parse(), field)
+    gc.collect()
+    gc.disable()
+    try:
+        route(parse(), field)
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
