@@ -31,6 +31,8 @@ components share no vertex outside G, and G = F n F'.  Such a face gives
 depth |G| + 1, so pairwise facet meets bound the depth without building a
 link; below that bound every link is connected, and only the indices that
 can still lower the minimum are ranked (min_nonzero_betti's `below`).
+Being field-free, that first pass runs once per complex object, which keeps
+its result; a walk over a second field goes straight to the ranks.
 
 The decision and the cone union ask one question of many facet selections of
 a complex of depth t, pure or not: is the selection's depth below t?  One
@@ -51,6 +53,9 @@ subcomplexes; all three take their arguments by position only, so one
 question has one key.  The FieldSpec table holds one entry per field that
 is asked for: FieldSpec(p) validates p on every call and returns that
 field's one instance, so the caches' keys hash a field by identity.
+Per-object state is no cache by value: a complex keeps its face lists, its
+links and the (u, G, i) of Hochster's first pass (_first_pass), for as long
+as it lives and unshared with equal complexes.
 
 Conventions for degenerate complexes, which degree complexes can be:
 the irrelevant complex {0} has H~_{-1} = K and nothing else; the void complex
@@ -402,6 +407,33 @@ def is_cohen_macaulay(cx: Complex, field: FieldSpec = RATIONALS) -> CMResult:
     return CMResult(True)
 
 
+def _first_pass(cx: Complex) -> tuple[int, int, int]:
+    """(u, G, i): the bound of Hochster's first pass over a complex that is
+    no cone, from H~_0 alone and so the same over every field, kept in
+    cx._meet for every later walk: (1, 0, 0) if cx is disconnected, else the
+    smallest facet at -1 or the least meet G with a disconnected link at 0
+    (see _hochster)."""
+    masks = cx.facet_masks
+    if _components(masks) > 1:
+        meet = 1, 0, 0
+    else:
+        face = min(masks, key=int.bit_count)
+        best = face.bit_count()
+        meet = best, face, -1
+        faces = ()
+        if best == 3:
+            faces = cx.face_masks_of_dim(0)
+        elif best > 3:
+            faces = sorted({m for f, g in combinations(masks, 2)
+                            if 0 < (m := f & g).bit_count() < best - 1}, key=int.bit_count)
+        for fm in faces:
+            if _components(cx._link_facets(fm)) > 1:
+                meet = fm.bit_count() + 1, fm, 0  # the least such meet
+                break
+    cx._meet = meet
+    return meet
+
+
 def _hochster(cx: Complex, field: FieldSpec, /) -> tuple[int, int, int]:
     """(depth, G, i): depth K[cx] by Hochster's formula, in two passes over
     the faces, with a face mask G and an index i attaining it, H~_i(lk G) != 0:
@@ -414,13 +446,16 @@ def _hochster(cx: Complex, field: FieldSpec, /) -> tuple[int, int, int]:
     the irrelevant link (i = -1) and contributes |F|, and any other face at
     least |F| + 1, exactly that when its link is disconnected (i = 0).
 
-    The first pass reads the bound u from H~_0 alone, the same over every
-    field: the least of the smallest facet size and |G| + 1 over the faces G
-    with a disconnected link.  A disconnected cx must return 1 at once, at
-    the empty face: the second pass asks the empty face only while the bound
-    is 3 or more, so one whose smallest facet is an edge would read 2.  A G
-    of at least one vertex is the meet of two facets (module docstring), so
-    only the meets of 1 to u - 2 vertices are asked, by merging the facets
+    The first pass (_first_pass) reads the bound u from H~_0 alone, the same
+    over every field, so it runs once on each complex walked, the core left
+    by the peel, which keeps (u, G, i) in its _meet slot; a walk over
+    another field reads the slot and goes straight to the second pass.  u is
+    the least of the smallest facet size and |G| + 1 over the faces G with a
+    disconnected link.  A disconnected cx gives 1 at once, at the empty
+    face: the second pass asks the empty face only while the bound is 3 or
+    more, so one whose smallest facet is an edge would read 2.  A G of at
+    least one vertex is the meet of two facets (module docstring), so only
+    the meets of 1 to u - 2 vertices are asked, by merging the facets
     holding each, with no link built; at u = 3 the vertices are asked
     instead.  Every face of fewer than u - 1 vertices then has a connected
     link, so a face of size s can only lower the minimum through H~_i with
@@ -434,21 +469,7 @@ def _hochster(cx: Complex, field: FieldSpec, /) -> tuple[int, int, int]:
     if apex := _apex(cx):
         depth, face, index = _hochster(cx._link_mask(apex), field)
         return apex.bit_count() + depth, apex | face, index
-    masks = cx.facet_masks
-    if _components(masks) > 1:
-        return 1, 0, 0
-    face = min(masks, key=int.bit_count)
-    best, index = face.bit_count(), -1
-    faces = ()
-    if best == 3:
-        faces = cx.face_masks_of_dim(0)
-    elif best > 3:
-        faces = sorted({m for f, g in combinations(masks, 2)
-                        if 0 < (m := f & g).bit_count() < best - 1}, key=int.bit_count)
-    for fm in faces:
-        if _components(cx._link_facets(fm)) > 1:
-            best, face, index = fm.bit_count() + 1, fm, 0  # the least such meet
-            break
+    best, face, index = cx._meet or _first_pass(cx)
     size = 0
     while size + 2 < best:
         for fm in cx.face_masks_of_dim(size - 1):
@@ -476,6 +497,8 @@ def _thin_intersection(masks: tuple[int, ...], t: int) -> tuple[tuple[int, ...],
     formula at F.  A facet G with |G| < t <= dim + 1, as
     rigid.is_rigid_by_intersections may ask, fails k = 2: |F n G| >= t - 1
     would put G inside another facet F, and |C| < |G| keeps k = 2 searched.
+    The pairs, which most verdicts end on or pass through, are scanned by
+    two index loops in the same order; combinations lists only k >= 3.
 
     At t = depth K[Δ] the criterion passes iff no proper facet selection
     falls below t; neither step uses purity.  Sufficiency: if every j <= s
@@ -488,7 +511,16 @@ def _thin_intersection(masks: tuple[int, ...], t: int) -> tuple[tuple[int, ...],
     on k; so depth K[Γ] = depth K[Λ] + 1 < t, and Γ is proper.
     """
     r = len(masks)
-    for k in range(2, min(r, t - reduce(and_, masks).bit_count()) + 1):
+    top = min(r, t - reduce(and_, masks).bit_count())
+    if top >= 2:
+        need = t - 1
+        for a in range(r - 1):
+            fa = masks[a]
+            for b in range(a + 1, r):
+                size = (fa & masks[b]).bit_count()
+                if size < need:
+                    return (a, b), size
+    for k in range(3, top + 1):
         for idx in combinations(range(r), k):
             inter = masks[idx[0]]
             for i in idx[1:]:

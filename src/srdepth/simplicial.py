@@ -30,7 +30,9 @@ Any other link keeps its parent's level list, never the parent itself, if
 the parent had one when the link was built: it filters the middle sizes
 that list holds (the faces holding the linked face, with that face removed)
 and lists only the other sizes from its own facets.  A complex also keeps
-the links it has built.
+the links it has built and the result of Hochster's first pass
+(homology._first_pass), which is the same over every field: it keeps its
+face lists, its links and its first pass.
 """
 from __future__ import annotations
 
@@ -218,7 +220,9 @@ class Complex:
     vertices) and keeps the maximal ones; it is idempotent on facet sets.
     """
 
-    __slots__ = ("n", "_fmasks", "kind", "dim", "_hash", "_levels", "_above", "_links")
+    # beside its facets, a complex keeps its face lists, its links and its
+    # first pass (_levels, _links, _meet), each once computed
+    __slots__ = ("n", "_fmasks", "kind", "dim", "_hash", "_levels", "_above", "_links", "_meet")
 
     def __init__(self, n: int, faces: Iterable[Iterable[int]]):
         n = as_int(n, "n")
@@ -241,6 +245,7 @@ class Complex:
         self._levels = None  # slot k: the k-vertex faces, once listed
         self._above = None  # (parent's level list, face mask) of a link
         self._links = None  # face mask -> link, once built
+        self._meet = None  # (u, G, i) of Hochster's field-free first pass, once run
 
     @classmethod
     def _from_masks(cls, n: int, masks: Iterable[int]) -> "Complex":

@@ -1,7 +1,8 @@
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import prod
+from operator import and_
 from pathlib import Path
 
 import pytest
@@ -416,6 +417,22 @@ def all_intersections_verdict(cx: Complex, t: int):
             if size < t - k + 1:
                 return False, idx, size
     return True, None, None
+
+
+def combinations_thin_intersection(masks: tuple[int, ...], t: int):
+    """homology._thin_intersection with every k, pairs included, listed by
+    itertools.combinations: the first short tuple and its intersection
+    size, or None; k runs from 2 to min(r, t - |C|) for the apex C."""
+    r = len(masks)
+    for k in range(2, min(r, t - reduce(and_, masks).bit_count()) + 1):
+        for idx in combinations(range(r), k):
+            inter = masks[idx[0]]
+            for i in idx[1:]:
+                inter &= masks[i]
+            size = inter.bit_count()
+            if size < t - k + 1:
+                return idx, size
+    return None
 
 
 def selection_depth(cx: Complex, indices, field=RATIONALS) -> int:

@@ -5,8 +5,10 @@ import pkgutil
 import random
 import weakref
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, islice
 from math import comb
+from operator import and_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from srdepth.homology import (
     _hochster,
     _rank,
     _rank_f2,
+    _thin_intersection,
     boundary_matrix,
     depth_stanley_reisner,
     is_cohen_macaulay,
@@ -42,6 +45,7 @@ from bench import corpus as bench_corpus
 from tests.conftest import (
     FIXTURES,
     RP2_FACETS,
+    combinations_thin_intersection,
     generic_min_nonzero_betti,
     is_face,
     is_pure,
@@ -459,7 +463,7 @@ def test_each_question_has_one_cache_key():
 def test_complex_slots_are_named():
     # a new per-complex memo is a deliberate choice: name it here
     assert Complex.__slots__ == (
-        "n", "_fmasks", "kind", "dim", "_hash", "_levels", "_above", "_links",
+        "n", "_fmasks", "kind", "dim", "_hash", "_levels", "_above", "_links", "_meet",
     )
 
 
@@ -559,6 +563,10 @@ GARBAGE_ROUTES = {
     "depth": depth_stanley_reisner,
     "rigid": lambda cx, field: is_rigid_by_intersections(cx, depth_stanley_reisner(cx, field)),
     "cones": generate_cone_union,
+    # what the rigidity benchmark asks of one complex, with F_2 as the field
+    "rigidity": lambda cx, field: (
+        depth_stanley_reisner(cx, RATIONALS), depth_stanley_reisner(cx, field),
+        is_rigid_by_intersections(cx, depth_stanley_reisner(cx, RATIONALS))),
 }
 
 
@@ -571,7 +579,7 @@ def garbage_cases() -> list:
         if "components" in doc:
             inputs.append((["decision"], path.stem, lambda doc=doc: Decomposition.from_json_dict(doc)))
         elif "facets" in doc:
-            inputs.append((["depth", "rigid", "cones"], path.stem,
+            inputs.append((["depth", "rigid", "rigidity", "cones"], path.stem,
                            lambda doc=doc: Complex.from_json_dict(doc)))
         else:
             inputs.append((["ideal-depth", "radical"], path.stem,
@@ -872,6 +880,69 @@ def test_hochsters_walk_keeps_a_face_that_attains_the_depth():
                 reisner += 1
             facet_faces += index == -1 and depth <= cx.dim
     assert reisner > 50 and facet_faces > 50, (reisner, facet_faces)
+
+
+def test_the_first_pass_runs_once_per_complex(monkeypatch):
+    # the first pass is the same over every field: after a cold Q depth,
+    # the F_2 and F_3 depths of the same object list no link's facets, and
+    # the walk's triples agree in either order of the fields
+    passes = []
+    original = Complex._link_facets
+
+    def counting(cx, m):
+        passes.append(m)
+        return original(cx, m)
+
+    corpus = _certificate_corpus()
+    for cx in corpus:
+        min_nonzero_betti.cache_clear()
+        depth_stanley_reisner.cache_clear()
+        depth_stanley_reisner(cx, RATIONALS)
+        monkeypatch.setattr(Complex, "_link_facets", counting)
+        depth_stanley_reisner(cx, F2)
+        depth_stanley_reisner(cx, F3)
+        monkeypatch.undo()
+        assert not passes, cx
+    for cx in corpus:
+        fields = (RATIONALS, F2, F3)
+        cold = []
+        for field in fields:
+            min_nonzero_betti.cache_clear()
+            cold.append(_hochster(Complex(cx.n, cx.facets), field))
+        for order in (fields, fields[::-1]):
+            min_nonzero_betti.cache_clear()
+            fresh = Complex(cx.n, cx.facets)
+            triples = {field: _hochster(fresh, field) for field in order}
+            assert [triples[field] for field in fields] == cold, (cx, order)
+    min_nonzero_betti.cache_clear()
+    depth_stanley_reisner.cache_clear()
+
+
+def test_the_thin_intersection_matches_the_combinations_oracle():
+    # the pairs are scanned by two index loops: the same first tuple, in
+    # combinations order, and the same size, at every t up to dim + 1
+    rng = random.Random(5401)
+    corpus = [random_pure_complex(rng, n_max=8, r_max=8) for _ in range(150)]
+    corpus += [cx for cx in mixed_complex_corpus(count=200, seed=54)
+               if cx.kind != VOID and not is_pure(cx)]
+    for _ in range(100):  # large facets, so that pairs meet and triples may not
+        n = rng.randint(5, 8)
+        corpus.append(Complex(n, [rng.sample(range(1, n + 1), rng.randint(n - 3, n - 1))
+                                  for _ in range(rng.randint(3, 6))]))
+    corpus += [Complex(cx.n + 2, [(*f, cx.n + 1, cx.n + 2) for f in cx.facets])
+               for cx in corpus[:60] if cx.n <= 6]
+    shapes = {"pure": 0, "mixed": 0, "apex": 0, "single": 0, "pairs": 0, "k>2": 0}
+    for cx in corpus:
+        masks = cx.facet_masks
+        shapes["pure" if is_pure(cx) else "mixed"] += 1
+        shapes["apex"] += reduce(and_, masks) != 0
+        shapes["single"] += len(masks) == 1
+        for t in range(cx.dim + 2):
+            found = _thin_intersection(masks, t)
+            assert found == combinations_thin_intersection(masks, t), (cx, t)
+            if found:
+                shapes["pairs" if len(found[0]) == 2 else "k>2"] += 1
+    assert min(shapes.values()) >= 10, shapes
 
 
 def test_simplex_depth_needs_no_face_scan():
